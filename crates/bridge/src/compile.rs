@@ -34,8 +34,8 @@ use reopt_common::{FxHashMap, FxHashSet};
 use reopt_core::rules_ir::{AggFunc, Atom, Rule, Term};
 use reopt_datalog::{
     AggKind, Arrange, ArrangementHandle, Dataflow, DataflowError, Delta, Distinct, ExternalFn,
-    FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, RunStats, SchedulerMode, SinkId,
-    Tuple, Union, Val,
+    FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, NodeStats, RunStats, SchedulerMode,
+    SinkId, Tuple, Union, Val,
 };
 
 /// The value standing in for the rules' `null` constant: a dedicated
@@ -98,6 +98,8 @@ pub struct NetworkBuilder {
     inputs: Vec<(String, usize)>,
     externals: FxHashMap<String, ExternalDef>,
     sinks: Vec<String>,
+    /// `(relation, column, strata)` release-order declarations.
+    release_orders: Vec<(String, usize, Vec<u32>)>,
     mode: SchedulerMode,
     fusion: bool,
     share_arrangements: bool,
@@ -110,6 +112,7 @@ impl Default for NetworkBuilder {
             inputs: Vec::new(),
             externals: FxHashMap::default(),
             sinks: Vec::new(),
+            release_orders: Vec::new(),
             mode: SchedulerMode::Batched,
             fusion: true,
             share_arrangements: true,
@@ -191,6 +194,23 @@ impl NetworkBuilder {
         self
     }
 
+    /// Declares the release order of a relation's pending deltas: a
+    /// delta holding `Int(v)` in `column` waits in stratum `strata[v]`
+    /// until the rest of the relation's recursive component has
+    /// drained (see [`Dataflow::set_release_order`]). A schedule, not a
+    /// semantics: any table yields the same fixpoint; the table that
+    /// follows the data's derivation order yields it without transients.
+    pub fn release_order(
+        mut self,
+        relation: &str,
+        column: usize,
+        strata: Vec<u32>,
+    ) -> NetworkBuilder {
+        self.release_orders
+            .push((relation.to_string(), column, strata));
+        self
+    }
+
     /// Requests a materialized sink on a relation.
     pub fn sink(mut self, name: &str) -> NetworkBuilder {
         self.sinks.push(name.to_string());
@@ -255,6 +275,20 @@ impl Compiler {
     fn compile(mut self) -> Result<RuleNetwork, CompileError> {
         let rules = std::mem::take(&mut self.b.rules);
         self.collect_relations(&rules)?;
+        for (name, column, strata) in std::mem::take(&mut self.b.release_orders) {
+            match self.rels.get(&name) {
+                Some(rel) if column < rel.arity => {
+                    self.df.set_release_order(rel.read, column, strata)
+                }
+                Some(rel) => {
+                    return err(format!(
+                        "release order on column {column} of `{name}`, which has arity {}",
+                        rel.arity
+                    ))
+                }
+                None => return err(format!("release order on unknown relation `{name}`")),
+            }
+        }
         for rule in &rules {
             self.compile_rule(rule)?;
         }
@@ -379,8 +413,12 @@ impl Compiler {
             let n_rules = rule_count[name];
             let seeded = self.rels.contains_key(name);
             let ports = n_rules + seeded as usize;
+            let first_new = self.df.node_count();
             let union = self.df.add_op_unwired(Union::new(ports));
             let distinct = self.df.add_op(Distinct::new(), &[union]);
+            // `union[PlanCost]`, `distinct[BestCost]`: profiling tells
+            // the per-relation pairs apart.
+            self.df.label_suffix_from(first_new, name);
             match self.rels.get_mut(name) {
                 Some(rel) => {
                     // Seeded derived relation: the input feeds port 0.
@@ -995,10 +1033,10 @@ impl RuleNetwork {
         self.df.restore(bytes)
     }
 
-    /// A materialized relation (must have been requested via
-    /// [`NetworkBuilder::sink`]).
-    pub fn sink(&self, relation: &str) -> &Multiset {
-        self.df.sink(self.sinks[relation])
+    /// A materialized relation; `None` unless it was requested via
+    /// [`NetworkBuilder::sink`].
+    pub fn sink(&self, relation: &str) -> Option<&Multiset> {
+        self.sinks.get(relation).map(|&id| self.df.sink(id))
     }
 
     /// Number of dataflow nodes (diagnostics).
@@ -1012,9 +1050,9 @@ impl RuleNetwork {
         self.df.fused_node_count()
     }
 
-    /// Per-node lifetime `(label, batches, deltas)` service counters
-    /// (see [`reopt_datalog::Dataflow::node_stats`]).
-    pub fn node_stats(&self) -> Vec<(String, u64, u64)> {
+    /// Per-node lifetime service counters (see
+    /// [`reopt_datalog::Dataflow::node_stats`]).
+    pub fn node_stats(&self) -> Vec<NodeStats> {
         self.df.node_stats()
     }
 
@@ -1052,16 +1090,16 @@ mod tests {
             net.insert("Edge", ints(&[a, b]));
         }
         net.run().unwrap();
-        assert_eq!(net.sink("Path").len(), 6);
-        assert!(net.sink("Path").contains(&ints(&[1, 4])));
+        assert_eq!(net.sink("Path").unwrap().len(), 6);
+        assert!(net.sink("Path").unwrap().contains(&ints(&[1, 4])));
         // Incremental deletion: counting retracts exactly.
         net.delete("Edge", ints(&[2, 3]));
         net.run().unwrap();
         assert_eq!(
-            net.sink("Path").sorted(),
+            net.sink("Path").unwrap().sorted(),
             vec![ints(&[1, 2]), ints(&[1, 3]), ints(&[1, 4]), ints(&[3, 4])]
         );
-        assert!(!net.sink("Path").has_negative_counts());
+        assert!(!net.sink("Path").unwrap().has_negative_counts());
     }
 
     #[test]
@@ -1089,11 +1127,11 @@ mod tests {
         net.insert("In", ints(&[5, 9]));
         net.run().unwrap();
         assert_eq!(
-            net.sink("Bound").sorted(),
+            net.sink("Bound").unwrap().sorted(),
             vec![ints(&[3, 4]), ints(&[5, 6])]
         );
         // Only (3,4) satisfies y = x + 1.
-        assert_eq!(net.sink("Hit").sorted(), vec![ints(&[3])]);
+        assert_eq!(net.sink("Hit").unwrap().sorted(), vec![ints(&[3])]);
     }
 
     #[test]
@@ -1120,7 +1158,7 @@ mod tests {
         net.insert("In", ints(&[2]));
         net.insert("In", ints(&[3]));
         net.run().unwrap();
-        assert_eq!(net.sink("Eq").sorted(), vec![ints(&[2, 20])]);
+        assert_eq!(net.sink("Eq").unwrap().sorted(), vec![ints(&[2, 20])]);
     }
 
     #[test]
@@ -1166,11 +1204,11 @@ mod tests {
         // r1: ParentBound(20,0,100-20-5) → MaxBound 75; r4 takes the
         // child's own best (10) as its bound. Mirrored for (30,0).
         assert_eq!(
-            net.sink("MaxBound").sorted(),
+            net.sink("MaxBound").unwrap().sorted(),
             vec![t(20, 0, 75.0), t(30, 0, 85.0)]
         );
         assert_eq!(
-            net.sink("Bound").sorted(),
+            net.sink("Bound").unwrap().sorted(),
             vec![t(10, 0, 100.0), t(20, 0, 10.0), t(30, 0, 20.0)]
         );
         // Incremental: the left child's best rises past nothing — its
@@ -1180,14 +1218,14 @@ mod tests {
         net.insert("BestCost", t(20, 0, 80.0));
         net.run().unwrap();
         assert_eq!(
-            net.sink("MaxBound").sorted(),
+            net.sink("MaxBound").unwrap().sorted(),
             vec![t(20, 0, 75.0), t(30, 0, 15.0)]
         );
         assert_eq!(
-            net.sink("Bound").sorted(),
+            net.sink("Bound").unwrap().sorted(),
             vec![t(10, 0, 100.0), t(20, 0, 75.0), t(30, 0, 15.0)]
         );
-        assert!(!net.sink("Bound").has_negative_counts());
+        assert!(!net.sink("Bound").unwrap().has_negative_counts());
     }
 
     #[test]
@@ -1275,10 +1313,10 @@ mod tests {
                 net.run().unwrap();
             }
         }
-        let reference = nets[0].sink("Out").sorted();
+        let reference = nets[0].sink("Out").unwrap().sorted();
         assert_eq!(reference, vec![ints(&[3]), ints(&[4])]);
         for net in &nets[1..] {
-            assert_eq!(net.sink("Out").sorted(), reference);
+            assert_eq!(net.sink("Out").unwrap().sorted(), reference);
             assert_eq!(net.fused_node_count(), 0);
         }
         assert!(nets[0].fused_node_count() > 0, "no chains fused");
@@ -1332,8 +1370,12 @@ mod tests {
             }
         }
         for rel in ["Pair", "Wide", "Reach"] {
-            assert!(!shared.sink(rel).has_negative_counts());
-            assert_eq!(shared.sink(rel).sorted(), owned.sink(rel).sorted(), "{rel}");
+            assert!(!shared.sink(rel).unwrap().has_negative_counts());
+            assert_eq!(
+                shared.sink(rel).unwrap().sorted(),
+                owned.sink(rel).unwrap().sorted(),
+                "{rel}"
+            );
         }
     }
 
@@ -1355,11 +1397,11 @@ mod tests {
         net.insert("Wide", ints(&[9, 2, 3, 4, 5, 8]));
         net.insert("K", ints(&[1]));
         net.run().unwrap();
-        assert_eq!(net.sink("Out").sorted(), vec![ints(&[1, 6])]);
+        assert_eq!(net.sink("Out").unwrap().sorted(), vec![ints(&[1, 6])]);
         net.delete("Wide", ints(&[1, 2, 3, 4, 5, 6]));
         net.insert("K", ints(&[9]));
         net.run().unwrap();
-        assert_eq!(net.sink("Out").sorted(), vec![ints(&[9, 8])]);
+        assert_eq!(net.sink("Out").unwrap().sorted(), vec![ints(&[9, 8])]);
     }
 
     #[test]
@@ -1378,13 +1420,13 @@ mod tests {
         net.insert("CostIn", ints(&[1, 3, 40]));
         net.run().unwrap();
         assert_eq!(
-            net.sink("Best").sorted(),
+            net.sink("Best").unwrap().sorted(),
             vec![ints(&[1, 2, 10]), ints(&[1, 3, 40])]
         );
         net.delete("CostIn", ints(&[1, 2, 10]));
         net.run().unwrap();
         assert_eq!(
-            net.sink("Best").sorted(),
+            net.sink("Best").unwrap().sorted(),
             vec![ints(&[1, 2, 30]), ints(&[1, 3, 40])]
         );
     }

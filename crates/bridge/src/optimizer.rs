@@ -69,7 +69,7 @@ use reopt_core::memo::{AltId, GroupId, Memo};
 use reopt_core::rules_ir::{parse_rules, Rule};
 use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
-use reopt_datalog::{DataflowError, FaultPlan, Multiset, RunStats, Tuple, Val};
+use reopt_datalog::{DataflowError, FaultPlan, Multiset, NodeStats, RunStats, Tuple, Val};
 use reopt_expr::{ExprId, JoinGraph, PhysProp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
@@ -305,6 +305,9 @@ pub struct DataflowOptimizer {
     /// Cached [`topo_order`] of the (immutable) memo, reused by every
     /// per-epoch [`BoundDp::compute`].
     topo: Vec<GroupId>,
+    /// [`plan_cost_strata`] of the memo: the `PlanCost` release order
+    /// every network built for this query declares.
+    strata: Vec<u32>,
 }
 
 /// WAL bookkeeping for a durably armed optimizer.
@@ -437,6 +440,28 @@ fn topo_order(memo: &Memo) -> Vec<GroupId> {
     order
 }
 
+/// The release order of `PlanCost` deltas, per [`AltId`]: 1 + the
+/// longest-path depth of the alternative's group (`order` is
+/// [`topo_order`], children first). Every row an alternative's total is
+/// derived from — its children's `BestCost` — belongs to a strictly
+/// shallower group, sort-enforcer alternatives included, so releasing
+/// `PlanCost` in this order hands D9 each group's final rows in one
+/// batch: a `PlanCost` row and a `BestCost` group change at most once
+/// per epoch instead of once per wave of the D7/D8→D9 cycle.
+fn plan_cost_strata(memo: &Memo, order: &[GroupId]) -> Vec<u32> {
+    let mut depth = vec![0u32; memo.n_groups()];
+    for &g in order {
+        for a in memo.alts_of(g) {
+            for c in memo.alt(a).children() {
+                depth[g.0 as usize] = depth[g.0 as usize].max(depth[c.0 as usize] + 1);
+            }
+        }
+    }
+    (0..memo.n_alts() as u32)
+        .map(|a| 1 + depth[memo.alt(AltId(a)).group.0 as usize])
+        .collect()
+}
+
 impl BoundDp {
     /// `order` must be [`topo_order`] of the same memo (postorder:
     /// children before parents; its reverse visits parents first).
@@ -548,10 +573,11 @@ impl DataflowOptimizer {
         let memo = Rc::new(Memo::build(&q, &graph));
         let ctx = CostContext::new(catalog, &q);
         let props = Rc::new(PropTable::new(&memo));
-        let net = build_network(Rc::clone(&memo), Rc::clone(&props));
+        let topo = topo_order(&memo);
+        let strata = plan_cost_strata(&memo, &topo);
+        let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
         let local = vec![Cost::INFINITY; memo.n_alts()];
         let dirty_index = DirtyIndex::build(&memo, &ctx, &q);
-        let topo = topo_order(&memo);
         let pruning = Pruning {
             enabled: pruning,
             pruned: vec![false; memo.n_alts()],
@@ -573,6 +599,7 @@ impl DataflowOptimizer {
             durable: None,
             pruning,
             topo,
+            strata,
         }
     }
 
@@ -618,17 +645,23 @@ impl DataflowOptimizer {
     /// the cost context, re-evaluate the affected local costs, and feed
     /// the changes to the network as `LocalCost` base-relation deltas.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
-        assert!(self.initialized, "call optimize() before reoptimize()");
+        // A fresh engine evaluates the initial program first, exactly
+        // as an explicit `optimize()` would have.
+        let mut absorbed = if self.initialized {
+            Vec::new()
+        } else {
+            self.optimize().recovery.errors
+        };
         // Write-ahead: the batch reaches the fsynced WAL before any of
         // its effects touch the network, so a crash at any later point
         // replays it. A failed append degrades to in-memory operation
         // for this batch and is reported, never panicked on.
-        let wal_error = self.wal_append(deltas);
+        absorbed.extend(self.wal_append(deltas));
         self.record_applied(deltas);
         let affected = self.ctx.apply(deltas);
         if affected.is_empty() {
             let mut report = RecoveryReport::committed();
-            report.errors.extend(wal_error);
+            report.errors = absorbed;
             return self.outcome(RunStats::default(), report);
         }
         // Candidate alternatives straight from the inverted index —
@@ -672,9 +705,7 @@ impl DataflowOptimizer {
         // diffing pass so the network always mirrors the driver state.
         self.push_pruned_diff(&old_values);
         let (stats, mut recovery) = self.run_recovering();
-        if let Some(e) = wal_error {
-            recovery.errors.insert(0, e);
-        }
+        recovery.errors.splice(0..0, absorbed);
         self.outcome(stats, recovery)
     }
 
@@ -726,7 +757,7 @@ impl DataflowOptimizer {
     /// fresh fixpoint equals the one the incremental epoch should have
     /// produced.
     fn rebuild_from_scratch(&mut self) -> RunStats {
-        self.net = build_network(Rc::clone(&self.memo), Rc::clone(&self.props));
+        self.net = build_network(Rc::clone(&self.memo), Rc::clone(&self.props), &self.strata);
         self.seed_network();
         self.net
             .run()
@@ -880,7 +911,7 @@ impl DataflowOptimizer {
     ///    the best cost.
     fn audit_now(&mut self) -> Result<(), DataflowError> {
         for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
-            for (t, c) in self.net.sink(name).iter() {
+            for (t, c) in self.view(name).iter() {
                 if c < 0 {
                     return Err(DataflowError::InvariantViolation(format!(
                         "audit: residual negative count {c} for {t:?} in sink {name}"
@@ -888,7 +919,7 @@ impl DataflowOptimizer {
                 }
             }
         }
-        let mut fresh = build_network(Rc::clone(&self.memo), Rc::clone(&self.props));
+        let mut fresh = build_network(Rc::clone(&self.memo), Rc::clone(&self.props), &self.strata);
         let root = self.memo.group(self.memo.root);
         fresh.insert(
             "Expr",
@@ -928,8 +959,8 @@ impl DataflowOptimizer {
             DataflowError::InvariantViolation(format!("audit: from-scratch recompute failed: {e}"))
         })?;
         for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
-            let live = counted(self.net.sink(name));
-            let want = counted(fresh.sink(name));
+            let live = counted(self.view(name));
+            let want = counted(fresh.sink(name).expect("same program, same sinks"));
             if live != want {
                 return Err(DataflowError::InvariantViolation(format!(
                     "audit: sink {name} diverged from from-scratch recompute \
@@ -979,10 +1010,18 @@ impl DataflowOptimizer {
         self.net.set_max_steps(steps);
     }
 
-    /// A materialized sink relation, by name — chaos tests compare
-    /// these across recovery paths.
-    pub fn sink(&self, relation: &str) -> &Multiset {
+    /// A materialized sink relation, by name (`None` for a relation
+    /// the network does not materialize) — chaos tests compare these
+    /// across recovery paths.
+    pub fn sink(&self, relation: &str) -> Option<&Multiset> {
         self.net.sink(relation)
+    }
+
+    /// One of the four sinks [`build_network`] always requests.
+    fn view(&self, relation: &str) -> &Multiset {
+        self.net
+            .sink(relation)
+            .expect("build_network materializes every view the driver reads")
     }
 
     /// Lifetime count of substrate epoch rollbacks (resets when a
@@ -1049,15 +1088,17 @@ impl DataflowOptimizer {
     /// Cuts a durable checkpoint of the committed optimizer state —
     /// applied-delta log, `LocalCost` mirror, the full network dataflow
     /// state (operator indexes, sinks, queue residue, symbol table) and
-    /// the WAL watermark — atomically (tmp + fsync + rename). Requires
-    /// [`DataflowOptimizer::set_durable_dir`].
+    /// the WAL watermark — atomically (tmp + fsync + rename). Fails with
+    /// `InvalidInput` unless [`DataflowOptimizer::set_durable_dir`]
+    /// armed a directory first.
     pub fn checkpoint_durable(&mut self) -> std::io::Result<()> {
-        let dir = self
-            .durable
-            .as_ref()
-            .expect("set_durable_dir before checkpoint_durable")
-            .dir
-            .clone();
+        let Some(durable) = self.durable.as_ref() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "checkpoint_durable needs set_durable_dir first",
+            ));
+        };
+        let dir = durable.dir.clone();
         let bytes = self.snapshot_bytes();
         reopt_datalog::checkpoint::write_atomic(&dir.join(durable::CHECKPOINT_FILE), &bytes)
     }
@@ -1194,7 +1235,7 @@ impl DataflowOptimizer {
     fn post_restore_verify(&mut self) -> Result<(), DataflowError> {
         let bad = |msg: String| Err(DataflowError::StateCorruption(msg));
         for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
-            for (t, c) in self.net.sink(name).iter() {
+            for (t, c) in self.view(name).iter() {
                 if c < 0 {
                     return bad(format!(
                         "restored sink {name} holds residual negative count {c} for {t:?}"
@@ -1202,7 +1243,7 @@ impl DataflowOptimizer {
                 }
             }
         }
-        let alts = self.net.sink("SearchSpace").iter().count();
+        let alts = self.view("SearchSpace").iter().count();
         if alts != self.memo.n_alts() {
             return bad(format!(
                 "restored SearchSpace has {alts} rows but the memo enumerates {}",
@@ -1279,7 +1320,12 @@ impl DataflowOptimizer {
         };
         let ckpt_bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).ok();
         let had_checkpoint = ckpt_bytes.is_some();
-        let had_history = !wal_batches.is_empty() || !errors.is_empty();
+        // A torn tail is history too: bytes past the header mean an
+        // append was at least attempted (or a record's length field was
+        // damaged), which a clean first boot never shows.
+        let had_history = !wal_batches.is_empty()
+            || !errors.is_empty()
+            || wal_fix.is_some_and(|(torn, _)| torn);
 
         let mut restored: Option<(DataflowOptimizer, RunStats)> = None;
         if let Some(bytes) = ckpt_bytes {
@@ -1383,7 +1429,7 @@ impl DataflowOptimizer {
     pub fn best_cost(&self) -> Cost {
         let root = self.memo.group(self.memo.root);
         let (e, p) = (encode_expr(root.expr), self.props.encode(root.prop));
-        for (t, _) in self.net.sink("BestCost").iter() {
+        for (t, _) in self.view("BestCost").iter() {
             if t.get(0) == e && t.get(1) == p {
                 return t.get(2).as_cost();
             }
@@ -1395,7 +1441,7 @@ impl DataflowOptimizer {
     /// (ties broken towards the lowest alternative id, deterministic).
     pub fn best_plan(&self) -> PlanNode {
         let mut chosen: FxHashMap<GroupId, (Cost, AltId)> = FxHashMap::default();
-        for (t, _) in self.net.sink("BestPlan").iter() {
+        for (t, _) in self.view("BestPlan").iter() {
             let a = AltId(t.get(2).as_int() as u32);
             let cost = t.get(3).as_cost();
             let g = self.memo.alt(a).group;
@@ -1424,7 +1470,7 @@ impl DataflowOptimizer {
     /// Distinct `SearchSpace` tuples the network derived — compared by
     /// tests against the memo's alternative count.
     pub fn search_space_size(&self) -> usize {
-        self.net.sink("SearchSpace").len()
+        self.view("SearchSpace").len()
     }
 
     /// Dataflow node count (diagnostics).
@@ -1444,9 +1490,9 @@ impl DataflowOptimizer {
         self.net.arrangement_count()
     }
 
-    /// Per-node `(label, batches, deltas)` lifetime service counters of
-    /// the live network (profiling diagnostics).
-    pub fn node_stats(&self) -> Vec<(String, u64, u64)> {
+    /// Per-node lifetime service counters of the live network
+    /// (profiling diagnostics).
+    pub fn node_stats(&self) -> Vec<NodeStats> {
         self.net.node_stats()
     }
 
@@ -1489,8 +1535,9 @@ fn counted(sink: &Multiset) -> FxHashMap<Tuple, i64> {
     sink.iter().map(|(t, c)| (t.clone(), c)).collect()
 }
 
-/// Compiles [`DATAFLOW_RULES`] with the memo-backed externals.
-fn build_network(memo: Rc<Memo>, props: Rc<PropTable>) -> RuleNetwork {
+/// Compiles [`DATAFLOW_RULES`] with the memo-backed externals and the
+/// `PlanCost` release order `strata` ([`plan_cost_strata`]).
+fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNetwork {
     let split_memo = Rc::clone(&memo);
     let split_props = Rc::clone(&props);
     // Pre-encode Fn_split's output rows once per alternative: the
@@ -1529,6 +1576,8 @@ fn build_network(memo: Rc<Memo>, props: Rc<PropTable>) -> RuleNetwork {
         // as a base fact; B5 derives the rest of the relation.
         .input("Bound", 3)
         .rules(dataflow_program())
+        // `PlanCost(expr,prop,index,cost)`, held by `index`.
+        .release_order("PlanCost", 2, strata.to_vec())
         // Fn_split(expr,prop | index,logOp,phyOp,lExpr,lProp,rExpr,rProp):
         // every alternative of the demanded (expr,prop) group, from the
         // interned memo (the §2.3 memoization). `null` demands — the
@@ -1792,7 +1841,11 @@ mod tests {
         assert!(got.cost.approx_eq(want.cost), "{:?} vs {:?}", got.cost, want.cost);
         assert_eq!(got.plan, want.plan);
         for name in ["SearchSpace", "BestCost", "BestPlan"] {
-            assert_eq!(counted(victim.sink(name)), counted(oracle.sink(name)), "{name}");
+            assert_eq!(
+                counted(victim.sink(name).unwrap()),
+                counted(oracle.sink(name).unwrap()),
+                "{name}"
+            );
         }
     }
 
@@ -1816,7 +1869,11 @@ mod tests {
         assert!(got.cost.approx_eq(want.cost));
         assert_eq!(got.plan, want.plan);
         for name in ["SearchSpace", "BestCost", "BestPlan"] {
-            assert_eq!(counted(victim.sink(name)), counted(oracle.sink(name)), "{name}");
+            assert_eq!(
+                counted(victim.sink(name).unwrap()),
+                counted(oracle.sink(name).unwrap()),
+                "{name}"
+            );
         }
         // The rebuilt instance is fully serviceable: further updates and
         // a full audit behave as if the faults never happened.
@@ -1995,6 +2052,7 @@ mod tests {
             let check = |df: &DataflowOptimizer, what: &str| {
                 let mut got: Vec<Tuple> = df
                     .sink("Bound")
+                    .unwrap()
                     .iter()
                     .filter(|(_, n)| *n > 0)
                     .map(|(t, _)| t.clone())
@@ -2005,6 +2063,153 @@ mod tests {
             check(&df, &q.name);
             df.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(0), 6.0)]);
             check(&df, &format!("{} after a selectivity delta", q.name));
+        }
+    }
+
+    #[test]
+    fn a_fresh_engine_given_deltas_optimizes_first() {
+        // Regression: `reoptimize` before `optimize` used to panic on
+        // an `assert!`. It now runs the initial evaluation itself and
+        // lands exactly where the explicit two-step call does.
+        let c = fixture_catalog();
+        let batch = vec![
+            ParamDelta::EdgeSelectivity(EdgeId(0), 8.0),
+            ParamDelta::LeafCardinality(LeafId(1), 0.25),
+        ];
+        for q in fixture_queries() {
+            let mut lazy = DataflowOptimizer::new(&c, q.clone());
+            let mut eager = DataflowOptimizer::new(&c, q.clone());
+            eager.optimize();
+            let got = lazy.reoptimize(&batch);
+            let want = eager.reoptimize(&batch);
+            assert!(got.recovery.is_clean(), "{}: {:?}", q.name, got.recovery);
+            assert_eq!(got.cost, want.cost, "{}", q.name);
+            assert_eq!(got.plan, want.plan, "{}", q.name);
+            assert_eq!(lazy.best_plan(), eager.best_plan(), "{}", q.name);
+        }
+    }
+
+    #[test]
+    fn an_unknown_sink_is_none_not_a_panic() {
+        let c = fixture_catalog();
+        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        df.optimize();
+        assert!(df.sink("BestPlan").is_some());
+        // `PlanCost` exists but is not materialized; `Typo` does not exist.
+        assert!(df.sink("PlanCost").is_none());
+        assert!(df.sink("Typo").is_none());
+    }
+
+    #[test]
+    fn checkpoint_durable_without_a_directory_is_an_error() {
+        let c = fixture_catalog();
+        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        df.optimize();
+        let err = df
+            .checkpoint_durable()
+            .expect_err("no durable directory armed");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// `n` relations of the fixture catalog joined as a chain, a star
+    /// around `t0`, or a clique.
+    fn shaped_query(c: &Catalog, shape: &str, n: usize) -> QuerySpec {
+        let mut b = QuerySpec::builder(format!("{shape}{n}"));
+        let l: Vec<_> = (0..n).map(|i| b.leaf(c, &format!("t{i}"))).collect();
+        for i in 0..n {
+            for j in i + 1..n {
+                let joined = match shape {
+                    "chain" => j == i + 1,
+                    "star" => i == 0,
+                    _ => true,
+                };
+                if joined {
+                    b.join(c, l[i], ["a", "b", "c"][j % 3], l[j], "a");
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn an_epoch_re_derives_each_alternative_and_group_once() {
+        // The incremental claim, pinned by a count: per epoch the
+        // `PlanCost` distinct services at most a retraction and an
+        // assertion per alternative whose row really changed (or that
+        // entered or left the prune set), and the `BestCost` distinct
+        // the same per group whose best cost really changed — however
+        // deep the memo. Without the depth release order every wave of
+        // the D7/D8→D9 cycle re-derives the rows above it (star-8:
+        // about 4× and 7× these bounds).
+        fn serviced(df: &DataflowOptimizer, label: &str) -> u64 {
+            let rows = df.node_stats();
+            let mut hits = rows.iter().filter(|r| r.label == label);
+            let row = hits
+                .next()
+                .unwrap_or_else(|| panic!("no node labelled {label}"));
+            assert!(hits.next().is_none(), "{label} is ambiguous");
+            row.deltas
+        }
+        // The network's `PlanCost` rows (absent for pruned alternatives)
+        // and `BestCost` values, from the driver's DP mirror.
+        fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Cost>) {
+            let dp = BoundDp::compute(&df.memo, &df.local, None, &df.topo);
+            let plan_cost = (0..df.memo.n_alts())
+                .map(|a| (!df.pruning.pruned[a]).then_some(dp.alt_cost[a]))
+                .collect();
+            (plan_cost, dp.best)
+        }
+        let c = fixture_catalog();
+        for shape in ["chain", "star", "clique"] {
+            for n in 3..=8 {
+                let q = shaped_query(&c, shape, n);
+                let last = LeafId(n as u32 - 1);
+                let batches = [
+                    vec![ParamDelta::LeafScanCost(LeafId(0), 6.0)],
+                    vec![ParamDelta::EdgeSelectivity(EdgeId(0), 8.0)],
+                    vec![ParamDelta::LeafCardinality(last, 0.1)],
+                    vec![
+                        ParamDelta::LeafCardinality(LeafId(1), 4.0),
+                        ParamDelta::LeafCardinality(last, 2.0),
+                        ParamDelta::EdgeSelectivity(EdgeId(0), 0.5),
+                        ParamDelta::EdgeSelectivity(EdgeId(1), 3.0),
+                    ],
+                    vec![ParamDelta::LeafScanCost(LeafId(0), 1.0)],
+                ];
+                let mut df = DataflowOptimizer::new(&c, q.clone());
+                df.optimize();
+                for batch in &batches {
+                    let (plan_before, best_before) = rows(&df);
+                    let pruned_before = df.pruning.pruned.clone();
+                    let plan_serviced = serviced(&df, "distinct[PlanCost]");
+                    let best_serviced = serviced(&df, "distinct[BestCost]");
+                    let out = df.reoptimize(batch);
+                    assert!(out.recovery.is_clean(), "{}: {:?}", q.name, out.recovery);
+                    let (plan_after, best_after) = rows(&df);
+                    let differs = |a: &usize| plan_before[*a] != plan_after[*a];
+                    let moved = |a: &usize| pruned_before[*a] != df.pruning.pruned[*a];
+                    let alts = 0..df.memo.n_alts();
+                    let plan_bound =
+                        2 * (alts.clone().filter(differs).count() + alts.filter(moved).count());
+                    let groups = 0..df.memo.n_groups();
+                    let best_bound =
+                        2 * groups.filter(|&g| best_before[g] != best_after[g]).count();
+                    let plan_work = serviced(&df, "distinct[PlanCost]") - plan_serviced;
+                    let best_work = serviced(&df, "distinct[BestCost]") - best_serviced;
+                    assert!(
+                        plan_work <= plan_bound as u64,
+                        "{} after {batch:?}: distinct[PlanCost] serviced {plan_work} deltas \
+                         for a bound of {plan_bound}",
+                        q.name
+                    );
+                    assert!(
+                        best_work <= best_bound as u64,
+                        "{} after {batch:?}: distinct[BestCost] serviced {best_work} deltas \
+                         for a bound of {best_bound}",
+                        q.name
+                    );
+                }
+            }
         }
     }
 }

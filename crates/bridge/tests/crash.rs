@@ -97,12 +97,12 @@ fn sink_sorted(sink: &Multiset) -> Vec<(Tuple, i64)> {
 fn assert_sinks_match(a: &DataflowOptimizer, b: &DataflowOptimizer, what: &str) {
     for name in ["SearchSpace", "BestCost", "BestPlan"] {
         assert!(
-            !a.sink(name).has_negative_counts(),
+            !a.sink(name).unwrap().has_negative_counts(),
             "{what}: residual negative counts in {name}"
         );
         assert_eq!(
-            sink_sorted(a.sink(name)),
-            sink_sorted(b.sink(name)),
+            sink_sorted(a.sink(name).unwrap()),
+            sink_sorted(b.sink(name).unwrap()),
             "{what}: sink {name} diverged"
         );
     }
@@ -570,5 +570,129 @@ fn durable_state_survives_a_process_boundary() {
     assert!(out.cost.approx_eq(oracle.best_cost()));
     assert_eq!(out.plan, oracle.best_plan());
     assert_sinks_match(&rec, &oracle, "across the process boundary");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Re-frames an optimizer snapshot the way a build from before the
+/// per-relation labels would have cut it: every `union[Rel]` /
+/// `distinct[Rel]` node record carries the bare operator name. Valid
+/// framing, valid CRCs — only the labels are old.
+fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
+    use reopt_datalog::checkpoint::{Dec, Enc, RecordReader, RecordWriter, SymRemap, MAGIC};
+    fn copy(record: &[u8]) -> Enc {
+        let mut e = Enc::new();
+        e.raw(record);
+        e
+    }
+    let remap = SymRemap::identity();
+    let mut outer = RecordReader::new(snapshot, MAGIC).unwrap();
+    let mut records = std::iter::from_fn(|| outer.next_record().unwrap());
+    let mut out = RecordWriter::new(MAGIC);
+    for _ in 0..3 {
+        // Snapshot meta, delta log, `LocalCost` mirror.
+        out.record(copy(records.next().unwrap()));
+    }
+    // The embedded network checkpoint: symbols, meta, one record per
+    // node, then sinks and queue residue.
+    let mut inner = RecordReader::new(records.next().unwrap(), MAGIC).unwrap();
+    let mut net = RecordWriter::new(MAGIC);
+    net.record(copy(inner.next_record().unwrap().unwrap()));
+    let meta = inner.next_record().unwrap().unwrap();
+    let mut d = Dec::new(meta, &remap);
+    let (_epoch, _rollbacks, nodes) = (d.u64().unwrap(), d.u64().unwrap(), d.u64().unwrap());
+    net.record(copy(meta));
+    let mut relabelled = 0;
+    for _ in 0..nodes {
+        let mut d = Dec::new(inner.next_record().unwrap().unwrap(), &remap);
+        let label = d.str().unwrap();
+        let bare = ["union", "distinct"]
+            .into_iter()
+            .find(|op| label.starts_with(&format!("{op}[")));
+        relabelled += usize::from(bare.is_some());
+        let mut e = Enc::new();
+        e.str(bare.unwrap_or(label));
+        e.raw(d.rest());
+        net.record(e);
+    }
+    assert!(relabelled > 0, "no per-relation labels found to strip");
+    while let Some(record) = inner.next_record().unwrap() {
+        net.record(copy(record));
+    }
+    out.record(copy(&net.into_bytes()));
+    out.into_bytes()
+}
+
+/// Node labels are part of the restore-time topology check, so a
+/// checkpoint cut before the per-relation `union[Rel]`/`distinct[Rel]`
+/// labels existed is refused as a node mismatch. That costs one
+/// from-scratch rebuild plus a full WAL replay on the first restart
+/// after the upgrade (`RebuiltAfterCorruptCheckpoint`), never a wrong
+/// plan.
+#[test]
+fn a_checkpoint_with_the_old_node_labels_degrades_to_an_exact_rebuild() {
+    let (c, q) = chain5();
+    let dir = fresh_dir("relabel");
+    let batches = chain5_batches(&q);
+
+    let mut oracle = DataflowOptimizer::new(&c, q.clone());
+    oracle.set_audit_mode(AuditMode::Off);
+    oracle.optimize();
+    let mut victim = DataflowOptimizer::new(&c, q.clone());
+    victim.set_audit_mode(AuditMode::Off);
+    victim.set_durable_dir(&dir).unwrap();
+    victim.optimize();
+    for batch in &batches {
+        oracle.reoptimize(batch);
+        victim.reoptimize(batch);
+    }
+    victim.checkpoint_durable().unwrap();
+    drop(victim);
+
+    let path = dir.join("checkpoint.bin");
+    let old = with_bare_relation_labels(&std::fs::read(&path).unwrap());
+    std::fs::write(&path, old).unwrap();
+
+    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(
+        out.recovery.path,
+        RecoveryPath::RebuiltAfterCorruptCheckpoint
+    );
+    assert!(
+        out.recovery
+            .errors
+            .iter()
+            .any(|e| e.to_string().contains("node mismatch")),
+        "{:?}",
+        out.recovery.errors
+    );
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_eq!(out.plan, oracle.best_plan());
+    assert_sinks_match(&rec, &oracle, "after the relabel rebuild");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL whose only record is torn replays nothing, but it is still
+/// history — an append was attempted — so recovery must not report the
+/// clean first boot of an empty directory. (The pinned-seed WAL bit-flip
+/// property found this through a damaged length field.)
+#[test]
+fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
+    let (c, q) = chain5();
+    let dir = fresh_dir("torn-only");
+    let mut victim = DataflowOptimizer::new(&c, q.clone());
+    victim.set_audit_mode(AuditMode::Off);
+    victim.set_durable_dir(&dir).unwrap();
+    victim.optimize();
+    victim.reoptimize(&chain5_batches(&q)[0]);
+    drop(victim);
+    let path = dir.join("wal.bin");
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+
+    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+    let mut fresh = DataflowOptimizer::new(&c, q);
+    assert!(out.cost.approx_eq(fresh.optimize().cost));
+    rec.audit().expect("the torn batch was never applied");
     let _ = std::fs::remove_dir_all(&dir);
 }

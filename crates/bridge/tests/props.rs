@@ -329,12 +329,12 @@ proptest! {
         }
         for name in ["SearchSpace", "BestCost", "BestPlan"] {
             prop_assert!(
-                !victim.sink(name).has_negative_counts(),
+                !victim.sink(name).unwrap().has_negative_counts(),
                 "residual negative counts in {name} after recovery"
             );
             prop_assert_eq!(
-                sink_sorted(victim.sink(name)),
-                sink_sorted(oracle.sink(name)),
+                sink_sorted(victim.sink(name).unwrap()),
+                sink_sorted(oracle.sink(name).unwrap()),
                 "sink {} diverged from the fault-free oracle", name
             );
         }

@@ -17,8 +17,13 @@
 //! topological-rank order (SCCs share a rank), draining each layer
 //! before its consumers so stateful operators see whole waves at once,
 //! and single-consumer stateless chains are fused into one operator
-//! before the first run ([`Dataflow::fuse`]). Per-delta FIFO execution
-//! (the original semantics) remains available via
+//! before the first run ([`Dataflow::fuse`]). Inside one SCC a
+//! destination may declare a *release order*
+//! ([`Dataflow::set_release_order`]): its pending deltas are held per
+//! stratum and the lowest stratum is released only once the rest of the
+//! component has drained, so a recursive aggregate over well-founded
+//! data re-derives each row once instead of once per wave. Per-delta
+//! FIFO execution (the original semantics) remains available via
 //! [`SchedulerMode::PerDelta`] and is property-tested observationally
 //! identical across the whole mode matrix (`tests/differential.rs`).
 
@@ -31,7 +36,7 @@ use crate::delta::{coalesce, CoalesceScratch, Delta};
 use crate::error::{DataflowError, FaultPlan};
 use crate::ops::{Fused, Operator};
 use crate::relation::Multiset;
-use crate::value::Tuple;
+use crate::value::{Tuple, Val};
 
 /// Node handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -66,6 +71,9 @@ struct Node {
     /// atomic with respect to all other scheduling).
     sync_fanout: bool,
     label: String,
+    /// Release order of this node's pending deltas, if declared
+    /// ([`Dataflow::set_release_order`]).
+    release: Option<ReleaseOrder>,
     /// Lifetime batch/delta counters for [`Dataflow::node_stats`] —
     /// two adds per serviced batch, cheap enough to keep always-on.
     stat_batches: u64,
@@ -84,27 +92,73 @@ pub enum SchedulerMode {
     PerDelta,
 }
 
+/// A destination's release order: a pending delta whose tuple holds
+/// `Int(v)` in `column` waits in stratum `strata[v]`; every other
+/// delta is stratum 0.
+struct ReleaseOrder {
+    column: usize,
+    strata: Vec<u32>,
+}
+
+impl ReleaseOrder {
+    fn stratum(&self, t: &Tuple) -> u32 {
+        if self.column >= t.len() {
+            return 0;
+        }
+        match t.get(self.column) {
+            Val::Int(v) => usize::try_from(v)
+                .ok()
+                .and_then(|i| self.strata.get(i).copied())
+                .unwrap_or(0),
+            _ => 0,
+        }
+    }
+}
+
 /// How many spent batch buffers the scheduler retains for reuse.
 const BATCH_POOL_CAP: usize = 32;
+
+/// A dirty destination's heap key: `(SCC rank, stratum, node, port)`.
+type Slot = (u32, u32, usize, usize);
+
+/// Pending deltas per dirty `(node, port, stratum)`.
+type Pending = FxHashMap<(usize, usize, u32), Vec<Delta>>;
 
 /// The work queue: batched destination-merged entries serviced in
 /// topological-rank order, or strict per-delta FIFO.
 enum Queue {
     Batched {
-        /// Dirty `(rank, node, port)` destinations. Servicing the
-        /// lowest rank first drains each dataflow layer before its
-        /// consumers run, so downstream stateful operators (grouped
-        /// aggregates especially) see one big batch per wave instead of
-        /// several partial ones — fewer update pairs, less re-cascade.
-        /// Any service order reaches the same fixpoint; rank order just
-        /// reaches it with the least churn.
-        order: BinaryHeap<Reverse<(u32, usize, usize)>>,
-        /// Accumulated deltas per dirty destination.
-        pending: FxHashMap<(usize, usize), Vec<Delta>>,
+        /// Dirty destinations. Servicing the lowest rank first drains
+        /// each dataflow layer before its consumers run, so downstream
+        /// stateful operators (grouped aggregates especially) see one
+        /// big batch per wave instead of several partial ones — fewer
+        /// update pairs, less re-cascade. Within a rank (one SCC) the
+        /// stratum decides: destinations without a release order are
+        /// stratum 0, so a held stratum is released only once the rest
+        /// of its component has drained, and until then its deltas keep
+        /// coalescing (`−old +t1`, `−t1 +t2` → `−old +t2`). Any service
+        /// order reaches the same fixpoint; this one reaches it with
+        /// the least churn.
+        order: BinaryHeap<Reverse<Slot>>,
+        pending: Pending,
         /// Spent batch buffers, recycled to avoid per-batch allocation.
         pool: Vec<Vec<Delta>>,
     },
     PerDelta(VecDeque<(usize, usize, Delta)>),
+}
+
+/// The pending batch of one `(node, port, stratum)`, marking the
+/// destination dirty on first use.
+fn bucket<'a>(
+    order: &mut BinaryHeap<Reverse<Slot>>,
+    pending: &'a mut Pending,
+    pool: &mut Vec<Vec<Delta>>,
+    (rank, stratum, node, port): Slot,
+) -> &'a mut Vec<Delta> {
+    pending.entry((node, port, stratum)).or_insert_with(|| {
+        order.push(Reverse((rank, stratum, node, port)));
+        pool.pop().unwrap_or_default()
+    })
 }
 
 impl Queue {
@@ -119,11 +173,15 @@ impl Queue {
         }
     }
 
+    /// Queues `deltas` for `(node, port)`, bucketed by the
+    /// destination's release order if it declares one (batched mode
+    /// only — per-delta mode is the hint-free reference).
     fn push(
         &mut self,
         rank: u32,
         node: usize,
         port: usize,
+        release: Option<&ReleaseOrder>,
         deltas: impl Iterator<Item = Delta>,
     ) {
         match self {
@@ -131,13 +189,15 @@ impl Queue {
                 order,
                 pending,
                 pool,
-            } => {
-                let batch = pending.entry((node, port)).or_insert_with(|| {
-                    order.push(Reverse((rank, node, port)));
-                    pool.pop().unwrap_or_default()
-                });
-                batch.extend(deltas);
-            }
+            } => match release {
+                None => bucket(order, pending, pool, (rank, 0, node, port)).extend(deltas),
+                Some(release) => {
+                    for d in deltas {
+                        let stratum = release.stratum(&d.tuple);
+                        bucket(order, pending, pool, (rank, stratum, node, port)).push(d);
+                    }
+                }
+            },
             Queue::PerDelta(q) => {
                 for d in deltas {
                     q.push_back((node, port, d));
@@ -150,9 +210,9 @@ impl Queue {
     fn pop(&mut self) -> Option<(usize, usize, Vec<Delta>)> {
         match self {
             Queue::Batched { order, pending, .. } => {
-                let Reverse((_, node, port)) = order.pop()?;
+                let Reverse((_, stratum, node, port)) = order.pop()?;
                 let batch = pending
-                    .remove(&(node, port))
+                    .remove(&(node, port, stratum))
                     .expect("dirty destination without pending deltas");
                 Some((node, port, batch))
             }
@@ -168,9 +228,9 @@ impl Queue {
     }
 
     /// Snapshots the queued-but-unprocessed work at epoch open — exactly
-    /// the external deltas pushed since the last run. Restoring it after
-    /// a rollback makes a retry replay the same externals against the
-    /// last committed state.
+    /// the external deltas pushed since the last run, held strata
+    /// included. Restoring it after a rollback makes a retry replay the
+    /// same externals against the last committed state.
     fn checkpoint(&self) -> QueueCheckpoint {
         match self {
             Queue::Batched { order, pending, .. } => QueueCheckpoint::Batched {
@@ -201,20 +261,21 @@ impl Queue {
     }
 
     /// The queued-but-unprocessed deltas as flat `(node, port, delta)`
-    /// triples in a canonical order (sorted by destination in batched
-    /// mode, FIFO order in per-delta mode). Durable checkpoints persist
-    /// this instead of the queue structure itself: ranks are derived
-    /// state, so a restore re-pushes each triple through the normal
-    /// path and lets the scheduler rebuild its ordering.
+    /// triples in a canonical order (sorted by destination, then
+    /// stratum, in batched mode; FIFO order in per-delta mode). Durable
+    /// checkpoints persist this instead of the queue structure itself:
+    /// ranks and strata are derived state, so a restore re-pushes each
+    /// triple through the normal path and lets the scheduler rebuild
+    /// its ordering.
     fn residue(&self) -> Vec<(usize, usize, Delta)> {
         match self {
             Queue::Batched { pending, .. } => {
-                let mut keys: Vec<(usize, usize)> = pending.keys().copied().collect();
+                let mut keys: Vec<(usize, usize, u32)> = pending.keys().copied().collect();
                 keys.sort_unstable();
                 let mut out = Vec::new();
-                for (node, port) in keys {
-                    for d in &pending[&(node, port)] {
-                        out.push((node, port, d.clone()));
+                for key in keys {
+                    for d in &pending[&key] {
+                        out.push((key.0, key.1, d.clone()));
                     }
                 }
                 out
@@ -237,8 +298,8 @@ impl Queue {
 /// The queue state captured at epoch open (see [`Queue::checkpoint`]).
 enum QueueCheckpoint {
     Batched {
-        order: BinaryHeap<Reverse<(u32, usize, usize)>>,
-        pending: FxHashMap<(usize, usize), Vec<Delta>>,
+        order: BinaryHeap<Reverse<Slot>>,
+        pending: Pending,
     },
     PerDelta(VecDeque<(usize, usize, Delta)>),
 }
@@ -275,6 +336,18 @@ pub struct RunStats {
     /// Total epochs rolled back over the dataflow's lifetime (failed
     /// runs preceding this successful one).
     pub rollbacks: u64,
+}
+
+/// One node's lifetime service counters (see [`Dataflow::node_stats`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeStats {
+    /// The operator name, tagged with its rule or relation by the
+    /// compiler (`join[D8]`, `distinct[PlanCost]`).
+    pub label: String,
+    /// Batches the node serviced.
+    pub batches: u64,
+    /// Deltas in those batches, after coalescing.
+    pub deltas: u64,
 }
 
 /// A (possibly cyclic) dataflow of delta-processing operators.
@@ -358,6 +431,20 @@ impl Dataflow {
     /// exactly like any other error.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan;
+    }
+
+    /// Declares a release order on `node` (batched mode; per-delta mode
+    /// ignores it): a delta pending for the node whose tuple holds
+    /// `Int(v)` in `column` is held in stratum `strata[v]` (0 for any
+    /// other value), and among the pending work of one strongly
+    /// connected component the lowest stratum is serviced first —
+    /// nodes without a release order count as stratum 0. Deltas held
+    /// for a later stratum keep coalescing, so when `strata` follows
+    /// the data's well-founded order (everything a row is derived from
+    /// sits in a lower stratum) the node never sees a transient. It is
+    /// purely a schedule: any table reaches the same fixpoint.
+    pub fn set_release_order(&mut self, node: NodeId, column: usize, strata: Vec<u32>) {
+        self.nodes[node.0].release = Some(ReleaseOrder { column, strata });
     }
 
     /// Committed epochs (successful runs) so far.
@@ -458,6 +545,7 @@ impl Dataflow {
             coalesce_input,
             sync_fanout,
             label: label.to_string(),
+            release: None,
             stat_batches: 0,
             stat_deltas: 0,
         });
@@ -475,9 +563,16 @@ impl Dataflow {
             )));
         }
         self.ensure_ranks();
-        let rank = self.ranks[input.0];
-        self.queue.push(rank, input.0, 0, std::iter::once(delta));
+        self.enqueue(input.0, 0, std::iter::once(delta));
         Ok(())
+    }
+
+    /// Queues `deltas` for `(node, port)` under the node's service rank
+    /// and release order (ranks must be current).
+    fn enqueue(&mut self, node: usize, port: usize, deltas: impl Iterator<Item = Delta>) {
+        let rank = self.ranks.get(node).copied().unwrap_or(0);
+        let release = self.nodes[node].release.as_ref();
+        self.queue.push(rank, node, port, release, deltas);
     }
 
     /// Panicking convenience over [`Dataflow::try_push`].
@@ -645,14 +740,18 @@ impl Dataflow {
         absorbed
     }
 
-    /// Per-node lifetime service counters `(label, batches, deltas)` in
-    /// node order — the profiling view behind "where do epochs spend
-    /// their deltas". Counters survive rollbacks (they measure work
-    /// attempted, not work committed).
-    pub fn node_stats(&self) -> Vec<(String, u64, u64)> {
+    /// Per-node lifetime service counters in node order — the
+    /// profiling view behind "where do epochs spend their deltas".
+    /// Counters survive rollbacks (they measure work attempted, not
+    /// work committed).
+    pub fn node_stats(&self) -> Vec<NodeStats> {
         self.nodes
             .iter()
-            .map(|n| (n.label.clone(), n.stat_batches, n.stat_deltas))
+            .map(|n| NodeStats {
+                label: n.label.clone(),
+                batches: n.stat_batches,
+                deltas: n.stat_deltas,
+            })
             .collect()
     }
 
@@ -961,11 +1060,10 @@ impl Dataflow {
                 if matches!(self.nodes[target].kind, NodeKind::Sink(_)) {
                     continue;
                 }
-                let rank = self.ranks.get(target).copied().unwrap_or(0);
                 if Some(i) == last_queued {
-                    self.queue.push(rank, target, tport, out.drain(..));
+                    self.enqueue(target, tport, out.drain(..));
                 } else {
-                    self.queue.push(rank, target, tport, out.iter().cloned());
+                    self.enqueue(target, tport, out.iter().cloned());
                 }
             }
             self.nodes[node].downstream = downstream;
@@ -1131,7 +1229,7 @@ impl Dataflow {
         }
         // Queue residue: drop anything queued on the live side and
         // re-push the checkpointed triples through the normal path so
-        // ranks are recomputed for this graph.
+        // ranks and strata are recomputed for this graph.
         let mut d = ckpt::Dec::new(need(r.next_record()?)?, &remap);
         let mode = if self.queue.is_batched() {
             SchedulerMode::Batched
@@ -1154,9 +1252,7 @@ impl Dataflow {
                     self.nodes.len()
                 )));
             }
-            let rank = self.ranks.get(node).copied().unwrap_or(0);
-            self.queue
-                .push(rank, node, port, std::iter::once(Delta::with_count(tuple, count)));
+            self.enqueue(node, port, std::iter::once(Delta::with_count(tuple, count)));
         }
         if !d.is_done() {
             return Err(DataflowError::StateCorruption(

@@ -43,7 +43,7 @@ pub mod relation;
 pub mod value;
 
 pub use agg::{AggKind, OrderedMultiset};
-pub use dataflow::{Dataflow, NodeId, RunStats, SchedulerMode, SinkId};
+pub use dataflow::{Dataflow, NodeId, NodeStats, RunStats, SchedulerMode, SinkId};
 pub use error::{DataflowError, FaultPlan};
 pub use delta::{coalesce, CoalesceScratch, Delta};
 pub use intern::{set_intern_capacity, Sym};

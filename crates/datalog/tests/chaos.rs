@@ -4,15 +4,20 @@
 //! budget. A failed epoch must roll back to the last committed
 //! fixpoint, and a disarmed re-run must land on exactly the fixpoint a
 //! fault-free twin reaches, across the full scheduler/fusion matrix,
-//! with zero residual negative counts.
+//! with zero residual negative counts. The recursive cost loop runs
+//! the same trial with a drawn release order, so faults also land while
+//! strata are held in the queue.
 
 use proptest::prelude::*;
 
 use reopt_datalog::value::ints;
-use reopt_datalog::{Dataflow, DataflowError, FaultPlan, SchedulerMode};
+use reopt_datalog::{Dataflow, DataflowError, FaultPlan};
 
 mod common;
-use common::{build, events, net_gen, sink_counted, Event};
+use common::{
+    build, cost_events, cost_loop_gen, cost_moves, events, net_gen, sink_counted, CostLoop, Event,
+    MATRIX, RELEASES,
+};
 
 /// Which failure the chaos run arms on the victim.
 #[derive(Clone, Copy, Debug)]
@@ -63,12 +68,7 @@ proptest! {
         starve in any::<bool>(),
         sharing in any::<bool>(),
     ) {
-        let matrix = [
-            (SchedulerMode::Batched, false),
-            (SchedulerMode::Batched, true),
-            (SchedulerMode::PerDelta, false),
-        ];
-        for &(mode, fusion) in &matrix {
+        for (mode, fusion) in MATRIX {
             let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion, sharing);
             let (mut victim, v_in, v_sinks) = build(&gen, mode, fusion, sharing);
             let budget = victim.max_steps();
@@ -124,6 +124,64 @@ proptest! {
                     sink_counted(&victim, *v_sink),
                     "recovered sink diverged from the fault-free oracle \
                      ({:?}, fusion={})", mode, fusion
+                );
+            }
+        }
+    }
+
+    /// The same trial on the recursive cost loop with a drawn release
+    /// order: most of an epoch's steps there run while later strata are
+    /// held, so the fault aborts the epoch with deltas parked in the
+    /// queue. Rollback must drop them with the rest of the epoch and
+    /// the replay must park and release them again to the fault-free
+    /// fixpoint.
+    #[test]
+    fn faults_while_strata_are_held_recover_to_the_fault_free_fixpoint(
+        gen in cost_loop_gen(),
+        evts in cost_events(32),
+        run_every in 1usize..8,
+        fault_step in 1u64..60,
+        starve in any::<bool>(),
+        sharing in any::<bool>(),
+        release_sel in 0usize..5,
+    ) {
+        let release = RELEASES[release_sel];
+        let moves = cost_moves(&gen, &evts);
+        for (mode, fusion) in MATRIX {
+            let mut oracle = CostLoop::build(&gen, mode, fusion, sharing, release);
+            let mut victim = CostLoop::build(&gen, mode, fusion, sharing, release);
+            let budget = victim.df.max_steps();
+            let arm = if starve {
+                victim.df.set_max_steps(fault_step);
+                Arm::Starved
+            } else {
+                victim.df.set_fault_plan(Some(FaultPlan::one_shot(fault_step)));
+                Arm::Injected
+            };
+            let mut faults = 0u64;
+            for (step, (alt, old, new)) in moves.iter().enumerate() {
+                oracle.set_local(*alt, *old, *new);
+                victim.set_local(*alt, *old, *new);
+                if step % run_every == 0 {
+                    oracle.df.run().unwrap();
+                    faults += run_victim(&mut victim.df, arm, budget);
+                }
+            }
+            oracle.df.run().unwrap();
+            faults += run_victim(&mut victim.df, arm, budget);
+            prop_assert!(faults <= 1, "the single armed fault fired {faults} times");
+            prop_assert_eq!(victim.df.rollbacks(), faults, "rollbacks != absorbed faults");
+            for (o_sink, v_sink) in oracle.sinks.iter().zip(&victim.sinks) {
+                prop_assert!(
+                    !victim.df.sink(*v_sink).has_negative_counts(),
+                    "residual negative counts after recovery \
+                     ({:?}, fusion={}, {:?})", mode, fusion, release
+                );
+                prop_assert_eq!(
+                    sink_counted(&oracle.df, *o_sink),
+                    sink_counted(&victim.df, *v_sink),
+                    "recovered sink diverged from the fault-free oracle \
+                     ({:?}, fusion={}, {:?})", mode, fusion, release
                 );
             }
         }

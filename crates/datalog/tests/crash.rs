@@ -20,13 +20,9 @@ use reopt_datalog::{
 };
 
 mod common;
-use common::{build, events, net_gen, sink_counted, Event};
-
-const MATRIX: [(SchedulerMode, bool); 3] = [
-    (SchedulerMode::Batched, false),
-    (SchedulerMode::Batched, true),
-    (SchedulerMode::PerDelta, false),
-];
+use common::{
+    build, events, net_gen, sink_counted, CostLoop, CostLoopGen, Event, Release, MATRIX,
+};
 
 /// Resolves the raw event stream against set-like semantics once, so
 /// the oracle and the victim apply byte-identical operation sequences.
@@ -322,5 +318,68 @@ fn queue_residue_survives_restore() {
 
         assert_eq!(sink_counted(&oracle, o_d), sink_counted(&survivor, s_d));
         assert_eq!(sink_counted(&oracle, o_a), sink_counted(&survivor, s_a));
+    }
+}
+
+/// Residue with held strata: the flat `(node, port, delta)` triples a
+/// checkpoint persists carry no stratum, so a restore must re-bucket
+/// them through the destination's release order. Local-cost moves at
+/// three depths are pushed (never run) onto a `Local` input released by
+/// depth; the survivor reaches the oracle's fixpoint, and checkpointing
+/// it again reproduces the file byte for byte — the re-bucketed queue
+/// is the queue that was checkpointed.
+#[test]
+fn held_strata_in_the_residue_survive_restore() {
+    let gen = CostLoopGen {
+        alts: vec![
+            (0, None, None),
+            (1, Some(0), None),
+            (1, None, None),
+            (2, Some(1), Some(0)),
+            (2, Some(0), None),
+        ],
+    };
+    let build = |mode, fusion| {
+        let mut net = CostLoop::build(&gen, mode, fusion, true, Release::Depth);
+        let strata = gen.strata(Release::Depth).unwrap();
+        net.df.set_release_order(net.local_in, 0, strata);
+        net
+    };
+    let warm = |net: &mut CostLoop| {
+        for alt in 0..gen.alts.len() {
+            net.set_local(alt, None, Some(10 + alt as i64));
+        }
+        net.df.run().unwrap();
+    };
+    // One move per depth: three strata pending at the checkpoint.
+    let pending = |net: &mut CostLoop| {
+        net.set_local(3, Some(13), Some(2));
+        net.set_local(0, Some(10), Some(4));
+        net.set_local(2, Some(12), None);
+    };
+    for (mode, fusion) in MATRIX {
+        let mut victim = build(mode, fusion);
+        warm(&mut victim);
+        pending(&mut victim);
+        let bytes = victim.df.checkpoint();
+        drop(victim);
+
+        let mut survivor = build(mode, fusion);
+        survivor.df.restore(&bytes).unwrap();
+        assert_eq!(survivor.df.checkpoint(), bytes, "{mode:?}/fusion={fusion}");
+        survivor.df.run().unwrap();
+
+        let mut oracle = build(mode, fusion);
+        warm(&mut oracle);
+        pending(&mut oracle);
+        oracle.df.run().unwrap();
+        for (o, s) in oracle.sinks.iter().zip(&survivor.sinks) {
+            assert!(!survivor.df.sink(*s).has_negative_counts());
+            assert_eq!(sink_counted(&oracle.df, *o), sink_counted(&survivor.df, *s));
+        }
+        assert_eq!(
+            sink_counted(&survivor.df, survivor.sinks[1]),
+            gen.best_costs(&[Some(4), Some(11), None, Some(2), Some(14)])
+        );
     }
 }
