@@ -33,9 +33,9 @@ use std::rc::Rc;
 use reopt_common::{FxHashMap, FxHashSet};
 use reopt_core::rules_ir::{AggFunc, Atom, Rule, Term};
 use reopt_datalog::{
-    AggKind, Arrange, ArrangementHandle, Dataflow, DataflowError, Delta, Distinct, ExternalFn,
-    FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, NodeStats, RunStats, SchedulerMode,
-    SinkId, Tuple, Union, Val,
+    AggKind, Arrange, ArrangementHandle, ConsolidatorFootprint, Dataflow, DataflowError, Delta,
+    Distinct, ExternalFn, FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, NodeStats,
+    RunStats, SchedulerMode, SinkId, Tuple, Union, Val,
 };
 
 /// The value standing in for the rules' `null` constant: a dedicated
@@ -1054,6 +1054,12 @@ impl RuleNetwork {
     /// [`reopt_datalog::Dataflow::node_stats`]).
     pub fn node_stats(&self) -> Vec<NodeStats> {
         self.df.node_stats()
+    }
+
+    /// The batch consolidator's footprint (see
+    /// [`reopt_datalog::Dataflow::consolidator_footprint`]).
+    pub fn consolidator_footprint(&self) -> ConsolidatorFootprint {
+        self.df.consolidator_footprint()
     }
 
     /// Number of shared arrangements the compiler built (diagnostics;

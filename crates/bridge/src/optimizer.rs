@@ -50,8 +50,10 @@
 //! set from the post-delta mirror and feeds the network the difference,
 //! so a pruned alternative that becomes viable is re-costed and a newly
 //! hopeless one is retracted. The in-network B1–B5 derivations are the
-//! *parity diagnostic*: on an unpruned network the materialized `Bound`
-//! sink must equal the driver's DP (pinned by tests).
+//! *parity diagnostic*: an unpruned build (`with_pruning(.., false)`)
+//! compiles them and its materialized `Bound` sink must equal the
+//! driver's DP (pinned by tests). A pruned build compiles D1–D10 only —
+//! nothing would seed its bound rules.
 //!
 //! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
 //! flag) into an `Int`; `prop` is a dense index into the query's
@@ -69,7 +71,9 @@ use reopt_core::memo::{AltId, GroupId, Memo};
 use reopt_core::rules_ir::{parse_rules, Rule};
 use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
-use reopt_datalog::{DataflowError, FaultPlan, Multiset, NodeStats, RunStats, Tuple, Val};
+use reopt_datalog::{
+    ConsolidatorFootprint, DataflowError, FaultPlan, Multiset, NodeStats, RunStats, Tuple, Val,
+};
 use reopt_expr::{ExprId, JoinGraph, PhysProp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
@@ -123,9 +127,24 @@ pub const DATAFLOW_RULES: [&str; 13] = [
      BestCost(expr,prop,minCost), MaxBound(expr,prop,maxBound);",
 ];
 
+/// How many of [`DATAFLOW_RULES`] come before the bound rules B1–B5:
+/// D1–D10, all a pruned build compiles.
+const RULES_WITHOUT_BOUNDS: usize = 8;
+
 /// The executable program in IR form.
 pub fn dataflow_program() -> Vec<Rule> {
     parse_rules(DATAFLOW_RULES).expect("the executable rules parse (pinned by tests)")
+}
+
+/// The relations a network materializes for the driver: `Bound` only
+/// where B1–B5 are compiled (see [`build_network`]).
+fn sink_names(pruning: bool) -> &'static [&'static str] {
+    const SINKS: [&str; 4] = ["SearchSpace", "BestCost", "BestPlan", "Bound"];
+    if pruning {
+        &SINKS[..3]
+    } else {
+        &SINKS
+    }
 }
 
 /// Dense encoding of the physical-property column. Interior mutability
@@ -575,7 +594,7 @@ impl DataflowOptimizer {
         let props = Rc::new(PropTable::new(&memo));
         let topo = topo_order(&memo);
         let strata = plan_cost_strata(&memo, &topo);
-        let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
+        let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata, pruning);
         let local = vec![Cost::INFINITY; memo.n_alts()];
         let dirty_index = DirtyIndex::build(&memo, &ctx, &q);
         let pruning = Pruning {
@@ -657,7 +676,9 @@ impl DataflowOptimizer {
         // replays it. A failed append degrades to in-memory operation
         // for this batch and is reported, never panicked on.
         absorbed.extend(self.wal_append(deltas));
-        self.record_applied(deltas);
+        // The applied log keeps the last write per parameter: replaying
+        // it reproduces the current [`CostContext`].
+        fold_last_writes(&mut self.applied, deltas);
         let affected = self.ctx.apply(deltas);
         if affected.is_empty() {
             let mut report = RecoveryReport::committed();
@@ -757,11 +778,21 @@ impl DataflowOptimizer {
     /// fresh fixpoint equals the one the incremental epoch should have
     /// produced.
     fn rebuild_from_scratch(&mut self) -> RunStats {
-        self.net = build_network(Rc::clone(&self.memo), Rc::clone(&self.props), &self.strata);
+        self.net = self.fresh_network();
         self.seed_network();
         self.net
             .run()
             .expect("a fresh fault-free network converges")
+    }
+
+    /// A new, unseeded network for this query and pruning mode.
+    fn fresh_network(&self) -> RuleNetwork {
+        build_network(
+            Rc::clone(&self.memo),
+            Rc::clone(&self.props),
+            &self.strata,
+            self.pruning.enabled,
+        )
     }
 
     /// Seeds a freshly built network: the root `Expr` demand, the
@@ -787,12 +818,12 @@ impl DataflowOptimizer {
                 self.net.insert("LocalCost", t);
             }
         }
-        // The `Bound(root)` seed is planted only on unpruned builds,
-        // where it drives the in-network B1–B5 derivation that the
-        // parity diagnostic checks against the driver DP. On pruned
-        // builds the driver DP is the pruning authority (it already
-        // excluded the pruned `LocalCost` rows above) and the seed is
-        // withheld: a maintained in-network bound would re-derive the
+        // The `Bound(root)` seed exists only on unpruned builds, where
+        // it drives the in-network B1–B5 derivation that the parity
+        // diagnostic checks against the driver DP. On pruned builds the
+        // driver DP is the pruning authority (it already excluded the
+        // pruned `LocalCost` rows above) and the bound rules are not
+        // compiled: a maintained in-network bound would re-derive the
         // whole `Bound` relation every epoch — the root's best cost
         // moves on almost every update — turning each incremental
         // epoch into a full bound cascade for no additional pruning.
@@ -869,17 +900,28 @@ impl DataflowOptimizer {
         self.pruning.root_bound = new_root_bound;
     }
 
-    /// Appends to the applied-delta log, keeping only the last write
-    /// per parameter (factors are absolute, so replaying the deduped
-    /// log reproduces the current [`CostContext`]).
-    fn record_applied(&mut self, deltas: &[ParamDelta]) {
-        for d in deltas {
-            let key = applied_key(d);
-            match self.applied.iter_mut().find(|e| applied_key(e) == key) {
-                Some(slot) => *slot = *d,
-                None => self.applied.push(*d),
-            }
+    /// Replays WAL `records` as one epoch. Factors are absolute and the
+    /// network's state is a function of the current `LocalCost` rows,
+    /// so the records' net effect — the last write per parameter — fed
+    /// through one `reoptimize` lands on the fixpoint that replaying
+    /// them one by one reaches. `epochs_seen` advances as that replay
+    /// would have advanced it: once per record that changed a
+    /// parameter. `None` if there is nothing to replay.
+    fn replay_folded(&mut self, records: &[Vec<ParamDelta>]) -> Option<DataflowOutcome> {
+        if records.is_empty() {
+            return None;
         }
+        let mut net: Vec<ParamDelta> = Vec::new();
+        let mut factors = self.ctx.factors().clone();
+        let mut effective = 0;
+        for record in records {
+            fold_last_writes(&mut net, record);
+            effective += u64::from(!factors.apply(record).is_empty());
+        }
+        let epochs_before = self.epochs_seen;
+        let out = self.reoptimize(&net);
+        self.epochs_seen = epochs_before + effective;
+        Some(out)
     }
 
     fn maybe_audit(&mut self) -> AuditOutcome {
@@ -910,7 +952,7 @@ impl DataflowOptimizer {
     ///    ([`IncrementalOptimizer::check_invariants`]) and agrees on
     ///    the best cost.
     fn audit_now(&mut self) -> Result<(), DataflowError> {
-        for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
+        for &name in sink_names(self.pruning.enabled) {
             for (t, c) in self.view(name).iter() {
                 if c < 0 {
                     return Err(DataflowError::InvariantViolation(format!(
@@ -919,7 +961,7 @@ impl DataflowOptimizer {
                 }
             }
         }
-        let mut fresh = build_network(Rc::clone(&self.memo), Rc::clone(&self.props), &self.strata);
+        let mut fresh = self.fresh_network();
         let root = self.memo.group(self.memo.root);
         fresh.insert(
             "Expr",
@@ -958,7 +1000,7 @@ impl DataflowOptimizer {
         fresh.run().map_err(|e| {
             DataflowError::InvariantViolation(format!("audit: from-scratch recompute failed: {e}"))
         })?;
-        for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
+        for &name in sink_names(self.pruning.enabled) {
             let live = counted(self.view(name));
             let want = counted(fresh.sink(name).expect("same program, same sinks"));
             if live != want {
@@ -1017,7 +1059,7 @@ impl DataflowOptimizer {
         self.net.sink(relation)
     }
 
-    /// One of the four sinks [`build_network`] always requests.
+    /// One of the sinks [`build_network`] requests ([`sink_names`]).
     fn view(&self, relation: &str) -> &Multiset {
         self.net
             .sink(relation)
@@ -1234,7 +1276,7 @@ impl DataflowOptimizer {
     /// `check_invariants` and agree on the best cost.
     fn post_restore_verify(&mut self) -> Result<(), DataflowError> {
         let bad = |msg: String| Err(DataflowError::StateCorruption(msg));
-        for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
+        for &name in sink_names(self.pruning.enabled) {
             for (t, c) in self.view(name).iter() {
                 if c < 0 {
                     return bad(format!(
@@ -1274,7 +1316,8 @@ impl DataflowOptimizer {
     ///
     /// 1. checkpoint present and intact → restore it, flush any
     ///    checkpointed queue residue, replay the WAL records past the
-    ///    watermark, verify → [`RecoveryPath::RestoredFromCheckpoint`];
+    ///    watermark as one epoch (`replay_folded`),
+    ///    verify → [`RecoveryPath::RestoredFromCheckpoint`];
     /// 2. checkpoint torn / corrupt / failing verification → discard
     ///    it, optimize from scratch and replay the *whole* WAL →
     ///    [`RecoveryPath::RebuiltAfterCorruptCheckpoint`];
@@ -1286,7 +1329,10 @@ impl DataflowOptimizer {
     ///
     /// State damage never panics and never returns `Err`; it degrades
     /// down the ladder with every absorbed error in the report. `Err`
-    /// is reserved for failing to arm the directory itself.
+    /// is reserved for failing to arm the directory itself. Whatever
+    /// the WAL's length, a restart runs at most the residue flush and
+    /// one `reoptimize` (rung 1) or one `optimize` and one `reoptimize`
+    /// (rungs 2–3).
     pub fn recover(
         catalog: &Catalog,
         q: QuerySpec,
@@ -1337,9 +1383,8 @@ impl DataflowOptimizer {
                     let (mut stats, flush) = opt.run_recovering();
                     errors.extend(flush.errors.iter().cloned());
                     if flush.path == RecoveryPath::Committed {
-                        for batch in &wal_batches[watermark as usize..] {
-                            let out = opt.reoptimize(batch);
-                            errors.extend(out.recovery.errors.iter().cloned());
+                        if let Some(out) = opt.replay_folded(&wal_batches[watermark as usize..]) {
+                            errors.extend(out.recovery.errors);
                             stats = out.stats;
                         }
                         match opt.post_restore_verify() {
@@ -1361,8 +1406,8 @@ impl DataflowOptimizer {
             None => {
                 let mut opt = DataflowOptimizer::new(catalog, q);
                 let mut out = opt.optimize();
-                for batch in &wal_batches {
-                    out = opt.reoptimize(batch);
+                if let Some(replayed) = opt.replay_folded(&wal_batches) {
+                    out = replayed;
                 }
                 let path = if had_checkpoint {
                     RecoveryPath::RebuiltAfterCorruptCheckpoint
@@ -1496,6 +1541,24 @@ impl DataflowOptimizer {
         self.net.node_stats()
     }
 
+    /// Epochs run so far, counting the epochs a restart replayed
+    /// (diagnostics; the audit samples on it).
+    pub fn epochs_seen(&self) -> u64 {
+        self.epochs_seen
+    }
+
+    /// The applied-delta log: the last write per parameter, in
+    /// first-write order (diagnostics; checkpoints persist it).
+    pub fn applied_log(&self) -> &[ParamDelta] {
+        &self.applied
+    }
+
+    /// The live network's batch-consolidator footprint (diagnostics):
+    /// bounded by the last epoch's largest batch, not by history.
+    pub fn consolidator_footprint(&self) -> ConsolidatorFootprint {
+        self.net.consolidator_footprint()
+    }
+
     /// Alternatives currently excluded from the network's `LocalCost`
     /// relation by driver-side pruning (diagnostics; 0 when pruning is
     /// off).
@@ -1530,14 +1593,35 @@ fn applied_key(d: &ParamDelta) -> (u8, u32) {
     }
 }
 
+/// Folds `deltas` into `log`, which holds one entry per parameter in
+/// first-write order: factors are absolute, so only the last write to
+/// a parameter matters.
+fn fold_last_writes(log: &mut Vec<ParamDelta>, deltas: &[ParamDelta]) {
+    for d in deltas {
+        let key = applied_key(d);
+        match log.iter_mut().find(|e| applied_key(e) == key) {
+            Some(slot) => *slot = *d,
+            None => log.push(*d),
+        }
+    }
+}
+
 /// A sink's contents as a comparable `tuple → count` map.
 fn counted(sink: &Multiset) -> FxHashMap<Tuple, i64> {
     sink.iter().map(|(t, c)| (t.clone(), c)).collect()
 }
 
 /// Compiles [`DATAFLOW_RULES`] with the memo-backed externals and the
-/// `PlanCost` release order `strata` ([`plan_cost_strata`]).
-fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNetwork {
+/// `PlanCost` release order `strata` ([`plan_cost_strata`]). With
+/// `pruning` the bound rules B1–B5, their `Bound` seed input and the
+/// `Bound` sink are left out: the driver DP is the pruning authority
+/// there and nothing would ever seed them.
+fn build_network(
+    memo: Rc<Memo>,
+    props: Rc<PropTable>,
+    strata: &[u32],
+    pruning: bool,
+) -> RuleNetwork {
     let split_memo = Rc::clone(&memo);
     let split_props = Rc::clone(&props);
     // Pre-encode Fn_split's output rows once per alternative: the
@@ -1569,13 +1653,20 @@ fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNe
             ]
         })
         .collect();
-    NetworkBuilder::new()
-        .input("Expr", 2)
-        .input("LocalCost", 4)
+    let mut rules = dataflow_program();
+    let mut builder = NetworkBuilder::new().input("Expr", 2).input("LocalCost", 4);
+    if pruning {
+        rules.truncate(RULES_WITHOUT_BOUNDS);
+    } else {
         // Seeded derived relation: the driver maintains `Bound(root)`
         // as a base fact; B5 derives the rest of the relation.
-        .input("Bound", 3)
-        .rules(dataflow_program())
+        builder = builder.input("Bound", 3);
+    }
+    for name in sink_names(pruning) {
+        builder = builder.sink(name);
+    }
+    builder
+        .rules(rules)
         // `PlanCost(expr,prop,index,cost)`, held by `index`.
         .release_order("PlanCost", 2, strata.to_vec())
         // Fn_split(expr,prop | index,logOp,phyOp,lExpr,lProp,rExpr,rProp):
@@ -1613,10 +1704,6 @@ fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNe
             }
             emit(&[Val::Cost(total)]);
         })
-        .sink("SearchSpace")
-        .sink("BestCost")
-        .sink("BestPlan")
-        .sink("Bound")
         .build()
         .expect("the executable program compiles (pinned by tests)")
 }
@@ -1659,6 +1746,30 @@ mod tests {
         let c = fixture_catalog();
         let opt = DataflowOptimizer::new(&c, chain_query(&c, 3));
         assert!(opt.network_nodes() > 10);
+    }
+
+    #[test]
+    fn pruned_builds_compile_the_rules_before_the_bound_rules() {
+        let bound_heads = ["ParentBound", "MaxBound", "Bound"];
+        let rules = dataflow_program();
+        let (core, bounds) = rules.split_at(RULES_WITHOUT_BOUNDS);
+        assert!(core.iter().all(|r| !bound_heads.contains(&r.head.relation.as_str())
+            && r.body.iter().all(|a| !bound_heads.contains(&a.relation.as_str()))));
+        assert!(bounds.iter().all(|r| bound_heads.contains(&r.head.relation.as_str())));
+        assert_eq!((core.len(), bounds.len()), (8, 5));
+
+        let c = fixture_catalog();
+        let q = chain_query(&c, 4);
+        let mut pruned = DataflowOptimizer::with_pruning(&c, q.clone(), true);
+        let mut unpruned = DataflowOptimizer::with_pruning(&c, q, false);
+        assert!(pruned.network_nodes() < unpruned.network_nodes());
+        assert!(pruned.sink("Bound").is_none());
+        assert!(unpruned.sink("Bound").is_some());
+        // The audit compares exactly the sinks each build has.
+        pruned.optimize();
+        unpruned.optimize();
+        pruned.audit().expect("pruned build audits clean");
+        unpruned.audit().expect("unpruned build audits clean");
     }
 
     #[test]

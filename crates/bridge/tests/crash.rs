@@ -6,140 +6,17 @@
 //! require detection plus graceful degradation, never a panic and never
 //! a silently wrong plan.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
 use proptest::prelude::*;
 
 use reopt_bridge::{AuditMode, DataflowOptimizer, RecoveryPath};
-use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
 use reopt_cost::ParamDelta;
-use reopt_datalog::{Multiset, Tuple};
-use reopt_expr::{EdgeId, LeafId, QuerySpec};
 
-/// Deterministic description of a random query instance (same shape as
-/// the differential property suite in `props.rs`).
-#[derive(Clone, Debug)]
-struct QueryGen {
-    rows: Vec<u8>,
-    indexed: Vec<bool>,
-    parent: Vec<u8>,
-    cycle: bool,
-}
-
-fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
-    (2..=max_leaves).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(1u8..=5, n),
-            proptest::collection::vec(any::<bool>(), n),
-            proptest::collection::vec(any::<u8>(), n - 1),
-            any::<bool>(),
-        )
-            .prop_map(|(rows, indexed, parent, cycle)| QueryGen {
-                rows,
-                indexed,
-                parent,
-                cycle,
-            })
-    })
-}
-
-fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
-    let n = gen.rows.len();
-    let mut c = Catalog::new();
-    for i in 0..n {
-        let rows = 10f64.powi(gen.rows[i] as i32);
-        let name = format!("t{i}");
-        let indexed = gen.indexed[i];
-        c.add_table(
-            |id| {
-                let mut b = TableBuilder::new(&name).int_col("a").int_col("b");
-                if indexed {
-                    b = b.index_on("a");
-                }
-                b.build(id)
-            },
-            TableStats {
-                row_count: rows,
-                columns: vec![ColumnStats::uniform_key(rows); 2],
-            },
-        );
-    }
-    let mut b = QuerySpec::builder("crash");
-    let leaves: Vec<_> = (0..n).map(|i| b.leaf(&c, &format!("t{i}"))).collect();
-    for i in 1..n {
-        let p = (gen.parent[i - 1] as usize) % i;
-        b.join(&c, leaves[p], "b", leaves[i], "a");
-    }
-    if gen.cycle && n > 2 {
-        b.join(&c, leaves[n - 1], "b", leaves[0], "a");
-    }
-    (c, b.build())
-}
-
-fn deltas_for(q: &QuerySpec, raw: (u8, u8, u8)) -> Vec<ParamDelta> {
-    let (kind, idx, mag) = raw;
-    let factor = 2f64.powi((mag as i32 % 7) - 3);
-    vec![match kind % 3 {
-        0 if !q.edges.is_empty() => {
-            ParamDelta::EdgeSelectivity(EdgeId(idx as u32 % q.edges.len() as u32), factor)
-        }
-        1 => ParamDelta::LeafCardinality(LeafId(idx as u32 % q.n_leaves()), factor),
-        _ => ParamDelta::LeafScanCost(LeafId(idx as u32 % q.n_leaves()), factor),
-    }]
-}
-
-fn sink_sorted(sink: &Multiset) -> Vec<(Tuple, i64)> {
-    let mut v: Vec<(Tuple, i64)> = sink.iter().map(|(t, c)| (t.clone(), c)).collect();
-    v.sort();
-    v
-}
-
-fn assert_sinks_match(a: &DataflowOptimizer, b: &DataflowOptimizer, what: &str) {
-    for name in ["SearchSpace", "BestCost", "BestPlan"] {
-        assert!(
-            !a.sink(name).unwrap().has_negative_counts(),
-            "{what}: residual negative counts in {name}"
-        );
-        assert_eq!(
-            sink_sorted(a.sink(name).unwrap()),
-            sink_sorted(b.sink(name).unwrap()),
-            "{what}: sink {name} diverged"
-        );
-    }
-}
-
-/// A fresh, unique durable directory under the system temp dir.
-fn fresh_dir(label: &str) -> std::path::PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "reopt-bridge-crash-{label}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The deterministic 5-leaf chain the benches use, with a fixed delta
-/// schedule — the fixture behind the plain (non-property) tests.
-fn chain5() -> (Catalog, QuerySpec) {
-    build(&QueryGen {
-        rows: vec![2, 4, 3, 5, 1],
-        indexed: vec![true, false, true, false, true],
-        parent: vec![0, 1, 2, 3],
-        cycle: false,
-    })
-}
-
-fn chain5_batches(q: &QuerySpec) -> Vec<Vec<ParamDelta>> {
-    vec![
-        deltas_for(q, (0, 1, 6)),
-        deltas_for(q, (1, 3, 1)),
-        deltas_for(q, (2, 0, 5)),
-        deltas_for(q, (0, 2, 2)),
-    ]
-}
+use common::{
+    assert_sinks_match, build, chain5, chain5_batches, crashed_victim, deltas_for, fresh_dir,
+    query_gen, record_by_record_restart,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -294,6 +171,122 @@ proptest! {
             "recovered state failed the full audit after WAL damage at byte {at}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn flip_checkpoint_bit(dir: &std::path::Path, byte_sel: u32, bit: u8) {
+    let path = dir.join("checkpoint.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = byte_sel as usize % bytes.len();
+    bytes[at] ^= 1 << bit;
+    std::fs::write(&path, &bytes).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `recover` folds the WAL tail into one net batch and runs one
+    /// epoch; the record-by-record replay it replaced (kept in
+    /// `common`) is the reference. Random checkpoint position, a tail
+    /// of 0–40 records that keep hitting the same few parameters, an
+    /// optional torn last record, and an optionally corrupted
+    /// checkpoint (the degraded rung folds the whole WAL): both must
+    /// agree on every sink with counts, the best cost and plan, the
+    /// applied log and `epochs_seen`.
+    #[test]
+    fn folded_replay_equals_record_by_record_replay(
+        gen in query_gen(5),
+        before in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..3), 0..5),
+        tail in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), 0u8..3, any::<u8>()), 1..4), 0..41),
+        torn in any::<bool>(),
+        corrupt in any::<bool>(),
+        byte_sel in any::<u32>(),
+        bit in 0u8..8,
+    ) {
+        let (c, q) = build(&gen);
+        let records = |raw: &[Vec<(u8, u8, u8)>]| -> Vec<Vec<ParamDelta>> {
+            raw.iter()
+                .map(|r| r.iter().flat_map(|&d| deltas_for(&q, d)).collect())
+                .collect()
+        };
+        let (before, tail) = (records(&before), records(&tail));
+        let (dir, _) = crashed_victim(&c, &q, "fold", &before, &tail);
+        let mut intact = tail.as_slice();
+        if torn && !tail.is_empty() {
+            // Tear the final record: it was never acknowledged durable.
+            let path = dir.join("wal.bin");
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+            intact = &tail[..tail.len() - 1];
+        }
+        if corrupt {
+            flip_checkpoint_bit(&dir, byte_sel, bit);
+        }
+
+        let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+        let want = record_by_record_restart(&c, &q, &before, intact, !corrupt);
+        let path = if corrupt {
+            RecoveryPath::RebuiltAfterCorruptCheckpoint
+        } else {
+            RecoveryPath::RestoredFromCheckpoint
+        };
+        prop_assert_eq!(out.recovery.path, path);
+        prop_assert_eq!(out.cost, want.best_cost(), "best cost diverged");
+        prop_assert_eq!(&out.plan, &want.best_plan(), "best plan diverged");
+        assert_sinks_match(&rec, &want, "folded vs record-by-record");
+        prop_assert_eq!(rec.applied_log(), want.applied_log(), "applied log diverged");
+        prop_assert_eq!(rec.epochs_seen(), want.epochs_seen(), "epochs_seen diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The work a restart does is bounded whatever the tail's length:
+/// restoring runs the residue flush and, if there is a tail, one
+/// `reoptimize`; the degraded rungs run one `optimize` and one
+/// `reoptimize`. `stats.epoch` counts the substrate's committed epochs
+/// (a checkpoint carries it), so it counts those runs exactly. Record-
+/// by-record replay ran one epoch per record: 40 here.
+#[test]
+fn a_restart_runs_at_most_two_epochs_whatever_the_tail_length() {
+    let (c, q) = chain5();
+    let before = chain5_batches(&q);
+    // 40 records walking two parameters through values they do not
+    // hold at the checkpoint, so the net batch is a real change.
+    let tail: Vec<Vec<ParamDelta>> = (0u8..40)
+        .map(|i| deltas_for(&q, (1, i % 2, i % 3 + 4)))
+        .collect();
+
+    let (dir, at_checkpoint) = crashed_victim(&c, &q, "bound-tail", &before, &tail);
+    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
+    assert_eq!(
+        out.stats.epoch,
+        at_checkpoint + 2,
+        "flush + one folded epoch"
+    );
+
+    // Degraded rung: the whole WAL (4 + 40 records) folds into one epoch
+    // after the from-scratch optimize.
+    flip_checkpoint_bit(&dir, 40, 3);
+    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(
+        out.recovery.path,
+        RecoveryPath::RebuiltAfterCorruptCheckpoint
+    );
+    assert_eq!(out.stats.epoch, 2, "one optimize + one folded epoch");
+    std::fs::remove_file(dir.join("checkpoint.bin")).unwrap();
+    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+    assert_eq!(out.stats.epoch, 2, "one optimize + one folded epoch");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Nothing past the checkpoint: the flush is the only epoch.
+    let (dir, at_checkpoint) = crashed_victim(&c, &q, "bound-empty", &before, &[]);
+    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
+    assert_eq!(out.stats.epoch, at_checkpoint + 1, "the residue flush only");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The acceptance scenario, pinned deterministically: warm a chain-5
@@ -694,5 +687,53 @@ fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
     let mut fresh = DataflowOptimizer::new(&c, q);
     assert!(out.cost.approx_eq(fresh.optimize().cost));
     rec.audit().expect("the torn batch was never applied");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pruned builds stopped compiling the bound rules B1–B5 (and their
+/// `Bound` input and sink), and node topology is part of the restore
+/// check — so a checkpoint cut by a build that still compiled all 13
+/// rules is refused as a topology mismatch. That costs one from-scratch
+/// rebuild plus the folded WAL on the first restart after the upgrade
+/// (`RebuiltAfterCorruptCheckpoint`), never a wrong plan. An unpruned
+/// build still compiles exactly that older network, so it cuts the
+/// stand-in checkpoint.
+#[test]
+fn a_checkpoint_with_the_bound_rules_compiled_degrades_to_an_exact_rebuild() {
+    let (c, q) = chain5();
+    let dir = fresh_dir("bound-rules");
+    let batches = chain5_batches(&q);
+
+    let mut oracle = DataflowOptimizer::new(&c, q.clone());
+    oracle.set_audit_mode(AuditMode::Off);
+    oracle.optimize();
+    let mut old = DataflowOptimizer::with_pruning(&c, q.clone(), false);
+    old.set_audit_mode(AuditMode::Off);
+    old.set_durable_dir(&dir).unwrap();
+    old.optimize();
+    for batch in &batches {
+        oracle.reoptimize(batch);
+        old.reoptimize(batch);
+    }
+    old.checkpoint_durable().unwrap();
+    assert!(old.network_nodes() > oracle.network_nodes());
+    drop(old);
+
+    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(
+        out.recovery.path,
+        RecoveryPath::RebuiltAfterCorruptCheckpoint
+    );
+    assert!(
+        out.recovery
+            .errors
+            .iter()
+            .any(|e| e.to_string().contains("topology mismatch")),
+        "{:?}",
+        out.recovery.errors
+    );
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_eq!(out.plan, oracle.best_plan());
+    assert_sinks_match(&rec, &oracle, "after the 13-rule checkpoint rebuild");
     let _ = std::fs::remove_dir_all(&dir);
 }

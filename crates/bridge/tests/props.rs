@@ -105,6 +105,34 @@ fn deltas_for(q: &QuerySpec, raw: &[(u8, u8, u8)], increase_only: bool) -> Vec<P
         .collect()
 }
 
+/// Raises every delta to the highest factor its parameter has been
+/// given so far (`highest`, one entry per parameter). Factors are
+/// absolute, so a sequence of factors ≥ 1 is increase-only only if no
+/// parameter is later written a smaller one.
+fn never_lowering(highest: &mut Vec<ParamDelta>, deltas: Vec<ParamDelta>) -> Vec<ParamDelta> {
+    fn parts(d: &mut ParamDelta) -> ((u8, u32), &mut f64) {
+        match d {
+            ParamDelta::EdgeSelectivity(e, f) => ((0, e.0), f),
+            ParamDelta::LeafCardinality(l, f) => ((1, l.0), f),
+            ParamDelta::LeafScanCost(l, f) => ((2, l.0), f),
+        }
+    }
+    deltas
+        .into_iter()
+        .map(|mut d| {
+            let (key, f) = parts(&mut d);
+            match highest.iter_mut().map(parts).find(|(k, _)| *k == key) {
+                Some((_, top)) => {
+                    *top = top.max(*f);
+                    *f = *top;
+                }
+                None => highest.push(d),
+            }
+            d
+        })
+        .collect()
+}
+
 /// Fails if the outcome's sampled audit flagged drift. With `REOPT_AUDIT`
 /// unset the audit never runs (`NotSampled`) and this is vacuous; CI runs
 /// this suite once with `REOPT_AUDIT=1` so every epoch is cross-checked.
@@ -209,8 +237,9 @@ proptest! {
         let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
         df.optimize();
         hand.optimize();
+        let mut highest = Vec::new();
         for raw in &seq {
-            let deltas = deltas_for(&q, raw, true);
+            let deltas = never_lowering(&mut highest, deltas_for(&q, raw, true));
             let got = df.reoptimize(&deltas);
             let want = hand.reoptimize(&deltas);
             prop_assert!(got.cost.approx_eq(want.cost),

@@ -135,7 +135,11 @@ impl IncrementalOptimizer {
     /// Incremental re-optimization under a batch of cost/cardinality
     /// updates (§4). Only state in the affected cone is recomputed.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> Outcome {
-        assert!(self.initialized, "call optimize() before reoptimize()");
+        // A fresh engine evaluates the initial program first, exactly
+        // as an explicit `optimize()` would have.
+        if !self.initialized {
+            self.optimize();
+        }
         self.begin_run();
         let affected = self.ctx.apply(deltas);
         if affected.is_empty() {
@@ -940,6 +944,31 @@ mod tests {
                     opt.check_invariants()
                         .unwrap_or_else(|e| panic!("{} under {}: {e}", q.name, cfg.label()));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fresh_engine_given_deltas_optimizes_first() {
+        // Regression: `reoptimize` before `optimize` used to panic on
+        // an `assert!`. It now runs the initial evaluation itself and
+        // lands exactly where the explicit two-step call does.
+        let c = fixture_catalog();
+        let batch = vec![
+            ParamDelta::EdgeSelectivity(EdgeId(0), 8.0),
+            ParamDelta::LeafCardinality(LeafId(1), 0.25),
+        ];
+        for q in fixture_queries() {
+            for cfg in all_configs() {
+                let mut lazy = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                let mut eager = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                eager.optimize();
+                let got = lazy.reoptimize(&batch);
+                let want = eager.reoptimize(&batch);
+                assert_eq!(got.cost, want.cost, "{} under {}", q.name, cfg.label());
+                assert_eq!(got.plan, want.plan, "{} under {}", q.name, cfg.label());
+                lazy.check_invariants()
+                    .unwrap_or_else(|e| panic!("{} under {}: {e}", q.name, cfg.label()));
             }
         }
     }

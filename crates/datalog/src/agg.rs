@@ -83,6 +83,11 @@ impl OrderedMultiset {
         self.values.iter().map(|(v, c)| (v, *c))
     }
 
+    /// Distinct values stored (any count sign). O(1).
+    pub fn distinct(&self) -> usize {
+        self.values.len()
+    }
+
     /// Total visible multiplicity (COUNT aggregate).
     pub fn total(&self) -> i64 {
         self.total

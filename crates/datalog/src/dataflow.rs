@@ -32,7 +32,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use reopt_common::FxHashMap;
 
-use crate::delta::{coalesce, CoalesceScratch, Delta};
+use crate::delta::{coalesce, CoalesceScratch, ConsolidatorFootprint, Delta};
 use crate::error::{DataflowError, FaultPlan};
 use crate::ops::{Fused, Operator};
 use crate::relation::Multiset;
@@ -348,6 +348,9 @@ pub struct NodeStats {
     pub batches: u64,
     /// Deltas in those batches, after coalescing.
     pub deltas: u64,
+    /// Rows the node holds right now ([`Operator::state_rows`], or a
+    /// sink's contents); 0 for stateless nodes.
+    pub state_rows: u64,
 }
 
 /// A (possibly cyclic) dataflow of delta-processing operators.
@@ -355,7 +358,8 @@ pub struct Dataflow {
     nodes: Vec<Node>,
     sinks: Vec<Multiset>,
     queue: Queue,
-    /// Reused by batch coalescing across the whole run.
+    /// Reused by batch coalescing; trimmed once per run, so it holds
+    /// no more than the last run's largest batch needed.
     scratch: CoalesceScratch,
     max_steps: u64,
     /// Whether [`Dataflow::run`] auto-fuses stateless chains first
@@ -751,8 +755,19 @@ impl Dataflow {
                 label: n.label.clone(),
                 batches: n.stat_batches,
                 deltas: n.stat_deltas,
+                state_rows: match &n.kind {
+                    NodeKind::Op(op) => op.state_rows() as u64,
+                    NodeKind::Sink(idx) => self.sinks[*idx].len() as u64,
+                    NodeKind::Input | NodeKind::Fused => 0,
+                },
             })
             .collect()
+    }
+
+    /// What the batch consolidator holds (diagnostic): bounded by the
+    /// largest batch of the last run, whatever ran before it.
+    pub fn consolidator_footprint(&self) -> ConsolidatorFootprint {
+        self.scratch.footprint()
     }
 
     /// Number of operator nodes absorbed into fused chains so far.
@@ -778,7 +793,9 @@ impl Dataflow {
         let checkpoint = self.queue.checkpoint();
         self.begin_epoch();
         let mut stats = RunStats::default();
-        match self.fixpoint(batched, &mut stats) {
+        let result = self.fixpoint(batched, &mut stats);
+        self.scratch.trim();
+        match result {
             Ok(()) => {
                 self.commit_epoch();
                 self.epoch += 1;
@@ -1311,6 +1328,52 @@ mod tests {
         df.delete(s, ints(&[1, 100]));
         df.run().unwrap();
         assert_eq!(df.sink(sink).sorted(), vec![ints(&[2, 20, 2, 200])]);
+    }
+
+    #[test]
+    fn node_stats_report_the_rows_each_node_holds() {
+        let mut df = Dataflow::new();
+        let r = df.add_input("r");
+        let s = df.add_input("s");
+        let d = df.add_op(Distinct::new(), &[r]);
+        let j = df.add_op(HashJoin::new(vec![0], vec![0]), &[d, s]);
+        let agg = df.add_op(GroupAgg::new(vec![0], 1, AggKind::Min), &[s]);
+        df.add_sink(j);
+        df.add_sink(agg);
+        for t in [[1, 10], [1, 10], [2, 20]] {
+            df.insert(r, ints(&t));
+        }
+        for t in [[1, 5], [1, 6], [3, 7]] {
+            df.insert(s, ints(&t));
+        }
+        df.run().unwrap();
+        let rows: Vec<(String, u64)> = df
+            .node_stats()
+            .into_iter()
+            .map(|n| (n.label, n.state_rows))
+            .collect();
+        let want = [
+            // Inputs hold nothing.
+            ("r", 0),
+            ("s", 0),
+            ("distinct", 2),  // (1,10), (2,20)
+            ("join", 2 + 3),  // both owned sides
+            ("group-agg", 3), // values 5 and 6 under key 1, 7 under key 3
+            ("sink", 2),      // (1,10) ⋈ {(1,5), (1,6)}
+            ("sink", 2),      // min per key
+        ];
+        assert_eq!(
+            rows,
+            want.map(|(l, n)| (l.to_string(), n)),
+            "label → state_rows"
+        );
+        // Retractions give the rows back.
+        df.delete(s, ints(&[1, 5]));
+        df.delete(s, ints(&[1, 6]));
+        df.run().unwrap();
+        // distinct 2, join 2 + 1, group-agg 1, join sink 0, agg sink 1.
+        let held: u64 = df.node_stats().iter().map(|n| n.state_rows).sum();
+        assert_eq!(held, 7);
     }
 
     /// Builds the classic transitive-closure program:

@@ -45,7 +45,7 @@ pub mod value;
 pub use agg::{AggKind, OrderedMultiset};
 pub use dataflow::{Dataflow, NodeId, NodeStats, RunStats, SchedulerMode, SinkId};
 pub use error::{DataflowError, FaultPlan};
-pub use delta::{coalesce, CoalesceScratch, Delta};
+pub use delta::{coalesce, CoalesceScratch, ConsolidatorFootprint, Delta};
 pub use intern::{set_intern_capacity, Sym};
 pub use ops::{
     Arrange, Distinct, ExternalFn, FuseStage, Fused, GroupAgg, HashJoin, Map, OpCounters, Operator,

@@ -160,6 +160,13 @@ pub trait Operator {
         Ok(())
     }
 
+    /// Rows of state the operator holds right now (diagnostic, see
+    /// [`crate::dataflow::NodeStats`]). A join counts only the sides it
+    /// owns; a shared side is counted at its [`Arrange`] node.
+    fn state_rows(&self) -> usize {
+        0
+    }
+
     fn name(&self) -> &str;
 }
 
@@ -934,6 +941,16 @@ impl Operator for HashJoin {
         Ok(())
     }
 
+    fn state_rows(&self) -> usize {
+        [&self.left, &self.right]
+            .into_iter()
+            .map(|side| match side {
+                Side::Owned(m) => m.total_tuples(),
+                Side::Shared { .. } => 0,
+            })
+            .sum()
+    }
+
     fn name(&self) -> &str {
         "join"
     }
@@ -1007,6 +1024,10 @@ impl Operator for Arrange {
         input: &mut crate::checkpoint::Dec<'_>,
     ) -> Result<(), DataflowError> {
         crate::checkpoint::decode_indexed(input, &mut self.handle.write())
+    }
+
+    fn state_rows(&self) -> usize {
+        self.handle.read().total_tuples()
     }
 
     fn name(&self) -> &str {
@@ -1262,6 +1283,10 @@ impl Operator for GroupAgg {
         Ok(())
     }
 
+    fn state_rows(&self) -> usize {
+        self.groups.values().map(|g| g.state.distinct()).sum()
+    }
+
     fn name(&self) -> &str {
         "group-agg"
     }
@@ -1324,6 +1349,10 @@ impl Operator for Distinct {
         input: &mut crate::checkpoint::Dec<'_>,
     ) -> Result<(), DataflowError> {
         crate::checkpoint::decode_multiset(input, &mut self.state)
+    }
+
+    fn state_rows(&self) -> usize {
+        self.state.len()
     }
 
     fn name(&self) -> &str {
