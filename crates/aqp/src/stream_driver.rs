@@ -218,6 +218,17 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_first_slice_returns_a_report() {
+        // Nothing has arrived yet: every window is empty, every operator
+        // observes zero rows, and the loop still closes.
+        let (c, q, _gen) = setup();
+        let mut driver = AqpDriver::new(&c, q, AqpConfig::default());
+        let r = driver.run_slice(&[]);
+        assert_eq!((r.slice, r.out_rows, r.window_rows), (1, 0, 0));
+        assert_eq!(r.migrated_rows, 0);
+    }
+
+    #[test]
     fn incremental_work_decays_when_statistics_stabilize() {
         // Run past the largest (300s) window so the stream becomes
         // stationary, then compare early vs late optimizer work.

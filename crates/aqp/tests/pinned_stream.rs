@@ -1,0 +1,98 @@
+//! The benchmark's default stream through the shipped driver, pinned.
+//!
+//! The plan interpreter reports cardinalities; everything the loop does
+//! next — feedback, re-optimization, the plan installed for the next
+//! slice, the rows migrated on a switch — follows from them. The vector
+//! below was recorded with the row-materialising interpreter (PR 13):
+//! an interpreter that observes the same cardinalities reproduces it
+//! slice for slice.
+
+use reopt_aqp::{AqpConfig, AqpDriver};
+use reopt_catalog::Catalog;
+use reopt_workloads::{seg_toll_query, LinearRoadGen};
+
+/// Per slice: `(out_rows, plan_changed, migrated_rows)`.
+const EXPECTED: [(usize, bool, usize); 60] = [
+    (22, true, 0),
+    (37, false, 484),
+    (49, true, 0),
+    (54, true, 1047),
+    (59, false, 1347),
+    (61, false, 0),
+    (65, true, 0),
+    (65, true, 2047),
+    (77, false, 2185),
+    (76, false, 0),
+    (74, false, 0),
+    (69, false, 0),
+    (62, false, 0),
+    (52, true, 0),
+    (44, false, 2264),
+    (40, false, 0),
+    (35, false, 0),
+    (30, true, 0),
+    (31, false, 2160),
+    (35, false, 0),
+    (40, false, 0),
+    (45, false, 0),
+    (50, false, 0),
+    (54, true, 0),
+    (60, false, 2987),
+    (60, false, 0),
+    (65, false, 0),
+    (66, false, 0),
+    (67, false, 0),
+    (71, false, 0),
+    (65, false, 0),
+    (60, false, 0),
+    (58, false, 0),
+    (58, false, 0),
+    (58, false, 0),
+    (47, false, 0),
+    (43, true, 0),
+    (37, false, 4086),
+    (29, false, 0),
+    (24, false, 0),
+    (26, false, 0),
+    (36, false, 0),
+    (42, false, 0),
+    (51, false, 0),
+    (56, false, 0),
+    (58, false, 0),
+    (57, false, 0),
+    (68, true, 0),
+    (68, false, 5142),
+    (69, false, 0),
+    (72, false, 0),
+    (69, false, 0),
+    (72, false, 0),
+    (67, false, 0),
+    (66, false, 0),
+    (63, false, 0),
+    (60, false, 0),
+    (58, false, 0),
+    (48, true, 0),
+    (32, false, 5337),
+];
+
+#[test]
+fn benchmark_stream_reproduces_the_recorded_slice_sequence() {
+    // `aqp_segtoll`'s traffic (benchmark/src/layers.rs `seg_toll`),
+    // before the per-seed relabelling of car ids.
+    let mut gen = LinearRoadGen::new(11);
+    gen.rate = 10.0;
+    gen.n_cars = 400;
+    gen.n_segments = 25;
+    let mut c = Catalog::new();
+    gen.register(&mut c);
+    let q = seg_toll_query(&c);
+    let mut driver = AqpDriver::new(&c, q, AqpConfig::default());
+    for (i, want) in EXPECTED.iter().enumerate() {
+        let r = driver.run_slice(&gen.slice(i as f64 * 5.0, 5.0));
+        assert_eq!(
+            (r.out_rows, r.plan_changed, r.migrated_rows),
+            *want,
+            "slice {i}"
+        );
+    }
+}

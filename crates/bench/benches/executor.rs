@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the execution engine: Q5 over stored
-//! TPC-H data and one `SegTollS` stream slice.
+//! TPC-H data and one `SegTollS` stream slice, over empty and over warm
+//! windows.
 
 use std::time::Duration;
 
@@ -34,6 +35,11 @@ fn executor(c: &mut Criterion) {
     let sg = JoinGraph::new(&sq);
     let mut sctx = CostContext::new(&sc, &sq);
     let splan = optimize_system_r(&sq, &sg, &mut sctx).plan;
+    // Before the first tuple: every window empty, every operator run.
+    let mut fresh = StreamExecutor::new(&sq);
+    group.bench_function("segtolls_slice_empty_windows", |b| {
+        b.iter(|| fresh.execute(&splan).out_rows)
+    });
     let mut se = StreamExecutor::new(&sq);
     for i in 0..10 {
         se.ingest(&gen.slice(i as f64 * 5.0, 5.0));

@@ -366,7 +366,8 @@ pub struct Fig10Point {
 /// plans. This matches the paper's framing — the good plan is the one
 /// the optimizer "would pick given complete information" — while
 /// staying honest about residual cost-model/executor divergence (see
-/// EXPERIMENTS.md).
+/// "Execution engine" in the README: every operator runs its own
+/// algorithm, so a plan's measured time is its own).
 pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
     let (c, q, gen0) = default_stream();
     let mut candidates: Vec<reopt_expr::PlanNode> = Vec::new();

@@ -19,7 +19,7 @@ pub struct PruningConfig {
     /// §3.3 recursive bounding: the `Bound` relation of rules r1–r4;
     /// suppression then tests against `Bound` instead of `BestCost`.
     pub recursive_bounding: bool,
-    /// Reproduction extension (see DESIGN.md §3.3): on re-optimization,
+    /// Reproduction extension to the paper's §3.3: on re-optimization,
     /// conservatively revalidate frozen state whose parameters changed,
     /// restoring the unconditional optimality guarantee for cost
     /// *decreases* landing entirely inside reclaimed regions, at the

@@ -131,7 +131,7 @@ proptest! {
 
     /// Increase-only update batches keep every configuration exact
     /// (stale frozen costs are optimistic, so revival triggers are
-    /// complete — DESIGN.md §3.3).
+    /// complete; decreases need `PruningConfig::strict_revalidation`).
     #[test]
     fn increases_stay_exact_under_full_pruning(
         gen in query_gen(5),

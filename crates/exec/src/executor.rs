@@ -1,15 +1,26 @@
-//! Batch plan interpreter with runtime cardinality collection.
+//! Late-materialising plan interpreter with runtime cardinality
+//! collection.
 //!
 //! Executes the physical plan trees produced by any of the optimizers
 //! over per-leaf input relations (stored tables, data partitions, or
-//! stream window contents). Every operator records its actual output
-//! cardinality into [`ExecStats`] — the feedback that drives
-//! re-optimization in §5.2.2/§5.4.
+//! stream window contents). Leaf inputs are borrowed, never copied: an
+//! intermediate result is a flat vector of row ids, one slot per leaf it
+//! covers, and a column `(leaf, col)` is read through its slot. Rows are
+//! built once, at the plan root, and only for callers that ask for them
+//! ([`Executor::run`]); the stream executor wants a count and the
+//! cardinalities and materialises nothing. Every operator records its
+//! actual output cardinality into [`ExecStats`] — the feedback that
+//! drives re-optimization in §5.2.2/§5.4.
 
-use reopt_catalog::{Catalog, CmpOp, Datum};
-use reopt_common::FxHashMap;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
+
+use reopt_catalog::{Catalog, CmpOp, ColId, Datum};
+use reopt_common::{FxHashMap, FxHasher};
 use reopt_expr::{
-    AggFunc, ExprId, JoinEdge, LeafCol, LeafId, PhysOp, PlanNode, QuerySpec, RelSet,
+    AggFunc, AggSpec, ExprId, LeafCol, LeafId, PhysOp, PhysProp, PlanNode, QuerySpec,
 };
 
 use crate::database::{Database, Row};
@@ -34,165 +45,371 @@ impl ExecStats {
 /// A batch executor over fixed per-leaf inputs.
 pub struct Executor<'a> {
     q: &'a QuerySpec,
-    inputs: Vec<Vec<Row>>,
+    inputs: Vec<Cow<'a, [Row]>>,
+    /// Columns per leaf: the root layout lists them all, whether or not
+    /// the leaf has a row to show for them.
+    widths: Vec<usize>,
     pub stats: ExecStats,
 }
 
 impl<'a> Executor<'a> {
-    /// Executes over stored tables: each leaf reads its table in full.
-    pub fn from_database(q: &'a QuerySpec, catalog: &Catalog, db: &Database) -> Executor<'a> {
-        let _ = catalog;
-        let inputs = q
-            .leaves
-            .iter()
-            .map(|leaf| db.table(leaf.table).rows.clone())
-            .collect();
+    /// Executes over stored tables: each leaf reads its table in full,
+    /// in place.
+    pub fn from_database(q: &'a QuerySpec, catalog: &Catalog, db: &'a Database) -> Executor<'a> {
         Executor {
             q,
-            inputs,
+            inputs: q
+                .leaves
+                .iter()
+                .map(|leaf| Cow::Borrowed(&db.table(leaf.table).rows[..]))
+                .collect(),
+            widths: q
+                .leaves
+                .iter()
+                .map(|leaf| catalog.table(leaf.table).columns.len())
+                .collect(),
             stats: ExecStats::default(),
         }
     }
 
-    /// Executes over explicit per-leaf inputs (stream windows, data
-    /// partitions).
+    /// Executes over explicit per-leaf inputs (data partitions, window
+    /// snapshots). Without a catalog a leaf is as wide as its first row;
+    /// an empty input contributes no columns to the root layout.
     pub fn with_inputs(q: &'a QuerySpec, inputs: Vec<Vec<Row>>) -> Executor<'a> {
         assert_eq!(inputs.len(), q.leaves.len(), "one input per leaf");
         Executor {
             q,
-            inputs,
+            widths: inputs
+                .iter()
+                .map(|rows| rows.first().map_or(0, Vec::len))
+                .collect(),
+            inputs: inputs.into_iter().map(Cow::Owned).collect(),
             stats: ExecStats::default(),
         }
     }
 
     /// Runs the plan, returning output rows and their column layout.
     pub fn run(&mut self, plan: &PlanNode) -> (Vec<Row>, Layout) {
-        self.eval(plan)
-    }
-
-    fn eval(&mut self, node: &PlanNode) -> (Vec<Row>, Layout) {
-        let (rows, layout) = match node.op {
-            PhysOp::FullScan | PhysOp::IndexScan { .. } => self.eval_scan(node),
-            PhysOp::Sort { col } => {
-                let (mut rows, layout) = self.eval(&node.children[0]);
-                let pos = layout.pos(col);
-                rows.sort_by(|a, b| a[pos].cmp(&b[pos]));
-                (rows, layout)
-            }
-            PhysOp::HashJoin => self.eval_hash_join(node),
-            PhysOp::SortMergeJoin { edge } => self.eval_merge_join(node, edge),
-            PhysOp::IndexNLJoin { edge } => self.eval_index_join(node, edge),
-            PhysOp::HashAgg | PhysOp::SortAgg => self.eval_agg(node),
-        };
-        self.stats.record(node.expr, rows.len());
-        (rows, layout)
-    }
-
-    fn eval_scan(&mut self, node: &PlanNode) -> (Vec<Row>, Layout) {
-        let leaf_id = LeafId(node.expr.rel.leaf());
-        let leaf = self.q.leaf(leaf_id);
-        let rows: Vec<Row> = self.inputs[leaf_id.0 as usize]
+        let inputs: Vec<Vec<&Row>> = self
+            .inputs
             .iter()
-            .filter(|r| {
-                leaf.filters
+            .map(|rows| rows.iter().collect())
+            .collect();
+        let mut interp = Interp {
+            q: self.q,
+            inputs: &inputs,
+            stats: &mut self.stats,
+        };
+        match interp.run(plan) {
+            Output::Tuples(rel) => {
+                let cols: Vec<LeafCol> = rel
+                    .leaves
+                    .iter()
+                    .flat_map(|&leaf| {
+                        (0..self.widths[leaf.0 as usize] as u32).map(move |c| LeafCol {
+                            leaf,
+                            col: ColId(c),
+                        })
+                    })
+                    .collect();
+                let rows = rel
+                    .tuples()
+                    .map(|t| {
+                        let mut row = Vec::with_capacity(cols.len());
+                        for (leaf, &id) in rel.leaves.iter().zip(t) {
+                            row.extend_from_slice(inputs[leaf.0 as usize][id as usize]);
+                        }
+                        row
+                    })
+                    .collect();
+                (rows, Layout::from_cols(cols))
+            }
+            Output::Groups(groups) => {
+                let agg = self
+                    .q
+                    .aggregate
+                    .as_ref()
+                    .expect("groups come from an aggregate");
+                (
+                    groups.into_rows(agg),
+                    Layout::from_cols(agg.group_by.clone()),
+                )
+            }
+        }
+    }
+}
+
+/// Runs `plan` over borrowed leaf inputs for its output cardinality and
+/// the per-operator cardinalities alone.
+pub(crate) fn count_rows(
+    q: &QuerySpec,
+    inputs: &[Vec<&Row>],
+    plan: &PlanNode,
+) -> (usize, ExecStats) {
+    let mut stats = ExecStats::default();
+    let out = Interp {
+        q,
+        inputs,
+        stats: &mut stats,
+    }
+    .run(plan);
+    let n = match out {
+        Output::Tuples(rel) => rel.len(),
+        Output::Groups(groups) => groups.len,
+    };
+    (n, stats)
+}
+
+/// An intermediate result: tuples of row ids into the leaf inputs.
+struct Rel {
+    /// The leaves covered, in slot order (join output = left slots then
+    /// right slots).
+    leaves: Vec<LeafId>,
+    /// `leaves.len()` ids per tuple, tuple after tuple.
+    ids: Vec<u32>,
+}
+
+impl Rel {
+    fn len(&self) -> usize {
+        self.ids.len() / self.leaves.len()
+    }
+
+    fn tuple(&self, i: usize) -> &[u32] {
+        let k = self.leaves.len();
+        &self.ids[i * k..(i + 1) * k]
+    }
+
+    fn tuples(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.ids.chunks_exact(self.leaves.len())
+    }
+}
+
+/// A column of an intermediate result, resolved to its slot once per
+/// operator.
+#[derive(Clone, Copy)]
+struct ColRef<'i, 'r> {
+    rows: &'i [&'r Row],
+    slot: usize,
+    col: usize,
+}
+
+impl<'r> ColRef<'_, 'r> {
+    #[inline]
+    fn get(&self, tuple: &[u32]) -> &'r Datum {
+        &self.rows[tuple[self.slot] as usize][self.col]
+    }
+}
+
+/// The root of a plan yields tuples, or groups when it aggregates.
+enum Output<'r> {
+    Tuples(Rel),
+    Groups(Groups<'r>),
+}
+
+struct Interp<'i, 'r> {
+    q: &'i QuerySpec,
+    inputs: &'i [Vec<&'r Row>],
+    stats: &'i mut ExecStats,
+}
+
+impl<'i, 'r> Interp<'i, 'r> {
+    fn run(&mut self, plan: &PlanNode) -> Output<'r> {
+        match plan.op {
+            // The aggregate applies at the root only (`ExprId::agg`).
+            PhysOp::HashAgg | PhysOp::SortAgg => {
+                let input = self.eval(&plan.children[0]);
+                let agg = self
+                    .q
+                    .aggregate
+                    .as_ref()
+                    .expect("aggregate node requires an aggregate spec");
+                let groups = self.aggregate(&input, agg);
+                self.stats.record(plan.expr, groups.len);
+                Output::Groups(groups)
+            }
+            _ => Output::Tuples(self.eval(plan)),
+        }
+    }
+
+    fn eval(&mut self, node: &PlanNode) -> Rel {
+        let rel = match node.op {
+            PhysOp::FullScan | PhysOp::IndexScan { .. } => self.scan(node),
+            PhysOp::Sort { col } => {
+                let input = self.eval(&node.children[0]);
+                self.sort(input, col)
+            }
+            PhysOp::HashJoin | PhysOp::SortMergeJoin { .. } | PhysOp::IndexNLJoin { .. } => {
+                self.join(node)
+            }
+            PhysOp::HashAgg | PhysOp::SortAgg => panic!("aggregate below the plan root"),
+        };
+        self.stats.record(node.expr, rel.len());
+        rel
+    }
+
+    /// The slot a column is read through; panics if the result does not
+    /// cover its leaf (planner bug).
+    fn col(&self, rel: &Rel, c: LeafCol) -> ColRef<'i, 'r> {
+        let slot = rel
+            .leaves
+            .iter()
+            .position(|&l| l == c.leaf)
+            .unwrap_or_else(|| panic!("column {c:?} not in layout {:?}", rel.leaves));
+        ColRef {
+            rows: &self.inputs[c.leaf.0 as usize],
+            slot,
+            col: c.col.0 as usize,
+        }
+    }
+
+    fn scan(&self, node: &PlanNode) -> Rel {
+        let leaf_id = LeafId(node.expr.rel.leaf());
+        let filters = &self.q.leaf(leaf_id).filters;
+        let rows = &self.inputs[leaf_id.0 as usize];
+        assert!(rows.len() <= u32::MAX as usize, "row ids are 32 bits wide");
+        let ids = (0u32..)
+            .zip(rows)
+            .filter(|(_, r)| {
+                filters
                     .iter()
                     .all(|f| cmp_matches(&r[f.col.0 as usize], f.op, &f.value))
             })
-            .cloned()
+            .map(|(id, _)| id)
             .collect();
-        let width = rows.first().map_or_else(
-            || self.inputs[leaf_id.0 as usize].first().map_or(0, Vec::len),
-            Vec::len,
-        );
-        let layout = Layout::for_leaf(self.q, leaf_id, width.max(1));
-        let mut rows = rows;
+        let rel = Rel {
+            leaves: vec![leaf_id],
+            ids,
+        };
         // Honour a sorted output property (index scans return key order;
         // a clustered scan is already sorted — sorting is then a no-op
         // pass over sorted data).
-        if let reopt_expr::PhysProp::Sorted(c) = node.prop {
-            let pos = layout.pos(c);
-            rows.sort_by(|a, b| a[pos].cmp(&b[pos]));
+        match node.prop {
+            PhysProp::Sorted(c) => self.sort(rel, c),
+            _ => rel,
         }
-        (rows, layout)
     }
 
-    /// All join edges crossing the two children, resolved as
-    /// `(left column, right column)`.
-    fn cross_edges(&self, l: RelSet, r: RelSet) -> Vec<(LeafCol, LeafCol)> {
-        self.q
+    /// Stable sort of the tuples by one column.
+    fn sort(&self, rel: Rel, by: LeafCol) -> Rel {
+        let key = self.col(&rel, by);
+        let mut keyed: Vec<(&Datum, &[u32])> = rel.tuples().map(|t| (key.get(t), t)).collect();
+        keyed.sort_by(|a, b| a.0.cmp(b.0));
+        let mut ids = Vec::with_capacity(rel.ids.len());
+        for (_, t) in keyed {
+            ids.extend_from_slice(t);
+        }
+        Rel {
+            leaves: rel.leaves,
+            ids,
+        }
+    }
+
+    fn join(&mut self, node: &PlanNode) -> Rel {
+        let l = self.eval(&node.children[0]);
+        let r = self.eval(&node.children[1]);
+        let (lrel, rrel) = (node.children[0].expr.rel, node.children[1].expr.rel);
+        // All join edges crossing the two children, as `(left column,
+        // right column)`.
+        let cross: Vec<(LeafCol, LeafCol)> = self
+            .q
             .edges
             .iter()
-            .filter_map(|e| e.across(l, r))
+            .filter_map(|e| e.across(lrel, rrel))
+            .collect();
+        // The operator's own edge leads; the other edges crossing this
+        // cut follow as residual predicates.
+        let own_first = |edge| {
+            let own = self
+                .q
+                .edge(edge)
+                .across(lrel, rrel)
+                .expect("join edge crosses children");
+            let mut preds = vec![own];
+            preds.extend(cross.iter().copied().filter(|p| *p != own));
+            preds
+        };
+        match node.op {
+            PhysOp::HashJoin => {
+                assert!(!cross.is_empty(), "hash join without a key (cross product)");
+                self.hash_probe(&l, &r, &cross, cross.len())
+            }
+            PhysOp::SortMergeJoin { edge } => self.merge(l, r, &own_first(edge)),
+            // Left child is the indexed inner (paper Table 1); the index
+            // is simulated by a hash directory over the inner key.
+            PhysOp::IndexNLJoin { edge } => self.hash_probe(&l, &r, &own_first(edge), 1),
+            _ => unreachable!("not a join: {:?}", node.op),
+        }
+    }
+
+    fn resolve(
+        &self,
+        l: &Rel,
+        r: &Rel,
+        preds: &[(LeafCol, LeafCol)],
+    ) -> Vec<(ColRef<'i, 'r>, ColRef<'i, 'r>)> {
+        preds
+            .iter()
+            .map(|&(a, b)| (self.col(l, a), self.col(r, b)))
             .collect()
     }
 
-    fn eval_hash_join(&mut self, node: &PlanNode) -> (Vec<Row>, Layout) {
-        let (lrows, llay) = self.eval(&node.children[0]);
-        let (rrows, rlay) = self.eval(&node.children[1]);
-        let keys = self.cross_edges(node.children[0].expr.rel, node.children[1].expr.rel);
-        assert!(!keys.is_empty(), "hash join without a key (cross product)");
-        let lpos: Vec<usize> = keys.iter().map(|(lc, _)| llay.pos(*lc)).collect();
-        let rpos: Vec<usize> = keys.iter().map(|(_, rc)| rlay.pos(*rc)).collect();
-        let mut table: FxHashMap<Vec<Datum>, Vec<usize>> = FxHashMap::default();
-        for (i, row) in lrows.iter().enumerate() {
-            let key: Vec<Datum> = lpos.iter().map(|&p| row[p].clone()).collect();
-            table.entry(key).or_default().push(i);
+    /// Equi-join by hashing: a chained directory over `l`, probed once
+    /// per tuple of `r`. The first `key_len` predicates form the hash
+    /// key; the rest are residual, checked on every key match.
+    fn hash_probe(&self, l: &Rel, r: &Rel, preds: &[(LeafCol, LeafCol)], key_len: usize) -> Rel {
+        let preds = self.resolve(l, r, preds);
+        let key = &preds[..key_len];
+        let mut table = HashChains::new(l.len());
+        for lt in l.tuples() {
+            table.push(hash_datums(key.iter().map(|(a, _)| a.get(lt))));
         }
-        let mut out = Vec::new();
-        for rrow in &rrows {
-            let key: Vec<Datum> = rpos.iter().map(|&p| rrow[p].clone()).collect();
-            if let Some(matches) = table.get(&key) {
-                for &li in matches {
-                    let mut row = lrows[li].clone();
-                    row.extend(rrow.iter().cloned());
-                    out.push(row);
+        let mut ids = Vec::new();
+        for rt in r.tuples() {
+            let h = hash_datums(key.iter().map(|(_, b)| b.get(rt)));
+            for entry in table.probe(h) {
+                let lt = l.tuple(entry);
+                if preds.iter().all(|(a, b)| a.get(lt) == b.get(rt)) {
+                    ids.extend_from_slice(lt);
+                    ids.extend_from_slice(rt);
                 }
             }
         }
-        (out, llay.concat(&rlay))
+        Rel {
+            leaves: [&l.leaves[..], &r.leaves[..]].concat(),
+            ids,
+        }
     }
 
-    fn eval_merge_join(&mut self, node: &PlanNode, edge: reopt_expr::EdgeId) -> (Vec<Row>, Layout) {
-        let (mut lrows, llay) = self.eval(&node.children[0]);
-        let (mut rrows, rlay) = self.eval(&node.children[1]);
-        let lrel = node.children[0].expr.rel;
-        let rrel = node.children[1].expr.rel;
-        let e: &JoinEdge = self.q.edge(edge);
-        let (lc, rc) = e.across(lrel, rrel).expect("merge edge crosses children");
-        let lp = llay.pos(lc);
-        let rp = rlay.pos(rc);
+    /// Sort-merge join on `preds[0]`, the rest residual. The output
+    /// order is the left merge column — matches the plan's `Sorted`
+    /// property when one was required.
+    fn merge(&self, l: Rel, r: Rel, preds: &[(LeafCol, LeafCol)]) -> Rel {
+        let (lc, rc) = preds[0];
         // Children carry Sorted properties; re-sorting sorted data is a
         // cheap linear pass and keeps the operator robust.
-        lrows.sort_by(|a, b| a[lp].cmp(&b[lp]));
-        rrows.sort_by(|a, b| a[rp].cmp(&b[rp]));
-        // Residual predicates: the other edges crossing this cut.
-        let residual: Vec<(usize, usize)> = self
-            .cross_edges(lrel, rrel)
-            .into_iter()
-            .filter(|&(a, b)| !(a == lc && b == rc))
-            .map(|(a, b)| (llay.pos(a), rlay.pos(b)))
-            .collect();
-        let mut out = Vec::new();
+        let l = self.sort(l, lc);
+        let r = self.sort(r, rc);
+        let preds = self.resolve(&l, &r, preds);
+        let (lkey, rkey) = preds[0];
+        let residual = &preds[1..];
+        let lkeys: Vec<&Datum> = l.tuples().map(|t| lkey.get(t)).collect();
+        let rkeys: Vec<&Datum> = r.tuples().map(|t| rkey.get(t)).collect();
+        let mut ids = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
-        while i < lrows.len() && j < rrows.len() {
-            match lrows[i][lp].cmp(&rrows[j][rp]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
+        while i < lkeys.len() && j < rkeys.len() {
+            match lkeys[i].cmp(rkeys[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
                     // Delimit the equal blocks on both sides.
-                    let key = lrows[i][lp].clone();
-                    let i_end = (i..lrows.len())
-                        .find(|&x| lrows[x][lp] != key)
-                        .unwrap_or(lrows.len());
-                    let j_end = (j..rrows.len())
-                        .find(|&x| rrows[x][rp] != key)
-                        .unwrap_or(rrows.len());
-                    for lrow in &lrows[i..i_end] {
-                        for rrow in &rrows[j..j_end] {
-                            if residual.iter().all(|&(a, b)| lrow[a] == rrow[b]) {
-                                let mut row = lrow.clone();
-                                row.extend(rrow.iter().cloned());
-                                out.push(row);
+                    let key = lkeys[i];
+                    let i_end = i + lkeys[i..].iter().take_while(|k| **k == key).count();
+                    let j_end = j + rkeys[j..].iter().take_while(|k| **k == key).count();
+                    for lt in (i..i_end).map(|x| l.tuple(x)) {
+                        for rt in (j..j_end).map(|x| r.tuple(x)) {
+                            if residual.iter().all(|(a, b)| a.get(lt) == b.get(rt)) {
+                                ids.extend_from_slice(lt);
+                                ids.extend_from_slice(rt);
                             }
                         }
                     }
@@ -201,122 +418,189 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        let layout = llay.concat(&rlay);
-        // The output order is the left merge column — matches the plan's
-        // Sorted property when one was required.
-        (out, layout)
+        Rel {
+            leaves: [&l.leaves[..], &r.leaves[..]].concat(),
+            ids,
+        }
     }
 
-    fn eval_index_join(&mut self, node: &PlanNode, edge: reopt_expr::EdgeId) -> (Vec<Row>, Layout) {
-        // Left child is the indexed inner (paper Table 1).
-        let (irows, ilay) = self.eval(&node.children[0]);
-        let (orows, olay) = self.eval(&node.children[1]);
-        let irel = node.children[0].expr.rel;
-        let orel = node.children[1].expr.rel;
-        let e = self.q.edge(edge);
-        let (ic, oc) = e.across(irel, orel).expect("index edge crosses children");
-        let ip = ilay.pos(ic);
-        let op = olay.pos(oc);
-        let residual: Vec<(usize, usize)> = self
-            .cross_edges(irel, orel)
-            .into_iter()
-            .filter(|&(a, b)| !(a == ic && b == oc))
-            .map(|(a, b)| (ilay.pos(a), olay.pos(b)))
+    fn aggregate(&self, rel: &Rel, agg: &AggSpec) -> Groups<'r> {
+        let group_cols: Vec<ColRef> = agg.group_by.iter().map(|c| self.col(rel, *c)).collect();
+        let args: Vec<Option<ColRef>> = agg
+            .aggs
+            .iter()
+            .map(|f| agg_arg(f).map(|c| self.col(rel, c)))
             .collect();
-        // Simulated index: hash map over the inner key.
-        let mut index: FxHashMap<Datum, Vec<usize>> = FxHashMap::default();
-        for (i, row) in irows.iter().enumerate() {
-            index.entry(row[ip].clone()).or_default().push(i);
-        }
-        let mut out = Vec::new();
-        for orow in &orows {
-            if let Some(matches) = index.get(&orow[op]) {
-                for &ii in matches {
-                    if residual.iter().all(|&(a, b)| irows[ii][a] == orow[b]) {
-                        let mut row = irows[ii].clone();
-                        row.extend(orow.iter().cloned());
-                        out.push(row);
-                    }
-                }
+        let mut table = HashChains::new(rel.len());
+        let mut groups = Groups {
+            len: 0,
+            keys: Vec::new(),
+            accs: Vec::new(),
+        };
+        let (k, a) = (group_cols.len(), args.len());
+        for t in rel.tuples() {
+            let h = hash_datums(group_cols.iter().map(|c| c.get(t)));
+            let found = table.probe(h).find(|&g| {
+                group_cols
+                    .iter()
+                    .zip(&groups.keys[g * k..(g + 1) * k])
+                    .all(|(c, key)| c.get(t) == *key)
+            });
+            let g = found.unwrap_or_else(|| {
+                groups.keys.extend(group_cols.iter().map(|c| c.get(t)));
+                groups.accs.extend(agg.aggs.iter().map(AggAcc::new));
+                groups.len += 1;
+                table.push(h)
+            });
+            for (acc, arg) in groups.accs[g * a..(g + 1) * a].iter_mut().zip(&args) {
+                acc.update(arg.map(|c| c.get(t)));
             }
         }
-        (out, ilay.concat(&olay))
+        groups
     }
+}
 
-    fn eval_agg(&mut self, node: &PlanNode) -> (Vec<Row>, Layout) {
-        let (rows, layout) = self.eval(&node.children[0]);
-        let agg = self
-            .q
-            .aggregate
-            .as_ref()
-            .expect("aggregate node requires an aggregate spec");
-        let group_pos: Vec<usize> = agg.group_by.iter().map(|c| layout.pos(*c)).collect();
-        let mut groups: FxHashMap<Vec<Datum>, Vec<AggAcc>> = FxHashMap::default();
-        for row in &rows {
-            let key: Vec<Datum> = group_pos.iter().map(|&p| row[p].clone()).collect();
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| agg.aggs.iter().map(AggAcc::new).collect());
-            for (acc, f) in accs.iter_mut().zip(&agg.aggs) {
-                acc.update(f, row, &layout);
-            }
-        }
-        let mut out: Vec<Row> = groups
-            .into_iter()
-            .map(|(key, accs)| {
-                let mut row = key;
-                row.extend(accs.into_iter().map(AggAcc::finish));
+/// Aggregate output: per group, its key datums (borrowed from the first
+/// tuple of the group) and one accumulator per aggregate function.
+struct Groups<'r> {
+    len: usize,
+    keys: Vec<&'r Datum>,
+    accs: Vec<AggAcc<'r>>,
+}
+
+impl Groups<'_> {
+    /// Key columns then aggregate values, one row per group.
+    fn into_rows(self, agg: &AggSpec) -> Vec<Row> {
+        let (k, a) = (agg.group_by.len(), agg.aggs.len());
+        let mut accs = self.accs.into_iter();
+        let mut out: Vec<Row> = (0..self.len)
+            .map(|g| {
+                let mut row: Row = self.keys[g * k..(g + 1) * k]
+                    .iter()
+                    .map(|d| (*d).clone())
+                    .collect();
+                row.extend(accs.by_ref().take(a).map(AggAcc::finish));
                 row
             })
             .collect();
         // Deterministic output order for tests and diffing.
         out.sort();
-        (out, Layout::from_cols(agg.group_by.clone()))
+        out
     }
 }
 
-/// Aggregate accumulator.
-enum AggAcc {
-    Count(i64),
-    Distinct(std::collections::BTreeSet<Datum>),
-    Sum(i64),
-    Min(Option<Datum>),
-    Max(Option<Datum>),
+const NIL: u32 = u32::MAX;
+
+/// A hash directory over entries numbered in insertion order: `heads`
+/// holds the newest entry of each bucket, `next` links it to the older
+/// ones. The keys stay with the caller, which compares them on a hit.
+struct HashChains {
+    shift: u32,
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
 }
 
-impl AggAcc {
-    fn new(f: &AggFunc) -> AggAcc {
+impl HashChains {
+    /// A directory sized for `expected` entries.
+    fn new(expected: usize) -> HashChains {
+        let buckets = (expected * 2).next_power_of_two().max(2);
+        HashChains {
+            // The last step of FxHash is a multiplication: the high bits
+            // are the well-mixed ones.
+            shift: 64 - buckets.trailing_zeros(),
+            heads: vec![NIL; buckets],
+            next: Vec::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    /// Adds the next entry under `hash` and returns its number.
+    fn push(&mut self, hash: u64) -> usize {
+        let entry = self.next.len();
+        assert!(entry < NIL as usize, "entry numbers are 32 bits wide");
+        let head = &mut self.heads[(hash >> self.shift) as usize];
+        self.next.push(*head);
+        self.hashes.push(hash);
+        *head = entry as u32;
+        entry
+    }
+
+    /// The entries pushed under `hash`, newest first.
+    fn probe(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut e = self.heads[(hash >> self.shift) as usize];
+        std::iter::from_fn(move || {
+            while e != NIL {
+                let cur = e as usize;
+                e = self.next[cur];
+                if self.hashes[cur] == hash {
+                    return Some(cur);
+                }
+            }
+            None
+        })
+    }
+}
+
+/// Hashes key datums where they lie.
+fn hash_datums<'d>(key: impl Iterator<Item = &'d Datum>) -> u64 {
+    let mut h = FxHasher::default();
+    for d in key {
+        d.hash(&mut h);
+    }
+    h.finish()
+}
+
+fn agg_arg(f: &AggFunc) -> Option<LeafCol> {
+    match f {
+        AggFunc::CountStar => None,
+        AggFunc::Count(c)
+        | AggFunc::CountDistinct(c)
+        | AggFunc::Sum(c)
+        | AggFunc::Min(c)
+        | AggFunc::Max(c) => Some(*c),
+    }
+}
+
+/// Aggregate accumulator over borrowed values.
+enum AggAcc<'r> {
+    Count(i64),
+    Distinct(BTreeSet<&'r Datum>),
+    Sum(i64),
+    Min(Option<&'r Datum>),
+    Max(Option<&'r Datum>),
+}
+
+impl<'r> AggAcc<'r> {
+    fn new(f: &AggFunc) -> AggAcc<'r> {
         match f {
             AggFunc::CountStar | AggFunc::Count(_) => AggAcc::Count(0),
-            AggFunc::CountDistinct(_) => AggAcc::Distinct(Default::default()),
+            AggFunc::CountDistinct(_) => AggAcc::Distinct(BTreeSet::new()),
             AggFunc::Sum(_) => AggAcc::Sum(0),
             AggFunc::Min(_) => AggAcc::Min(None),
             AggFunc::Max(_) => AggAcc::Max(None),
         }
     }
 
-    fn update(&mut self, f: &AggFunc, row: &Row, layout: &Layout) {
-        let val = |c: &LeafCol| row[layout.pos(*c)].clone();
-        match (self, f) {
-            (AggAcc::Count(n), AggFunc::CountStar) => *n += 1,
-            (AggAcc::Count(n), AggFunc::Count(_)) => *n += 1,
-            (AggAcc::Distinct(s), AggFunc::CountDistinct(c)) => {
-                s.insert(val(c));
+    /// Folds in one tuple's argument (`None` for `count(*)`).
+    fn update(&mut self, arg: Option<&'r Datum>) {
+        let val = || arg.expect("aggregate function takes a column");
+        match self {
+            AggAcc::Count(n) => *n += 1,
+            AggAcc::Distinct(s) => {
+                s.insert(val());
             }
-            (AggAcc::Sum(s), AggFunc::Sum(c)) => *s += val(c).as_int(),
-            (AggAcc::Min(m), AggFunc::Min(c)) => {
-                let v = val(c);
-                if m.as_ref().is_none_or(|cur| v < *cur) {
-                    *m = Some(v);
+            AggAcc::Sum(s) => *s += val().as_int(),
+            AggAcc::Min(m) => {
+                if m.is_none_or(|cur| val() < cur) {
+                    *m = Some(val());
                 }
             }
-            (AggAcc::Max(m), AggFunc::Max(c)) => {
-                let v = val(c);
-                if m.as_ref().is_none_or(|cur| v > *cur) {
-                    *m = Some(v);
+            AggAcc::Max(m) => {
+                if m.is_none_or(|cur| val() > cur) {
+                    *m = Some(val());
                 }
             }
-            _ => unreachable!("accumulator/function mismatch"),
         }
     }
 
@@ -325,7 +609,7 @@ impl AggAcc {
             AggAcc::Count(n) => Datum::Int(n),
             AggAcc::Distinct(s) => Datum::Int(s.len() as i64),
             AggAcc::Sum(s) => Datum::Int(s),
-            AggAcc::Min(m) | AggAcc::Max(m) => m.unwrap_or(Datum::Int(0)),
+            AggAcc::Min(m) | AggAcc::Max(m) => m.cloned().unwrap_or(Datum::Int(0)),
         }
     }
 }
@@ -348,7 +632,7 @@ mod tests {
     use reopt_baselines::{optimize_system_r, optimize_volcano};
     use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
     use reopt_cost::CostContext;
-    use reopt_expr::{AggSpec, JoinGraph};
+    use reopt_expr::{AggSpec, JoinGraph, RelSet};
 
     /// Small three-table instance with deterministic synthetic data.
     fn fixture() -> (Catalog, Database) {

@@ -16,7 +16,7 @@ use reopt_common::FxHashMap;
 use reopt_expr::{PlanNode, QuerySpec, WindowSpec};
 
 use crate::database::Row;
-use crate::executor::{ExecStats, Executor};
+use crate::executor::{count_rows, ExecStats};
 
 /// A timestamped stream tuple.
 #[derive(Clone, Debug)]
@@ -90,14 +90,15 @@ impl WindowState {
         }
     }
 
-    fn contents(&self) -> Vec<Row> {
+    /// The retained rows, borrowed.
+    fn rows(&self) -> Vec<&Row> {
         match &self.spec {
             Some(WindowSpec::PartitionedTuples { .. }) => self
                 .partitions
                 .values()
-                .flat_map(|(_, q)| q.iter().cloned())
+                .flat_map(|(_, q)| q.iter())
                 .collect(),
-            _ => self.rows.iter().map(|(_, r)| r.clone()).collect(),
+            _ => self.rows.iter().map(|(_, r)| r).collect(),
         }
     }
 
@@ -171,9 +172,12 @@ impl StreamExecutor {
         }
     }
 
-    /// Current window contents per leaf.
+    /// A copy of the current window contents per leaf.
     pub fn window_rows(&self) -> Vec<Vec<Row>> {
-        self.windows.iter().map(WindowState::contents).collect()
+        self.windows
+            .iter()
+            .map(|w| w.rows().into_iter().cloned().collect())
+            .collect()
     }
 
     pub fn window_sizes(&self) -> Vec<usize> {
@@ -184,7 +188,9 @@ impl StreamExecutor {
         self.now
     }
 
-    /// Executes `plan` over the current windows.
+    /// Executes `plan` over the current windows, in place: the windows
+    /// lend their rows, and nothing but the count and the per-operator
+    /// cardinalities comes back.
     pub fn execute(&mut self, plan: &PlanNode) -> SliceResult {
         let fp = plan.fingerprint();
         let migrated_rows = match self.last_plan_fingerprint {
@@ -192,12 +198,11 @@ impl StreamExecutor {
             _ => 0,
         };
         self.last_plan_fingerprint = Some(fp);
-        let inputs = self.window_rows();
-        let mut exec = Executor::with_inputs(&self.q, inputs);
-        let (rows, _) = exec.run(plan);
+        let inputs: Vec<Vec<&Row>> = self.windows.iter().map(WindowState::rows).collect();
+        let (out_rows, stats) = count_rows(&self.q, &inputs, plan);
         SliceResult {
-            out_rows: rows.len(),
-            stats: exec.stats,
+            out_rows,
+            stats,
             window_sizes: self.window_sizes(),
             migrated_rows,
         }

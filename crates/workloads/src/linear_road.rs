@@ -10,9 +10,9 @@
 //! Reproduction note: the paper's `SegTollS` includes the range
 //! predicate `r2_seg < r3_seg < r2_seg + 10`; this engine supports
 //! equi-join edges plus leaf predicates, so the query here uses the
-//! equi-join skeleton of the same 5-way self-join (documented in
-//! DESIGN.md). The adaptive behaviour under study — per-slice statistics
-//! drift driving plan changes — is unaffected.
+//! equi-join skeleton of the same 5-way self-join. The adaptive
+//! behaviour under study — per-slice statistics drift driving plan
+//! changes — is unaffected.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,6 +1,6 @@
 //! Assertions encoding the paper's qualitative claims, checked on every
 //! run of the test suite (the quantitative shapes live in the benchmark
-//! harness and EXPERIMENTS.md).
+//! harness: the `figures` binary and `benchmark/`).
 
 use reopt::core::{IncrementalOptimizer, PruningConfig};
 use reopt::cost::ParamDelta;
