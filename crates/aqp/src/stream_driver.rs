@@ -6,7 +6,7 @@ use reopt_baselines::optimize_volcano;
 use reopt_catalog::Catalog;
 use reopt_core::{IncrementalOptimizer, PruningConfig, RunMetrics};
 use reopt_cost::CostContext;
-use reopt_exec::{observed_deltas, StreamExecutor, StreamTuple};
+use reopt_exec::{observed_deltas, ExecStats, StreamExecutor, StreamTuple};
 use reopt_expr::{JoinGraph, PlanNode, QuerySpec};
 
 /// Which re-optimizer runs at each split point.
@@ -72,6 +72,8 @@ pub struct SliceReport {
     pub migrated_rows: usize,
     pub run: RunMetrics,
     pub window_rows: usize,
+    /// What each operator of the executed plan observed.
+    pub stats: ExecStats,
 }
 
 /// The adaptive execution loop for one continuous query.
@@ -177,6 +179,7 @@ impl AqpDriver {
             migrated_rows: result.migrated_rows,
             run,
             window_rows: result.window_sizes.iter().sum(),
+            stats: result.stats,
         }
     }
 }

@@ -196,6 +196,13 @@ fn fig10() {
         sum(|p| p.aqp_cumulative),
         sum(|p| p.aqp_non_cumulative)
     );
+    // What the plans produced, and what the interpreter held for it.
+    type Series = fn(&harness::Fig10Point) -> [f64; 4];
+    for (label, f) in [("Σrows", (|p| p.rows) as Series), ("Σcarr", |p| p.carried)] {
+        let [bad, good, cumul, noncumul]: [f64; 4] =
+            std::array::from_fn(|s| points.iter().map(|p| f(p)[s]).sum());
+        println!("{label:<6} {bad:>10.0} {good:>10.0} {cumul:>12.0} {noncumul:>14.0}");
+    }
 }
 
 fn table3() {

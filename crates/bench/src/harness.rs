@@ -354,6 +354,11 @@ pub struct Fig10Point {
     pub good_plan: Duration,
     pub aqp_cumulative: Duration,
     pub aqp_non_cumulative: Duration,
+    /// Per series, in the order above: the cardinalities the executed
+    /// plan's operators observed, summed, and the tuples the interpreter
+    /// carried for them.
+    pub rows: [f64; 4],
+    pub carried: [f64; 4],
 }
 
 /// Figure 10: per-slice execution time — static bad plan, static good
@@ -457,16 +462,17 @@ pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
     (0..slices)
         .map(|i| {
             let t = i as f64 * slice_dur;
-            let times: Vec<Duration> = drivers
-                .iter_mut()
-                .map(|(d, gen)| d.run_slice(&gen.slice(t, slice_dur)).exec_time)
-                .collect();
+            let r = drivers
+                .each_mut()
+                .map(|(d, gen)| d.run_slice(&gen.slice(t, slice_dur)));
             Fig10Point {
                 slice: i + 1,
-                bad_plan: times[0],
-                good_plan: times[1],
-                aqp_cumulative: times[2],
-                aqp_non_cumulative: times[3],
+                bad_plan: r[0].exec_time,
+                good_plan: r[1].exec_time,
+                aqp_cumulative: r[2].exec_time,
+                aqp_non_cumulative: r[3].exec_time,
+                rows: r.each_ref().map(|r| r.stats.rows.values().sum()),
+                carried: r.each_ref().map(|r| r.stats.carried.values().sum()),
             }
         })
         .collect()

@@ -8,17 +8,30 @@
 //! covers, and a column `(leaf, col)` is read through its slot. Rows are
 //! built once, at the plan root, and only for callers that ask for them
 //! ([`Executor::run`]); the stream executor wants a count and the
-//! cardinalities and materialises nothing. Every operator records its
-//! actual output cardinality into [`ExecStats`] — the feedback that
-//! drives re-optimization in §5.2.2/§5.4.
+//! cardinalities and materialises nothing.
+//!
+//! Under an aggregate most of what a plan produces is copies, as far as
+//! the plan can tell: rows that agree on every column an operator above
+//! still reads. Each tuple therefore carries a *weight* — the number of
+//! source-row combinations it stands for. A scan emits one representative
+//! per distinct projection onto the columns read above it, a join
+//! multiplies weights, and once nothing above reads a leaf its slot is
+//! dropped and the tuples that became equal are merged, weights summed.
+//! The aggregate folds weights (`count += w`, `sum += w·v`). A
+//! cardinality is the sum of the weights, so every operator still
+//! records its exact output cardinality into [`ExecStats`] — the
+//! feedback that drives re-optimization in §5.2.2/§5.4. Merging is an
+//! economy, never a condition: a scan whose leaf shows no duplicates
+//! stops looking for them, and when the root does not aggregate every
+//! column is read — each row is its own representative and every weight
+//! is 1.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 use reopt_catalog::{Catalog, CmpOp, ColId, Datum};
-use reopt_common::{FxHashMap, FxHasher};
+use reopt_common::{FxHashMap, FxHashSet, FxHasher};
 use reopt_expr::{
     AggFunc, AggSpec, ExprId, LeafCol, LeafId, PhysOp, PhysProp, PlanNode, QuerySpec,
 };
@@ -30,15 +43,24 @@ use crate::layout::Layout;
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     pub rows: FxHashMap<ExprId, f64>,
+    /// The tuples the interpreter held for the expression: `rows` of
+    /// them at most, fewer where one tuple stood for several.
+    pub carried: FxHashMap<ExprId, f64>,
 }
 
 impl ExecStats {
-    fn record(&mut self, expr: ExprId, count: usize) {
-        self.rows.insert(expr, count as f64);
+    fn record(&mut self, expr: ExprId, rows: u64, carried: usize) {
+        self.rows.insert(expr, rows as f64);
+        self.carried.insert(expr, carried as f64);
     }
 
     pub fn rows_of(&self, expr: ExprId) -> Option<f64> {
         self.rows.get(&expr).copied()
+    }
+
+    /// Physical tuples carried for `expr` — the work behind `rows_of`.
+    pub fn carried_of(&self, expr: ExprId) -> Option<f64> {
+        self.carried.get(&expr).copied()
     }
 }
 
@@ -102,6 +124,8 @@ impl<'a> Executor<'a> {
         };
         match interp.run(plan) {
             Output::Tuples(rel) => {
+                // No aggregate above: nothing was merged or dropped.
+                debug_assert!(rel.weights.iter().all(|&w| w == 1));
                 let cols: Vec<LeafCol> = rel
                     .leaves
                     .iter()
@@ -154,24 +178,33 @@ pub(crate) fn count_rows(
     }
     .run(plan);
     let n = match out {
-        Output::Tuples(rel) => rel.len(),
+        Output::Tuples(rel) => rel.rows() as usize,
         Output::Groups(groups) => groups.len,
     };
     (n, stats)
 }
 
-/// An intermediate result: tuples of row ids into the leaf inputs.
+/// An intermediate result: distinct tuples of row ids into the leaf
+/// inputs, each with the number of row combinations it stands for.
 struct Rel {
-    /// The leaves covered, in slot order (join output = left slots then
-    /// right slots).
+    /// The leaves still read above, in slot order (join output = the
+    /// left slots that stay, then the right ones).
     leaves: Vec<LeafId>,
     /// `leaves.len()` ids per tuple, tuple after tuple.
     ids: Vec<u32>,
+    /// One weight per tuple.
+    weights: Vec<u64>,
 }
 
 impl Rel {
+    /// Tuples carried.
     fn len(&self) -> usize {
-        self.ids.len() / self.leaves.len()
+        self.weights.len()
+    }
+
+    /// The cardinality the tuples stand for.
+    fn rows(&self) -> u64 {
+        self.weights.iter().sum()
     }
 
     fn tuple(&self, i: usize) -> &[u32] {
@@ -179,9 +212,22 @@ impl Rel {
         &self.ids[i * k..(i + 1) * k]
     }
 
-    fn tuples(&self) -> std::slice::ChunksExact<'_, u32> {
-        self.ids.chunks_exact(self.leaves.len())
+    /// A tuple may be empty (every slot dropped), so they are counted by
+    /// weight, not cut out of `ids`.
+    fn tuples(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len()).map(|i| self.tuple(i))
     }
+}
+
+/// The columns the operators above a node read of its output. `None`
+/// when the plan root is not an aggregate: the caller is given whole
+/// rows, so every column of every leaf is read.
+type Reads<'a> = Option<&'a [LeafCol]>;
+
+/// `reads` and the columns the node itself reads: what its inputs must
+/// supply.
+fn reading(reads: Reads, own: impl IntoIterator<Item = LeafCol>) -> Option<Vec<LeafCol>> {
+    reads.map(|cols| cols.iter().copied().chain(own).collect())
 }
 
 /// A column of an intermediate result, resolved to its slot once per
@@ -217,33 +263,40 @@ impl<'i, 'r> Interp<'i, 'r> {
         match plan.op {
             // The aggregate applies at the root only (`ExprId::agg`).
             PhysOp::HashAgg | PhysOp::SortAgg => {
-                let input = self.eval(&plan.children[0]);
                 let agg = self
                     .q
                     .aggregate
                     .as_ref()
                     .expect("aggregate node requires an aggregate spec");
+                let reads: Vec<LeafCol> = agg
+                    .group_by
+                    .iter()
+                    .copied()
+                    .chain(agg.aggs.iter().filter_map(agg_arg))
+                    .collect();
+                let input = self.eval(&plan.children[0], Some(&reads));
                 let groups = self.aggregate(&input, agg);
-                self.stats.record(plan.expr, groups.len);
+                self.stats.record(plan.expr, groups.len as u64, groups.len);
                 Output::Groups(groups)
             }
-            _ => Output::Tuples(self.eval(plan)),
+            _ => Output::Tuples(self.eval(plan, None)),
         }
     }
 
-    fn eval(&mut self, node: &PlanNode) -> Rel {
+    fn eval(&mut self, node: &PlanNode, reads: Reads) -> Rel {
         let rel = match node.op {
-            PhysOp::FullScan | PhysOp::IndexScan { .. } => self.scan(node),
+            PhysOp::FullScan | PhysOp::IndexScan { .. } => self.scan(node, reads),
             PhysOp::Sort { col } => {
-                let input = self.eval(&node.children[0]);
+                let below = reading(reads, [col]);
+                let input = self.eval(&node.children[0], below.as_deref());
                 self.sort(input, col)
             }
             PhysOp::HashJoin | PhysOp::SortMergeJoin { .. } | PhysOp::IndexNLJoin { .. } => {
-                self.join(node)
+                self.join(node, reads)
             }
             PhysOp::HashAgg | PhysOp::SortAgg => panic!("aggregate below the plan root"),
         };
-        self.stats.record(node.expr, rel.len());
+        self.stats.record(node.expr, rel.rows(), rel.len());
         rel
     }
 
@@ -262,51 +315,99 @@ impl<'i, 'r> Interp<'i, 'r> {
         }
     }
 
-    fn scan(&self, node: &PlanNode) -> Rel {
+    /// The rows passing the leaf's filters: one by one when the leaf is
+    /// read in full, else one representative per distinct projection
+    /// onto the columns read above, weighted by the rows it stands for.
+    /// (A column only the filters read does not tell representatives
+    /// apart.)
+    fn scan(&self, node: &PlanNode, reads: Reads) -> Rel {
         let leaf_id = LeafId(node.expr.rel.leaf());
         let filters = &self.q.leaf(leaf_id).filters;
         let rows = &self.inputs[leaf_id.0 as usize];
         assert!(rows.len() <= u32::MAX as usize, "row ids are 32 bits wide");
-        let ids = (0u32..)
+        let mut passing = (0u32..)
             .zip(rows)
             .filter(|(_, r)| {
                 filters
                     .iter()
                     .all(|f| cmp_matches(&r[f.col.0 as usize], f.op, &f.value))
             })
-            .map(|(id, _)| id)
-            .collect();
-        let rel = Rel {
-            leaves: vec![leaf_id],
-            ids,
+            .map(|(id, _)| id);
+        let sorted = match node.prop {
+            PhysProp::Sorted(c) => Some(c),
+            _ => None,
         };
+        let mut rel = Rel {
+            leaves: vec![leaf_id],
+            ids: Vec::new(),
+            weights: Vec::new(),
+        };
+        if let Some(cols) = reading(reads, sorted) {
+            let mut cols: Vec<usize> = cols
+                .iter()
+                .filter(|c| c.leaf == leaf_id)
+                .map(|c| c.col.0 as usize)
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            // Looking for duplicates costs more per row than carrying
+            // it, so a leaf has a trial to show some: uniform draws
+            // that would shrink `n` rows by a fifth put 16 repeats among
+            // the first `8·√n`. Stopping leaves later copies unmerged,
+            // and every count as it was.
+            let trial = (8.0 * (rows.len() as f64).sqrt()) as usize;
+            let mut seen = HashChains::new(0);
+            for (offered, id) in (1..).zip(passing.by_ref()) {
+                let row = rows[id as usize];
+                let h = hash_datums(cols.iter().map(|&c| &row[c]));
+                let found = seen.probe(h).find(|&e| {
+                    let rep = rows[rel.ids[e] as usize];
+                    cols.iter().all(|&c| rep[c] == row[c])
+                });
+                match found {
+                    Some(e) => rel.weights[e] += 1,
+                    None => {
+                        seen.push(h);
+                        rel.ids.push(id);
+                        rel.weights.push(1);
+                    }
+                }
+                if offered == trial && offered - rel.len() < 16 {
+                    break;
+                }
+            }
+        }
+        // Read in full, or past a failed trial: each row for itself.
+        rel.ids.extend(passing);
+        rel.weights.resize(rel.ids.len(), 1);
         // Honour a sorted output property (index scans return key order;
         // a clustered scan is already sorted — sorting is then a no-op
         // pass over sorted data).
-        match node.prop {
-            PhysProp::Sorted(c) => self.sort(rel, c),
-            _ => rel,
+        match sorted {
+            Some(c) => self.sort(rel, c),
+            None => rel,
         }
     }
 
     /// Stable sort of the tuples by one column.
     fn sort(&self, rel: Rel, by: LeafCol) -> Rel {
         let key = self.col(&rel, by);
-        let mut keyed: Vec<(&Datum, &[u32])> = rel.tuples().map(|t| (key.get(t), t)).collect();
+        let mut keyed: Vec<(&Datum, usize)> = rel.tuples().map(|t| key.get(t)).zip(0..).collect();
         keyed.sort_by(|a, b| a.0.cmp(b.0));
         let mut ids = Vec::with_capacity(rel.ids.len());
-        for (_, t) in keyed {
-            ids.extend_from_slice(t);
+        let mut weights = Vec::with_capacity(rel.len());
+        for (_, i) in keyed {
+            ids.extend_from_slice(rel.tuple(i));
+            weights.push(rel.weights[i]);
         }
         Rel {
             leaves: rel.leaves,
             ids,
+            weights,
         }
     }
 
-    fn join(&mut self, node: &PlanNode) -> Rel {
-        let l = self.eval(&node.children[0]);
-        let r = self.eval(&node.children[1]);
+    fn join(&mut self, node: &PlanNode, reads: Reads) -> Rel {
         let (lrel, rrel) = (node.children[0].expr.rel, node.children[1].expr.rel);
         // All join edges crossing the two children, as `(left column,
         // right column)`.
@@ -316,6 +417,9 @@ impl<'i, 'r> Interp<'i, 'r> {
             .iter()
             .filter_map(|e| e.across(lrel, rrel))
             .collect();
+        let below = reading(reads, cross.iter().flat_map(|&(a, b)| [a, b]));
+        let l = self.eval(&node.children[0], below.as_deref());
+        let r = self.eval(&node.children[1], below.as_deref());
         // The operator's own edge leads; the other edges crossing this
         // cut follow as residual predicates.
         let own_first = |edge| {
@@ -328,15 +432,16 @@ impl<'i, 'r> Interp<'i, 'r> {
             preds.extend(cross.iter().copied().filter(|p| *p != own));
             preds
         };
+        let out = Collector::new(&l.leaves, &r.leaves, reads);
         match node.op {
             PhysOp::HashJoin => {
                 assert!(!cross.is_empty(), "hash join without a key (cross product)");
-                self.hash_probe(&l, &r, &cross, cross.len())
+                self.hash_probe(&l, &r, &cross, cross.len(), out)
             }
-            PhysOp::SortMergeJoin { edge } => self.merge(l, r, &own_first(edge)),
+            PhysOp::SortMergeJoin { edge } => self.merge(l, r, &own_first(edge), out),
             // Left child is the indexed inner (paper Table 1); the index
             // is simulated by a hash directory over the inner key.
-            PhysOp::IndexNLJoin { edge } => self.hash_probe(&l, &r, &own_first(edge), 1),
+            PhysOp::IndexNLJoin { edge } => self.hash_probe(&l, &r, &own_first(edge), 1, out),
             _ => unreachable!("not a join: {:?}", node.op),
         }
     }
@@ -356,34 +461,36 @@ impl<'i, 'r> Interp<'i, 'r> {
     /// Equi-join by hashing: a chained directory over `l`, probed once
     /// per tuple of `r`. The first `key_len` predicates form the hash
     /// key; the rest are residual, checked on every key match.
-    fn hash_probe(&self, l: &Rel, r: &Rel, preds: &[(LeafCol, LeafCol)], key_len: usize) -> Rel {
+    fn hash_probe(
+        &self,
+        l: &Rel,
+        r: &Rel,
+        preds: &[(LeafCol, LeafCol)],
+        key_len: usize,
+        mut out: Collector,
+    ) -> Rel {
         let preds = self.resolve(l, r, preds);
         let key = &preds[..key_len];
         let mut table = HashChains::new(l.len());
         for lt in l.tuples() {
             table.push(hash_datums(key.iter().map(|(a, _)| a.get(lt))));
         }
-        let mut ids = Vec::new();
-        for rt in r.tuples() {
+        for (rt, &rw) in r.tuples().zip(&r.weights) {
             let h = hash_datums(key.iter().map(|(_, b)| b.get(rt)));
             for entry in table.probe(h) {
                 let lt = l.tuple(entry);
                 if preds.iter().all(|(a, b)| a.get(lt) == b.get(rt)) {
-                    ids.extend_from_slice(lt);
-                    ids.extend_from_slice(rt);
+                    out.push(lt, rt, l.weights[entry] * rw);
                 }
             }
         }
-        Rel {
-            leaves: [&l.leaves[..], &r.leaves[..]].concat(),
-            ids,
-        }
+        out.rel
     }
 
     /// Sort-merge join on `preds[0]`, the rest residual. The output
     /// order is the left merge column — matches the plan's `Sorted`
     /// property when one was required.
-    fn merge(&self, l: Rel, r: Rel, preds: &[(LeafCol, LeafCol)]) -> Rel {
+    fn merge(&self, l: Rel, r: Rel, preds: &[(LeafCol, LeafCol)], mut out: Collector) -> Rel {
         let (lc, rc) = preds[0];
         // Children carry Sorted properties; re-sorting sorted data is a
         // cheap linear pass and keeps the operator robust.
@@ -394,7 +501,6 @@ impl<'i, 'r> Interp<'i, 'r> {
         let residual = &preds[1..];
         let lkeys: Vec<&Datum> = l.tuples().map(|t| lkey.get(t)).collect();
         let rkeys: Vec<&Datum> = r.tuples().map(|t| rkey.get(t)).collect();
-        let mut ids = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
         while i < lkeys.len() && j < rkeys.len() {
             match lkeys[i].cmp(rkeys[j]) {
@@ -405,11 +511,12 @@ impl<'i, 'r> Interp<'i, 'r> {
                     let key = lkeys[i];
                     let i_end = i + lkeys[i..].iter().take_while(|k| **k == key).count();
                     let j_end = j + rkeys[j..].iter().take_while(|k| **k == key).count();
-                    for lt in (i..i_end).map(|x| l.tuple(x)) {
-                        for rt in (j..j_end).map(|x| r.tuple(x)) {
+                    for x in i..i_end {
+                        let lt = l.tuple(x);
+                        for y in j..j_end {
+                            let rt = r.tuple(y);
                             if residual.iter().all(|(a, b)| a.get(lt) == b.get(rt)) {
-                                ids.extend_from_slice(lt);
-                                ids.extend_from_slice(rt);
+                                out.push(lt, rt, l.weights[x] * r.weights[y]);
                             }
                         }
                     }
@@ -418,10 +525,7 @@ impl<'i, 'r> Interp<'i, 'r> {
                 }
             }
         }
-        Rel {
-            leaves: [&l.leaves[..], &r.leaves[..]].concat(),
-            ids,
-        }
+        out.rel
     }
 
     fn aggregate(&self, rel: &Rel, agg: &AggSpec) -> Groups<'r> {
@@ -431,14 +535,14 @@ impl<'i, 'r> Interp<'i, 'r> {
             .iter()
             .map(|f| agg_arg(f).map(|c| self.col(rel, c)))
             .collect();
-        let mut table = HashChains::new(rel.len());
+        let mut table = HashChains::new(0);
         let mut groups = Groups {
             len: 0,
             keys: Vec::new(),
             accs: Vec::new(),
         };
         let (k, a) = (group_cols.len(), args.len());
-        for t in rel.tuples() {
+        for (t, &w) in rel.tuples().zip(&rel.weights) {
             let h = hash_datums(group_cols.iter().map(|c| c.get(t)));
             let found = table.probe(h).find(|&g| {
                 group_cols
@@ -453,10 +557,78 @@ impl<'i, 'r> Interp<'i, 'r> {
                 table.push(h)
             });
             for (acc, arg) in groups.accs[g * a..(g + 1) * a].iter_mut().zip(&args) {
-                acc.update(arg.map(|c| c.get(t)));
+                acc.update(arg.map(|c| c.get(t)), w);
             }
         }
         groups
+    }
+}
+
+/// Collects a join's output. Each `(left, right)` match is cut down to
+/// the slots of leaves still read above the join; once a slot is
+/// dropped, a tuple equal to one collected before is merged into it,
+/// weights summed. With every slot kept nothing can merge: distinct
+/// inputs pair into distinct outputs.
+struct Collector {
+    rel: Rel,
+    /// The left and the right slots that stay.
+    keep: [Vec<usize>; 2],
+    /// A directory over `rel`'s tuples, from the first dropped slot on.
+    seen: Option<HashChains>,
+}
+
+impl Collector {
+    fn new(left: &[LeafId], right: &[LeafId], reads: Reads) -> Collector {
+        let stay = |leaves: &[LeafId]| -> Vec<usize> {
+            (0..leaves.len())
+                .filter(|&s| reads.is_none_or(|cols| cols.iter().any(|c| c.leaf == leaves[s])))
+                .collect()
+        };
+        let keep = [stay(left), stay(right)];
+        let dropped = keep[0].len() + keep[1].len() < left.len() + right.len();
+        Collector {
+            rel: Rel {
+                leaves: keep[0]
+                    .iter()
+                    .map(|&s| left[s])
+                    .chain(keep[1].iter().map(|&s| right[s]))
+                    .collect(),
+                ids: Vec::new(),
+                weights: Vec::new(),
+            },
+            keep,
+            seen: dropped.then(|| HashChains::new(0)),
+        }
+    }
+
+    fn push(&mut self, lt: &[u32], rt: &[u32], weight: u64) {
+        let Rel {
+            leaves,
+            ids,
+            weights,
+        } = &mut self.rel;
+        let start = ids.len();
+        ids.extend(self.keep[0].iter().map(|&s| lt[s]));
+        ids.extend(self.keep[1].iter().map(|&s| rt[s]));
+        if let Some(seen) = &mut self.seen {
+            let mut h = FxHasher::default();
+            for &id in &ids[start..] {
+                h.write_u32(id);
+            }
+            let h = h.finish();
+            let k = leaves.len();
+            let found = seen
+                .probe(h)
+                .find(|&e| ids[e * k..(e + 1) * k] == ids[start..]);
+            if let Some(e) = found {
+                // Collected before: the copy comes out again.
+                ids.truncate(start);
+                weights[e] += weight;
+                return;
+            }
+            seen.push(h);
+        }
+        weights.push(weight);
     }
 }
 
@@ -494,6 +666,7 @@ const NIL: u32 = u32::MAX;
 /// A hash directory over entries numbered in insertion order: `heads`
 /// holds the newest entry of each bucket, `next` links it to the older
 /// ones. The keys stay with the caller, which compares them on a hit.
+/// The directory doubles when its entries outgrow half its buckets.
 struct HashChains {
     shift: u32,
     heads: Vec<u32>,
@@ -502,9 +675,9 @@ struct HashChains {
 }
 
 impl HashChains {
-    /// A directory sized for `expected` entries.
+    /// A directory that holds `expected` entries before it first grows.
     fn new(expected: usize) -> HashChains {
-        let buckets = (expected * 2).next_power_of_two().max(2);
+        let buckets = (expected * 2).next_power_of_two().max(16);
         HashChains {
             // The last step of FxHash is a multiplication: the high bits
             // are the well-mixed ones.
@@ -519,11 +692,28 @@ impl HashChains {
     fn push(&mut self, hash: u64) -> usize {
         let entry = self.next.len();
         assert!(entry < NIL as usize, "entry numbers are 32 bits wide");
+        if (entry + 1) * 2 > self.heads.len() {
+            self.grow();
+        }
         let head = &mut self.heads[(hash >> self.shift) as usize];
         self.next.push(*head);
         self.hashes.push(hash);
         *head = entry as u32;
         entry
+    }
+
+    /// Twice the buckets, every chain relinked from the stored hashes in
+    /// insertion order (so each stays newest first).
+    fn grow(&mut self) {
+        self.shift -= 1;
+        let buckets = self.heads.len() * 2;
+        self.heads.clear();
+        self.heads.resize(buckets, NIL);
+        for (entry, &hash) in self.hashes.iter().enumerate() {
+            let head = &mut self.heads[(hash >> self.shift) as usize];
+            self.next[entry] = *head;
+            *head = entry as u32;
+        }
     }
 
     /// The entries pushed under `hash`, newest first.
@@ -565,7 +755,7 @@ fn agg_arg(f: &AggFunc) -> Option<LeafCol> {
 /// Aggregate accumulator over borrowed values.
 enum AggAcc<'r> {
     Count(i64),
-    Distinct(BTreeSet<&'r Datum>),
+    Distinct(FxHashSet<&'r Datum>),
     Sum(i64),
     Min(Option<&'r Datum>),
     Max(Option<&'r Datum>),
@@ -575,22 +765,24 @@ impl<'r> AggAcc<'r> {
     fn new(f: &AggFunc) -> AggAcc<'r> {
         match f {
             AggFunc::CountStar | AggFunc::Count(_) => AggAcc::Count(0),
-            AggFunc::CountDistinct(_) => AggAcc::Distinct(BTreeSet::new()),
+            AggFunc::CountDistinct(_) => AggAcc::Distinct(FxHashSet::default()),
             AggFunc::Sum(_) => AggAcc::Sum(0),
             AggFunc::Min(_) => AggAcc::Min(None),
             AggFunc::Max(_) => AggAcc::Max(None),
         }
     }
 
-    /// Folds in one tuple's argument (`None` for `count(*)`).
-    fn update(&mut self, arg: Option<&'r Datum>) {
+    /// Folds in the argument (`None` for `count(*)`) of a tuple standing
+    /// for `weight` rows; copies change neither the distinct values nor
+    /// the extremes.
+    fn update(&mut self, arg: Option<&'r Datum>, weight: u64) {
         let val = || arg.expect("aggregate function takes a column");
         match self {
-            AggAcc::Count(n) => *n += 1,
+            AggAcc::Count(n) => *n += weight as i64,
             AggAcc::Distinct(s) => {
                 s.insert(val());
             }
-            AggAcc::Sum(s) => *s += val().as_int(),
+            AggAcc::Sum(s) => *s += weight as i64 * val().as_int(),
             AggAcc::Min(m) => {
                 if m.is_none_or(|cur| val() < cur) {
                     *m = Some(val());
@@ -805,6 +997,116 @@ mod tests {
         b2.join(&c, r2, "k", s2, "k");
         let q2 = b2.build();
         assert_eq!(total as usize, naive(&q2, &db, &c));
+    }
+
+    /// `s(k, j)` — 60 rows, 40 distinct `k`, 10 distinct `j` — scanned
+    /// under `count(*) group by s.j`, or under no aggregate at all.
+    fn scan_s(filter_on_k: bool, aggregate: bool) -> (f64, f64) {
+        let (c, db) = fixture();
+        let mut b = QuerySpec::builder("scan");
+        let s = b.leaf(&c, "s");
+        if filter_on_k {
+            b.filter(&c, s, "k", CmpOp::Lt, Datum::Int(20));
+        }
+        if aggregate {
+            b.aggregate(AggSpec {
+                group_by: vec![LeafCol::new(0, 1)],
+                aggs: vec![AggFunc::CountStar],
+            });
+        }
+        let q = b.build();
+        let leaf = ExprId::rel(RelSet::singleton(0));
+        let scan = PlanNode {
+            expr: leaf,
+            prop: PhysProp::Any,
+            op: PhysOp::FullScan,
+            children: vec![],
+        };
+        let plan = if aggregate {
+            PlanNode {
+                expr: q.root_expr(),
+                prop: PhysProp::Any,
+                op: PhysOp::HashAgg,
+                children: vec![scan],
+            }
+        } else {
+            scan
+        };
+        let mut exec = Executor::from_database(&q, &c, &db);
+        let (rows, _) = exec.run(&plan);
+        if aggregate {
+            // Ten groups, and the counts add up to the rows scanned.
+            assert_eq!(rows.len(), 10);
+            let total: i64 = rows.iter().map(|r| r[1].as_int()).sum();
+            assert_eq!(Some(total as f64), exec.stats.rows_of(leaf));
+        }
+        (
+            exec.stats.rows_of(leaf).unwrap(),
+            exec.stats.carried_of(leaf).unwrap(),
+        )
+    }
+
+    #[test]
+    fn scan_merges_duplicates_on_the_columns_read_above() {
+        assert_eq!(scan_s(false, true), (60.0, 10.0));
+    }
+
+    #[test]
+    fn scan_of_a_leaf_read_in_full_carries_every_row() {
+        assert_eq!(scan_s(false, false), (60.0, 60.0));
+        assert_eq!(scan_s(true, false), (40.0, 40.0));
+    }
+
+    #[test]
+    fn a_column_only_the_filter_reads_does_not_split_representatives() {
+        // `k < 20` passes 40 rows with 20 distinct `k`; `j` alone is
+        // read above, and has 10 values among them.
+        assert_eq!(scan_s(true, true), (40.0, 10.0));
+    }
+
+    #[test]
+    fn a_scan_that_meets_no_duplicates_stops_looking_and_counts_stay_exact() {
+        // 500 distinct keys, then 500 copies of key 0: the trial (the
+        // first 8·√1000 = 252 rows) sees no repeat, so the copies are
+        // carried one by one — and still counted.
+        let mut c = Catalog::new();
+        let mut db = Database::new();
+        let id = c.add_table(
+            |id| TableBuilder::new("u").int_col("k").build(id),
+            TableStats {
+                row_count: 1000.0,
+                columns: vec![ColumnStats::uniform_key(500.0)],
+            },
+        );
+        let key = |i: i64| if i < 500 { i } else { 0 };
+        let rows = (0..1000).map(|i| vec![Datum::Int(key(i))]).collect();
+        db.set_table(id, crate::database::TableData::new(rows));
+        let mut b = QuerySpec::builder("late-copies");
+        b.leaf(&c, "u");
+        b.aggregate(AggSpec {
+            group_by: vec![LeafCol::new(0, 0)],
+            aggs: vec![AggFunc::CountStar],
+        });
+        let q = b.build();
+        let leaf = ExprId::rel(RelSet::singleton(0));
+        let plan = PlanNode {
+            expr: q.root_expr(),
+            prop: PhysProp::Any,
+            op: PhysOp::HashAgg,
+            children: vec![PlanNode {
+                expr: leaf,
+                prop: PhysProp::Any,
+                op: PhysOp::FullScan,
+                children: vec![],
+            }],
+        };
+        let mut exec = Executor::from_database(&q, &c, &db);
+        let (rows, _) = exec.run(&plan);
+        assert_eq!(rows.len(), 500);
+        assert_eq!(rows[0], vec![Datum::Int(0), Datum::Int(501)]);
+        assert!(rows[1..].iter().all(|r| r[1] == Datum::Int(1)));
+        assert_eq!(exec.stats.rows_of(leaf), Some(1000.0));
+        assert_eq!(exec.stats.carried_of(leaf), Some(1000.0));
     }
 
     #[test]

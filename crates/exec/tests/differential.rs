@@ -8,7 +8,11 @@
 //! with every `AggFunc` on top. Both interpreters must return the same
 //! rows (as a multiset; in order where the plan promises one, and for
 //! aggregates), the same root layout and the same cardinality for every
-//! plan node.
+//! plan node. The aggregate also runs over a wide instance — three
+//! leaves of 40–60 rows over the same 2–4-value domains — where nearly
+//! every tuple the interpreter carries stands for many rows; it may
+//! never carry more tuples than a node has rows, and carries exactly
+//! that many when the root does not aggregate.
 
 mod common;
 
@@ -23,7 +27,7 @@ use reopt_expr::{
     AggFunc, AggSpec, JoinGraph, LeafCol, LeafId, PhysOp, PhysProp, PlanNode, QuerySpec,
 };
 
-use common::plans::{PlanGen, JOIN_KINDS};
+use common::plans::{exprs, PlanGen, JOIN_KINDS};
 use common::RefExecutor;
 
 /// Every table: `k`, `j`, `v` are `Int`, `s` and `u` are `Str`, all over
@@ -59,13 +63,17 @@ fn filter(rng: &mut StdRng) -> (&'static str, CmpOp, Datum) {
     }
 }
 
-fn instance(rng: &mut StdRng) -> Instance {
+/// `wide`: three leaves over tables of 40–60 rows; else 3–5 leaves
+/// over tables of 3–12.
+fn instance(rng: &mut StdRng, wide: bool) -> Instance {
     let mut catalog = Catalog::new();
     let mut db = Database::new();
     let n_tables = rng.gen_range(1..=3);
     for t in 0..n_tables {
         let n_rows = if rng.gen_bool(0.08) {
             0
+        } else if wide {
+            rng.gen_range(40..=60)
         } else {
             rng.gen_range(3..=12)
         };
@@ -88,7 +96,7 @@ fn instance(rng: &mut StdRng) -> Instance {
         db.set_table(id, TableData::new((0..n_rows).map(|_| row(rng)).collect()));
     }
     let mut b = QuerySpec::builder("diff");
-    let n_leaves = rng.gen_range(3..=5);
+    let n_leaves = if wide { 3 } else { rng.gen_range(3..=5) };
     let leaves: Vec<LeafId> = (0..n_leaves)
         .map(|i| {
             let t = rng.gen_range(0..n_tables);
@@ -171,6 +179,17 @@ fn check(inst: &Instance, q: &QuerySpec, plan: &PlanNode) {
     let (mut want, want_layout) = old.run(plan);
     assert_eq!(layout.cols(), want_layout.cols(), "plan:\n{plan}");
     assert_eq!(new.stats.rows, old.stats.rows, "plan:\n{plan}");
+    for expr in exprs(plan) {
+        let (rows, carried) = (new.stats.rows_of(expr), new.stats.carried_of(expr));
+        if q.root_expr().agg {
+            assert!(
+                carried <= rows,
+                "{expr:?}: {carried:?} > {rows:?}, plan:\n{plan}"
+            );
+        } else {
+            assert_eq!(carried, rows, "{expr:?} of plan:\n{plan}");
+        }
+    }
     // A sort-merge join emits in the order of its left merge column
     // whether or not the plan asked for it.
     let order = match (plan.prop, plan.op) {
@@ -201,10 +220,13 @@ proptest! {
     #[test]
     fn every_operator_at_every_node_matches_the_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let inst = instance(&mut rng);
+        let inst = instance(&mut rng, false);
         let g = JoinGraph::new(&inst.q);
         let mut q_agg = inst.q.clone();
         q_agg.aggregate = Some(agg_spec(&mut rng, inst.q.n_leaves()));
+        let mut wide = instance(&mut rng, true);
+        let wide_g = JoinGraph::new(&wide.q);
+        wide.q.aggregate = Some(agg_spec(&mut rng, wide.q.n_leaves()));
         let sort_col = LeafCol::new(
             rng.gen_range(0..inst.q.n_leaves()),
             rng.gen_range(0..COLS.len() as u32),
@@ -218,6 +240,8 @@ proptest! {
             check(&inst, &inst.q, &sorted);
             let mut plans = PlanGen { q: &q_agg, g: &g, rng: &mut rng, force };
             check(&inst, &q_agg, &plans.aggregated());
+            let mut plans = PlanGen { q: &wide.q, g: &wide_g, rng: &mut rng, force };
+            check(&wide, &wide.q, &plans.aggregated());
         }
     }
 }
@@ -276,7 +300,7 @@ fn an_empty_table_yields_no_rows_and_a_full_width_layout() {
         let (rows, layout) = exec.run(&plan);
         assert!(rows.is_empty());
         assert_eq!(layout.width(), 8, "plan:\n{plan}");
-        for expr in common::plans::exprs(&plan) {
+        for expr in exprs(&plan) {
             assert!(
                 exec.stats.rows_of(expr).is_some(),
                 "no cardinality for {expr:?}"
