@@ -6,7 +6,9 @@
 //!
 //! - every derived relation becomes `Union(rule outputs) → Distinct`
 //!   (set semantics with counting, so recursive rules terminate and
-//!   deletions retract exactly);
+//!   deletions retract exactly) — unless the property pass
+//!   ([`infer_properties`]) proves its one rule already derives a set,
+//!   in which case the relation *is* that rule's output;
 //! - each rule body compiles left-to-right into a join tree:
 //!   constants/duplicate variables become filters, stored relations
 //!   [`HashJoin`] on the shared variables (an empty share is a cross
@@ -48,12 +50,6 @@ pub fn null_value() -> Val {
 /// The value encoding of the rules' `true`/`false` constants.
 pub fn bool_value(b: bool) -> Val {
     Val::Int(b as i64)
-}
-
-/// Variables the rule head references (liveness roots) — the head is
-/// itself an [`Atom`], so this is its `vars()` owned.
-fn head_var_names(rule: &Rule) -> Vec<String> {
-    rule.head.vars().into_iter().map(String::from).collect()
 }
 
 fn const_value(t: &Term) -> Option<Val> {
@@ -223,6 +219,61 @@ impl NetworkBuilder {
     }
 }
 
+/// The property-inference pass: rule IR + relation table → what the
+/// compiler may act on because it holds for every database. Returns the
+/// **set-valued** derived relations — `Union → Distinct` over one would
+/// be the identity and is not built — ordered so that each one's rule
+/// reads none that follows it.
+///
+/// A derived relation is set-valued when it has exactly one
+/// deriving rule, no seeding input and no release order (which holds
+/// deltas *at* the relation's `Distinct`), and the rule either
+/// aggregates — a `GroupAgg` emits one row per group — or joins stored
+/// relations, every one read as a set (an input, a `Distinct`, or a
+/// relation proved here), and keeps every body variable in its head: a
+/// body without wildcards or externals binds each combination of rows
+/// once, and a head that names every variable maps bindings to tuples
+/// one to one. A relation whose proof would rest on itself (a cycle of
+/// single-rule relations) keeps its `Distinct`.
+///
+/// The wiring-level half — which input ports are fed consolidated
+/// batches and which stateless tails a join can run itself — is proved
+/// on the wired graph by [`Dataflow::fuse`].
+fn infer_properties(
+    rules: &[Rule],
+    inputs: &[(String, usize)],
+    release_orders: &[(String, usize, Vec<u32>)],
+) -> Vec<String> {
+    let derives_set = |r: &Rule| {
+        matches!(r.head_aggregate(), Some((_, args)) if args.len() == 1)
+            || r.body.iter().all(|a| {
+                !a.is_external()
+                    && a.terms.iter().all(|t| match t {
+                        Term::Var(v) => r.head.terms.contains(&Term::Var(v.clone())),
+                        t => const_value(t).is_some(),
+                    })
+            })
+    };
+    let mut pending: Vec<&Rule> = rules
+        .iter()
+        .filter(|r| {
+            let name = &r.head.relation;
+            rules.iter().filter(|o| o.head.relation == *name).count() == 1
+                && !inputs.iter().any(|(n, _)| n == name)
+                && !release_orders.iter().any(|(n, ..)| n == name)
+                && derives_set(r)
+        })
+        .collect();
+    let mut set_valued: Vec<String> = Vec::new();
+    loop {
+        let is_pending = |a: &Atom| pending.iter().any(|p| p.head.relation == a.relation);
+        let Some(at) = pending.iter().position(|r| !r.body.iter().any(is_pending)) else {
+            return set_valued;
+        };
+        set_valued.push(pending.remove(at).head.relation.clone());
+    }
+}
+
 struct RelInfo {
     arity: usize,
     /// Node downstream consumers read (input for EDB-only relations,
@@ -274,7 +325,8 @@ impl Compiler {
 
     fn compile(mut self) -> Result<RuleNetwork, CompileError> {
         let rules = std::mem::take(&mut self.b.rules);
-        self.collect_relations(&rules)?;
+        let set_valued = infer_properties(&rules, &self.b.inputs, &self.b.release_orders);
+        self.collect_relations(&rules, &set_valued)?;
         for (name, column, strata) in std::mem::take(&mut self.b.release_orders) {
             match self.rels.get(&name) {
                 Some(rel) if column < rel.arity => {
@@ -289,7 +341,14 @@ impl Compiler {
                 None => return err(format!("release order on unknown relation `{name}`")),
             }
         }
-        for rule in &rules {
+        // A set-valued relation is its rule's output, which must exist
+        // before anything reads it: those rules go first.
+        let is_set = |r: &&Rule| set_valued.contains(&r.head.relation);
+        for name in &set_valued {
+            let rule = rules.iter().find(|r| r.head.relation == *name);
+            self.compile_rule(rule.expect("a set-valued relation has its one rule"))?;
+        }
+        for rule in rules.iter().filter(|r| !is_set(r)) {
             self.compile_rule(rule)?;
         }
         // Materialize requested sinks.
@@ -321,7 +380,7 @@ impl Compiler {
 
     /// Pass 1: derive every relation's arity, create input / union /
     /// distinct nodes, and validate consistency.
-    fn collect_relations(&mut self, rules: &[Rule]) -> Result<(), CompileError> {
+    fn collect_relations(&mut self, rules: &[Rule], sets: &[String]) -> Result<(), CompileError> {
         let mut arity: FxHashMap<String, usize> = FxHashMap::default();
         let mut note = |name: &str, n: usize| -> Result<(), CompileError> {
             match arity.insert(name.to_string(), n) {
@@ -410,6 +469,9 @@ impl Compiler {
             );
         }
         for name in head_order {
+            if sets.iter().any(|s| s == name) {
+                continue; // read off its rule's output: see `compile_rule`
+            }
             let n_rules = rule_count[name];
             let seeded = self.rels.contains_key(name);
             let ports = n_rules + seeded as usize;
@@ -470,7 +532,7 @@ impl Compiler {
         // intermediate tuples at or under the inline width.
         let n = rule.body.len();
         let mut needed: Vec<Vec<String>> = vec![Vec::new(); n];
-        let mut acc = head_var_names(rule);
+        let mut acc: Vec<String> = rule.head.vars().into_iter().map(String::from).collect();
         for i in (0..n).rev() {
             needed[i] = acc.clone();
             for v in rule.body[i].vars() {
@@ -498,10 +560,18 @@ impl Compiler {
                     .as_ref()
                     .map(|b| b.vars.clone())
                     .unwrap_or_default();
-                let scan = self.compile_scan(rule, atom, live, &prior)?;
+                // A scan that feeds the head alone narrows nothing: the
+                // head (a `GroupAgg`'s key/value columns, a projection)
+                // picks its columns itself.
+                let scan = self.compile_scan(rule, atom, live, &prior, n > 1)?;
                 match binding {
                     None => scan,
-                    Some(b) => self.compile_join(b, scan, live),
+                    Some(b) => {
+                        let joined = self.compile_join(b, scan, live);
+                        // `join[BestCost][D8]`: tells a rule's joins apart.
+                        self.df.label_suffix_from(self.df.node_count() - 1, &atom.relation);
+                        joined
+                    }
                 }
             });
         }
@@ -510,11 +580,27 @@ impl Compiler {
         // Tag every node this rule created with its label so profiling
         // (`node_stats`) attributes work to rules, not bare op names.
         self.df.label_suffix_from(first_new, &rule.label);
-        let rel = self.rels.get_mut(&rule.head.relation).unwrap();
-        let union = rel.union.expect("derived relation has a union");
-        let port = rel.next_port;
-        rel.next_port += 1;
-        self.df.connect(out, union, port);
+        match self.rels.get_mut(&rule.head.relation) {
+            Some(rel) => {
+                let union = rel.union.expect("derived relation has a union");
+                self.df.connect(out, union, rel.next_port);
+                rel.next_port += 1;
+            }
+            // Set-valued: the rule's output is the relation.
+            None => {
+                self.rel_reads.insert(out);
+                self.rels.insert(
+                    rule.head.relation.clone(),
+                    RelInfo {
+                        arity: rule.head.arity(),
+                        read: out,
+                        union: None,
+                        next_port: 0,
+                        input: None,
+                    },
+                );
+            }
+        }
         Ok(())
     }
 
@@ -528,18 +614,9 @@ impl Compiler {
         atom: &Atom,
         live: &[String],
         prior: &[String],
+        narrow: bool,
     ) -> Result<Binding, CompileError> {
-        let rel = &self.rels[&atom.relation];
-        if rel.arity != atom.arity() {
-            return err(format!(
-                "{}: `{}` has arity {}, atom uses {}",
-                rule.label,
-                atom.relation,
-                rel.arity,
-                atom.arity()
-            ));
-        }
-        let source = rel.read;
+        let source = self.rels[&atom.relation].read;
         enum Check {
             ConstEq(usize, Val),
             ColEq(usize, usize),
@@ -568,6 +645,16 @@ impl Compiler {
                     checks.push(Check::ConstEq(i, v));
                 }
             }
+        }
+        if !narrow && checks.is_empty() {
+            let name = |t: &Term| match t {
+                Term::Var(v) => v.clone(),
+                _ => String::new(), // a wildcard column: no variable names it
+            };
+            return Ok(Binding {
+                node: source,
+                vars: atom.terms.iter().map(name).collect(),
+            });
         }
         // Dead-column elimination: drop variables neither live after
         // this atom nor joining against the accumulated binding.
@@ -768,7 +855,7 @@ impl Compiler {
         let mut in_scratch: Vec<Val> = Vec::new();
         let mut row_scratch: Vec<Val> = Vec::new();
         let node = self.df.add_op(
-            ExternalFn::new(atom.relation.clone(), move |t, emit| {
+            ExternalFn::on_rows(atom.relation.clone(), move |t, emit| {
                 in_scratch.clear();
                 for i in &ins {
                     in_scratch.push(match i {
@@ -810,6 +897,7 @@ impl Compiler {
                     }
                     emit(Tuple::from_slice(&row_scratch));
                 });
+                Ok(())
             }),
             &[binding.node],
         );
@@ -866,7 +954,7 @@ impl Compiler {
         }
         let mut scratch: Vec<Val> = Vec::new();
         Ok(self.df.add_op(
-            Map::new(move |t| {
+            Map::on_rows(move |t| {
                 scratch.clear();
                 for c in &cols {
                     scratch.push(match c {
@@ -1232,6 +1320,74 @@ mod tests {
             vec![t(10, 0, 100.0), t(20, 0, 75.0), t(30, 0, 15.0)]
         );
         assert!(!net.sink("Bound").unwrap().has_negative_counts());
+    }
+
+    #[test]
+    fn property_pass_proves_a_set_only_where_the_rule_shows_one() {
+        let sets = |texts: &[&str], inputs: &[&str], held: &[&str]| {
+            let rules = reopt_core::rules_ir::parse_rules(texts.iter().copied()).unwrap();
+            let inputs: Vec<_> = inputs.iter().map(|n| (n.to_string(), 2)).collect();
+            let held: Vec<_> = held.iter().map(|n| (n.to_string(), 0, Vec::new())).collect();
+            infer_properties(&rules, &inputs, &held)
+        };
+        let agg = "A: Best(g,min<c>) :- In(g,c);";
+        let join = "J: Both(x,y,z) :- In(x,y), Best(y,z);";
+        // An aggregate head, and a join of sets that keeps every
+        // variable — resolved after the relation it reads.
+        assert_eq!(sets(&[join, agg], &["In"], &[]), ["Best", "Both"]);
+        // Dropping a non-key column (by projection or wildcard) can map
+        // two bindings to one tuple; an external may emit a row twice.
+        for text in [
+            "P: Ends(x,z) :- In(x,y), In(y,z);",
+            "W: Firsts(x) :- In(x,-);",
+            "E: Out(x,y,z) :- In(x,y), Fn_f(x,z);",
+        ] {
+            assert!(sets(&[text], &["In"], &[]).is_empty(), "{text}");
+        }
+        // Two rules, a seeding input, a release order and a proof that
+        // would rest on itself each keep the relation's `Distinct`.
+        assert!(sets(&[join, "K: Both(x,y,y) :- In(x,y);", agg], &["In"], &[]) == ["Best"]);
+        assert!(sets(&[join, agg], &["In", "Both"], &[]) == ["Best"]);
+        assert!(sets(&[join, agg], &["In"], &["Best"]) == ["Both"]);
+        assert!(sets(&["L: Loop(x,y) :- Loop(x,y), In(x,y);"], &["In"], &[]).is_empty());
+    }
+
+    #[test]
+    fn proved_properties_shape_the_network() {
+        // `Two` has two rules and `Held` a release order: both keep a
+        // `Union → Distinct` that coalesces. `Best` is read off its
+        // aggregate, which reads `Two`'s columns itself (no projecting
+        // scan) and — fed by one `Distinct` alone — does not coalesce.
+        let mut net = NetworkBuilder::new()
+            .input("In", 2)
+            .rule_texts([
+                "A: Two(x,y) :- In(x,y);",
+                "B: Two(y,x) :- In(x,y);",
+                "C: Best(x,min<y>) :- Two(x,y);",
+                "D: Held(x,y) :- Two(x,y), Best(x,y);",
+            ])
+            .unwrap()
+            .release_order("Held", 0, vec![0, 1, 1])
+            .sink("Held")
+            .build()
+            .unwrap();
+        let nodes = net.node_stats();
+        let coalesces = |label: &str| {
+            let mut hits = nodes.iter().filter(|n| n.label == label).map(|n| n.coalesces);
+            (hits.next(), hits.next())
+        };
+        assert_eq!(coalesces("distinct[Two]"), (Some(true), None));
+        assert_eq!(coalesces("distinct[Held]"), (Some(true), None));
+        assert_eq!(coalesces("group-agg[C]"), (Some(false), None));
+        assert_eq!(coalesces("distinct[Best]"), (None, None));
+        assert_eq!(coalesces("map[C]"), (None, None));
+        for t in [[1, 2], [2, 1], [1, 1]] {
+            net.insert("In", ints(&t));
+        }
+        net.run().unwrap();
+        net.delete("In", ints(&[1, 1]));
+        net.run().unwrap();
+        assert_eq!(net.sink("Held").unwrap().sorted(), vec![ints(&[1, 2]), ints(&[2, 1])]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use reopt_bridge::{AuditMode, DataflowOptimizer, RecoveryPath};
 use reopt_cost::ParamDelta;
+use reopt_datalog::Multiset;
 
 use common::{
     assert_sinks_match, build, chain5, chain5_batches, crashed_victim, deltas_for, fresh_dir,
@@ -566,11 +567,15 @@ fn durable_state_survives_a_process_boundary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Re-frames an optimizer snapshot the way a build from before the
-/// per-relation labels would have cut it: every `union[Rel]` /
-/// `distinct[Rel]` node record carries the bare operator name. Valid
-/// framing, valid CRCs — only the labels are old.
-fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
+/// Re-frames an optimizer snapshot with the node records of its
+/// embedded network checkpoint — `(label, state payload)` in node
+/// order — rewritten by `edit`, and the node count in its meta record
+/// to match. Valid framing, valid CRCs: only the topology is another
+/// build's.
+fn with_node_records(
+    snapshot: &[u8],
+    edit: impl FnOnce(Vec<(String, Vec<u8>)>) -> Vec<(String, Vec<u8>)>,
+) -> Vec<u8> {
     use reopt_datalog::checkpoint::{Dec, Enc, RecordReader, RecordWriter, SymRemap, MAGIC};
     fn copy(record: &[u8]) -> Enc {
         let mut e = Enc::new();
@@ -590,29 +595,70 @@ fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
     let mut inner = RecordReader::new(records.next().unwrap(), MAGIC).unwrap();
     let mut net = RecordWriter::new(MAGIC);
     net.record(copy(inner.next_record().unwrap().unwrap()));
-    let meta = inner.next_record().unwrap().unwrap();
-    let mut d = Dec::new(meta, &remap);
-    let (_epoch, _rollbacks, nodes) = (d.u64().unwrap(), d.u64().unwrap(), d.u64().unwrap());
-    net.record(copy(meta));
-    let mut relabelled = 0;
-    for _ in 0..nodes {
-        let mut d = Dec::new(inner.next_record().unwrap().unwrap(), &remap);
-        let label = d.str().unwrap();
-        let bare = ["union", "distinct"]
-            .into_iter()
-            .find(|op| label.starts_with(&format!("{op}[")));
-        relabelled += usize::from(bare.is_some());
+    let mut d = Dec::new(inner.next_record().unwrap().unwrap(), &remap);
+    let [epoch, rollbacks, nodes, sinks] = [(); 4].map(|()| d.u64().unwrap());
+    let nodes: Vec<(String, Vec<u8>)> = (0..nodes)
+        .map(|_| {
+            let mut d = Dec::new(inner.next_record().unwrap().unwrap(), &remap);
+            (d.str().unwrap().to_string(), d.rest().to_vec())
+        })
+        .collect();
+    let nodes = edit(nodes);
+    let mut meta = Enc::new();
+    for v in [epoch, rollbacks, nodes.len() as u64, sinks] {
+        meta.u64(v);
+    }
+    net.record(meta);
+    for (label, state) in &nodes {
         let mut e = Enc::new();
-        e.str(bare.unwrap_or(label));
-        e.raw(d.rest());
+        e.str(label);
+        e.raw(state);
         net.record(e);
     }
-    assert!(relabelled > 0, "no per-relation labels found to strip");
     while let Some(record) = inner.next_record().unwrap() {
         net.record(copy(record));
     }
     out.record(copy(&net.into_bytes()));
     out.into_bytes()
+}
+
+/// A snapshot the way a build from before the per-relation labels
+/// would have cut it: every `union[Rel]` / `distinct[Rel]` node record
+/// carries the bare operator name.
+fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
+    with_node_records(snapshot, |mut nodes| {
+        let mut relabelled = 0;
+        for (label, _) in &mut nodes {
+            let bare = ["union", "distinct"]
+                .into_iter()
+                .find(|op| label.starts_with(&format!("{op}[")));
+            if let Some(bare) = bare {
+                *label = bare.to_string();
+                relabelled += 1;
+            }
+        }
+        assert!(relabelled > 0, "no per-relation labels found to strip");
+        nodes
+    })
+}
+
+/// A snapshot with the node records of the network PR 15 compiled: no
+/// `Fn_present` guards, and `BestCost`/`BestPlan` behind their own
+/// `Union → Distinct` (each `Distinct` holding what the relation's sink
+/// holds), with D9's projecting scan in front of its aggregate.
+fn with_the_pr15_network_shape(snapshot: &[u8], sets: [&Multiset; 2]) -> Vec<u8> {
+    use reopt_datalog::checkpoint::{encode_multiset, Enc};
+    with_node_records(snapshot, |mut nodes| {
+        nodes.retain(|(label, _)| !label.starts_with("Fn_present"));
+        for (relation, set) in ["BestCost", "BestPlan"].into_iter().zip(sets) {
+            let mut state = Enc::new();
+            encode_multiset(&mut state, set);
+            nodes.push((format!("union[{relation}]"), Vec::new()));
+            nodes.push((format!("distinct[{relation}]"), state.into_bytes()));
+        }
+        nodes.push(("map[D9]".to_string(), Vec::new()));
+        nodes
+    })
 }
 
 /// Node labels are part of the restore-time topology check, so a
@@ -735,5 +781,50 @@ fn a_checkpoint_with_the_bound_rules_compiled_degrades_to_an_exact_rebuild() {
     assert!(out.cost.approx_eq(oracle.best_cost()));
     assert_eq!(out.plan, oracle.best_plan());
     assert_sinks_match(&rec, &oracle, "after the 13-rule checkpoint rebuild");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The property pass reads `BestCost` and `BestPlan` straight off their
+/// rules' outputs, so the network lost four nodes, two of them stateful
+/// (and D9's projecting scan; the `Fn_present` guards came in). A
+/// checkpoint cut by the PR 15 network is therefore refused as a
+/// topology mismatch on the first restart after the upgrade and
+/// degrades to the exact rebuild plus the folded WAL — it is never
+/// mis-restored into the nodes that happen to share a position.
+#[test]
+fn a_checkpoint_with_the_set_gates_built_degrades_to_an_exact_rebuild() {
+    let (c, q) = chain5();
+    let batches = chain5_batches(&q);
+    let (dir, _) = crashed_victim(&c, &q, "set-gates", &batches[..2], &batches[2..]);
+    let mut oracle = DataflowOptimizer::new(&c, q.clone());
+    oracle.set_audit_mode(AuditMode::Off);
+    oracle.optimize();
+    for batch in &batches[..2] {
+        oracle.reoptimize(batch);
+    }
+    let path = dir.join("checkpoint.bin");
+    let sets = ["BestCost", "BestPlan"].map(|r| oracle.sink(r).unwrap());
+    let old = with_the_pr15_network_shape(&std::fs::read(&path).unwrap(), sets);
+    std::fs::write(&path, old).unwrap();
+    for batch in &batches[2..] {
+        oracle.reoptimize(batch);
+    }
+
+    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(
+        out.recovery.path,
+        RecoveryPath::RebuiltAfterCorruptCheckpoint
+    );
+    assert!(
+        out.recovery
+            .errors
+            .iter()
+            .any(|e| e.to_string().contains("topology mismatch: checkpoint has 37 nodes")),
+        "{:?}",
+        out.recovery.errors
+    );
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_eq!(out.plan, oracle.best_plan());
+    assert_sinks_match(&rec, &oracle, "after the PR 15 checkpoint rebuild");
     let _ = std::fs::remove_dir_all(&dir);
 }

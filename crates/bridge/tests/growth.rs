@@ -75,3 +75,74 @@ fn a_cyclic_walk_costs_and_holds_the_same_every_lap() {
         );
     }
 }
+
+/// The deterministic counter gate on the recursive cost loop: total
+/// deltas and batches the substrate services over a fixed parameter
+/// walk — four-parameter bursts (two leaf cardinalities, two join
+/// selectivities) on an 8-relation star, single points on a 6-relation
+/// Q5-shaped cycle — may not exceed what the property pass, the
+/// `Fn_present` guards and the join post-stages landed, plus 2%. The
+/// counts are exact and repeat on every machine; wall-clock is judged
+/// by `BENCHMARK.json`'s alternating pairs, never here.
+#[test]
+fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
+    const EPOCHS: u32 = 60;
+    const FACTORS: [f64; 6] = [0.125, 0.5, 2.0, 4.0, 8.0, 3.0];
+    let star = QueryGen {
+        rows: vec![6, 1, 2, 3, 4, 5, 2, 4],
+        indexed: vec![false, true, false, true, false, true, false, true],
+        parent: vec![0; 7],
+        cycle: false,
+    };
+    let q5 = QueryGen {
+        rows: vec![4, 5, 6, 3, 1, 1],
+        indexed: vec![true, true, false, true, false, false],
+        parent: vec![0, 1, 2, 3, 4],
+        cycle: true,
+    };
+    // (instance, burst?, pinned deltas, pinned batches); the parent of
+    // the PR that pinned them: 741 266 / 11 972 and 28 848 / 2 065.
+    for (gen, burst, pin_deltas, pin_batches) in [
+        (star, true, PIN_STAR_DELTAS, PIN_STAR_BATCHES),
+        (q5, false, PIN_Q5_DELTAS, PIN_Q5_BATCHES),
+    ] {
+        let (c, q) = build(&gen);
+        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let mut opt = DataflowOptimizer::new(&c, q);
+        opt.set_audit_mode(AuditMode::Off);
+        opt.optimize();
+        let (mut deltas, mut batches) = (0, 0);
+        for i in 0..EPOCHS {
+            let f = FACTORS[(i as usize * 5 + 1) % FACTORS.len()];
+            let batch = if burst {
+                vec![
+                    ParamDelta::LeafCardinality(LeafId(i % leaves), f),
+                    ParamDelta::LeafCardinality(LeafId((i * 3 + 1) % leaves), 1.0 / f),
+                    ParamDelta::EdgeSelectivity(EdgeId(i % edges), 1.0 / f),
+                    ParamDelta::EdgeSelectivity(EdgeId((i * 5 + 2) % edges), f),
+                ]
+            } else {
+                vec![match i % 10 {
+                    0..=6 => ParamDelta::LeafScanCost(LeafId(i % leaves), f),
+                    7 | 8 => ParamDelta::EdgeSelectivity(EdgeId(i % edges), f),
+                    _ => ParamDelta::LeafCardinality(LeafId(i % leaves), f),
+                }]
+            };
+            let out = opt.reoptimize(&batch);
+            assert!(out.recovery.is_clean(), "epoch {i}: {:?}", out.recovery);
+            deltas += out.stats.deltas_processed;
+            batches += out.stats.batches_processed;
+        }
+        assert!(deltas > 0 && batches > 0);
+        assert!(
+            deltas * 100 <= pin_deltas * 102 && batches * 100 <= pin_batches * 102,
+            "burst={burst}: {deltas} deltas / {batches} batches over {EPOCHS} epochs \
+             against pins of {pin_deltas} / {pin_batches}"
+        );
+    }
+}
+
+const PIN_STAR_DELTAS: u64 = 487_960;
+const PIN_STAR_BATCHES: u64 = 7_616;
+const PIN_Q5_DELTAS: u64 = 18_239;
+const PIN_Q5_BATCHES: u64 = 1_336;

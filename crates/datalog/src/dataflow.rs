@@ -30,7 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use reopt_common::FxHashMap;
+use reopt_common::{FxHashMap, FxHashSet};
 
 use crate::delta::{coalesce, CoalesceScratch, ConsolidatorFootprint, Delta};
 use crate::error::{DataflowError, FaultPlan};
@@ -75,9 +75,10 @@ struct Node {
     /// ([`Dataflow::set_release_order`]).
     release: Option<ReleaseOrder>,
     /// Lifetime batch/delta counters for [`Dataflow::node_stats`] —
-    /// two adds per serviced batch, cheap enough to keep always-on.
+    /// three adds per serviced batch, cheap enough to keep always-on.
     stat_batches: u64,
     stat_deltas: u64,
+    stat_emitted: u64,
 }
 
 /// How the fixpoint loop schedules work.
@@ -346,11 +347,20 @@ pub struct NodeStats {
     pub label: String,
     /// Batches the node serviced.
     pub batches: u64,
-    /// Deltas in those batches, after coalescing.
+    /// Deltas in those batches, after coalescing. Summed over all
+    /// nodes this is [`RunStats::deltas_processed`] summed over all
+    /// runs, failed ones included.
     pub deltas: u64,
+    /// Deltas the node emitted (each counted once, however many
+    /// consumers it has).
+    pub emitted: u64,
     /// Rows the node holds right now ([`Operator::state_rows`], or a
     /// sink's contents); 0 for stateless nodes.
     pub state_rows: u64,
+    /// Whether batches queued for the node are coalesced first — false
+    /// for stateless operators and for ports [`Dataflow::fuse`] proved
+    /// consolidated.
+    pub coalesces: bool,
 }
 
 /// A (possibly cyclic) dataflow of delta-processing operators.
@@ -552,6 +562,7 @@ impl Dataflow {
             release: None,
             stat_batches: 0,
             stat_deltas: 0,
+            stat_emitted: 0,
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -660,29 +671,57 @@ impl Dataflow {
         self.push(input, Delta::delete(tuple));
     }
 
-    /// Fuses single-consumer chains of stateless linear operators
-    /// (`Map`, `ExternalFn`, prior `Fused` nodes) into one [`Fused`]
-    /// node each, eliminating the per-hop dispatch between them.
-    /// Returns the number of operator nodes absorbed. Idempotent;
-    /// called automatically by [`Dataflow::run`] in batched mode unless
-    /// disabled via [`Dataflow::set_fusion`].
+    /// The build-time rewrite of the wired graph; each step acts only
+    /// on what the wiring proves. Returns the number of operator nodes
+    /// absorbed. Idempotent; called automatically by [`Dataflow::run`]
+    /// in batched mode unless disabled via [`Dataflow::set_fusion`].
     ///
-    /// A node is chain *interior* if it is fusable, single-input, and
-    /// has exactly one incoming edge (on port 0); a chain extends while
-    /// each member's sole downstream edge leads to another interior
-    /// node. Absorbed nodes become [`NodeKind::Fused`] tombstones —
-    /// their ids stay allocated but they can no longer be wired.
+    /// 1. A port whose only producer emits consolidated batches (an
+    ///    input, an [`Operator::emits_consolidated`] operator) and that
+    ///    holds no release order stops coalescing: nothing could merge.
+    /// 2. Single-consumer chains of stateless linear operators (`Map`,
+    ///    `ExternalFn`, prior `Fused` nodes) fuse into one [`Fused`]
+    ///    node each, eliminating the per-hop dispatch between them. A
+    ///    node is chain *interior* if it is fusable, single-input, and
+    ///    has exactly one incoming edge (on port 0); a chain extends
+    ///    while each member's sole downstream edge leads to another
+    ///    interior node.
+    /// 3. A chain whose producer [`Operator::absorbs_tail`] (a join)
+    ///    and feeds nothing else moves into that producer instead.
+    ///
+    /// Absorbed nodes become [`NodeKind::Fused`] tombstones — their ids
+    /// stay allocated but they can no longer be wired.
     pub fn fuse(&mut self) -> usize {
         self.graph_dirty = false;
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
         let mut port_ok = vec![true; n];
-        for node in &self.nodes {
+        // The producer of a node's last-seen incoming edge; whether
+        // every port so far has one producer, a consolidated one.
+        let mut pred = vec![usize::MAX; n];
+        let mut consolidated = vec![true; n];
+        let mut fed: FxHashSet<(usize, usize)> = FxHashSet::default();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let emits = match &node.kind {
+                NodeKind::Input => true,
+                NodeKind::Op(op) => op.emits_consolidated(),
+                _ => false,
+            };
             for &(t, p) in &node.downstream {
                 indeg[t] += 1;
+                pred[t] = i;
                 if p != 0 {
                     port_ok[t] = false;
                 }
+                if !emits || !fed.insert((t, p)) {
+                    consolidated[t] = false;
+                }
+            }
+        }
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let proven = indeg[i] > 0 && consolidated[i] && node.release.is_none();
+            if let NodeKind::Op(op) = &node.kind {
+                node.coalesce_input = op.coalesces_input() && !proven;
             }
         }
         let interior = |nodes: &[Node], i: usize| -> bool {
@@ -718,9 +757,16 @@ impl Dataflow {
                 cur = succ[cur];
                 chain.push(cur);
             }
-            if chain.len() < 2 {
-                continue;
-            }
+            // The chain's producer takes it over if it can and feeds
+            // nothing else; otherwise the chain's head does.
+            let producer = &self.nodes[pred[head]];
+            let owner = match &producer.kind {
+                NodeKind::Op(op) if op.absorbs_tail() && producer.downstream.len() == 1 => {
+                    pred[head]
+                }
+                _ if chain.len() < 2 => continue,
+                _ => head,
+            };
             let mut stages = Vec::new();
             for &i in &chain {
                 match &mut self.nodes[i].kind {
@@ -731,15 +777,20 @@ impl Dataflow {
                 }
             }
             let last = *chain.last().unwrap();
-            let fused = Fused::new(stages);
-            self.nodes[head].label = fused.name().to_string();
-            self.nodes[head].kind = NodeKind::Op(Box::new(fused));
-            self.nodes[head].downstream = std::mem::take(&mut self.nodes[last].downstream);
-            for &i in &chain[1..] {
+            let downstream = std::mem::take(&mut self.nodes[last].downstream);
+            if owner == head {
+                let fused = Fused::new(stages);
+                self.nodes[head].label = fused.name().to_string();
+                self.nodes[head].kind = NodeKind::Op(Box::new(fused));
+            } else if let NodeKind::Op(op) = &mut self.nodes[owner].kind {
+                op.absorb_tail(stages);
+            }
+            for &i in chain.iter().filter(|&&i| i != owner) {
                 self.nodes[i].kind = NodeKind::Fused;
                 self.nodes[i].downstream.clear();
                 absorbed += 1;
             }
+            self.nodes[owner].downstream = downstream;
         }
         absorbed
     }
@@ -752,14 +803,21 @@ impl Dataflow {
         self.nodes
             .iter()
             .map(|n| NodeStats {
-                label: n.label.clone(),
+                label: match n.kind {
+                    // A tombstone: the work is booked on the node that
+                    // absorbed it.
+                    NodeKind::Fused => format!("fused:{}", n.label),
+                    _ => n.label.clone(),
+                },
                 batches: n.stat_batches,
                 deltas: n.stat_deltas,
+                emitted: n.stat_emitted,
                 state_rows: match &n.kind {
                     NodeKind::Op(op) => op.state_rows() as u64,
                     NodeKind::Sink(idx) => self.sinks[*idx].len() as u64,
                     NodeKind::Input | NodeKind::Fused => 0,
                 },
+                coalesces: n.coalesce_input,
             })
             .collect()
     }
@@ -860,12 +918,29 @@ impl Dataflow {
         self.rollbacks += 1;
     }
 
-    /// Checks the armed fault plan at `step` processed deltas.
-    fn check_fault(&mut self, step: u64) -> Result<(), DataflowError> {
-        if let Some(plan) = self.fault_plan.as_mut() {
-            if plan.fire(step) {
-                return Err(DataflowError::InjectedFault { step });
-            }
+    /// Books a batch of `n` deltas `node` is about to service — popped
+    /// from the queue or handed over inside [`Dataflow::dispatch`] — on
+    /// the run and on the node, and checks the step budget and the
+    /// armed fault plan.
+    fn admit(
+        &mut self,
+        node: usize,
+        n: usize,
+        stats: &mut RunStats,
+        armed: bool,
+    ) -> Result<(), DataflowError> {
+        stats.batches_processed += 1;
+        stats.deltas_processed += n as u64;
+        self.nodes[node].stat_batches += 1;
+        self.nodes[node].stat_deltas += n as u64;
+        let step = stats.deltas_processed;
+        if step > self.max_steps {
+            return Err(DataflowError::FixpointOverrun {
+                steps: self.max_steps,
+            });
+        }
+        if armed && self.fault_plan.as_mut().is_some_and(|plan| plan.fire(step)) {
+            return Err(DataflowError::InjectedFault { step });
         }
         Ok(())
     }
@@ -887,18 +962,7 @@ impl Dataflow {
                     continue;
                 }
             }
-            stats.batches_processed += 1;
-            stats.deltas_processed += batch.len() as u64;
-            self.nodes[node].stat_batches += 1;
-            self.nodes[node].stat_deltas += batch.len() as u64;
-            if stats.deltas_processed > self.max_steps {
-                return Err(DataflowError::FixpointOverrun {
-                    steps: self.max_steps,
-                });
-            }
-            if armed {
-                self.check_fault(stats.deltas_processed)?;
-            }
+            self.admit(node, batch.len(), stats, armed)?;
             out.clear();
             match &mut self.nodes[node].kind {
                 // Inputs and pass-through operators forward the batch by
@@ -946,146 +1010,102 @@ impl Dataflow {
         armed: bool,
     ) -> Result<(), DataflowError> {
         let mut node = from;
-        loop {
-            if out.is_empty() {
-                return Ok(());
-            }
+        while !out.is_empty() {
             stats.deltas_emitted += out.len() as u64;
+            self.nodes[node].stat_emitted += out.len() as u64;
+            // Lent out for the step and handed back whatever happens:
+            // rollback rewinds state, not graph structure.
             let downstream = std::mem::take(&mut self.nodes[node].downstream);
-            for &(target, _) in &downstream {
-                if let NodeKind::Sink(idx) = self.nodes[target].kind {
-                    let sink = &mut self.sinks[idx];
-                    for d in out.iter() {
-                        sink.apply(d);
-                    }
-                }
-            }
-            // Sync fanout: the producer (an `Arrange`) requires its batch
-            // to reach every consumer within this same dispatch, so the
-            // shared-index update it just applied and the attached joins'
-            // probes form one atomic step — under any scheduler mode.
-            // Each consumer's own output is routed recursively; recursion
-            // depth is bounded by the number of arrange nodes on an
-            // acyclic path (consumers themselves enqueue normally).
-            if self.nodes[node].sync_fanout {
-                let mut result = Ok(());
-                for &(target, tport) in &downstream {
-                    if matches!(
-                        self.nodes[target].kind,
-                        NodeKind::Sink(_) | NodeKind::Fused
-                    ) {
-                        continue; // sinks absorbed above
-                    }
-                    stats.batches_processed += 1;
-                    stats.deltas_processed += out.len() as u64;
-                    if stats.deltas_processed > self.max_steps {
-                        result = Err(DataflowError::FixpointOverrun {
-                            steps: self.max_steps,
-                        });
-                        break;
-                    }
-                    if armed {
-                        let step = stats.deltas_processed;
-                        if let Some(plan) = self.fault_plan.as_mut() {
-                            if plan.fire(step) {
-                                result = Err(DataflowError::InjectedFault { step });
-                                break;
-                            }
-                        }
-                    }
-                    let mut fan_out: Vec<Delta> = Vec::new();
-                    let status = match &mut self.nodes[target].kind {
-                        NodeKind::Op(op) if op.is_passthrough() => {
-                            assert!(tport < op.arity(), "port {tport} out of range");
-                            fan_out.extend(out.iter().cloned());
-                            Ok(())
-                        }
-                        NodeKind::Op(op) => op.on_batch(tport, out, &mut fan_out),
-                        NodeKind::Input => {
-                            fan_out.extend(out.iter().cloned());
-                            Ok(())
-                        }
-                        NodeKind::Sink(_) | NodeKind::Fused => unreachable!(),
-                    };
-                    if let Err(e) = status {
-                        result = Err(e);
-                        break;
-                    }
-                    let mut sub_chain: Vec<Delta> = Vec::new();
-                    if let Err(e) =
-                        self.dispatch(target, &mut fan_out, &mut sub_chain, stats, armed)
-                    {
-                        result = Err(e);
-                        break;
-                    }
-                }
-                self.nodes[node].downstream = downstream;
-                out.clear();
-                return result;
-            }
-            let mut non_sink = downstream
-                .iter()
-                .filter(|&&(t, _)| !matches!(self.nodes[t].kind, NodeKind::Sink(_)));
-            let (first, second) = (non_sink.next().copied(), non_sink.next());
-            // Chain through a sole stateless consumer (batched mode
-            // only — per-delta mode keeps the reference FIFO schedule).
-            if let (true, Some((target, tport)), None) =
-                (self.queue.is_batched(), first, second)
-            {
-                if let NodeKind::Op(op) = &mut self.nodes[target].kind {
-                    if !op.coalesces_input() {
-                        stats.batches_processed += 1;
-                        stats.deltas_processed += out.len() as u64;
-                        if stats.deltas_processed > self.max_steps {
-                            // Restore the taken edge list before
-                            // aborting — rollback rewinds state, not
-                            // graph structure.
-                            self.nodes[node].downstream = downstream;
-                            return Err(DataflowError::FixpointOverrun {
-                                steps: self.max_steps,
-                            });
-                        }
-                        if armed {
-                            let step = stats.deltas_processed;
-                            if let Some(plan) = self.fault_plan.as_mut() {
-                                if plan.fire(step) {
-                                    self.nodes[node].downstream = downstream;
-                                    return Err(DataflowError::InjectedFault { step });
-                                }
-                            }
-                        }
-                        if op.is_passthrough() {
-                            assert!(tport < op.arity(), "port {tport} out of range");
-                        } else {
-                            chain.clear();
-                            if let Err(e) = op.on_batch(tport, out, chain) {
-                                self.nodes[node].downstream = downstream;
-                                return Err(e);
-                            }
-                            std::mem::swap(out, chain);
-                        }
-                        self.nodes[node].downstream = downstream;
-                        node = target;
-                        continue;
-                    }
-                }
-            }
-            let last_queued = downstream
-                .iter()
-                .rposition(|&(t, _)| !matches!(self.nodes[t].kind, NodeKind::Sink(_)));
-            for (i, &(target, tport)) in downstream.iter().enumerate() {
-                if matches!(self.nodes[target].kind, NodeKind::Sink(_)) {
-                    continue;
-                }
-                if Some(i) == last_queued {
-                    self.enqueue(target, tport, out.drain(..));
-                } else {
-                    self.enqueue(target, tport, out.iter().cloned());
-                }
-            }
+            let next = self.route(node, &downstream, out, chain, stats, armed);
             self.nodes[node].downstream = downstream;
-            return Ok(());
+            match next? {
+                Some(target) => node = target,
+                None => break,
+            }
         }
+        Ok(())
+    }
+
+    /// One step of [`Dataflow::dispatch`] over `node`'s edges. Returns
+    /// the consumer `out` was chained through (it then holds that
+    /// consumer's output), or `None` once the batch is fully delivered.
+    fn route(
+        &mut self,
+        node: usize,
+        downstream: &[(usize, usize)],
+        out: &mut Vec<Delta>,
+        chain: &mut Vec<Delta>,
+        stats: &mut RunStats,
+        armed: bool,
+    ) -> Result<Option<usize>, DataflowError> {
+        for &(target, _) in downstream {
+            if let NodeKind::Sink(idx) = self.nodes[target].kind {
+                let sink = &mut self.sinks[idx];
+                for d in out.iter() {
+                    sink.apply(d);
+                }
+            }
+        }
+        let queued = |nodes: &[Node], t: usize| !matches!(nodes[t].kind, NodeKind::Sink(_));
+        // Sync fanout: the producer (an `Arrange`) requires its batch
+        // to reach every consumer within this same dispatch, so the
+        // shared-index update it just applied and the attached joins'
+        // probes form one atomic step — under any scheduler mode.
+        // Each consumer's own output is routed recursively; recursion
+        // depth is bounded by the number of arrange nodes on an
+        // acyclic path (consumers themselves enqueue normally).
+        if self.nodes[node].sync_fanout {
+            for &(target, tport) in downstream {
+                if matches!(
+                    self.nodes[target].kind,
+                    NodeKind::Sink(_) | NodeKind::Fused
+                ) {
+                    continue; // sinks absorbed above
+                }
+                self.admit(target, out.len(), stats, armed)?;
+                let mut fan_out: Vec<Delta> = Vec::new();
+                match &mut self.nodes[target].kind {
+                    NodeKind::Op(op) if !op.is_passthrough() => {
+                        op.on_batch(tport, out, &mut fan_out)?
+                    }
+                    _ => fan_out.extend(out.iter().cloned()),
+                }
+                self.dispatch(target, &mut fan_out, &mut Vec::new(), stats, armed)?;
+            }
+            out.clear();
+            return Ok(None);
+        }
+        let mut non_sink = downstream.iter().filter(|&&(t, _)| queued(&self.nodes, t));
+        // Chain through a sole stateless consumer (batched mode only —
+        // per-delta mode keeps the reference FIFO schedule).
+        if let (true, Some(&(target, tport)), None) =
+            (self.queue.is_batched(), non_sink.next(), non_sink.next())
+        {
+            if matches!(&self.nodes[target].kind, NodeKind::Op(op) if !op.coalesces_input()) {
+                self.admit(target, out.len(), stats, armed)?;
+                if let NodeKind::Op(op) = &mut self.nodes[target].kind {
+                    assert!(tport < op.arity(), "port {tport} out of range");
+                    if !op.is_passthrough() {
+                        chain.clear();
+                        op.on_batch(tport, out, chain)?;
+                        std::mem::swap(out, chain);
+                    }
+                }
+                return Ok(Some(target));
+            }
+        }
+        let last_queued = downstream.iter().rposition(|&(t, _)| queued(&self.nodes, t));
+        for (i, &(target, tport)) in downstream.iter().enumerate() {
+            if !queued(&self.nodes, target) {
+                continue;
+            }
+            if Some(i) == last_queued {
+                self.enqueue(target, tport, out.drain(..));
+            } else {
+                self.enqueue(target, tport, out.iter().cloned());
+            }
+        }
+        Ok(None)
     }
 
     /// Reads a sink's current contents.
@@ -1291,7 +1311,7 @@ impl Dataflow {
 mod tests {
     use super::*;
     use crate::agg::AggKind;
-    use crate::ops::{Distinct, GroupAgg, HashJoin, Map, Union};
+    use crate::ops::{Arrange, Distinct, GroupAgg, HashJoin, Map, Union};
     use crate::value::ints;
 
     #[test]
@@ -1374,6 +1394,53 @@ mod tests {
         // distinct 2, join 2 + 1, group-agg 1, join sink 0, agg sink 1.
         let held: u64 = df.node_stats().iter().map(|n| n.state_rows).sum();
         assert_eq!(held, 7);
+    }
+
+    #[test]
+    fn node_stats_account_for_every_serviced_delta() {
+        // Also for consumers serviced inside `dispatch`: a join behind
+        // its `Arrange`, a chained `Map`.
+        let mut df = Dataflow::new();
+        let (r, s) = (df.add_input("r"), df.add_input("s"));
+        let arrange = Arrange::new(vec![0]);
+        let join = HashJoin::new(vec![0], vec![0]).share_left(arrange.handle());
+        let arranged = df.add_op(arrange, &[r]);
+        let joined = df.add_op(join, &[arranged, s]);
+        let tail = df.add_op(Map::project(vec![1, 3]), &[joined]);
+        let gate = df.add_op(Distinct::new(), &[tail]);
+        let chained = df.add_op(Map::project(vec![0]), &[gate]);
+        df.add_sink(chained);
+        let mut processed = 0;
+        for k in 0..4 {
+            df.insert(r, ints(&[k % 2, k]));
+            df.insert(s, ints(&[k % 2, 10 + k]));
+            processed += df.run().unwrap().deltas_processed;
+        }
+        let stats = df.node_stats();
+        assert_eq!(stats.iter().map(|n| n.deltas).sum::<u64>(), processed);
+        assert!(stats[joined.0].deltas > 0 && stats[chained.0].deltas > 0);
+        // The join ran its projection itself.
+        assert_eq!((stats[tail.0].label.as_str(), stats[tail.0].deltas), ("fused:map", 0));
+        assert_eq!(stats[joined.0].emitted, stats[gate.0].deltas);
+    }
+
+    #[test]
+    fn fuse_stops_coalescing_only_where_the_producer_proves_it() {
+        let mut df = Dataflow::new();
+        let r = df.add_input("r");
+        let agg = || GroupAgg::new(vec![0], 1, AggKind::Min);
+        let set = df.add_op(Distinct::new(), &[r]); // fed by an input alone
+        let best = df.add_op(agg(), &[set]); // fed by a `Distinct` alone
+        let held = df.add_op(agg(), &[set]); // the same, behind a release order
+        df.set_release_order(held, 0, vec![1]);
+        let both = df.add_op(Union::new(2), &[set, best]);
+        let merged = df.add_op(Distinct::new(), &[both]); // two producers
+        let join = df.add_op(HashJoin::new(vec![0], vec![0]), &[set, best]);
+        let joined = df.add_op(Distinct::new(), &[join]); // a join proves nothing
+        df.fuse();
+        let stats = df.node_stats();
+        let coalesces = [set, best, held, merged, join, joined].map(|n| stats[n.0].coalesces);
+        assert_eq!(coalesces, [false, false, true, true, false, true]);
     }
 
     /// Builds the classic transitive-closure program:

@@ -18,7 +18,7 @@ use crate::agg::{AggKind, OrderedMultiset};
 use crate::delta::Delta;
 use crate::error::DataflowError;
 use crate::relation::{ArrangementHandle, IndexedMultiset, Multiset, Visibility};
-use crate::value::{Tuple, Val};
+use crate::value::{Row, Tuple, Val, INLINE_CAP};
 
 /// Per-operator work counters, drained by the scheduler into
 /// [`crate::dataflow::RunStats`] at the end of each fixpoint run.
@@ -124,6 +124,27 @@ pub trait Operator {
         false
     }
 
+    /// True if every batch the operator emits is consolidated — no two
+    /// deltas share a tuple, none has a zero count — whenever the batch
+    /// it was given is. A port fed by one such producer alone needs no
+    /// coalescing pass ([`crate::dataflow::Dataflow::fuse`] proves it).
+    fn emits_consolidated(&self) -> bool {
+        false
+    }
+
+    /// True if the operator can run a stateless tail inside its own
+    /// emit loop ([`Operator::absorb_tail`]).
+    fn absorbs_tail(&self) -> bool {
+        false
+    }
+
+    /// Takes over the stages of the single-consumer stateless chain
+    /// behind this operator: every tuple it would have emitted runs
+    /// through them first. Only called when [`Operator::absorbs_tail`].
+    fn absorb_tail(&mut self, _stages: Vec<FuseStage>) {
+        unreachable!("`{}` absorbs no tail", self.name())
+    }
+
     /// Surrenders the operator's stages for chain fusion, leaving it
     /// inert. Only called on operators whose [`Operator::fusable`] is
     /// `true`, and only by the dataflow's fusion pass (the node is
@@ -170,8 +191,8 @@ pub trait Operator {
     fn name(&self) -> &str;
 }
 
-/// The transformation a [`Map`] applies per tuple.
-pub type MapFn = Box<dyn FnMut(&Tuple) -> Option<Tuple>>;
+/// The transformation a [`Map`] applies per row.
+pub type MapFn = Box<dyn FnMut(Row<'_>) -> Option<Tuple>>;
 
 /// Stateless map/filter: applies a function to each tuple; `None` drops
 /// it. Counts pass through unchanged (linear operator).
@@ -180,7 +201,16 @@ pub struct Map {
 }
 
 impl Map {
-    pub fn new(f: impl FnMut(&Tuple) -> Option<Tuple> + 'static) -> Map {
+    pub fn new(mut f: impl FnMut(&Tuple) -> Option<Tuple> + 'static) -> Map {
+        Map::on_rows(move |row| match row {
+            Row::Tuple(t) => f(t),
+            Row::Vals(_) => f(&row.to_tuple()),
+        })
+    }
+
+    /// A map that reads [`Row`]s: absorbed into a join's post-stage it
+    /// sees the join's output without that output ever being stored.
+    pub fn on_rows(f: impl FnMut(Row<'_>) -> Option<Tuple> + 'static) -> Map {
         Map { f: Box::new(f) }
     }
 
@@ -206,7 +236,7 @@ impl Operator for Map {
             if delta.count == 0 {
                 continue;
             }
-            if let Some(t) = (self.f)(&delta.tuple) {
+            if let Some(t) = (self.f)(Row::Tuple(&delta.tuple)) {
                 out.push(Delta::with_count(t, delta.count));
             }
         }
@@ -235,7 +265,7 @@ impl Operator for Map {
 /// and pushes zero or more output tuples into the sink. Returning `Err`
 /// aborts the epoch (the error string becomes
 /// [`DataflowError::ExternalFn`]).
-pub type ExternalFnBody = Box<dyn FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String>>;
+pub type ExternalFnBody = Box<dyn FnMut(Row<'_>, &mut dyn FnMut(Tuple)) -> Result<(), String>>;
 
 /// Stateless external-function operator — the paper's `Fn_*` predicates
 /// (`Fn_split`, `Fn_scancost`, `Fn_sum`, …) lifted into the dataflow: for
@@ -268,7 +298,18 @@ impl ExternalFn {
     /// the epoch as [`DataflowError::ExternalFn`].
     pub fn try_new(
         name: impl Into<String>,
-        f: impl FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
+        mut f: impl FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
+    ) -> ExternalFn {
+        ExternalFn::on_rows(name, move |row, emit| match row {
+            Row::Tuple(t) => f(t, emit),
+            Row::Vals(_) => f(&row.to_tuple(), emit),
+        })
+    }
+
+    /// [`ExternalFn::try_new`] over [`Row`]s (see [`Map::on_rows`]).
+    pub fn on_rows(
+        name: impl Into<String>,
+        f: impl FnMut(Row<'_>, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
     ) -> ExternalFn {
         ExternalFn {
             name: name.into(),
@@ -289,7 +330,7 @@ impl Operator for ExternalFn {
                 continue;
             }
             let count = delta.count;
-            (self.f)(&delta.tuple, &mut |t| {
+            (self.f)(Row::Tuple(&delta.tuple), &mut |t| {
                 out.push(Delta::with_count(t, count));
             })
             .map_err(|detail| DataflowError::ExternalFn {
@@ -372,32 +413,38 @@ impl Fused {
         self.stages.len()
     }
 
-    /// Runs `tuple` (with multiplicity `count`) through the remaining
+    /// Runs `row` (with multiplicity `count`) through the remaining
     /// stages, pushing fully transformed deltas into `out`. The first
     /// stage error (from a constituent external function) aborts the
     /// traversal.
     fn run_stages(
         stages: &mut [FuseStage],
-        tuple: Tuple,
+        row: Row<'_>,
         count: i64,
         out: &mut Vec<Delta>,
     ) -> Result<(), DataflowError> {
         match stages.split_first_mut() {
             None => {
-                out.push(Delta::with_count(tuple, count));
+                out.push(Delta::with_count(row.to_tuple(), count));
                 Ok(())
             }
-            Some((FuseStage::Map(f), rest)) => match f(&tuple) {
-                Some(t) => Self::run_stages(rest, t, count, out),
+            Some((FuseStage::Map(f), rest)) => match f(row) {
+                Some(t) if rest.is_empty() => {
+                    out.push(Delta::with_count(t, count));
+                    Ok(())
+                }
+                Some(t) => Self::run_stages(rest, Row::Tuple(&t), count, out),
                 None => Ok(()),
             },
             Some((FuseStage::External { name, f }, rest)) => {
                 // The emit callback can't return a Result, so a nested
                 // stage error is parked and re-raised after the call.
                 let mut nested = Ok(());
-                f(&tuple, &mut |t| {
-                    if nested.is_ok() {
-                        nested = Self::run_stages(rest, t, count, out);
+                f(row, &mut |t| {
+                    if rest.is_empty() {
+                        out.push(Delta::with_count(t, count));
+                    } else if nested.is_ok() {
+                        nested = Self::run_stages(rest, Row::Tuple(&t), count, out);
                     }
                 })
                 .map_err(|detail| DataflowError::ExternalFn {
@@ -424,7 +471,7 @@ impl Operator for Fused {
             if delta.count == 0 {
                 continue;
             }
-            Self::run_stages(&mut self.stages, delta.tuple.clone(), delta.count, out)?;
+            Self::run_stages(&mut self.stages, Row::Tuple(&delta.tuple), delta.count, out)?;
         }
         // Every batch through the chain is (stages − 1) dispatches that
         // no longer happen.
@@ -472,9 +519,17 @@ impl Operator for Fused {
 pub struct HashJoin {
     left: Side,
     right: Side,
+    /// Key columns of the left and right port.
+    keys: [Vec<usize>; 2],
     /// Fused output projection: columns of the virtual `left ++ right`
     /// concatenation. `None` emits the full concatenation.
     proj: Option<Vec<usize>>,
+    /// The post-stage ([`Operator::absorb_tail`]): each output runs
+    /// through these stages instead of being emitted. Stateless, so it
+    /// has no epoch or checkpoint state.
+    post: Vec<FuseStage>,
+    /// Scratch: a wide output the post-stage reads and nobody stores.
+    row: Vec<Val>,
     /// Batch scratch: `(key hash, delta index)`, sorted to group
     /// repeated keys.
     by_key: Vec<(u64, u32)>,
@@ -491,26 +546,21 @@ pub struct HashJoin {
 /// owning `Arrange`, never to the attached joins.
 enum Side {
     Owned(IndexedMultiset),
-    Shared {
-        handle: ArrangementHandle,
-        /// Copy of the arrangement's key columns, so hashing a delta's
-        /// key needs no `RefCell` borrow.
-        key_cols: Vec<usize>,
-    },
+    Shared(ArrangementHandle),
 }
 
 impl Side {
-    fn key_cols(&self) -> &[usize] {
+    fn owned(&mut self) -> Option<&mut IndexedMultiset> {
         match self {
-            Side::Owned(m) => m.key_cols(),
-            Side::Shared { key_cols, .. } => key_cols,
+            Side::Owned(m) => Some(m),
+            Side::Shared(_) => None,
         }
     }
 
     fn total_tuples(&self) -> usize {
         match self {
             Side::Owned(m) => m.total_tuples(),
-            Side::Shared { handle, .. } => handle.read().total_tuples(),
+            Side::Shared(handle) => handle.read().total_tuples(),
         }
     }
 }
@@ -523,9 +573,12 @@ impl HashJoin {
             "join key arity must match"
         );
         HashJoin {
-            left: Side::Owned(IndexedMultiset::new(left_key)),
-            right: Side::Owned(IndexedMultiset::new(right_key)),
+            left: Side::Owned(IndexedMultiset::new(left_key.clone())),
+            right: Side::Owned(IndexedMultiset::new(right_key.clone())),
+            keys: [left_key, right_key],
             proj: None,
+            post: Vec::new(),
+            row: Vec::new(),
             by_key: Vec::new(),
             hits: Vec::new(),
             counters: OpCounters::default(),
@@ -553,96 +606,110 @@ impl HashJoin {
     /// equal the join's left key, and it must not also feed the right
     /// port.
     pub fn share_left(mut self, handle: ArrangementHandle) -> HashJoin {
-        self.left = Self::attach(handle, &self.left, &self.right);
+        self.left = Self::attach(handle, &self.keys[0], &self.right);
         self
     }
 
     /// [`HashJoin::share_left`], for the right port.
     pub fn share_right(mut self, handle: ArrangementHandle) -> HashJoin {
-        self.right = Self::attach(handle, &self.right, &self.left);
+        self.right = Self::attach(handle, &self.keys[1], &self.left);
         self
     }
 
-    fn attach(handle: ArrangementHandle, this: &Side, opposite: &Side) -> Side {
-        let key_cols = this.key_cols().to_vec();
+    fn attach(handle: ArrangementHandle, key: &[usize], opposite: &Side) -> Side {
         assert_eq!(
             handle.key_cols(),
-            key_cols,
+            key,
             "arrangement key must match the join port's key columns"
         );
-        if let Side::Shared { handle: other, .. } = opposite {
+        if let Side::Shared(other) = opposite {
             assert!(
                 !handle.same_index(other),
                 "one arrangement must not feed both ports of a join \
                  (the bilinear form would double-count Δ²)"
             );
         }
-        Side::Shared { handle, key_cols }
+        Side::Shared(handle)
     }
 
     pub fn state_size(&self) -> usize {
         self.left.total_tuples() + self.right.total_tuples()
     }
+
+    /// The sides this join keeps its own index for, in port order.
+    fn owned(&mut self) -> impl Iterator<Item = &mut IndexedMultiset> {
+        [&mut self.left, &mut self.right]
+            .into_iter()
+            .filter_map(Side::owned)
+    }
 }
 
-/// `(left ++ right)[proj]` with the delta side chosen by
-/// `delta_is_left`.
-#[inline]
-fn join_output(
-    delta: &Tuple,
-    matched: &Tuple,
+/// Where a join's matches go: out as `(left ++ right)[proj]`, or — with
+/// a post-stage — through its stages, read from the `row` scratch.
+struct Emit<'a> {
     delta_is_left: bool,
-    proj: &Option<Vec<usize>>,
-) -> Tuple {
-    let (l, r) = if delta_is_left {
-        (delta, matched)
-    } else {
-        (matched, delta)
-    };
-    match proj {
-        Some(cols) => l.project_concat(r, cols),
-        None => l.concat(r),
+    proj: &'a Option<Vec<usize>>,
+    post: &'a mut [FuseStage],
+    row: &'a mut Vec<Val>,
+    out: &'a mut Vec<Delta>,
+}
+
+impl Emit<'_> {
+    #[inline]
+    fn push(&mut self, delta: &Delta, matched: &Tuple, c: i64) -> Result<(), DataflowError> {
+        let count = delta.count * c;
+        if count == 0 {
+            return Ok(());
+        }
+        let (l, r) = if self.delta_is_left {
+            (&delta.tuple, matched)
+        } else {
+            (matched, &delta.tuple)
+        };
+        let split = l.len();
+        let width = self.proj.as_ref().map_or(split + r.len(), Vec::len);
+        if self.post.is_empty() || width <= INLINE_CAP {
+            // Nothing to save on a tuple that is emitted or lives inline.
+            let t = match self.proj {
+                Some(cols) => l.project_concat(r, cols),
+                None => l.concat(r),
+            };
+            if self.post.is_empty() {
+                self.out.push(Delta::with_count(t, count));
+                return Ok(());
+            }
+            return Fused::run_stages(self.post, Row::Tuple(&t), count, self.out);
+        }
+        let pick = |c: usize| if c < split { l.get(c) } else { r.get(c - split) };
+        self.row.clear();
+        match self.proj {
+            Some(cols) => self.row.extend(cols.iter().map(|&c| pick(c))),
+            None => self.row.extend(l.values().chain(r.values())),
+        }
+        Fused::run_stages(self.post, Row::Vals(self.row), count, self.out)
     }
 }
 
 /// The batch-aware probe for one port: applies all deltas to `own`
-/// (hashing each key once), then probes `other` once per distinct key.
+/// (hashing each key once) unless the port is shared — the upstream
+/// [`Arrange`] has then already applied the batch — and probes `other`
+/// once per distinct key.
 #[allow(clippy::too_many_arguments)]
 fn probe_batch(
-    own: &mut IndexedMultiset,
+    mut own: Option<&mut IndexedMultiset>,
+    own_key: &[usize],
     other: &IndexedMultiset,
     deltas: &[Delta],
-    out: &mut Vec<Delta>,
     by_key: &mut Vec<(u64, u32)>,
     hits: &mut Vec<(Tuple, i64)>,
     counters: &mut OpCounters,
-    delta_is_left: bool,
-    proj: &Option<Vec<usize>>,
-) {
-    // Single-delta batches (all of per-delta mode, and most incremental
-    // trickles) skip the grouping machinery but still hash only once.
-    if let [delta] = deltas {
-        if delta.count == 0 {
-            return;
-        }
-        let h = own.key_hash(&delta.tuple);
-        own.apply_hashed(delta, h);
-        counters.join_probe_deltas += 1;
-        counters.join_probes += 1;
-        for (t, c) in other.matches_hashed(h, &delta.tuple, own.key_cols()) {
-            let count = delta.count * c;
-            if count != 0 {
-                out.push(Delta::with_count(join_output(&delta.tuple, t, delta_is_left, proj), count));
-            }
-        }
-        return;
-    }
+    emit: &mut Emit<'_>,
+) -> Result<(), DataflowError> {
     by_key.clear();
     for (i, delta) in deltas.iter().enumerate() {
-        if delta.count == 0 {
-            continue;
+        if delta.count != 0 {
+            by_key.push((delta.tuple.hash_cols(own_key), i as u32));
         }
-        by_key.push((own.key_hash(&delta.tuple), i as u32));
     }
     counters.join_probe_deltas += by_key.len() as u64;
     // Sort by (hash, arrival): repeated keys become contiguous runs and
@@ -655,168 +722,48 @@ fn probe_batch(
         while end < by_key.len() && by_key[end].0 == h {
             end += 1;
         }
+        let run = &by_key[g..end];
+        g = end;
         // One state-bucket update and one probe for the whole run.
         // (Own-side application order across runs is immaterial: probes
         // only consult the other side.)
-        own.apply_run_hashed(h, by_key[g..end].iter().map(|&(_, i)| &deltas[i as usize]));
-        let rep = &deltas[first as usize].tuple;
+        if let Some(own) = own.as_deref_mut() {
+            own.apply_run_hashed(h, run.iter().map(|&(_, i)| &deltas[i as usize]));
+        }
+        let rep = &deltas[first as usize];
         counters.join_probes += 1;
-        if end - g == 1 {
+        if run.len() == 1 {
             // Unrepeated key (the common case on ingest-heavy
             // workloads): emit straight off the probe iterator, no
             // match buffering.
-            let delta = &deltas[first as usize];
-            for (t, c) in other.matches_hashed(h, rep, own.key_cols()) {
-                let count = delta.count * c;
-                if count != 0 {
-                    out.push(Delta::with_count(
-                        join_output(&delta.tuple, t, delta_is_left, proj),
-                        count,
-                    ));
-                }
+            for (t, c) in other.matches_hashed(h, &rep.tuple, own_key) {
+                emit.push(rep, t, c)?;
             }
-            g = end;
             continue;
         }
         hits.clear();
         hits.extend(
             other
-                .matches_hashed(h, rep, own.key_cols())
+                .matches_hashed(h, &rep.tuple, own_key)
                 .map(|(t, c)| (t.clone(), c)),
         );
-        if !hits.is_empty() {
-            out.reserve(hits.len() * (end - g));
-        }
-        for &(_, di) in &by_key[g..end] {
+        for &(_, di) in run {
             let delta = &deltas[di as usize];
             // A same-hash delta with a *different* key (hash collision)
             // cannot reuse the run's matches; probe it individually.
-            if di != first && !delta.tuple.cols_eq(own.key_cols(), rep, own.key_cols()) {
-                counters.join_probes += 1;
-                for (t, c) in other.matches_hashed(h, &delta.tuple, own.key_cols()) {
-                    let count = delta.count * c;
-                    if count != 0 {
-                        out.push(Delta::with_count(
-                            join_output(&delta.tuple, t, delta_is_left, proj),
-                            count,
-                        ));
-                    }
-                }
-                continue;
-            }
-            for (t, c) in hits.iter() {
-                let count = delta.count * c;
-                if count != 0 {
-                    out.push(Delta::with_count(
-                        join_output(&delta.tuple, t, delta_is_left, proj),
-                        count,
-                    ));
-                }
-            }
-        }
-        g = end;
-    }
-}
-
-/// The probe-only path for a *shared* port: the upstream [`Arrange`]
-/// has already applied the batch to the shared index, so only the
-/// probes against the other side remain. Same key-grouping as
-/// [`probe_batch`]; `own_key` is the shared side's key columns.
-#[allow(clippy::too_many_arguments)]
-fn probe_shared(
-    own_key: &[usize],
-    other: &IndexedMultiset,
-    deltas: &[Delta],
-    out: &mut Vec<Delta>,
-    by_key: &mut Vec<(u64, u32)>,
-    hits: &mut Vec<(Tuple, i64)>,
-    counters: &mut OpCounters,
-    delta_is_left: bool,
-    proj: &Option<Vec<usize>>,
-) {
-    if let [delta] = deltas {
-        if delta.count == 0 {
-            return;
-        }
-        let h = delta.tuple.hash_cols(own_key);
-        counters.join_probe_deltas += 1;
-        counters.join_probes += 1;
-        for (t, c) in other.matches_hashed(h, &delta.tuple, own_key) {
-            let count = delta.count * c;
-            if count != 0 {
-                out.push(Delta::with_count(join_output(&delta.tuple, t, delta_is_left, proj), count));
-            }
-        }
-        return;
-    }
-    by_key.clear();
-    for (i, delta) in deltas.iter().enumerate() {
-        if delta.count == 0 {
-            continue;
-        }
-        by_key.push((delta.tuple.hash_cols(own_key), i as u32));
-    }
-    counters.join_probe_deltas += by_key.len() as u64;
-    by_key.sort_unstable();
-    let mut g = 0;
-    while g < by_key.len() {
-        let (h, first) = by_key[g];
-        let mut end = g + 1;
-        while end < by_key.len() && by_key[end].0 == h {
-            end += 1;
-        }
-        let rep = &deltas[first as usize].tuple;
-        counters.join_probes += 1;
-        if end - g == 1 {
-            let delta = &deltas[first as usize];
-            for (t, c) in other.matches_hashed(h, rep, own_key) {
-                let count = delta.count * c;
-                if count != 0 {
-                    out.push(Delta::with_count(
-                        join_output(&delta.tuple, t, delta_is_left, proj),
-                        count,
-                    ));
-                }
-            }
-            g = end;
-            continue;
-        }
-        hits.clear();
-        hits.extend(
-            other
-                .matches_hashed(h, rep, own_key)
-                .map(|(t, c)| (t.clone(), c)),
-        );
-        if !hits.is_empty() {
-            out.reserve(hits.len() * (end - g));
-        }
-        for &(_, di) in &by_key[g..end] {
-            let delta = &deltas[di as usize];
-            if di != first && !delta.tuple.cols_eq(own_key, rep, own_key) {
+            if di != first && !delta.tuple.cols_eq(own_key, &rep.tuple, own_key) {
                 counters.join_probes += 1;
                 for (t, c) in other.matches_hashed(h, &delta.tuple, own_key) {
-                    let count = delta.count * c;
-                    if count != 0 {
-                        out.push(Delta::with_count(
-                            join_output(&delta.tuple, t, delta_is_left, proj),
-                            count,
-                        ));
-                    }
+                    emit.push(delta, t, c)?;
                 }
                 continue;
             }
             for (t, c) in hits.iter() {
-                let count = delta.count * c;
-                if count != 0 {
-                    out.push(Delta::with_count(
-                        join_output(&delta.tuple, t, delta_is_left, proj),
-                        count,
-                    ));
-                }
+                emit.push(delta, t, *c)?;
             }
         }
-        g = end;
     }
+    Ok(())
 }
 
 impl Operator for HashJoin {
@@ -829,86 +776,77 @@ impl Operator for HashJoin {
         let HashJoin {
             left,
             right,
+            keys,
             proj,
+            post,
+            row,
             by_key,
             hits,
             counters,
         } = self;
-        let (own, other, delta_is_left) = match port {
-            0 => (left, &*right, true),
-            1 => (right, &*left, false),
+        let (own, other) = match port {
+            0 => (left, &*right),
+            1 => (right, &*left),
             p => panic!("join has 2 ports, got {p}"),
         };
         // A shared other side is borrowed for the whole batch — the
         // owning Arrange's mutable borrow ended before its output
         // fanned out here, so the read borrow cannot conflict.
         let guard;
-        let other_index: &IndexedMultiset = match other {
+        let other: &IndexedMultiset = match other {
             Side::Owned(m) => m,
-            Side::Shared { handle, .. } => {
+            Side::Shared(handle) => {
                 guard = handle.read();
                 &guard
             }
         };
-        match own {
-            Side::Owned(m) => probe_batch(
-                m,
-                other_index,
-                deltas,
-                out,
-                by_key,
-                hits,
-                counters,
-                delta_is_left,
-                proj,
-            ),
-            Side::Shared { key_cols, .. } => probe_shared(
-                key_cols,
-                other_index,
-                deltas,
-                out,
-                by_key,
-                hits,
-                counters,
-                delta_is_left,
-                proj,
-            ),
-        }
-        Ok(())
+        // Each batch is one dispatch per absorbed stage that no longer
+        // happens.
+        counters.fused_stages_saved += post.len() as u64;
+        let mut emit = Emit {
+            delta_is_left: port == 0,
+            proj,
+            post,
+            row,
+            out,
+        };
+        probe_batch(
+            own.owned(),
+            &keys[port],
+            other,
+            deltas,
+            by_key,
+            hits,
+            counters,
+            &mut emit,
+        )
     }
 
     fn arity(&self) -> usize {
         2
     }
 
+    fn absorbs_tail(&self) -> bool {
+        true
+    }
+
+    fn absorb_tail(&mut self, stages: Vec<FuseStage>) {
+        self.post.extend(stages);
+    }
+
     // Epoch hooks touch only the owned sides: a shared index is
     // journaled, committed and rolled back exactly once, by its owning
     // `Arrange` node.
     fn begin_epoch(&mut self) {
-        if let Side::Owned(m) = &mut self.left {
-            m.begin_epoch();
-        }
-        if let Side::Owned(m) = &mut self.right {
-            m.begin_epoch();
-        }
+        self.owned().for_each(IndexedMultiset::begin_epoch);
     }
 
     fn commit_epoch(&mut self) {
-        if let Side::Owned(m) = &mut self.left {
-            m.commit_epoch();
-        }
-        if let Side::Owned(m) = &mut self.right {
-            m.commit_epoch();
-        }
+        self.owned().for_each(IndexedMultiset::commit_epoch);
     }
 
     fn rollback_epoch(&mut self) {
-        if let Side::Owned(m) = &mut self.left {
-            m.rollback_epoch();
-        }
-        if let Side::Owned(m) = &mut self.right {
-            m.rollback_epoch();
-        }
+        self.owned().for_each(IndexedMultiset::rollback_epoch);
     }
 
     fn take_counters(&mut self) -> OpCounters {
@@ -920,11 +858,10 @@ impl Operator for HashJoin {
     // structural — the restore target was built with the same `Side`
     // layout — so the payloads line up without tagging.
     fn checkpoint_state(&self, out: &mut crate::checkpoint::Enc) {
-        if let Side::Owned(m) = &self.left {
-            crate::checkpoint::encode_indexed(out, m);
-        }
-        if let Side::Owned(m) = &self.right {
-            crate::checkpoint::encode_indexed(out, m);
+        for side in [&self.left, &self.right] {
+            if let Side::Owned(m) = side {
+                crate::checkpoint::encode_indexed(out, m);
+            }
         }
     }
 
@@ -932,13 +869,8 @@ impl Operator for HashJoin {
         &mut self,
         input: &mut crate::checkpoint::Dec<'_>,
     ) -> Result<(), DataflowError> {
-        if let Side::Owned(m) = &mut self.left {
-            crate::checkpoint::decode_indexed(input, m)?;
-        }
-        if let Side::Owned(m) = &mut self.right {
-            crate::checkpoint::decode_indexed(input, m)?;
-        }
-        Ok(())
+        self.owned()
+            .try_for_each(|m| crate::checkpoint::decode_indexed(input, m))
     }
 
     fn state_rows(&self) -> usize {
@@ -946,7 +878,7 @@ impl Operator for HashJoin {
             .into_iter()
             .map(|side| match side {
                 Side::Owned(m) => m.total_tuples(),
-                Side::Shared { .. } => 0,
+                Side::Shared(_) => 0,
             })
             .sum()
     }
@@ -1283,6 +1215,11 @@ impl Operator for GroupAgg {
         Ok(())
     }
 
+    // One `−old`/`+new` pair per touched group, `old != new`.
+    fn emits_consolidated(&self) -> bool {
+        true
+    }
+
     fn state_rows(&self) -> usize {
         self.groups.values().map(|g| g.state.distinct()).sum()
     }
@@ -1349,6 +1286,10 @@ impl Operator for Distinct {
         input: &mut crate::checkpoint::Dec<'_>,
     ) -> Result<(), DataflowError> {
         crate::checkpoint::decode_multiset(input, &mut self.state)
+    }
+
+    fn emits_consolidated(&self) -> bool {
+        true
     }
 
     fn state_rows(&self) -> usize {

@@ -493,6 +493,33 @@ impl fmt::Debug for Tuple {
     }
 }
 
+/// What a stateless stage reads: a stored tuple, or a row its producer
+/// assembled in a scratch buffer and never stored (a join's post-stage
+/// reads the join's projected output this way, so a wide intermediate
+/// is never allocated).
+#[derive(Clone, Copy)]
+pub enum Row<'a> {
+    Tuple(&'a Tuple),
+    Vals(&'a [Val]),
+}
+
+impl Row<'_> {
+    #[inline]
+    pub fn get(&self, i: usize) -> Val {
+        match self {
+            Row::Tuple(t) => t.get(i),
+            Row::Vals(v) => v[i],
+        }
+    }
+
+    pub fn to_tuple(&self) -> Tuple {
+        match self {
+            Row::Tuple(t) => (*t).clone(),
+            Row::Vals(v) => Tuple::from_slice(v),
+        }
+    }
+}
+
 /// Convenience constructor: `tup![1, "x", 3]`-style building is verbose
 /// without a macro; this free function keeps call sites short.
 pub fn tup<const N: usize>(vals: [Val; N]) -> Tuple {

@@ -84,15 +84,41 @@ pub fn build(
     fusion: bool,
     sharing: bool,
 ) -> (Dataflow, [NodeId; 2], Vec<SinkId>) {
+    build_eliding(gen, mode, fusion, sharing, false)
+}
+
+/// [`build`], optionally with the eliminations a compiler may infer
+/// from the network's shape. With `elide`, a `Distinct` stage over a
+/// stream that can only carry a set — an input (the harnesses feed
+/// set-like streams), a `Distinct` or grouped aggregate, or a
+/// one-to-one map or a filter of one — is not built: its consumers read
+/// the stream itself. (The wiring-level eliminations — consolidated
+/// ports that skip coalescing, join tails run inside the join — are
+/// inferred by `Dataflow::fuse`, so the `fusion` axis covers them.)
+pub fn build_eliding(
+    gen: &NetGen,
+    mode: SchedulerMode,
+    fusion: bool,
+    sharing: bool,
+    elide: bool,
+) -> (Dataflow, [NodeId; 2], Vec<SinkId>) {
     let mut df = Dataflow::with_mode(mode);
     df.set_fusion(fusion);
     let inputs = [df.add_input("r"), df.add_input("s")];
     let mut pool: Vec<NodeId> = inputs.to_vec();
+    // Per pool entry: can the stream only ever carry a set?
+    let mut is_set = vec![true; 2];
     let mut sinks = Vec::new();
     let mut arrangements: HashMap<NodeId, (NodeId, ArrangementHandle)> = HashMap::new();
     let last = gen.stages.len() - 1;
     for (i, stage) in gen.stages.iter().enumerate() {
         let pick = |sel: u8| pool[sel as usize % pool.len()];
+        let set_at = |sel: u8| is_set[sel as usize % pool.len()];
+        let stage_is_set = match stage {
+            StageGen::Swap(a) | StageGen::Filter(a, _) | StageGen::Shift(a, _) => set_at(*a),
+            StageGen::Distinct(_) | StageGen::Agg(..) => true,
+            StageGen::Join(..) | StageGen::Union(..) => false,
+        };
         let node = match stage {
             StageGen::Swap(a) => df.add_op(Map::project(vec![1, 0]), &[pick(*a)]),
             StageGen::Filter(a, parity) => {
@@ -145,6 +171,7 @@ pub fn build(
                 }
             }
             StageGen::Union(a, b) => df.add_op(Union::new(2), &[pick(*a), pick(*b)]),
+            StageGen::Distinct(a) if elide && set_at(*a) => pick(*a),
             StageGen::Distinct(a) => df.add_op(Distinct::new(), &[pick(*a)]),
             StageGen::Agg(a, kind) => {
                 let kind = match kind % 4 {
@@ -160,6 +187,7 @@ pub fn build(
             sinks.push(df.add_sink(node));
         }
         pool.push(node);
+        is_set.push(stage_is_set);
     }
     (df, inputs, sinks)
 }

@@ -383,3 +383,62 @@ fn held_strata_in_the_residue_survive_restore() {
         );
     }
 }
+
+/// A join's post-stage (the stateless tail `Dataflow::fuse` moves into
+/// it) is not state: the join checkpoints and rolls back exactly what
+/// it would without one, and a checkpoint cut by a fused network
+/// restores into a freshly built one that fuses on its first run.
+#[test]
+fn a_join_post_stage_adds_nothing_to_checkpoints_or_rollback() {
+    use reopt_datalog::checkpoint::Enc;
+    use reopt_datalog::{Delta, HashJoin, Map, Operator};
+    let state = |join: &HashJoin| {
+        let mut e = Enc::new();
+        join.checkpoint_state(&mut e);
+        e.into_bytes()
+    };
+    let mut plain = HashJoin::new(vec![0], vec![0]);
+    let mut tailed = HashJoin::new(vec![0], vec![0]);
+    tailed.absorb_tail(Map::project(vec![1, 3]).take_fuse_stages().unwrap());
+    let feed = |join: &mut HashJoin, port: usize, row: [i64; 2]| {
+        let mut out = Vec::new();
+        join.on_batch(port, &[Delta::insert(ints(&row))], &mut out).unwrap();
+        out
+    };
+    for join in [&mut plain, &mut tailed] {
+        feed(join, 0, [1, 10]);
+        feed(join, 1, [1, 20]);
+    }
+    assert_eq!(feed(&mut plain, 0, [1, 11]), [Delta::insert(ints(&[1, 11, 1, 20]))]);
+    assert_eq!(feed(&mut tailed, 0, [1, 11]), [Delta::insert(ints(&[11, 20]))]);
+    assert_eq!(state(&plain), state(&tailed));
+    let committed = state(&tailed);
+    tailed.begin_epoch();
+    feed(&mut tailed, 1, [1, 21]);
+    assert_ne!(state(&tailed), committed);
+    tailed.rollback_epoch();
+    assert_eq!(state(&tailed), committed);
+
+    // Whole-network: fused writer, unfused reader.
+    let build = || {
+        let mut df = Dataflow::new();
+        let (l, r) = (df.add_input("l"), df.add_input("r"));
+        let join = df.add_op(HashJoin::new(vec![0], vec![0]), &[l, r]);
+        let tail = df.add_op(Map::project(vec![1, 3]), &[join]);
+        let sink = df.add_sink(tail);
+        (df, l, r, sink)
+    };
+    let (mut writer, l, r, sink) = build();
+    writer.insert(l, ints(&[1, 10]));
+    writer.insert(r, ints(&[1, 20]));
+    writer.run().unwrap();
+    assert_eq!(writer.fused_node_count(), 1);
+    let (mut reader, rl, _, rsink) = build();
+    reader.restore(&writer.checkpoint()).unwrap();
+    for (df, l) in [(&mut writer, l), (&mut reader, rl)] {
+        df.insert(l, ints(&[1, 11]));
+        df.run().unwrap();
+    }
+    assert_eq!(sink_counted(&writer, sink), sink_counted(&reader, rsink));
+    assert_eq!(reader.sink(rsink).len(), 2);
+}

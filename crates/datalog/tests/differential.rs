@@ -1,7 +1,8 @@
 //! Differential harness for the scheduler-mode matrix: random operator
 //! networks (joins, maps, unions, distinct, grouped aggregation) are
 //! executed under all of {`Batched`, `Batched`+fusion, `PerDelta`},
-//! each with and without shared arrangements, and must produce
+//! each with and without shared arrangements and with and without the
+//! eliminations a compiler infers from the network, and must produce
 //! identical sink multisets — counts included — with zero residual
 //! negative counts at every fixpoint.
 //!
@@ -21,7 +22,7 @@ use reopt_datalog::{Dataflow, Distinct, HashJoin, Map, NodeId, SchedulerMode, Si
 
 mod common;
 use common::{
-    build, cost_events, cost_loop_gen, cost_moves, events, net_gen, sink_counted, CostLoop,
+    build_eliding, cost_events, cost_loop_gen, cost_moves, events, net_gen, sink_counted, CostLoop,
     CostLoopGen, Release, MATRIX, RELEASES,
 };
 
@@ -39,18 +40,28 @@ proptest! {
         run_every in 1usize..6,
     ) {
         let matrix = [
-            (SchedulerMode::Batched, false, false),
-            (SchedulerMode::Batched, true, false),
-            (SchedulerMode::PerDelta, false, false),
+            (SchedulerMode::Batched, false, false, false),
+            (SchedulerMode::Batched, true, false, false),
+            (SchedulerMode::PerDelta, false, false, false),
             // Arrangement-sharing variants: every join probes shared
             // indexes maintained once per source; must be
             // observationally identical to per-join owned indexes.
-            (SchedulerMode::Batched, false, true),
-            (SchedulerMode::Batched, true, true),
-            (SchedulerMode::PerDelta, false, true),
+            (SchedulerMode::Batched, false, true, false),
+            (SchedulerMode::Batched, true, true, false),
+            (SchedulerMode::PerDelta, false, true, false),
+            // The inferred eliminations: no `Distinct` over a stream
+            // that can only carry a set; under fusion also no
+            // coalescing of consolidated ports and join tails run
+            // inside the join (`Dataflow::fuse` infers both).
+            (SchedulerMode::Batched, false, false, true),
+            (SchedulerMode::Batched, true, false, true),
+            (SchedulerMode::Batched, true, true, true),
+            (SchedulerMode::PerDelta, false, true, true),
         ];
-        let mut nets: Vec<(Dataflow, [NodeId; 2], Vec<SinkId>)> =
-            matrix.iter().map(|&(m, f, s)| build(&gen, m, f, s)).collect();
+        let mut nets: Vec<(Dataflow, [NodeId; 2], Vec<SinkId>)> = matrix
+            .iter()
+            .map(|&(m, f, s, e)| build_eliding(&gen, m, f, s, e))
+            .collect();
         // Set-like inputs (delete only present tuples) keep every
         // operator's fixpoint state non-negative.
         let mut live: [Vec<(i64, i64)>; 2] = [Vec::new(), Vec::new()];
