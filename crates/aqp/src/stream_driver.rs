@@ -65,6 +65,8 @@ impl Default for AqpConfig {
 #[derive(Clone, Debug)]
 pub struct SliceReport {
     pub slice: usize,
+    /// Ingest and execute: the windows are regrouped as tuples enter
+    /// and leave them, so that work is timed with the scans it serves.
     pub exec_time: Duration,
     pub reopt_time: Duration,
     pub out_rows: usize,
@@ -135,8 +137,8 @@ impl AqpDriver {
     /// the split point.
     pub fn run_slice(&mut self, tuples: &[StreamTuple]) -> SliceReport {
         self.slice_no += 1;
-        self.exec.ingest(tuples);
         let t0 = Instant::now();
+        self.exec.ingest(tuples);
         let result = self.exec.execute(&self.plan);
         let exec_time = t0.elapsed();
         let mut run = RunMetrics::default();

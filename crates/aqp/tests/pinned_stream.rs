@@ -9,7 +9,7 @@
 
 use reopt_aqp::{AqpConfig, AqpDriver};
 use reopt_catalog::Catalog;
-use reopt_expr::ExprId;
+use reopt_expr::{ExprId, RelSet};
 use reopt_workloads::{seg_toll_query, LinearRoadGen};
 
 /// Per slice: `(out_rows, plan_changed, migrated_rows)`.
@@ -76,11 +76,23 @@ const EXPECTED: [(usize, bool, usize); 60] = [
     (32, false, 5337),
 ];
 
+/// Sums over the pinned stream.
+#[derive(Default)]
+struct Totals {
+    /// The root joins' cardinalities, and the tuples carried for them.
+    root_rows: f64,
+    root_carried: f64,
+    /// The tuples the five scans carried, the input rows they read, and
+    /// the rows the windows held.
+    leaf_carried: f64,
+    scanned: u64,
+    window_rows: usize,
+}
+
 /// Runs `aqp_segtoll`'s traffic (benchmark/src/layers.rs `seg_toll`),
 /// before the per-seed relabelling of car ids, through the shipped
-/// driver, checks every slice against [`EXPECTED`] and returns the
-/// root join's summed `(cardinality, tuples carried)`.
-fn run_pinned_stream() -> (f64, f64) {
+/// driver and checks every slice against [`EXPECTED`].
+fn run_pinned_stream() -> Totals {
     let mut gen = LinearRoadGen::new(11);
     gen.rate = 10.0;
     gen.n_cars = 400;
@@ -89,8 +101,11 @@ fn run_pinned_stream() -> (f64, f64) {
     gen.register(&mut c);
     let q = seg_toll_query(&c);
     let root_join = ExprId::rel(q.all_rels());
+    let leaves: Vec<ExprId> = (0..q.n_leaves())
+        .map(|l| ExprId::rel(RelSet::singleton(l)))
+        .collect();
     let mut driver = AqpDriver::new(&c, q, AqpConfig::default());
-    let (mut rows, mut carried) = (0.0, 0.0);
+    let mut t = Totals::default();
     for (i, want) in EXPECTED.iter().enumerate() {
         let r = driver.run_slice(&gen.slice(i as f64 * 5.0, 5.0));
         assert_eq!(
@@ -98,10 +113,15 @@ fn run_pinned_stream() -> (f64, f64) {
             *want,
             "slice {i}"
         );
-        rows += r.stats.rows_of(root_join).expect("a plan joins every leaf");
-        carried += r.stats.carried_of(root_join).expect("carried beside rows");
+        t.root_rows += r.stats.rows_of(root_join).expect("a plan joins every leaf");
+        t.root_carried += r.stats.carried_of(root_join).expect("carried beside rows");
+        for &leaf in &leaves {
+            t.leaf_carried += r.stats.carried_of(leaf).expect("a plan scans every leaf");
+        }
+        t.scanned += r.stats.scanned;
+        t.window_rows += r.window_rows;
     }
-    (rows, carried)
+    t
 }
 
 #[test]
@@ -116,10 +136,28 @@ fn benchmark_stream_reproduces_the_recorded_slice_sequence() {
 /// count that reaches the optimizer stays the recorded one.
 #[test]
 fn root_join_carries_under_a_fifth_of_its_cardinality_on_the_pinned_stream() {
-    let (rows, carried) = run_pinned_stream();
-    assert_eq!(rows, 671_085.0, "the root joins' recorded cardinalities");
-    assert!(
-        carried <= rows / 5.0,
-        "carried {carried} tuples for {rows} rows"
+    let t = run_pinned_stream();
+    assert_eq!(
+        t.root_rows, 671_085.0,
+        "the root joins' recorded cardinalities"
     );
+    assert!(
+        t.root_carried <= t.root_rows / 5.0,
+        "carried {} tuples for {} rows",
+        t.root_carried,
+        t.root_rows
+    );
+}
+
+/// The windows are grouped as tuples enter and leave them, not by the
+/// scans: a slice's scans read one row per representative they carry —
+/// none that a filter drops, none that merges into another — which is
+/// under half the rows the windows hold.
+#[test]
+fn scans_read_one_row_per_representative_on_the_pinned_stream() {
+    let t = run_pinned_stream();
+    assert_eq!(t.scanned, 100_202);
+    assert_eq!(t.scanned as f64, t.leaf_carried);
+    assert_eq!(t.window_rows, 209_765);
+    assert!(t.scanned as usize * 2 < t.window_rows);
 }

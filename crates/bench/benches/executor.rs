@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the execution engine: Q5 over stored
 //! TPC-H data and one `SegTollS` stream slice, over empty and over warm
-//! windows.
+//! windows — executed alone, and ingested then executed (the windows
+//! are regrouped in `ingest`, which `execute` alone would not show).
 
 use std::time::Duration;
 
@@ -46,6 +47,23 @@ fn executor(c: &mut Criterion) {
     }
     group.bench_function("segtolls_slice_warm_windows", |b| {
         b.iter(|| se.execute(&splan).out_rows)
+    });
+    // The stream goes on: every iteration ingests the next 5 s slice
+    // into the warm windows (as many tuples leave as enter, give or
+    // take the bursts) and executes over them. The slices are drawn
+    // beforehand and come round again a lap of stream time later.
+    let mut ring: Vec<_> = (10..74).map(|i| gen.slice(i as f64 * 5.0, 5.0)).collect();
+    let ring_len = ring.len();
+    let lap_secs = ring_len as f64 * 5.0;
+    let mut turn = 0;
+    group.bench_function("segtolls_slice_ingest_and_execute", |b| {
+        b.iter(|| {
+            let slice = &mut ring[turn % ring_len];
+            turn += 1;
+            se.ingest(slice);
+            slice.iter_mut().for_each(|t| t.ts += lap_secs);
+            se.execute(&splan).out_rows
+        })
     });
     group.finish();
 }

@@ -362,7 +362,9 @@ pub struct Fig10Point {
 }
 
 /// Figure 10: per-slice execution time — static bad plan, static good
-/// plan, and the two adaptive variants.
+/// plan, and the two adaptive variants. A slice's time is
+/// `SliceReport::exec_time`: ingesting its tuples (which regroups the
+/// windows) and executing the plan.
 ///
 /// The static baselines are oracle-selected: a set of candidate plans
 /// (cold-start, adaptive-converged, and several produced under
@@ -485,6 +487,7 @@ pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
 pub struct Table3Row {
     pub per_slice: f64,
     pub reopt_time: Duration,
+    /// Ingest and execute, as `SliceReport::exec_time`.
     pub exec_time: Duration,
     pub total_time: Duration,
 }

@@ -25,6 +25,11 @@
 //! stops looking for them, and when the root does not aggregate every
 //! column is read — each row is its own representative and every weight
 //! is 1.
+//!
+//! A leaf input may come grouped already ([`Grouped`]): the stream
+//! executor keeps each window filtered and grouped on everything any
+//! plan reads of its leaf, so a window scan hands representatives and
+//! weights on as they are. A stored table is read row by row.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -33,7 +38,7 @@ use std::hash::{Hash, Hasher};
 use reopt_catalog::{Catalog, CmpOp, ColId, Datum};
 use reopt_common::{FxHashMap, FxHashSet, FxHasher};
 use reopt_expr::{
-    AggFunc, AggSpec, ExprId, LeafCol, LeafId, PhysOp, PhysProp, PlanNode, QuerySpec,
+    AggFunc, AggSpec, ExprId, LeafCol, LeafFilter, LeafId, PhysOp, PhysProp, PlanNode, QuerySpec,
 };
 
 use crate::database::{Database, Row};
@@ -46,6 +51,9 @@ pub struct ExecStats {
     /// The tuples the interpreter held for the expression: `rows` of
     /// them at most, fewer where one tuple stood for several.
     pub carried: FxHashMap<ExprId, f64>,
+    /// Input rows the plan's scans read, whether or not they passed a
+    /// filter or were merged away: the work below `carried`.
+    pub scanned: u64,
 }
 
 impl ExecStats {
@@ -112,10 +120,13 @@ impl<'a> Executor<'a> {
 
     /// Runs the plan, returning output rows and their column layout.
     pub fn run(&mut self, plan: &PlanNode) -> (Vec<Row>, Layout) {
-        let inputs: Vec<Vec<&Row>> = self
+        let inputs: Vec<LeafInput> = self
             .inputs
             .iter()
-            .map(|rows| rows.iter().collect())
+            .map(|rows| LeafInput {
+                rows: rows.iter().collect(),
+                grouped: None,
+            })
             .collect();
         let mut interp = Interp {
             q: self.q,
@@ -141,7 +152,7 @@ impl<'a> Executor<'a> {
                     .map(|t| {
                         let mut row = Vec::with_capacity(cols.len());
                         for (leaf, &id) in rel.leaves.iter().zip(t) {
-                            row.extend_from_slice(inputs[leaf.0 as usize][id as usize]);
+                            row.extend_from_slice(inputs[leaf.0 as usize].rows[id as usize]);
                         }
                         row
                     })
@@ -163,11 +174,27 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// What a scan reads of one leaf: borrowed rows, by id.
+pub(crate) struct LeafInput<'r> {
+    pub rows: Vec<&'r Row>,
+    /// Unset, the rows are the leaf's input as it lies: unfiltered, one
+    /// row each.
+    pub grouped: Option<Grouped<'r>>,
+}
+
+/// Rows that passed their leaf's filters and were grouped since:
+/// `rows[i]` stands for `weights[i]` of them, and no two rows agree on
+/// all the columns `on` (sorted; `None` for every column).
+pub(crate) struct Grouped<'r> {
+    pub weights: &'r [u64],
+    pub on: Option<&'r [usize]>,
+}
+
 /// Runs `plan` over borrowed leaf inputs for its output cardinality and
 /// the per-operator cardinalities alone.
 pub(crate) fn count_rows(
     q: &QuerySpec,
-    inputs: &[Vec<&Row>],
+    inputs: &[LeafInput],
     plan: &PlanNode,
 ) -> (usize, ExecStats) {
     let mut stats = ExecStats::default();
@@ -254,7 +281,7 @@ enum Output<'r> {
 
 struct Interp<'i, 'r> {
     q: &'i QuerySpec,
-    inputs: &'i [Vec<&'r Row>],
+    inputs: &'i [LeafInput<'r>],
     stats: &'i mut ExecStats,
 }
 
@@ -268,12 +295,7 @@ impl<'i, 'r> Interp<'i, 'r> {
                     .aggregate
                     .as_ref()
                     .expect("aggregate node requires an aggregate spec");
-                let reads: Vec<LeafCol> = agg
-                    .group_by
-                    .iter()
-                    .copied()
-                    .chain(agg.aggs.iter().filter_map(agg_arg))
-                    .collect();
+                let reads: Vec<LeafCol> = agg_reads(agg).collect();
                 let input = self.eval(&plan.children[0], Some(&reads));
                 let groups = self.aggregate(&input, agg);
                 self.stats.record(plan.expr, groups.len as u64, groups.len);
@@ -309,7 +331,7 @@ impl<'i, 'r> Interp<'i, 'r> {
             .position(|&l| l == c.leaf)
             .unwrap_or_else(|| panic!("column {c:?} not in layout {:?}", rel.leaves));
         ColRef {
-            rows: &self.inputs[c.leaf.0 as usize],
+            rows: &self.inputs[c.leaf.0 as usize].rows,
             slot,
             col: c.col.0 as usize,
         }
@@ -319,20 +341,22 @@ impl<'i, 'r> Interp<'i, 'r> {
     /// read in full, else one representative per distinct projection
     /// onto the columns read above, weighted by the rows it stands for.
     /// (A column only the filters read does not tell representatives
-    /// apart.)
-    fn scan(&self, node: &PlanNode, reads: Reads) -> Rel {
+    /// apart.) An input grouped on no more than those columns is that
+    /// already, and goes up as it is.
+    fn scan(&mut self, node: &PlanNode, reads: Reads) -> Rel {
         let leaf_id = LeafId(node.expr.rel.leaf());
-        let filters = &self.q.leaf(leaf_id).filters;
-        let rows = &self.inputs[leaf_id.0 as usize];
+        let inputs = self.inputs;
+        let LeafInput { rows, grouped } = &inputs[leaf_id.0 as usize];
         assert!(rows.len() <= u32::MAX as usize, "row ids are 32 bits wide");
+        self.stats.scanned += rows.len() as u64;
+        let filters = match grouped {
+            Some(_) => &[][..],
+            None => &self.q.leaf(leaf_id).filters[..],
+        };
         let mut passing = (0u32..)
             .zip(rows)
-            .filter(|(_, r)| {
-                filters
-                    .iter()
-                    .all(|f| cmp_matches(&r[f.col.0 as usize], f.op, &f.value))
-            })
-            .map(|(id, _)| id);
+            .filter(|(_, r)| passes(filters, r))
+            .map(|(id, _)| (id, grouped.as_ref().map_or(1, |g| g.weights[id as usize])));
         let sorted = match node.prop {
             PhysProp::Sorted(c) => Some(c),
             _ => None,
@@ -342,14 +366,15 @@ impl<'i, 'r> Interp<'i, 'r> {
             ids: Vec::new(),
             weights: Vec::new(),
         };
-        if let Some(cols) = reading(reads, sorted) {
-            let mut cols: Vec<usize> = cols
-                .iter()
-                .filter(|c| c.leaf == leaf_id)
-                .map(|c| c.col.0 as usize)
-                .collect();
-            cols.sort_unstable();
-            cols.dedup();
+        let key = reading(reads, sorted).map(|cols| cols_of(leaf_id, cols));
+        // Rows told apart by columns of the key alone stay apart on it.
+        let distinct = |key: &[usize]| {
+            grouped
+                .as_ref()
+                .and_then(|g| g.on)
+                .is_some_and(|on| on.iter().all(|c| key.contains(c)))
+        };
+        if let Some(cols) = key.filter(|key| !distinct(key)) {
             // Looking for duplicates costs more per row than carrying
             // it, so a leaf has a trial to show some: uniform draws
             // that would shrink `n` rows by a fifth put 16 repeats among
@@ -357,7 +382,7 @@ impl<'i, 'r> Interp<'i, 'r> {
             // and every count as it was.
             let trial = (8.0 * (rows.len() as f64).sqrt()) as usize;
             let mut seen = HashChains::new(0);
-            for (offered, id) in (1..).zip(passing.by_ref()) {
+            for (offered, (id, weight)) in (1..).zip(passing.by_ref()) {
                 let row = rows[id as usize];
                 let h = hash_datums(cols.iter().map(|&c| &row[c]));
                 let found = seen.probe(h).find(|&e| {
@@ -365,11 +390,11 @@ impl<'i, 'r> Interp<'i, 'r> {
                     cols.iter().all(|&c| rep[c] == row[c])
                 });
                 match found {
-                    Some(e) => rel.weights[e] += 1,
+                    Some(e) => rel.weights[e] += weight,
                     None => {
                         seen.push(h);
                         rel.ids.push(id);
-                        rel.weights.push(1);
+                        rel.weights.push(weight);
                     }
                 }
                 if offered == trial && offered - rel.len() < 16 {
@@ -377,9 +402,18 @@ impl<'i, 'r> Interp<'i, 'r> {
                 }
             }
         }
-        // Read in full, or past a failed trial: each row for itself.
-        rel.ids.extend(passing);
-        rel.weights.resize(rel.ids.len(), 1);
+        // Read in full, distinct as handed over, or past a failed trial:
+        // each row for itself.
+        if filters.is_empty() {
+            // All that is left passes.
+            let rest = passing.size_hint().1.unwrap_or(0);
+            rel.ids.reserve(rest);
+            rel.weights.reserve(rest);
+        }
+        for (id, weight) in passing {
+            rel.ids.push(id);
+            rel.weights.push(weight);
+        }
         // Honour a sorted output property (index scans return key order;
         // a clustered scan is already sorted — sorting is then a no-op
         // pass over sorted data).
@@ -663,11 +697,12 @@ impl Groups<'_> {
 
 const NIL: u32 = u32::MAX;
 
-/// A hash directory over entries numbered in insertion order: `heads`
-/// holds the newest entry of each bucket, `next` links it to the older
-/// ones. The keys stay with the caller, which compares them on a hit.
-/// The directory doubles when its entries outgrow half its buckets.
-struct HashChains {
+/// A hash directory over entries numbered densely, in insertion order
+/// until one is removed: `heads` holds the newest entry of each bucket,
+/// `next` links it to the older ones. The keys stay with the caller,
+/// which compares them on a hit. The directory doubles when its entries
+/// outgrow half its buckets.
+pub(crate) struct HashChains {
     shift: u32,
     heads: Vec<u32>,
     next: Vec<u32>,
@@ -676,7 +711,7 @@ struct HashChains {
 
 impl HashChains {
     /// A directory that holds `expected` entries before it first grows.
-    fn new(expected: usize) -> HashChains {
+    pub(crate) fn new(expected: usize) -> HashChains {
         let buckets = (expected * 2).next_power_of_two().max(16);
         HashChains {
             // The last step of FxHash is a multiplication: the high bits
@@ -689,7 +724,7 @@ impl HashChains {
     }
 
     /// Adds the next entry under `hash` and returns its number.
-    fn push(&mut self, hash: u64) -> usize {
+    pub(crate) fn push(&mut self, hash: u64) -> usize {
         let entry = self.next.len();
         assert!(entry < NIL as usize, "entry numbers are 32 bits wide");
         if (entry + 1) * 2 > self.heads.len() {
@@ -716,8 +751,34 @@ impl HashChains {
         }
     }
 
-    /// The entries pushed under `hash`, newest first.
-    fn probe(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+    /// Removes `entry`; the last entry takes its number, as in
+    /// `Vec::swap_remove`, which the caller does to its keys.
+    pub(crate) fn swap_remove(&mut self, entry: usize) {
+        let last = self.next.len() - 1;
+        self.relink(entry, self.next[entry]);
+        if entry != last {
+            self.relink(last, entry as u32);
+        }
+        self.next.swap_remove(entry);
+        self.hashes.swap_remove(entry);
+    }
+
+    /// Points the link that leads to `entry` at `to`.
+    fn relink(&mut self, entry: usize, to: u32) {
+        let head = &mut self.heads[(self.hashes[entry] >> self.shift) as usize];
+        if *head == entry as u32 {
+            *head = to;
+            return;
+        }
+        let mut at = *head as usize;
+        while self.next[at] != entry as u32 {
+            at = self.next[at] as usize;
+        }
+        self.next[at] = to;
+    }
+
+    /// The entries under `hash`, newest first.
+    pub(crate) fn probe(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         let mut e = self.heads[(hash >> self.shift) as usize];
         std::iter::from_fn(move || {
             while e != NIL {
@@ -733,12 +794,30 @@ impl HashChains {
 }
 
 /// Hashes key datums where they lie.
-fn hash_datums<'d>(key: impl Iterator<Item = &'d Datum>) -> u64 {
+pub(crate) fn hash_datums<'d>(key: impl Iterator<Item = &'d Datum>) -> u64 {
     let mut h = FxHasher::default();
     for d in key {
         d.hash(&mut h);
     }
     h.finish()
+}
+
+/// The columns of `leaf` among `cols`, sorted, each once.
+pub(crate) fn cols_of(leaf: LeafId, cols: impl IntoIterator<Item = LeafCol>) -> Vec<usize> {
+    let mut cols: Vec<usize> = cols
+        .into_iter()
+        .filter(|c| c.leaf == leaf)
+        .map(|c| c.col.0 as usize)
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
+/// The columns an aggregate reads of its input.
+pub(crate) fn agg_reads(agg: &AggSpec) -> impl Iterator<Item = LeafCol> + '_ {
+    let args = agg.aggs.iter().filter_map(agg_arg);
+    agg.group_by.iter().copied().chain(args)
 }
 
 fn agg_arg(f: &AggFunc) -> Option<LeafCol> {
@@ -804,6 +883,13 @@ impl<'r> AggAcc<'r> {
             AggAcc::Min(m) | AggAcc::Max(m) => m.cloned().unwrap_or(Datum::Int(0)),
         }
     }
+}
+
+/// Whether `row` passes every filter of its leaf.
+pub(crate) fn passes(filters: &[LeafFilter], row: &Row) -> bool {
+    filters
+        .iter()
+        .all(|f| cmp_matches(&row[f.col.0 as usize], f.op, &f.value))
 }
 
 /// Predicate evaluation.
@@ -1107,6 +1193,81 @@ mod tests {
         assert!(rows[1..].iter().all(|r| r[1] == Datum::Int(1)));
         assert_eq!(exec.stats.rows_of(leaf), Some(1000.0));
         assert_eq!(exec.stats.carried_of(leaf), Some(1000.0));
+    }
+
+    #[test]
+    fn a_grouped_input_is_merged_again_only_below_its_own_key() {
+        // `s(k, j)` under `count(*) group by s.j`, handed over as 40
+        // weighted rows: told apart by `j` alone they go up as they are;
+        // told apart by `(k, j)` the scan merges them on `j`. Either way
+        // the weights add up and no filter is applied twice.
+        let (c, _) = fixture();
+        let mut b = QuerySpec::builder("grouped");
+        let s = b.leaf(&c, "s");
+        b.filter(&c, s, "k", CmpOp::Lt, Datum::Int(0));
+        b.aggregate(AggSpec {
+            group_by: vec![LeafCol::new(0, 1)],
+            aggs: vec![AggFunc::CountStar],
+        });
+        let q = b.build();
+        let leaf = ExprId::rel(RelSet::singleton(0));
+        let plan = PlanNode {
+            expr: q.root_expr(),
+            prop: PhysProp::Any,
+            op: PhysOp::HashAgg,
+            children: vec![PlanNode {
+                expr: leaf,
+                prop: PhysProp::Any,
+                op: PhysOp::FullScan,
+                children: vec![],
+            }],
+        };
+        let rows: Vec<Row> = (0..40)
+            .map(|i| vec![Datum::Int(i), Datum::Int(i % 10)])
+            .collect();
+        let weights: Vec<u64> = (1..=40).collect();
+        for (on, carried) in [(&[1][..], 40.0), (&[0, 1], 10.0)] {
+            let input = LeafInput {
+                rows: rows.iter().collect(),
+                grouped: Some(Grouped {
+                    weights: &weights,
+                    on: Some(on),
+                }),
+            };
+            let (groups, stats) = count_rows(&q, &[input], &plan);
+            assert_eq!(groups, 10);
+            assert_eq!(stats.rows_of(leaf), Some(820.0));
+            assert_eq!(stats.carried_of(leaf), Some(carried));
+            assert_eq!(stats.scanned, 40);
+        }
+    }
+
+    #[test]
+    fn a_directory_with_removals_finds_what_a_list_of_hashes_does() {
+        // Few distinct hashes over few buckets: long chains, and a
+        // removed entry is often the neighbour of the one that takes its
+        // number.
+        let mut dir = HashChains::new(0);
+        let mut model: Vec<u64> = Vec::new();
+        let mut x = 1u64;
+        for _ in 0..2000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let hash = (((x >> 33) % 7) << 60) | ((x >> 40) % 3);
+            if (x >> 20) % 5 < 3 || model.is_empty() {
+                assert_eq!(dir.push(hash), model.len());
+                model.push(hash);
+            } else {
+                let entry = (x >> 7) as usize % model.len();
+                dir.swap_remove(entry);
+                model.swap_remove(entry);
+            }
+            let mut found: Vec<usize> = dir.probe(hash).collect();
+            found.sort_unstable();
+            let want: Vec<usize> = (0..model.len()).filter(|&e| model[e] == hash).collect();
+            assert_eq!(found, want);
+        }
     }
 
     #[test]
