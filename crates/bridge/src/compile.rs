@@ -37,7 +37,7 @@ use reopt_core::rules_ir::{AggFunc, Atom, Rule, Term};
 use reopt_datalog::{
     AggKind, Arrange, ArrangementHandle, ConsolidatorFootprint, Dataflow, DataflowError, Delta,
     Distinct, ExternalFn, FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, NodeStats,
-    RunStats, SchedulerMode, SinkId, Tuple, Union, Val,
+    OrderedMultiset, RunStats, SchedulerMode, SinkId, Tuple, Union, Val,
 };
 
 /// The value standing in for the rules' `null` constant: a dedicated
@@ -370,10 +370,12 @@ impl Compiler {
             .iter()
             .filter_map(|(n, r)| r.input.map(|id| (n.clone(), (id, r.arity))))
             .collect();
+        let reads = self.rels.iter().map(|(n, r)| (n.clone(), r.read)).collect();
         Ok(RuleNetwork {
             df: self.df,
             inputs,
             sinks,
+            reads,
             arrangements: self.arrangements.len(),
         })
     }
@@ -1045,6 +1047,8 @@ pub struct RuleNetwork {
     df: Dataflow,
     inputs: FxHashMap<String, (NodeId, usize)>,
     sinks: FxHashMap<String, SinkId>,
+    /// The node each relation is read from (`RelInfo::read`).
+    reads: FxHashMap<String, NodeId>,
     arrangements: usize,
 }
 
@@ -1125,6 +1129,24 @@ impl RuleNetwork {
     /// [`NetworkBuilder::sink`].
     pub fn sink(&self, relation: &str) -> Option<&Multiset> {
         self.sinks.get(relation).map(|&id| self.df.sink(id))
+    }
+
+    /// A keyed read of a relation derived by an aggregate rule: the
+    /// ordered state its `GroupAgg` holds for the group at `key` (the
+    /// head's key columns), so `.min()`/`.max()` is the relation's row
+    /// for that key. It reads the operator's own state — no sink, no
+    /// arrangement — so it does not depend on
+    /// [`NetworkBuilder::share_arrangements`]. `None` for an unseen
+    /// group or a relation not read off an aggregate.
+    pub fn group_state(&self, relation: &str, key: &Tuple) -> Option<&OrderedMultiset> {
+        self.df.group_state(*self.reads.get(relation)?, key)
+    }
+
+    /// The counted rows of a relation gated by a `Distinct` (point
+    /// probes with [`Multiset::contains`]); `None` for an input or a
+    /// set-valued relation, which keep no such state.
+    pub fn distinct_state(&self, relation: &str) -> Option<&Multiset> {
+        self.df.distinct_state(*self.reads.get(relation)?)
     }
 
     /// Number of dataflow nodes (diagnostics).

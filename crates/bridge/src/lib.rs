@@ -22,5 +22,5 @@ pub mod optimizer;
 pub use compile::{CompileError, NetworkBuilder, RuleNetwork};
 pub use optimizer::{
     dataflow_program, AuditMode, AuditOutcome, DataflowOptimizer, DataflowOutcome, RecoveryPath,
-    RecoveryReport, DATAFLOW_RULES,
+    RecoveryReport, BEST_PLAN_RULE, DATAFLOW_RULES,
 };

@@ -26,8 +26,23 @@
 //!   `PlanCost` body atoms read `BestCost` instead, the paper's own §3.1
 //!   aggregate-selection strategy (a plan's total uses its children's
 //!   *best* costs). `Fn_sum` remains the external it is in R7/R8.
-//! - **D9–D10 ≙ R9–R10** (plan selection), verbatim: a grouped `min<>`
-//!   aggregate and the join back onto `PlanCost`.
+//! - **D9–D10 ≙ R9–R10** (plan selection). D9, the grouped `min<>`
+//!   aggregate, is compiled and maintained: D7, D8 and the bound rules
+//!   read `BestCost` every epoch. D10 ([`BEST_PLAN_RULE`]), the join
+//!   back onto `PlanCost`, is *not* compiled: nothing in the program
+//!   reads `BestPlan`, and the driver asks for it once per epoch for
+//!   the groups on the chosen tree only. [`DataflowOptimizer::best_plan`]
+//!   evaluates the rule top-down with exactly that demand — per group,
+//!   `BestCost(expr,prop)` read by key from D9's aggregate, then
+//!   `PlanCost(expr,prop,a,cost)` point-probed in the rows
+//!   `distinct[PlanCost]` holds over the memo's alternatives of the
+//!   group (the memo is `Fn_split`, so it is the index on `index`) —
+//!   instead of maintaining second copies of `BestCost` and `PlanCost`
+//!   in two arrangements beside the ones D9, D7 and D8 already hold.
+//!   The plan is read from the network's relations, never from the
+//!   driver's DP mirror below: the mirror decides what to *withhold*
+//!   from the network, and an answer taken from it would leave the
+//!   network decorative and every differential against it vacuous.
 //! - **B1–B5 ≙ r1–r4** (recursive bounding, Figure 3): the bound rules
 //!   over the same 4-ary `LocalCost`. r1/r2 split into per-child rules
 //!   (B1/B2 for two-child alternatives, B3 for one-child — the `null`
@@ -42,7 +57,7 @@
 //! B1–B5 over the `LocalCost` mirror computes every group's exact best
 //! cost bottom-up and its bound top-down, and every alternative whose
 //! total exceeds its group's bound — except each group's argmin, which
-//! keeps `BestCost`/`BestPlan` exact — is *excluded from the network's
+//! keeps `BestCost` and the extracted plan exact — is *excluded from the network's
 //! `LocalCost` relation*. `SearchSpace` stays complete (enumeration is
 //! not pruned, only costing), so the declarative engine skips the cost
 //! propagation for hopeless alternatives exactly like the hand-rolled
@@ -52,7 +67,7 @@
 //! hopeless one is retracted. The in-network B1–B5 derivations are the
 //! *parity diagnostic*: an unpruned build (`with_pruning(.., false)`)
 //! compiles them and its materialized `Bound` sink must equal the
-//! driver's DP (pinned by tests). A pruned build compiles D1–D10 only —
+//! driver's DP (pinned by tests). A pruned build compiles D1–D9 only —
 //! nothing would seed its bound rules.
 //!
 //! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
@@ -63,6 +78,7 @@
 //! through their `null` patterns and the `Fn_present` guards that reject
 //! a `null` slot where the row is scanned rather than at that join.
 
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -82,7 +98,7 @@ use crate::durable;
 
 /// The executable elaboration of the paper's rule program (see the
 /// module docs for the R→D mapping).
-pub const DATAFLOW_RULES: [&str; 13] = [
+pub const DATAFLOW_RULES: [&str; 12] = [
     "D1: SearchSpace(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp) :- \
      Expr(expr,prop), Fn_split(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp);",
     "D2: SearchSpace(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp) :- \
@@ -117,8 +133,6 @@ pub const DATAFLOW_RULES: [&str; 13] = [
      BestCost(lExpr,lProp,lCost), BestCost(rExpr,rProp,rCost), \
      Fn_sum(lCost,rCost,localCost,cost);",
     "D9: BestCost(expr,prop,min<cost>) :- PlanCost(expr,prop,index,cost);",
-    "D10: BestPlan(expr,prop,index,cost) :- \
-     BestCost(expr,prop,cost), PlanCost(expr,prop,index,cost);",
     "B1: ParentBound(lExpr,lProp,bound-rCost-localCost) :- \
      Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,rExpr,rProp), \
      LocalCost(expr,prop,index,localCost), BestCost(rExpr,rProp,rCost);",
@@ -133,9 +147,16 @@ pub const DATAFLOW_RULES: [&str; 13] = [
      BestCost(expr,prop,minCost), MaxBound(expr,prop,maxBound);",
 ];
 
+/// Rule D10 (the paper's R10) — the specification
+/// [`DataflowOptimizer::best_plan`] evaluates on demand and no network
+/// compiles (see the module docs). The differential suite compiles this
+/// text into a test-only network and holds the on-demand read to it.
+pub const BEST_PLAN_RULE: &str = "D10: BestPlan(expr,prop,index,cost) :- \
+     BestCost(expr,prop,cost), PlanCost(expr,prop,index,cost);";
+
 /// How many of [`DATAFLOW_RULES`] come before the bound rules B1–B5:
-/// D1–D10, all a pruned build compiles.
-const RULES_WITHOUT_BOUNDS: usize = 8;
+/// D1–D9, all a pruned build compiles.
+const RULES_WITHOUT_BOUNDS: usize = 7;
 
 /// The executable program in IR form.
 pub fn dataflow_program() -> Vec<Rule> {
@@ -145,12 +166,28 @@ pub fn dataflow_program() -> Vec<Rule> {
 /// The relations a network materializes for the driver: `Bound` only
 /// where B1–B5 are compiled (see [`build_network`]).
 fn sink_names(pruning: bool) -> &'static [&'static str] {
-    const SINKS: [&str; 4] = ["SearchSpace", "BestCost", "BestPlan", "Bound"];
+    const SINKS: [&str; 3] = ["SearchSpace", "BestCost", "Bound"];
     if pruning {
-        &SINKS[..3]
+        &SINKS[..2]
     } else {
         &SINKS
     }
+}
+
+/// Every relation the audit and the post-restore check look at: the
+/// sinks, and the `PlanCost` rows plan extraction probes.
+fn views(net: &RuleNetwork, pruning: bool) -> impl Iterator<Item = (&'static str, &Multiset)> {
+    let sinks = sink_names(pruning).iter().map(move |&name| {
+        let sink = net.sink(name);
+        (name, sink.expect("build_network materializes every view the driver reads"))
+    });
+    sinks.chain(std::iter::once(("PlanCost", plan_cost_rows(net))))
+}
+
+/// The rows of `PlanCost`, where the network keeps them.
+fn plan_cost_rows(net: &RuleNetwork) -> &Multiset {
+    net.distinct_state("PlanCost")
+        .expect("`PlanCost` has three rules and a release order: it keeps its `Distinct`")
 }
 
 /// Dense encoding of the physical-property column. Interior mutability
@@ -196,6 +233,13 @@ impl PropTable {
 
 fn encode_expr(e: ExprId) -> Val {
     Val::Int(((e.rel.0 as i64) << 1) | e.agg as i64)
+}
+
+fn decode_expr(e: i64) -> ExprId {
+    ExprId {
+        rel: reopt_expr::RelSet((e >> 1) as u32),
+        agg: e & 1 == 1,
+    }
 }
 
 /// Result of one dataflow (re)optimization fixpoint.
@@ -333,6 +377,9 @@ pub struct DataflowOptimizer {
     /// [`plan_cost_strata`] of the memo: the `PlanCost` release order
     /// every network built for this query declares.
     strata: Vec<u32>,
+    /// `PlanCost` point probes made by plan extraction so far (see
+    /// [`DataflowOptimizer::plan_cost_probes`]).
+    plan_cost_probes: Cell<u64>,
 }
 
 /// WAL bookkeeping for a durably armed optimizer.
@@ -565,23 +612,12 @@ impl BoundDp {
         dp
     }
 
-    /// The prune set: alternatives costlier than their group's bound,
-    /// except each group's argmin (so `BestCost` stays exact and plan
-    /// extraction always finds a row per group).
-    fn prune_set(&self, memo: &Memo) -> Vec<bool> {
-        let mut pruned = vec![false; memo.n_alts()];
-        for gi in 0..memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            let Some(b) = self.bound[gi as usize] else {
-                continue;
-            };
-            for a in memo.alts_of(g) {
-                if self.alt_cost[a.0 as usize] > b && self.argmin[gi as usize] != Some(a) {
-                    pruned[a.0 as usize] = true;
-                }
-            }
-        }
-        pruned
+    /// The prune decision for alternative `a` of group `g`: costlier
+    /// than the group's bound and not the group's argmin (so `BestCost`
+    /// stays exact and plan extraction finds a row per group).
+    fn prunes(&self, g: GroupId, a: AltId) -> bool {
+        let argmin = self.argmin[g.0 as usize] == Some(a);
+        self.bound[g.0 as usize].is_some_and(|b| self.alt_cost[a.0 as usize] > b && !argmin)
     }
 }
 
@@ -625,6 +661,7 @@ impl DataflowOptimizer {
             pruning,
             topo,
             strata,
+            plan_cost_probes: Cell::new(0),
         }
     }
 
@@ -652,14 +689,6 @@ impl DataflowOptimizer {
                     self.local[a.0 as usize] = self.ctx.local_cost(&self.q, expr, prop, &spec);
                 }
             }
-            // One DP pass gives both the prune set (pruned builds) and
-            // the `Bound(root)` seed (diagnostic builds; see
-            // `seed_network` for why the seed is gated).
-            let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-            if self.pruning.enabled {
-                self.pruning.pruned = dp.prune_set(&self.memo);
-            }
-            self.pruning.root_bound = dp.bound[self.memo.root.0 as usize];
             self.seed_network();
         }
         let (stats, recovery) = self.run_recovering();
@@ -711,8 +740,8 @@ impl DataflowOptimizer {
         candidates.dedup();
         // Re-evaluate the candidates' local costs in the mirror first;
         // `old_values` remembers what the network currently holds for
-        // the alternatives whose value changed.
-        let mut old_values: FxHashMap<AltId, Cost> = FxHashMap::default();
+        // the alternatives whose value changed, in `AltId` order.
+        let mut old_values: Vec<(AltId, Cost)> = Vec::new();
         for a in candidates {
             let (expr, prop) = {
                 let d = self.memo.group(self.memo.alt(a).group);
@@ -725,7 +754,7 @@ impl DataflowOptimizer {
                 continue;
             }
             self.local[a.0 as usize] = new;
-            old_values.insert(a, old);
+            old_values.push((a, old));
         }
         // All network deltas — value updates, prune retractions and
         // re-assertions, and the root Bound seed — flow through one
@@ -801,29 +830,54 @@ impl DataflowOptimizer {
         )
     }
 
-    /// Seeds a freshly built network: the root `Expr` demand, the
-    /// unpruned slice of the `LocalCost` relation from the mirror, and
-    /// the `Bound(root)` seed when pruning is armed.
+    /// Seeds a freshly built network with everything the driver state
+    /// implies: the root `Expr` demand, then — as the diff against a
+    /// network that has been fed nothing — the unpruned slice of the
+    /// `LocalCost` mirror and the `Bound(root)` seed.
     fn seed_network(&mut self) {
-        let root = self.memo.group(self.memo.root);
-        self.net.insert(
-            "Expr",
-            Tuple::new(vec![encode_expr(root.expr), self.props.encode(root.prop)]),
-        );
+        let root = self.group_key(self.memo.root);
+        self.net.insert("Expr", Tuple::from_slice(&root));
+        self.pruning.pruned.fill(true);
+        self.pruning.root_bound = None;
+        self.push_pruned_diff(&[]);
+    }
+
+    /// Recomputes the prune set from the post-delta mirror and feeds
+    /// the network the difference, in one pass over the memo: value
+    /// updates for surviving alternatives, retractions for newly pruned
+    /// ones, assertions for newly viable ones, and the root `Bound`
+    /// seed update. `old_values` holds, in `AltId` order, what the
+    /// network holds for the alternatives whose mirror value this batch
+    /// changed. The driver is the pruning authority — the DP runs over
+    /// *all* alternatives, so an alternative the network never costed
+    /// still re-enters the moment a delta makes it viable.
+    fn push_pruned_diff(&mut self, old_values: &[(AltId, Cost)]) {
+        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
+        // Alternative ids are dense in group order, so the memo walk
+        // and `old_values` advance in step.
+        let mut changed = old_values.iter().peekable();
         for gi in 0..self.memo.n_groups() as u32 {
             let g = GroupId(gi);
-            let (expr, prop) = {
-                let d = self.memo.group(g);
-                (d.expr, d.prop)
-            };
+            let key = self.group_key(g);
             for a in self.memo.alts_of(g) {
-                if self.pruning.pruned[a.0 as usize] {
-                    continue;
+                let i = a.0 as usize;
+                let was_in = !self.pruning.pruned[i];
+                let now_in = !(self.pruning.enabled && dp.prunes(g, a));
+                self.pruning.pruned[i] = !now_in;
+                let nv = self.local[i];
+                // What the network holds for a present row: the
+                // pre-delta value for this batch's candidates, the
+                // (unchanged) mirror value for everything else.
+                let ov = changed.next_if(|(c, _)| *c == a).map_or(nv, |&(_, ov)| ov);
+                if was_in && (!now_in || ov != nv) {
+                    self.net.delete("LocalCost", local_tuple(key, a, ov));
                 }
-                let t = self.local_tuple(expr, prop, a, self.local[a.0 as usize]);
-                self.net.insert("LocalCost", t);
+                if now_in && (!was_in || ov != nv) {
+                    self.net.insert("LocalCost", local_tuple(key, a, nv));
+                }
             }
         }
+        debug_assert!(changed.next().is_none(), "`old_values` is not in `AltId` order");
         // The `Bound(root)` seed exists only on unpruned builds, where
         // it drives the in-network B1–B5 derivation that the parity
         // diagnostic checks against the driver DP. On pruned builds the
@@ -833,76 +887,16 @@ impl DataflowOptimizer {
         // whole `Bound` relation every epoch — the root's best cost
         // moves on almost every update — turning each incremental
         // epoch into a full bound cascade for no additional pruning.
-        if !self.pruning.enabled {
-            if let Some(b) = self.pruning.root_bound {
-                let t = self.bound_tuple(root.expr, root.prop, b);
-                self.net.insert("Bound", t);
-            }
-        }
-    }
-
-    /// Recomputes the prune set from the post-delta mirror and feeds
-    /// the network the difference: value updates for surviving
-    /// alternatives, retractions for newly pruned ones, assertions for
-    /// newly viable ones, and the root `Bound` seed update. The driver
-    /// is the pruning authority — the DP runs over *all* alternatives,
-    /// so an alternative the network never costed still re-enters the
-    /// moment a delta makes it viable.
-    fn push_pruned_diff(&mut self, old_values: &FxHashMap<AltId, Cost>) {
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        let new_pruned = if self.pruning.enabled {
-            dp.prune_set(&self.memo)
-        } else {
-            vec![false; self.memo.n_alts()]
-        };
         let new_root_bound = dp.bound[self.memo.root.0 as usize];
-        for gi in 0..self.memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            let (expr, prop) = {
-                let d = self.memo.group(g);
-                (d.expr, d.prop)
-            };
-            for a in self.memo.alts_of(g) {
-                let i = a.0 as usize;
-                let was_in = !self.pruning.pruned[i];
-                let now_in = !new_pruned[i];
-                let nv = self.local[i];
-                // What the network holds for a present row: the
-                // pre-delta value for this batch's candidates, the
-                // (unchanged) mirror value for everything else.
-                let ov = old_values.get(&a).copied().unwrap_or(nv);
-                match (was_in, now_in) {
-                    (true, true) if ov != nv => {
-                        let retract = self.local_tuple(expr, prop, a, ov);
-                        let assert = self.local_tuple(expr, prop, a, nv);
-                        self.net.delete("LocalCost", retract);
-                        self.net.insert("LocalCost", assert);
-                    }
-                    (true, false) => {
-                        let retract = self.local_tuple(expr, prop, a, ov);
-                        self.net.delete("LocalCost", retract);
-                    }
-                    (false, true) => {
-                        let assert = self.local_tuple(expr, prop, a, nv);
-                        self.net.insert("LocalCost", assert);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Seed maintenance mirrors `seed_network`: unpruned builds only.
         if !self.pruning.enabled && new_root_bound != self.pruning.root_bound {
-            let root = self.memo.group(self.memo.root);
+            let root = self.group_key(self.memo.root);
             if let Some(old) = self.pruning.root_bound {
-                let t = self.bound_tuple(root.expr, root.prop, old);
-                self.net.delete("Bound", t);
+                self.net.delete("Bound", bound_tuple(root, old));
             }
             if let Some(new) = new_root_bound {
-                let t = self.bound_tuple(root.expr, root.prop, new);
-                self.net.insert("Bound", t);
+                self.net.insert("Bound", bound_tuple(root, new));
             }
         }
-        self.pruning.pruned = new_pruned;
         self.pruning.root_bound = new_root_bound;
     }
 
@@ -947,9 +941,10 @@ impl DataflowOptimizer {
     /// The audit itself, independent of sampling. Three checks, each
     /// surfacing as [`DataflowError::InvariantViolation`]:
     ///
-    /// 1. no residual negative counts in any materialized sink (a torn
-    ///    rollback would leave the retraction half of an update);
-    /// 2. the live sinks match a from-scratch recompute on a fresh
+    /// 1. no residual negative counts in any view — the sinks and the
+    ///    `PlanCost` rows (a torn rollback would leave the retraction
+    ///    half of an update);
+    /// 2. the live views match a from-scratch recompute on a fresh
     ///    network whose `LocalCost` rows are re-derived from the
     ///    [`CostContext`] (catches both substrate drift and a torn
     ///    mirror);
@@ -958,23 +953,19 @@ impl DataflowOptimizer {
     ///    ([`IncrementalOptimizer::check_invariants`]) and agrees on
     ///    the best cost.
     fn audit_now(&mut self) -> Result<(), DataflowError> {
-        for &name in sink_names(self.pruning.enabled) {
-            for (t, c) in self.view(name).iter() {
-                if c < 0 {
-                    return Err(DataflowError::InvariantViolation(format!(
-                        "audit: residual negative count {c} for {t:?} in sink {name}"
-                    )));
-                }
+        for (name, view) in views(&self.net, self.pruning.enabled) {
+            if view.has_negative_counts() {
+                return Err(DataflowError::InvariantViolation(format!(
+                    "audit: residual negative counts in {name}"
+                )));
             }
         }
         let mut fresh = self.fresh_network();
-        let root = self.memo.group(self.memo.root);
-        fresh.insert(
-            "Expr",
-            Tuple::new(vec![encode_expr(root.expr), self.props.encode(root.prop)]),
-        );
+        let root = self.group_key(self.memo.root);
+        fresh.insert("Expr", Tuple::from_slice(&root));
         for gi in 0..self.memo.n_groups() as u32 {
             let g = GroupId(gi);
+            let key = self.group_key(g);
             let (expr, prop) = {
                 let d = self.memo.group(g);
                 (d.expr, d.prop)
@@ -992,26 +983,26 @@ impl DataflowOptimizer {
                 // live one — the driver is the pruning authority, so
                 // an equal-state recompute excludes the same rows.
                 if !self.pruning.pruned[a.0 as usize] {
-                    fresh.insert("LocalCost", self.local_tuple(expr, prop, a, c));
+                    fresh.insert("LocalCost", local_tuple(key, a, c));
                 }
             }
         }
-        // Gated exactly like `seed_network`: the diagnostic seed exists
-        // only on unpruned builds, so the recompute must match.
+        // Gated exactly like `push_pruned_diff`: the diagnostic seed
+        // exists only on unpruned builds, so the recompute must match.
         if !self.pruning.enabled {
             if let Some(b) = self.pruning.root_bound {
-                fresh.insert("Bound", self.bound_tuple(root.expr, root.prop, b));
+                fresh.insert("Bound", bound_tuple(root, b));
             }
         }
         fresh.run().map_err(|e| {
             DataflowError::InvariantViolation(format!("audit: from-scratch recompute failed: {e}"))
         })?;
-        for &name in sink_names(self.pruning.enabled) {
-            let live = counted(self.view(name));
-            let want = counted(fresh.sink(name).expect("same program, same sinks"));
+        let recomputed = views(&fresh, self.pruning.enabled);
+        for ((name, live), (_, want)) in views(&self.net, self.pruning.enabled).zip(recomputed) {
+            let (live, want) = (counted(live), counted(want));
             if live != want {
                 return Err(DataflowError::InvariantViolation(format!(
-                    "audit: sink {name} diverged from from-scratch recompute \
+                    "audit: {name} diverged from from-scratch recompute \
                      ({} live vs {} recomputed tuples)",
                     live.len(),
                     want.len()
@@ -1266,8 +1257,9 @@ impl DataflowOptimizer {
         // it is recomputed rather than persisted; it must equal what
         // the checkpointed instance excluded from the restored network.
         let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        if self.pruning.enabled {
-            self.pruning.pruned = dp.prune_set(&self.memo);
+        for a in 0..self.memo.n_alts() as u32 {
+            let g = self.memo.alt(AltId(a)).group;
+            self.pruning.pruned[a as usize] = self.pruning.enabled && dp.prunes(g, AltId(a));
         }
         self.pruning.root_bound = dp.bound[self.memo.root.0 as usize];
         Ok(watermark)
@@ -1276,22 +1268,19 @@ impl DataflowOptimizer {
     /// Post-restore verification — satellite of the recovery ladder,
     /// deliberately cheaper than the full [`DataflowOptimizer::audit`]
     /// (no from-scratch dataflow recompute, which would cost more than
-    /// the restore saved): no residual negative sink counts, one
-    /// `SearchSpace` row per memo alternative, and a shadow hand-rolled
+    /// the restore saved): no residual negative counts in a sink or in
+    /// the `PlanCost` rows, one `SearchSpace` row per memo alternative,
+    /// and a shadow hand-rolled
     /// engine replaying the restored delta log must pass
     /// `check_invariants` and agree on the best cost.
     fn post_restore_verify(&mut self) -> Result<(), DataflowError> {
         let bad = |msg: String| Err(DataflowError::StateCorruption(msg));
-        for &name in sink_names(self.pruning.enabled) {
-            for (t, c) in self.view(name).iter() {
-                if c < 0 {
-                    return bad(format!(
-                        "restored sink {name} holds residual negative count {c} for {t:?}"
-                    ));
-                }
+        for (name, view) in views(&self.net, self.pruning.enabled) {
+            if view.has_negative_counts() {
+                return bad(format!("restored {name} holds residual negative counts"));
             }
         }
-        let alts = self.view("SearchSpace").iter().count();
+        let alts = self.search_space_size();
         if alts != self.memo.n_alts() {
             return bad(format!(
                 "restored SearchSpace has {alts} rows but the memo enumerates {}",
@@ -1454,68 +1443,142 @@ impl DataflowOptimizer {
         Ok((opt, outcome))
     }
 
-    fn local_tuple(&self, expr: ExprId, prop: PhysProp, a: AltId, c: Cost) -> Tuple {
-        Tuple::new(vec![
-            encode_expr(expr),
-            self.props.encode(prop),
-            Val::Int(a.0 as i64),
-            Val::Cost(c),
-        ])
+    /// The `(expr, prop)` columns every row about group `g` starts with.
+    fn group_key(&self, g: GroupId) -> [Val; 2] {
+        let d = self.memo.group(g);
+        [encode_expr(d.expr), self.props.encode(d.prop)]
     }
 
-    fn bound_tuple(&self, expr: ExprId, prop: PhysProp, b: Cost) -> Tuple {
-        Tuple::new(vec![encode_expr(expr), self.props.encode(prop), Val::Cost(b)])
-    }
-
-    fn outcome(&self, stats: RunStats, recovery: RecoveryReport) -> DataflowOutcome {
+    /// Hands the epoch's result to the caller. The plan is extracted
+    /// here, so a network whose relations contradict each other is
+    /// caught while the ladder can still answer: the failure joins the
+    /// report and the rebuild rung recomputes every relation from the
+    /// memo and the `LocalCost` mirror.
+    fn outcome(&mut self, mut stats: RunStats, mut recovery: RecoveryReport) -> DataflowOutcome {
+        let plan = self.try_best_plan().unwrap_or_else(|e| {
+            recovery.errors.push(e);
+            recovery.path = RecoveryPath::RebuiltFromScratch;
+            stats = self.rebuild_from_scratch();
+            self.best_plan()
+        });
         DataflowOutcome {
             cost: self.best_cost(),
-            plan: self.best_plan(),
+            plan,
             stats,
             recovery,
         }
     }
 
+    /// `BestCost(expr,prop)` of group `g`, read by key from the state
+    /// D9's aggregate holds.
+    fn group_best(&self, key: [Val; 2]) -> Option<Val> {
+        let group = self.net.group_state("BestCost", &Tuple::from_slice(&key))?;
+        group.min().copied()
+    }
+
     /// The root's `BestCost` value.
     pub fn best_cost(&self) -> Cost {
-        let root = self.memo.group(self.memo.root);
-        let (e, p) = (encode_expr(root.expr), self.props.encode(root.prop));
-        for (t, _) in self.view("BestCost").iter() {
-            if t.get(0) == e && t.get(1) == p {
-                return t.get(2).as_cost();
-            }
-        }
-        Cost::INFINITY
+        self.group_best(self.group_key(self.memo.root))
+            .map_or(Cost::INFINITY, |c| c.as_cost())
     }
 
-    /// Extracts the best plan from the materialized `BestPlan` view
-    /// (ties broken towards the lowest alternative id, deterministic).
+    /// Rule D10 for one `BestCost(expr,prop,cost)` row: the alternatives
+    /// of `g` — the memo is `Fn_split`, so this is the index on `index`,
+    /// in ascending [`AltId`] — whose `PlanCost` row carries `cost`. One
+    /// point probe per alternative visited; a pruned alternative has no
+    /// row to hit.
+    fn best_alts<'a>(
+        &'a self,
+        plan_cost: &'a Multiset,
+        g: GroupId,
+        key: [Val; 2],
+        cost: Val,
+    ) -> impl Iterator<Item = AltId> + 'a {
+        self.memo.alts_of(g).filter(move |a| {
+            self.plan_cost_probes.set(self.plan_cost_probes.get() + 1);
+            plan_cost.contains(&Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), cost]))
+        })
+    }
+
+    /// The best plan: rule D10 ([`BEST_PLAN_RULE`]) evaluated top-down
+    /// from the root over the groups of the chosen tree only, each
+    /// group's ties broken towards the lowest alternative id. Work is
+    /// the plan's size times the alternatives per group: no relation is
+    /// swept, nothing but the plan is allocated.
+    ///
+    /// Every epoch ends by extracting its plan (and rebuilding the
+    /// network if that fails), so this cannot fail on an optimizer that
+    /// has run one; it panics if called before the first `optimize`.
     pub fn best_plan(&self) -> PlanNode {
-        let mut chosen: FxHashMap<GroupId, (Cost, AltId)> = FxHashMap::default();
-        for (t, _) in self.view("BestPlan").iter() {
-            let a = AltId(t.get(2).as_int() as u32);
-            let cost = t.get(3).as_cost();
-            let g = self.memo.alt(a).group;
-            let e = chosen.entry(g).or_insert((cost, a));
-            if (cost, a) < *e {
-                *e = (cost, a);
-            }
-        }
-        self.extract(self.memo.root, &chosen)
+        self.try_best_plan()
+            .unwrap_or_else(|e| panic!("no plan to extract (was `optimize` run?): {e}"))
     }
 
-    fn extract(&self, g: GroupId, chosen: &FxHashMap<GroupId, (Cost, AltId)>) -> PlanNode {
+    fn try_best_plan(&self) -> Result<PlanNode, DataflowError> {
+        self.extract(plan_cost_rows(&self.net), self.memo.root)
+    }
+
+    fn extract(&self, plan_cost: &Multiset, g: GroupId) -> Result<PlanNode, DataflowError> {
         let def = self.memo.group(g);
-        let (_, a) = chosen
-            .get(&g)
-            .unwrap_or_else(|| panic!("no BestPlan tuple for group {g:?} ({:?})", def.expr));
-        let alt = self.memo.alt(*a);
-        PlanNode {
+        let key = self.group_key(g);
+        let best = self.group_best(key);
+        let Some(a) = best.and_then(|cost| self.best_alts(plan_cost, g, key, cost).next()) else {
+            return Err(DataflowError::InvariantViolation(format!(
+                "plan extraction: group {g:?} ({:?}) is on the chosen tree but `BestCost` \
+                 holds {best:?} for it and no `PlanCost` row carries that cost",
+                def.expr
+            )));
+        };
+        let alt = self.memo.alt(a);
+        Ok(PlanNode {
             expr: def.expr,
             prop: def.prop,
             op: alt.op,
-            children: alt.children().map(|c| self.extract(c, chosen)).collect(),
+            children: alt
+                .children()
+                .map(|c| self.extract(plan_cost, c))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// Rule D10's whole relation, sorted (tests and diagnostics): the
+    /// evaluation [`DataflowOptimizer::best_plan`] runs per group, run
+    /// over every `BestCost` row and keeping every hit.
+    pub fn best_plan_rows(&self) -> Vec<Tuple> {
+        let plan_cost = plan_cost_rows(&self.net);
+        let mut rows = Vec::new();
+        for (t, _) in self.view("BestCost").iter() {
+            let key = [t.get(0), t.get(1)];
+            let g = self
+                .memo
+                .lookup(decode_expr(key[0].as_int()), self.props.decode(key[1].as_int()))
+                .expect("`BestCost` holds memo groups only");
+            rows.extend(self.best_alts(plan_cost, g, key, t.get(2)).map(|a| {
+                Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), t.get(2)])
+            }));
         }
+        rows.sort();
+        rows
+    }
+
+    /// `PlanCost` point probes plan extraction has made over this
+    /// optimizer's lifetime (diagnostics; the work-bound test reads the
+    /// difference around one [`DataflowOptimizer::best_plan`]).
+    pub fn plan_cost_probes(&self) -> u64 {
+        self.plan_cost_probes.get()
+    }
+
+    /// The `LocalCost` relation as the network holds it — the mirror
+    /// less the pruned alternatives — in `AltId` order (diagnostics; the
+    /// D10 differential feeds its reference network from this).
+    pub fn local_cost_rows(&self) -> Vec<Tuple> {
+        (0..self.memo.n_alts() as u32)
+            .filter(|&a| !self.pruning.pruned[a as usize])
+            .map(|a| {
+                let key = self.group_key(self.memo.alt(AltId(a)).group);
+                local_tuple(key, AltId(a), self.local[a as usize])
+            })
+            .collect()
     }
 
     /// Distinct `SearchSpace` tuples the network derived — compared by
@@ -1581,8 +1644,7 @@ impl DataflowOptimizer {
         for gi in 0..self.memo.n_groups() as u32 {
             let g = GroupId(gi);
             if let Some(b) = dp.bound[gi as usize] {
-                let d = self.memo.group(g);
-                rows.push(self.bound_tuple(d.expr, d.prop, b));
+                rows.push(bound_tuple(self.group_key(g), b));
             }
         }
         rows.sort();
@@ -1610,6 +1672,16 @@ fn fold_last_writes(log: &mut Vec<ParamDelta>, deltas: &[ParamDelta]) {
             None => log.push(*d),
         }
     }
+}
+
+/// The `LocalCost(expr,prop,index,cost)` row of alternative `a`, whose
+/// group's columns are `key` ([`DataflowOptimizer::group_key`]).
+fn local_tuple(key: [Val; 2], a: AltId, c: Cost) -> Tuple {
+    Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), Val::Cost(c)])
+}
+
+fn bound_tuple(key: [Val; 2], b: Cost) -> Tuple {
+    Tuple::from_slice(&[key[0], key[1], Val::Cost(b)])
 }
 
 /// A sink's contents as a comparable `tuple → count` map.
@@ -1684,12 +1756,7 @@ fn build_network(
             let (Val::Int(e), Val::Int(p)) = (args[0], args[1]) else {
                 return;
             };
-            let expr = ExprId {
-                rel: reopt_expr::RelSet((e >> 1) as u32),
-                agg: e & 1 == 1,
-            };
-            let prop = split_props.decode(p);
-            let Some(g) = split_memo.lookup(expr, prop) else {
+            let Some(g) = split_memo.lookup(decode_expr(e), split_props.decode(p)) else {
                 return;
             };
             for a in split_memo.alts_of(g) {
@@ -1755,21 +1822,25 @@ mod tests {
 
     #[test]
     fn the_executable_program_parses_and_compiles() {
-        assert_eq!(dataflow_program().len(), 13);
+        assert_eq!(dataflow_program().len(), 12);
+        parse_rules([BEST_PLAN_RULE]).expect("the specification of `best_plan` parses");
         let c = fixture_catalog();
         let opt = DataflowOptimizer::new(&c, chain_query(&c, 3));
         assert!(opt.network_nodes() > 10);
-        // What the compiler's proofs leave of it: `BestCost` and
-        // `BestPlan` are read off D9's aggregate and D10's join, the
-        // joins run `Fn_sum` and D10's head themselves, and of the
-        // cost loop only the held, three-rule `PlanCost` coalesces.
+        // What the compiler's proofs leave of it: `BestCost` is read
+        // off D9's aggregate, the joins run `Fn_sum` themselves, and of
+        // the cost loop only the held, three-rule `PlanCost` coalesces.
+        // D10 is answered on demand: none of its nodes is built.
         let nodes = opt.node_stats();
         let live = |label: &str| nodes.iter().find(|n| n.label == label);
-        for gone in ["distinct[BestCost]", "distinct[BestPlan]", "map[D9]", "map[D10]"] {
+        for gone in ["distinct[BestCost]", "distinct[BestPlan]", "map[D9]"] {
             assert!(live(gone).is_none(), "{gone}");
         }
+        assert!(!nodes.iter().any(|n| n.label.contains("D10")), "{nodes:?}");
+        assert_eq!(opt.arrangements(), 2);
+        assert!(opt.sink("BestPlan").is_none());
         assert!(!nodes.iter().any(|n| n.label.starts_with("Fn_sum")));
-        assert!(live("fused:Fn_sum[D8]").is_some() && live("fused:map[D10]").is_some());
+        assert!(live("fused:Fn_sum[D8]").is_some());
         assert!(live("distinct[PlanCost]").unwrap().coalesces);
         for proven in ["group-agg[D9]", "arrange[D6]", "arrange[D7]"] {
             assert!(!live(proven).unwrap().coalesces, "{proven}");
@@ -1784,7 +1855,7 @@ mod tests {
         assert!(core.iter().all(|r| !bound_heads.contains(&r.head.relation.as_str())
             && r.body.iter().all(|a| !bound_heads.contains(&a.relation.as_str()))));
         assert!(bounds.iter().all(|r| bound_heads.contains(&r.head.relation.as_str())));
-        assert_eq!((core.len(), bounds.len()), (8, 5));
+        assert_eq!((core.len(), bounds.len()), (7, 5));
 
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
@@ -1979,13 +2050,14 @@ mod tests {
         assert_eq!(victim.rollbacks(), 1);
         assert!(got.cost.approx_eq(want.cost), "{:?} vs {:?}", got.cost, want.cost);
         assert_eq!(got.plan, want.plan);
-        for name in ["SearchSpace", "BestCost", "BestPlan"] {
+        for name in ["SearchSpace", "BestCost"] {
             assert_eq!(
                 counted(victim.sink(name).unwrap()),
                 counted(oracle.sink(name).unwrap()),
                 "{name}"
             );
         }
+        assert_eq!(victim.best_plan_rows(), oracle.best_plan_rows());
     }
 
     #[test]
@@ -2007,13 +2079,14 @@ mod tests {
         assert_eq!(got.recovery.errors.len(), 2);
         assert!(got.cost.approx_eq(want.cost));
         assert_eq!(got.plan, want.plan);
-        for name in ["SearchSpace", "BestCost", "BestPlan"] {
+        for name in ["SearchSpace", "BestCost"] {
             assert_eq!(
                 counted(victim.sink(name).unwrap()),
                 counted(oracle.sink(name).unwrap()),
                 "{name}"
             );
         }
+        assert_eq!(victim.best_plan_rows(), oracle.best_plan_rows());
         // The rebuilt instance is fully serviceable: further updates and
         // a full audit behave as if the faults never happened.
         let b2 = vec![ParamDelta::LeafScanCost(LeafId(0), 4.0)];
@@ -2233,9 +2306,12 @@ mod tests {
         let c = fixture_catalog();
         let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
         df.optimize();
-        assert!(df.sink("BestPlan").is_some());
-        // `PlanCost` exists but is not materialized; `Typo` does not exist.
+        assert!(df.sink("BestCost").is_some());
+        // `PlanCost` exists but is not materialized, `BestPlan` is
+        // answered on demand (`best_plan_rows`); `Typo` does not exist.
         assert!(df.sink("PlanCost").is_none());
+        assert!(df.sink("BestPlan").is_none());
+        assert!(!df.best_plan_rows().is_empty());
         assert!(df.sink("Typo").is_none());
     }
 

@@ -92,8 +92,9 @@ pub fn sink_sorted(sink: &Multiset) -> Vec<(Tuple, i64)> {
     v
 }
 
+/// The materialized sinks, and `BestPlan` as answered on demand.
 pub fn assert_sinks_match(a: &DataflowOptimizer, b: &DataflowOptimizer, what: &str) {
-    for name in ["SearchSpace", "BestCost", "BestPlan"] {
+    for name in ["SearchSpace", "BestCost"] {
         assert!(
             !a.sink(name).unwrap().has_negative_counts(),
             "{what}: residual negative counts in {name}"
@@ -104,6 +105,7 @@ pub fn assert_sinks_match(a: &DataflowOptimizer, b: &DataflowOptimizer, what: &s
             "{what}: sink {name} diverged"
         );
     }
+    assert_eq!(a.best_plan_rows(), b.best_plan_rows(), "{what}: BestPlan diverged");
 }
 
 /// A fresh, unique durable directory under the system temp dir.

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use reopt_bridge::{AuditMode, DataflowOptimizer, RecoveryPath};
 use reopt_cost::ParamDelta;
-use reopt_datalog::Multiset;
+use reopt_datalog::{DataflowError, Delta, Multiset, Val};
 
 use common::{
     assert_sinks_match, build, chain5, chain5_batches, crashed_victim, deltas_for, fresh_dir,
@@ -569,14 +569,17 @@ fn durable_state_survives_a_process_boundary() {
 
 /// Re-frames an optimizer snapshot with the node records of its
 /// embedded network checkpoint — `(label, state payload)` in node
-/// order — rewritten by `edit`, and the node count in its meta record
-/// to match. Valid framing, valid CRCs: only the topology is another
-/// build's.
+/// order — rewritten by `edit`, one more sink record per `extra_sinks`
+/// entry, and the node and sink counts in its meta record to match.
+/// Valid framing, valid CRCs: only the topology is another build's.
 fn with_node_records(
     snapshot: &[u8],
+    extra_sinks: &[&Multiset],
     edit: impl FnOnce(Vec<(String, Vec<u8>)>) -> Vec<(String, Vec<u8>)>,
 ) -> Vec<u8> {
-    use reopt_datalog::checkpoint::{Dec, Enc, RecordReader, RecordWriter, SymRemap, MAGIC};
+    use reopt_datalog::checkpoint::{
+        encode_multiset, Dec, Enc, RecordReader, RecordWriter, SymRemap, MAGIC,
+    };
     fn copy(record: &[u8]) -> Enc {
         let mut e = Enc::new();
         e.raw(record);
@@ -605,7 +608,7 @@ fn with_node_records(
         .collect();
     let nodes = edit(nodes);
     let mut meta = Enc::new();
-    for v in [epoch, rollbacks, nodes.len() as u64, sinks] {
+    for v in [epoch, rollbacks, nodes.len() as u64, sinks + extra_sinks.len() as u64] {
         meta.u64(v);
     }
     net.record(meta);
@@ -615,9 +618,17 @@ fn with_node_records(
         e.raw(state);
         net.record(e);
     }
-    while let Some(record) = inner.next_record().unwrap() {
-        net.record(copy(record));
+    for _ in 0..sinks {
+        net.record(copy(inner.next_record().unwrap().unwrap()));
     }
+    for sink in extra_sinks {
+        let mut e = Enc::new();
+        encode_multiset(&mut e, sink);
+        net.record(e);
+    }
+    // The queue residue.
+    net.record(copy(inner.next_record().unwrap().unwrap()));
+    assert!(inner.next_record().unwrap().is_none());
     out.record(copy(&net.into_bytes()));
     out.into_bytes()
 }
@@ -626,7 +637,7 @@ fn with_node_records(
 /// would have cut it: every `union[Rel]` / `distinct[Rel]` node record
 /// carries the bare operator name.
 fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
-    with_node_records(snapshot, |mut nodes| {
+    with_node_records(snapshot, &[], |mut nodes| {
         let mut relabelled = 0;
         for (label, _) in &mut nodes {
             let bare = ["union", "distinct"]
@@ -648,7 +659,7 @@ fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
 /// holds), with D9's projecting scan in front of its aggregate.
 fn with_the_pr15_network_shape(snapshot: &[u8], sets: [&Multiset; 2]) -> Vec<u8> {
     use reopt_datalog::checkpoint::{encode_multiset, Enc};
-    with_node_records(snapshot, |mut nodes| {
+    with_node_records(snapshot, &[], |mut nodes| {
         nodes.retain(|(label, _)| !label.starts_with("Fn_present"));
         for (relation, set) in ["BestCost", "BestPlan"].into_iter().zip(sets) {
             let mut state = Enc::new();
@@ -659,6 +670,36 @@ fn with_the_pr15_network_shape(snapshot: &[u8], sets: [&Multiset; 2]) -> Vec<u8>
         nodes.push(("map[D9]".to_string(), Vec::new()));
         nodes
     })
+}
+
+/// A snapshot with D10 maintained in the network, the way every build
+/// up to PR 17 cut it: the rule's two arrangements (`BestCost` and
+/// `PlanCost` by expr, prop, cost — the second holding what
+/// `distinct[PlanCost]` holds), its join, the head projection the join
+/// absorbed, and the `BestPlan` sink.
+fn with_d10_maintained(snapshot: &[u8], best_cost: &Multiset, best_plan: &Multiset) -> Vec<u8> {
+    use reopt_datalog::checkpoint::{encode_multiset, Enc};
+    with_node_records(snapshot, &[best_plan], |mut nodes| {
+        let plan_cost = nodes.iter().find(|(label, _)| label == "distinct[PlanCost]");
+        let plan_cost = plan_cost.expect("`PlanCost` keeps its `Distinct`").1.clone();
+        let mut arranged = Enc::new();
+        encode_multiset(&mut arranged, best_cost);
+        nodes.push(("arrange[D10]".to_string(), arranged.into_bytes()));
+        nodes.push(("arrange[D10]".to_string(), plan_cost));
+        for stateless in ["join[PlanCost][D10]", "map[D10]", "sink"] {
+            nodes.push((stateless.to_string(), Vec::new()));
+        }
+        nodes
+    })
+}
+
+/// `BestPlan` as a relation: what the sink D10 fed used to hold.
+fn best_plan_set(opt: &DataflowOptimizer) -> Multiset {
+    let mut set = Multiset::new();
+    for row in opt.best_plan_rows() {
+        set.apply(&Delta::insert(row));
+    }
+    set
 }
 
 /// Node labels are part of the restore-time topology check, so a
@@ -784,13 +825,14 @@ fn a_checkpoint_with_the_bound_rules_compiled_degrades_to_an_exact_rebuild() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The property pass reads `BestCost` and `BestPlan` straight off their
+/// The property pass read `BestCost` and `BestPlan` straight off their
 /// rules' outputs, so the network lost four nodes, two of them stateful
 /// (and D9's projecting scan; the `Fn_present` guards came in). A
-/// checkpoint cut by the PR 15 network is therefore refused as a
-/// topology mismatch on the first restart after the upgrade and
-/// degrades to the exact rebuild plus the folded WAL — it is never
-/// mis-restored into the nodes that happen to share a position.
+/// checkpoint cut by the PR 15 network — which also maintained D10 —
+/// is therefore refused as a topology mismatch on the first restart
+/// after the upgrade and degrades to the exact rebuild plus the folded
+/// WAL — it is never mis-restored into the nodes that happen to share
+/// a position.
 #[test]
 fn a_checkpoint_with_the_set_gates_built_degrades_to_an_exact_rebuild() {
     let (c, q) = chain5();
@@ -803,9 +845,9 @@ fn a_checkpoint_with_the_set_gates_built_degrades_to_an_exact_rebuild() {
         oracle.reoptimize(batch);
     }
     let path = dir.join("checkpoint.bin");
-    let sets = ["BestCost", "BestPlan"].map(|r| oracle.sink(r).unwrap());
-    let old = with_the_pr15_network_shape(&std::fs::read(&path).unwrap(), sets);
-    std::fs::write(&path, old).unwrap();
+    let sets = [oracle.sink("BestCost").unwrap(), &best_plan_set(&oracle)];
+    let old = with_d10_maintained(&std::fs::read(&path).unwrap(), sets[0], sets[1]);
+    std::fs::write(&path, with_the_pr15_network_shape(&old, sets)).unwrap();
     for batch in &batches[2..] {
         oracle.reoptimize(batch);
     }
@@ -826,5 +868,113 @@ fn a_checkpoint_with_the_set_gates_built_degrades_to_an_exact_rebuild() {
     assert!(out.cost.approx_eq(oracle.best_cost()));
     assert_eq!(out.plan, oracle.best_plan());
     assert_sinks_match(&rec, &oracle, "after the PR 15 checkpoint rebuild");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// D10 is answered on demand, so the network lost the rule's two
+/// arrangements, its join (and the head it ran) and the `BestPlan`
+/// sink. A checkpoint cut by a build that maintained them — 34 node
+/// records and three sinks — is refused as a topology mismatch on the
+/// first restart after the upgrade and degrades to the exact rebuild
+/// plus the folded WAL, with the oracle's cost and plan.
+#[test]
+fn a_checkpoint_with_d10_maintained_degrades_to_an_exact_rebuild() {
+    let (c, q) = chain5();
+    let batches = chain5_batches(&q);
+    let (dir, _) = crashed_victim(&c, &q, "d10", &batches[..2], &batches[2..]);
+    let mut oracle = DataflowOptimizer::new(&c, q.clone());
+    oracle.set_audit_mode(AuditMode::Off);
+    oracle.optimize();
+    for batch in &batches[..2] {
+        oracle.reoptimize(batch);
+    }
+    let path = dir.join("checkpoint.bin");
+    let old = with_d10_maintained(
+        &std::fs::read(&path).unwrap(),
+        oracle.sink("BestCost").unwrap(),
+        &best_plan_set(&oracle),
+    );
+    std::fs::write(&path, old).unwrap();
+    for batch in &batches[2..] {
+        oracle.reoptimize(batch);
+    }
+
+    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(
+        out.recovery.path,
+        RecoveryPath::RebuiltAfterCorruptCheckpoint
+    );
+    assert!(
+        out.recovery.errors.iter().any(|e| e
+            .to_string()
+            .contains("topology mismatch: checkpoint has 34 nodes/3 sinks")),
+        "{:?}",
+        out.recovery.errors
+    );
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_eq!(out.plan, oracle.best_plan());
+    assert_sinks_match(&rec, &oracle, "after the D10 checkpoint rebuild");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Plan extraction reads two relations of the network against each
+/// other, and a checkpoint restores each from its own record. One whose
+/// `distinct[PlanCost]` record lost the rows at the root's best cost —
+/// valid framing, valid CRCs, the best cost itself intact, so the
+/// post-restore check passes — leaves a group on the chosen tree with
+/// no `PlanCost` row at its `BestCost`. That used to be a panic in
+/// `best_plan`; it is a reported error answered from the rebuild rung.
+#[test]
+fn a_chosen_group_without_its_plan_cost_row_is_an_error_and_a_rebuild() {
+    use reopt_datalog::checkpoint::{decode_multiset, encode_multiset, Dec, Enc, SymRemap};
+    let (c, q) = chain5();
+    let batches = chain5_batches(&q);
+    let (dir, _) = crashed_victim(&c, &q, "no-row", &batches, &[]);
+    let mut oracle = DataflowOptimizer::new(&c, q.clone());
+    oracle.set_audit_mode(AuditMode::Off);
+    oracle.optimize();
+    for batch in &batches {
+        oracle.reoptimize(batch);
+    }
+    let best = Val::Cost(oracle.best_cost());
+    let path = dir.join("checkpoint.bin");
+    let torn = with_node_records(&std::fs::read(&path).unwrap(), &[], |mut nodes| {
+        let record = nodes.iter_mut().find(|(label, _)| label == "distinct[PlanCost]");
+        let (_, state) = record.expect("`PlanCost` keeps its `Distinct`");
+        let mut rows = Multiset::new();
+        decode_multiset(&mut Dec::new(state, &SymRemap::identity()), &mut rows).unwrap();
+        let mut kept = Multiset::new();
+        for (row, n) in rows.iter().filter(|(row, _)| row.get(3) != best) {
+            kept.apply(&Delta::with_count(row.clone(), n));
+        }
+        assert!(kept.len() < rows.len(), "no `PlanCost` row at the best cost");
+        let mut e = Enc::new();
+        encode_multiset(&mut e, &kept);
+        *state = e.into_bytes();
+        nodes
+    });
+    std::fs::write(&path, torn).unwrap();
+
+    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    rec.set_audit_mode(AuditMode::Off);
+    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+    assert!(
+        matches!(
+            out.recovery.errors.as_slice(),
+            [DataflowError::InvariantViolation(m)] if m.contains("no `PlanCost` row")
+        ),
+        "{:?}",
+        out.recovery.errors
+    );
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_eq!(out.plan, oracle.best_plan());
+    assert_sinks_match(&rec, &oracle, "after the rebuild rung");
+    // The rebuilt network is the live one: the next epoch is clean.
+    let next = deltas_for(&q, (1, 2, 6));
+    let got = rec.reoptimize(&next);
+    let want = oracle.reoptimize(&next);
+    assert!(got.recovery.is_clean(), "{:?}", got.recovery);
+    assert_eq!((got.cost, &got.plan), (want.cost, &want.plan));
+    rec.audit().expect("the rebuilt state passes the audit");
     let _ = std::fs::remove_dir_all(&dir);
 }

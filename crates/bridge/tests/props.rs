@@ -13,12 +13,17 @@
 
 use proptest::prelude::*;
 
-use reopt_bridge::{AuditMode, AuditOutcome, DataflowOptimizer, DataflowOutcome};
+use reopt_bridge::compile::null_value;
+use reopt_bridge::{
+    AuditMode, AuditOutcome, DataflowOptimizer, DataflowOutcome, NetworkBuilder, RuleNetwork,
+    BEST_PLAN_RULE, DATAFLOW_RULES,
+};
 use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
+use reopt_core::memo::{AltId, GroupId, Memo};
 use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
-use reopt_datalog::{FaultPlan, Multiset, Tuple};
-use reopt_expr::{EdgeId, LeafId, QuerySpec};
+use reopt_datalog::{FaultPlan, Multiset, Tuple, Val};
+use reopt_expr::{EdgeId, LeafId, PlanNode, QuerySpec};
 
 /// Deterministic description of a random query instance (same shape as
 /// the `reopt-core` property suite).
@@ -150,23 +155,152 @@ fn sink_sorted(sink: &Multiset) -> Vec<(Tuple, i64)> {
     v
 }
 
+/// Rule D10 the way the network maintained it before `best_plan`
+/// answered it on demand: the unchanged rule text compiled behind the
+/// cost rules D6–D9 into a network of its own, with a `BestPlan` sink,
+/// fed the `SearchSpace` the optimizer derived and — step by step, as
+/// deltas — the `LocalCost` rows the optimizer's own network holds.
+struct MaintainedD10 {
+    net: RuleNetwork,
+    fed: Vec<Tuple>,
+}
+
+impl MaintainedD10 {
+    fn new(df: &DataflowOptimizer) -> MaintainedD10 {
+        let cost_rules = DATAFLOW_RULES
+            .into_iter()
+            .filter(|r| ["D6:", "D7:", "D8:", "D9:"].iter().any(|l| r.starts_with(l)));
+        let mut net = NetworkBuilder::new()
+            .input("SearchSpace", 9)
+            .input("LocalCost", 4)
+            .rule_texts(cost_rules.chain([BEST_PLAN_RULE]))
+            .expect("the rule texts parse")
+            .external("Fn_present", 1, |args, emit| {
+                if args[0] != null_value() {
+                    emit(&[]);
+                }
+            })
+            // The optimizer's `Fn_sum`: local, then left, then right.
+            .external("Fn_sum", 3, |args, emit| {
+                let mut total = args[2].as_cost();
+                for child in &args[..2] {
+                    if let Val::Cost(c) = child {
+                        total += *c;
+                    }
+                }
+                emit(&[Val::Cost(total)]);
+            })
+            .sink("BestPlan")
+            .build()
+            .expect("D6–D10 compile");
+        for (row, _) in df.sink("SearchSpace").unwrap().iter() {
+            net.insert("SearchSpace", row.clone());
+        }
+        let mut reference = MaintainedD10 { net, fed: Vec::new() };
+        reference.follow(df);
+        reference
+    }
+
+    /// Feeds the difference between what was fed and what `df`'s
+    /// network holds now, and runs to fixpoint.
+    fn follow(&mut self, df: &DataflowOptimizer) {
+        let now = df.local_cost_rows();
+        for gone in self.fed.iter().filter(|t| !now.contains(t)) {
+            self.net.delete("LocalCost", gone.clone());
+        }
+        for new in now.iter().filter(|t| !self.fed.contains(t)) {
+            self.net.insert("LocalCost", new.clone());
+        }
+        self.fed = now;
+        self.net.run().expect("the reference network converges");
+    }
+
+    fn rows(&self) -> Vec<Tuple> {
+        let sink = self.net.sink("BestPlan").unwrap();
+        assert!(!sink.has_negative_counts());
+        sink.sorted()
+    }
+
+    /// The plan the maintained sink (`rows`, sorted) used to be read
+    /// into: per group the lowest alternative id among its rows, from
+    /// the root down.
+    fn plan(rows: &[Tuple], memo: &Memo) -> PlanNode {
+        let mut chosen: Vec<Option<AltId>> = vec![None; memo.n_groups()];
+        for row in rows.iter().rev() {
+            let a = AltId(row.get(2).as_int() as u32);
+            chosen[memo.alt(a).group.0 as usize] = Some(a);
+        }
+        fn extract(memo: &Memo, chosen: &[Option<AltId>], g: GroupId) -> PlanNode {
+            let alt = memo.alt(chosen[g.0 as usize].expect("a `BestPlan` row per chosen group"));
+            PlanNode {
+                expr: memo.group(g).expr,
+                prop: memo.group(g).prop,
+                op: alt.op,
+                children: alt.children().map(|c| extract(memo, chosen, c)).collect(),
+            }
+        }
+        extract(memo, &chosen, memo.root)
+    }
+
+    /// Follows `df` one step and holds the on-demand read to the rule:
+    /// the full relation against the sink, `best_plan()` against the
+    /// tie-broken sink. Returns how many `BestPlan` rows are exact cost
+    /// ties (rows beyond one per group).
+    fn check(&mut self, df: &DataflowOptimizer) -> Result<usize, String> {
+        self.follow(df);
+        let (want, got) = (self.rows(), df.best_plan_rows());
+        if want != got {
+            return Err(format!(
+                "on-demand BestPlan has {} rows, maintained D10 has {}",
+                got.len(),
+                want.len()
+            ));
+        }
+        if df.best_plan() != MaintainedD10::plan(&want, df.memo()) {
+            return Err("best_plan() is not the tie-broken maintained BestPlan".into());
+        }
+        let mut groups: Vec<(Val, Val)> = want.iter().map(|t| (t.get(0), t.get(1))).collect();
+        groups.dedup();
+        Ok(want.len() - groups.len())
+    }
+}
+
+/// What a [`check_stepwise`] walk exercised of the D10 differential.
+#[derive(Debug, Default)]
+struct Walked {
+    /// `BestPlan` rows that were exact cost ties, summed over steps.
+    ties: usize,
+    /// Steps after which the prune set had a different size.
+    prune_flips: usize,
+}
+
 /// Replays a delta sequence step by step with fresh engines, checking
 /// `BestPlan` equivalence after *every* step: both engines' best costs
 /// must agree, and the dataflow's extracted plan must re-price to that
 /// cost under an independent cost context (so a stale `BestPlan` view
-/// can't hide behind a correct scalar). Returns the first failing step.
-fn check_stepwise(c: &Catalog, q: &QuerySpec, seq: &[(u8, u8, u8)]) -> Result<(), String> {
+/// can't hide behind a correct scalar) — and, against [`MaintainedD10`],
+/// that the on-demand `BestPlan` is the relation rule D10 derives.
+/// Returns the first failing step.
+fn check_stepwise(c: &Catalog, q: &QuerySpec, seq: &[(u8, u8, u8)]) -> Result<Walked, String> {
     let mut df = DataflowOptimizer::new(c, q.clone());
     let mut hand = IncrementalOptimizer::new(c, q.clone(), PruningConfig::none());
     let mut pricer = CostContext::new(c, q);
     audit_ok(&df.optimize()).map_err(|e| format!("initial: {e}"))?;
     hand.optimize();
+    let mut d10 = MaintainedD10::new(&df);
+    let mut walked = Walked {
+        ties: d10.check(&df).map_err(|e| format!("initial: {e}"))?,
+        prune_flips: 0,
+    };
     for (i, raw) in seq.iter().enumerate() {
         let deltas = deltas_for(q, std::slice::from_ref(raw), false);
+        let pruned_before = df.pruned_alternatives();
         let got = df.reoptimize(&deltas);
         let want = hand.reoptimize(&deltas);
         pricer.apply(&deltas);
         audit_ok(&got).map_err(|e| format!("step {i} ({deltas:?}): {e}"))?;
+        walked.ties += d10.check(&df).map_err(|e| format!("step {i} ({deltas:?}): {e}"))?;
+        walked.prune_flips += usize::from(df.pruned_alternatives() != pruned_before);
         if !got.cost.approx_eq(want.cost) {
             return Err(format!(
                 "step {i} ({deltas:?}): dataflow {:?} vs hand-rolled {:?}",
@@ -189,7 +323,71 @@ fn check_stepwise(c: &Catalog, q: &QuerySpec, seq: &[(u8, u8, u8)]) -> Result<()
             ));
         }
     }
-    Ok(())
+    Ok(walked)
+}
+
+/// The D10 differential where it is hardest: five identical relations
+/// joined as a star, so symmetric subplans tie exactly (several
+/// `BestPlan` rows per group, the lowest id wins), walked through
+/// updates and reverts that move alternatives in and out of the prune
+/// set. The walk must really contain both.
+#[test]
+fn on_demand_best_plan_is_rule_d10_under_exact_ties_and_prune_flips() {
+    let (c, q) = build(&QueryGen {
+        rows: vec![3; 5],
+        indexed: vec![false; 5],
+        parent: vec![0; 4],
+        cycle: false,
+    });
+    // (kind, index, magnitude): `deltas_for` maps magnitude 3 to the
+    // factor 1.0, so every third step reverts the one before it.
+    let seq: Vec<(u8, u8, u8)> = (0..24u8)
+        .map(|i| (i / 3, i / 3 + i % 2, if i % 3 == 2 { 3 } else { i % 7 }))
+        .collect();
+    let walked = check_stepwise(&c, &q, &seq).unwrap();
+    assert!(walked.ties > 0 && walked.prune_flips > 0, "{walked:?}");
+}
+
+/// `best_plan()` costs what the plan costs: it probes `PlanCost` at
+/// most once per alternative of the groups on the tree it returns —
+/// never the memo's other groups — on chains and stars of 3–10
+/// relations, initially and after updates.
+#[test]
+fn plan_extraction_probes_only_the_alternatives_of_the_chosen_groups() {
+    fn alternatives_on(plan: &PlanNode, memo: &Memo) -> u64 {
+        let g = memo.lookup(plan.expr, plan.prop).expect("a plan node is a memo group");
+        let below: u64 = plan.children.iter().map(|c| alternatives_on(c, memo)).sum();
+        memo.alts_of(g).count() as u64 + below
+    }
+    for star in [false, true] {
+        for n in 3..=10usize {
+            let (c, q) = build(&QueryGen {
+                rows: (0..n).map(|i| 1 + (i * 3 % 5) as u8).collect(),
+                indexed: (0..n).map(|i| i % 2 == 0).collect(),
+                parent: (0..n - 1).map(|i| if star { 0 } else { i as u8 }).collect(),
+                cycle: false,
+            });
+            let mut df = DataflowOptimizer::new(&c, q.clone());
+            df.set_audit_mode(AuditMode::Off);
+            df.optimize();
+            for step in 0..4u8 {
+                if step > 0 {
+                    df.reoptimize(&deltas_for(&q, &[(step, step * 5, step * 2)], false));
+                }
+                let before = df.plan_cost_probes();
+                let plan = df.best_plan();
+                let probes = df.plan_cost_probes() - before;
+                let bound = alternatives_on(&plan, df.memo());
+                assert!(
+                    plan.size() as u64 <= probes && probes <= bound,
+                    "star={star} n={n} step {step}: {probes} probes for a {}-node plan over \
+                     groups with {bound} alternatives (memo: {})",
+                    plan.size(),
+                    df.memo().n_alts()
+                );
+            }
+        }
+    }
 }
 
 fn all_configs() -> Vec<PruningConfig> {
@@ -356,7 +554,7 @@ proptest! {
                 "step {} : recovered BestPlan diverged ({:?})", i, got.recovery.path
             );
         }
-        for name in ["SearchSpace", "BestCost", "BestPlan"] {
+        for name in ["SearchSpace", "BestCost"] {
             prop_assert!(
                 !victim.sink(name).unwrap().has_negative_counts(),
                 "residual negative counts in {name} after recovery"
@@ -367,5 +565,9 @@ proptest! {
                 "sink {} diverged from the fault-free oracle", name
             );
         }
+        prop_assert_eq!(
+            victim.best_plan_rows(), oracle.best_plan_rows(),
+            "BestPlan diverged from the fault-free oracle"
+        );
     }
 }

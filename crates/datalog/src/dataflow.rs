@@ -32,6 +32,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use reopt_common::{FxHashMap, FxHashSet};
 
+use crate::agg::OrderedMultiset;
 use crate::delta::{coalesce, CoalesceScratch, ConsolidatorFootprint, Delta};
 use crate::error::{DataflowError, FaultPlan};
 use crate::ops::{Fused, Operator};
@@ -1111,6 +1112,26 @@ impl Dataflow {
     /// Reads a sink's current contents.
     pub fn sink(&self, id: SinkId) -> &Multiset {
         &self.sinks[id.0]
+    }
+
+    fn operator(&self, node: NodeId) -> Option<&dyn Operator> {
+        match &self.nodes[node.0].kind {
+            NodeKind::Op(op) => Some(op.as_ref()),
+            _ => None,
+        }
+    }
+
+    /// The ordered state the `GroupAgg` at `node` holds for the group
+    /// at `key` ([`Operator::group_state`]); `None` at any other node.
+    /// Like [`Dataflow::sink`], a read of committed state between runs.
+    pub fn group_state(&self, node: NodeId, key: &Tuple) -> Option<&OrderedMultiset> {
+        self.operator(node)?.group_state(key)
+    }
+
+    /// The counted relation the `Distinct` at `node` gates
+    /// ([`Operator::distinct_state`]); `None` at any other node.
+    pub fn distinct_state(&self, node: NodeId) -> Option<&Multiset> {
+        self.operator(node)?.distinct_state()
     }
 
     pub fn node_count(&self) -> usize {

@@ -188,6 +188,21 @@ pub trait Operator {
         0
     }
 
+    /// The ordered state a [`GroupAgg`] holds for the group at `key` —
+    /// its aggregate read by key, without a sink or an arrangement on
+    /// the aggregate's output. `None` for a group never seen and for
+    /// every other operator.
+    fn group_state(&self, _key: &Tuple) -> Option<&OrderedMultiset> {
+        None
+    }
+
+    /// The counted relation a [`Distinct`] gates (a tuple is in the
+    /// relation while its count is positive); `None` for every other
+    /// operator.
+    fn distinct_state(&self) -> Option<&Multiset> {
+        None
+    }
+
     fn name(&self) -> &str;
 }
 
@@ -1023,12 +1038,6 @@ impl GroupAgg {
             batch_rows: Vec::new(),
         }
     }
-
-    /// Read access to a group's ordered state (used by tests asserting
-    /// next-best retention).
-    pub fn group_state(&self, key: &Tuple) -> Option<&OrderedMultiset> {
-        self.groups.get(key).map(|g| &g.state)
-    }
 }
 
 impl Operator for GroupAgg {
@@ -1224,6 +1233,10 @@ impl Operator for GroupAgg {
         self.groups.values().map(|g| g.state.distinct()).sum()
     }
 
+    fn group_state(&self, key: &Tuple) -> Option<&OrderedMultiset> {
+        self.groups.get(key).map(|g| &g.state)
+    }
+
     fn name(&self) -> &str {
         "group-agg"
     }
@@ -1241,10 +1254,6 @@ pub struct Distinct {
 impl Distinct {
     pub fn new() -> Distinct {
         Distinct::default()
-    }
-
-    pub fn state(&self) -> &Multiset {
-        &self.state
     }
 }
 
@@ -1294,6 +1303,10 @@ impl Operator for Distinct {
 
     fn state_rows(&self) -> usize {
         self.state.len()
+    }
+
+    fn distinct_state(&self) -> Option<&Multiset> {
+        Some(&self.state)
     }
 
     fn name(&self) -> &str {
@@ -1737,7 +1750,7 @@ mod tests {
         run(&mut d, 0, Delta::insert(ints(&[1])));
         d.commit_epoch();
         d.rollback_epoch(); // nothing to undo
-        assert!(d.state().contains(&ints(&[1])));
+        assert!(d.distinct_state().unwrap().contains(&ints(&[1])));
     }
 
     #[test]
