@@ -1,7 +1,12 @@
-//! Durability benchmarks: what a checkpoint costs to cut, and whether
-//! restore-plus-WAL-replay actually beats re-optimizing from scratch —
-//! the whole point of persisting the incremental state. Gated in CI by
-//! `check_bench` against the committed baseline.
+//! Durability benchmarks: what a checkpoint costs to cut and what a
+//! restart costs. A checkpoint holds the parameters (the state is a
+//! function of them), so a restart is a first boot on the recovered
+//! parameters plus the file reads: `restore_replay` must stay within
+//! the gate's tolerance of `optimizer_dataflow/initial_chain5/
+//! declarative` and under `from_scratch_initial`, which replays the
+//! history one epoch per batch; `checkpoint_write` is two fsyncs and a
+//! rename of a few hundred bytes. Gated in CI by `check_bench` against
+//! the committed baseline.
 
 use std::time::Duration;
 
@@ -38,7 +43,7 @@ fn checkpoint_restore(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200));
 
     // Cutting a durable checkpoint of a warmed chain-5 optimizer:
-    // serialize the snapshot + atomic tmp/fsync/rename.
+    // encode the parameter log + atomic tmp/fsync/rename.
     group.bench_function("checkpoint_write/chain5", |b| {
         let dir = fresh_dir("write");
         let mut opt = DataflowOptimizer::new(&catalog, q.clone());
@@ -52,10 +57,8 @@ fn checkpoint_restore(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // Full restart: restore the checkpoint, replay the WAL record past
-    // its watermark, pass post-restore verification. The payoff bench —
-    // must come in under `from_scratch_initial/chain5` and under the
-    // plain `initial_chain5` optimize, or durability buys nothing.
+    // Full restart: open and scan the WAL, decode the checkpoint, load
+    // its log and the WAL record past its watermark, optimize once.
     group.bench_function("restore_replay/chain5", |b| {
         let dir = fresh_dir("restore");
         {
@@ -77,8 +80,8 @@ fn checkpoint_restore(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // The alternative a restart would otherwise pay: build and evaluate
-    // the network from nothing, then re-apply the parameter history.
+    // What a restart would pay without folding the history: build and
+    // evaluate the network from nothing, then one epoch per batch.
     group.bench_function("from_scratch_initial/chain5", |b| {
         b.iter(|| {
             let mut opt = DataflowOptimizer::new(&catalog, q.clone());

@@ -1111,20 +1111,6 @@ impl RuleNetwork {
         self.df.rollbacks()
     }
 
-    /// Serializes the network's full dataflow state — operator state,
-    /// sinks, queue residue, symbol table — at the current committed
-    /// epoch (see `Dataflow::checkpoint`).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        self.df.checkpoint()
-    }
-
-    /// Restores state captured by [`RuleNetwork::checkpoint`] into this
-    /// (topologically identical, freshly compiled) network; returns the
-    /// restored epoch. On `Err` the network must be discarded.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<u64, DataflowError> {
-        self.df.restore(bytes)
-    }
-
     /// A materialized relation; `None` unless it was requested via
     /// [`NetworkBuilder::sink`].
     pub fn sink(&self, relation: &str) -> Option<&Multiset> {

@@ -174,8 +174,8 @@ fn sink_names(pruning: bool) -> &'static [&'static str] {
     }
 }
 
-/// Every relation the audit and the post-restore check look at: the
-/// sinks, and the `PlanCost` rows plan extraction probes.
+/// Every relation the audit looks at: the sinks, and the `PlanCost`
+/// rows plan extraction probes.
 fn views(net: &RuleNetwork, pruning: bool) -> impl Iterator<Item = (&'static str, &Multiset)> {
     let sinks = sink_names(pruning).iter().map(move |&name| {
         let sink = net.sink(name);
@@ -267,13 +267,13 @@ pub enum RecoveryPath {
     /// the memo and the `LocalCost` mirror (which already reflects every
     /// applied parameter delta), then evaluated fresh.
     RebuiltFromScratch,
-    /// A restart restored the last durable checkpoint, replayed the WAL
-    /// tail past its watermark, and passed post-restore verification —
-    /// the incremental state survived the process boundary.
+    /// A restart found an intact checkpoint: its parameter log plus the
+    /// WAL tail past its watermark were loaded and optimized once — the
+    /// replay was bounded by the checkpoint.
     RestoredFromCheckpoint,
     /// A restart found the durable checkpoint torn, truncated, corrupt,
-    /// or failing post-restore verification; the optimizer degraded to a
-    /// from-scratch optimize plus a full WAL replay. Slower, never wrong.
+    /// of another format or query, or ahead of the WAL; it was discarded
+    /// and the *whole* WAL loaded instead. Slower, never wrong.
     RebuiltAfterCorruptCheckpoint,
 }
 
@@ -678,16 +678,8 @@ impl DataflowOptimizer {
     pub fn optimize(&mut self) -> DataflowOutcome {
         if !self.initialized {
             self.initialized = true;
-            for gi in 0..self.memo.n_groups() as u32 {
-                let g = GroupId(gi);
-                let (expr, prop) = {
-                    let d = self.memo.group(g);
-                    (d.expr, d.prop)
-                };
-                for a in self.memo.alts_of(g) {
-                    let spec = self.memo.alt(a).spec;
-                    self.local[a.0 as usize] = self.ctx.local_cost(&self.q, expr, prop, &spec);
-                }
+            for (_, a, c) in local_costs(&self.memo, &mut self.ctx, &self.q) {
+                self.local[a.0 as usize] = c;
             }
             self.seed_network();
         }
@@ -900,28 +892,28 @@ impl DataflowOptimizer {
         self.pruning.root_bound = new_root_bound;
     }
 
-    /// Replays WAL `records` as one epoch. Factors are absolute and the
-    /// network's state is a function of the current `LocalCost` rows,
-    /// so the records' net effect — the last write per parameter — fed
-    /// through one `reoptimize` lands on the fixpoint that replaying
-    /// them one by one reaches. `epochs_seen` advances as that replay
-    /// would have advanced it: once per record that changed a
-    /// parameter. `None` if there is nothing to replay.
-    fn replay_folded(&mut self, records: &[Vec<ParamDelta>]) -> Option<DataflowOutcome> {
-        if records.is_empty() {
-            return None;
+    /// Loads recovered parameters into this engine before its first
+    /// `optimize()`: the checkpoint's deduped `log`, then the WAL
+    /// `tail` past it. Factors are absolute, so the context ends up
+    /// holding the last write per parameter — everything the optimizer's
+    /// state is a function of. The epoch counter starts at the
+    /// checkpoint's `epochs_seen` and advances as replaying the tail
+    /// record by record would have advanced it: once per record that
+    /// changed a parameter.
+    fn load_parameters(
+        &mut self,
+        epochs_seen: u64,
+        log: Vec<ParamDelta>,
+        tail: &[Vec<ParamDelta>],
+    ) {
+        debug_assert!(!self.initialized, "parameters load before the first optimize");
+        self.epochs_seen = epochs_seen;
+        self.ctx.apply(&log);
+        self.applied = log;
+        for record in tail {
+            fold_last_writes(&mut self.applied, record);
+            self.epochs_seen += u64::from(!self.ctx.apply(record).is_empty());
         }
-        let mut net: Vec<ParamDelta> = Vec::new();
-        let mut factors = self.ctx.factors().clone();
-        let mut effective = 0;
-        for record in records {
-            fold_last_writes(&mut net, record);
-            effective += u64::from(!factors.apply(record).is_empty());
-        }
-        let epochs_before = self.epochs_seen;
-        let out = self.reoptimize(&net);
-        self.epochs_seen = epochs_before + effective;
-        Some(out)
     }
 
     fn maybe_audit(&mut self) -> AuditOutcome {
@@ -963,28 +955,19 @@ impl DataflowOptimizer {
         let mut fresh = self.fresh_network();
         let root = self.group_key(self.memo.root);
         fresh.insert("Expr", Tuple::from_slice(&root));
-        for gi in 0..self.memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            let key = self.group_key(g);
-            let (expr, prop) = {
-                let d = self.memo.group(g);
-                (d.expr, d.prop)
-            };
-            for a in self.memo.alts_of(g) {
-                let spec = self.memo.alt(a).spec;
-                let c = self.ctx.local_cost(&self.q, expr, prop, &spec);
-                if c != self.local[a.0 as usize] {
-                    return Err(DataflowError::InvariantViolation(format!(
-                        "audit: LocalCost mirror for alt {} holds {:?} but recompute gives {c:?}",
-                        a.0, self.local[a.0 as usize]
-                    )));
-                }
-                // The fresh network seeds the same prune set as the
-                // live one — the driver is the pruning authority, so
-                // an equal-state recompute excludes the same rows.
-                if !self.pruning.pruned[a.0 as usize] {
-                    fresh.insert("LocalCost", local_tuple(key, a, c));
-                }
+        let recomputed: Vec<_> = local_costs(&self.memo, &mut self.ctx, &self.q).collect();
+        for (g, a, c) in recomputed {
+            if c != self.local[a.0 as usize] {
+                return Err(DataflowError::InvariantViolation(format!(
+                    "audit: LocalCost mirror for alt {} holds {:?} but recompute gives {c:?}",
+                    a.0, self.local[a.0 as usize]
+                )));
+            }
+            // The fresh network seeds the same prune set as the live
+            // one — the driver is the pruning authority, so an
+            // equal-state recompute excludes the same rows.
+            if !self.pruning.pruned[a.0 as usize] {
+                fresh.insert("LocalCost", local_tuple(self.group_key(g), a, c));
             }
         }
         // Gated exactly like `push_pruned_diff`: the diagnostic seed
@@ -1071,37 +1054,16 @@ impl DataflowOptimizer {
 
     /// Arms durability: every subsequent [`DataflowOptimizer::reoptimize`]
     /// batch is appended to `<dir>/wal.bin` (fsynced, write-ahead) and
-    /// [`DataflowOptimizer::checkpoint_durable`] snapshots to
-    /// `<dir>/checkpoint.bin`. An existing WAL is adopted — appends
+    /// [`DataflowOptimizer::checkpoint_durable`] writes
+    /// `<dir>/checkpoint.bin`. The directory is opened by
+    /// [`durable::open_dir`]: an existing WAL is adopted — appends
     /// continue after its intact records, and a torn tail from an
     /// earlier crash is truncated away first; an unreadable WAL is
     /// reinitialized empty (a later [`DataflowOptimizer::recover`] will
     /// then degrade rather than trust a stale checkpoint against it).
     pub fn set_durable_dir(&mut self, dir: impl Into<PathBuf>) -> std::io::Result<()> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        durable::sweep_tmp(&dir);
-        let wal_path = dir.join(durable::WAL_FILE);
-        let wal_seq = match std::fs::read(&wal_path) {
-            Err(_) => {
-                durable::wal_init(&wal_path)?;
-                0
-            }
-            Ok(bytes) => match durable::wal_records(&bytes) {
-                Ok(scan) => {
-                    if scan.torn {
-                        let f = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
-                        f.set_len(scan.valid_len as u64)?;
-                        f.sync_all()?;
-                    }
-                    scan.batches.len() as u64
-                }
-                Err(_) => {
-                    durable::wal_init(&wal_path)?;
-                    0
-                }
-            },
-        };
+        let wal_seq = durable::open_dir(&dir)?.next_seq;
         self.durable = Some(Durable { dir, wal_seq });
         Ok(())
     }
@@ -1124,322 +1086,112 @@ impl DataflowOptimizer {
         }
     }
 
-    /// Cuts a durable checkpoint of the committed optimizer state —
-    /// applied-delta log, `LocalCost` mirror, the full network dataflow
-    /// state (operator indexes, sinks, queue residue, symbol table) and
-    /// the WAL watermark — atomically (tmp + fsync + rename). Fails with
-    /// `InvalidInput` unless [`DataflowOptimizer::set_durable_dir`]
-    /// armed a directory first.
+    /// Cuts a durable checkpoint: the applied-parameter log (the last
+    /// write per parameter), the WAL watermark it covers, `epochs_seen`
+    /// and the query's leaf and edge counts — the parameters, of which
+    /// all other state is a function ([`durable`] has the format and
+    /// the argument) — committed atomically (tmp + fsync + rename).
+    /// Fails with `InvalidInput` unless
+    /// [`DataflowOptimizer::set_durable_dir`] armed a directory first.
     pub fn checkpoint_durable(&mut self) -> std::io::Result<()> {
-        let Some(durable) = self.durable.as_ref() else {
+        let Some(d) = self.durable.as_ref() else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "checkpoint_durable needs set_durable_dir first",
             ));
         };
-        let dir = durable.dir.clone();
-        let bytes = self.snapshot_bytes();
-        reopt_datalog::checkpoint::write_atomic(&dir.join(durable::CHECKPOINT_FILE), &bytes)
+        let bytes = durable::encode_checkpoint(
+            d.wal_seq,
+            self.epochs_seen,
+            self.q.n_leaves(),
+            self.q.edges.len() as u32,
+            &self.applied,
+        );
+        durable::write_atomic(&d.dir.join(durable::CHECKPOINT_FILE), &bytes)
     }
 
-    /// Serializes the optimizer snapshot: a record stream (shared
-    /// framing with the substrate checkpoint) of
+    /// Restarts an optimizer from a durable directory, the one way a
+    /// first boot builds state: the recovered parameters — an intact
+    /// checkpoint's log and the WAL records past its watermark, else
+    /// the whole WAL — are folded to the last write per parameter and
+    /// loaded into a fresh engine's [`CostContext`], then exactly one
+    /// `optimize()` runs, whatever the WAL's length. What was found on
+    /// disk decides the label:
     ///
-    /// 1. meta — WAL watermark, epochs seen, mirror length, log length;
-    /// 2. the deduped applied-[`ParamDelta`] log;
-    /// 3. the `LocalCost` mirror (f64 bit patterns, so `INFINITY` round-
-    ///    trips exactly);
-    /// 4. the embedded network checkpoint ([`RuleNetwork::checkpoint`]),
-    ///    which carries its own symbol table.
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        use reopt_datalog::checkpoint::{Enc, RecordWriter, MAGIC};
-        let mut w = RecordWriter::new(MAGIC);
-        let mut meta = Enc::new();
-        meta.u64(self.durable.as_ref().map_or(0, |d| d.wal_seq));
-        meta.u64(self.epochs_seen);
-        meta.u64(self.local.len() as u64);
-        meta.u64(self.applied.len() as u64);
-        w.record(meta);
-        let mut log = Enc::new();
-        for d in &self.applied {
-            durable::encode_delta(&mut log, d);
-        }
-        w.record(log);
-        let mut mirror = Enc::new();
-        for c in &self.local {
-            mirror.f64(c.value());
-        }
-        w.record(mirror);
-        let mut net = Enc::new();
-        net.raw(&self.net.checkpoint());
-        w.record(net);
-        w.into_bytes()
-    }
-
-    /// Restores a snapshot into this freshly built optimizer; returns
-    /// the WAL watermark to replay from. On `Err` the optimizer state
-    /// is unspecified and the instance must be discarded (recover
-    /// degrades to a from-scratch rebuild).
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<u64, DataflowError> {
-        use reopt_datalog::checkpoint::{Dec, RecordReader, SymRemap, MAGIC};
-        let corrupt = |msg: String| DataflowError::StateCorruption(msg);
-        fn need(r: Option<&[u8]>) -> Result<&[u8], DataflowError> {
-            r.ok_or_else(|| DataflowError::StateCorruption("snapshot ends early".into()))
-        }
-        // Bridge-level records carry no symbols (the net blob embeds its
-        // own table), so an empty remap suffices.
-        let remap = SymRemap::from_strings(&[])?;
-        let mut r = RecordReader::new(bytes, MAGIC)?;
-
-        let meta = need(r.next_record()?)?;
-        let mut d = Dec::new(meta, &remap);
-        let watermark = d.u64()?;
-        let epochs_seen = d.u64()?;
-        let n_local = d.u64()? as usize;
-        let n_applied = d.u64()? as usize;
-        if !d.is_done() {
-            return Err(corrupt("trailing bytes in snapshot meta".into()));
-        }
-        if n_local != self.local.len() {
-            return Err(corrupt(format!(
-                "snapshot mirrors {n_local} alternatives but this query builds {}",
-                self.local.len()
-            )));
-        }
-
-        let log = need(r.next_record()?)?;
-        let mut d = Dec::new(log, &remap);
-        let mut applied = Vec::with_capacity(n_applied.min(log.len() / 13));
-        for _ in 0..n_applied {
-            let delta = durable::decode_delta(&mut d)?;
-            let in_range = match delta {
-                ParamDelta::EdgeSelectivity(e, _) => (e.0 as usize) < self.q.edges.len(),
-                ParamDelta::LeafCardinality(l, _) | ParamDelta::LeafScanCost(l, _) => {
-                    l.0 < self.q.n_leaves()
-                }
-            };
-            if !in_range {
-                return Err(corrupt(format!(
-                    "snapshot log references a parameter outside this query: {delta:?}"
-                )));
-            }
-            applied.push(delta);
-        }
-        if !d.is_done() {
-            return Err(corrupt("trailing bytes in snapshot delta log".into()));
-        }
-
-        let mirror = need(r.next_record()?)?;
-        let mut d = Dec::new(mirror, &remap);
-        let mut local = Vec::with_capacity(n_local);
-        for _ in 0..n_local {
-            local.push(Cost::new(d.f64()?));
-        }
-        if !d.is_done() {
-            return Err(corrupt("trailing bytes in snapshot mirror".into()));
-        }
-
-        let net_blob = need(r.next_record()?)?;
-        let mut d = Dec::new(net_blob, &remap);
-        self.net.restore(d.rest())?;
-        if r.next_record()?.is_some() {
-            return Err(corrupt("unexpected trailing snapshot record".into()));
-        }
-
-        // Absolute factors: replaying the deduped log onto the fresh
-        // catalog-derived context reconstructs it exactly.
-        self.ctx.apply(&applied);
-        self.applied = applied;
-        self.local = local;
-        self.epochs_seen = epochs_seen;
-        self.initialized = true;
-        // The prune set is a deterministic function of the mirror, so
-        // it is recomputed rather than persisted; it must equal what
-        // the checkpointed instance excluded from the restored network.
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        for a in 0..self.memo.n_alts() as u32 {
-            let g = self.memo.alt(AltId(a)).group;
-            self.pruning.pruned[a as usize] = self.pruning.enabled && dp.prunes(g, AltId(a));
-        }
-        self.pruning.root_bound = dp.bound[self.memo.root.0 as usize];
-        Ok(watermark)
-    }
-
-    /// Post-restore verification — satellite of the recovery ladder,
-    /// deliberately cheaper than the full [`DataflowOptimizer::audit`]
-    /// (no from-scratch dataflow recompute, which would cost more than
-    /// the restore saved): no residual negative counts in a sink or in
-    /// the `PlanCost` rows, one `SearchSpace` row per memo alternative,
-    /// and a shadow hand-rolled
-    /// engine replaying the restored delta log must pass
-    /// `check_invariants` and agree on the best cost.
-    fn post_restore_verify(&mut self) -> Result<(), DataflowError> {
-        let bad = |msg: String| Err(DataflowError::StateCorruption(msg));
-        for (name, view) in views(&self.net, self.pruning.enabled) {
-            if view.has_negative_counts() {
-                return bad(format!("restored {name} holds residual negative counts"));
-            }
-        }
-        let alts = self.search_space_size();
-        if alts != self.memo.n_alts() {
-            return bad(format!(
-                "restored SearchSpace has {alts} rows but the memo enumerates {}",
-                self.memo.n_alts()
-            ));
-        }
-        let mut shadow =
-            IncrementalOptimizer::new(&self.catalog, self.q.clone(), PruningConfig::none());
-        let mut want = shadow.optimize();
-        if !self.applied.is_empty() {
-            let applied = self.applied.clone();
-            want = shadow.reoptimize(&applied);
-        }
-        if let Err(m) = shadow.check_invariants() {
-            return bad(format!("shadow engine after restore: {m}"));
-        }
-        if !want.cost.approx_eq(self.best_cost()) {
-            return bad(format!(
-                "restored best cost {:?} disagrees with shadow engine {:?}",
-                self.best_cost(),
-                want.cost
-            ));
-        }
-        Ok(())
-    }
-
-    /// Restarts an optimizer from a durable directory. The full ladder:
-    ///
-    /// 1. checkpoint present and intact → restore it, flush any
-    ///    checkpointed queue residue, replay the WAL records past the
-    ///    watermark as one epoch (`replay_folded`),
-    ///    verify → [`RecoveryPath::RestoredFromCheckpoint`];
-    /// 2. checkpoint torn / corrupt / failing verification → discard
-    ///    it, optimize from scratch and replay the *whole* WAL →
-    ///    [`RecoveryPath::RebuiltAfterCorruptCheckpoint`];
-    /// 3. no checkpoint but WAL content (crashed before the first
-    ///    checkpoint) → from-scratch plus full replay →
-    ///    [`RecoveryPath::RebuiltFromScratch`];
+    /// 1. an intact checkpoint whose watermark the WAL covers →
+    ///    [`RecoveryPath::RestoredFromCheckpoint`];
+    /// 2. a checkpoint that is torn, corrupt, of another format or
+    ///    query, or ahead of the WAL → discarded, the whole WAL replayed
+    ///    → [`RecoveryPath::RebuiltAfterCorruptCheckpoint`];
+    /// 3. no checkpoint but WAL history (crashed before the first
+    ///    checkpoint) → [`RecoveryPath::RebuiltFromScratch`];
     /// 4. empty directory → a plain first boot →
     ///    [`RecoveryPath::Committed`].
     ///
     /// State damage never panics and never returns `Err`; it degrades
     /// down the ladder with every absorbed error in the report. `Err`
-    /// is reserved for failing to arm the directory itself. Whatever
-    /// the WAL's length, a restart runs at most the residue flush and
-    /// one `reoptimize` (rung 1) or one `optimize` and one `reoptimize`
-    /// (rungs 2–3).
+    /// is reserved for failing to arm the directory itself. The
+    /// recovery epoch is an epoch like any other: it runs behind the
+    /// degradation ladder and is audited when `REOPT_AUDIT` samples it.
     pub fn recover(
         catalog: &Catalog,
         q: QuerySpec,
         dir: impl AsRef<Path>,
     ) -> std::io::Result<(DataflowOptimizer, DataflowOutcome)> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        // A crash between "write checkpoint.tmp" and "rename" strands
-        // the staging file; it is dead bytes, never recovered state.
-        durable::sweep_tmp(dir);
-        let mut errors: Vec<DataflowError> = Vec::new();
-
-        let wal_path = dir.join(durable::WAL_FILE);
-        // `wal_fix` remembers what arming durability at the end must do
-        // to the file: `Some((torn, valid_len))` for a readable WAL
-        // (truncate the torn tail if any), `None` for a missing or
-        // corrupt one (reinitialize empty). Keeping the scan outcome
-        // here avoids a second read+scan of the WAL when we arm.
-        let (wal_batches, wal_fix) = match std::fs::read(&wal_path) {
-            Err(_) => (Vec::new(), None), // no WAL yet: fresh boot
-            Ok(bytes) => match durable::wal_records(&bytes) {
-                Ok(scan) => {
-                    let fix = Some((scan.torn, scan.valid_len as u64));
-                    (scan.batches, fix)
-                }
-                Err(e) => {
-                    errors.push(e);
-                    (Vec::new(), None)
-                }
-            },
-        };
-        let ckpt_bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).ok();
-        let had_checkpoint = ckpt_bytes.is_some();
+        let wal = durable::open_dir(dir)?;
         // A torn tail is history too: bytes past the header mean an
         // append was at least attempted (or a record's length field was
         // damaged), which a clean first boot never shows.
-        let had_history = !wal_batches.is_empty()
-            || !errors.is_empty()
-            || wal_fix.is_some_and(|(torn, _)| torn);
+        let had_history = !wal.batches.is_empty() || wal.error.is_some() || wal.torn;
+        let mut errors: Vec<DataflowError> = wal.error.into_iter().collect();
 
-        let mut restored: Option<(DataflowOptimizer, RunStats)> = None;
-        if let Some(bytes) = ckpt_bytes {
-            let mut opt = DataflowOptimizer::new(catalog, q.clone());
-            match opt.restore_snapshot(&bytes) {
-                Ok(watermark) if (watermark as usize) <= wal_batches.len() => {
-                    // Flush any queue residue the checkpoint carried,
-                    // then replay the tail the snapshot has not seen.
-                    let (mut stats, flush) = opt.run_recovering();
-                    errors.extend(flush.errors.iter().cloned());
-                    if flush.path == RecoveryPath::Committed {
-                        if let Some(out) = opt.replay_folded(&wal_batches[watermark as usize..]) {
-                            errors.extend(out.recovery.errors);
-                            stats = out.stats;
-                        }
-                        match opt.post_restore_verify() {
-                            Ok(()) => restored = Some((opt, stats)),
-                            Err(e) => errors.push(e),
-                        }
-                    }
-                }
-                Ok(watermark) => errors.push(DataflowError::StateCorruption(format!(
-                    "checkpoint watermark {watermark} is beyond the {} intact WAL records",
-                    wal_batches.len()
-                ))),
-                Err(e) => errors.push(e),
+        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let decoded = std::fs::read(dir.join(durable::CHECKPOINT_FILE))
+            .ok()
+            .map(|bytes| durable::decode_checkpoint(&bytes, leaves, edges));
+        let had_checkpoint = decoded.is_some();
+        let checkpoint = match decoded {
+            Some(Ok(c)) if c.watermark <= wal.next_seq => Some(c),
+            Some(Ok(c)) => {
+                errors.push(DataflowError::StateCorruption(format!(
+                    "checkpoint watermark {} is beyond the {} intact WAL records",
+                    c.watermark, wal.next_seq
+                )));
+                None
             }
-        }
+            Some(Err(e)) => {
+                errors.push(e);
+                None
+            }
+            None => None,
+        };
 
-        let (mut opt, path, stats) = match restored {
-            Some((opt, stats)) => (opt, RecoveryPath::RestoredFromCheckpoint, stats),
+        let mut opt = DataflowOptimizer::new(catalog, q);
+        let path = match checkpoint {
+            Some(c) => {
+                let tail = &wal.batches[c.watermark as usize..];
+                opt.load_parameters(c.epochs_seen, c.log, tail);
+                RecoveryPath::RestoredFromCheckpoint
+            }
             None => {
-                let mut opt = DataflowOptimizer::new(catalog, q);
-                let mut out = opt.optimize();
-                if let Some(replayed) = opt.replay_folded(&wal_batches) {
-                    out = replayed;
-                }
-                let path = if had_checkpoint {
+                opt.load_parameters(0, Vec::new(), &wal.batches);
+                if had_checkpoint {
                     RecoveryPath::RebuiltAfterCorruptCheckpoint
                 } else if had_history {
                     RecoveryPath::RebuiltFromScratch
                 } else {
                     RecoveryPath::Committed
-                };
-                (opt, path, out.stats)
-            }
-        };
-        // Arm durability from the scan already performed — the same
-        // repairs `set_durable_dir` would make, minus its re-read.
-        let wal_seq = match wal_fix {
-            Some((torn, valid_len)) => {
-                if torn {
-                    let f = std::fs::OpenOptions::new().write(true).open(&wal_path)?;
-                    f.set_len(valid_len)?;
-                    f.sync_all()?;
                 }
-                wal_batches.len() as u64
-            }
-            None => {
-                durable::wal_init(&wal_path)?;
-                0
             }
         };
         opt.durable = Some(Durable {
             dir: dir.to_path_buf(),
-            wal_seq,
+            wal_seq: wal.next_seq,
         });
-        let report = RecoveryReport {
-            path,
-            errors,
-            audit: AuditOutcome::NotSampled,
-        };
-        let outcome = opt.outcome(stats, report);
+        let mut outcome = opt.optimize();
+        outcome.recovery.path = path;
+        outcome.recovery.errors.splice(0..0, errors);
         Ok((opt, outcome))
     }
 
@@ -1650,6 +1402,20 @@ impl DataflowOptimizer {
         rows.sort();
         rows
     }
+}
+
+/// `LocalCost` of every alternative, recomputed from the context, in
+/// [`AltId`] order (alternative ids are dense in group order).
+fn local_costs<'a>(
+    memo: &'a Memo,
+    ctx: &'a mut CostContext,
+    q: &'a QuerySpec,
+) -> impl Iterator<Item = (GroupId, AltId, Cost)> + 'a {
+    (0..memo.n_alts() as u32).map(AltId).map(move |a| {
+        let alt = memo.alt(a);
+        let d = memo.group(alt.group);
+        (alt.group, a, ctx.local_cost(q, d.expr, d.prop, &alt.spec))
+    })
 }
 
 /// Dedup key for the applied-delta log: parameter kind plus id.
@@ -2324,6 +2090,94 @@ mod tests {
             .checkpoint_durable()
             .expect_err("no durable directory armed");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    /// A restart is a first boot on the recovered parameters: whatever
+    /// the WAL tail's length it runs one epoch, and the substrate
+    /// services exactly the deltas and batches it services for a fresh
+    /// engine whose context was handed the same factors.
+    #[test]
+    fn a_restart_does_the_work_of_a_first_boot_whatever_the_tail_length() {
+        let c = fixture_catalog();
+        let q = chain_query(&c, 5);
+        for tail_len in [0u32, 1, 40] {
+            let dir = std::env::temp_dir().join(format!(
+                "reopt-bridge-work-equivalence-{}-{tail_len}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut victim = DataflowOptimizer::new(&c, q.clone());
+            victim.set_durable_dir(&dir).unwrap();
+            victim.optimize();
+            victim.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(1), 2.0)]);
+            victim.reoptimize(&[ParamDelta::LeafScanCost(LeafId(4), 4.0)]);
+            victim.checkpoint_durable().unwrap();
+            // Two parameters walked through values they do not hold at
+            // the checkpoint, so every record is a real change.
+            for i in 0..tail_len {
+                let factor = f64::from(i % 3 + 3);
+                victim.reoptimize(&[ParamDelta::LeafCardinality(LeafId(i % 2), factor)]);
+            }
+            let epochs = victim.epochs_seen();
+            drop(victim); // the crash
+
+            let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+            assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
+            assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
+            assert_eq!(rec.applied_log().len(), 2 + tail_len.min(2) as usize);
+            // The tail's epochs, plus the one the restart ran.
+            assert_eq!(rec.epochs_seen(), epochs + 1);
+
+            let mut fresh = DataflowOptimizer::new(&c, q.clone());
+            fresh.ctx.apply(rec.applied_log());
+            let want = fresh.optimize();
+            assert_eq!(out.stats.epoch, 1, "tail of {tail_len}");
+            assert_eq!(
+                (out.stats.deltas_processed, out.stats.batches_processed),
+                (want.stats.deltas_processed, want.stats.batches_processed),
+                "tail of {tail_len}"
+            );
+            assert_eq!((out.cost, &out.plan), (want.cost, &want.plan));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Plan extraction reads two relations of the network against each
+    /// other. A network that holds no `PlanCost` row for a group on the
+    /// chosen tree — here a fresh one nothing was seeded into — is a
+    /// reported error answered from the rebuild rung, not a panic in
+    /// `best_plan`, and the rebuilt network is the live one.
+    #[test]
+    fn a_chosen_group_without_its_plan_cost_row_is_an_error_and_a_rebuild() {
+        let c = fixture_catalog();
+        let q = chain_query(&c, 5);
+        let batch = [ParamDelta::EdgeSelectivity(EdgeId(1), 2.0)];
+        let mut oracle = DataflowOptimizer::new(&c, q.clone());
+        oracle.optimize();
+        let want = oracle.reoptimize(&batch);
+
+        let mut df = DataflowOptimizer::new(&c, q);
+        df.optimize();
+        df.reoptimize(&batch);
+        df.net = df.fresh_network();
+        let out = df.outcome(RunStats::default(), RecoveryReport::committed());
+        assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+        assert!(
+            matches!(
+                out.recovery.errors.as_slice(),
+                [DataflowError::InvariantViolation(m)] if m.contains("no `PlanCost` row")
+            ),
+            "{:?}",
+            out.recovery.errors
+        );
+        assert_eq!((out.cost, &out.plan), (want.cost, &want.plan));
+        assert_eq!(df.best_plan_rows(), oracle.best_plan_rows());
+        // The rebuilt network is the live one: the next epoch is clean.
+        let next = [ParamDelta::LeafCardinality(LeafId(2), 0.5)];
+        let (got, want) = (df.reoptimize(&next), oracle.reoptimize(&next));
+        assert!(got.recovery.is_clean(), "{:?}", got.recovery);
+        assert_eq!((got.cost, &got.plan), (want.cost, &want.plan));
+        df.audit().expect("the rebuilt state passes the audit");
     }
 
     /// `n` relations of the fixture catalog joined as a chain, a star

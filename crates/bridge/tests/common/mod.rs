@@ -1,7 +1,7 @@
 //! Helpers shared by the bridge's crash and growth suites: random query
 //! instances, the chain-5 fixture, sink comparison, scratch durable
-//! directories, and the record-by-record restart that `recover`'s
-//! folded replay is checked against.
+//! directories, and the record-by-record restart that `recover` is
+//! checked against.
 #![allow(dead_code)] // each suite uses its own subset
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,43 +142,40 @@ pub fn chain5_batches(q: &QuerySpec) -> Vec<Vec<ParamDelta>> {
 }
 
 /// A victim that applied `before`, cut a checkpoint, applied `tail` and
-/// crashed; returns its durable directory and the substrate epoch its
-/// checkpoint was cut at.
+/// crashed; returns its durable directory.
 pub fn crashed_victim(
     c: &Catalog,
     q: &QuerySpec,
     label: &str,
     before: &[Vec<ParamDelta>],
     tail: &[Vec<ParamDelta>],
-) -> (std::path::PathBuf, u64) {
+) -> std::path::PathBuf {
     let dir = fresh_dir(label);
     let mut victim = DataflowOptimizer::new(c, q.clone());
     victim.set_audit_mode(AuditMode::Off);
     victim.set_durable_dir(&dir).unwrap();
-    let mut epoch = victim.optimize().stats.epoch;
+    victim.optimize();
     for record in before {
-        // An epoch that changed nothing ran nothing (`stats.epoch` 0).
-        epoch = epoch.max(victim.reoptimize(record).stats.epoch);
+        victim.reoptimize(record);
     }
     victim.checkpoint_durable().unwrap();
     for record in tail {
         victim.reoptimize(record);
     }
     drop(victim); // the crash
-    (dir, epoch)
+    dir
 }
 
-/// A restart the way `recover` ran it before it folded the WAL tail —
-/// one `reoptimize` per record — built from public calls only and kept
-/// as the reference for the folded replay. The crashed engine applied
-/// `before`, then (if `from_checkpoint`) cut a checkpoint, then applied
-/// `tail`.
+/// A restart that replays the WAL one `reoptimize` per record — built
+/// from public calls only and kept as the reference for `recover`,
+/// which loads the records' net effect and optimizes once. The crashed
+/// engine applied `before`, then (if `from_checkpoint`) cut a
+/// checkpoint, then applied `tail`.
 ///
 /// With a checkpoint, a twin that crashed right after cutting its
-/// checkpoint is recovered (nothing to replay, so no folding is
-/// involved) and fed the tail record by record; without one, a fresh
-/// engine is fed the whole history record by record, which is what the
-/// degraded rungs replayed.
+/// checkpoint is recovered (no tail, so nothing is folded) and fed the
+/// tail record by record; without one, a fresh engine is fed the whole
+/// history record by record.
 pub fn record_by_record_restart(
     c: &Catalog,
     q: &QuerySpec,
@@ -195,7 +192,7 @@ pub fn record_by_record_restart(
         }
         return opt;
     }
-    let (dir, _) = crashed_victim(c, q, "reference", before, &[]);
+    let dir = crashed_victim(c, q, "reference", before, &[]);
     let (mut opt, out) = DataflowOptimizer::recover(c, q.clone(), &dir).unwrap();
     assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
     opt.set_audit_mode(AuditMode::Off);

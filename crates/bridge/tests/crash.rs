@@ -10,9 +10,10 @@ mod common;
 
 use proptest::prelude::*;
 
-use reopt_bridge::{AuditMode, DataflowOptimizer, RecoveryPath};
+use reopt_bridge::{durable, AuditMode, DataflowOptimizer, RecoveryPath};
 use reopt_cost::ParamDelta;
-use reopt_datalog::{DataflowError, Delta, Multiset, Val};
+use reopt_datalog::DataflowError;
+use reopt_expr::LeafId;
 
 use common::{
     assert_sinks_match, build, chain5, chain5_batches, crashed_victim, deltas_for, fresh_dir,
@@ -185,14 +186,15 @@ fn flip_checkpoint_bit(dir: &std::path::Path, byte_sel: u32, bit: u8) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// `recover` folds the WAL tail into one net batch and runs one
-    /// epoch; the record-by-record replay it replaced (kept in
-    /// `common`) is the reference. Random checkpoint position, a tail
-    /// of 0–40 records that keep hitting the same few parameters, an
-    /// optional torn last record, and an optionally corrupted
-    /// checkpoint (the degraded rung folds the whole WAL): both must
-    /// agree on every sink with counts, the best cost and plan, the
-    /// applied log and `epochs_seen`.
+    /// `recover` loads the net effect of the checkpoint's log and the
+    /// WAL tail — the last write per parameter — and optimizes once;
+    /// replaying the tail one `reoptimize` per record (kept in `common`)
+    /// is the reference. Random checkpoint position, a tail of 0–40
+    /// records that keep hitting the same few parameters, an optional
+    /// torn last record, and an optionally corrupted checkpoint (the
+    /// degraded rung loads the whole WAL): both must agree on every
+    /// sink with counts, the best cost and plan, the applied log and
+    /// `epochs_seen`.
     #[test]
     fn folded_replay_equals_record_by_record_replay(
         gen in query_gen(5),
@@ -212,7 +214,7 @@ proptest! {
                 .collect()
         };
         let (before, tail) = (records(&before), records(&tail));
-        let (dir, _) = crashed_victim(&c, &q, "fold", &before, &tail);
+        let dir = crashed_victim(&c, &q, "fold", &before, &tail);
         let mut intact = tail.as_slice();
         if torn && !tail.is_empty() {
             // Tear the final record: it was never acknowledged durable.
@@ -240,54 +242,6 @@ proptest! {
         prop_assert_eq!(rec.epochs_seen(), want.epochs_seen(), "epochs_seen diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// The work a restart does is bounded whatever the tail's length:
-/// restoring runs the residue flush and, if there is a tail, one
-/// `reoptimize`; the degraded rungs run one `optimize` and one
-/// `reoptimize`. `stats.epoch` counts the substrate's committed epochs
-/// (a checkpoint carries it), so it counts those runs exactly. Record-
-/// by-record replay ran one epoch per record: 40 here.
-#[test]
-fn a_restart_runs_at_most_two_epochs_whatever_the_tail_length() {
-    let (c, q) = chain5();
-    let before = chain5_batches(&q);
-    // 40 records walking two parameters through values they do not
-    // hold at the checkpoint, so the net batch is a real change.
-    let tail: Vec<Vec<ParamDelta>> = (0u8..40)
-        .map(|i| deltas_for(&q, (1, i % 2, i % 3 + 4)))
-        .collect();
-
-    let (dir, at_checkpoint) = crashed_victim(&c, &q, "bound-tail", &before, &tail);
-    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    assert_eq!(
-        out.stats.epoch,
-        at_checkpoint + 2,
-        "flush + one folded epoch"
-    );
-
-    // Degraded rung: the whole WAL (4 + 40 records) folds into one epoch
-    // after the from-scratch optimize.
-    flip_checkpoint_bit(&dir, 40, 3);
-    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(
-        out.recovery.path,
-        RecoveryPath::RebuiltAfterCorruptCheckpoint
-    );
-    assert_eq!(out.stats.epoch, 2, "one optimize + one folded epoch");
-    std::fs::remove_file(dir.join("checkpoint.bin")).unwrap();
-    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
-    assert_eq!(out.stats.epoch, 2, "one optimize + one folded epoch");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Nothing past the checkpoint: the flush is the only epoch.
-    let (dir, at_checkpoint) = crashed_victim(&c, &q, "bound-empty", &before, &[]);
-    let (_, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    assert_eq!(out.stats.epoch, at_checkpoint + 1, "the residue flush only");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The acceptance scenario, pinned deterministically: warm a chain-5
@@ -512,8 +466,8 @@ fn stale_checkpoint_tmp_files_are_swept_on_startup() {
 /// Cross-process restart: a child process (fresh interner) warms and
 /// checkpoints a durable optimizer, then exits; the parent — whose
 /// interner is deliberately shifted by decoy strings — recovers from
-/// the same directory. The embedded symbol table must remap every
-/// interned operator name, or the restored sinks would be garbage.
+/// the same directory. Nothing on disk names an interned symbol — the
+/// files hold parameters — so the recovered sinks are the oracle's.
 #[test]
 fn durable_state_survives_a_process_boundary() {
     const ENV: &str = "REOPT_BRIDGE_CRASH_DIR";
@@ -535,8 +489,8 @@ fn durable_state_survives_a_process_boundary() {
         std::process::exit(0);
     }
 
-    // Parent: shift the interner so the child's symbol ids are wrong
-    // here unless the checkpoint's table remaps them.
+    // Parent: shift the interner so the child's symbol ids would be
+    // wrong here, had any reached the disk.
     for i in 0..37 {
         reopt_datalog::Sym::intern(&format!("parent-decoy-{i}"));
     }
@@ -567,190 +521,6 @@ fn durable_state_survives_a_process_boundary() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Re-frames an optimizer snapshot with the node records of its
-/// embedded network checkpoint — `(label, state payload)` in node
-/// order — rewritten by `edit`, one more sink record per `extra_sinks`
-/// entry, and the node and sink counts in its meta record to match.
-/// Valid framing, valid CRCs: only the topology is another build's.
-fn with_node_records(
-    snapshot: &[u8],
-    extra_sinks: &[&Multiset],
-    edit: impl FnOnce(Vec<(String, Vec<u8>)>) -> Vec<(String, Vec<u8>)>,
-) -> Vec<u8> {
-    use reopt_datalog::checkpoint::{
-        encode_multiset, Dec, Enc, RecordReader, RecordWriter, SymRemap, MAGIC,
-    };
-    fn copy(record: &[u8]) -> Enc {
-        let mut e = Enc::new();
-        e.raw(record);
-        e
-    }
-    let remap = SymRemap::identity();
-    let mut outer = RecordReader::new(snapshot, MAGIC).unwrap();
-    let mut records = std::iter::from_fn(|| outer.next_record().unwrap());
-    let mut out = RecordWriter::new(MAGIC);
-    for _ in 0..3 {
-        // Snapshot meta, delta log, `LocalCost` mirror.
-        out.record(copy(records.next().unwrap()));
-    }
-    // The embedded network checkpoint: symbols, meta, one record per
-    // node, then sinks and queue residue.
-    let mut inner = RecordReader::new(records.next().unwrap(), MAGIC).unwrap();
-    let mut net = RecordWriter::new(MAGIC);
-    net.record(copy(inner.next_record().unwrap().unwrap()));
-    let mut d = Dec::new(inner.next_record().unwrap().unwrap(), &remap);
-    let [epoch, rollbacks, nodes, sinks] = [(); 4].map(|()| d.u64().unwrap());
-    let nodes: Vec<(String, Vec<u8>)> = (0..nodes)
-        .map(|_| {
-            let mut d = Dec::new(inner.next_record().unwrap().unwrap(), &remap);
-            (d.str().unwrap().to_string(), d.rest().to_vec())
-        })
-        .collect();
-    let nodes = edit(nodes);
-    let mut meta = Enc::new();
-    for v in [epoch, rollbacks, nodes.len() as u64, sinks + extra_sinks.len() as u64] {
-        meta.u64(v);
-    }
-    net.record(meta);
-    for (label, state) in &nodes {
-        let mut e = Enc::new();
-        e.str(label);
-        e.raw(state);
-        net.record(e);
-    }
-    for _ in 0..sinks {
-        net.record(copy(inner.next_record().unwrap().unwrap()));
-    }
-    for sink in extra_sinks {
-        let mut e = Enc::new();
-        encode_multiset(&mut e, sink);
-        net.record(e);
-    }
-    // The queue residue.
-    net.record(copy(inner.next_record().unwrap().unwrap()));
-    assert!(inner.next_record().unwrap().is_none());
-    out.record(copy(&net.into_bytes()));
-    out.into_bytes()
-}
-
-/// A snapshot the way a build from before the per-relation labels
-/// would have cut it: every `union[Rel]` / `distinct[Rel]` node record
-/// carries the bare operator name.
-fn with_bare_relation_labels(snapshot: &[u8]) -> Vec<u8> {
-    with_node_records(snapshot, &[], |mut nodes| {
-        let mut relabelled = 0;
-        for (label, _) in &mut nodes {
-            let bare = ["union", "distinct"]
-                .into_iter()
-                .find(|op| label.starts_with(&format!("{op}[")));
-            if let Some(bare) = bare {
-                *label = bare.to_string();
-                relabelled += 1;
-            }
-        }
-        assert!(relabelled > 0, "no per-relation labels found to strip");
-        nodes
-    })
-}
-
-/// A snapshot with the node records of the network PR 15 compiled: no
-/// `Fn_present` guards, and `BestCost`/`BestPlan` behind their own
-/// `Union → Distinct` (each `Distinct` holding what the relation's sink
-/// holds), with D9's projecting scan in front of its aggregate.
-fn with_the_pr15_network_shape(snapshot: &[u8], sets: [&Multiset; 2]) -> Vec<u8> {
-    use reopt_datalog::checkpoint::{encode_multiset, Enc};
-    with_node_records(snapshot, &[], |mut nodes| {
-        nodes.retain(|(label, _)| !label.starts_with("Fn_present"));
-        for (relation, set) in ["BestCost", "BestPlan"].into_iter().zip(sets) {
-            let mut state = Enc::new();
-            encode_multiset(&mut state, set);
-            nodes.push((format!("union[{relation}]"), Vec::new()));
-            nodes.push((format!("distinct[{relation}]"), state.into_bytes()));
-        }
-        nodes.push(("map[D9]".to_string(), Vec::new()));
-        nodes
-    })
-}
-
-/// A snapshot with D10 maintained in the network, the way every build
-/// up to PR 17 cut it: the rule's two arrangements (`BestCost` and
-/// `PlanCost` by expr, prop, cost — the second holding what
-/// `distinct[PlanCost]` holds), its join, the head projection the join
-/// absorbed, and the `BestPlan` sink.
-fn with_d10_maintained(snapshot: &[u8], best_cost: &Multiset, best_plan: &Multiset) -> Vec<u8> {
-    use reopt_datalog::checkpoint::{encode_multiset, Enc};
-    with_node_records(snapshot, &[best_plan], |mut nodes| {
-        let plan_cost = nodes.iter().find(|(label, _)| label == "distinct[PlanCost]");
-        let plan_cost = plan_cost.expect("`PlanCost` keeps its `Distinct`").1.clone();
-        let mut arranged = Enc::new();
-        encode_multiset(&mut arranged, best_cost);
-        nodes.push(("arrange[D10]".to_string(), arranged.into_bytes()));
-        nodes.push(("arrange[D10]".to_string(), plan_cost));
-        for stateless in ["join[PlanCost][D10]", "map[D10]", "sink"] {
-            nodes.push((stateless.to_string(), Vec::new()));
-        }
-        nodes
-    })
-}
-
-/// `BestPlan` as a relation: what the sink D10 fed used to hold.
-fn best_plan_set(opt: &DataflowOptimizer) -> Multiset {
-    let mut set = Multiset::new();
-    for row in opt.best_plan_rows() {
-        set.apply(&Delta::insert(row));
-    }
-    set
-}
-
-/// Node labels are part of the restore-time topology check, so a
-/// checkpoint cut before the per-relation `union[Rel]`/`distinct[Rel]`
-/// labels existed is refused as a node mismatch. That costs one
-/// from-scratch rebuild plus a full WAL replay on the first restart
-/// after the upgrade (`RebuiltAfterCorruptCheckpoint`), never a wrong
-/// plan.
-#[test]
-fn a_checkpoint_with_the_old_node_labels_degrades_to_an_exact_rebuild() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("relabel");
-    let batches = chain5_batches(&q);
-
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    for batch in &batches {
-        oracle.reoptimize(batch);
-        victim.reoptimize(batch);
-    }
-    victim.checkpoint_durable().unwrap();
-    drop(victim);
-
-    let path = dir.join("checkpoint.bin");
-    let old = with_bare_relation_labels(&std::fs::read(&path).unwrap());
-    std::fs::write(&path, old).unwrap();
-
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(
-        out.recovery.path,
-        RecoveryPath::RebuiltAfterCorruptCheckpoint
-    );
-    assert!(
-        out.recovery
-            .errors
-            .iter()
-            .any(|e| e.to_string().contains("node mismatch")),
-        "{:?}",
-        out.recovery.errors
-    );
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after the relabel rebuild");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A WAL whose only record is torn replays nothing, but it is still
 /// history — an append was attempted — so recovery must not report the
 /// clean first boot of an empty directory. (The pinned-seed WAL bit-flip
@@ -777,204 +547,174 @@ fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Pruned builds stopped compiling the bound rules B1–B5 (and their
-/// `Bound` input and sink), and node topology is part of the restore
-/// check — so a checkpoint cut by a build that still compiled all 13
-/// rules is refused as a topology mismatch. That costs one from-scratch
-/// rebuild plus the folded WAL on the first restart after the upgrade
-/// (`RebuiltAfterCorruptCheckpoint`), never a wrong plan. An unpruned
-/// build still compiles exactly that older network, so it cuts the
-/// stand-in checkpoint.
-#[test]
-fn a_checkpoint_with_the_bound_rules_compiled_degrades_to_an_exact_rebuild() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("bound-rules");
-    let batches = chain5_batches(&q);
 
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
+/// An oracle that applied `batches` and never crashed.
+fn oracle_after(
+    c: &reopt_catalog::Catalog,
+    q: &reopt_expr::QuerySpec,
+    batches: &[Vec<ParamDelta>],
+) -> DataflowOptimizer {
+    let mut oracle = DataflowOptimizer::new(c, q.clone());
     oracle.set_audit_mode(AuditMode::Off);
     oracle.optimize();
-    let mut old = DataflowOptimizer::with_pruning(&c, q.clone(), false);
-    old.set_audit_mode(AuditMode::Off);
-    old.set_durable_dir(&dir).unwrap();
-    old.optimize();
-    for batch in &batches {
+    for batch in batches {
         oracle.reoptimize(batch);
-        old.reoptimize(batch);
     }
-    old.checkpoint_durable().unwrap();
-    assert!(old.network_nodes() > oracle.network_nodes());
-    drop(old);
-
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(
-        out.recovery.path,
-        RecoveryPath::RebuiltAfterCorruptCheckpoint
-    );
-    assert!(
-        out.recovery
-            .errors
-            .iter()
-            .any(|e| e.to_string().contains("topology mismatch")),
-        "{:?}",
-        out.recovery.errors
-    );
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after the 13-rule checkpoint rebuild");
-    let _ = std::fs::remove_dir_all(&dir);
+    oracle
 }
 
-/// The property pass read `BestCost` and `BestPlan` straight off their
-/// rules' outputs, so the network lost four nodes, two of them stateful
-/// (and D9's projecting scan; the `Fn_present` guards came in). A
-/// checkpoint cut by the PR 15 network — which also maintained D10 —
-/// is therefore refused as a topology mismatch on the first restart
-/// after the upgrade and degrades to the exact rebuild plus the folded
-/// WAL — it is never mis-restored into the nodes that happen to share
-/// a position.
-#[test]
-fn a_checkpoint_with_the_set_gates_built_degrades_to_an_exact_rebuild() {
-    let (c, q) = chain5();
-    let batches = chain5_batches(&q);
-    let (dir, _) = crashed_victim(&c, &q, "set-gates", &batches[..2], &batches[2..]);
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    for batch in &batches[..2] {
-        oracle.reoptimize(batch);
-    }
-    let path = dir.join("checkpoint.bin");
-    let sets = [oracle.sink("BestCost").unwrap(), &best_plan_set(&oracle)];
-    let old = with_d10_maintained(&std::fs::read(&path).unwrap(), sets[0], sets[1]);
-    std::fs::write(&path, with_the_pr15_network_shape(&old, sets)).unwrap();
-    for batch in &batches[2..] {
-        oracle.reoptimize(batch);
-    }
-
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(
-        out.recovery.path,
-        RecoveryPath::RebuiltAfterCorruptCheckpoint
-    );
-    assert!(
-        out.recovery
-            .errors
-            .iter()
-            .any(|e| e.to_string().contains("topology mismatch: checkpoint has 37 nodes")),
-        "{:?}",
-        out.recovery.errors
-    );
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after the PR 15 checkpoint rebuild");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// D10 is answered on demand, so the network lost the rule's two
-/// arrangements, its join (and the head it ran) and the `BestPlan`
-/// sink. A checkpoint cut by a build that maintained them — 34 node
-/// records and three sinks — is refused as a topology mismatch on the
-/// first restart after the upgrade and degrades to the exact rebuild
-/// plus the folded WAL, with the oracle's cost and plan.
-#[test]
-fn a_checkpoint_with_d10_maintained_degrades_to_an_exact_rebuild() {
-    let (c, q) = chain5();
-    let batches = chain5_batches(&q);
-    let (dir, _) = crashed_victim(&c, &q, "d10", &batches[..2], &batches[2..]);
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    for batch in &batches[..2] {
-        oracle.reoptimize(batch);
-    }
-    let path = dir.join("checkpoint.bin");
-    let old = with_d10_maintained(
-        &std::fs::read(&path).unwrap(),
-        oracle.sink("BestCost").unwrap(),
-        &best_plan_set(&oracle),
-    );
-    std::fs::write(&path, old).unwrap();
-    for batch in &batches[2..] {
-        oracle.reoptimize(batch);
-    }
-
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(
-        out.recovery.path,
-        RecoveryPath::RebuiltAfterCorruptCheckpoint
-    );
-    assert!(
-        out.recovery.errors.iter().any(|e| e
-            .to_string()
-            .contains("topology mismatch: checkpoint has 34 nodes/3 sinks")),
-        "{:?}",
-        out.recovery.errors
-    );
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after the D10 checkpoint rebuild");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Plan extraction reads two relations of the network against each
-/// other, and a checkpoint restores each from its own record. One whose
-/// `distinct[PlanCost]` record lost the rows at the root's best cost —
-/// valid framing, valid CRCs, the best cost itself intact, so the
-/// post-restore check passes — leaves a group on the chosen tree with
-/// no `PlanCost` row at its `BestCost`. That used to be a panic in
-/// `best_plan`; it is a reported error answered from the rebuild rung.
-#[test]
-fn a_chosen_group_without_its_plan_cost_row_is_an_error_and_a_rebuild() {
-    use reopt_datalog::checkpoint::{decode_multiset, encode_multiset, Dec, Enc, SymRemap};
-    let (c, q) = chain5();
-    let batches = chain5_batches(&q);
-    let (dir, _) = crashed_victim(&c, &q, "no-row", &batches, &[]);
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    for batch in &batches {
-        oracle.reoptimize(batch);
-    }
-    let best = Val::Cost(oracle.best_cost());
-    let path = dir.join("checkpoint.bin");
-    let torn = with_node_records(&std::fs::read(&path).unwrap(), &[], |mut nodes| {
-        let record = nodes.iter_mut().find(|(label, _)| label == "distinct[PlanCost]");
-        let (_, state) = record.expect("`PlanCost` keeps its `Distinct`");
-        let mut rows = Multiset::new();
-        decode_multiset(&mut Dec::new(state, &SymRemap::identity()), &mut rows).unwrap();
-        let mut kept = Multiset::new();
-        for (row, n) in rows.iter().filter(|(row, _)| row.get(3) != best) {
-            kept.apply(&Delta::with_count(row.clone(), n));
-        }
-        assert!(kept.len() < rows.len(), "no `PlanCost` row at the best cost");
-        let mut e = Enc::new();
-        encode_multiset(&mut e, &kept);
-        *state = e.into_bytes();
-        nodes
-    });
-    std::fs::write(&path, torn).unwrap();
-
-    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    rec.set_audit_mode(AuditMode::Off);
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+/// Recovers `dir`, which must degrade to
+/// [`RecoveryPath::RebuiltAfterCorruptCheckpoint`] reporting an error
+/// that mentions `why`, and still land on `oracle` — the whole WAL was
+/// replayed, not only the records past the refused checkpoint.
+fn assert_degrades_to_the_whole_wal(
+    c: &reopt_catalog::Catalog,
+    q: &reopt_expr::QuerySpec,
+    dir: &std::path::Path,
+    oracle: &DataflowOptimizer,
+    why: &str,
+) {
+    let (rec, out) = DataflowOptimizer::recover(c, q.clone(), dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RebuiltAfterCorruptCheckpoint);
     assert!(
         matches!(
             out.recovery.errors.as_slice(),
-            [DataflowError::InvariantViolation(m)] if m.contains("no `PlanCost` row")
+            [DataflowError::StateCorruption(m)] if m.contains(why)
         ),
         "{:?}",
         out.recovery.errors
     );
     assert!(out.cost.approx_eq(oracle.best_cost()));
     assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after the rebuild rung");
-    // The rebuilt network is the live one: the next epoch is clean.
-    let next = deltas_for(&q, (1, 2, 6));
-    let got = rec.reoptimize(&next);
-    let want = oracle.reoptimize(&next);
-    assert!(got.recovery.is_clean(), "{:?}", got.recovery);
-    assert_eq!((got.cost, &got.plan), (want.cost, &want.plan));
-    rec.audit().expect("the rebuilt state passes the audit");
+    assert_sinks_match(&rec, oracle, why);
+    assert_eq!(rec.applied_log(), oracle.applied_log());
+}
+
+/// Topology independence: a checkpoint says nothing about the network
+/// that cut it. An unpruned build compiles the bound rules B1–B5 too —
+/// more nodes, a `Bound` input and sink — and the checkpoint it cuts
+/// restores under the default pruned build with the oracle's cost, plan
+/// and sinks. (While checkpoints were network images this was refused
+/// as a topology mismatch, like every image a compiler change predated.)
+#[test]
+fn a_checkpoint_cut_by_another_network_restores_under_this_one() {
+    let (c, q) = chain5();
+    let dir = fresh_dir("other-network");
+    let batches = chain5_batches(&q);
+    let oracle = oracle_after(&c, &q, &batches);
+
+    let mut other = DataflowOptimizer::with_pruning(&c, q.clone(), false);
+    other.set_audit_mode(AuditMode::Off);
+    other.set_durable_dir(&dir).unwrap();
+    other.optimize();
+    for (i, batch) in batches.iter().enumerate() {
+        other.reoptimize(batch);
+        if i == 1 {
+            other.checkpoint_durable().unwrap();
+        }
+    }
+    assert!(other.network_nodes() > oracle.network_nodes());
+    drop(other);
+
+    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
+    assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
+    assert_eq!(rec.network_nodes(), oracle.network_nodes());
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_eq!(out.plan, oracle.best_plan());
+    assert_sinks_match(&rec, &oracle, "under the other build's checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoints older builds cut were network images: four records
+/// (meta, delta log, `LocalCost` mirror, embedded network) under the
+/// magic `RCKP`. One left in a durable directory across the upgrade is
+/// refused by its magic and answered from the whole WAL.
+#[test]
+fn an_old_network_image_degrades_to_an_exact_rebuild() {
+    let (c, q) = chain5();
+    let batches = chain5_batches(&q);
+    let dir = crashed_victim(&c, &q, "old-image", &batches[..2], &batches[2..]);
+    let mut image = b"RCKP".to_vec();
+    image.extend_from_slice(&1u32.to_le_bytes());
+    let records: [&[u8]; 4] = [&[0; 32], &[], &[0; 8], b"RCKP\x01\0\0\0"];
+    for payload in records {
+        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        image.extend_from_slice(&durable::crc32(payload).to_le_bytes());
+        image.extend_from_slice(payload);
+    }
+    std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
+    let oracle = oracle_after(&c, &q, &batches);
+    assert_degrades_to_the_whole_wal(&c, &q, &dir, &oracle, "bad checkpoint magic");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A well-formed checkpoint that is not this query's — cut for another
+/// shape, or logging a leaf the query lacks — is corruption, never
+/// loaded: the shape guard and the range check on every logged
+/// parameter refuse it, and the whole WAL answers.
+#[test]
+fn a_checkpoint_of_another_query_is_corruption_not_misrestore() {
+    let (c, q) = chain5();
+    let batches = chain5_batches(&q);
+    let oracle = oracle_after(&c, &q, &batches);
+    let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+    let stray = [ParamDelta::LeafCardinality(LeafId(leaves), 2.0)];
+    for (image, why) in [
+        (durable::encode_checkpoint(2, 3, leaves + 1, edges, &[]), "leaves"),
+        (durable::encode_checkpoint(2, 3, leaves, edges - 1, &[]), "edges"),
+        (durable::encode_checkpoint(2, 3, leaves, edges, &stray), "outside this query"),
+        // Its own query's, but ahead of the log it claims to cover.
+        (durable::encode_checkpoint(9, 3, leaves, edges, &[]), "beyond the 4 intact WAL records"),
+    ] {
+        let dir = crashed_victim(&c, &q, "other-query", &batches[..2], &batches[2..]);
+        std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
+        assert_degrades_to_the_whole_wal(&c, &q, &dir, &oracle, why);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The checkpoint file a warmed chain-5 victim cut, and its query shape.
+fn chain5_checkpoint() -> (Vec<u8>, u32, u32) {
+    let (c, q) = chain5();
+    let dir = crashed_victim(&c, &q, "format", &chain5_batches(&q), &[]);
+    let bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (bytes, q.n_leaves(), q.edges.len() as u32)
+}
+
+/// Every single-bit flip of a checkpoint file — magic, version, frame,
+/// payload — is [`DataflowError::StateCorruption`], exhaustively: never
+/// a panic, never a checkpoint that decodes to something else.
+#[test]
+fn every_bit_flip_in_a_checkpoint_is_detected() {
+    let (bytes, leaves, edges) = chain5_checkpoint();
+    let intact = durable::decode_checkpoint(&bytes, leaves, edges).unwrap();
+    assert_eq!((intact.watermark, intact.log.len()), (4, 4));
+    for bit in 0..bytes.len() * 8 {
+        let mut evil = bytes.clone();
+        evil[bit / 8] ^= 1 << (bit % 8);
+        let r = durable::decode_checkpoint(&evil, leaves, edges);
+        assert!(
+            matches!(r, Err(DataflowError::StateCorruption(_))),
+            "flip of bit {bit} slipped through: {r:?}"
+        );
+    }
+}
+
+/// Every truncation of a checkpoint file, and anything appended to one,
+/// is [`DataflowError::StateCorruption`].
+#[test]
+fn every_truncation_of_a_checkpoint_is_detected() {
+    let (mut bytes, leaves, edges) = chain5_checkpoint();
+    for cut in 0..bytes.len() {
+        let r = durable::decode_checkpoint(&bytes[..cut], leaves, edges);
+        assert!(
+            matches!(r, Err(DataflowError::StateCorruption(_))),
+            "truncation at {cut} slipped through: {r:?}"
+        );
+    }
+    bytes.push(0);
+    let r = durable::decode_checkpoint(&bytes, leaves, edges);
+    assert!(matches!(r, Err(DataflowError::StateCorruption(_))), "{r:?}");
 }

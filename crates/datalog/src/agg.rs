@@ -76,13 +76,6 @@ impl OrderedMultiset {
         self.values.get(v).copied().unwrap_or(0)
     }
 
-    /// Every stored value with its raw count — including transiently
-    /// negative ones — in value order (checkpoint serialization;
-    /// restore re-feeds them through [`OrderedMultiset::update`]).
-    pub fn entries(&self) -> impl Iterator<Item = (&Val, i64)> {
-        self.values.iter().map(|(v, c)| (v, *c))
-    }
-
     /// Distinct values stored (any count sign). O(1).
     pub fn distinct(&self) -> usize {
         self.values.len()

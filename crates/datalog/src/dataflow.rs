@@ -262,30 +262,6 @@ impl Queue {
         }
     }
 
-    /// The queued-but-unprocessed deltas as flat `(node, port, delta)`
-    /// triples in a canonical order (sorted by destination, then
-    /// stratum, in batched mode; FIFO order in per-delta mode). Durable
-    /// checkpoints persist this instead of the queue structure itself:
-    /// ranks and strata are derived state, so a restore re-pushes each
-    /// triple through the normal path and lets the scheduler rebuild
-    /// its ordering.
-    fn residue(&self) -> Vec<(usize, usize, Delta)> {
-        match self {
-            Queue::Batched { pending, .. } => {
-                let mut keys: Vec<(usize, usize, u32)> = pending.keys().copied().collect();
-                keys.sort_unstable();
-                let mut out = Vec::new();
-                for key in keys {
-                    for d in &pending[&key] {
-                        out.push((key.0, key.1, d.clone()));
-                    }
-                }
-                out
-            }
-            Queue::PerDelta(q) => q.iter().cloned().collect(),
-        }
-    }
-
     /// Returns a spent batch buffer to the pool.
     fn recycle(&mut self, mut batch: Vec<Delta>) {
         if let Queue::Batched { pool, .. } = self {
@@ -1148,183 +1124,6 @@ impl Dataflow {
             n.label.push_str(suffix);
             n.label.push(']');
         }
-    }
-
-    /// Serializes the dataflow's durable state — every stateful
-    /// operator, every sink, the unprocessed queue residue, and the
-    /// committed-epoch counters — as a versioned, per-record-CRC'd
-    /// byte stream (see [`crate::checkpoint`] for the format). The
-    /// graph itself is *not* serialized: a restore target is built by
-    /// re-running the same construction code, and only state flows
-    /// through the checkpoint.
-    ///
-    /// Must be called between runs, at a committed-epoch boundary: no
-    /// epoch is open, so undo journals are empty by construction and
-    /// the snapshot is crash-consistent as of [`Dataflow::epoch`].
-    pub fn checkpoint(&self) -> Vec<u8> {
-        use crate::checkpoint as ckpt;
-        let mut w = ckpt::RecordWriter::new(ckpt::MAGIC);
-        // Record 0: the writer's symbol table, so every symbol id in
-        // later records can be remapped into the reader's interner.
-        w.record(ckpt::encode_symbol_table());
-        // Record 1: counters + topology fingerprint.
-        let mut meta = ckpt::Enc::new();
-        meta.u64(self.epoch);
-        meta.u64(self.rollbacks);
-        meta.u64(self.nodes.len() as u64);
-        meta.u64(self.sinks.len() as u64);
-        w.record(meta);
-        // One record per node: label, then the operator's state payload
-        // (empty for Input/Sink/Fused/stateless nodes).
-        for node in &self.nodes {
-            let mut e = ckpt::Enc::new();
-            e.str(&node.label);
-            if let NodeKind::Op(op) = &node.kind {
-                op.checkpoint_state(&mut e);
-            }
-            w.record(e);
-        }
-        // One record per sink.
-        for sink in &self.sinks {
-            let mut e = ckpt::Enc::new();
-            ckpt::encode_multiset(&mut e, sink);
-            w.record(e);
-        }
-        // Final record: queue residue (externals pushed but not yet
-        // run), so deltas in flight at the checkpoint survive a crash.
-        let mut e = ckpt::Enc::new();
-        let residue = self.queue.residue();
-        e.u64(residue.len() as u64);
-        for (node, port, d) in &residue {
-            e.u64(*node as u64);
-            e.u32(*port as u32);
-            e.tuple(&d.tuple);
-            e.i64(d.count);
-        }
-        w.record(e);
-        w.into_bytes()
-    }
-
-    /// Restores state serialized by [`Dataflow::checkpoint`] into this
-    /// dataflow, which must have been built by the same construction
-    /// code (same nodes in the same order). Symbols are remapped
-    /// through the checkpoint's embedded table, every multiset is
-    /// rebuilt by re-applying its entries, and the queue residue is
-    /// re-pushed. Returns the restored committed-epoch counter.
-    ///
-    /// Any validation failure — bad magic or version, CRC mismatch,
-    /// truncation, topology mismatch — surfaces as
-    /// [`DataflowError::StateCorruption`]. Restoration is **not**
-    /// transactional: on error the dataflow may hold partial state and
-    /// must be discarded (callers degrade to a from-scratch rebuild).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<u64, DataflowError> {
-        use crate::checkpoint as ckpt;
-        fn need(rec: Option<&[u8]>) -> Result<&[u8], DataflowError> {
-            rec.ok_or_else(|| {
-                DataflowError::StateCorruption("checkpoint ended before all sections".into())
-            })
-        }
-        let mut r = ckpt::RecordReader::new(bytes, ckpt::MAGIC)?;
-        let remap = ckpt::decode_symbol_table(need(r.next_record()?)?)?;
-        let mut d = ckpt::Dec::new(need(r.next_record()?)?, &remap);
-        let epoch = d.u64()?;
-        let rollbacks = d.u64()?;
-        let node_count = d.u64()? as usize;
-        let sink_count = d.u64()? as usize;
-        if !d.is_done() {
-            return Err(DataflowError::StateCorruption(
-                "trailing bytes after checkpoint meta".into(),
-            ));
-        }
-        if node_count != self.nodes.len() || sink_count != self.sinks.len() {
-            return Err(DataflowError::StateCorruption(format!(
-                "topology mismatch: checkpoint has {node_count} nodes/{sink_count} sinks, \
-                 live graph has {}/{}",
-                self.nodes.len(),
-                self.sinks.len()
-            )));
-        }
-        for node in &mut self.nodes {
-            let mut d = ckpt::Dec::new(need(r.next_record()?)?, &remap);
-            let label = d.str()?;
-            if d.is_done() {
-                // Stateless on the writer's side: nothing to restore.
-                // Labels are NOT compared here — fusion renames chain
-                // heads and tombstones absorbed nodes, and the restore
-                // target may not have fused yet.
-                continue;
-            }
-            // A non-empty payload is stateful operator state; stateful
-            // operators never fuse, so the labels must agree exactly.
-            if label != node.label {
-                return Err(DataflowError::StateCorruption(format!(
-                    "node mismatch: checkpoint has `{label}`, live graph has `{}`",
-                    node.label
-                )));
-            }
-            match &mut node.kind {
-                NodeKind::Op(op) => op.restore_state(&mut d)?,
-                _ => {
-                    return Err(DataflowError::StateCorruption(format!(
-                        "checkpoint carries state for non-operator node `{label}`"
-                    )))
-                }
-            }
-            if !d.is_done() {
-                return Err(DataflowError::StateCorruption(format!(
-                    "trailing bytes after `{label}` state"
-                )));
-            }
-        }
-        for sink in &mut self.sinks {
-            let mut d = ckpt::Dec::new(need(r.next_record()?)?, &remap);
-            ckpt::decode_multiset(&mut d, sink)?;
-            if !d.is_done() {
-                return Err(DataflowError::StateCorruption(
-                    "trailing bytes after sink state".into(),
-                ));
-            }
-        }
-        // Queue residue: drop anything queued on the live side and
-        // re-push the checkpointed triples through the normal path so
-        // ranks and strata are recomputed for this graph.
-        let mut d = ckpt::Dec::new(need(r.next_record()?)?, &remap);
-        let mode = if self.queue.is_batched() {
-            SchedulerMode::Batched
-        } else {
-            SchedulerMode::PerDelta
-        };
-        self.queue = Queue::new(mode);
-        self.ensure_ranks();
-        // Minimum 24 bytes per residue item: node u64 + port u32 +
-        // empty-tuple prefix u32 + count i64.
-        let n = d.count(24)?;
-        for _ in 0..n {
-            let node = d.u64()? as usize;
-            let port = d.u32()? as usize;
-            let tuple = d.tuple()?;
-            let count = d.i64()?;
-            if node >= self.nodes.len() {
-                return Err(DataflowError::StateCorruption(format!(
-                    "queue residue targets node {node} of {}",
-                    self.nodes.len()
-                )));
-            }
-            self.enqueue(node, port, std::iter::once(Delta::with_count(tuple, count)));
-        }
-        if !d.is_done() {
-            return Err(DataflowError::StateCorruption(
-                "trailing bytes after queue residue".into(),
-            ));
-        }
-        if r.next_record()?.is_some() {
-            return Err(DataflowError::StateCorruption(
-                "unexpected records after queue residue".into(),
-            ));
-        }
-        self.epoch = epoch;
-        self.rollbacks = rollbacks;
-        Ok(epoch)
     }
 }
 

@@ -39,9 +39,9 @@ pub enum DataflowError {
     /// A structural misuse of the graph API: wiring through a fused
     /// node, pushing to a non-input node, and the like.
     InvalidWiring(String),
-    /// A durable checkpoint or WAL failed validation on restore: bad
-    /// magic/version, a per-record CRC mismatch (bit flip), a torn or
-    /// truncated file, or a topology mismatch against the live network.
+    /// Durable state (the bridge's checkpoint or WAL) failed validation
+    /// on recovery: bad magic/version, a per-record CRC mismatch (bit
+    /// flip), a torn or truncated file, or a parameter the query lacks.
     /// Carries a human-readable description of what failed; callers are
     /// expected to degrade to a from-scratch rebuild, never to panic.
     StateCorruption(String),

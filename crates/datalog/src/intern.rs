@@ -64,8 +64,8 @@ fn interner() -> MutexGuard<'static, Interner> {
 
 impl Sym {
     /// Interns `s`, returning its symbol (idempotent). Panics on id
-    /// exhaustion; use [`Sym::try_intern`] on paths (checkpoint restore,
-    /// bulk symbol adoption) that must degrade instead of aborting.
+    /// exhaustion; use [`Sym::try_intern`] on paths (bulk symbol
+    /// adoption) that must degrade instead of aborting.
     pub fn intern(s: &str) -> Sym {
         Sym::try_intern(s).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -118,14 +118,6 @@ impl Sym {
     #[inline]
     pub fn from_id(id: u32) -> Sym {
         Sym(id)
-    }
-
-    /// A snapshot of the whole symbol table in id order (index =
-    /// [`Sym::id`]). Checkpoints embed it so a restore into a *fresh
-    /// process* — whose interner assigned different ids — can remap
-    /// every serialized symbol by re-interning the strings.
-    pub fn table_snapshot() -> Vec<Arc<str>> {
-        interner().strings.clone()
     }
 }
 

@@ -33,7 +33,6 @@
 //!   tuples like every other operator.
 
 pub mod agg;
-pub mod checkpoint;
 pub mod dataflow;
 pub mod delta;
 pub mod error;

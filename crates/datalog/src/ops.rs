@@ -161,26 +161,6 @@ pub trait Operator {
         OpCounters::default()
     }
 
-    /// Serializes the operator's committed state into a checkpoint
-    /// payload. Only called between runs, at a committed-epoch boundary
-    /// (no epoch is open, so journals are empty and need no encoding).
-    /// Stateless operators keep the no-op default — an empty payload —
-    /// which the restore side treats as "nothing to restore".
-    fn checkpoint_state(&self, _out: &mut crate::checkpoint::Enc) {}
-
-    /// Restores state previously written by
-    /// [`Operator::checkpoint_state`] into this (freshly built)
-    /// operator. The payload's symbols have already been remapped into
-    /// the current process by the decoder; implementations re-apply
-    /// entries through their normal update paths so every derived hash
-    /// and counter is rebuilt rather than trusted from disk.
-    fn restore_state(
-        &mut self,
-        _input: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), DataflowError> {
-        Ok(())
-    }
-
     /// Rows of state the operator holds right now (diagnostic, see
     /// [`crate::dataflow::NodeStats`]). A join counts only the sides it
     /// owns; a shared side is counted at its [`Arrange`] node.
@@ -541,7 +521,7 @@ pub struct HashJoin {
     proj: Option<Vec<usize>>,
     /// The post-stage ([`Operator::absorb_tail`]): each output runs
     /// through these stages instead of being emitted. Stateless, so it
-    /// has no epoch or checkpoint state.
+    /// has no epoch state.
     post: Vec<FuseStage>,
     /// Scratch: a wide output the post-stage reads and nobody stores.
     row: Vec<Val>,
@@ -557,7 +537,7 @@ pub struct HashJoin {
 /// [`ArrangementHandle`] maintained by an upstream [`Arrange`] node.
 /// A shared port's deltas arrive *already applied* to the index (the
 /// `Arrange` applies, then fans out synchronously), so the join only
-/// probes; its epoch and checkpoint lifecycles likewise belong to the
+/// probes; its epoch lifecycle likewise belongs to the
 /// owning `Arrange`, never to the attached joins.
 enum Side {
     Owned(IndexedMultiset),
@@ -868,26 +848,6 @@ impl Operator for HashJoin {
         std::mem::take(&mut self.counters)
     }
 
-    // Checkpoints carry only the owned sides (in port order); a shared
-    // index is serialized once, by its owning `Arrange`. Sharing is
-    // structural — the restore target was built with the same `Side`
-    // layout — so the payloads line up without tagging.
-    fn checkpoint_state(&self, out: &mut crate::checkpoint::Enc) {
-        for side in [&self.left, &self.right] {
-            if let Side::Owned(m) = side {
-                crate::checkpoint::encode_indexed(out, m);
-            }
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        input: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), DataflowError> {
-        self.owned()
-            .try_for_each(|m| crate::checkpoint::decode_indexed(input, m))
-    }
-
     fn state_rows(&self) -> usize {
         [&self.left, &self.right]
             .into_iter()
@@ -960,17 +920,6 @@ impl Operator for Arrange {
 
     fn rollback_epoch(&mut self) {
         self.handle.write().rollback_epoch();
-    }
-
-    fn checkpoint_state(&self, out: &mut crate::checkpoint::Enc) {
-        crate::checkpoint::encode_indexed(out, &self.handle.read());
-    }
-
-    fn restore_state(
-        &mut self,
-        input: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), DataflowError> {
-        crate::checkpoint::decode_indexed(input, &mut self.handle.write())
     }
 
     fn state_rows(&self) -> usize {
@@ -1168,62 +1117,6 @@ impl Operator for GroupAgg {
         }
     }
 
-    fn checkpoint_state(&self, out: &mut crate::checkpoint::Enc) {
-        // Groups whose state drained to empty aggregate to `None` and
-        // are observationally absent — skip them so identical logical
-        // state yields identical bytes.
-        let mut groups: Vec<(&Tuple, &Group)> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| g.state.entries().next().is_some())
-            .collect();
-        groups.sort_by(|a, b| a.0.cmp(b.0));
-        out.u64(groups.len() as u64);
-        for (key, g) in groups {
-            out.tuple(key);
-            // BTreeMap order: already canonical (Val ordering resolves
-            // symbols lexicographically, stable across processes).
-            let entries: Vec<_> = g.state.entries().collect();
-            out.u64(entries.len() as u64);
-            for (v, c) in entries {
-                out.val(*v);
-                out.i64(c);
-            }
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        input: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), DataflowError> {
-        self.groups.clear();
-        self.generation = 0;
-        // A group costs at least its 4-byte key prefix + 8-byte entry
-        // count; a value entry costs tag + payload + count = 17 bytes.
-        let n = input.count(12)?;
-        for _ in 0..n {
-            let key = input.tuple()?;
-            let m = input.count(17)?;
-            let mut state = OrderedMultiset::new();
-            for _ in 0..m {
-                let v = input.val()?;
-                let c = input.i64()?;
-                state.update(v, c);
-            }
-            // stamp 0 is always stale (generations start at 1), so the
-            // first post-restore batch recomputes `before` correctly.
-            self.groups.insert(
-                key,
-                Group {
-                    state,
-                    stamp: 0,
-                    before: None,
-                },
-            );
-        }
-        Ok(())
-    }
-
     // One `−old`/`+new` pair per touched group, `old != new`.
     fn emits_consolidated(&self) -> bool {
         true
@@ -1284,17 +1177,6 @@ impl Operator for Distinct {
 
     fn rollback_epoch(&mut self) {
         self.state.rollback_epoch();
-    }
-
-    fn checkpoint_state(&self, out: &mut crate::checkpoint::Enc) {
-        crate::checkpoint::encode_multiset(out, &self.state);
-    }
-
-    fn restore_state(
-        &mut self,
-        input: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), DataflowError> {
-        crate::checkpoint::decode_multiset(input, &mut self.state)
     }
 
     fn emits_consolidated(&self) -> bool {

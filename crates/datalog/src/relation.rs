@@ -134,41 +134,6 @@ impl Multiset {
         self.negative > 0
     }
 
-    /// Every stored entry with its raw count — including transiently
-    /// negative ones — in arbitrary order. Checkpoints serialize this
-    /// rather than [`Multiset::iter`], which hides negative counts.
-    pub fn entries(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.counts.iter().map(|(t, s)| (t, s.count))
-    }
-
-    /// Discards all state (a restore starts from a blank slate and
-    /// re-applies checkpointed entries, rebuilding the counters).
-    pub fn clear(&mut self) {
-        *self = Multiset::default();
-    }
-
-    /// Pre-sizes the map for `n` incoming [`Multiset::load_entry`] calls.
-    pub fn reserve(&mut self, n: usize) {
-        self.counts.reserve(n);
-    }
-
-    /// Bulk-loads one checkpoint entry, bypassing [`Multiset::apply`]'s
-    /// read-modify-write: the visible/negative counters are still
-    /// rebuilt here (never trusted from disk), only the per-entry map
-    /// probe is saved. Returns `false` — leaving the counters garbage,
-    /// callers must then discard the whole relation — if the tuple was
-    /// already present, which a well-formed image (serialized from a
-    /// map) cannot produce.
-    pub fn load_entry(&mut self, t: Tuple, c: i64) -> bool {
-        debug_assert_ne!(c, 0, "zero-count entries are never stored");
-        if c > 0 {
-            self.visible += 1;
-        } else {
-            self.negative += 1;
-        }
-        self.counts.insert(t, Slot { count: c, stamp: 0 }).is_none()
-    }
-
     /// Visible tuples, sorted (deterministic test output).
     pub fn sorted(&self) -> Vec<Tuple> {
         let mut v: Vec<Tuple> = self.iter().map(|(t, _)| t.clone()).collect();
@@ -439,72 +404,6 @@ impl IndexedMultiset {
         self.total
     }
 
-    /// Every stored entry with its raw count, across all buckets, in
-    /// arbitrary order (checkpoint serialization).
-    pub fn entries(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.by_key
-            .values()
-            .flat_map(|b| b.entries().iter().map(|(t, c)| (t, *c)))
-    }
-
-    /// Discards all stored tuples, keeping the key columns. Restores
-    /// re-apply checkpointed entries so bucket hashes are rebuilt under
-    /// the *current* process's interned symbols.
-    pub fn clear(&mut self) {
-        let key_cols = std::mem::take(&mut self.key_cols);
-        *self = IndexedMultiset::new(key_cols);
-    }
-
-    /// Pre-sizes the key map for up to `n` incoming
-    /// [`IndexedMultiset::load_entry`] calls (an upper bound — entries
-    /// sharing a key share a slot).
-    pub fn reserve(&mut self, n: usize) {
-        self.by_key.reserve(n);
-    }
-
-    /// Bulk-loads one checkpoint entry, bypassing the delta machinery.
-    /// The key hash is recomputed under the current process's interner
-    /// and totals are maintained — nothing structural is trusted from
-    /// disk — but the tuple is moved straight into its bucket instead
-    /// of going through [`IndexedMultiset::apply`]'s locate-and-merge.
-    /// Returns `false` if the tuple was already present (an impossible
-    /// image; callers must discard the relation).
-    pub fn load_entry(&mut self, t: Tuple, c: i64) -> bool {
-        debug_assert_ne!(c, 0, "zero-count entries are never stored");
-        let h = t.hash_cols(&self.key_cols);
-        let group = self
-            .by_key
-            .entry(h)
-            .or_insert_with(|| Bucket::Small(Vec::with_capacity(4)));
-        match group {
-            Bucket::Small(v) => {
-                if v.iter().any(|(prev, _)| *prev == t) {
-                    return false;
-                }
-                v.push((t, c));
-                self.total += 1;
-                if v.len() > LINEAR_BUCKET_MAX {
-                    let entries = std::mem::take(v);
-                    let index = entries
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (t, _))| (t.clone(), i as u32))
-                        .collect();
-                    *group = Bucket::Large { entries, index };
-                }
-            }
-            Bucket::Large { entries, index } => {
-                if index.contains_key(&t) {
-                    return false;
-                }
-                index.insert(t.clone(), entries.len() as u32);
-                entries.push((t, c));
-                self.total += 1;
-            }
-        }
-        true
-    }
-
     /// Opens an epoch: subsequent applies are journaled for
     /// [`IndexedMultiset::rollback_epoch`] — unless the index is empty,
     /// in which case rollback is truncation and nothing is journaled.
@@ -546,9 +445,9 @@ impl IndexedMultiset {
 /// `share_left`/`share_right`, replacing the per-join [`IndexedMultiset`]
 /// copies that would otherwise each re-apply the same deltas.
 ///
-/// Epoch journaling, checkpointing and restore of the shared index are
-/// the owning `Arrange`'s responsibility; attached joins treat the
-/// handle as immutable state and never open a mutable borrow.
+/// Epoch journaling of the shared index is the owning `Arrange`'s
+/// responsibility; attached joins treat the handle as immutable state
+/// and never open a mutable borrow.
 #[derive(Clone, Debug)]
 pub struct ArrangementHandle {
     inner: Rc<RefCell<IndexedMultiset>>,
