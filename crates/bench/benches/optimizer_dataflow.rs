@@ -8,7 +8,11 @@
 //!   (`reopt_core::IncrementalOptimizer`) with no pruning — the same
 //!   semantics the dataflow network computes;
 //! - `hand_rolled_pruned`: the engine at its headline configuration
-//!   (all pruning strategies), the paper's §5 comparison point.
+//!   (all pruning strategies, reclaimed costs frozen), the paper's §5
+//!   comparison point;
+//! - `hand_rolled_strict`: the same pruning with reclaimed costs kept
+//!   current (`all_strict()`) — the exact pruned engine, the one
+//!   `BENCHMARK.json` times as `hr`.
 //!
 //! Scenarios: initial optimization (network construction + evaluation)
 //! and one incremental flip per §4 update kind (scan cost, join
@@ -40,20 +44,19 @@ fn optimizer_dataflow(c: &mut Criterion) {
             opt.optimize().cost
         })
     });
-    group.bench_function("initial_chain5/hand_rolled", |b| {
-        b.iter(|| {
-            let mut opt =
-                IncrementalOptimizer::new(&catalog, q.clone(), PruningConfig::none());
-            opt.optimize().cost
-        })
-    });
-    group.bench_function("initial_chain5/hand_rolled_pruned", |b| {
-        b.iter(|| {
-            let mut opt =
-                IncrementalOptimizer::new(&catalog, q.clone(), PruningConfig::all());
-            opt.optimize().cost
-        })
-    });
+    let hand_rolled = [
+        ("hand_rolled", PruningConfig::none()),
+        ("hand_rolled_pruned", PruningConfig::all()),
+        ("hand_rolled_strict", PruningConfig::all_strict()),
+    ];
+    for (column, cfg) in hand_rolled {
+        group.bench_function(format!("initial_chain5/{column}"), |b| {
+            b.iter(|| {
+                let mut opt = IncrementalOptimizer::new(&catalog, q.clone(), cfg);
+                opt.optimize().cost
+            })
+        });
+    }
 
     // One flip per §4 update kind: alternating between two factor
     // values so every reoptimize performs real propagation.
@@ -79,26 +82,17 @@ fn optimizer_dataflow(c: &mut Criterion) {
                 opt.reoptimize(&[delta(flip)]).cost
             })
         });
-        group.bench_function(format!("{name}/hand_rolled"), |b| {
-            let mut opt =
-                IncrementalOptimizer::new(&catalog, q.clone(), PruningConfig::none());
-            opt.optimize();
-            let mut flip = false;
-            b.iter(|| {
-                flip = !flip;
-                opt.reoptimize(&[delta(flip)]).cost
-            })
-        });
-        group.bench_function(format!("{name}/hand_rolled_pruned"), |b| {
-            let mut opt =
-                IncrementalOptimizer::new(&catalog, q.clone(), PruningConfig::all());
-            opt.optimize();
-            let mut flip = false;
-            b.iter(|| {
-                flip = !flip;
-                opt.reoptimize(&[delta(flip)]).cost
-            })
-        });
+        for (column, cfg) in hand_rolled {
+            group.bench_function(format!("{name}/{column}"), |b| {
+                let mut opt = IncrementalOptimizer::new(&catalog, q.clone(), cfg);
+                opt.optimize();
+                let mut flip = false;
+                b.iter(|| {
+                    flip = !flip;
+                    opt.reoptimize(&[delta(flip)]).cost
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -86,7 +86,7 @@ use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
 use reopt_core::memo::{AltId, GroupId, Memo};
 use reopt_core::rules_ir::{parse_rules, Rule};
-use reopt_core::{IncrementalOptimizer, PruningConfig};
+use reopt_core::{IncrementalOptimizer, ParamIndex, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_datalog::{
     ConsolidatorFootprint, DataflowError, FaultPlan, Multiset, NodeStats, RunStats, Tuple, Val,
@@ -351,10 +351,12 @@ pub struct DataflowOptimizer {
     /// old value is needed to emit the retraction half of an update,
     /// and a from-scratch rebuild re-seeds the relation from it.
     local: Vec<Cost>,
-    /// The [`CostContext::alt_affected`] predicate inverted at build
-    /// time: parameter → alternatives it can touch, so a reoptimize
-    /// visits candidates directly instead of scanning every alternative.
-    dirty_index: DirtyIndex,
+    /// The [`CostContext::alt_affected`] predicate inverted (the
+    /// hand-rolled engine's index): parameter → what it can touch, so a
+    /// reoptimize visits candidates directly instead of scanning every
+    /// alternative. Built by the first `reoptimize`; neither `optimize`
+    /// nor a restart reads it.
+    param_index: Option<ParamIndex>,
     initialized: bool,
     /// Kept so the audit can stand up an independent hand-rolled
     /// optimizer against pristine statistics.
@@ -388,68 +390,6 @@ struct Durable {
     /// Next WAL record sequence number = intact records currently on
     /// disk; a checkpoint stores this as its replay watermark.
     wal_seq: u64,
-}
-
-/// Per-parameter candidate alternatives (see
-/// [`DataflowOptimizer::reoptimize`]).
-#[derive(Default)]
-struct DirtyIndex {
-    by_leaf_card: FxHashMap<u32, Vec<AltId>>,
-    by_edge: FxHashMap<u32, Vec<AltId>>,
-    by_leaf_scan: FxHashMap<u32, Vec<AltId>>,
-}
-
-impl DirtyIndex {
-    /// Builds the inverted index by probing the live predicate with
-    /// singleton affected sets — no duplicated dirty logic.
-    fn build(memo: &Memo, ctx: &CostContext, q: &QuerySpec) -> DirtyIndex {
-        use reopt_cost::AffectedSet;
-        let mut idx = DirtyIndex::default();
-        let probe = |affected: &AffectedSet, bucket: &mut Vec<AltId>| {
-            for gi in 0..memo.n_groups() as u32 {
-                let g = GroupId(gi);
-                let expr = memo.group(g).expr;
-                for a in memo.alts_of(g) {
-                    if ctx.alt_affected(expr, &memo.alt(a).spec, affected) {
-                        bucket.push(a);
-                    }
-                }
-            }
-        };
-        for l in 0..q.n_leaves() {
-            let leaf = reopt_expr::LeafId(l);
-            let mut bucket = Vec::new();
-            probe(
-                &AffectedSet {
-                    leaves_card: vec![leaf],
-                    ..AffectedSet::default()
-                },
-                &mut bucket,
-            );
-            idx.by_leaf_card.insert(l, bucket);
-            let mut bucket = Vec::new();
-            probe(
-                &AffectedSet {
-                    leaves_scan: vec![leaf],
-                    ..AffectedSet::default()
-                },
-                &mut bucket,
-            );
-            idx.by_leaf_scan.insert(l, bucket);
-        }
-        for e in 0..q.edges.len() as u32 {
-            let mut bucket = Vec::new();
-            probe(
-                &AffectedSet {
-                    edges: vec![reopt_expr::EdgeId(e)],
-                    ..AffectedSet::default()
-                },
-                &mut bucket,
-            );
-            idx.by_edge.insert(e, bucket);
-        }
-        idx
-    }
 }
 
 /// Driver-side pruning state: which alternatives are currently excluded
@@ -638,7 +578,6 @@ impl DataflowOptimizer {
         let strata = plan_cost_strata(&memo, &topo);
         let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata, pruning);
         let local = vec![Cost::INFINITY; memo.n_alts()];
-        let dirty_index = DirtyIndex::build(&memo, &ctx, &q);
         let pruning = Pruning {
             enabled: pruning,
             pruned: vec![false; memo.n_alts()],
@@ -651,7 +590,7 @@ impl DataflowOptimizer {
             props,
             net,
             local,
-            dirty_index,
+            param_index: None,
             initialized: false,
             catalog: catalog.clone(),
             applied: Vec::new(),
@@ -715,19 +654,15 @@ impl DataflowOptimizer {
         // Candidate alternatives straight from the inverted index —
         // equivalent to testing `alt_affected` on every alternative
         // (each predicate branch distributes over the affected set).
-        let empty: Vec<AltId> = Vec::new();
-        let mut candidates: Vec<AltId> = Vec::new();
-        for l in &affected.leaves_card {
-            candidates
-                .extend_from_slice(self.dirty_index.by_leaf_card.get(&l.0).unwrap_or(&empty));
-        }
-        for e in &affected.edges {
-            candidates.extend_from_slice(self.dirty_index.by_edge.get(&e.0).unwrap_or(&empty));
-        }
-        for l in &affected.leaves_scan {
-            candidates
-                .extend_from_slice(self.dirty_index.by_leaf_scan.get(&l.0).unwrap_or(&empty));
-        }
+        let index = self
+            .param_index
+            .get_or_insert_with(|| ParamIndex::build(&self.memo, &self.q));
+        let memo = &self.memo;
+        let mut candidates: Vec<AltId> = index
+            .affected_groups(&affected)
+            .flat_map(|g| memo.alts_of(g))
+            .chain(index.affected_scan_alts(&affected))
+            .collect();
         candidates.sort_unstable_by_key(|a| a.0);
         candidates.dedup();
         // Re-evaluate the candidates' local costs in the mirror first;
@@ -1558,7 +1493,7 @@ fn build_network(
 mod tests {
     use super::*;
     use reopt_core::fixtures::{
-        agg_chain_query, chain_query, cycle_query, fixture_catalog, star_query,
+        agg_chain_query, chain_query, cycle_query, fixture_catalog, shaped_query, star_query,
     };
     use reopt_core::{IncrementalOptimizer, PruningConfig};
     use reopt_expr::{EdgeId, LeafId};
@@ -2068,6 +2003,26 @@ mod tests {
     }
 
     #[test]
+    fn parameters_the_query_does_not_have_reach_no_alternative() {
+        // The candidates come from the hand-rolled engine's index, which
+        // lists nothing for ids one past the query's: the network is fed
+        // no delta.
+        let c = fixture_catalog();
+        for q in fixture_queries() {
+            let mut df = DataflowOptimizer::new(&c, q.clone());
+            let first = df.optimize();
+            let out = df.reoptimize(&[
+                ParamDelta::LeafScanCost(LeafId(q.n_leaves()), 3.0),
+                ParamDelta::LeafCardinality(LeafId(q.n_leaves()), 0.5),
+                ParamDelta::EdgeSelectivity(EdgeId(q.edges.len() as u32), 0.25),
+            ]);
+            assert!(out.recovery.is_clean(), "{}: {:?}", q.name, out.recovery);
+            assert_eq!(out.stats.deltas_processed, 0, "{}", q.name);
+            assert_eq!((out.cost, &out.plan), (first.cost, &first.plan), "{}", q.name);
+        }
+    }
+
+    #[test]
     fn an_unknown_sink_is_none_not_a_panic() {
         let c = fixture_catalog();
         let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
@@ -2178,26 +2133,6 @@ mod tests {
         assert!(got.recovery.is_clean(), "{:?}", got.recovery);
         assert_eq!((got.cost, &got.plan), (want.cost, &want.plan));
         df.audit().expect("the rebuilt state passes the audit");
-    }
-
-    /// `n` relations of the fixture catalog joined as a chain, a star
-    /// around `t0`, or a clique.
-    fn shaped_query(c: &Catalog, shape: &str, n: usize) -> QuerySpec {
-        let mut b = QuerySpec::builder(format!("{shape}{n}"));
-        let l: Vec<_> = (0..n).map(|i| b.leaf(c, &format!("t{i}"))).collect();
-        for i in 0..n {
-            for j in i + 1..n {
-                let joined = match shape {
-                    "chain" => j == i + 1,
-                    "star" => i == 0,
-                    _ => true,
-                };
-                if joined {
-                    b.join(c, l[i], ["a", "b", "c"][j % 3], l[j], "a");
-                }
-            }
-        }
-        b.build()
     }
 
     #[test]

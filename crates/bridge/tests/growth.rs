@@ -5,6 +5,7 @@
 mod common;
 
 use reopt_bridge::{AuditMode, DataflowOptimizer};
+use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::ParamDelta;
 use reopt_expr::{EdgeId, LeafId};
 
@@ -76,17 +77,10 @@ fn a_cyclic_walk_costs_and_holds_the_same_every_lap() {
     }
 }
 
-/// The deterministic counter gate on the recursive cost loop: total
-/// deltas and batches the substrate services over a fixed parameter
-/// walk — four-parameter bursts (two leaf cardinalities, two join
-/// selectivities) on an 8-relation star, single points on a 6-relation
-/// Q5-shaped cycle — may not exceed what landed with D10 answered on
-/// demand (no `BestPlan` arrangements, join or sink to service), plus
-/// 2%. The
-/// counts are exact and repeat on every machine; wall-clock is judged
-/// by `BENCHMARK.json`'s alternating pairs, never here.
-#[test]
-fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
+/// The fixed parameter walks the counter gates run: four-parameter
+/// bursts (two leaf cardinalities, two join selectivities) on an
+/// 8-relation star, single points on a 6-relation Q5-shaped cycle.
+fn pinned_walks() -> [(&'static str, QueryGen, Vec<Vec<ParamDelta>>); 2] {
     const EPOCHS: u32 = 60;
     const FACTORS: [f64; 6] = [0.125, 0.5, 2.0, 4.0, 8.0, 3.0];
     let star = QueryGen {
@@ -101,35 +95,54 @@ fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
         parent: vec![0, 1, 2, 3, 4],
         cycle: true,
     };
-    // (instance, burst?, pinned deltas, pinned batches); with D10
-    // maintained in the network: 487 960 / 7 616 and 18 239 / 1 336.
-    for (gen, burst, pin_deltas, pin_batches) in [
-        (star, true, PIN_STAR_DELTAS, PIN_STAR_BATCHES),
-        (q5, false, PIN_Q5_DELTAS, PIN_Q5_BATCHES),
-    ] {
-        let (c, q) = build(&gen);
+    [("star-8 bursts", star, true), ("q5 points", q5, false)].map(|(name, gen, burst)| {
+        let q = build(&gen).1;
         let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let walk = (0..EPOCHS)
+            .map(|i| {
+                let f = FACTORS[(i as usize * 5 + 1) % FACTORS.len()];
+                if burst {
+                    vec![
+                        ParamDelta::LeafCardinality(LeafId(i % leaves), f),
+                        ParamDelta::LeafCardinality(LeafId((i * 3 + 1) % leaves), 1.0 / f),
+                        ParamDelta::EdgeSelectivity(EdgeId(i % edges), 1.0 / f),
+                        ParamDelta::EdgeSelectivity(EdgeId((i * 5 + 2) % edges), f),
+                    ]
+                } else {
+                    vec![match i % 10 {
+                        0..=6 => ParamDelta::LeafScanCost(LeafId(i % leaves), f),
+                        7 | 8 => ParamDelta::EdgeSelectivity(EdgeId(i % edges), f),
+                        _ => ParamDelta::LeafCardinality(LeafId(i % leaves), f),
+                    }]
+                }
+            })
+            .collect();
+        (name, gen, walk)
+    })
+}
+
+/// The deterministic counter gate on the recursive cost loop: total
+/// deltas and batches the substrate services over [`pinned_walks`] may
+/// not exceed what landed with D10 answered on demand (no `BestPlan`
+/// arrangements, join or sink to service), plus 2%. The
+/// counts are exact and repeat on every machine; wall-clock is judged
+/// by `BENCHMARK.json`'s alternating pairs, never here.
+#[test]
+fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
+    // (pinned deltas, pinned batches); with D10 maintained in the
+    // network: 487 960 / 7 616 and 18 239 / 1 336.
+    let pins = [
+        (PIN_STAR_DELTAS, PIN_STAR_BATCHES),
+        (PIN_Q5_DELTAS, PIN_Q5_BATCHES),
+    ];
+    for ((name, gen, walk), (pin_deltas, pin_batches)) in pinned_walks().into_iter().zip(pins) {
+        let (c, q) = build(&gen);
         let mut opt = DataflowOptimizer::new(&c, q);
         opt.set_audit_mode(AuditMode::Off);
         opt.optimize();
         let (mut deltas, mut batches) = (0, 0);
-        for i in 0..EPOCHS {
-            let f = FACTORS[(i as usize * 5 + 1) % FACTORS.len()];
-            let batch = if burst {
-                vec![
-                    ParamDelta::LeafCardinality(LeafId(i % leaves), f),
-                    ParamDelta::LeafCardinality(LeafId((i * 3 + 1) % leaves), 1.0 / f),
-                    ParamDelta::EdgeSelectivity(EdgeId(i % edges), 1.0 / f),
-                    ParamDelta::EdgeSelectivity(EdgeId((i * 5 + 2) % edges), f),
-                ]
-            } else {
-                vec![match i % 10 {
-                    0..=6 => ParamDelta::LeafScanCost(LeafId(i % leaves), f),
-                    7 | 8 => ParamDelta::EdgeSelectivity(EdgeId(i % edges), f),
-                    _ => ParamDelta::LeafCardinality(LeafId(i % leaves), f),
-                }]
-            };
-            let out = opt.reoptimize(&batch);
+        for (i, batch) in walk.iter().enumerate() {
+            let out = opt.reoptimize(batch);
             assert!(out.recovery.is_clean(), "epoch {i}: {:?}", out.recovery);
             deltas += out.stats.deltas_processed;
             batches += out.stats.batches_processed;
@@ -137,8 +150,9 @@ fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
         assert!(deltas > 0 && batches > 0);
         assert!(
             deltas * 100 <= pin_deltas * 102 && batches * 100 <= pin_batches * 102,
-            "burst={burst}: {deltas} deltas / {batches} batches over {EPOCHS} epochs \
-             against pins of {pin_deltas} / {pin_batches}"
+            "{name}: {deltas} deltas / {batches} batches over {} epochs \
+             against pins of {pin_deltas} / {pin_batches}",
+            walk.len()
         );
     }
 }
@@ -147,3 +161,38 @@ const PIN_STAR_DELTAS: u64 = 377_310;
 const PIN_STAR_BATCHES: u64 = 7_376;
 const PIN_Q5_DELTAS: u64 = 13_439;
 const PIN_Q5_BATCHES: u64 = 1_276;
+
+/// The same gate on the exact hand-rolled engine (`all_strict()`) over
+/// the same walks: queue pops, alternatives whose cost or liveness
+/// changed, and alternatives marked while seeding from the parameter
+/// index may not exceed their pins plus 2%. While the changed cone was
+/// revived, re-priced and tombstoned again every epoch the walks took
+/// 41 820 / 2 155 pops for the same 145 184 / 4 058 touched
+/// alternatives (`none()`, which never prunes: 13 803 / 605 pops), and
+/// seeding asked all 2 643 / 420 alternatives twice an epoch.
+#[test]
+fn hand_rolled_strict_counters_stay_within_two_percent_of_their_pins() {
+    let pins = [PIN_STAR_CORE, PIN_Q5_CORE];
+    for ((name, gen, walk), pin) in pinned_walks().into_iter().zip(pins) {
+        let (c, q) = build(&gen);
+        let mut opt = IncrementalOptimizer::new(&c, q, PruningConfig::all_strict());
+        opt.optimize();
+        let mut got = [0u64; 3];
+        for batch in &walk {
+            let run = opt.reoptimize(batch).run;
+            got[0] += run.queue_pops;
+            got[1] += run.touched_alts;
+            got[2] += run.seeded_alts;
+        }
+        assert!(got.iter().all(|&n| n > 0));
+        assert!(
+            got.iter().zip(pin).all(|(&n, p)| n * 100 <= p * 102),
+            "{name}: pops / touched / seeded {got:?} over {} epochs against pins of {pin:?}",
+            walk.len()
+        );
+    }
+}
+
+/// `[queue_pops, touched_alts, seeded_alts]`.
+const PIN_STAR_CORE: [u64; 3] = [17_683, 145_188, 145_833];
+const PIN_Q5_CORE: [u64; 3] = [793, 4_058, 2_338];

@@ -19,11 +19,16 @@ pub struct PruningConfig {
     /// §3.3 recursive bounding: the `Bound` relation of rules r1–r4;
     /// suppression then tests against `Bound` instead of `BestCost`.
     pub recursive_bounding: bool,
-    /// Reproduction extension to the paper's §3.3: on re-optimization,
-    /// conservatively revalidate frozen state whose parameters changed,
-    /// restoring the unconditional optimality guarantee for cost
-    /// *decreases* landing entirely inside reclaimed regions, at the
-    /// price of touching more state.
+    /// Exact re-optimization under pruning (§4.1 taken at its word: the
+    /// aggregate keeps "all the computed, even pruned" tuples): a
+    /// tombstoned group's costs are *maintained* — every total and every
+    /// best stays current through cost increases and decreases alike —
+    /// so a decrease landing entirely inside a reclaimed region is seen.
+    /// What pruning still reclaims is references, bounds and membership
+    /// in [`crate::StateMetrics`]; the price is re-costing alternatives
+    /// of reclaimed groups in the changed cone. Off, reclaimed costs
+    /// freeze (the paper-literal Fig 7/8 ablation), and only cost
+    /// increases are guaranteed exact.
     pub strict_revalidation: bool,
 }
 
@@ -85,7 +90,8 @@ impl PruningConfig {
         }
     }
 
-    /// `all()` plus strict revalidation.
+    /// `all()` with reclaimed costs kept current: the exact pruned
+    /// configuration.
     pub fn all_strict() -> PruningConfig {
         PruningConfig {
             strict_revalidation: true,

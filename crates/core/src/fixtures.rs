@@ -91,3 +91,23 @@ pub fn star_query(c: &Catalog) -> QuerySpec {
     b.join(c, f, "c", d[2], "a");
     b.build()
 }
+
+/// `n` relations of the fixture catalog joined as a `"chain"`, a
+/// `"star"` around `t0`, or (any other name) a clique.
+pub fn shaped_query(c: &Catalog, shape: &str, n: usize) -> QuerySpec {
+    let mut b = QuerySpec::builder(format!("{shape}{n}"));
+    let l: Vec<_> = (0..n).map(|i| b.leaf(c, &format!("t{i}"))).collect();
+    for i in 0..n {
+        for j in i + 1..n {
+            let joined = match shape {
+                "chain" => j == i + 1,
+                "star" => i == 0,
+                _ => true,
+            };
+            if joined {
+                b.join(c, l[i], ["a", "b", "c"][j % 3], l[j], "a");
+            }
+        }
+    }
+    b.build()
+}

@@ -24,6 +24,7 @@ pub mod fixtures;
 pub mod memo;
 pub mod metrics;
 pub mod optimizer;
+pub mod param_index;
 pub mod rules;
 pub mod rules_ir;
 pub mod state;
@@ -33,3 +34,4 @@ pub use config::PruningConfig;
 pub use memo::{AltId, GroupId, Memo};
 pub use metrics::{RunMetrics, StateMetrics};
 pub use optimizer::{IncrementalOptimizer, Outcome};
+pub use param_index::ParamIndex;

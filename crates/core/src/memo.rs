@@ -32,7 +32,9 @@ pub struct AltDef {
 }
 
 impl AltDef {
-    pub fn children(&self) -> impl Iterator<Item = GroupId> + '_ {
+    /// The child groups, copied out: the iterator borrows nothing, so a
+    /// caller may mutate optimizer state while walking them.
+    pub fn children(&self) -> impl Iterator<Item = GroupId> {
         self.left.into_iter().chain(self.right)
     }
 

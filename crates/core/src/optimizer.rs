@@ -26,6 +26,7 @@ use reopt_expr::{JoinGraph, PlanNode, QuerySpec};
 use crate::config::PruningConfig;
 use crate::memo::{AltId, GroupId, Memo};
 use crate::metrics::{RunMetrics, StateMetrics};
+use crate::param_index::ParamIndex;
 use crate::state::{le_with_slack, AltState, GroupState};
 
 /// Result of one (re)optimization fixpoint.
@@ -54,10 +55,22 @@ pub struct IncrementalOptimizer {
     epoch: u32,
     group_epoch: Vec<u32>,
     alt_epoch: Vec<u32>,
+    /// Epoch in which a group's alternatives were last all seeded.
+    group_seeded: Vec<u32>,
     initialized: bool,
+    /// Where a parameter change lands in the memo; `optimize` never
+    /// reads it, so the first `reoptimize` builds it.
+    index: Option<ParamIndex>,
+    /// Groups with `live` set, and alternatives with `live` set in such
+    /// a group — [`StateMetrics`] without a sweep, adjusted wherever a
+    /// flag flips.
+    live_groups: u64,
+    live_alts: u64,
     /// Union of every parameter ever changed: a revived group only needs
     /// its local costs recomputed where this union touches them (params
     /// outside it cannot have changed while the group was tombstoned).
+    /// Unused under `strict_revalidation`, where a tombstoned group's
+    /// costs never go stale.
     dirty_union: reopt_cost::AffectedSet,
 }
 
@@ -91,7 +104,11 @@ impl IncrementalOptimizer {
             epoch: 0,
             group_epoch: vec![0; n_groups],
             alt_epoch: vec![0; n_alts],
+            group_seeded: vec![0; n_groups],
             initialized: false,
+            index: None,
+            live_groups: n_groups as u64,
+            live_alts: n_alts as u64,
             dirty_union: reopt_cost::AffectedSet::default(),
         }
     }
@@ -133,7 +150,13 @@ impl IncrementalOptimizer {
     }
 
     /// Incremental re-optimization under a batch of cost/cardinality
-    /// updates (§4). Only state in the affected cone is recomputed.
+    /// updates (§4). Only state in the affected cone is recomputed: the
+    /// epoch is seeded from the [`ParamIndex`] lists of the parameters
+    /// that changed, never from a walk over the memo.
+    ///
+    /// A tombstoned group is seeded only under `strict_revalidation`,
+    /// which keeps its costs current; otherwise its costs are frozen and
+    /// [`Self::revive`] re-marks them from `dirty_union`.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> Outcome {
         // A fresh engine evaluates the initial program first, exactly
         // as an explicit `optimize()` would have.
@@ -145,99 +168,43 @@ impl IncrementalOptimizer {
         if affected.is_empty() {
             return self.outcome();
         }
-        self.dirty_union
-            .leaves_card
-            .extend(affected.leaves_card.iter().copied());
-        self.dirty_union
-            .edges
-            .extend(affected.edges.iter().copied());
-        self.dirty_union
-            .leaves_scan
-            .extend(affected.leaves_scan.iter().copied());
-        let mut pinned: Vec<GroupId> = Vec::new();
-        if self.cfg.strict_revalidation {
-            // Conservative completeness: revive (and pin) any reclaimed
-            // group whose own parameters changed, and any reclaimed
-            // child of an *affected frozen* alternative — its stale total
-            // would otherwise never be revalidated against the change.
-            let mut to_revive: Vec<GroupId> = Vec::new();
-            for gi in 0..self.memo.n_groups() as u32 {
-                let g = GroupId(gi);
-                let expr = self.memo.group(g).expr;
-                if !self.groups[gi as usize].live {
-                    // A tombstoned group anywhere in the dependency cone
-                    // (its expression contains a changed leaf or edge)
-                    // may hold a stale best; revive the whole cone so
-                    // changes cascade through dead ancestors too.
-                    let in_cone = affected
-                        .leaves_card
-                        .iter()
-                        .chain(affected.leaves_scan.iter())
-                        .any(|l| expr.rel.contains(l.0))
-                        || affected
-                            .edges
-                            .iter()
-                            .any(|&e| self.ctx.edge_rels(e).is_subset_of(expr.rel));
-                    if in_cone {
-                        to_revive.push(g);
-                    }
-                    continue;
-                }
-                for a in self.memo.alts_of(g) {
-                    if !self
-                        .ctx
-                        .alt_affected(expr, &self.memo.alt(a).spec, &affected)
-                    {
-                        continue;
-                    }
-                    // An affected *frozen* alternative: revive its dead
-                    // children so its stale total gets revalidated.
-                    for c in self.memo.alt(a).children() {
-                        if !self.groups[c.0 as usize].live {
-                            to_revive.push(c);
-                        }
-                    }
-                }
-            }
-            for g in to_revive {
-                if !self.groups[g.0 as usize].live {
-                    self.revive(g);
-                    self.groups[g.0 as usize].refs += 1; // pin
-                    pinned.push(g);
-                }
-            }
+        let maintain = self.cfg.strict_revalidation;
+        if !maintain {
+            self.dirty_union
+                .leaves_card
+                .extend(affected.leaves_card.iter().copied());
+            self.dirty_union
+                .edges
+                .extend(affected.edges.iter().copied());
+            self.dirty_union
+                .leaves_scan
+                .extend(affected.leaves_scan.iter().copied());
         }
-        for gi in 0..self.memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            let expr = self.memo.group(g).expr;
-            if !self.groups[gi as usize].live {
+        let index = self
+            .index
+            .take()
+            .unwrap_or_else(|| ParamIndex::build(&self.memo, &self.q));
+        for g in index.affected_groups(&affected) {
+            // A group several changed parameters reach is seeded once.
+            if self.group_seeded[g.0 as usize] == self.epoch {
                 continue;
             }
-            let mut any = false;
-            for a in self.memo.alts_of(g) {
-                if self
-                    .ctx
-                    .alt_affected(expr, &self.memo.alt(a).spec, &affected)
-                {
-                    let s = &mut self.alts[a.0 as usize];
-                    s.local_dirty = true;
-                    s.dirty = true;
-                    any = true;
+            self.group_seeded[g.0 as usize] = self.epoch;
+            if maintain || self.groups[g.0 as usize].live {
+                for a in self.memo.alts_of(g) {
+                    self.seed(a);
                 }
-            }
-            if any {
                 self.push_cost(g);
             }
         }
-        self.process();
-        // Remove pins; anything no longer referenced is reclaimed again.
-        for g in pinned {
-            let gs = &mut self.groups[g.0 as usize];
-            gs.refs -= 1;
-            if gs.refs == 0 && self.cfg.ref_counting && g != self.memo.root {
-                self.tombstone(g);
+        for a in index.affected_scan_alts(&affected) {
+            let g = self.memo.alt(a).group;
+            if maintain || self.groups[g.0 as usize].live {
+                self.seed(a);
+                self.push_cost(g);
             }
         }
+        self.index = Some(index);
         self.process();
         self.outcome()
     }
@@ -252,25 +219,16 @@ impl IncrementalOptimizer {
         self.extract(self.memo.root)
     }
 
-    /// State snapshot for the pruning-ratio metrics.
+    /// State snapshot for the pruning-ratio metrics, read off the
+    /// counters kept where `live` flips.
     pub fn state_metrics(&self) -> StateMetrics {
         let total_groups = self.memo.n_groups() as u64;
         let total_alts = self.memo.n_alts() as u64;
-        let pruned_groups = self.groups.iter().filter(|g| !g.live).count() as u64;
-        let live_alts = self
-            .memo
-            .alts
-            .iter()
-            .enumerate()
-            .filter(|(ai, a)| {
-                self.groups[a.group.0 as usize].live && self.alts[*ai].live
-            })
-            .count() as u64;
         StateMetrics {
             total_groups,
             total_alts,
-            pruned_groups,
-            pruned_alts: total_alts - live_alts,
+            pruned_groups: total_groups - self.live_groups,
+            pruned_alts: total_alts - self.live_alts,
         }
     }
 
@@ -282,13 +240,25 @@ impl IncrementalOptimizer {
     }
 
     fn outcome(&mut self) -> Outcome {
-        self.validate_chosen_tree();
+        // Maintained costs are exact whatever is live: there is no
+        // frozen alternative for the chosen tree to run through.
+        if !self.cfg.strict_revalidation {
+            self.validate_chosen_tree();
+        }
         Outcome {
             cost: self.best_cost(),
             plan: self.best_plan(),
             run: self.run,
             state: self.state_metrics(),
         }
+    }
+
+    /// A parameter of alternative `a`'s local cost changed.
+    fn seed(&mut self, a: AltId) {
+        let s = &mut self.alts[a.0 as usize];
+        s.local_dirty = true;
+        s.dirty = true;
+        self.run.seeded_alts += 1;
     }
 
     fn push_cost(&mut self, g: GroupId) {
@@ -298,8 +268,13 @@ impl IncrementalOptimizer {
         }
     }
 
+    /// A tombstoned group derives no bound (`process_bound` would drop
+    /// it); [`Self::revive`] queues the group itself.
     fn push_bound(&mut self, g: GroupId) {
-        if self.cfg.recursive_bounding && !self.in_bound_queue[g.0 as usize] {
+        if self.cfg.recursive_bounding
+            && self.groups[g.0 as usize].live
+            && !self.in_bound_queue[g.0 as usize]
+        {
             self.in_bound_queue[g.0 as usize] = true;
             self.bound_queue.push(g.0);
         }
@@ -348,37 +323,31 @@ impl IncrementalOptimizer {
     /// Rules R6–R9 for one group: recompute dirty `PlanCost` totals and
     /// the `BestCost` aggregate; propagate changes to parents (cost) and
     /// dependents (bounds); re-evaluate suppression.
+    ///
+    /// Under `strict_revalidation` the cost half runs for a tombstoned
+    /// group too, and through alternatives with tombstoned children —
+    /// every total and every best stays current (§4.1: the aggregate
+    /// keeps "all the computed, even pruned" tuples), so nothing is
+    /// ever revived to be re-priced. What a tombstone reclaims is the
+    /// bound/liveness half below, and the references it held.
     fn refresh_group(&mut self, g: GroupId) {
         self.run.queue_pops += 1;
-        if !self.groups[g.0 as usize].live {
+        let maintain = self.cfg.strict_revalidation;
+        let live = self.groups[g.0 as usize].live;
+        if !live && !maintain {
             return;
         }
         let def_expr = self.memo.group(g).expr;
         let def_prop = self.memo.group(g).prop;
-        let mut local_changed_children: Vec<GroupId> = Vec::new();
         for a in self.memo.alts_of(g) {
             if !self.alts[a.0 as usize].dirty {
                 continue;
             }
-            // Frozen alternatives (a child group tombstoned) keep their
-            // stale totals and their dirty flags: they are recomputed on
-            // revival. Under strict revalidation a dirty frozen
-            // alternative unfreezes on demand — its dead children are
-            // revived so the recomputation can happen exactly (covers
-            // cost changes arriving through its *live* children).
-            let frozen_children: Vec<GroupId> = self
-                .memo
-                .alt(a)
-                .children()
-                .filter(|c| !self.groups[c.0 as usize].live)
-                .collect();
-            if !frozen_children.is_empty() {
-                if self.cfg.strict_revalidation {
-                    for c in frozen_children {
-                        self.revive(c);
-                    }
-                    self.push_cost(g);
-                }
+            // Paper-literal mode: frozen alternatives (a child group
+            // tombstoned) keep their stale totals and their dirty
+            // flags; they are recomputed on revival.
+            let frozen = |c: GroupId| !self.groups[c.0 as usize].live;
+            if !maintain && self.memo.alt(a).children().any(frozen) {
                 continue;
             }
             self.alts[a.0 as usize].dirty = false;
@@ -389,7 +358,13 @@ impl IncrementalOptimizer {
                         .local_cost(&self.q, def_expr, def_prop, &self.memo.alt(a).spec);
                 if new_local != self.alts[a.0 as usize].local {
                     self.alts[a.0 as usize].local = new_local;
-                    local_changed_children.extend(self.memo.alt(a).children());
+                    // The children's ParentBound through `a` moved
+                    // (r1/r2) — a derivation only a live group has.
+                    if live {
+                        for c in self.memo.alt(a).children() {
+                            self.push_bound(c);
+                        }
+                    }
                 }
             }
             // Fn_sum(localCost, lBest, rBest) — rules R6/R7/R8.
@@ -404,10 +379,11 @@ impl IncrementalOptimizer {
         }
         // Rule R9: BestCost = min over *all* retained totals — the
         // paper's aggregate keeps every PlanCost tuple in its internal
-        // queue, pruned or not, so frozen alternatives participate with
-        // their last-known (stale) values. If a stale value wins, plan
-        // extraction revalidates it (`validate_chosen_tree`), reviving
-        // and re-pricing the subtree until the chosen tree is exact.
+        // queue, pruned or not. In paper-literal mode frozen
+        // alternatives participate with their last-known (stale)
+        // values; if a stale value wins, plan extraction revalidates it
+        // (`validate_chosen_tree`), reviving and re-pricing the subtree
+        // until the chosen tree is exact.
         let mut best = Cost::INFINITY;
         let mut best_alt = None;
         for a in self.memo.alts_of(g) {
@@ -418,38 +394,38 @@ impl IncrementalOptimizer {
             }
         }
         let best_changed = best != self.groups[g.0 as usize].best;
+        self.groups[g.0 as usize].best = best;
+        self.groups[g.0 as usize].best_alt = best_alt;
         if best_changed {
-            self.groups[g.0 as usize].best = best;
-            self.groups[g.0 as usize].best_alt = best_alt;
             self.touch_group(g);
-        } else {
-            self.groups[g.0 as usize].best_alt = best_alt;
         }
-        self.recompute_bound_value(g);
-        self.refresh_liveness(g);
+        if live {
+            self.recompute_bound_value(g);
+            self.refresh_liveness(g);
+        }
         if best_changed {
             // Parents' PlanCost totals depend on this BestCost (R7/R8
             // incremental joins).
-            let parents = self.memo.parents_of(g).to_vec();
-            for pa in parents {
+            for i in 0..self.memo.parents_of(g).len() {
+                let pa = self.memo.parents_of(g)[i];
                 let pg = self.memo.alt(pa).group;
-                if self.groups[pg.0 as usize].live {
+                let parent_live = self.groups[pg.0 as usize].live;
+                if parent_live || maintain {
                     self.alts[pa.0 as usize].dirty = true;
                     self.push_cost(pg);
-                    // Sibling bounds depend on this best (r1/r2).
-                    if self.alts[pa.0 as usize].live {
-                        if let Some(sib) = self.memo.alt(pa).sibling(g) {
-                            self.push_bound(sib);
-                        }
+                }
+                // Sibling bounds depend on this best (r1/r2).
+                if parent_live && self.alts[pa.0 as usize].live {
+                    if let Some(sib) = self.memo.alt(pa).sibling(g) {
+                        self.push_bound(sib);
                     }
                 }
             }
             // bound(g) = min(best, mpb) may have changed: children's
             // parent-bounds depend on it.
-            self.push_children_bounds(g);
-        }
-        for c in local_changed_children {
-            self.push_bound(c);
+            if live {
+                self.push_children_bounds(g);
+            }
         }
     }
 
@@ -510,11 +486,9 @@ impl IncrementalOptimizer {
         if !self.cfg.recursive_bounding {
             return;
         }
-        let alts: Vec<AltId> = self.memo.alts_of(g).collect();
-        for a in alts {
+        for a in self.memo.alts_of(g) {
             if self.alts[a.0 as usize].live {
-                let children: Vec<GroupId> = self.memo.alt(a).children().collect();
-                for c in children {
+                for c in self.memo.alt(a).children() {
                     self.push_bound(c);
                 }
             }
@@ -534,9 +508,9 @@ impl IncrementalOptimizer {
     /// which alternatives are live against the current threshold, with
     /// reference-count side effects (§3.2). Re-introduction of
     /// previously suppressed state (§4.1/§4.3 cases) happens here too:
-    /// a suppressed alternative whose (possibly stale) cost now passes
-    /// the threshold flips back to live, re-adding references and
-    /// triggering recomputation.
+    /// a suppressed alternative whose cost now passes the threshold
+    /// flips back to live, re-adding references and — where its cost
+    /// may be stale — triggering recomputation.
     fn refresh_liveness(&mut self, g: GroupId) {
         if !self.cfg.aggregate_selection || !self.groups[g.0 as usize].live {
             return;
@@ -546,8 +520,7 @@ impl IncrementalOptimizer {
         } else {
             self.groups[g.0 as usize].best
         };
-        let alts: Vec<AltId> = self.memo.alts_of(g).collect();
-        for a in alts {
+        for a in self.memo.alts_of(g) {
             let should_live = le_with_slack(self.alts[a.0 as usize].total, threshold);
             if should_live == self.alts[a.0 as usize].live {
                 continue;
@@ -555,25 +528,30 @@ impl IncrementalOptimizer {
             self.alts[a.0 as usize].live = should_live;
             self.touch_alt(a);
             if should_live {
+                self.live_alts += 1;
                 // Re-introduction: undo tuple source suppression
                 // (§4.1: "propagate an insertion to the previous
-                // stage"). Recompute after any revived children settle.
-                self.alts[a.0 as usize].dirty = true;
-                self.push_cost(g);
+                // stage"). A total that froze while suppressed is
+                // recomputed after any revived children settle; a
+                // maintained one is already current.
+                if !self.cfg.strict_revalidation {
+                    self.alts[a.0 as usize].dirty = true;
+                    self.push_cost(g);
+                }
+            } else {
+                self.live_alts -= 1;
             }
-            let children: Vec<GroupId> = self.memo.alt(a).children().collect();
-            if self.cfg.source_suppression {
-                for &c in &children {
+            for c in self.memo.alt(a).children() {
+                if self.cfg.source_suppression {
                     if should_live {
                         self.on_ref_inc(c);
                     } else {
                         self.on_ref_dec(c);
                     }
                 }
-            }
-            // A ParentBound derivation (r1/r2) appeared or disappeared:
-            // the children's MaxBound must be re-aggregated.
-            for c in children {
+                // A ParentBound derivation (r1/r2) appeared or
+                // disappeared: the child's MaxBound must be
+                // re-aggregated.
                 self.push_bound(c);
             }
         }
@@ -598,20 +576,22 @@ impl IncrementalOptimizer {
         }
     }
 
-    /// §4.2, count 1→0: reclaim the group's state. Its last costs are
-    /// retained (frozen) for later re-introduction checks.
+    /// §4.2, count 1→0: reclaim the group's state — its references to
+    /// its children, its ParentBound derivations and its place in
+    /// [`StateMetrics`]. Its last costs are retained: frozen in
+    /// paper-literal mode, kept current under `strict_revalidation`.
     fn tombstone(&mut self, g: GroupId) {
         if !self.groups[g.0 as usize].live {
             return;
         }
         self.groups[g.0 as usize].live = false;
+        self.live_groups -= 1;
         self.run.tombstoned_groups += 1;
         self.touch_group(g);
-        let alts: Vec<AltId> = self.memo.alts_of(g).collect();
-        for a in alts {
+        for a in self.memo.alts_of(g) {
             if self.alts[a.0 as usize].live {
-                let children: Vec<GroupId> = self.memo.alt(a).children().collect();
-                for c in children {
+                self.live_alts -= 1;
+                for c in self.memo.alt(a).children() {
                     self.on_ref_dec(c);
                     // This group's ParentBound derivations vanish.
                     self.push_bound(c);
@@ -620,43 +600,53 @@ impl IncrementalOptimizer {
         }
     }
 
-    /// §4.2, count 0→1: "recompute all of the physical plans associated
-    /// with this expression-property pair".
+    /// §4.2, count 0→1. Paper-literal mode must "recompute all of the
+    /// physical plans associated with this expression-property pair":
+    /// they froze at the tombstone. Under `strict_revalidation` they
+    /// are current, and a revival only takes back what the tombstone
+    /// gave up — references, bound derivations, a liveness verdict.
     fn revive(&mut self, g: GroupId) {
         if self.groups[g.0 as usize].live {
             return;
         }
         self.groups[g.0 as usize].live = true;
+        self.live_groups += 1;
         self.run.revived_groups += 1;
         self.touch_group(g);
+        let frozen = !self.cfg.strict_revalidation;
         let expr = self.memo.group(g).expr;
-        let alts: Vec<AltId> = self.memo.alts_of(g).collect();
-        for a in alts {
-            self.alts[a.0 as usize].dirty = true;
-            if self
-                .ctx
-                .alt_affected(expr, &self.memo.alt(a).spec, &self.dirty_union)
-            {
-                self.alts[a.0 as usize].local_dirty = true;
+        for a in self.memo.alts_of(g) {
+            if frozen {
+                self.alts[a.0 as usize].dirty = true;
+                if self
+                    .ctx
+                    .alt_affected(expr, &self.memo.alt(a).spec, &self.dirty_union)
+                {
+                    self.alts[a.0 as usize].local_dirty = true;
+                }
             }
             if self.alts[a.0 as usize].live {
-                let children: Vec<GroupId> = self.memo.alt(a).children().collect();
-                for c in children {
+                self.live_alts += 1;
+                for c in self.memo.alt(a).children() {
                     self.on_ref_inc(c);
                     self.push_bound(c);
                 }
             }
         }
-        // Parents referencing this group had frozen totals; let them
-        // recompute against the refreshed best.
-        let parents = self.memo.parents_of(g).to_vec();
-        for pa in parents {
-            let pg = self.memo.alt(pa).group;
-            if self.groups[pg.0 as usize].live {
-                self.alts[pa.0 as usize].dirty = true;
-                self.push_cost(pg);
+        if frozen {
+            // Parents referencing this group had frozen totals; let
+            // them recompute against the refreshed best.
+            for i in 0..self.memo.parents_of(g).len() {
+                let pa = self.memo.parents_of(g)[i];
+                let pg = self.memo.alt(pa).group;
+                if self.groups[pg.0 as usize].live {
+                    self.alts[pa.0 as usize].dirty = true;
+                    self.push_cost(pg);
+                }
             }
         }
+        // The liveness verdicts and the bound are as the tombstone left
+        // them: re-evaluate both.
         self.push_cost(g);
         self.push_bound(g);
     }
@@ -758,7 +748,9 @@ impl IncrementalOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{agg_chain_query, chain_query, cycle_query, fixture_catalog, star_query};
+    use crate::fixtures::{
+        agg_chain_query, chain_query, cycle_query, fixture_catalog, shaped_query, star_query,
+    };
     use reopt_baselines::optimize_system_r;
     use reopt_common::FxHashSet;
     use reopt_expr::{EdgeId, LeafId};
@@ -1123,6 +1115,118 @@ mod tests {
                 out.cost
             );
             opt.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_epoch_is_seeded_from_the_index_lists_never_the_memo() {
+        // The work bound on seeding: an exact epoch marks at most the
+        // alternatives the index lists for the parameters that changed
+        // — for one scan cost, the leaf's access paths and the INLJs
+        // probing it — however large the memo around them.
+        let c = fixture_catalog();
+        for shape in ["chain", "star", "clique"] {
+            for n in 3..=8 {
+                let q = shaped_query(&c, shape, n);
+                let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all_strict());
+                opt.optimize();
+                let index = ParamIndex::build(opt.memo(), &q);
+                let alts_in = |groups: &[GroupId]| -> u64 {
+                    groups
+                        .iter()
+                        .map(|&g| opt.memo().alts_of(g).count() as u64)
+                        .sum()
+                };
+                let last = LeafId(n as u32 - 1);
+                let listed = [
+                    index.scan_alts(last).len() as u64,
+                    alts_in(index.groups_covering_edge(EdgeId(0))),
+                    alts_in(index.groups_with_leaf(LeafId(1))),
+                ];
+                let n_alts = opt.memo().n_alts() as u64;
+                let out = opt.reoptimize(&[ParamDelta::LeafScanCost(last, 6.0)]);
+                assert!(
+                    0 < out.run.seeded_alts && out.run.seeded_alts <= listed[0],
+                    "{}: seeded {} of {} listed",
+                    q.name,
+                    out.run.seeded_alts,
+                    listed[0]
+                );
+                assert!(
+                    listed[0] < n_alts / 2,
+                    "{}: {} of {n_alts}",
+                    q.name,
+                    listed[0]
+                );
+                let out = opt.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(0), 0.5)]);
+                assert!(out.run.seeded_alts <= listed[1], "{}", q.name);
+                let out = opt.reoptimize(&[ParamDelta::LeafCardinality(LeafId(1), 3.0)]);
+                assert!(out.run.seeded_alts <= listed[2], "{}", q.name);
+                opt.check_invariants()
+                    .unwrap_or_else(|e| panic!("{}: {e}", q.name));
+            }
+        }
+    }
+
+    #[test]
+    fn a_decrease_inside_a_tombstoned_group_is_seen_only_by_the_exact_mode() {
+        // ROADMAP 1-i's counter-example in miniature: t0 ⋈ t1 ⋈ t2,
+        // scanning t2 gets 8× cheaper. The alternatives that gain sit in
+        // groups reference counting reclaimed, so paper-literal `all()`
+        // — which froze their costs and revives only what a *worse*
+        // chosen plan makes competitive — keeps the plan it had;
+        // `all_strict()` kept those costs current and moves to the
+        // optimum.
+        let c = fixture_catalog();
+        let q = chain_query(&c, 3);
+        let step = [ParamDelta::LeafScanCost(LeafId(2), 0.125)];
+        let mut literal = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
+        let mut exact = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all_strict());
+        let before = literal.optimize();
+        assert_eq!(exact.optimize().cost, before.cost);
+        let index = ParamIndex::build(exact.memo(), &q);
+        for opt in [&literal, &exact] {
+            assert!(
+                index
+                    .scan_alts(LeafId(2))
+                    .iter()
+                    .any(|&a| !opt.group_state(opt.memo().alt(a).group).live),
+                "the decrease must land in a tombstoned group"
+            );
+        }
+        let want = reference_cost(&q, &step);
+        let (stale, fresh) = (literal.reoptimize(&step), exact.reoptimize(&step));
+        assert!(fresh.cost.approx_eq(want), "{:?} vs {want:?}", fresh.cost);
+        assert!(fresh.cost < before.cost);
+        assert!(
+            stale.cost.value() > want.value() * 1.1,
+            "all() found {:?}, the optimum is {want:?}",
+            stale.cost
+        );
+        assert_ne!(stale.plan.fingerprint(), fresh.plan.fingerprint());
+        literal.check_invariants().unwrap();
+        exact.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn parameters_the_query_does_not_have_are_no_ops() {
+        // Callers do feed `LeafId(n_leaves)` / `EdgeId(n_edges)`; the
+        // index lists nothing for them, so the epoch seeds nothing.
+        let c = fixture_catalog();
+        for q in fixture_queries() {
+            for cfg in all_configs() {
+                let mut opt = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                let first = opt.optimize();
+                let out = opt.reoptimize(&[
+                    ParamDelta::LeafScanCost(LeafId(q.n_leaves()), 3.0),
+                    ParamDelta::LeafCardinality(LeafId(q.n_leaves()), 0.5),
+                    ParamDelta::EdgeSelectivity(EdgeId(q.edges.len() as u32), 0.25),
+                ]);
+                assert_eq!((out.cost, &out.plan), (first.cost, &first.plan));
+                assert_eq!(out.run, RunMetrics::default(), "{} {}", q.name, cfg.label());
+                opt.check_invariants()
+                    .unwrap_or_else(|e| panic!("{} under {}: {e}", q.name, cfg.label()));
+            }
         }
     }
 }

@@ -12,8 +12,10 @@ use crate::memo::AltId;
 pub struct AltState {
     /// `Fn_scancost` / `Fn_nonscancost` output for this root operator.
     pub local: Cost,
-    /// `Fn_sum(local, lBest, rBest)` — the `PlanCost` value. Stale (last
-    /// computed) while the alternative is frozen.
+    /// `Fn_sum(local, lBest, rBest)` — the `PlanCost` value. In
+    /// paper-literal mode stale (last computed) while the alternative is
+    /// frozen — a child group tombstoned; always current under
+    /// `strict_revalidation`.
     pub total: Cost,
     /// Present in the live `SearchSpace` / `PlanCost` views. Suppressed
     /// alternatives (live = false) keep maintained costs — they sit in
@@ -42,14 +44,17 @@ impl Default for AltState {
 /// State of one group ("OR" node / `BestCost` + `Bound` entries).
 #[derive(Clone, Copy, Debug)]
 pub struct GroupState {
-    /// State is maintained. `false` = tombstoned by reference counting;
-    /// the costs freeze at their last values ("the aggregate operator
-    /// preserves all the computed, even pruned tuples").
+    /// Member of the live plan table. `false` = tombstoned by reference
+    /// counting: the group holds no references to its children, derives
+    /// no bounds for them and is counted pruned, but its costs are
+    /// retained ("the aggregate operator preserves all the computed,
+    /// even pruned tuples") — frozen at their last values in
+    /// paper-literal mode, kept current under `strict_revalidation`.
     pub live: bool,
     /// Number of live parent alternatives referencing this group (plus
     /// one pin for the root). Only meaningful with source suppression.
     pub refs: u32,
-    /// `BestCost`: minimum maintained (non-frozen) alternative total.
+    /// `BestCost`: minimum over the alternatives' retained totals.
     pub best: Cost,
     pub best_alt: Option<AltId>,
     /// `MaxBound` (rule r3): the loosest allowance any live parent plan

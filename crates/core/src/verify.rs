@@ -16,6 +16,34 @@ impl IncrementalOptimizer {
         self.check_costs()?;
         self.check_liveness()?;
         self.check_bounds()?;
+        self.check_state_counters()?;
+        Ok(())
+    }
+
+    /// `state_metrics()` reads counters adjusted wherever a `live` flag
+    /// flips; they must agree with a sweep over the flags.
+    fn check_state_counters(&self) -> Result<(), String> {
+        let memo = self.memo();
+        let live_groups = (0..memo.n_groups() as u32)
+            .filter(|&gi| self.group_state(GroupId(gi)).live)
+            .count() as u64;
+        let live_alts = (0..memo.n_alts() as u32)
+            .map(AltId)
+            .filter(|&a| self.group_state(memo.alt(a).group).live && self.alt_state(a).live)
+            .count() as u64;
+        let state = self.state_metrics();
+        let got_groups = state.total_groups - state.pruned_groups;
+        if got_groups != live_groups {
+            return Err(format!(
+                "live-group counter {got_groups}, a sweep counts {live_groups}"
+            ));
+        }
+        let got_alts = state.total_alts - state.pruned_alts;
+        if got_alts != live_alts {
+            return Err(format!(
+                "live-alternative counter {got_alts}, a sweep counts {live_alts}"
+            ));
+        }
         Ok(())
     }
 
@@ -51,13 +79,18 @@ impl IncrementalOptimizer {
         Ok(())
     }
 
-    /// R6–R9: live, non-frozen alternatives have exact local and total
-    /// costs, and the group best is their minimum.
+    /// R6–R9: alternatives have exact local and total costs, and the
+    /// group best is the minimum of its totals. Paper-literal pruning
+    /// holds live groups to this and lets a frozen alternative (a child
+    /// group tombstoned) keep a stale total; `strict_revalidation`
+    /// maintains costs through tombstones, so there every alternative
+    /// of every group — dead or live — is held to it.
     fn check_costs(&mut self) -> Result<(), String> {
         let q = self.query().clone();
+        let maintained = self.config().strict_revalidation;
         for gi in 0..self.memo().n_groups() as u32 {
             let g = GroupId(gi);
-            if !self.group_state(g).live {
+            if !maintained && !self.group_state(g).live {
                 continue;
             }
             let (expr, prop) = {
@@ -65,16 +98,13 @@ impl IncrementalOptimizer {
                 (d.expr, d.prop)
             };
             let mut best = Cost::INFINITY;
-            let alts: Vec<AltId> = self.memo().alts_of(g).collect();
-            for a in alts {
-                let frozen = {
-                    let alt = self.memo().alt(a);
-                    let dead: Vec<bool> = alt
+            for a in self.memo().alts_of(g) {
+                let frozen = !maintained
+                    && self
+                        .memo()
+                        .alt(a)
                         .children()
-                        .map(|c| !self.group_state(c).live)
-                        .collect();
-                    dead.iter().any(|&d| d)
-                };
+                        .any(|c| !self.group_state(c).live);
                 if frozen {
                     // Frozen alternatives contribute their stale stored
                     // totals to the aggregate (the retained queue).
@@ -90,7 +120,7 @@ impl IncrementalOptimizer {
                     ));
                 }
                 let mut expect_total = expect_local;
-                for c in self.memo().alt(a).children().collect::<Vec<_>>() {
+                for c in self.memo().alt(a).children() {
                     expect_total += self.group_state(c).best;
                 }
                 let got_total = self.alt_state(a).total;
@@ -362,5 +392,83 @@ mod tests {
         o.group_state_mut(victim).bound = bad;
         let msg = o.check_invariants().unwrap_err();
         assert!(msg.contains("bound mismatch"), "{msg}");
+    }
+    /// A tombstoned group of a converged `all_strict()` fixpoint that
+    /// has alternatives with children (a reclaimed join group).
+    fn dead_join_group(o: &IncrementalOptimizer) -> GroupId {
+        (0..o.memo().n_groups() as u32)
+            .map(GroupId)
+            .find(|&g| {
+                !o.group_state(g).live
+                    && o.memo()
+                        .alts_of(g)
+                        .any(|a| o.memo().alt(a).children().next().is_some())
+            })
+            .expect("full pruning reclaims a join group of chain-4")
+    }
+
+    #[test]
+    fn stale_total_in_a_tombstoned_group_is_caught_under_strict() {
+        // Paper-literal pruning lets a reclaimed group's costs go stale;
+        // the exact mode maintains them, so the check reaches them.
+        let mut o = converged(PruningConfig::all_strict());
+        let a = o.memo().alts_of(dead_join_group(&o)).next().unwrap();
+        let bad = o.alt_state(a).total + Cost::new(1.0);
+        o.alt_state_mut(a).total = bad;
+        let msg = o.check_invariants().unwrap_err();
+        assert!(msg.contains("stale total"), "{msg}");
+        // The same damage is invisible to the paper-literal check.
+        let mut o = converged(PruningConfig::all());
+        let a = o.memo().alts_of(dead_join_group(&o)).next().unwrap();
+        let bad = o.alt_state(a).total + Cost::new(1.0);
+        o.alt_state_mut(a).total = bad;
+        o.check_invariants()
+            .expect("all() does not hold dead groups to their costs");
+    }
+
+    #[test]
+    fn stale_best_of_a_tombstoned_group_is_caught_under_strict() {
+        let mut o = converged(PruningConfig::all_strict());
+        let g = dead_join_group(&o);
+        let bad = o.group_state(g).best + Cost::new(1.0);
+        o.group_state_mut(g).best = bad;
+        let msg = o.check_invariants().unwrap_err();
+        assert!(msg.contains(&format!("best mismatch on {g:?}")), "{msg}");
+    }
+
+    #[test]
+    fn stale_total_over_a_tombstoned_child_is_caught_under_strict() {
+        // An alternative of a *live* group whose child is reclaimed:
+        // frozen (unchecked) in paper-literal mode, maintained here.
+        let mut o = converged(PruningConfig::all_strict());
+        let dead = dead_join_group(&o);
+        let a = *o
+            .memo()
+            .parents_of(dead)
+            .iter()
+            .find(|&&pa| o.group_state(o.memo().alt(pa).group).live)
+            .expect("a live group has an alternative over the reclaimed one");
+        let bad = o.alt_state(a).total + Cost::new(1.0);
+        o.alt_state_mut(a).total = bad;
+        let msg = o.check_invariants().unwrap_err();
+        assert!(msg.contains(&format!("stale total on alt {a:?}")), "{msg}");
+    }
+
+    #[test]
+    fn drifted_live_group_counter_is_caught() {
+        // With nothing pruned no other check reads a group's `live`
+        // flag, so clearing one leaves only the counter disagreeing.
+        let mut o = converged(PruningConfig::none());
+        o.group_state_mut(GroupId(0)).live = false;
+        let msg = o.check_invariants().unwrap_err();
+        assert!(msg.contains("live-group counter"), "{msg}");
+    }
+
+    #[test]
+    fn drifted_live_alternative_counter_is_caught() {
+        let mut o = converged(PruningConfig::none());
+        o.alt_state_mut(AltId(0)).live = false;
+        let msg = o.check_invariants().unwrap_err();
+        assert!(msg.contains("live-alternative counter"), "{msg}");
     }
 }

@@ -131,7 +131,8 @@ proptest! {
 
     /// Increase-only update batches keep every configuration exact
     /// (stale frozen costs are optimistic, so revival triggers are
-    /// complete; decreases need `PruningConfig::strict_revalidation`).
+    /// complete; decreases need `PruningConfig::strict_revalidation`,
+    /// under which no cost is frozen in the first place).
     #[test]
     fn increases_stay_exact_under_full_pruning(
         gen in query_gen(5),
@@ -175,16 +176,21 @@ proptest! {
         }
     }
 
-    /// … and under full pruning with strict revalidation.
+    /// … and under full pruning with strict revalidation, which keeps
+    /// reclaimed groups' costs current: step for step it holds the very
+    /// costs `none()` holds (bit-equal — the two run the same cost
+    /// arithmetic over the same maintained bests) and, breaking ties by
+    /// the same lowest-alternative rule, returns the same plan.
     #[test]
     fn arbitrary_updates_exact_with_strict_revalidation(
         gen in query_gen(5),
         seq in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..3), 1..4),
+            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..3), 8),
     ) {
         let (c, q) = build(&gen);
         let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all_strict());
-        opt.optimize();
+        let mut unpruned = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
+        prop_assert_eq!(opt.optimize().cost, unpruned.optimize().cost);
         let mut ctx = CostContext::new(&c, &q);
         for raw in &seq {
             let deltas = deltas_for(&q, raw, false);
@@ -194,7 +200,46 @@ proptest! {
             let want = optimize_system_r(&q, &g, &mut ctx).cost;
             prop_assert!(out.cost.approx_eq(want),
                 "got {:?} want {:?}", out.cost, want);
+            let reference = unpruned.reoptimize(&deltas);
+            prop_assert_eq!(out.cost, reference.cost);
+            prop_assert_eq!(out.plan.fingerprint(), reference.plan.fingerprint());
+            prop_assert_eq!(out.run.seeded_alts, reference.run.seeded_alts);
             opt.check_invariants().map_err(TestCaseError::fail)?;
+        }
+    }
+
+    /// The cost context forgets only the cardinalities a delta can move
+    /// and keeps the rest: after any walk, every cardinality and every
+    /// local cost it answers is bit-for-bit what a context built fresh
+    /// on the same parameters answers.
+    #[test]
+    fn a_walked_cost_context_answers_as_a_fresh_one(
+        gen in query_gen(6),
+        seq in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4), 1..8),
+    ) {
+        let (c, q) = build(&gen);
+        let memo = reopt_core::Memo::build(&q, &JoinGraph::new(&q));
+        let mut walked = CostContext::new(&c, &q);
+        let mut applied: Vec<ParamDelta> = Vec::new();
+        for raw in &seq {
+            let deltas = deltas_for(&q, raw, false);
+            walked.apply(&deltas);
+            applied.extend(deltas);
+            let mut fresh = CostContext::new(&c, &q);
+            fresh.apply(&applied);
+            for bits in 1..(1u32 << q.n_leaves()) {
+                let rel = reopt_expr::RelSet(bits);
+                prop_assert_eq!(
+                    walked.rows(&q, rel).to_bits(), fresh.rows(&q, rel).to_bits(),
+                    "rows of {:?} after {:?}", rel, applied);
+            }
+            for alt in &memo.alts {
+                let def = memo.group(alt.group);
+                prop_assert_eq!(
+                    walked.local_cost(&q, def.expr, def.prop, &alt.spec),
+                    fresh.local_cost(&q, def.expr, def.prop, &alt.spec));
+            }
         }
     }
 

@@ -40,11 +40,83 @@ pub struct CostContext {
     edge_base_sel: Vec<f64>,
     /// Estimated number of groups produced by the aggregate, if any.
     group_count: f64,
-    rows_cache: FxHashMap<RelSet, f64>,
+    rows_cache: RowsCache,
     /// `edge_rels[e]` = the two-leaf set of edge `e`.
     edge_rels: Vec<RelSet>,
-    /// Edges internal to a leaf set, indexed lazily.
-    edges_within_cache: FxHashMap<RelSet, Vec<EdgeId>>,
+}
+
+/// Memo of [`CostContext::rows`] per leaf set. A query of at most
+/// [`DENSE_LEAVES`] leaves indexes a table by the set's bits (`NaN` =
+/// not computed; a cardinality is never `NaN`); a wider one falls back
+/// to a map.
+#[derive(Clone, Debug)]
+enum RowsCache {
+    Dense(Vec<f64>),
+    Sparse(FxHashMap<RelSet, f64>),
+}
+
+const DENSE_LEAVES: usize = 16;
+
+impl RowsCache {
+    fn new(n_leaves: usize) -> RowsCache {
+        if n_leaves <= DENSE_LEAVES {
+            RowsCache::Dense(vec![f64::NAN; 1 << n_leaves])
+        } else {
+            RowsCache::Sparse(FxHashMap::default())
+        }
+    }
+
+    fn get(&self, rel: RelSet) -> Option<f64> {
+        match self {
+            RowsCache::Dense(t) => t.get(rel.0 as usize).copied().filter(|r| !r.is_nan()),
+            RowsCache::Sparse(m) => m.get(&rel).copied(),
+        }
+    }
+
+    fn insert(&mut self, rel: RelSet, rows: f64) {
+        match self {
+            // A set naming a leaf the query does not have is not cached.
+            RowsCache::Dense(t) => {
+                if let Some(slot) = t.get_mut(rel.0 as usize) {
+                    *slot = rows;
+                }
+            }
+            RowsCache::Sparse(m) => {
+                m.insert(rel, rows);
+            }
+        }
+    }
+
+    /// Forgets every set that contains all of `part` — the sets whose
+    /// cardinality a change to `part` (one leaf, or the two ends of an
+    /// edge) can move.
+    fn invalidate_supersets(&mut self, part: RelSet) {
+        match self {
+            RowsCache::Dense(t) => {
+                if part.0 as usize >= t.len() {
+                    return;
+                }
+                // Every submask of the other leaves, joined to `part`.
+                let free = (t.len() - 1) as u32 & !part.0;
+                let mut sub = free;
+                loop {
+                    t[(part.0 | sub) as usize] = f64::NAN;
+                    if sub == 0 {
+                        break;
+                    }
+                    sub = (sub - 1) & free;
+                }
+            }
+            RowsCache::Sparse(m) => m.retain(|rel, _| !part.is_subset_of(*rel)),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            RowsCache::Dense(t) => t.fill(f64::NAN),
+            RowsCache::Sparse(m) => m.clear(),
+        }
+    }
 }
 
 impl CostContext {
@@ -113,9 +185,8 @@ impl CostContext {
             leaves,
             edge_base_sel,
             group_count,
-            rows_cache: FxHashMap::default(),
+            rows_cache: RowsCache::new(q.leaves.len()),
             edge_rels,
-            edges_within_cache: FxHashMap::default(),
         }
     }
 
@@ -132,8 +203,19 @@ impl CostContext {
     /// parameters so callers can seed their dirty sets.
     pub fn apply(&mut self, deltas: &[ParamDelta]) -> AffectedSet {
         let affected = self.factors.apply(deltas);
-        if !affected.leaves_card.is_empty() || !affected.edges.is_empty() {
-            self.rows_cache.clear();
+        // A cardinality is a product over the set's leaves and internal
+        // edges: only sets holding a changed leaf, or both ends of a
+        // changed edge, are recomputed. Ids the query does not have
+        // change no set.
+        for l in &affected.leaves_card {
+            if (l.0 as usize) < self.leaves.len() {
+                self.rows_cache.invalidate_supersets(RelSet::singleton(l.0));
+            }
+        }
+        for e in &affected.edges {
+            if let Some(&ends) = self.edge_rels.get(e.0 as usize) {
+                self.rows_cache.invalidate_supersets(ends);
+            }
         }
         affected
     }
@@ -165,13 +247,15 @@ impl CostContext {
 
     /// Estimated output cardinality of a join expression
     /// (`Fn_nonscansummary`, memoized).
-    pub fn rows(&mut self, q: &QuerySpec, rel: RelSet) -> f64 {
-        if let Some(&r) = self.rows_cache.get(&rel) {
+    pub fn rows(&mut self, _q: &QuerySpec, rel: RelSet) -> f64 {
+        if let Some(r) = self.rows_cache.get(rel) {
             return r;
         }
         let mut rows: f64 = rel.iter().map(|l| self.leaf_out_rows(LeafId(l))).product();
-        for e in self.edges_within(q, rel) {
-            rows *= self.edge_selectivity(e);
+        for (e, ends) in self.edge_rels.iter().enumerate() {
+            if ends.is_subset_of(rel) {
+                rows *= self.edge_selectivity(EdgeId(e as u32));
+            }
         }
         let rows = rows.max(1e-9);
         self.rows_cache.insert(rel, rows);
@@ -187,21 +271,6 @@ impl CostContext {
         } else {
             base
         }
-    }
-
-    fn edges_within(&mut self, q: &QuerySpec, rel: RelSet) -> Vec<EdgeId> {
-        if let Some(es) = self.edges_within_cache.get(&rel) {
-            return es.clone();
-        }
-        let es: Vec<EdgeId> = q
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.rels().is_subset_of(rel))
-            .map(|(i, _)| EdgeId(i as u32))
-            .collect();
-        self.edges_within_cache.insert(rel, es.clone());
-        es
     }
 
     /// Local (root operator) cost of an alternative — `Fn_scancost` /
@@ -338,12 +407,12 @@ impl CostContext {
             return true;
         }
         // An edge selectivity change matters once both endpoints are in
-        // the result set.
-        if affected
-            .edges
-            .iter()
-            .any(|&e| self.edge_rels(e).is_subset_of(expr.rel))
-        {
+        // the result set (an edge the query does not have touches none).
+        if affected.edges.iter().any(|e| {
+            self.edge_rels
+                .get(e.0 as usize)
+                .is_some_and(|ends| ends.is_subset_of(expr.rel))
+        }) {
             return true;
         }
         // Scan-cost changes hit the leaf's own access paths and INLJ
