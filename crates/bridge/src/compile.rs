@@ -9,6 +9,9 @@
 //!   deletions retract exactly) — unless the property pass
 //!   ([`infer_properties`]) proves its one rule already derives a set,
 //!   in which case the relation *is* that rule's output;
+//! - a rule whose first atom drops columns in front of an expanding
+//!   `Fn_*` atom is split around a *demand set* ([`demand_sets`]): the
+//!   function runs once per distinct demand, not once per duplicate;
 //! - each rule body compiles left-to-right into a join tree:
 //!   constants/duplicate variables become filters, stored relations
 //!   [`HashJoin`] on the shared variables (an empty share is a cross
@@ -16,8 +19,8 @@
 //!   bindings with computed columns;
 //! - heads project bindings through a `Map`, evaluating constants,
 //!   subtraction chains and scalar `min<a,b>` combines; a one-argument
-//!   `min<x>`/`max<x>` head compiles to a (multi-column-key)
-//!   [`GroupAgg`] over the remaining head columns;
+//!   `min<x>`/`max<x>`/`sum<x>`/`count<x>` head compiles to a
+//!   (multi-column-key) [`GroupAgg`] over the remaining head columns;
 //! - join sides that read a relation directly attach to *shared
 //!   arrangements*: one [`Arrange`] node per `(relation, key columns)`
 //!   maintains the keyed index, and every join demanding that index
@@ -274,6 +277,88 @@ fn infer_properties(
     }
 }
 
+/// The demand pass: rule IR → rule IR, in front of [`infer_properties`].
+/// A rule's first atom that drops a column — a wildcard, or a variable
+/// nothing after it reads — yields a bag, and when the atom after it is
+/// an external function that binds outputs (an expansion such as
+/// `Fn_split`, not a guard such as `Fn_present`), every duplicate
+/// re-runs the whole expansion. Such a rule
+///
+/// ```text
+/// L: Head(..) :- Scan(..), Fn_f(..), tail..;
+/// ```
+///
+/// is split around a *demand set*, the scan's projection as a derived
+/// relation of its own (`Union → Distinct`, like any other):
+///
+/// ```text
+/// L: demand:L(kept..) :- Scan(..);
+/// L: Head(..) :- demand:L(kept..), Fn_f(..), tail..;
+/// ```
+///
+/// so the function runs once per distinct demand, and the `Distinct`
+/// counts the demanders: the expansion is retracted when the last one
+/// goes. Rules with the same head, the same demand variables and the
+/// same tail (D2 and D3: one per child slot) share one set and one tail
+/// (`demand:D2+D3`). The rewrite changes how often a head tuple is
+/// derived, never whether it is, so it is skipped for the one head kind
+/// that counts derivations: a `sum<>`/`count<>` aggregate.
+fn demand_sets(rules: Vec<Rule>, externals: &FxHashMap<String, ExternalDef>) -> Vec<Rule> {
+    let demand = |r: &Rule| -> Option<Vec<Term>> {
+        let [scan, next, ..] = &r.body[..] else {
+            return None;
+        };
+        let expands = next.is_external()
+            && externals.get(&next.relation).is_some_and(|d| d.inputs < next.arity());
+        let counts = matches!(r.head_aggregate(), Some((AggFunc::Sum | AggFunc::Count, [_])));
+        if scan.is_external() || !expands || counts {
+            return None;
+        }
+        let read = |v: &&str| {
+            r.head.vars().contains(v) || r.body[1..].iter().any(|a| a.vars().contains(v))
+        };
+        let vars = scan.vars();
+        let kept: Vec<&str> = vars.iter().copied().filter(read).collect();
+        let drops = scan.terms.contains(&Term::Wildcard) || kept.len() < vars.len();
+        (drops && !kept.is_empty())
+            .then(|| kept.into_iter().map(|v| Term::Var(v.to_string())).collect())
+    };
+    let mut out: Vec<Rule> = Vec::new();
+    // Per demand set: its tail rule and its scan rules, as positions in
+    // `out`. A tail whose first atom is the still unnamed demand atom
+    // compares equal exactly when demand variables and tail both match.
+    let mut sets: Vec<(usize, Vec<usize>)> = Vec::new();
+    for rule in rules {
+        let Some(terms) = demand(&rule) else {
+            out.push(rule);
+            continue;
+        };
+        let Rule { label, head, mut body } = rule;
+        let unnamed = Atom { relation: String::new(), terms: terms.clone() };
+        let scan = std::mem::replace(&mut body[0], unnamed);
+        match sets.iter_mut().find(|(t, _)| out[*t].head == head && out[*t].body == body) {
+            Some((tail, scans)) => {
+                out[*tail].label = format!("{}+{label}", out[*tail].label);
+                scans.push(out.len());
+            }
+            None => {
+                sets.push((out.len(), vec![out.len() + 1]));
+                out.push(Rule { label: label.clone(), head, body });
+            }
+        }
+        let head = Atom { relation: String::new(), terms };
+        out.push(Rule { label, head, body: vec![scan] });
+    }
+    for (tail, scans) in sets {
+        let name = format!("demand:{}", out[tail].label);
+        for scan in scans {
+            out[scan].head.relation.clone_from(&name);
+        }
+        out[tail].body[0].relation = name;
+    }
+    out
+}
+
 struct RelInfo {
     arity: usize,
     /// Node downstream consumers read (input for EDB-only relations,
@@ -324,7 +409,7 @@ impl Compiler {
     }
 
     fn compile(mut self) -> Result<RuleNetwork, CompileError> {
-        let rules = std::mem::take(&mut self.b.rules);
+        let rules = demand_sets(std::mem::take(&mut self.b.rules), &self.b.externals);
         let set_valued = infer_properties(&rules, &self.b.inputs, &self.b.release_orders);
         self.collect_relations(&rules, &set_valued)?;
         for (name, column, strata) in std::mem::take(&mut self.b.release_orders) {
@@ -359,6 +444,8 @@ impl Compiler {
                 .get(&name)
                 .ok_or_else(|| CompileError(format!("sink on unknown relation `{name}`")))?;
             sinks.insert(name.clone(), self.df.add_sink(rel.read));
+            // `sink[BestCost]`: tells the sinks apart.
+            self.df.label_suffix_from(self.df.node_count() - 1, &name);
         }
         // The network is fully wired: fuse single-consumer stateless
         // chains now so the first run doesn't pay the pass.
@@ -919,7 +1006,8 @@ impl Compiler {
             Col(usize),
             Const(Val),
             Diff(Vec<usize>),
-            Combine(AggFunc, Vec<usize>),
+            /// `min<a,b>` (true) / `max<a,b>`.
+            Combine(bool, Vec<usize>),
         }
         let mut cols = Vec::new();
         for t in &rule.head.terms {
@@ -940,7 +1028,11 @@ impl Compiler {
                 // A head wildcard is an unused output column: null.
                 Term::Wildcard => HeadCol::Const(null_value()),
                 Term::Diff(args) => HeadCol::Diff(resolve(args)?),
-                Term::Agg(f, args) => HeadCol::Combine(*f, resolve(args)?),
+                Term::Agg(AggFunc::Min, args) => HeadCol::Combine(true, resolve(args)?),
+                Term::Agg(AggFunc::Max, args) => HeadCol::Combine(false, resolve(args)?),
+                Term::Agg(..) => {
+                    return err(format!("{}: `{t}` aggregates one argument", rule.label))
+                }
                 other => HeadCol::Const(const_value(other).expect("constant")),
             });
         }
@@ -971,13 +1063,14 @@ impl Compiler {
                         }
                         // Scalar combine: numeric min/max over the named
                         // columns, preserving the winning value.
-                        HeadCol::Combine(f, idx) => {
+                        HeadCol::Combine(min, idx) => {
                             let mut best = t.get(idx[0]);
                             for &i in &idx[1..] {
                                 let v = t.get(i);
-                                let wins = match f {
-                                    AggFunc::Min => v.as_cost() < best.as_cost(),
-                                    AggFunc::Max => v.as_cost() > best.as_cost(),
+                                let wins = if *min {
+                                    v.as_cost() < best.as_cost()
+                                } else {
+                                    v.as_cost() > best.as_cost()
                                 };
                                 if wins {
                                     best = v;
@@ -1035,6 +1128,8 @@ impl Compiler {
         let kind = match func {
             AggFunc::Min => AggKind::Min,
             AggFunc::Max => AggKind::Max,
+            AggFunc::Sum => AggKind::Sum,
+            AggFunc::Count => AggKind::Count,
         };
         Ok(self
             .df
@@ -1064,15 +1159,19 @@ impl fmt::Debug for RuleNetwork {
 }
 
 impl RuleNetwork {
+    /// Queues a batch of deltas on a base relation: one relation lookup
+    /// and one queue bucket for all of them.
+    pub fn extend(&mut self, relation: &str, deltas: impl IntoIterator<Item = Delta>) {
+        let (node, arity) = self.inputs[relation];
+        let checked = deltas.into_iter().inspect(|d| {
+            assert_eq!(d.tuple.len(), arity, "tuple arity mismatch on `{relation}`")
+        });
+        self.df.try_extend(node, checked).unwrap_or_else(|e| panic!("{e}"));
+    }
+
     /// Queues a delta on a base relation.
     pub fn push(&mut self, relation: &str, delta: Delta) {
-        let (node, arity) = self.inputs[relation];
-        assert_eq!(
-            delta.tuple.len(),
-            arity,
-            "tuple arity mismatch on `{relation}`"
-        );
-        self.df.push(node, delta);
+        self.extend(relation, [delta]);
     }
 
     pub fn insert(&mut self, relation: &str, tuple: Tuple) {
@@ -1168,7 +1267,13 @@ impl RuleNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use reopt_datalog::value::ints;
+    use std::cell::Cell;
+
+    fn sorted_sinks<const N: usize>(net: &RuleNetwork, names: [&str; N]) -> [Vec<Tuple>; N] {
+        names.map(|r| net.sink(r).unwrap().sorted())
+    }
 
     fn tc_network() -> RuleNetwork {
         NetworkBuilder::new()
@@ -1450,7 +1555,10 @@ mod tests {
     fn scheduler_and_fusion_options_preserve_results() {
         // The same program under {batched+fusion (default), batched,
         // per-delta} — identical sinks after mixed churn, and the fused
-        // build visibly collapsed chain nodes.
+        // build visibly collapsed chain nodes. B's scan drops a column
+        // in front of `Fn_inc`, so it runs behind a demand set; C's
+        // keeps both, and its two externals still fuse (two different
+        // ones: a chain re-entering one body would borrow it twice).
         let build = |mode: SchedulerMode, fusion: bool| {
             NetworkBuilder::new()
                 .scheduler_mode(mode)
@@ -1459,12 +1567,17 @@ mod tests {
                 .external("Fn_inc", 1, |args, emit| {
                     emit(&[Val::Int(args[0].as_int() + 1)]);
                 })
+                .external("Fn_dbl", 1, |args, emit| {
+                    emit(&[Val::Int(args[0].as_int() * 2)]);
+                })
                 .rule_texts([
                     "A: Mid(x,y) :- In(x,y);",
                     "B: Out(y) :- Mid(x,-), Fn_inc(x,y);",
+                    "C: Twice(z,w) :- Mid(x,z), Fn_inc(x,y), Fn_dbl(y,w);",
                 ])
                 .unwrap()
                 .sink("Out")
+                .sink("Twice")
                 .build()
                 .unwrap()
         };
@@ -1483,13 +1596,145 @@ mod tests {
                 net.run().unwrap();
             }
         }
-        let reference = nets[0].sink("Out").unwrap().sorted();
-        assert_eq!(reference, vec![ints(&[3]), ints(&[4])]);
+        let sinks = |net: &RuleNetwork| sorted_sinks(net, ["Out", "Twice"]);
+        let reference = sinks(&nets[0]);
+        assert_eq!(
+            reference,
+            [vec![ints(&[3]), ints(&[4])], vec![ints(&[5, 8]), ints(&[20, 6])]]
+        );
         for net in &nets[1..] {
-            assert_eq!(net.sink("Out").unwrap().sorted(), reference);
+            assert_eq!(sinks(net), reference);
             assert_eq!(net.fused_node_count(), 0);
         }
         assert!(nets[0].fused_node_count() > 0, "no chains fused");
+        let labels: Vec<String> = nets[0].node_stats().into_iter().map(|n| n.label).collect();
+        assert!(labels.contains(&"fused(Fn_inc∘Fn_dbl)[C]".to_string()), "{labels:?}");
+        assert!(labels.contains(&"distinct[demand:B]".to_string()), "{labels:?}");
+    }
+
+    /// `In(parent, child)` expanded per child: `Fn_expand(x | y)` emits
+    /// `x % 3 + 1` rows and counts its calls. E's scan drops the parent
+    /// in front of the expansion; N is the same body under a `count<>`
+    /// head, which counts derivations.
+    fn demand_network(mode: SchedulerMode, fusion: bool, calls: Rc<Cell<u64>>) -> RuleNetwork {
+        let expand = |x: i64, emit: &mut dyn FnMut(&[Val])| {
+            (0..x.rem_euclid(3) + 1).for_each(|k| emit(&[Val::Int(x * 10 + k)]));
+        };
+        NetworkBuilder::new()
+            .scheduler_mode(mode)
+            .fusion(fusion)
+            .input("In", 2)
+            .external("Fn_expand", 1, move |args, emit| {
+                calls.set(calls.get() + 1);
+                expand(args[0].as_int(), emit);
+            })
+            .external("Fn_fan", 1, move |args, emit| expand(args[0].as_int(), emit))
+            .rule_texts([
+                "E: Out(x,y) :- In(-,x), Fn_expand(x,y);",
+                "N: Fanout(x,count<y>) :- In(-,x), Fn_fan(x,y);",
+            ])
+            .unwrap()
+            .sink("Out")
+            .sink("Fanout")
+            .build()
+            .unwrap()
+    }
+
+    /// `Out` and `Fanout` recomputed from the rows of `In`.
+    fn demand_reference(rows: &[(i64, i64)]) -> [Vec<Tuple>; 2] {
+        let mut out = Vec::new();
+        let mut fanout = Vec::new();
+        let mut children: Vec<i64> = rows.iter().map(|r| r.1).collect();
+        children.sort_unstable();
+        children.dedup();
+        for x in children {
+            let parents = rows.iter().filter(|r| r.1 == x).count() as i64;
+            let width = x.rem_euclid(3) + 1;
+            out.extend((0..width).map(|k| ints(&[x, x * 10 + k])));
+            fanout.push(ints(&[x, parents * width]));
+        }
+        [out, fanout]
+    }
+
+    #[test]
+    fn a_demand_set_expands_each_child_once_and_counts_its_demanders() {
+        let calls = Rc::new(Cell::new(0));
+        let mut net = demand_network(SchedulerMode::Batched, true, Rc::clone(&calls));
+        let labels: Vec<String> = net.node_stats().into_iter().map(|n| n.label).collect();
+        for built in ["map[E]", "union[demand:E]", "distinct[demand:E]", "Fn_expand[E]"] {
+            assert!(labels.iter().any(|l| l == built), "{built}: {labels:?}");
+        }
+        // A `count<>` head counts derivations: N keeps its bag.
+        assert!(!labels.iter().any(|l| l.contains("demand:N")), "{labels:?}");
+        let sinks = |net: &RuleNetwork| sorted_sinks(net, ["Out", "Fanout"]);
+        // Two parents demand child 4: one expansion, counted twice by N.
+        net.insert("In", ints(&[1, 4]));
+        net.insert("In", ints(&[2, 4]));
+        net.run().unwrap();
+        assert_eq!(sinks(&net), demand_reference(&[(1, 4), (2, 4)]));
+        assert_eq!(sinks(&net)[1], vec![ints(&[4, 4])]);
+        assert_eq!(calls.get(), 1);
+        // One parent goes: the child is still demanded, nothing re-runs.
+        net.delete("In", ints(&[1, 4]));
+        net.run().unwrap();
+        assert_eq!(sinks(&net), demand_reference(&[(2, 4)]));
+        assert_eq!(calls.get(), 1);
+        // The last one goes: the expansion is retracted, by running it.
+        net.delete("In", ints(&[2, 4]));
+        net.run().unwrap();
+        assert_eq!(sinks(&net), demand_reference(&[]));
+        assert_eq!(calls.get(), 2);
+        assert!(!net.sink("Out").unwrap().has_negative_counts());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random insert/delete sequences over a small domain (so
+        /// parents share children and rows come back), a fixpoint after
+        /// every few, in all three scheduler/fusion modes: both sinks
+        /// equal the recompute, and the expansion ran once per child
+        /// that entered or left the demand set.
+        #[test]
+        fn demand_sets_match_a_naive_recompute(
+            script in proptest::collection::vec((0i64..4, 0i64..5, 0u8..3), 1..40),
+        ) {
+            let modes =
+                [(SchedulerMode::Batched, true), (SchedulerMode::Batched, false), (SchedulerMode::PerDelta, false)];
+            for (mode, fusion) in modes {
+                let calls = Rc::new(Cell::new(0));
+                let mut net = demand_network(mode, fusion, Rc::clone(&calls));
+                let mut rows: Vec<(i64, i64)> = Vec::new();
+                let (mut demanded, mut flips) = (Vec::new(), 0);
+                for &(p, x, run) in &script {
+                    match rows.iter().position(|&r| r == (p, x)) {
+                        Some(at) => {
+                            rows.swap_remove(at);
+                            net.delete("In", ints(&[p, x]));
+                        }
+                        None => {
+                            rows.push((p, x));
+                            net.insert("In", ints(&[p, x]));
+                        }
+                    }
+                    if run > 0 {
+                        continue;
+                    }
+                    net.run().unwrap();
+                    let got = sorted_sinks(&net, ["Out", "Fanout"]);
+                    prop_assert_eq!(got, demand_reference(&rows), "{:?}/{}", mode, fusion);
+                    prop_assert!(!net.sink("Out").unwrap().has_negative_counts());
+                    let mut now: Vec<i64> = rows.iter().map(|r| r.1).collect();
+                    now.sort_unstable();
+                    now.dedup();
+                    flips += (0..5).filter(|x| demanded.contains(x) != now.contains(x)).count() as u64;
+                    demanded = now;
+                    if mode == SchedulerMode::Batched {
+                        prop_assert_eq!(calls.get(), flips);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

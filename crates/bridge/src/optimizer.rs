@@ -17,7 +17,12 @@
 //!   scan alternatives for leaves too, folding in R4/R5's `Fn_phyOp`,
 //!   and returns nothing for `null` child slots, folding in the
 //!   `Fn_isleaf` guards. The `Expr` base relation seeds the root
-//!   `(expr, prop)` demand.
+//!   `(expr, prop)` demand. D2 and D3 project every `SearchSpace` row to
+//!   one of its child slots — a bag: a group is the child of many rows —
+//!   so the compiler's demand pass (`compile.rs`) puts one counted set,
+//!   `demand:D2+D3`, between the two projections and the one `Fn_split`
+//!   they now share: a group is enumerated once, when it is first
+//!   demanded, not once per parent row and slot.
 //! - **D6–D8 ≙ R6–R8** (cost estimation) after two standard rewrites:
 //!   the summary/cost externals (`Fn_scansummary`, `Fn_scancost`,
 //!   `Fn_nonscansummary`, `Fn_nonscancost`) collapse into a `LocalCost`
@@ -81,6 +86,7 @@
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
@@ -89,9 +95,10 @@ use reopt_core::rules_ir::{parse_rules, Rule};
 use reopt_core::{IncrementalOptimizer, ParamIndex, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_datalog::{
-    ConsolidatorFootprint, DataflowError, FaultPlan, Multiset, NodeStats, RunStats, Tuple, Val,
+    ConsolidatorFootprint, DataflowError, Delta, FaultPlan, Multiset, NodeStats, RunStats, Tuple,
+    Val,
 };
-use reopt_expr::{ExprId, JoinGraph, PhysProp, PlanNode, QuerySpec};
+use reopt_expr::{ExprId, JoinGraph, PhysOp, PhysProp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
 use crate::durable;
@@ -160,7 +167,15 @@ const RULES_WITHOUT_BOUNDS: usize = 7;
 
 /// The executable program in IR form.
 pub fn dataflow_program() -> Vec<Rule> {
-    parse_rules(DATAFLOW_RULES).expect("the executable rules parse (pinned by tests)")
+    program().to_vec()
+}
+
+/// [`DATAFLOW_RULES`], parsed once per process.
+fn program() -> &'static [Rule] {
+    static PROGRAM: OnceLock<Vec<Rule>> = OnceLock::new();
+    PROGRAM.get_or_init(|| {
+        parse_rules(DATAFLOW_RULES).expect("the executable rules parse (pinned by tests)")
+    })
 }
 
 /// The relations a network materializes for the driver: `Bound` only
@@ -357,6 +372,9 @@ pub struct DataflowOptimizer {
     /// alternative. Built by the first `reoptimize`; neither `optimize`
     /// nor a restart reads it.
     param_index: Option<ParamIndex>,
+    /// Per group: an applied parameter reaches all its alternatives.
+    /// Set and taken back within one `reoptimize`.
+    reached: Vec<bool>,
     initialized: bool,
     /// Kept so the audit can stand up an independent hand-rolled
     /// optimizer against pristine statistics.
@@ -578,6 +596,7 @@ impl DataflowOptimizer {
         let strata = plan_cost_strata(&memo, &topo);
         let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata, pruning);
         let local = vec![Cost::INFINITY; memo.n_alts()];
+        let reached = vec![false; memo.n_groups()];
         let pruning = Pruning {
             enabled: pruning,
             pruned: vec![false; memo.n_alts()],
@@ -591,6 +610,7 @@ impl DataflowOptimizer {
             net,
             local,
             param_index: None,
+            reached,
             initialized: false,
             catalog: catalog.clone(),
             applied: Vec::new(),
@@ -651,37 +671,45 @@ impl DataflowOptimizer {
             report.errors = absorbed;
             return self.outcome(RunStats::default(), report);
         }
-        // Candidate alternatives straight from the inverted index —
-        // equivalent to testing `alt_affected` on every alternative
-        // (each predicate branch distributes over the affected set).
+        // What the changed parameters reach, straight from the inverted
+        // index — equivalent to testing `alt_affected` on every
+        // alternative (each predicate branch distributes over the
+        // affected set). A group several parameters reach is marked
+        // once, and the walk below takes the marks back in group order:
+        // alternative ids are dense in that order, so the candidates
+        // come up in `AltId` order with nothing to sort but the few
+        // single alternatives a scan cost reaches.
         let index = self
             .param_index
             .get_or_insert_with(|| ParamIndex::build(&self.memo, &self.q));
-        let memo = &self.memo;
-        let mut candidates: Vec<AltId> = index
-            .affected_groups(&affected)
-            .flat_map(|g| memo.alts_of(g))
-            .chain(index.affected_scan_alts(&affected))
-            .collect();
-        candidates.sort_unstable_by_key(|a| a.0);
-        candidates.dedup();
+        for g in index.affected_groups(&affected) {
+            self.reached[g.0 as usize] = true;
+        }
+        let mut scan_alts: Vec<AltId> = index.affected_scan_alts(&affected).collect();
+        scan_alts.sort_unstable();
+        let mut scan_alts = scan_alts.into_iter().peekable();
         // Re-evaluate the candidates' local costs in the mirror first;
         // `old_values` remembers what the network currently holds for
         // the alternatives whose value changed, in `AltId` order.
         let mut old_values: Vec<(AltId, Cost)> = Vec::new();
-        for a in candidates {
-            let (expr, prop) = {
-                let d = self.memo.group(self.memo.alt(a).group);
-                (d.expr, d.prop)
+        for (def, reached) in self.memo.groups.iter().zip(&mut self.reached) {
+            let mut reprice = |a: AltId| {
+                let spec = &self.memo.alt(a).spec;
+                let new = self.ctx.local_cost(&self.q, def.expr, def.prop, spec);
+                let old = std::mem::replace(&mut self.local[a.0 as usize], new);
+                if new != old {
+                    old_values.push((a, old));
+                }
             };
-            let spec = self.memo.alt(a).spec;
-            let new = self.ctx.local_cost(&self.q, expr, prop, &spec);
-            let old = self.local[a.0 as usize];
-            if new == old {
-                continue;
+            let in_group = |a: &AltId| a.0 < def.alts_end;
+            if std::mem::take(reached) {
+                while scan_alts.next_if(in_group).is_some() {}
+                (def.alts_start..def.alts_end).map(AltId).for_each(reprice);
+            } else {
+                while let Some(a) = scan_alts.next_if(in_group) {
+                    reprice(a);
+                }
             }
-            self.local[a.0 as usize] = new;
-            old_values.push((a, old));
         }
         // All network deltas — value updates, prune retractions and
         // re-assertions, and the root Bound seed — flow through one
@@ -783,6 +811,7 @@ impl DataflowOptimizer {
         // Alternative ids are dense in group order, so the memo walk
         // and `old_values` advance in step.
         let mut changed = old_values.iter().peekable();
+        let mut deltas: Vec<Delta> = Vec::new();
         for gi in 0..self.memo.n_groups() as u32 {
             let g = GroupId(gi);
             let key = self.group_key(g);
@@ -797,13 +826,14 @@ impl DataflowOptimizer {
                 // (unchanged) mirror value for everything else.
                 let ov = changed.next_if(|(c, _)| *c == a).map_or(nv, |&(_, ov)| ov);
                 if was_in && (!now_in || ov != nv) {
-                    self.net.delete("LocalCost", local_tuple(key, a, ov));
+                    deltas.push(Delta::delete(local_tuple(key, a, ov)));
                 }
                 if now_in && (!was_in || ov != nv) {
-                    self.net.insert("LocalCost", local_tuple(key, a, nv));
+                    deltas.push(Delta::insert(local_tuple(key, a, nv)));
                 }
             }
         }
+        self.net.extend("LocalCost", deltas);
         debug_assert!(changed.next().is_none(), "`old_values` is not in `AltId` order");
         // The `Bound(root)` seed exists only on unpruned builds, where
         // it drives the in-network B1–B5 derivation that the parity
@@ -1406,13 +1436,17 @@ fn build_network(
     // Pre-encode Fn_split's output rows once per alternative: the
     // function sits on the network's hottest path (every enumeration
     // delta re-invokes it), so its emissions must not re-intern symbols
-    // or format operator names per call.
+    // or format operator names per call — nor may this loop: a memo
+    // holds a dozen distinct operators however many alternatives, so
+    // the `logOp`/`phyOp` symbols are interned once per operator.
+    let null = null_value();
+    let mut op_names: FxHashMap<PhysOp, [Val; 2]> = FxHashMap::default();
     let split_rows: Vec<[Val; 7]> = (0..memo.n_alts() as u32)
         .map(|ai| {
             let alt = memo.alt(AltId(ai));
             let child = |c: Option<GroupId>| -> (Val, Val) {
                 match c {
-                    None => (null_value(), null_value()),
+                    None => (null, null),
                     Some(cg) => {
                         let d = memo.group(cg);
                         (encode_expr(d.expr), props.encode(d.prop))
@@ -1421,10 +1455,13 @@ fn build_network(
             };
             let (le, lp) = child(alt.left);
             let (re, rp) = child(alt.right);
+            let [log_op, phy_op] = *op_names.entry(alt.op).or_insert_with(|| {
+                [Val::str(alt.op.logical_name()), Val::str(&alt.op.to_string())]
+            });
             [
                 Val::Int(ai as i64),
-                Val::str(alt.op.logical_name()),
-                Val::str(&alt.op.to_string()),
+                log_op,
+                phy_op,
                 le,
                 lp,
                 re,
@@ -1432,10 +1469,10 @@ fn build_network(
             ]
         })
         .collect();
-    let mut rules = dataflow_program();
+    let mut rules = program();
     let mut builder = NetworkBuilder::new().input("Expr", 2).input("LocalCost", 4);
     if pruning {
-        rules.truncate(RULES_WITHOUT_BOUNDS);
+        rules = &rules[..RULES_WITHOUT_BOUNDS];
     } else {
         // Seeded derived relation: the driver maintains `Bound(root)`
         // as a base fact; B5 derives the rest of the relation.
@@ -1445,7 +1482,7 @@ fn build_network(
         builder = builder.sink(name);
     }
     builder
-        .rules(rules)
+        .rules(rules.iter().cloned())
         // `PlanCost(expr,prop,index,cost)`, held by `index`.
         .release_order("PlanCost", 2, strata.to_vec())
         // Fn_split(expr,prop | index,logOp,phyOp,lExpr,lProp,rExpr,rProp):
@@ -1467,7 +1504,7 @@ fn build_network(
         // Fn_present(x |): holds unless `x` is the `null` of an absent
         // child slot (the paper's `Fn_isleaf` guards, negated).
         .external("Fn_present", 1, move |args, emit| {
-            if args[0] != null_value() {
+            if args[0] != null {
                 emit(&[]);
             }
         })
@@ -2133,6 +2170,57 @@ mod tests {
         assert!(got.recovery.is_clean(), "{:?}", got.recovery);
         assert_eq!((got.cost, &got.plan), (want.cost, &want.plan));
         df.audit().expect("the rebuilt state passes the audit");
+    }
+
+    /// The first run's enumeration bound: `Fn_split` expands each group
+    /// once — D1 the root, D2 and D3 every other group behind their
+    /// shared demand set — so what it emits *is* `SearchSpace`.
+    #[test]
+    fn the_first_run_enumerates_each_group_once() {
+        let c = fixture_catalog();
+        for shape in ["chain", "star", "clique"] {
+            for n in 3..=8 {
+                let mut df = DataflowOptimizer::new(&c, shaped_query(&c, shape, n));
+                df.set_audit_mode(AuditMode::Off);
+                let out = df.optimize();
+                let nodes = df.node_stats();
+                let memo = df.memo();
+                let child = |g: Option<GroupId>| g.map_or([null_value(); 2], |g| df.group_key(g));
+                let mut want: Vec<Tuple> = (0..memo.n_alts() as u32)
+                    .map(|ai| {
+                        let alt = memo.alt(AltId(ai));
+                        let ([e, p], [le, lp], [re, rp]) =
+                            (df.group_key(alt.group), child(alt.left), child(alt.right));
+                        let log_op = Val::str(alt.op.logical_name());
+                        let phy_op = Val::str(&alt.op.to_string());
+                        Tuple::from_slice(&[e, p, Val::Int(ai as i64), log_op, phy_op, le, lp, re, rp])
+                    })
+                    .collect();
+                want.sort();
+                let space = df.sink("SearchSpace").unwrap();
+                assert_eq!(space.sorted(), want, "{shape}{n}");
+                assert!(space.iter().all(|(_, count)| count == 1), "{shape}{n}");
+                let splits: Vec<u64> = (nodes.iter())
+                    .filter(|node| node.label.starts_with("Fn_split"))
+                    .map(|node| node.emitted)
+                    .collect();
+                assert_eq!(splits.len(), 2, "{nodes:?}");
+                assert_eq!(splits.iter().sum::<u64>(), want.len() as u64, "{shape}{n}");
+                // One demand per distinct child, the `null` child slots
+                // of scan and one-child rows included.
+                let mut children: Vec<Option<GroupId>> =
+                    memo.alts.iter().flat_map(|alt| [alt.left, alt.right]).collect();
+                children.sort_unstable();
+                children.dedup();
+                let demand = nodes.iter().find(|node| node.label == "distinct[demand:D2+D3]");
+                assert_eq!(demand.unwrap().state_rows, children.len() as u64, "{shape}{n}");
+                if (shape, n) == ("star", 8) {
+                    assert_eq!((want.len(), children.len()), (2590, 450));
+                    // 53 311 while every parent row re-ran the expansion.
+                    assert!(out.stats.deltas_processed <= 35_000, "{:?}", out.stats);
+                }
+            }
+        }
     }
 
     #[test]

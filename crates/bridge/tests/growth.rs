@@ -162,6 +162,42 @@ const PIN_STAR_BATCHES: u64 = 7_376;
 const PIN_Q5_DELTAS: u64 = 13_439;
 const PIN_Q5_BATCHES: u64 = 1_276;
 
+/// The same kind of gate on the boot: what the first `optimize()` — and
+/// so every restart and every from-scratch rebuild — services on the
+/// [`pinned_walks`] queries, and how many rows `Fn_split` emits to
+/// derive `SearchSpace` (its size exactly, since each group is
+/// enumerated once behind the demand set), may not exceed their pins
+/// plus 2%. While D2 and D3 re-ran the expansion for every parent row
+/// the same boots serviced 53 918 deltas in 156 batches with 26 914
+/// rows out of `Fn_split` for a 2 643-row `SearchSpace`, and 7 662 /
+/// 110 / 2 846 for 420 (the demand set's own waves are the batches
+/// that came on top). `PIN_STAR_*`/`PIN_Q5_*` above did not move: no
+/// epoch after the first visits a demand node.
+#[test]
+fn boot_counters_stay_within_two_percent_of_their_pins() {
+    for ((name, gen, _), pin) in pinned_walks().into_iter().zip([PIN_STAR_BOOT, PIN_Q5_BOOT]) {
+        let (c, q) = build(&gen);
+        let mut opt = DataflowOptimizer::new(&c, q);
+        opt.set_audit_mode(AuditMode::Off);
+        let out = opt.optimize();
+        assert!(out.recovery.is_clean(), "{name}: {:?}", out.recovery);
+        let split_rows = (opt.node_stats().iter())
+            .filter(|n| n.label.starts_with("Fn_split"))
+            .map(|n| n.emitted)
+            .sum();
+        let got = [out.stats.deltas_processed, out.stats.batches_processed, split_rows];
+        assert_eq!(split_rows, opt.search_space_size() as u64, "{name}");
+        assert!(
+            got.iter().zip(pin).all(|(&n, p)| n > 0 && n * 100 <= p * 102),
+            "{name}: deltas / batches / Fn_split rows {got:?} against pins of {pin:?}"
+        );
+    }
+}
+
+/// `[deltas_processed, batches_processed, rows out of Fn_split]`.
+const PIN_STAR_BOOT: [u64; 3] = [31_204, 177, 2_643];
+const PIN_Q5_BOOT: [u64; 3] = [5_797, 114, 420];
+
 /// The same gate on the exact hand-rolled engine (`all_strict()`) over
 /// the same walks: queue pops, alternatives whose cost or liveness
 /// changed, and alternatives marked while seeding from the parameter

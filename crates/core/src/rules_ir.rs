@@ -15,11 +15,11 @@
 //!        | '\'' chars '\''            string constant        ('scan')
 //!        | 'null' | 'true' | 'false'  typed constants
 //!        | IDENT '<' IDENT (',' IDENT)* '>'
-//!                                     min/max — an aggregate over the
-//!                                     rule's derivations with one
-//!                                     argument (min<cost>), a per-tuple
-//!                                     scalar combine with several
-//!                                     (min<minCost,maxBound>)
+//!                                     min/max/sum/count — an aggregate
+//!                                     over the rule's derivations with
+//!                                     one argument (min<cost>); min/max
+//!                                     with several, a per-tuple scalar
+//!                                     combine (min<minCost,maxBound>)
 //!        | IDENT ('-' IDENT)*         variable, or a subtraction chain
 //!                                     (bound-rCost-localCost)
 //! ```
@@ -35,6 +35,8 @@ use std::fmt;
 pub enum AggFunc {
     Min,
     Max,
+    Sum,
+    Count,
 }
 
 impl AggFunc {
@@ -42,7 +44,15 @@ impl AggFunc {
         match self {
             AggFunc::Min => "min",
             AggFunc::Max => "max",
+            AggFunc::Sum => "sum",
+            AggFunc::Count => "count",
         }
+    }
+
+    fn named(name: &str) -> Option<AggFunc> {
+        [AggFunc::Min, AggFunc::Max, AggFunc::Sum, AggFunc::Count]
+            .into_iter()
+            .find(|f| f.name() == name)
     }
 }
 
@@ -60,9 +70,10 @@ pub enum Term {
     Bool(bool),
     /// `null` (absent child references, `Fn_sum`'s missing operand).
     Null,
-    /// `min<...>` / `max<...>`: with one argument, an aggregate over the
-    /// rule's derivations grouped by the other head columns; with more,
-    /// a per-tuple scalar combine.
+    /// `min<...>` / `max<...>` / `sum<...>` / `count<...>`: with one
+    /// argument, an aggregate over the rule's derivations grouped by the
+    /// other head columns; `min`/`max` with more, a per-tuple scalar
+    /// combine.
     Agg(AggFunc, Vec<String>),
     /// `a-b-c`: the first variable minus the remaining ones.
     Diff(Vec<String>),
@@ -382,15 +393,10 @@ impl Parser {
                 "null" => Ok(Term::Null),
                 "true" => Ok(Term::Bool(true)),
                 "false" => Ok(Term::Bool(false)),
-                _ => match self.peek() {
-                    // min<...> / max<...>
-                    Some(Tok::Lt) if name == "min" || name == "max" => {
+                _ => match (self.peek(), AggFunc::named(&name)) {
+                    // min<...> / max<...> / sum<...> / count<...>
+                    (Some(Tok::Lt), Some(func)) => {
                         self.next();
-                        let func = if name == "min" {
-                            AggFunc::Min
-                        } else {
-                            AggFunc::Max
-                        };
                         let mut args = vec![self.ident()?];
                         while self.peek() == Some(&Tok::Comma) {
                             self.next();
@@ -400,7 +406,7 @@ impl Parser {
                         Ok(Term::Agg(func, args))
                     }
                     // a-b-c subtraction chain
-                    Some(Tok::Dash) => {
+                    (Some(Tok::Dash), _) => {
                         let mut args = vec![name];
                         while self.peek() == Some(&Tok::Dash) {
                             self.next();

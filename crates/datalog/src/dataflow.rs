@@ -544,19 +544,34 @@ impl Dataflow {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Queues a delta on an input relation (processed by the next
-    /// [`Dataflow::run`]). Fails with [`DataflowError::InvalidWiring`]
-    /// if the target is not an input node.
-    pub fn try_push(&mut self, input: NodeId, delta: Delta) -> Result<(), DataflowError> {
+    /// Queues a batch of deltas on an input relation (processed by the
+    /// next [`Dataflow::run`]): one target check, one rank refresh and
+    /// one queue bucket for all of them. Fails with
+    /// [`DataflowError::InvalidWiring`] if the target is not an input
+    /// node.
+    pub fn try_extend(
+        &mut self,
+        input: NodeId,
+        deltas: impl Iterator<Item = Delta>,
+    ) -> Result<(), DataflowError> {
         if !matches!(self.nodes[input.0].kind, NodeKind::Input) {
             return Err(DataflowError::InvalidWiring(format!(
                 "push target `{}` is not an input",
                 self.nodes[input.0].label
             )));
         }
-        self.ensure_ranks();
-        self.enqueue(input.0, 0, std::iter::once(delta));
+        // An empty batch must not mark the input dirty.
+        let mut deltas = deltas.peekable();
+        if deltas.peek().is_some() {
+            self.ensure_ranks();
+            self.enqueue(input.0, 0, deltas);
+        }
         Ok(())
+    }
+
+    /// [`Dataflow::try_extend`] with one delta.
+    pub fn try_push(&mut self, input: NodeId, delta: Delta) -> Result<(), DataflowError> {
+        self.try_extend(input, std::iter::once(delta))
     }
 
     /// Queues `deltas` for `(node, port)` under the node's service rank
@@ -757,7 +772,10 @@ impl Dataflow {
             let downstream = std::mem::take(&mut self.nodes[last].downstream);
             if owner == head {
                 let fused = Fused::new(stages);
-                self.nodes[head].label = fused.name().to_string();
+                // `fused(map∘Fn_f)[D7]`: the head keeps its tag.
+                let label = &self.nodes[head].label;
+                let tag = label.find('[').map_or("", |at| &label[at..]);
+                self.nodes[head].label = format!("{}{tag}", fused.name());
                 self.nodes[head].kind = NodeKind::Op(Box::new(fused));
             } else if let NodeKind::Op(op) = &mut self.nodes[owner].kind {
                 op.absorb_tail(stages);
