@@ -5,8 +5,9 @@
 //! the gate's tolerance of `optimizer_dataflow/initial_chain5/
 //! declarative` and under `from_scratch_initial`, which replays the
 //! history one epoch per batch; `checkpoint_write` is two fsyncs and a
-//! rename of a few hundred bytes. Gated in CI by `check_bench` against
-//! the committed baseline.
+//! rename of a few hundred bytes; `durable_epoch` is one re-optimization
+//! with its WAL append, whose fsync runs beside the epoch. Gated in CI
+//! by `check_bench` against the committed baseline.
 
 use std::time::Duration;
 
@@ -77,6 +78,25 @@ fn checkpoint_restore(c: &mut Criterion) {
             assert!(out.recovery.errors.is_empty());
             out.cost
         });
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // One durable epoch, a selectivity flip: the WAL record is written,
+    // its fsync overlaps the epoch, and the call returns once both are
+    // done.
+    group.bench_function("durable_epoch/chain5", |b| {
+        let dir = fresh_dir("epoch");
+        let mut opt = DataflowOptimizer::new(&catalog, q.clone());
+        opt.set_audit_mode(AuditMode::Off);
+        opt.set_durable_dir(&dir).unwrap();
+        opt.optimize();
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let factor = if flip { 2.0 } else { 1.0 };
+            opt.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(1), factor)]).cost
+        });
+        drop(opt);
         let _ = std::fs::remove_dir_all(&dir);
     });
 

@@ -6,9 +6,11 @@
 //! function of the [`CostContext`]'s parameter factors: optimizer state
 //! = f(catalog, query, last write per parameter). So the durable state
 //! is the parameters and nothing else. Every applied [`ParamDelta`]
-//! batch is appended to the WAL — CRC-framed and fsynced — *before* its
-//! effects touch the network, so a crash loses nothing that was
-//! acknowledged; a checkpoint is the deduped log of those writes (one
+//! batch is appended to the WAL as one CRC-framed record, written
+//! before the network is touched and fsynced before `reoptimize`
+//! returns (`WalWriter`: the fsync runs on a helper thread while the
+//! epoch computes), so a crash loses nothing that was acknowledged;
+//! a checkpoint is the deduped log of those writes (one
 //! entry per parameter) plus a *watermark*, the number of WAL records it
 //! covers. A restart folds `checkpoint log ⊕ wal[watermark..]` (or the
 //! whole WAL, without an intact checkpoint) to the last write per
@@ -33,9 +35,12 @@
 //!
 //! `seq` is the record's zero-based position; a mismatch means records
 //! were lost or reordered and is reported as corruption. The WAL is
-//! never rewritten in place. A torn final record — the image of a crash
-//! mid-append — is discarded (write-ahead means its batch was never
-//! applied); damage anywhere earlier is
+//! never rewritten in place; the one cut is a failed append's own
+//! record, truncated back off before the failure is reported. A torn
+//! final record — the image of a crash mid-append — is discarded: its
+//! batch was never acknowledged, and whatever of it was applied lived
+//! only in the memory that died with the process. Damage anywhere
+//! earlier is
 //! [`DataflowError::StateCorruption`]. `leaves`/`edges` are the shape of
 //! the query the checkpoint was cut for — a guard that depends on
 //! neither the memo nor the compiled network — and every logged
@@ -46,8 +51,12 @@
 //! [`DataflowOptimizer`]: crate::DataflowOptimizer
 //! [`CostContext`]: reopt_cost::CostContext
 
+use std::fs::File;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use reopt_cost::ParamDelta;
 use reopt_datalog::DataflowError;
@@ -400,19 +409,214 @@ pub fn wal_init(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Appends one batch as record `seq`, fsyncing before returning — the
-/// write-ahead contract: once this returns, recovery will replay the
-/// batch even if the process dies before the epoch commits.
-pub fn wal_append(path: &Path, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<()> {
+/// Writes `deltas` as WAL record `seq` at the end of the log open on
+/// `file` — the one framing and the one write every append goes
+/// through — and returns the record's length. Nothing is fsynced here.
+fn write_record(mut file: &File, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<u64> {
     let mut e = Enc::default();
     e.u64(seq);
     e.u32(deltas.len() as u32);
     for d in deltas {
         e.delta(d);
     }
-    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-    f.write_all(&e.into_record())?;
+    let record = e.into_record();
+    file.write_all(&record)?;
+    Ok(record.len() as u64)
+}
+
+/// Appends one batch as record `seq`, fsyncing before returning: once
+/// this returns, recovery will replay the batch. A standalone append;
+/// an armed optimizer appends through its `WalWriter`.
+pub fn wal_append(path: &Path, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<()> {
+    let f = std::fs::OpenOptions::new().append(true).open(path)?;
+    write_record(&f, seq, deltas)?;
     f.sync_all()
+}
+
+/// A failure the WAL writer fakes, for crash tests
+/// ([`DataflowOptimizer::inject_wal_fault`]): the fsync of record
+/// `record` reports an error, once, and with `truncate_too` so does
+/// cutting that record back off the log.
+///
+/// [`DataflowOptimizer::inject_wal_fault`]: crate::DataflowOptimizer::inject_wal_fault
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalFault {
+    pub record: u64,
+    pub truncate_too: bool,
+}
+
+/// Stack of the fsync helper thread, which only calls `sync_all` and
+/// passes unit requests and results over two bounded channels.
+const SYNC_HELPER_STACK: usize = 32 * 1024;
+
+/// The log's open handle and the thread that fsyncs it.
+struct SyncHelper {
+    file: Arc<File>,
+    request: SyncSender<()>,
+    synced: Receiver<std::io::Result<()>>,
+    thread: JoinHandle<()>,
+}
+
+impl SyncHelper {
+    /// Opens the log for appending and starts the helper; also returns
+    /// the log's length at the start.
+    fn start(path: &Path) -> std::io::Result<(SyncHelper, u64)> {
+        let file = Arc::new(std::fs::OpenOptions::new().append(true).open(path)?);
+        let len = file.metadata()?.len();
+        // Both channels are made here, on the caller's side: the helper
+        // allocates nothing of its own.
+        let (request, requests) = sync_channel::<()>(1);
+        let (done, synced) = sync_channel(1);
+        let log = Arc::clone(&file);
+        let thread = std::thread::Builder::new()
+            .name("wal-fsync".into())
+            .stack_size(SYNC_HELPER_STACK)
+            .spawn(move || {
+                for () in requests {
+                    if done.send(log.sync_all()).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        let helper = SyncHelper {
+            file,
+            request,
+            synced,
+            thread,
+        };
+        Ok((helper, len))
+    }
+}
+
+/// The appender of an armed optimizer's WAL. An append is two halves
+/// around the epoch that applies its batch: [`WalWriter::begin`] writes
+/// the record and hands its fsync to a helper thread, and
+/// [`WalWriter::finish`] waits for that fsync — the disk's latency
+/// overlaps the epoch's compute, and the batch is acknowledged only
+/// when both are done. A failed append is cut back off the log
+/// (truncated to the acknowledged length, fsynced) before it is
+/// reported, so the next record keeps the sequence contiguous; if the
+/// cut fails too, the writer refuses every later append. The open
+/// handle and the helper are made by the first append — arming and
+/// recovering pay for neither — and the helper is joined on drop.
+pub(crate) struct WalWriter {
+    path: PathBuf,
+    helper: Option<SyncHelper>,
+    /// Header plus fsynced records: what a failed append cuts back to.
+    acked_len: u64,
+    /// `(seq, length)` of the record written and not yet acknowledged.
+    pending: Option<(u64, u64)>,
+    /// A failed record could not be cut back off: nothing more is
+    /// appended behind it.
+    stopped: bool,
+    fault: Option<WalFault>,
+}
+
+impl WalWriter {
+    /// A writer for the log at `path`, which [`open_dir`] left holding
+    /// exactly its intact records.
+    pub fn new(path: PathBuf) -> WalWriter {
+        WalWriter {
+            path,
+            helper: None,
+            acked_len: 0,
+            pending: None,
+            stopped: false,
+            fault: None,
+        }
+    }
+
+    /// Arms a one-shot [`WalFault`].
+    pub fn inject_fault(&mut self, fault: WalFault) {
+        self.fault = Some(fault);
+    }
+
+    /// Writes `deltas` as record `seq` and hands its fsync to the
+    /// helper; [`WalWriter::finish`] must follow before the batch is
+    /// acknowledged.
+    pub fn begin(&mut self, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<()> {
+        if self.stopped {
+            return Err(std::io::Error::other(
+                "appends stopped: an earlier failed record could not be cut back off the log",
+            ));
+        }
+        let helper = match &mut self.helper {
+            Some(helper) => helper,
+            None => {
+                let (helper, len) = SyncHelper::start(&self.path)?;
+                self.acked_len = len;
+                self.helper.insert(helper)
+            }
+        };
+        let handed_off = write_record(&helper.file, seq, deltas).and_then(|len| {
+            helper.request.send(()).map_err(std::io::Error::other)?;
+            Ok(len)
+        });
+        match handed_off {
+            Ok(len) => {
+                self.pending = Some((seq, len));
+                Ok(())
+            }
+            Err(e) => Err(self.cut_back(e, false)),
+        }
+    }
+
+    /// Waits for the fsync [`WalWriter::begin`] handed off; `Ok` means
+    /// the record is durable and acknowledged, `Err` that it was cut
+    /// back off the log.
+    pub fn finish(&mut self) -> std::io::Result<()> {
+        let Some((seq, len)) = self.pending.take() else {
+            return Ok(());
+        };
+        let helper = self.helper.as_ref().expect("a pending record has a helper");
+        let mut synced = helper
+            .synced
+            .recv()
+            .unwrap_or_else(|_| Err(std::io::Error::other("the WAL fsync helper exited")));
+        let fault = self.fault.filter(|f| f.record == seq);
+        if fault.is_some() {
+            self.fault = None;
+            synced = Err(std::io::Error::other("injected WAL fsync failure"));
+        }
+        match synced {
+            Ok(()) => {
+                self.acked_len += len;
+                Ok(())
+            }
+            Err(e) => Err(self.cut_back(e, fault.is_some_and(|f| f.truncate_too))),
+        }
+    }
+
+    /// Truncates the log back to its acknowledged length and fsyncs the
+    /// cut, returning `cause` to report; a failed cut (or a faked one,
+    /// `fake_failure`) stops the writer and is reported with it.
+    fn cut_back(&mut self, cause: std::io::Error, fake_failure: bool) -> std::io::Error {
+        let helper = self.helper.as_ref().expect("only a started writer cuts");
+        let file = &helper.file;
+        let cut = if fake_failure {
+            Err(std::io::Error::other("injected WAL truncation failure"))
+        } else {
+            file.set_len(self.acked_len).and_then(|()| file.sync_all())
+        };
+        match cut {
+            Ok(()) => cause,
+            Err(e) => {
+                self.stopped = true;
+                let msg = format!("{cause}; cutting it back off failed too, so appends stop: {e}");
+                std::io::Error::new(cause.kind(), msg)
+            }
+        }
+    }
+}
+
+impl Drop for WalWriter {
+    fn drop(&mut self) {
+        if let Some(helper) = self.helper.take() {
+            // Closing the request channel ends the helper's loop.
+            drop(helper.request);
+            let _ = helper.thread.join();
+        }
+    }
 }
 
 /// The result of scanning a WAL file.
@@ -425,8 +629,8 @@ struct WalScan {
 }
 
 /// Scans a WAL image. A record whose framed length runs past the end
-/// of the file is a torn tail — discarded, because write-ahead ordering
-/// guarantees its batch was never applied. A CRC mismatch or a sequence
+/// of the file is a torn tail — discarded, because its batch was never
+/// acknowledged (see the module docs). A CRC mismatch or a sequence
 /// gap *within* the intact region is real damage and fails the scan.
 fn wal_records(bytes: &[u8]) -> Result<WalScan, DataflowError> {
     check_header(bytes, WAL_MAGIC, WAL_VERSION, "WAL")?;
@@ -732,6 +936,45 @@ mod tests {
                 ),
             }
         }
+    }
+
+    /// The pipelined writer frames exactly what `wal_append` frames; a
+    /// record whose fsync fails is cut back off before the failure is
+    /// reported, so the retry reuses its sequence number and the log
+    /// stays contiguous; a cut that fails too stops the writer.
+    #[test]
+    fn a_failed_append_is_cut_back_off_the_log() {
+        let batches = sample_batches();
+        let dir = scratch_dir("writer");
+        let path = dir.join(WAL_FILE);
+        wal_init(&path).unwrap();
+        let mut w = WalWriter::new(path.clone());
+        let append = |w: &mut WalWriter, seq: u64, deltas: &[ParamDelta]| {
+            w.begin(seq, deltas).and_then(|()| w.finish())
+        };
+        w.inject_fault(WalFault {
+            record: 1,
+            truncate_too: false,
+        });
+        append(&mut w, 0, &batches[0]).unwrap();
+        let acked = std::fs::read(&path).unwrap();
+        assert!(append(&mut w, 1, &batches[1]).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), acked, "the failed record stayed");
+        // The fault is one-shot: the retry carries the same number.
+        append(&mut w, 1, &batches[1]).unwrap();
+        append(&mut w, 2, &batches[2]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), written_wal("writer-ref", &batches));
+
+        w.inject_fault(WalFault {
+            record: 3,
+            truncate_too: true,
+        });
+        let e = append(&mut w, 3, &batches[0]).unwrap_err();
+        assert!(e.to_string().contains("appends stop"), "{e}");
+        let e = append(&mut w, 3, &batches[0]).unwrap_err();
+        assert!(e.to_string().contains("appends stopped"), "{e}");
+        drop(w);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

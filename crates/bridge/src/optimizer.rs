@@ -87,6 +87,7 @@ use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
@@ -267,6 +268,12 @@ pub struct DataflowOutcome {
     /// How the epoch reached its committed fixpoint, including any
     /// failures absorbed along the way and the sampled audit verdict.
     pub recovery: RecoveryReport,
+    /// The epoch's durability layer: writing its WAL record, and waiting
+    /// for the record's fsync once the epoch's own work was done (zero
+    /// when the fsync was hidden behind it). Both zero unless durability
+    /// is armed.
+    pub wal_write: Duration,
+    pub wal_wait: Duration,
 }
 
 /// How a (re)optimization epoch reached its committed fixpoint.
@@ -405,9 +412,17 @@ pub struct DataflowOptimizer {
 /// WAL bookkeeping for a durably armed optimizer.
 struct Durable {
     dir: PathBuf,
-    /// Next WAL record sequence number = intact records currently on
-    /// disk; a checkpoint stores this as its replay watermark.
+    /// Next WAL record sequence number = acknowledged records on disk;
+    /// a checkpoint stores this as its replay watermark.
     wal_seq: u64,
+    wal: durable::WalWriter,
+}
+
+impl Durable {
+    fn new(dir: PathBuf, wal_seq: u64) -> Durable {
+        let wal = durable::WalWriter::new(dir.join(durable::WAL_FILE));
+        Durable { dir, wal_seq, wal }
+    }
 }
 
 /// Driver-side pruning state: which alternatives are currently excluded
@@ -649,6 +664,8 @@ impl DataflowOptimizer {
     /// Incremental re-optimization (§4): apply the parameter deltas to
     /// the cost context, re-evaluate the affected local costs, and feed
     /// the changes to the network as `LocalCost` base-relation deltas.
+    /// With durability armed the batch is acknowledged — durable — when
+    /// this returns.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
         // A fresh engine evaluates the initial program first, exactly
         // as an explicit `optimize()` would have.
@@ -657,19 +674,43 @@ impl DataflowOptimizer {
         } else {
             self.optimize().recovery.errors
         };
-        // Write-ahead: the batch reaches the fsynced WAL before any of
-        // its effects touch the network, so a crash at any later point
-        // replays it. A failed append degrades to in-memory operation
-        // for this batch and is reported, never panicked on.
-        absorbed.extend(self.wal_append(deltas));
+        // Write-ahead, pipelined: the record is written before any of
+        // the batch's effects touch the network, its fsync runs on the
+        // writer's helper thread while the epoch computes, and the batch
+        // is acknowledged — `wal_seq` advances — only once both are
+        // done. A crash before that loses a batch nobody was told about,
+        // whose effects lived only in memory. A failed append is cut
+        // back off the log, degrades to in-memory operation for this
+        // batch and is reported, never panicked on.
+        let begun = self.durable.as_mut().map(|d| {
+            let clock = Instant::now();
+            (d.wal.begin(d.wal_seq, deltas), clock.elapsed())
+        });
+        let mut out = self.apply_batch(deltas);
+        if let (Some(d), Some((begun, wal_write))) = (self.durable.as_mut(), begun) {
+            let clock = Instant::now();
+            match begun.and_then(|()| d.wal.finish()) {
+                Ok(()) => d.wal_seq += 1,
+                Err(e) => absorbed.push(DataflowError::StateCorruption(format!(
+                    "WAL append failed, operating in-memory for this batch: {e}"
+                ))),
+            }
+            out.wal_write = wal_write;
+            out.wal_wait = clock.elapsed();
+        }
+        out.recovery.errors.splice(0..0, absorbed);
+        out
+    }
+
+    /// The epoch of [`DataflowOptimizer::reoptimize`], from applying the
+    /// batch to the outcome.
+    fn apply_batch(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
         // The applied log keeps the last write per parameter: replaying
         // it reproduces the current [`CostContext`].
         fold_last_writes(&mut self.applied, deltas);
         let affected = self.ctx.apply(deltas);
         if affected.is_empty() {
-            let mut report = RecoveryReport::committed();
-            report.errors = absorbed;
-            return self.outcome(RunStats::default(), report);
+            return self.outcome(RunStats::default(), RecoveryReport::committed());
         }
         // What the changed parameters reach, straight from the inverted
         // index — equivalent to testing `alt_affected` on every
@@ -715,8 +756,7 @@ impl DataflowOptimizer {
         // re-assertions, and the root Bound seed — flow through one
         // diffing pass so the network always mirrors the driver state.
         self.push_pruned_diff(&old_values);
-        let (stats, mut recovery) = self.run_recovering();
-        recovery.errors.splice(0..0, absorbed);
+        let (stats, recovery) = self.run_recovering();
         self.outcome(stats, recovery)
     }
 
@@ -981,6 +1021,14 @@ impl DataflowOptimizer {
         self.net.set_fault_plan(Some(plan));
     }
 
+    /// Arms a one-shot WAL writer failure (crash tests); a no-op unless
+    /// durability is armed.
+    pub fn inject_wal_fault(&mut self, fault: durable::WalFault) {
+        if let Some(d) = self.durable.as_mut() {
+            d.wal.inject_fault(fault);
+        }
+    }
+
     /// Overrides the audit sampling policy (the constructor default is
     /// [`AuditMode::from_env`]).
     pub fn set_audit_mode(&mut self, mode: AuditMode) {
@@ -1018,7 +1066,8 @@ impl DataflowOptimizer {
     }
 
     /// Arms durability: every subsequent [`DataflowOptimizer::reoptimize`]
-    /// batch is appended to `<dir>/wal.bin` (fsynced, write-ahead) and
+    /// batch is appended to `<dir>/wal.bin` (written before the network
+    /// is touched, fsynced before `reoptimize` returns) and
     /// [`DataflowOptimizer::checkpoint_durable`] writes
     /// `<dir>/checkpoint.bin`. The directory is opened by
     /// [`durable::open_dir`]: an existing WAL is adopted — appends
@@ -1029,26 +1078,13 @@ impl DataflowOptimizer {
     pub fn set_durable_dir(&mut self, dir: impl Into<PathBuf>) -> std::io::Result<()> {
         let dir = dir.into();
         let wal_seq = durable::open_dir(&dir)?.next_seq;
-        self.durable = Some(Durable { dir, wal_seq });
+        self.durable = Some(Durable::new(dir, wal_seq));
         Ok(())
     }
 
     /// The armed durable directory, if any.
     pub fn durable_dir(&self) -> Option<&Path> {
         self.durable.as_ref().map(|d| d.dir.as_path())
-    }
-
-    fn wal_append(&mut self, deltas: &[ParamDelta]) -> Option<DataflowError> {
-        let d = self.durable.as_mut()?;
-        match durable::wal_append(&d.dir.join(durable::WAL_FILE), d.wal_seq, deltas) {
-            Ok(()) => {
-                d.wal_seq += 1;
-                None
-            }
-            Err(e) => Some(DataflowError::StateCorruption(format!(
-                "WAL append failed, operating in-memory for this batch: {e}"
-            ))),
-        }
     }
 
     /// Cuts a durable checkpoint: the applied-parameter log (the last
@@ -1150,10 +1186,7 @@ impl DataflowOptimizer {
                 }
             }
         };
-        opt.durable = Some(Durable {
-            dir: dir.to_path_buf(),
-            wal_seq: wal.next_seq,
-        });
+        opt.durable = Some(Durable::new(dir.to_path_buf(), wal.next_seq));
         let mut outcome = opt.optimize();
         outcome.recovery.path = path;
         outcome.recovery.errors.splice(0..0, errors);
@@ -1183,6 +1216,8 @@ impl DataflowOptimizer {
             plan,
             stats,
             recovery,
+            wal_write: Duration::ZERO,
+            wal_wait: Duration::ZERO,
         }
     }
 
@@ -2132,6 +2167,39 @@ mod tests {
             assert_eq!((out.cost, &out.plan), (want.cost, &want.plan));
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// The write-ahead contract under the pipelined WAL: when
+    /// `reoptimize` returns, the log scans clean to exactly `wal_seq`
+    /// records in sequence, the last of them this batch — no-op batches
+    /// (the early return) included.
+    #[test]
+    fn every_acknowledged_batch_is_the_logs_last_record() {
+        let c = fixture_catalog();
+        let dir = std::env::temp_dir().join(format!("reopt-bridge-acked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 5));
+        df.set_audit_mode(AuditMode::Off);
+        let out = df.reoptimize(&[ParamDelta::LeafCardinality(LeafId(0), 2.0)]);
+        assert_eq!((out.wal_write, out.wal_wait), (Duration::ZERO, Duration::ZERO));
+        df.set_durable_dir(&dir).unwrap();
+        let mut logged: Vec<Vec<ParamDelta>> = Vec::new();
+        for i in 0..12u32 {
+            let batch = match i % 4 {
+                3 => logged.last().unwrap().clone(),
+                _ => vec![ParamDelta::EdgeSelectivity(EdgeId(i % 4), f64::from(i % 3 + 2))],
+            };
+            let out = df.reoptimize(&batch);
+            assert!(out.recovery.is_clean(), "{:?}", out.recovery);
+            assert!(out.wal_write > Duration::ZERO);
+            logged.push(batch);
+            let wal = durable::open_dir(&dir).unwrap();
+            let wal_seq = df.durable.as_ref().unwrap().wal_seq;
+            assert_eq!((wal.next_seq, wal.torn, wal.error), (wal_seq, false, None));
+            assert_eq!(wal.batches, logged, "epoch {i}");
+        }
+        drop(df);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Plan extraction reads two relations of the network against each

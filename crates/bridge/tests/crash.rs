@@ -470,6 +470,21 @@ fn stale_checkpoint_tmp_files_are_swept_on_startup() {
 /// files hold parameters — so the recovered sinks are the oracle's.
 #[test]
 fn durable_state_survives_a_process_boundary() {
+    across_a_process_boundary("durable_state_survives_a_process_boundary", false);
+}
+
+/// The same child, killed by `abort()` the moment its last `reoptimize`
+/// returns — no checkpoint, no destructor after it: a returned
+/// `reoptimize` is an acknowledged batch, so recovery replays it.
+#[test]
+fn an_acknowledged_batch_survives_an_abort() {
+    across_a_process_boundary("an_acknowledged_batch_survives_an_abort", true);
+}
+
+/// The two tests above: `test` re-runs itself as the child, which
+/// applies `chain5_batches` (checkpointing after the third) and then
+/// exits — or aborts, with `abort`.
+fn across_a_process_boundary(test: &str, abort: bool) {
     const ENV: &str = "REOPT_BRIDGE_CRASH_DIR";
     let (c, q) = chain5();
     let batches = chain5_batches(&q);
@@ -486,6 +501,9 @@ fn durable_state_survives_a_process_boundary() {
                 victim.checkpoint_durable().unwrap();
             }
         }
+        if abort {
+            std::process::abort();
+        }
         std::process::exit(0);
     }
 
@@ -498,11 +516,16 @@ fn durable_state_survives_a_process_boundary() {
     let dir = fresh_dir("xproc");
     let exe = std::env::current_exe().unwrap();
     let status = std::process::Command::new(exe)
-        .args(["--exact", "durable_state_survives_a_process_boundary"])
+        .args(["--exact", test])
         .env(ENV, &dir)
         .status()
         .unwrap();
-    assert!(status.success(), "child process failed");
+    if abort {
+        // Killed by the signal, not failed before reaching it.
+        assert_eq!(status.code(), None, "the child did not abort: {status}");
+    } else {
+        assert!(status.success(), "child process failed");
+    }
 
     let mut oracle = DataflowOptimizer::new(&c, q.clone());
     oracle.set_audit_mode(AuditMode::Off);
@@ -543,7 +566,54 @@ fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
     assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
     let mut fresh = DataflowOptimizer::new(&c, q);
     assert!(out.cost.approx_eq(fresh.optimize().cost));
-    rec.audit().expect("the torn batch was never applied");
+    rec.audit().expect("the torn batch, never acknowledged, is not replayed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed fsync must not leave its record in the log. The batch is
+/// reported as in-memory only, its record is cut back off, and the next
+/// append reuses its sequence number — so after more epochs and a
+/// crash the WAL scans clean and in sequence, and recovery replays
+/// every acknowledged batch. (Left in place, the record made the next
+/// open see a sequence gap and replace the whole log by an empty one.)
+#[test]
+fn a_failed_fsync_is_cut_back_off_the_log() {
+    let (c, q) = chain5();
+    let dir = fresh_dir("fsync-fault");
+    let batches = chain5_batches(&q);
+    let failed = 1;
+    let mut victim = DataflowOptimizer::new(&c, q.clone());
+    victim.set_audit_mode(AuditMode::Off);
+    victim.set_durable_dir(&dir).unwrap();
+    victim.optimize();
+    victim.inject_wal_fault(durable::WalFault {
+        record: failed as u64,
+        truncate_too: false,
+    });
+    let mut acked = Vec::new();
+    for (i, batch) in batches.iter().enumerate() {
+        let errors = victim.reoptimize(batch).recovery.errors;
+        if i == failed {
+            assert!(
+                matches!(errors.as_slice(),
+                    [DataflowError::StateCorruption(m)] if m.contains("in-memory for this batch")),
+                "{errors:?}"
+            );
+        } else {
+            assert!(errors.is_empty(), "{errors:?}");
+            acked.push(batch.clone());
+        }
+    }
+    drop(victim); // the crash
+
+    let wal = durable::open_dir(&dir).unwrap();
+    assert_eq!((&wal.batches, wal.torn, &wal.error), (&acked, false, &None));
+    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+    assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
+    let oracle = oracle_after(&c, &q, &acked);
+    assert!(out.cost.approx_eq(oracle.best_cost()));
+    assert_sinks_match(&rec, &oracle, "after a failed fsync and a crash");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -86,6 +86,22 @@ impl AffectedSet {
     pub fn is_empty(&self) -> bool {
         self.leaves_card.is_empty() && self.edges.is_empty() && self.leaves_scan.is_empty()
     }
+
+    /// Adds `other`'s parameters, each at most once: a union built this
+    /// way holds at most one entry per parameter of the query, however
+    /// many batches went into it.
+    pub fn union_with(&mut self, other: &AffectedSet) {
+        fn add<T: Copy + PartialEq>(set: &mut Vec<T>, new: &[T]) {
+            for x in new {
+                if !set.contains(x) {
+                    set.push(*x);
+                }
+            }
+        }
+        add(&mut self.leaves_card, &other.leaves_card);
+        add(&mut self.edges, &other.edges);
+        add(&mut self.leaves_scan, &other.leaves_scan);
+    }
 }
 
 /// The mutable factor store.
