@@ -83,7 +83,7 @@ mod tests {
         let (catalog, db) = gen.generate();
         let q = QueryId::Q5.build(&catalog);
         let parts = gen.partition(&db, &catalog, 5);
-        let reports = run_partitions(&catalog, &q, &parts, PruningConfig::all(), 0.5);
+        let reports = run_partitions(&catalog, &q, &parts, PruningConfig::default(), 0.5);
         assert_eq!(reports.len(), 5);
         // Feedback produced real work at least once, and the update
         // ratio stays a strict subset of the space.
@@ -105,7 +105,7 @@ mod tests {
         let (catalog, db) = gen.generate();
         let q = QueryId::Q10.build(&catalog);
         let parts: Vec<Database> = vec![db.clone(), db.clone(), db.clone(), db];
-        let reports = run_partitions(&catalog, &q, &parts, PruningConfig::all(), 1.0);
+        let reports = run_partitions(&catalog, &q, &parts, PruningConfig::default(), 1.0);
         let last = reports.last().unwrap();
         let first = reports.first().unwrap();
         assert!(

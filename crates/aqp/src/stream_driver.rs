@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use reopt_baselines::optimize_volcano;
 use reopt_catalog::Catalog;
 use reopt_core::{IncrementalOptimizer, PruningConfig, RunMetrics};
-use reopt_cost::CostContext;
+use reopt_cost::{CostContext, ParamDelta};
 use reopt_exec::{observed_deltas, ExecStats, StreamExecutor, StreamTuple};
 use reopt_expr::{JoinGraph, PlanNode, QuerySpec};
 
@@ -56,7 +56,7 @@ impl Default for AqpConfig {
             mode: ReoptMode::Incremental,
             stats: StatsMode::Cumulative,
             reopt_every: 1,
-            pruning: PruningConfig::all(),
+            pruning: PruningConfig::default(),
         }
     }
 }
@@ -72,6 +72,9 @@ pub struct SliceReport {
     pub out_rows: usize,
     pub plan_changed: bool,
     pub migrated_rows: usize,
+    /// The parameters fed back at the split point: only estimates more
+    /// than [`reopt_exec::feedback::Q`]× off an observation.
+    pub deltas: Vec<ParamDelta>,
     pub run: RunMetrics,
     pub window_rows: usize,
     /// What each operator of the executed plan observed.
@@ -144,10 +147,11 @@ impl AqpDriver {
         let mut run = RunMetrics::default();
         let mut reopt_time = Duration::ZERO;
         let mut plan_changed = false;
+        let mut deltas = Vec::new();
         let should_reopt = self.cfg.mode != ReoptMode::Never
             && self.slice_no.is_multiple_of(self.cfg.reopt_every);
         if should_reopt {
-            let deltas = observed_deltas(
+            deltas = observed_deltas(
                 &self.q,
                 self.optimizer.cost_context(),
                 &result.stats,
@@ -179,6 +183,7 @@ impl AqpDriver {
             out_rows: result.out_rows,
             plan_changed,
             migrated_rows: result.migrated_rows,
+            deltas,
             run,
             window_rows: result.window_sizes.iter().sum(),
             stats: result.stats,
@@ -256,6 +261,26 @@ mod tests {
             late < early,
             "incremental work did not decay: {touched:?}"
         );
+    }
+
+    #[test]
+    fn a_stationary_stream_feeds_back_nothing_once_the_windows_fill() {
+        // The stream above, for 30 slices: once the largest (300 s)
+        // window has filled, every observation is within `Q` of its
+        // estimate, so no parameter is fed back and no alternative is
+        // re-costed — Fig 9's "drops to nearly zero", at zero.
+        let (c, q, mut gen) = setup();
+        gen.burstiness = 0.0;
+        gen.hotspot_speed = 0.0;
+        let mut driver = AqpDriver::new(&c, q, AqpConfig::default());
+        let work: Vec<(usize, u64)> = (0..30)
+            .map(|i| {
+                let r = driver.run_slice(&gen.slice(i as f64 * 30.0, 30.0));
+                (r.deltas.len(), r.run.touched_alts)
+            })
+            .collect();
+        assert!(work[..10].iter().any(|&(d, t)| d > 0 && t > 0), "{work:?}");
+        assert!(work[10..].iter().all(|&w| w == (0, 0)), "{work:?}");
     }
 
     #[test]

@@ -2,83 +2,59 @@
 //!
 //! The plan interpreter reports cardinalities; everything the loop does
 //! next — feedback, re-optimization, the plan installed for the next
-//! slice, the rows migrated on a switch — follows from them. The vector
-//! below was recorded with the row-materialising interpreter (PR 13):
-//! an interpreter that observes the same cardinalities reproduces it
-//! slice for slice.
+//! slice, the rows migrated on a switch — follows from them. The answer
+//! does not: [`OUT_ROWS`] was recorded with the row-materialising
+//! interpreter and the paper-literal optimizer, and every plan sequence
+//! since reproduces it slice for slice.
+//!
+//! [`PLAN`] follows the shipped loop. It was re-pinned once, for two
+//! reasons together: feedback corrects only estimates more than
+//! `feedback::Q`× off, and the default optimizer is the exact one. The
+//! exact optimizer alone would switch plan on 18 of the 60 slices and
+//! migrate 55 948 rows (it sees the decreases the paper-literal one
+//! froze: 11 switches, 29 086 rows), re-costing 11 860 alternatives.
+//! With the trigger it feeds back 77 parameters in all, re-costs 4 407
+//! alternatives, and switches on 13 slices, migrating 31 805 rows. Nothing
+//! plan-independent moved: the root joins' cardinality, the rows the
+//! scans read and the rows the windows hold are what they were.
 
 use reopt_aqp::{AqpConfig, AqpDriver};
 use reopt_catalog::Catalog;
 use reopt_expr::{ExprId, RelSet};
 use reopt_workloads::{seg_toll_query, LinearRoadGen};
 
-/// Per slice: `(out_rows, plan_changed, migrated_rows)`.
-const EXPECTED: [(usize, bool, usize); 60] = [
-    (22, true, 0),
-    (37, false, 484),
-    (49, true, 0),
-    (54, true, 1047),
-    (59, false, 1347),
-    (61, false, 0),
-    (65, true, 0),
-    (65, true, 2047),
-    (77, false, 2185),
-    (76, false, 0),
-    (74, false, 0),
-    (69, false, 0),
-    (62, false, 0),
-    (52, true, 0),
-    (44, false, 2264),
-    (40, false, 0),
-    (35, false, 0),
-    (30, true, 0),
-    (31, false, 2160),
-    (35, false, 0),
-    (40, false, 0),
-    (45, false, 0),
-    (50, false, 0),
-    (54, true, 0),
-    (60, false, 2987),
-    (60, false, 0),
-    (65, false, 0),
-    (66, false, 0),
-    (67, false, 0),
-    (71, false, 0),
-    (65, false, 0),
-    (60, false, 0),
-    (58, false, 0),
-    (58, false, 0),
-    (58, false, 0),
-    (47, false, 0),
-    (43, true, 0),
-    (37, false, 4086),
-    (29, false, 0),
-    (24, false, 0),
-    (26, false, 0),
-    (36, false, 0),
-    (42, false, 0),
-    (51, false, 0),
-    (56, false, 0),
-    (58, false, 0),
-    (57, false, 0),
-    (68, true, 0),
-    (68, false, 5142),
-    (69, false, 0),
-    (72, false, 0),
-    (69, false, 0),
-    (72, false, 0),
-    (67, false, 0),
-    (66, false, 0),
-    (63, false, 0),
-    (60, false, 0),
-    (58, false, 0),
-    (48, true, 0),
-    (32, false, 5337),
+/// Per slice: the query's answer, in rows.
+const OUT_ROWS: [usize; 60] = [
+    22, 37, 49, 54, 59, 61, 65, 65, 77, 76, //
+    74, 69, 62, 52, 44, 40, 35, 30, 31, 35, //
+    40, 45, 50, 54, 60, 60, 65, 66, 67, 71, //
+    65, 60, 58, 58, 58, 47, 43, 37, 29, 24, //
+    26, 36, 42, 51, 56, 58, 57, 68, 68, 69, //
+    72, 69, 72, 67, 66, 63, 60, 58, 48, 32, //
+];
+
+/// Per slice: `(plan_changed, migrated_rows)`.
+#[rustfmt::skip]
+const PLAN: [(bool, usize); 60] = [
+    (true, 0), (false, 484), (true, 0), (false, 1047), (false, 0),
+    (false, 0), (false, 0), (true, 0), (true, 2185), (true, 2283),
+    (true, 2331), (true, 2349), (false, 2339), (false, 0), (false, 0),
+    (false, 0), (false, 0), (true, 0), (false, 2160), (false, 0),
+    (false, 0), (false, 0), (false, 0), (false, 0), (false, 0),
+    (true, 0), (false, 3462), (false, 0), (false, 0), (false, 0),
+    (false, 0), (false, 0), (false, 0), (false, 0), (false, 0),
+    (true, 0), (false, 4126), (false, 0), (true, 0), (false, 4043),
+    (false, 0), (false, 0), (false, 0), (false, 0), (false, 0),
+    (false, 0), (true, 0), (false, 4996), (false, 0), (false, 0),
+    (false, 0), (false, 0), (false, 0), (false, 0), (false, 0),
+    (false, 0), (false, 0), (false, 0), (false, 0), (true, 0),
 ];
 
 /// Sums over the pinned stream.
 #[derive(Default)]
 struct Totals {
+    /// Parameters the driver fed back.
+    deltas: usize,
     /// The root joins' cardinalities, and the tuples carried for them.
     root_rows: f64,
     root_carried: f64,
@@ -91,7 +67,7 @@ struct Totals {
 
 /// Runs `aqp_segtoll`'s traffic (benchmark/src/layers.rs `seg_toll`),
 /// before the per-seed relabelling of car ids, through the shipped
-/// driver and checks every slice against [`EXPECTED`].
+/// driver and checks every slice against [`OUT_ROWS`] and [`PLAN`].
 fn run_pinned_stream() -> Totals {
     let mut gen = LinearRoadGen::new(11);
     gen.rate = 10.0;
@@ -106,13 +82,11 @@ fn run_pinned_stream() -> Totals {
         .collect();
     let mut driver = AqpDriver::new(&c, q, AqpConfig::default());
     let mut t = Totals::default();
-    for (i, want) in EXPECTED.iter().enumerate() {
+    for (i, (&out_rows, &plan)) in OUT_ROWS.iter().zip(&PLAN).enumerate() {
         let r = driver.run_slice(&gen.slice(i as f64 * 5.0, 5.0));
-        assert_eq!(
-            (r.out_rows, r.plan_changed, r.migrated_rows),
-            *want,
-            "slice {i}"
-        );
+        assert_eq!(r.out_rows, out_rows, "slice {i}");
+        assert_eq!((r.plan_changed, r.migrated_rows), plan, "slice {i}");
+        t.deltas += r.deltas.len();
         t.root_rows += r.stats.rows_of(root_join).expect("a plan joins every leaf");
         t.root_carried += r.stats.carried_of(root_join).expect("carried beside rows");
         for &leaf in &leaves {
@@ -126,7 +100,8 @@ fn run_pinned_stream() -> Totals {
 
 #[test]
 fn benchmark_stream_reproduces_the_recorded_slice_sequence() {
-    run_pinned_stream();
+    let t = run_pinned_stream();
+    assert_eq!(t.deltas, 77, "parameters fed back over the 60 slices");
 }
 
 /// The work bound: whatever plan is installed, the root join's output

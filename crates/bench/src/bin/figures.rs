@@ -152,49 +152,68 @@ fn fig8(catalog: &reopt_catalog::Catalog) {
 
 fn fig9() {
     header("Figure 9: per-slice re-optimization time (ms), incremental vs from-scratch");
-    println!("{:<6} {:>14} {:>14}", "slice", "incremental", "non-inc");
-    for p in harness::fig9(60, 2.0) {
+    println!(
+        "{:<6} {:>14} {:>14} {:>8}",
+        "slice", "incremental", "non-inc", "deltas"
+    );
+    let points = harness::fig9(60, 2.0);
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    for p in &points {
         if p.slice % 5 == 0 || p.slice <= 5 {
             println!(
-                "{:<6} {:>14.3} {:>14.3}",
+                "{:<6} {:>14.3} {:>14.3} {:>8}",
                 p.slice,
-                p.incremental.as_secs_f64() * 1e3,
-                p.from_scratch.as_secs_f64() * 1e3
+                ms(p.incremental),
+                ms(p.from_scratch),
+                p.deltas
             );
         }
     }
+    println!(
+        "{:<6} {:>14.3} {:>14.3} {:>8}",
+        "TOTAL",
+        points.iter().map(|p| ms(p.incremental)).sum::<f64>(),
+        points.iter().map(|p| ms(p.from_scratch)).sum::<f64>(),
+        points.iter().map(|p| p.deltas).sum::<usize>()
+    );
 }
 
 fn fig10() {
     header("Figure 10: per-slice execution time (ms), window ingest included");
+    // `Δ`: parameters each adaptive run fed back after the slice.
     println!(
-        "{:<6} {:>10} {:>10} {:>12} {:>14}",
-        "slice", "bad", "good", "aqp-cumul", "aqp-noncumul"
+        "{:<6} {:>10} {:>10} {:>12} {:>14} {:>7} {:>7}",
+        "slice", "bad", "good", "aqp-cumul", "aqp-noncumul", "Δcumul", "Δnoncum"
     );
     let points = harness::fig10(40, 3.0);
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for p in &points {
         if p.slice % 4 == 0 || p.slice <= 4 {
             println!(
-                "{:<6} {:>10.2} {:>10.2} {:>12.2} {:>14.2}",
+                "{:<6} {:>10.2} {:>10.2} {:>12.2} {:>14.2} {:>7} {:>7}",
                 p.slice,
                 ms(p.bad_plan),
                 ms(p.good_plan),
                 ms(p.aqp_cumulative),
-                ms(p.aqp_non_cumulative)
+                ms(p.aqp_non_cumulative),
+                p.deltas[2],
+                p.deltas[3]
             );
         }
     }
     let sum = |f: fn(&harness::Fig10Point) -> std::time::Duration| -> f64 {
         points.iter().map(|p| f(p).as_secs_f64() * 1e3).sum()
     };
+    let deltas = |s: usize| points.iter().map(|p| p.deltas[s]).sum::<usize>();
     println!(
-        "{:<6} {:>10.1} {:>10.1} {:>12.1} {:>14.1}",
+        "{:<6} {:>10.1} {:>10.1} {:>12.1} {:>14.1} {:>7} {:>7}",
         "TOTAL",
         sum(|p| p.bad_plan),
         sum(|p| p.good_plan),
         sum(|p| p.aqp_cumulative),
-        sum(|p| p.aqp_non_cumulative)
+        sum(|p| p.aqp_non_cumulative),
+        deltas(2),
+        deltas(3)
     );
     // What the plans produced, and what the interpreter held for it.
     type Series = fn(&harness::Fig10Point) -> [f64; 4];

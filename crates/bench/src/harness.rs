@@ -93,7 +93,7 @@ pub fn fig4(catalog: &Catalog) -> Vec<Fig4Row> {
                 )
             };
             let (evita_raced, evita_pruning) = declarative_run(PruningConfig::evita_raced());
-            let (declarative, declarative_pruning) = declarative_run(PruningConfig::all());
+            let (declarative, declarative_pruning) = declarative_run(PruningConfig::default());
             let mut ctx = CostContext::new(catalog, &q);
             let v = optimize_volcano(&q, &g, &mut ctx);
             let volcano_pruning = (
@@ -138,7 +138,7 @@ pub fn fig5(catalog: &Catalog) -> Vec<Fig5Point> {
         for ratio in RATIOS {
             let deltas = [ParamDelta::EdgeSelectivity(edge, ratio)];
             // Incremental path.
-            let mut opt = IncrementalOptimizer::new(catalog, q.clone(), PruningConfig::all());
+            let mut opt = IncrementalOptimizer::new(catalog, q.clone(), PruningConfig::default());
             opt.optimize();
             let t0 = Instant::now();
             let res = opt.reoptimize(&deltas);
@@ -184,7 +184,7 @@ pub fn fig6() -> Vec<Fig6Point> {
     let (catalog, db) = gen.generate();
     let q = QueryId::Q5.build(&catalog);
     let parts = gen.partition(&db, &catalog, 9);
-    let reports = run_partitions(&catalog, &q, &parts, PruningConfig::all(), 0.5);
+    let reports = run_partitions(&catalog, &q, &parts, PruningConfig::default(), 0.5);
     reports
         .iter()
         .map(|r| Fig6Point {
@@ -315,6 +315,8 @@ pub struct Fig9Point {
     pub slice: usize,
     pub incremental: Duration,
     pub from_scratch: Duration,
+    /// Parameters the incremental driver fed back at the split point.
+    pub deltas: usize,
 }
 
 /// Figure 9: per-slice re-optimization time, incremental vs Tukwila-style
@@ -341,6 +343,7 @@ pub fn fig9(slices: usize, slice_dur: f64) -> Vec<Fig9Point> {
                 slice: i + 1,
                 incremental: a.reopt_time,
                 from_scratch: b.reopt_time,
+                deltas: a.deltas.len(),
             }
         })
         .collect()
@@ -359,6 +362,8 @@ pub struct Fig10Point {
     /// carried for them.
     pub rows: [f64; 4],
     pub carried: [f64; 4],
+    /// Per series: the parameters fed back (none for a pinned plan).
+    pub deltas: [usize; 4],
 }
 
 /// Figure 10: per-slice execution time — static bad plan, static good
@@ -380,7 +385,7 @@ pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
     let mut candidates: Vec<reopt_expr::PlanNode> = Vec::new();
     // Cold-start plan (initial catalog estimates).
     {
-        let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
+        let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::default());
         candidates.push(opt.optimize().plan);
     }
     // Adaptive-converged plan after a warm-up pass.
@@ -398,7 +403,7 @@ pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
         [100.0, 0.01, 0.01, 100.0, 1.0],
         [1.0, 1.0, 200.0, 0.005, 50.0],
     ] {
-        let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
+        let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::default());
         opt.optimize();
         let deltas: Vec<ParamDelta> = factors
             .iter()
@@ -475,6 +480,7 @@ pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
                 aqp_non_cumulative: r[3].exec_time,
                 rows: r.each_ref().map(|r| r.stats.rows.values().sum()),
                 carried: r.each_ref().map(|r| r.stats.carried.values().sum()),
+                deltas: r.each_ref().map(|r| r.deltas.len()),
             }
         })
         .collect()

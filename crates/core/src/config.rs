@@ -117,9 +117,12 @@ impl PruningConfig {
     }
 }
 
+/// The shipped optimizer is the exact one: every pruning technique, with
+/// reclaimed costs kept current. `all()` stays the paper-literal
+/// ablation point of Figs 7/8.
 impl Default for PruningConfig {
     fn default() -> PruningConfig {
-        PruningConfig::all()
+        PruningConfig::all_strict()
     }
 }
 

@@ -1227,6 +1227,21 @@ mod tests {
     }
 
     #[test]
+    fn the_default_configuration_finds_the_optimum_of_the_counter_example() {
+        // The shipped optimizer is the exact one: the step above lands on
+        // the optimum, 4 436 (`all()` stays at 5 476).
+        let c = fixture_catalog();
+        let q = chain_query(&c, 3);
+        let step = [ParamDelta::LeafScanCost(LeafId(2), 0.125)];
+        let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::default());
+        opt.optimize();
+        let out = opt.reoptimize(&step);
+        assert_eq!(out.cost.value().round(), 4436.0, "{:?}", out.cost);
+        assert!(out.cost.approx_eq(reference_cost(&q, &step)));
+        opt.check_invariants().unwrap();
+    }
+
+    #[test]
     fn parameters_the_query_does_not_have_are_no_ops() {
         // Callers do feed `LeafId(n_leaves)` / `EdgeId(n_edges)`; the
         // index lists nothing for them, so the epoch seeds nothing.

@@ -8,13 +8,23 @@ use reopt_expr::{EdgeId, ExprId, LeafId, QuerySpec};
 
 use crate::executor::ExecStats;
 
-/// Derives parameter deltas from observed cardinalities.
+/// The re-optimization trigger: an estimate is corrected only when the
+/// observation is more than `Q`× off it, in either direction — its
+/// q-error `max(r, 1/r)` of the ratio `r` of observed to estimated rows
+/// exceeds `Q` (Perron et al. 2019). A count that merely moves feeds
+/// nothing back, so a stationary stream re-optimizes nothing.
+pub const Q: f64 = 2.0;
+
+/// Derives parameter deltas from observed cardinalities whose estimate
+/// is more than [`Q`]× off.
 ///
 /// Leaf discrepancies become `LeafCardinality` factors. Join
 /// discrepancies are attributed to the edges *completed* at the smallest
 /// observed expression containing them, splitting the ratio evenly when
 /// one node completes several edges (the standard mid-query
-/// re-estimation heuristic).
+/// re-estimation heuristic). A join is judged by its whole expression,
+/// before the split; one within tolerance still claims its edges, so a
+/// larger expression does not re-attribute them.
 pub fn observed_deltas(
     q: &QuerySpec,
     ctx: &CostContext,
@@ -30,11 +40,14 @@ pub fn observed_deltas(
         let Some(obs) = stats.rows_of(expr) else {
             continue;
         };
-        let est = scratch.leaf_out_rows(l).max(1e-9);
+        let ratio = obs.max(1e-3) / scratch.leaf_out_rows(l).max(1e-9);
+        if q_error(ratio) <= Q {
+            continue;
+        }
         let current = scratch.factors().leaf_card(l);
-        let raw = (obs.max(1e-3) / est) * current;
-        let factor = damped(current, raw, damping);
-        if (factor / current - 1.0).abs() > 1e-6 {
+        let factor = damped(current, current * ratio, damping);
+        // Held by the clamp (or by damping 0): nothing to feed back.
+        if factor != current {
             out.push(ParamDelta::LeafCardinality(l, factor));
         }
     }
@@ -61,14 +74,17 @@ pub fn observed_deltas(
         if new_edges.is_empty() {
             continue;
         }
-        let est = scratch.rows(q, expr.rel).max(1e-9);
-        let ratio = (obs.max(1e-3) / est).powf(1.0 / new_edges.len() as f64);
+        attributed.extend(&new_edges);
+        let ratio = obs.max(1e-3) / scratch.rows(q, expr.rel).max(1e-9);
+        if q_error(ratio) <= Q {
+            continue;
+        }
+        let per_edge = ratio.powf(1.0 / new_edges.len() as f64);
         let mut batch = Vec::new();
         for e in new_edges {
-            attributed.insert(e);
             let current = scratch.factors().edge_sel(e);
-            let factor = damped(current, current * ratio, damping);
-            if (factor / current - 1.0).abs() > 1e-6 {
+            let factor = damped(current, current * per_edge, damping);
+            if factor != current {
                 batch.push(ParamDelta::EdgeSelectivity(e, factor));
             }
         }
@@ -76,6 +92,11 @@ pub fn observed_deltas(
         out.extend(batch);
     }
     out
+}
+
+/// How far apart an observation and its estimate are, as a factor ≥ 1.
+fn q_error(ratio: f64) -> f64 {
+    ratio.max(1.0 / ratio)
 }
 
 /// Exponential damping between the current and the raw new factor:
@@ -96,22 +117,35 @@ mod tests {
     use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
     use reopt_expr::RelSet;
 
-    fn fixture() -> (Catalog, QuerySpec) {
+    /// A chain `t0 ⋈ t1 ⋈ …` on `k`, one table per entry of `rows`.
+    fn chain(rows: &[f64]) -> (Catalog, QuerySpec) {
         let mut c = Catalog::new();
-        for (name, rows) in [("r", 100.0), ("s", 1000.0)] {
+        for (i, &n) in rows.iter().enumerate() {
             c.add_table(
-                |id| TableBuilder::new(name).int_col("k").int_col("v").build(id),
+                |id| {
+                    TableBuilder::new(format!("t{i}"))
+                        .int_col("k")
+                        .int_col("v")
+                        .build(id)
+                },
                 TableStats {
-                    row_count: rows,
-                    columns: vec![ColumnStats::uniform_key(rows); 2],
+                    row_count: n,
+                    columns: vec![ColumnStats::uniform_key(n); 2],
                 },
             );
         }
         let mut b = QuerySpec::builder("q");
-        let r = b.leaf(&c, "r");
-        let s = b.leaf(&c, "s");
-        b.join(&c, r, "k", s, "k");
+        let leaves: Vec<LeafId> = (0..rows.len())
+            .map(|i| b.leaf(&c, &format!("t{i}")))
+            .collect();
+        for w in leaves.windows(2) {
+            b.join(&c, w[0], "k", w[1], "k");
+        }
         (c, b.build())
+    }
+
+    fn fixture() -> (Catalog, QuerySpec) {
+        chain(&[100.0, 1000.0])
     }
 
     #[test]
@@ -173,5 +207,115 @@ mod tests {
         };
         assert!((f(&full[0]) - 4.0).abs() < 1e-6);
         assert!((f(&half[0]) - 2.0).abs() < 1e-6); // sqrt(4) via pow(0.5)
+    }
+
+    /// Observed rows per relation set.
+    fn observe(rows: &[(RelSet, f64)]) -> ExecStats {
+        let mut stats = ExecStats::default();
+        for &(rel, n) in rows {
+            stats.rows.insert(ExprId::rel(rel), n);
+        }
+        stats
+    }
+
+    #[test]
+    fn an_observation_within_q_of_its_estimate_feeds_nothing_back() {
+        let (c, q) = fixture();
+        let mut ctx = CostContext::new(&c, &q);
+        let leaf = ctx.leaf_out_rows(LeafId(0));
+        let join = ctx.rows(&q, RelSet(0b11));
+        for off in [1.01, 1.5, 1.99, Q] {
+            for skew in [off, 1.0 / off] {
+                let stats = observe(&[
+                    (RelSet::singleton(0), leaf * skew),
+                    (RelSet(0b11), join * skew),
+                ]);
+                for damping in [0.5, 1.0] {
+                    let deltas = observed_deltas(&q, &ctx, &stats, damping);
+                    assert!(deltas.is_empty(), "{skew}× off: {deltas:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn beyond_q_the_delta_is_the_damped_correction() {
+        let (c, q) = fixture();
+        let mut ctx = CostContext::new(&c, &q);
+        ctx.apply(&[ParamDelta::LeafCardinality(LeafId(1), 3.0)]);
+        let leaf = ctx.leaf_out_rows(LeafId(1));
+        for skew in [2.5, 1.0 / 2.5, 40.0, 1.0 / 40.0] {
+            for damping in [0.5, 1.0] {
+                let stats = observe(&[(RelSet::singleton(1), leaf * skew)]);
+                // What every observation used to feed back, bit for bit.
+                let want = damped(3.0, 3.0 * (leaf * skew / leaf), damping);
+                assert!((want / 3.0 - skew.powf(damping)).abs() < 1e-9);
+                assert_eq!(
+                    observed_deltas(&q, &ctx, &stats, damping),
+                    [ParamDelta::LeafCardinality(LeafId(1), want)],
+                    "{skew}× off, damping {damping}"
+                );
+            }
+        }
+        // A join: the whole expression's ratio, on its one edge.
+        let stats = observe(&[(RelSet(0b11), ctx.rows(&q, RelSet(0b11)) / 3.0)]);
+        let deltas = observed_deltas(&q, &ctx, &stats, 0.5);
+        match deltas[..] {
+            [ParamDelta::EdgeSelectivity(EdgeId(0), f)] => {
+                assert!((f - (1.0f64 / 3.0).sqrt()).abs() < 1e-12, "factor {f}")
+            }
+            _ => panic!("{deltas:?}"),
+        }
+    }
+
+    #[test]
+    fn a_join_within_tolerance_claims_its_edges() {
+        // t0 ⋈ t1 is 1.9× off: within tolerance, so edge 0 stays as it
+        // is — and the three-way join, 3× off, charges all of it to the
+        // one edge it completes, not half to edge 0.
+        let (c, q) = chain(&[100.0, 1000.0, 50.0]);
+        let mut ctx = CostContext::new(&c, &q);
+        let (pair, all) = (RelSet(0b011), RelSet(0b111));
+        let stats = observe(&[
+            (pair, ctx.rows(&q, pair) * 1.9),
+            (all, ctx.rows(&q, all) * 3.0),
+        ]);
+        let deltas = observed_deltas(&q, &ctx, &stats, 1.0);
+        match deltas[..] {
+            [ParamDelta::EdgeSelectivity(EdgeId(1), f)] => {
+                assert!((f - 3.0).abs() < 1e-9, "factor {f}")
+            }
+            _ => panic!("{deltas:?}"),
+        }
+    }
+
+    #[test]
+    fn a_factor_held_at_its_clamp_is_not_fed_back() {
+        // Empty windows: every slice observes nothing, far more than Q×
+        // under an estimate the clamp already holds at its floor.
+        let (c, q) = fixture();
+        let mut ctx = CostContext::new(&c, &q);
+        ctx.apply(&[ParamDelta::LeafCardinality(LeafId(0), 1e-3)]);
+        let stats = observe(&[(RelSet::singleton(0), 0.0)]);
+        assert_eq!(observed_deltas(&q, &ctx, &stats, 1.0), []);
+    }
+
+    #[test]
+    fn with_damping_one_the_factor_jumps_only_beyond_q() {
+        // An observation creeping away from the estimate moves nothing
+        // until it is more than Q× off, then jumps straight to it.
+        let (c, q) = fixture();
+        let mut ctx = CostContext::new(&c, &q);
+        let base = ctx.leaf_out_rows(LeafId(0));
+        let mut factors = Vec::new();
+        for skew in [1.0, 1.3, 1.7, 2.0, 2.2, 2.6, 3.5, 4.3, 5.0] {
+            let stats = observe(&[(RelSet::singleton(0), base * skew)]);
+            ctx.apply(&observed_deltas(&q, &ctx, &stats, 1.0));
+            factors.push(ctx.factors().leaf_card(LeafId(0)));
+        }
+        let want = [1.0, 1.0, 1.0, 1.0, 2.2, 2.2, 2.2, 2.2, 5.0];
+        for (got, want) in factors.iter().zip(want) {
+            assert!((got - want).abs() < 1e-9, "{factors:?}");
+        }
     }
 }

@@ -21,7 +21,7 @@ fn main() {
     let q5 = QueryId::Q5.build(&catalog);
     let partitions = gen.partition(&db, &catalog, 8);
     println!("executing Q5 over {} skewed partitions…\n", partitions.len());
-    let reports = run_partitions(&catalog, &q5, &partitions, PruningConfig::all(), 0.5);
+    let reports = run_partitions(&catalog, &q5, &partitions, PruningConfig::default(), 0.5);
     println!(
         "{:<6} {:>12} {:>12} {:>9} {:>12} {:>8}",
         "round", "inc-reopt", "volcano", "speedup", "touched", "plan?"

@@ -18,7 +18,7 @@ fn main() {
     // 2. Build Q5 (6-way join) and run initial optimization with all
     //    three pruning strategies of the paper enabled.
     let q5 = QueryId::Q5.build(&catalog);
-    let mut optimizer = IncrementalOptimizer::new(&catalog, q5, PruningConfig::all());
+    let mut optimizer = IncrementalOptimizer::new(&catalog, q5, PruningConfig::default());
     let initial = optimizer.optimize();
     println!("== initial optimization ==");
     println!("best cost: {}", initial.cost);
