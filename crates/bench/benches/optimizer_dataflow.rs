@@ -7,12 +7,9 @@
 //! - `hand_rolled`: the typed delta-propagation engine
 //!   (`reopt_core::IncrementalOptimizer`) with no pruning — the same
 //!   semantics the dataflow network computes;
-//! - `hand_rolled_pruned`: the engine at its headline configuration
-//!   (all pruning strategies, reclaimed costs frozen), the paper's §5
-//!   comparison point;
-//! - `hand_rolled_strict`: the same pruning with reclaimed costs kept
-//!   current (`all_strict()`) — the exact pruned engine, the one
-//!   `BENCHMARK.json` times as `hr`.
+//! - `hand_rolled_strict`: the engine under every pruning strategy
+//!   (`all()`, reclaimed costs kept current) — the paper's §5
+//!   comparison point, and the one `BENCHMARK.json` times as `hr`.
 //!
 //! Scenarios: initial optimization (network construction + evaluation)
 //! and one incremental flip per §4 update kind (scan cost, join
@@ -46,8 +43,7 @@ fn optimizer_dataflow(c: &mut Criterion) {
     });
     let hand_rolled = [
         ("hand_rolled", PruningConfig::none()),
-        ("hand_rolled_pruned", PruningConfig::all()),
-        ("hand_rolled_strict", PruningConfig::all_strict()),
+        ("hand_rolled_strict", PruningConfig::all()),
     ];
     for (column, cfg) in hand_rolled {
         group.bench_function(format!("initial_chain5/{column}"), |b| {

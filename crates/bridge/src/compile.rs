@@ -31,7 +31,6 @@
 //! input feeds port 0 of the relation's union — how `Bound(root)` is
 //! seeded in the paper's Figure 3 program.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -65,8 +64,9 @@ fn const_value(t: &Term) -> Option<Val> {
 }
 
 /// An external function body: receives the values of the atom's input
-/// positions and emits rows of values for its output positions.
-pub type ExternalBody = Rc<RefCell<dyn FnMut(&[Val], &mut dyn FnMut(&[Val]))>>;
+/// positions and emits rows of values for its output positions. A pure
+/// function — one fused chain may call the same body re-entrantly.
+pub type ExternalBody = Rc<dyn Fn(&[Val], &mut dyn FnMut(&[Val]))>;
 
 struct ExternalDef {
     /// How many leading argument positions are inputs; the rest are
@@ -170,13 +170,13 @@ impl NetworkBuilder {
         mut self,
         name: &str,
         inputs: usize,
-        body: impl FnMut(&[Val], &mut dyn FnMut(&[Val])) + 'static,
+        body: impl Fn(&[Val], &mut dyn FnMut(&[Val])) + 'static,
     ) -> NetworkBuilder {
         self.externals.insert(
             name.to_string(),
             ExternalDef {
                 inputs,
-                body: Rc::new(RefCell::new(body)),
+                body: Rc::new(body),
             },
         );
         self
@@ -952,8 +952,7 @@ impl Compiler {
                         In::Const(v) => *v,
                     });
                 }
-                let mut f = body.borrow_mut();
-                f(&in_scratch, &mut |row: &[Val]| {
+                body(&in_scratch, &mut |row: &[Val]| {
                     assert_eq!(
                         row.len(),
                         n_out,
@@ -1557,8 +1556,7 @@ mod tests {
         // per-delta} — identical sinks after mixed churn, and the fused
         // build visibly collapsed chain nodes. B's scan drops a column
         // in front of `Fn_inc`, so it runs behind a demand set; C's
-        // keeps both, and its two externals still fuse (two different
-        // ones: a chain re-entering one body would borrow it twice).
+        // keeps both, and its two externals still fuse.
         let build = |mode: SchedulerMode, fusion: bool| {
             NetworkBuilder::new()
                 .scheduler_mode(mode)
@@ -1610,6 +1608,33 @@ mod tests {
         let labels: Vec<String> = nets[0].node_stats().into_iter().map(|n| n.label).collect();
         assert!(labels.contains(&"fused(Fn_inc∘Fn_dbl)[C]".to_string()), "{labels:?}");
         assert!(labels.contains(&"distinct[demand:B]".to_string()), "{labels:?}");
+    }
+
+    /// One external twice in one rule: the two calls fuse into one
+    /// chain, and the second runs while the first is still emitting —
+    /// a re-entrant call of the same body.
+    #[test]
+    fn a_fused_chain_may_call_one_external_twice() {
+        let calls = Rc::new(Cell::new(0u64));
+        let counted = Rc::clone(&calls);
+        let mut net = NetworkBuilder::new()
+            .input("In", 2)
+            .external("Fn_inc", 1, move |args, emit| {
+                counted.set(counted.get() + 1);
+                emit(&[Val::Int(args[0].as_int() + 1)]);
+            })
+            .rule_texts(["C: Twice(z,w) :- In(x,z), Fn_inc(x,y), Fn_inc(y,w);"])
+            .unwrap()
+            .sink("Twice")
+            .build()
+            .unwrap();
+        let labels: Vec<String> = net.node_stats().into_iter().map(|n| n.label).collect();
+        assert!(labels.contains(&"fused(Fn_inc∘Fn_inc)[C]".to_string()), "{labels:?}");
+        net.insert("In", ints(&[1, 10]));
+        net.insert("In", ints(&[5, 20]));
+        net.run().unwrap();
+        assert_eq!(net.sink("Twice").unwrap().sorted(), vec![ints(&[10, 3]), ints(&[20, 7])]);
+        assert_eq!(calls.get(), 4);
     }
 
     /// `In(parent, child)` expanded per child: `Fn_expand(x | y)` emits

@@ -32,8 +32,8 @@
 //!   aggregate-selection strategy (a plan's total uses its children's
 //!   *best* costs). `Fn_sum` remains the external it is in R7/R8.
 //! - **D9–D10 ≙ R9–R10** (plan selection). D9, the grouped `min<>`
-//!   aggregate, is compiled and maintained: D7, D8 and the bound rules
-//!   read `BestCost` every epoch. D10 ([`BEST_PLAN_RULE`]), the join
+//!   aggregate, is compiled and maintained: D7 and D8 read `BestCost`
+//!   every epoch. D10 ([`BEST_PLAN_RULE`]), the join
 //!   back onto `PlanCost`, is *not* compiled: nothing in the program
 //!   reads `BestPlan`, and the driver asks for it once per epoch for
 //!   the groups on the chosen tree only. [`DataflowOptimizer::best_plan`]
@@ -48,32 +48,25 @@
 //!   driver's DP mirror below: the mirror decides what to *withhold*
 //!   from the network, and an answer taken from it would leave the
 //!   network decorative and every differential against it vacuous.
-//! - **B1–B5 ≙ r1–r4** (recursive bounding, Figure 3): the bound rules
-//!   over the same 4-ary `LocalCost`. r1/r2 split into per-child rules
-//!   (B1/B2 for two-child alternatives, B3 for one-child — the `null`
-//!   child slot fails the `BestCost` join exactly as in D6–D8), B4 is
-//!   r3's `max<>` aggregate and B5 is r4's scalar `min<a,b>` combine.
-//!   `Bound` is a seeded derived relation: the driver maintains the
-//!   root seed `Bound(root) = BestCost(root)` across epochs.
 //!
 //! ## Pruning (§3.3)
 //!
-//! Pruning authority lives in the driver: a deterministic DP mirror of
-//! B1–B5 over the `LocalCost` mirror computes every group's exact best
-//! cost bottom-up and its bound top-down, and every alternative whose
-//! total exceeds its group's bound — except each group's argmin, which
-//! keeps `BestCost` and the extracted plan exact — is *excluded from the network's
-//! `LocalCost` relation*. `SearchSpace` stays complete (enumeration is
-//! not pruned, only costing), so the declarative engine skips the cost
-//! propagation for hopeless alternatives exactly like the hand-rolled
-//! pruned engine. On every reoptimize the driver recomputes the prune
-//! set from the post-delta mirror and feeds the network the difference,
-//! so a pruned alternative that becomes viable is re-costed and a newly
-//! hopeless one is retracted. The in-network B1–B5 derivations are the
-//! *parity diagnostic*: an unpruned build (`with_pruning(.., false)`)
-//! compiles them and its materialized `Bound` sink must equal the
-//! driver's DP (pinned by tests). A pruned build compiles D1–D9 only —
-//! nothing would seed its bound rules.
+//! Recursive bounding (the paper's r1–r4, Figure 3) runs in the driver,
+//! not in the network: a deterministic DP over the `LocalCost` mirror
+//! computes every group's exact best cost bottom-up and its bound
+//! top-down, and every alternative whose total exceeds its group's
+//! bound — except each group's argmin, which keeps `BestCost` and the
+//! extracted plan exact — is *excluded from the network's `LocalCost`
+//! relation*. `SearchSpace` stays complete (enumeration is not pruned,
+//! only costing), so the declarative engine skips the cost propagation
+//! for hopeless alternatives exactly like the hand-rolled pruned
+//! engine. On every reoptimize the driver recomputes the prune set from
+//! the post-delta mirror and feeds the network the difference, so a
+//! pruned alternative that becomes viable is re-costed and a newly
+//! hopeless one is retracted. The network compiles D1–D9 only; the
+//! rules r1–r4 themselves are executed verbatim on the substrate by
+//! `compile.rs`'s `paper_bound_rules_execute_on_the_substrate`, the
+//! way the differential suite holds [`BEST_PLAN_RULE`] to its text.
 //!
 //! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
 //! flag) into an `Int`; `prop` is a dense index into the query's
@@ -106,7 +99,7 @@ use crate::durable;
 
 /// The executable elaboration of the paper's rule program (see the
 /// module docs for the R→D mapping).
-pub const DATAFLOW_RULES: [&str; 12] = [
+pub const DATAFLOW_RULES: [&str; 7] = [
     "D1: SearchSpace(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp) :- \
      Expr(expr,prop), Fn_split(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp);",
     "D2: SearchSpace(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp) :- \
@@ -141,18 +134,6 @@ pub const DATAFLOW_RULES: [&str; 12] = [
      BestCost(lExpr,lProp,lCost), BestCost(rExpr,rProp,rCost), \
      Fn_sum(lCost,rCost,localCost,cost);",
     "D9: BestCost(expr,prop,min<cost>) :- PlanCost(expr,prop,index,cost);",
-    "B1: ParentBound(lExpr,lProp,bound-rCost-localCost) :- \
-     Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,rExpr,rProp), \
-     LocalCost(expr,prop,index,localCost), BestCost(rExpr,rProp,rCost);",
-    "B2: ParentBound(rExpr,rProp,bound-lCost-localCost) :- \
-     Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,rExpr,rProp), \
-     LocalCost(expr,prop,index,localCost), BestCost(lExpr,lProp,lCost);",
-    "B3: ParentBound(lExpr,lProp,bound-localCost) :- \
-     Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,null,null), \
-     LocalCost(expr,prop,index,localCost);",
-    "B4: MaxBound(expr,prop,max<bound>) :- ParentBound(expr,prop,bound);",
-    "B5: Bound(expr,prop,min<minCost,maxBound>) :- \
-     BestCost(expr,prop,minCost), MaxBound(expr,prop,maxBound);",
 ];
 
 /// Rule D10 (the paper's R10) — the specification
@@ -161,10 +142,6 @@ pub const DATAFLOW_RULES: [&str; 12] = [
 /// text into a test-only network and holds the on-demand read to it.
 pub const BEST_PLAN_RULE: &str = "D10: BestPlan(expr,prop,index,cost) :- \
      BestCost(expr,prop,cost), PlanCost(expr,prop,index,cost);";
-
-/// How many of [`DATAFLOW_RULES`] come before the bound rules B1–B5:
-/// D1–D9, all a pruned build compiles.
-const RULES_WITHOUT_BOUNDS: usize = 7;
 
 /// The executable program in IR form.
 pub fn dataflow_program() -> Vec<Rule> {
@@ -179,21 +156,13 @@ fn program() -> &'static [Rule] {
     })
 }
 
-/// The relations a network materializes for the driver: `Bound` only
-/// where B1–B5 are compiled (see [`build_network`]).
-fn sink_names(pruning: bool) -> &'static [&'static str] {
-    const SINKS: [&str; 3] = ["SearchSpace", "BestCost", "Bound"];
-    if pruning {
-        &SINKS[..2]
-    } else {
-        &SINKS
-    }
-}
+/// The relations a network materializes for the driver.
+const SINKS: [&str; 2] = ["SearchSpace", "BestCost"];
 
 /// Every relation the audit looks at: the sinks, and the `PlanCost`
 /// rows plan extraction probes.
-fn views(net: &RuleNetwork, pruning: bool) -> impl Iterator<Item = (&'static str, &Multiset)> {
-    let sinks = sink_names(pruning).iter().map(move |&name| {
+fn views(net: &RuleNetwork) -> impl Iterator<Item = (&'static str, &Multiset)> {
+    let sinks = SINKS.iter().map(move |&name| {
         let sink = net.sink(name);
         (name, sink.expect("build_network materializes every view the driver reads"))
     });
@@ -396,8 +365,9 @@ pub struct DataflowOptimizer {
     /// (or by [`DataflowOptimizer::recover`]). `None` keeps the optimizer
     /// purely in-memory, exactly as before.
     durable: Option<Durable>,
-    /// Driver-side pruning (the B1–B5 DP mirror; see module docs).
-    pruning: Pruning,
+    /// Per [`AltId`]: excluded from the network's `LocalCost` relation
+    /// by driver-side pruning (see the module docs).
+    pruned: Vec<bool>,
     /// Cached [`topo_order`] of the (immutable) memo, reused by every
     /// per-epoch [`BoundDp::compute`].
     topo: Vec<GroupId>,
@@ -425,20 +395,10 @@ impl Durable {
     }
 }
 
-/// Driver-side pruning state: which alternatives are currently excluded
-/// from the network's `LocalCost` relation, and the `Bound(root)` seed
-/// value the network currently holds.
-struct Pruning {
-    enabled: bool,
-    pruned: Vec<bool>,
-    root_bound: Option<Cost>,
-}
-
-/// The DP mirror of rules B1–B5 (see the module docs): exact best cost
-/// per group bottom-up, bound per group top-down. With `mask`, masked
-/// alternatives contribute neither totals nor allowances — the state an
-/// already-pruned network computes, used by the parity diagnostic; the
-/// *pruning decision* always runs unmasked.
+/// The driver's DP of rules r1–r4 over the `LocalCost` mirror (see the
+/// module docs): exact best cost per group bottom-up, bound per group
+/// top-down, over every alternative — pruned ones included, so one
+/// re-enters the moment a delta makes it viable.
 struct BoundDp {
     /// Total cost per alternative (`Fn_sum` association order, so the
     /// values agree bit-for-bit with the network's `PlanCost`).
@@ -447,7 +407,7 @@ struct BoundDp {
     best: Vec<Cost>,
     argmin: Vec<Option<AltId>>,
     /// `min(best, max over parent allowances)`; the root's is its best.
-    /// `None` for a group no unmasked parent alternative bounds.
+    /// `None` for a group no parent alternative bounds.
     bound: Vec<Option<Cost>>,
 }
 
@@ -510,9 +470,8 @@ fn plan_cost_strata(memo: &Memo, order: &[GroupId]) -> Vec<u32> {
 impl BoundDp {
     /// `order` must be [`topo_order`] of the same memo (postorder:
     /// children before parents; its reverse visits parents first).
-    fn compute(memo: &Memo, local: &[Cost], mask: Option<&[bool]>, order: &[GroupId]) -> BoundDp {
+    fn compute(memo: &Memo, local: &[Cost], order: &[GroupId]) -> BoundDp {
         let n_groups = memo.n_groups();
-        let masked = |a: AltId| mask.is_some_and(|m| m[a.0 as usize]);
         let mut dp = BoundDp {
             alt_cost: vec![Cost::INFINITY; memo.n_alts()],
             best: vec![Cost::INFINITY; n_groups],
@@ -521,9 +480,6 @@ impl BoundDp {
         };
         for &g in order {
             for a in memo.alts_of(g) {
-                if masked(a) {
-                    continue;
-                }
                 let alt = memo.alt(a);
                 // Fn_sum's association order: local, then left, right.
                 let mut c = local[a.0 as usize];
@@ -551,31 +507,28 @@ impl BoundDp {
         for &g in order.iter().rev() {
             let gi = g.0 as usize;
             dp.bound[gi] = if g == memo.root {
-                // The seeded `Bound(root)`: never settle for worse than
-                // the best plan already known.
+                // The root's bound, which Figure 3 seeds: never settle
+                // for worse than the best plan already known.
                 Some(dp.best[gi])
             } else {
-                // B5: min(minCost, maxBound); ties keep the first
+                // r4: min(minCost, maxBound); ties keep the first
                 // argument, matching the scalar combine.
                 max_bound[gi].map(|mb| if mb < dp.best[gi] { mb } else { dp.best[gi] })
             };
             let Some(b) = dp.bound[gi] else { continue };
             for a in memo.alts_of(g) {
-                if masked(a) {
-                    continue;
-                }
                 let alt = memo.alt(a);
                 let local_cost = local[a.0 as usize];
                 match (alt.left, alt.right) {
                     (Some(l), Some(r)) => {
-                        // B1/B2 subtraction chains, in rule order.
+                        // r1/r2 subtraction chains, in rule order.
                         let al = b - dp.best[r.0 as usize] - local_cost;
                         relax(&mut max_bound[l.0 as usize], al);
                         let ar = b - dp.best[l.0 as usize] - local_cost;
                         relax(&mut max_bound[r.0 as usize], ar);
                     }
                     (Some(l), None) => {
-                        // B3: the single child gets the full remainder.
+                        // The single child gets the full remainder.
                         relax(&mut max_bound[l.0 as usize], b - local_cost);
                     }
                     _ => {}
@@ -596,27 +549,16 @@ impl BoundDp {
 
 impl DataflowOptimizer {
     pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowOptimizer {
-        DataflowOptimizer::with_pruning(catalog, q, true)
-    }
-
-    /// Builds the optimizer with driver-side pruning on or off. Pruning
-    /// is on by default; the unpruned build is the reference for the
-    /// pruning differential and the `Bound` parity diagnostic.
-    pub fn with_pruning(catalog: &Catalog, q: QuerySpec, pruning: bool) -> DataflowOptimizer {
         let graph = JoinGraph::new(&q);
         let memo = Rc::new(Memo::build(&q, &graph));
         let ctx = CostContext::new(catalog, &q);
         let props = Rc::new(PropTable::new(&memo));
         let topo = topo_order(&memo);
         let strata = plan_cost_strata(&memo, &topo);
-        let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata, pruning);
+        let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
         let local = vec![Cost::INFINITY; memo.n_alts()];
         let reached = vec![false; memo.n_groups()];
-        let pruning = Pruning {
-            enabled: pruning,
-            pruned: vec![false; memo.n_alts()],
-            root_bound: None,
-        };
+        let pruned = vec![false; memo.n_alts()];
         DataflowOptimizer {
             q,
             memo,
@@ -632,7 +574,7 @@ impl DataflowOptimizer {
             audit: AuditMode::from_env(),
             epochs_seen: 0,
             durable: None,
-            pruning,
+            pruned,
             topo,
             strata,
             plan_cost_probes: Cell::new(0),
@@ -753,8 +695,8 @@ impl DataflowOptimizer {
             }
         }
         // All network deltas — value updates, prune retractions and
-        // re-assertions, and the root Bound seed — flow through one
-        // diffing pass so the network always mirrors the driver state.
+        // re-assertions — flow through one diffing pass so the network
+        // always mirrors the driver state.
         self.push_pruned_diff(&old_values);
         let (stats, recovery) = self.run_recovering();
         self.outcome(stats, recovery)
@@ -815,39 +757,32 @@ impl DataflowOptimizer {
             .expect("a fresh fault-free network converges")
     }
 
-    /// A new, unseeded network for this query and pruning mode.
+    /// A new, unseeded network for this query.
     fn fresh_network(&self) -> RuleNetwork {
-        build_network(
-            Rc::clone(&self.memo),
-            Rc::clone(&self.props),
-            &self.strata,
-            self.pruning.enabled,
-        )
+        build_network(Rc::clone(&self.memo), Rc::clone(&self.props), &self.strata)
     }
 
     /// Seeds a freshly built network with everything the driver state
     /// implies: the root `Expr` demand, then — as the diff against a
     /// network that has been fed nothing — the unpruned slice of the
-    /// `LocalCost` mirror and the `Bound(root)` seed.
+    /// `LocalCost` mirror.
     fn seed_network(&mut self) {
         let root = self.group_key(self.memo.root);
         self.net.insert("Expr", Tuple::from_slice(&root));
-        self.pruning.pruned.fill(true);
-        self.pruning.root_bound = None;
+        self.pruned.fill(true);
         self.push_pruned_diff(&[]);
     }
 
     /// Recomputes the prune set from the post-delta mirror and feeds
     /// the network the difference, in one pass over the memo: value
     /// updates for surviving alternatives, retractions for newly pruned
-    /// ones, assertions for newly viable ones, and the root `Bound`
-    /// seed update. `old_values` holds, in `AltId` order, what the
+    /// ones and assertions for newly viable ones. `old_values` holds, in `AltId` order, what the
     /// network holds for the alternatives whose mirror value this batch
     /// changed. The driver is the pruning authority — the DP runs over
     /// *all* alternatives, so an alternative the network never costed
     /// still re-enters the moment a delta makes it viable.
     fn push_pruned_diff(&mut self, old_values: &[(AltId, Cost)]) {
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
+        let dp = BoundDp::compute(&self.memo, &self.local, &self.topo);
         // Alternative ids are dense in group order, so the memo walk
         // and `old_values` advance in step.
         let mut changed = old_values.iter().peekable();
@@ -857,9 +792,9 @@ impl DataflowOptimizer {
             let key = self.group_key(g);
             for a in self.memo.alts_of(g) {
                 let i = a.0 as usize;
-                let was_in = !self.pruning.pruned[i];
-                let now_in = !(self.pruning.enabled && dp.prunes(g, a));
-                self.pruning.pruned[i] = !now_in;
+                let was_in = !self.pruned[i];
+                let now_in = !dp.prunes(g, a);
+                self.pruned[i] = !now_in;
                 let nv = self.local[i];
                 // What the network holds for a present row: the
                 // pre-delta value for this batch's candidates, the
@@ -875,26 +810,6 @@ impl DataflowOptimizer {
         }
         self.net.extend("LocalCost", deltas);
         debug_assert!(changed.next().is_none(), "`old_values` is not in `AltId` order");
-        // The `Bound(root)` seed exists only on unpruned builds, where
-        // it drives the in-network B1–B5 derivation that the parity
-        // diagnostic checks against the driver DP. On pruned builds the
-        // driver DP is the pruning authority (it already excluded the
-        // pruned `LocalCost` rows above) and the bound rules are not
-        // compiled: a maintained in-network bound would re-derive the
-        // whole `Bound` relation every epoch — the root's best cost
-        // moves on almost every update — turning each incremental
-        // epoch into a full bound cascade for no additional pruning.
-        let new_root_bound = dp.bound[self.memo.root.0 as usize];
-        if !self.pruning.enabled && new_root_bound != self.pruning.root_bound {
-            let root = self.group_key(self.memo.root);
-            if let Some(old) = self.pruning.root_bound {
-                self.net.delete("Bound", bound_tuple(root, old));
-            }
-            if let Some(new) = new_root_bound {
-                self.net.insert("Bound", bound_tuple(root, new));
-            }
-        }
-        self.pruning.root_bound = new_root_bound;
     }
 
     /// Loads recovered parameters into this engine before its first
@@ -950,7 +865,7 @@ impl DataflowOptimizer {
     ///    ([`IncrementalOptimizer::check_invariants`]) and agrees on
     ///    the best cost.
     fn audit_now(&mut self) -> Result<(), DataflowError> {
-        for (name, view) in views(&self.net, self.pruning.enabled) {
+        for (name, view) in views(&self.net) {
             if view.has_negative_counts() {
                 return Err(DataflowError::InvariantViolation(format!(
                     "audit: residual negative counts in {name}"
@@ -971,22 +886,14 @@ impl DataflowOptimizer {
             // The fresh network seeds the same prune set as the live
             // one — the driver is the pruning authority, so an
             // equal-state recompute excludes the same rows.
-            if !self.pruning.pruned[a.0 as usize] {
+            if !self.pruned[a.0 as usize] {
                 fresh.insert("LocalCost", local_tuple(self.group_key(g), a, c));
-            }
-        }
-        // Gated exactly like `push_pruned_diff`: the diagnostic seed
-        // exists only on unpruned builds, so the recompute must match.
-        if !self.pruning.enabled {
-            if let Some(b) = self.pruning.root_bound {
-                fresh.insert("Bound", bound_tuple(root, b));
             }
         }
         fresh.run().map_err(|e| {
             DataflowError::InvariantViolation(format!("audit: from-scratch recompute failed: {e}"))
         })?;
-        let recomputed = views(&fresh, self.pruning.enabled);
-        for ((name, live), (_, want)) in views(&self.net, self.pruning.enabled).zip(recomputed) {
+        for ((name, live), (_, want)) in views(&self.net).zip(views(&fresh)) {
             let (live, want) = (counted(live), counted(want));
             if live != want {
                 return Err(DataflowError::InvariantViolation(format!(
@@ -1052,7 +959,7 @@ impl DataflowOptimizer {
         self.net.sink(relation)
     }
 
-    /// One of the sinks [`build_network`] requests ([`sink_names`]).
+    /// One of the sinks [`build_network`] requests ([`SINKS`]).
     fn view(&self, relation: &str) -> &Multiset {
         self.net
             .sink(relation)
@@ -1325,7 +1232,7 @@ impl DataflowOptimizer {
     /// D10 differential feeds its reference network from this).
     pub fn local_cost_rows(&self) -> Vec<Tuple> {
         (0..self.memo.n_alts() as u32)
-            .filter(|&a| !self.pruning.pruned[a as usize])
+            .filter(|&a| !self.pruned[a as usize])
             .map(|a| {
                 let key = self.group_key(self.memo.alt(AltId(a)).group);
                 local_tuple(key, AltId(a), self.local[a as usize])
@@ -1381,26 +1288,9 @@ impl DataflowOptimizer {
     }
 
     /// Alternatives currently excluded from the network's `LocalCost`
-    /// relation by driver-side pruning (diagnostics; 0 when pruning is
-    /// off).
+    /// relation by driver-side pruning (diagnostics).
     pub fn pruned_alternatives(&self) -> usize {
-        self.pruning.pruned.iter().filter(|&&p| p).count()
-    }
-
-    /// The driver's DP bounds per group, encoded exactly like the
-    /// network's `Bound` rows — the parity diagnostic compares this
-    /// against the materialized `Bound` sink on an unpruned build.
-    pub fn driver_bounds(&self) -> Vec<Tuple> {
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        let mut rows = Vec::new();
-        for gi in 0..self.memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            if let Some(b) = dp.bound[gi as usize] {
-                rows.push(bound_tuple(self.group_key(g), b));
-            }
-        }
-        rows.sort();
-        rows
+        self.pruned.iter().filter(|&&p| p).count()
     }
 }
 
@@ -1446,26 +1336,14 @@ fn local_tuple(key: [Val; 2], a: AltId, c: Cost) -> Tuple {
     Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), Val::Cost(c)])
 }
 
-fn bound_tuple(key: [Val; 2], b: Cost) -> Tuple {
-    Tuple::from_slice(&[key[0], key[1], Val::Cost(b)])
-}
-
 /// A sink's contents as a comparable `tuple → count` map.
 fn counted(sink: &Multiset) -> FxHashMap<Tuple, i64> {
     sink.iter().map(|(t, c)| (t.clone(), c)).collect()
 }
 
 /// Compiles [`DATAFLOW_RULES`] with the memo-backed externals and the
-/// `PlanCost` release order `strata` ([`plan_cost_strata`]). With
-/// `pruning` the bound rules B1–B5, their `Bound` seed input and the
-/// `Bound` sink are left out: the driver DP is the pruning authority
-/// there and nothing would ever seed them.
-fn build_network(
-    memo: Rc<Memo>,
-    props: Rc<PropTable>,
-    strata: &[u32],
-    pruning: bool,
-) -> RuleNetwork {
+/// `PlanCost` release order `strata` ([`plan_cost_strata`]).
+fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNetwork {
     let split_memo = Rc::clone(&memo);
     let split_props = Rc::clone(&props);
     // Pre-encode Fn_split's output rows once per alternative: the
@@ -1504,20 +1382,12 @@ fn build_network(
             ]
         })
         .collect();
-    let mut rules = program();
     let mut builder = NetworkBuilder::new().input("Expr", 2).input("LocalCost", 4);
-    if pruning {
-        rules = &rules[..RULES_WITHOUT_BOUNDS];
-    } else {
-        // Seeded derived relation: the driver maintains `Bound(root)`
-        // as a base fact; B5 derives the rest of the relation.
-        builder = builder.input("Bound", 3);
-    }
-    for name in sink_names(pruning) {
+    for name in SINKS {
         builder = builder.sink(name);
     }
     builder
-        .rules(rules.iter().cloned())
+        .rules(program().iter().cloned())
         // `PlanCost(expr,prop,index,cost)`, held by `index`.
         .release_order("PlanCost", 2, strata.to_vec())
         // Fn_split(expr,prop | index,logOp,phyOp,lExpr,lProp,rExpr,rProp):
@@ -1595,7 +1465,7 @@ mod tests {
 
     #[test]
     fn the_executable_program_parses_and_compiles() {
-        assert_eq!(dataflow_program().len(), 12);
+        assert_eq!(dataflow_program().len(), 7);
         parse_rules([BEST_PLAN_RULE]).expect("the specification of `best_plan` parses");
         let c = fixture_catalog();
         let opt = DataflowOptimizer::new(&c, chain_query(&c, 3));
@@ -1618,30 +1488,6 @@ mod tests {
         for proven in ["group-agg[D9]", "arrange[D6]", "arrange[D7]"] {
             assert!(!live(proven).unwrap().coalesces, "{proven}");
         }
-    }
-
-    #[test]
-    fn pruned_builds_compile_the_rules_before_the_bound_rules() {
-        let bound_heads = ["ParentBound", "MaxBound", "Bound"];
-        let rules = dataflow_program();
-        let (core, bounds) = rules.split_at(RULES_WITHOUT_BOUNDS);
-        assert!(core.iter().all(|r| !bound_heads.contains(&r.head.relation.as_str())
-            && r.body.iter().all(|a| !bound_heads.contains(&a.relation.as_str()))));
-        assert!(bounds.iter().all(|r| bound_heads.contains(&r.head.relation.as_str())));
-        assert_eq!((core.len(), bounds.len()), (7, 5));
-
-        let c = fixture_catalog();
-        let q = chain_query(&c, 4);
-        let mut pruned = DataflowOptimizer::with_pruning(&c, q.clone(), true);
-        let mut unpruned = DataflowOptimizer::with_pruning(&c, q, false);
-        assert!(pruned.network_nodes() < unpruned.network_nodes());
-        assert!(pruned.sink("Bound").is_none());
-        assert!(unpruned.sink("Bound").is_some());
-        // The audit compares exactly the sinks each build has.
-        pruned.optimize();
-        unpruned.optimize();
-        pruned.audit().expect("pruned build audits clean");
-        unpruned.audit().expect("unpruned build audits clean");
     }
 
     #[test]
@@ -1983,10 +1829,10 @@ mod tests {
     #[test]
     fn pruned_and_unpruned_builds_agree_with_hand_rolled() {
         // The pruning differential: driver-side pruning must be purely
-        // an optimization — costs stay exact against both the unpruned
-        // network and the hand-rolled engine across every fixture and a
-        // mixed update sequence (including a revert), while SearchSpace
-        // stays complete so Fn_split demand is unaffected.
+        // an optimization — costs stay exact against the unpruned
+        // hand-rolled engine across every fixture and a mixed update
+        // sequence (including a revert), while SearchSpace stays
+        // complete so Fn_split demand is unaffected.
         let c = fixture_catalog();
         let batches: Vec<Vec<ParamDelta>> = vec![
             vec![ParamDelta::EdgeSelectivity(EdgeId(0), 7.0)],
@@ -1997,20 +1843,15 @@ mod tests {
         let mut ever_pruned = 0usize;
         for q in fixture_queries() {
             let mut pruned = DataflowOptimizer::new(&c, q.clone());
-            let mut full = DataflowOptimizer::with_pruning(&c, q.clone(), false);
             let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
             let w = hand.optimize();
             assert_agree(&pruned.optimize(), &w, &q.name);
-            assert_agree(&full.optimize(), &w, &format!("{} unpruned", q.name));
-            assert_eq!(full.pruned_alternatives(), 0, "{}", q.name);
             assert_eq!(pruned.search_space_size(), pruned.memo().n_alts(), "{}", q.name);
             ever_pruned += pruned.pruned_alternatives();
             for batch in &batches {
-                let a = pruned.reoptimize(batch);
-                let b = full.reoptimize(batch);
+                let got = pruned.reoptimize(batch);
                 let want = hand.reoptimize(batch);
-                assert_agree(&a, &want, &format!("{} pruned after {batch:?}", q.name));
-                assert_agree(&b, &want, &format!("{} unpruned after {batch:?}", q.name));
+                assert_agree(&got, &want, &format!("{} pruned after {batch:?}", q.name));
                 assert_eq!(
                     pruned.search_space_size(),
                     pruned.memo().n_alts(),
@@ -2021,34 +1862,6 @@ mod tests {
             pruned.audit().expect("pruned state passes the audit");
         }
         assert!(ever_pruned > 0, "pruning never excluded an alternative");
-    }
-
-    #[test]
-    fn bound_sink_matches_the_driver_dp_on_an_unpruned_build() {
-        // Parity diagnostic for the in-network B1–B5 rules: on a build
-        // whose LocalCost relation is complete, the materialized
-        // `Bound` sink must equal the driver DP row-for-row — same
-        // groups, bit-identical bound values (both sides subtract and
-        // aggregate in the same order).
-        let c = fixture_catalog();
-        for q in fixture_queries() {
-            let mut df = DataflowOptimizer::with_pruning(&c, q.clone(), false);
-            df.optimize();
-            let check = |df: &DataflowOptimizer, what: &str| {
-                let mut got: Vec<Tuple> = df
-                    .sink("Bound")
-                    .unwrap()
-                    .iter()
-                    .filter(|(_, n)| *n > 0)
-                    .map(|(t, _)| t.clone())
-                    .collect();
-                got.sort();
-                assert_eq!(got, df.driver_bounds(), "{what}");
-            };
-            check(&df, &q.name);
-            df.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(0), 6.0)]);
-            check(&df, &format!("{} after a selectivity delta", q.name));
-        }
     }
 
     #[test]
@@ -2318,9 +2131,9 @@ mod tests {
         // The network's `PlanCost` rows (absent for pruned alternatives)
         // and `BestCost` values, from the driver's DP mirror.
         fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Cost>) {
-            let dp = BoundDp::compute(&df.memo, &df.local, None, &df.topo);
+            let dp = BoundDp::compute(&df.memo, &df.local, &df.topo);
             let plan_cost = (0..df.memo.n_alts())
-                .map(|a| (!df.pruning.pruned[a]).then_some(dp.alt_cost[a]))
+                .map(|a| (!df.pruned[a]).then_some(dp.alt_cost[a]))
                 .collect();
             (plan_cost, dp.best)
         }
@@ -2346,7 +2159,7 @@ mod tests {
                 for batch in &batches {
                     let (plan_before, best_before) = rows(&df);
                     let local_before = df.local.clone();
-                    let pruned_before = df.pruning.pruned.clone();
+                    let pruned_before = df.pruned.clone();
                     let work = |df: &DataflowOptimizer| {
                         [
                             stat(df, "distinct[PlanCost]").deltas,
@@ -2359,7 +2172,7 @@ mod tests {
                     assert!(out.recovery.is_clean(), "{}: {:?}", q.name, out.recovery);
                     let (plan_after, best_after) = rows(&df);
                     let differs = |a: &usize| plan_before[*a] != plan_after[*a];
-                    let moved = |a: &usize| pruned_before[*a] != df.pruning.pruned[*a];
+                    let moved = |a: &usize| pruned_before[*a] != df.pruned[*a];
                     let fed = |a: &usize| {
                         df.memo.alt(AltId(*a as u32)).right.is_some()
                             && (local_before[*a] != df.local[*a] || moved(a))

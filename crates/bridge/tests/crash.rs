@@ -660,42 +660,6 @@ fn assert_degrades_to_the_whole_wal(
     assert_eq!(rec.applied_log(), oracle.applied_log());
 }
 
-/// Topology independence: a checkpoint says nothing about the network
-/// that cut it. An unpruned build compiles the bound rules B1–B5 too —
-/// more nodes, a `Bound` input and sink — and the checkpoint it cuts
-/// restores under the default pruned build with the oracle's cost, plan
-/// and sinks. (While checkpoints were network images this was refused
-/// as a topology mismatch, like every image a compiler change predated.)
-#[test]
-fn a_checkpoint_cut_by_another_network_restores_under_this_one() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("other-network");
-    let batches = chain5_batches(&q);
-    let oracle = oracle_after(&c, &q, &batches);
-
-    let mut other = DataflowOptimizer::with_pruning(&c, q.clone(), false);
-    other.set_audit_mode(AuditMode::Off);
-    other.set_durable_dir(&dir).unwrap();
-    other.optimize();
-    for (i, batch) in batches.iter().enumerate() {
-        other.reoptimize(batch);
-        if i == 1 {
-            other.checkpoint_durable().unwrap();
-        }
-    }
-    assert!(other.network_nodes() > oracle.network_nodes());
-    drop(other);
-
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
-    assert_eq!(rec.network_nodes(), oracle.network_nodes());
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "under the other build's checkpoint");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The checkpoints older builds cut were network images: four records
 /// (meta, delta log, `LocalCost` mirror, embedded network) under the
 /// magic `RCKP`. One left in a durable directory across the upgrade is

@@ -198,7 +198,7 @@ fn boot_counters_stay_within_two_percent_of_their_pins() {
 const PIN_STAR_BOOT: [u64; 3] = [31_204, 177, 2_643];
 const PIN_Q5_BOOT: [u64; 3] = [5_797, 114, 420];
 
-/// The same gate on the exact hand-rolled engine (`all_strict()`) over
+/// The same gate on the hand-rolled engine under full pruning over
 /// the same walks: queue pops, alternatives whose cost or liveness
 /// changed, and alternatives marked while seeding from the parameter
 /// index may not exceed their pins plus 2%. While the changed cone was
@@ -211,7 +211,7 @@ fn hand_rolled_strict_counters_stay_within_two_percent_of_their_pins() {
     let pins = [PIN_STAR_CORE, PIN_Q5_CORE];
     for ((name, gen, walk), pin) in pinned_walks().into_iter().zip(pins) {
         let (c, q) = build(&gen);
-        let mut opt = IncrementalOptimizer::new(&c, q, PruningConfig::all_strict());
+        let mut opt = IncrementalOptimizer::new(&c, q, PruningConfig::all());
         opt.optimize();
         let mut got = [0u64; 3];
         for batch in &walk {

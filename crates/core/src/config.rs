@@ -1,6 +1,13 @@
 //! Pruning-strategy configuration — the experimental knobs of the
 //! paper's §5.3 ablation ("we systematically considered all techniques
 //! individually and in combination").
+//!
+//! Every configuration is exact. Pruning decides what is *live* — which
+//! alternatives hold references, which groups derive bounds and count
+//! as unpruned — never which costs are current: a reclaimed group's
+//! costs are maintained like any other (§4.1: the aggregate keeps "all
+//! the computed, even pruned" tuples), so a cost decrease landing
+//! inside a reclaimed region is seen.
 
 /// Which pruning strategies the optimizer runs with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,17 +26,6 @@ pub struct PruningConfig {
     /// §3.3 recursive bounding: the `Bound` relation of rules r1–r4;
     /// suppression then tests against `Bound` instead of `BestCost`.
     pub recursive_bounding: bool,
-    /// Exact re-optimization under pruning (§4.1 taken at its word: the
-    /// aggregate keeps "all the computed, even pruned" tuples): a
-    /// tombstoned group's costs are *maintained* — every total and every
-    /// best stays current through cost increases and decreases alike —
-    /// so a decrease landing entirely inside a reclaimed region is seen.
-    /// What pruning still reclaims is references, bounds and membership
-    /// in [`crate::StateMetrics`]; the price is re-costing alternatives
-    /// of reclaimed groups in the changed cone. Off, reclaimed costs
-    /// freeze (the paper-literal Fig 7/8 ablation), and only cost
-    /// increases are guaranteed exact.
-    pub strict_revalidation: bool,
 }
 
 impl PruningConfig {
@@ -41,7 +37,6 @@ impl PruningConfig {
             source_suppression: false,
             ref_counting: false,
             recursive_bounding: false,
-            strict_revalidation: false,
         }
     }
 
@@ -86,17 +81,13 @@ impl PruningConfig {
             source_suppression: true,
             ref_counting: true,
             recursive_bounding: true,
-            strict_revalidation: false,
         }
     }
 
-    /// `all()` with reclaimed costs kept current: the exact pruned
-    /// configuration.
+    /// The same configuration as [`PruningConfig::all`], under the name
+    /// it had while `all()` froze reclaimed costs.
     pub fn all_strict() -> PruningConfig {
-        PruningConfig {
-            strict_revalidation: true,
-            ..PruningConfig::all()
-        }
+        PruningConfig::all()
     }
 
     /// Human-readable label used by the benchmark harness.
@@ -117,12 +108,10 @@ impl PruningConfig {
     }
 }
 
-/// The shipped optimizer is the exact one: every pruning technique, with
-/// reclaimed costs kept current. `all()` stays the paper-literal
-/// ablation point of Figs 7/8.
+/// The shipped optimizer runs every pruning technique.
 impl Default for PruningConfig {
     fn default() -> PruningConfig {
-        PruningConfig::all_strict()
+        PruningConfig::all()
     }
 }
 

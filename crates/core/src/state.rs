@@ -12,10 +12,8 @@ use crate::memo::AltId;
 pub struct AltState {
     /// `Fn_scancost` / `Fn_nonscancost` output for this root operator.
     pub local: Cost,
-    /// `Fn_sum(local, lBest, rBest)` — the `PlanCost` value. In
-    /// paper-literal mode stale (last computed) while the alternative is
-    /// frozen — a child group tombstoned; always current under
-    /// `strict_revalidation`.
+    /// `Fn_sum(local, lBest, rBest)` — the `PlanCost` value, current
+    /// whether or not the alternative, its group or a child is pruned.
     pub total: Cost,
     /// Present in the live `SearchSpace` / `PlanCost` views. Suppressed
     /// alternatives (live = false) keep maintained costs — they sit in
@@ -47,9 +45,8 @@ pub struct GroupState {
     /// Member of the live plan table. `false` = tombstoned by reference
     /// counting: the group holds no references to its children, derives
     /// no bounds for them and is counted pruned, but its costs are
-    /// retained ("the aggregate operator preserves all the computed,
-    /// even pruned tuples") — frozen at their last values in
-    /// paper-literal mode, kept current under `strict_revalidation`.
+    /// retained and kept current ("the aggregate operator preserves all
+    /// the computed, even pruned tuples").
     pub live: bool,
     /// Number of live parent alternatives referencing this group (plus
     /// one pin for the root). Only meaningful with source suppression.

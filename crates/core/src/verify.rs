@@ -80,37 +80,19 @@ impl IncrementalOptimizer {
     }
 
     /// R6–R9: alternatives have exact local and total costs, and the
-    /// group best is the minimum of its totals. Paper-literal pruning
-    /// holds live groups to this and lets a frozen alternative (a child
-    /// group tombstoned) keep a stale total; `strict_revalidation`
-    /// maintains costs through tombstones, so there every alternative
-    /// of every group — dead or live — is held to it.
+    /// group best is the minimum of its totals. Costs are maintained
+    /// through tombstones, so every alternative of every group — dead
+    /// or live — is held to it.
     fn check_costs(&mut self) -> Result<(), String> {
         let q = self.query().clone();
-        let maintained = self.config().strict_revalidation;
         for gi in 0..self.memo().n_groups() as u32 {
             let g = GroupId(gi);
-            if !maintained && !self.group_state(g).live {
-                continue;
-            }
             let (expr, prop) = {
                 let d = self.memo().group(g);
                 (d.expr, d.prop)
             };
             let mut best = Cost::INFINITY;
             for a in self.memo().alts_of(g) {
-                let frozen = !maintained
-                    && self
-                        .memo()
-                        .alt(a)
-                        .children()
-                        .any(|c| !self.group_state(c).live);
-                if frozen {
-                    // Frozen alternatives contribute their stale stored
-                    // totals to the aggregate (the retained queue).
-                    best = best.min(self.alt_state(a).total);
-                    continue;
-                }
                 let spec = self.memo().alt(a).spec;
                 let expect_local = self.recompute_local(&q, g, &spec);
                 let got_local = self.alt_state(a).local;
@@ -142,7 +124,8 @@ impl IncrementalOptimizer {
     }
 
     /// §3.1/§3.3: alternative liveness agrees with the suppression
-    /// threshold; frozen alternatives are never live.
+    /// threshold; an alternative over a tombstoned child is never live
+    /// (it would hold a reference the child does not count).
     fn check_liveness(&mut self) -> Result<(), String> {
         if !self.config().aggregate_selection {
             return Ok(());
@@ -159,17 +142,11 @@ impl IncrementalOptimizer {
             };
             let alts: Vec<AltId> = self.memo().alts_of(g).collect();
             for a in alts {
-                let frozen = self
-                    .memo()
-                    .alt(a)
-                    .children()
-                    .collect::<Vec<_>>()
-                    .iter()
-                    .any(|c| !self.group_state(*c).live);
+                let over_dead = (self.memo().alt(a).children()).any(|c| !self.group_state(c).live);
                 let live = self.alt_state(a).live;
-                if frozen {
+                if over_dead {
                     if live {
-                        return Err(format!("frozen alternative {a:?} is live"));
+                        return Err(format!("alternative {a:?} over a tombstoned child is live"));
                     }
                     continue;
                 }
@@ -277,7 +254,6 @@ mod tests {
             PruningConfig::aggsel_refcount(),
             PruningConfig::aggsel_bounding(),
             PruningConfig::all(),
-            PruningConfig::all_strict(),
         ] {
             converged(cfg);
         }
@@ -337,8 +313,8 @@ mod tests {
 
     #[test]
     fn live_frozen_alternative_is_caught() {
-        // Killing a group freezes every parent alternative referencing
-        // it; a parent left live must be reported.
+        // Killing a group takes the references of every parent
+        // alternative over it; a parent left live must be reported.
         let mut o = converged(PruningConfig::evita_raced());
         let victim = (0..o.memo().n_groups() as u32)
             .map(GroupId)
@@ -352,7 +328,7 @@ mod tests {
             .expect("fixture has a referenced group with a live parent");
         o.group_state_mut(victim).live = false;
         let msg = o.check_invariants().unwrap_err();
-        assert!(msg.contains("frozen alternative"), "{msg}");
+        assert!(msg.contains("over a tombstoned child is live"), "{msg}");
     }
 
     #[test]
@@ -393,7 +369,7 @@ mod tests {
         let msg = o.check_invariants().unwrap_err();
         assert!(msg.contains("bound mismatch"), "{msg}");
     }
-    /// A tombstoned group of a converged `all_strict()` fixpoint that
+    /// A tombstoned group of a converged `all()` fixpoint that
     /// has alternatives with children (a reclaimed join group).
     fn dead_join_group(o: &IncrementalOptimizer) -> GroupId {
         (0..o.memo().n_groups() as u32)
@@ -409,26 +385,19 @@ mod tests {
 
     #[test]
     fn stale_total_in_a_tombstoned_group_is_caught_under_strict() {
-        // Paper-literal pruning lets a reclaimed group's costs go stale;
-        // the exact mode maintains them, so the check reaches them.
-        let mut o = converged(PruningConfig::all_strict());
+        // A reclaimed group's costs are maintained, so the check
+        // reaches them.
+        let mut o = converged(PruningConfig::all());
         let a = o.memo().alts_of(dead_join_group(&o)).next().unwrap();
         let bad = o.alt_state(a).total + Cost::new(1.0);
         o.alt_state_mut(a).total = bad;
         let msg = o.check_invariants().unwrap_err();
         assert!(msg.contains("stale total"), "{msg}");
-        // The same damage is invisible to the paper-literal check.
-        let mut o = converged(PruningConfig::all());
-        let a = o.memo().alts_of(dead_join_group(&o)).next().unwrap();
-        let bad = o.alt_state(a).total + Cost::new(1.0);
-        o.alt_state_mut(a).total = bad;
-        o.check_invariants()
-            .expect("all() does not hold dead groups to their costs");
     }
 
     #[test]
     fn stale_best_of_a_tombstoned_group_is_caught_under_strict() {
-        let mut o = converged(PruningConfig::all_strict());
+        let mut o = converged(PruningConfig::all());
         let g = dead_join_group(&o);
         let bad = o.group_state(g).best + Cost::new(1.0);
         o.group_state_mut(g).best = bad;
@@ -438,9 +407,9 @@ mod tests {
 
     #[test]
     fn stale_total_over_a_tombstoned_child_is_caught_under_strict() {
-        // An alternative of a *live* group whose child is reclaimed:
-        // frozen (unchecked) in paper-literal mode, maintained here.
-        let mut o = converged(PruningConfig::all_strict());
+        // An alternative of a *live* group whose child is reclaimed is
+        // maintained too.
+        let mut o = converged(PruningConfig::all());
         let dead = dead_join_group(&o);
         let a = *o
             .memo()

@@ -103,6 +103,16 @@ fn reference(c: &Catalog, q: &QuerySpec, deltas: &[ParamDelta]) -> reopt_common:
     optimize_system_r(q, &g, &mut ctx).cost
 }
 
+/// Every pruning preset, `none()` included.
+const PRESETS: [fn() -> PruningConfig; 6] = [
+    PruningConfig::none,
+    PruningConfig::evita_raced,
+    PruningConfig::aggsel,
+    PruningConfig::aggsel_refcount,
+    PruningConfig::aggsel_bounding,
+    PruningConfig::all,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -111,14 +121,7 @@ proptest! {
     fn initial_matches_dp(gen in query_gen(6)) {
         let (c, q) = build(&gen);
         let want = reference(&c, &q, &[]);
-        for cfg in [
-            PruningConfig::none(),
-            PruningConfig::evita_raced(),
-            PruningConfig::aggsel(),
-            PruningConfig::aggsel_refcount(),
-            PruningConfig::aggsel_bounding(),
-            PruningConfig::all(),
-        ] {
+        for cfg in PRESETS.map(|cfg| cfg()) {
             let mut opt = IncrementalOptimizer::new(&c, q.clone(), cfg);
             let out = opt.optimize();
             prop_assert!(out.cost.approx_eq(want),
@@ -129,10 +132,7 @@ proptest! {
         }
     }
 
-    /// Increase-only update batches keep every configuration exact
-    /// (stale frozen costs are optimistic, so revival triggers are
-    /// complete; decreases need `PruningConfig::strict_revalidation`,
-    /// under which no cost is frozen in the first place).
+    /// Increase-only update batches keep full pruning exact.
     #[test]
     fn increases_stay_exact_under_full_pruning(
         gen in query_gen(5),
@@ -148,7 +148,7 @@ proptest! {
         opt.check_invariants().map_err(TestCaseError::fail)?;
     }
 
-    /// Arbitrary (mixed-direction) update sequences stay exact whenever
+    /// Arbitrary (mixed-direction) update sequences stay exact when
     /// state is never reclaimed (no reference counting) …
     #[test]
     fn arbitrary_updates_exact_without_refcounting(
@@ -176,11 +176,12 @@ proptest! {
         }
     }
 
-    /// … and under full pruning with strict revalidation, which keeps
-    /// reclaimed groups' costs current: step for step it holds the very
-    /// costs `none()` holds (bit-equal — the two run the same cost
-    /// arithmetic over the same maintained bests) and, breaking ties by
-    /// the same lowest-alternative rule, returns the same plan.
+    /// … and under every preset, reclaiming or not: pruning keeps every
+    /// reclaimed group's costs current, so step for step each preset
+    /// holds the very costs `none()` holds (bit-equal — they run the
+    /// same cost arithmetic over the same maintained bests), seeds the
+    /// same alternatives and, breaking ties by the same
+    /// lowest-alternative rule, returns the same plan.
     #[test]
     fn arbitrary_updates_exact_with_strict_revalidation(
         gen in query_gen(5),
@@ -188,23 +189,34 @@ proptest! {
             proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..3), 8),
     ) {
         let (c, q) = build(&gen);
-        let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all_strict());
         let mut unpruned = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
-        prop_assert_eq!(opt.optimize().cost, unpruned.optimize().cost);
+        let first = unpruned.optimize().cost;
+        let mut opts: Vec<IncrementalOptimizer> = PRESETS
+            .iter()
+            .map(|cfg| IncrementalOptimizer::new(&c, q.clone(), cfg()))
+            .collect();
+        for opt in &mut opts {
+            prop_assert_eq!(opt.optimize().cost, first, "{}", opt.config().label());
+        }
         let mut ctx = CostContext::new(&c, &q);
         for raw in &seq {
             let deltas = deltas_for(&q, raw, false);
-            let out = opt.reoptimize(&deltas);
             ctx.apply(&deltas);
             let g = JoinGraph::new(&q);
             let want = optimize_system_r(&q, &g, &mut ctx).cost;
-            prop_assert!(out.cost.approx_eq(want),
-                "got {:?} want {:?}", out.cost, want);
             let reference = unpruned.reoptimize(&deltas);
-            prop_assert_eq!(out.cost, reference.cost);
-            prop_assert_eq!(out.plan.fingerprint(), reference.plan.fingerprint());
-            prop_assert_eq!(out.run.seeded_alts, reference.run.seeded_alts);
-            opt.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert!(reference.cost.approx_eq(want),
+                "got {:?} want {:?}", reference.cost, want);
+            for opt in &mut opts {
+                let label = opt.config().label();
+                let out = opt.reoptimize(&deltas);
+                prop_assert_eq!(out.cost, reference.cost, "{}", label);
+                prop_assert_eq!(out.plan.fingerprint(), reference.plan.fingerprint(), "{}", label);
+                prop_assert_eq!(out.run.seeded_alts, reference.run.seeded_alts, "{}", label);
+                opt.check_invariants().map_err(|e| {
+                    TestCaseError::fail(format!("{label}: {e}"))
+                })?;
+            }
         }
     }
 
@@ -243,10 +255,8 @@ proptest! {
         }
     }
 
-    /// Under full pruning with paper semantics, mixed updates always
-    /// produce a *valid* (exactly costed) plan, and one at least as good
-    /// as the plan the optimizer previously ran — re-optimization never
-    /// regresses the plan in hand.
+    /// Under full pruning, mixed updates always produce a *valid*
+    /// (exactly costed) plan.
     #[test]
     fn arbitrary_updates_yield_valid_plans_under_full_pruning(
         gen in query_gen(5),
@@ -262,7 +272,7 @@ proptest! {
             cumulative.extend(deltas.iter().copied());
             let out = opt.reoptimize(&deltas);
             // The reported cost is the plan's exact cost under current
-            // parameters (the chosen tree is validated/unfrozen).
+            // parameters.
             let mut ctx = CostContext::new(&c, &q);
             ctx.apply(&cumulative);
             let recomputed = ctx.plan_cost(&q, &out.plan);

@@ -87,20 +87,16 @@ impl AffectedSet {
         self.leaves_card.is_empty() && self.edges.is_empty() && self.leaves_scan.is_empty()
     }
 
-    /// Adds `other`'s parameters, each at most once: a union built this
-    /// way holds at most one entry per parameter of the query, however
-    /// many batches went into it.
-    pub fn union_with(&mut self, other: &AffectedSet) {
-        fn add<T: Copy + PartialEq>(set: &mut Vec<T>, new: &[T]) {
-            for x in new {
-                if !set.contains(x) {
-                    set.push(*x);
-                }
-            }
-        }
-        add(&mut self.leaves_card, &other.leaves_card);
-        add(&mut self.edges, &other.edges);
-        add(&mut self.leaves_scan, &other.leaves_scan);
+    /// Leaf-set whose row estimates changed (cardinality factors and edge
+    /// selectivities change `rows(rel)` for any rel containing them).
+    pub fn rows_dirty_rels(&self, edge_rels: impl Fn(EdgeId) -> RelSet) -> Vec<RelSet> {
+        let mut out: Vec<RelSet> = self
+            .leaves_card
+            .iter()
+            .map(|l| RelSet::singleton(l.0))
+            .collect();
+        out.extend(self.edges.iter().map(|&e| edge_rels(e)));
+        out
     }
 }
 
@@ -152,20 +148,6 @@ impl Factors {
                 }
             }
         }
-        out
-    }
-}
-
-impl AffectedSet {
-    /// Leaf-set whose row estimates changed (cardinality factors and edge
-    /// selectivities change `rows(rel)` for any rel containing them).
-    pub fn rows_dirty_rels(&self, edge_rels: impl Fn(EdgeId) -> RelSet) -> Vec<RelSet> {
-        let mut out: Vec<RelSet> = self
-            .leaves_card
-            .iter()
-            .map(|l| RelSet::singleton(l.0))
-            .collect();
-        out.extend(self.edges.iter().map(|&e| edge_rels(e)));
         out
     }
 }

@@ -86,9 +86,9 @@ fn claim_incremental_updates_recompute_a_small_portion_of_the_space() {
     // For an exact optimizer that portion is the changed parameter's
     // cone: the groups whose expression covers the edge (and so every
     // parent above them). Nothing outside it is touched, and the cone is
-    // a strict part of the space — 44–63% of Q5's 515 alternatives; the
-    // paper-literal `all()` touches less by leaving reclaimed groups
-    // stale.
+    // a strict part of the space — 44–63% of Q5's 515 alternatives;
+    // freezing reclaimed groups' costs, as the paper's rules do, touches
+    // less by leaving them stale.
     for edge in 0..5 {
         let (touched, cone, _, total) = q5_selectivity_update(edge);
         println!(
