@@ -45,8 +45,6 @@ impl StatsMode {
 pub struct AqpConfig {
     pub mode: ReoptMode,
     pub stats: StatsMode,
-    /// Re-optimize every `n` slices (1 = every slice).
-    pub reopt_every: usize,
     pub pruning: PruningConfig,
 }
 
@@ -55,7 +53,6 @@ impl Default for AqpConfig {
         AqpConfig {
             mode: ReoptMode::Incremental,
             stats: StatsMode::Cumulative,
-            reopt_every: 1,
             pruning: PruningConfig::default(),
         }
     }
@@ -136,8 +133,8 @@ impl AqpDriver {
         self.optimizer.cost_context().factors().leaf_card(leaf)
     }
 
-    /// Ingests and executes one slice, then (possibly) re-optimizes at
-    /// the split point.
+    /// Ingests and executes one slice, then re-optimizes at the split
+    /// point (unless the plan is pinned).
     pub fn run_slice(&mut self, tuples: &[StreamTuple]) -> SliceReport {
         self.slice_no += 1;
         let t0 = Instant::now();
@@ -148,9 +145,7 @@ impl AqpDriver {
         let mut reopt_time = Duration::ZERO;
         let mut plan_changed = false;
         let mut deltas = Vec::new();
-        let should_reopt = self.cfg.mode != ReoptMode::Never
-            && self.slice_no.is_multiple_of(self.cfg.reopt_every);
-        if should_reopt {
+        if self.cfg.mode != ReoptMode::Never {
             deltas = observed_deltas(
                 &self.q,
                 self.optimizer.cost_context(),
@@ -317,26 +312,5 @@ mod tests {
             // same result cardinality.
             assert_eq!(a.out_rows, b.out_rows, "slice {i}");
         }
-    }
-
-    #[test]
-    fn reopt_interval_skips_split_points() {
-        let (c, q, mut gen) = setup();
-        let mut driver = AqpDriver::new(
-            &c,
-            q,
-            AqpConfig {
-                reopt_every: 3,
-                ..Default::default()
-            },
-        );
-        let mut reopts = 0;
-        for i in 0..6 {
-            let r = driver.run_slice(&gen.slice(i as f64 * 5.0, 5.0));
-            if r.reopt_time > Duration::ZERO || r.run.queue_pops > 0 || r.plan_changed {
-                reopts += 1;
-            }
-        }
-        assert!(reopts <= 2, "re-optimized {reopts} times with interval 3");
     }
 }

@@ -1181,8 +1181,8 @@ impl RuleNetwork {
         self.push(relation, Delta::delete(tuple));
     }
 
-    /// Runs to fixpoint as one epoch: a failed run rolls the whole
-    /// network back to the last committed fixpoint (see
+    /// Runs to fixpoint as one epoch: a failed run poisons the network,
+    /// which then refuses every later run (see
     /// [`reopt_datalog::Dataflow::run`]).
     pub fn run(&mut self) -> Result<RunStats, DataflowError> {
         self.df.run()
@@ -1193,20 +1193,10 @@ impl RuleNetwork {
         self.df.set_max_steps(max);
     }
 
-    /// The current fixpoint step budget.
-    pub fn max_steps(&self) -> u64 {
-        self.df.max_steps()
-    }
-
     /// Arms (or disarms) the chaos fault injector on the underlying
     /// dataflow.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.df.set_fault_plan(plan);
-    }
-
-    /// Epochs rolled back (failed runs) so far.
-    pub fn rollbacks(&self) -> u64 {
-        self.df.rollbacks()
     }
 
     /// A materialized relation; `None` unless it was requested via

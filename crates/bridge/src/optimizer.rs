@@ -250,13 +250,11 @@ pub struct DataflowOutcome {
 pub enum RecoveryPath {
     /// The epoch committed on the first attempt.
     Committed,
-    /// The first attempt failed; the substrate rolled back to the last
-    /// committed fixpoint and a retry under a raised step budget
-    /// replayed the same deltas to a committed fixpoint.
-    RetriedAfterRollback,
-    /// The retry failed too; the network was rebuilt from scratch from
-    /// the memo and the `LocalCost` mirror (which already reflects every
-    /// applied parameter delta), then evaluated fresh.
+    /// The attempt failed, poisoning the network; a fresh one was built
+    /// from the memo and the `LocalCost` mirror (which already reflects
+    /// every applied parameter delta) and evaluated, as a restart would.
+    /// A restart that found WAL history but no checkpoint reports the
+    /// same.
     RebuiltFromScratch,
     /// A restart found an intact checkpoint: its parameter log plus the
     /// WAL tail past its watermark were loaded and optimized once — the
@@ -368,9 +366,6 @@ pub struct DataflowOptimizer {
     /// Per [`AltId`]: excluded from the network's `LocalCost` relation
     /// by driver-side pruning (see the module docs).
     pruned: Vec<bool>,
-    /// Cached [`topo_order`] of the (immutable) memo, reused by every
-    /// per-epoch [`BoundDp::compute`].
-    topo: Vec<GroupId>,
     /// [`plan_cost_strata`] of the memo: the `PlanCost` release order
     /// every network built for this query declares.
     strata: Vec<u32>,
@@ -411,51 +406,18 @@ struct BoundDp {
     bound: Vec<Option<Cost>>,
 }
 
-/// Postorder topological order of the memo's groups from the root:
-/// children before parents. The memo is immutable after construction,
-/// so the driver computes this once and reuses it for every per-epoch
-/// [`BoundDp::compute`].
-fn topo_order(memo: &Memo) -> Vec<GroupId> {
-    let n_groups = memo.n_groups();
-    let mut order: Vec<GroupId> = Vec::with_capacity(n_groups);
-    let mut seen = vec![false; n_groups];
-    let mut stack: Vec<(GroupId, bool)> = vec![(memo.root, false)];
-    while let Some((g, expanded)) = stack.pop() {
-        if expanded {
-            order.push(g);
-            continue;
-        }
-        // Expansion marks `seen`, not the push: a group pushed
-        // before being reached again deeper in the DAG must still
-        // be expanded at its deepest position so every child
-        // precedes every parent in the postorder.
-        if seen[g.0 as usize] {
-            continue;
-        }
-        seen[g.0 as usize] = true;
-        stack.push((g, true));
-        for a in memo.alts_of(g) {
-            for c in memo.alt(a).children() {
-                if !seen[c.0 as usize] {
-                    stack.push((c, false));
-                }
-            }
-        }
-    }
-    order
-}
-
 /// The release order of `PlanCost` deltas, per [`AltId`]: 1 + the
-/// longest-path depth of the alternative's group (`order` is
-/// [`topo_order`], children first). Every row an alternative's total is
-/// derived from — its children's `BestCost` — belongs to a strictly
+/// longest-path depth of the alternative's group (group ids are
+/// bottom-up, so walking them visits children first). Every row an
+/// alternative's total is derived from — its children's `BestCost` —
+/// belongs to a strictly
 /// shallower group, sort-enforcer alternatives included, so releasing
 /// `PlanCost` in this order hands D9 each group's final rows in one
 /// batch: a `PlanCost` row and a `BestCost` group change at most once
 /// per epoch instead of once per wave of the D7/D8→D9 cycle.
-fn plan_cost_strata(memo: &Memo, order: &[GroupId]) -> Vec<u32> {
+fn plan_cost_strata(memo: &Memo) -> Vec<u32> {
     let mut depth = vec![0u32; memo.n_groups()];
-    for &g in order {
+    for g in (0..memo.n_groups() as u32).map(GroupId) {
         for a in memo.alts_of(g) {
             for c in memo.alt(a).children() {
                 depth[g.0 as usize] = depth[g.0 as usize].max(depth[c.0 as usize] + 1);
@@ -468,17 +430,18 @@ fn plan_cost_strata(memo: &Memo, order: &[GroupId]) -> Vec<u32> {
 }
 
 impl BoundDp {
-    /// `order` must be [`topo_order`] of the same memo (postorder:
-    /// children before parents; its reverse visits parents first).
-    fn compute(memo: &Memo, local: &[Cost], order: &[GroupId]) -> BoundDp {
+    /// Group ids are bottom-up ([`Memo::build`]): ascending ids visit
+    /// children before parents, descending ids parents first.
+    fn compute(memo: &Memo, local: &[Cost]) -> BoundDp {
         let n_groups = memo.n_groups();
+        let order = (0..n_groups as u32).map(GroupId);
         let mut dp = BoundDp {
             alt_cost: vec![Cost::INFINITY; memo.n_alts()],
             best: vec![Cost::INFINITY; n_groups],
             argmin: vec![None; n_groups],
             bound: vec![None; n_groups],
         };
-        for &g in order {
+        for g in order.clone() {
             for a in memo.alts_of(g) {
                 let alt = memo.alt(a);
                 // Fn_sum's association order: local, then left, right.
@@ -498,13 +461,13 @@ impl BoundDp {
             }
         }
         // Top-down: each group's bound is fixed before its children's
-        // allowances are derived from it (reverse topological order).
+        // allowances are derived from it (descending ids).
         let mut max_bound: Vec<Option<Cost>> = vec![None; n_groups];
         let relax = |mb: &mut Option<Cost>, allowance: Cost| match mb {
             Some(prev) if *prev >= allowance => {}
             _ => *mb = Some(allowance),
         };
-        for &g in order.iter().rev() {
+        for g in order.rev() {
             let gi = g.0 as usize;
             dp.bound[gi] = if g == memo.root {
                 // The root's bound, which Figure 3 seeds: never settle
@@ -553,8 +516,7 @@ impl DataflowOptimizer {
         let memo = Rc::new(Memo::build(&q, &graph));
         let ctx = CostContext::new(catalog, &q);
         let props = Rc::new(PropTable::new(&memo));
-        let topo = topo_order(&memo);
-        let strata = plan_cost_strata(&memo, &topo);
+        let strata = plan_cost_strata(&memo);
         let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
         let local = vec![Cost::INFINITY; memo.n_alts()];
         let reached = vec![false; memo.n_groups()];
@@ -575,7 +537,6 @@ impl DataflowOptimizer {
             epochs_seen: 0,
             durable: None,
             pruned,
-            topo,
             strata,
             plan_cost_probes: Cell::new(0),
         }
@@ -702,50 +663,31 @@ impl DataflowOptimizer {
         self.outcome(stats, recovery)
     }
 
-    /// Runs the network to fixpoint behind the degradation ladder. The
-    /// substrate already guarantees that a failed epoch rolls back to
-    /// the last committed fixpoint with its input deltas re-queued, so
-    /// each rung replays exactly the same epoch:
+    /// Runs the network to fixpoint behind the recovery ladder, which
+    /// has two rungs:
     ///
-    /// 1. first attempt under the current step budget;
-    /// 2. one retry under a ×4 budget (covers genuine fixpoint
-    ///    overruns; the raise sticks so a workload that legitimately
-    ///    outgrew the budget does not fail every subsequent epoch);
-    /// 3. a from-scratch rebuild — fresh network from the memo,
-    ///    re-seeded from the post-delta `LocalCost` mirror — which
-    ///    leaves every trace of the poisoned instance behind.
+    /// 1. the attempt, under the network's step budget;
+    /// 2. on any error — which poisons the network — a from-scratch
+    ///    rebuild ([`DataflowOptimizer::rebuild_from_scratch`]).
     ///
     /// Callers always get a committed fixpoint plus a report of the
-    /// failures absorbed on the way.
+    /// failure absorbed on the way.
     fn run_recovering(&mut self) -> (RunStats, RecoveryReport) {
         let mut report = RecoveryReport::committed();
-        let stats = match self.net.run() {
-            Ok(stats) => stats,
-            Err(first) => {
-                report.errors.push(first);
-                let budget = self.net.max_steps();
-                self.net.set_max_steps(budget.saturating_mul(4));
-                match self.net.run() {
-                    Ok(stats) => {
-                        report.path = RecoveryPath::RetriedAfterRollback;
-                        stats
-                    }
-                    Err(second) => {
-                        report.errors.push(second);
-                        report.path = RecoveryPath::RebuiltFromScratch;
-                        self.rebuild_from_scratch()
-                    }
-                }
-            }
-        };
+        let stats = self.net.run().unwrap_or_else(|e| {
+            report.errors.push(e);
+            report.path = RecoveryPath::RebuiltFromScratch;
+            self.rebuild_from_scratch()
+        });
         self.epochs_seen += 1;
         report.audit = self.maybe_audit();
         (stats, report)
     }
 
-    /// The ladder's last rung: discard the poisoned network (and with
-    /// it any armed fault plan or exhausted budget), compile a fresh
-    /// one from the memo, and re-seed it from the `LocalCost` mirror —
+    /// The ladder's rebuild rung, which is what a restart does: discard
+    /// the poisoned network (and with it any armed fault plan or
+    /// starved budget), compile a fresh one from the memo under the
+    /// default budget, and re-seed it from the `LocalCost` mirror —
     /// which already reflects every applied parameter delta, so the
     /// fresh fixpoint equals the one the incremental epoch should have
     /// produced.
@@ -782,7 +724,7 @@ impl DataflowOptimizer {
     /// *all* alternatives, so an alternative the network never costed
     /// still re-enters the moment a delta makes it viable.
     fn push_pruned_diff(&mut self, old_values: &[(AltId, Cost)]) {
-        let dp = BoundDp::compute(&self.memo, &self.local, &self.topo);
+        let dp = BoundDp::compute(&self.memo, &self.local);
         // Alternative ids are dense in group order, so the memo walk
         // and `old_values` advance in step.
         let mut changed = old_values.iter().peekable();
@@ -854,8 +796,8 @@ impl DataflowOptimizer {
     /// surfacing as [`DataflowError::InvariantViolation`]:
     ///
     /// 1. no residual negative counts in any view — the sinks and the
-    ///    `PlanCost` rows (a torn rollback would leave the retraction
-    ///    half of an update);
+    ///    `PlanCost` rows (a torn epoch would leave the retraction half
+    ///    of an update);
     /// 2. the live views match a from-scratch recompute on a fresh
     ///    network whose `LocalCost` rows are re-derived from the
     ///    [`CostContext`] (catches both substrate drift and a torn
@@ -966,12 +908,6 @@ impl DataflowOptimizer {
             .expect("build_network materializes every view the driver reads")
     }
 
-    /// Lifetime count of substrate epoch rollbacks (resets when a
-    /// rebuild replaces the network).
-    pub fn rollbacks(&self) -> u64 {
-        self.net.rollbacks()
-    }
-
     /// Arms durability: every subsequent [`DataflowOptimizer::reoptimize`]
     /// batch is appended to `<dir>/wal.bin` (written before the network
     /// is touched, fsynced before `reoptimize` returns) and
@@ -1040,7 +976,7 @@ impl DataflowOptimizer {
     /// down the ladder with every absorbed error in the report. `Err`
     /// is reserved for failing to arm the directory itself. The
     /// recovery epoch is an epoch like any other: it runs behind the
-    /// degradation ladder and is audited when `REOPT_AUDIT` samples it.
+    /// recovery ladder and is audited when `REOPT_AUDIT` samples it.
     pub fn recover(
         catalog: &Catalog,
         q: QuerySpec,
@@ -1646,10 +1582,11 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_recovers_via_rollback_and_retry() {
-        // One shot: the epoch aborts mid-flight, the substrate rolls
-        // back, and the retry replays the same deltas to the same
-        // fixpoint a fault-free twin reaches.
+    fn injected_fault_recovers_via_a_rebuild() {
+        // One shot: the epoch aborts mid-flight and poisons the network,
+        // and the rebuild rung lands on the fixpoint a fault-free twin
+        // reaches — with the fault in the report, and nothing of it
+        // left for the next epoch.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
         let mut oracle = DataflowOptimizer::new(&c, q.clone());
@@ -1660,13 +1597,12 @@ mod tests {
         let want = oracle.reoptimize(&batch);
         victim.inject_fault(reopt_datalog::FaultPlan::one_shot(3));
         let got = victim.reoptimize(&batch);
-        assert_eq!(got.recovery.path, RecoveryPath::RetriedAfterRollback);
-        assert_eq!(got.recovery.errors.len(), 1);
-        assert!(matches!(
-            got.recovery.errors[0],
-            DataflowError::InjectedFault { .. }
-        ));
-        assert_eq!(victim.rollbacks(), 1);
+        assert_eq!(got.recovery.path, RecoveryPath::RebuiltFromScratch);
+        assert!(
+            matches!(got.recovery.errors.as_slice(), [DataflowError::InjectedFault { .. }]),
+            "{:?}",
+            got.recovery.errors
+        );
         assert!(got.cost.approx_eq(want.cost), "{:?} vs {:?}", got.cost, want.cost);
         assert_eq!(got.plan, want.plan);
         for name in ["SearchSpace", "BestCost"] {
@@ -1677,35 +1613,47 @@ mod tests {
             );
         }
         assert_eq!(victim.best_plan_rows(), oracle.best_plan_rows());
+        let next = [ParamDelta::LeafCardinality(LeafId(2), 0.5)];
+        let (got, want) = (victim.reoptimize(&next), oracle.reoptimize(&next));
+        assert_eq!(got.recovery.path, RecoveryPath::Committed);
+        assert_eq!((got.cost, &got.plan), (want.cost, &want.plan));
     }
 
     #[test]
     fn repeated_faults_degrade_to_a_from_scratch_rebuild() {
-        // Two shots kill the retry too; the ladder's last rung rebuilds
-        // the network from the memo + mirror and still converges to the
-        // oracle's fixpoint.
+        // A fault in two epochs running — the second in the network the
+        // first one rebuilt: each epoch takes the rebuild rung from the
+        // memo + mirror and still converges to the oracle's fixpoint. A
+        // plan's unspent second shot dies with the network it poisoned.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
         let mut oracle = DataflowOptimizer::new(&c, q.clone());
         oracle.optimize();
         let mut victim = DataflowOptimizer::new(&c, q.clone());
         victim.optimize();
-        let batch = vec![ParamDelta::LeafCardinality(LeafId(2), 0.2)];
-        let want = oracle.reoptimize(&batch);
-        victim.inject_fault(reopt_datalog::FaultPlan::with_shots(2, 2));
-        let got = victim.reoptimize(&batch);
-        assert_eq!(got.recovery.path, RecoveryPath::RebuiltFromScratch);
-        assert_eq!(got.recovery.errors.len(), 2);
-        assert!(got.cost.approx_eq(want.cost));
-        assert_eq!(got.plan, want.plan);
-        for name in ["SearchSpace", "BestCost"] {
-            assert_eq!(
-                counted(victim.sink(name).unwrap()),
-                counted(oracle.sink(name).unwrap()),
-                "{name}"
-            );
+        let mut absorbed = 0;
+        for batch in [
+            vec![ParamDelta::LeafCardinality(LeafId(2), 0.2)],
+            vec![ParamDelta::EdgeSelectivity(EdgeId(0), 3.0)],
+        ] {
+            let want = oracle.reoptimize(&batch);
+            victim.inject_fault(reopt_datalog::FaultPlan::with_shots(2, 2));
+            let got = victim.reoptimize(&batch);
+            assert_eq!(got.recovery.path, RecoveryPath::RebuiltFromScratch);
+            assert_eq!(got.recovery.errors.len(), 1, "{:?}", got.recovery.errors);
+            absorbed += got.recovery.errors.len();
+            assert!(got.cost.approx_eq(want.cost));
+            assert_eq!(got.plan, want.plan);
+            for name in ["SearchSpace", "BestCost"] {
+                assert_eq!(
+                    counted(victim.sink(name).unwrap()),
+                    counted(oracle.sink(name).unwrap()),
+                    "{name}"
+                );
+            }
+            assert_eq!(victim.best_plan_rows(), oracle.best_plan_rows());
         }
-        assert_eq!(victim.best_plan_rows(), oracle.best_plan_rows());
+        assert_eq!(absorbed, 2);
         // The rebuilt instance is fully serviceable: further updates and
         // a full audit behave as if the faults never happened.
         let b2 = vec![ParamDelta::LeafScanCost(LeafId(0), 4.0)];
@@ -1718,8 +1666,8 @@ mod tests {
 
     #[test]
     fn budget_starvation_degrades_to_a_rebuild_with_default_budget() {
-        // A budget so tight even the ×4 retry overruns: the rebuild
-        // comes up with the compiled default and converges.
+        // A budget so tight the attempt overruns: the rebuild comes up
+        // with the compiled default and converges.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
         let mut oracle = DataflowOptimizer::new(&c, q.clone());
@@ -1731,11 +1679,11 @@ mod tests {
         victim.set_max_steps(1);
         let got = victim.reoptimize(&batch);
         assert_eq!(got.recovery.path, RecoveryPath::RebuiltFromScratch);
-        assert!(got
-            .recovery
-            .errors
-            .iter()
-            .all(|e| matches!(e, DataflowError::FixpointOverrun { .. })));
+        assert!(
+            matches!(got.recovery.errors.as_slice(), [DataflowError::FixpointOverrun { .. }]),
+            "{:?}",
+            got.recovery.errors
+        );
         assert!(got.cost.approx_eq(want.cost));
         assert_eq!(got.plan, want.plan);
     }
@@ -2131,7 +2079,7 @@ mod tests {
         // The network's `PlanCost` rows (absent for pruned alternatives)
         // and `BestCost` values, from the driver's DP mirror.
         fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Cost>) {
-            let dp = BoundDp::compute(&df.memo, &df.local, &df.topo);
+            let dp = BoundDp::compute(&df.memo, &df.local);
             let plan_cost = (0..df.memo.n_alts())
                 .map(|a| (!df.pruned[a]).then_some(dp.alt_cost[a]))
                 .collect();

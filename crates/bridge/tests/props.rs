@@ -507,12 +507,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Chaos: a fault armed at a random step of a random delta sequence
-    /// on a random query. The optimizer must absorb it internally
-    /// (rollback → budget-raised retry → from-scratch rebuild) and stay
+    /// on a random query. The optimizer must absorb it internally (the
+    /// attempt fails and poisons the network, the rebuild rung builds a
+    /// fresh one from the memo and the `LocalCost` mirror) and stay
     /// byte-identical to a fault-free oracle — best cost, extracted
     /// plan, and every materialized sink, counts included — with zero
-    /// residual negative counts. `shots` = 2 kills the retry too and
-    /// drives the rebuild rung.
+    /// residual negative counts. `shots` = 2 leaves a shot armed in the
+    /// poisoned network, which the rebuild discards with it.
     #[test]
     fn faulted_reoptimization_matches_the_fault_free_oracle(
         gen in query_gen(5),

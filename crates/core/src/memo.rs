@@ -66,11 +66,6 @@ pub struct Memo {
     /// Per group: alternatives referencing it as a child (the reverse
     /// edges reference counting and bound propagation walk).
     pub parents: Vec<Vec<AltId>>,
-    /// Bottom-up positions: children of any alternative have strictly
-    /// smaller `topo_pos` than the alternative's own group.
-    pub topo_pos: Vec<u32>,
-    /// Groups in ascending `topo_pos` order.
-    pub topo: Vec<GroupId>,
     pub root: GroupId,
     index: FxHashMap<(ExprId, PhysProp), GroupId>,
 }
@@ -82,7 +77,8 @@ impl Memo {
     pub fn build(q: &QuerySpec, g: &JoinGraph) -> Memo {
         let space = Space::explore(q, g);
         // The space's group order is BFS from the root; re-index groups
-        // in topo order so dense ids are also bottom-up.
+        // in topo order so dense ids are bottom-up: every child of an
+        // alternative has a smaller id than the alternative's group.
         let order = space.topo_order().to_vec();
         let mut remap: FxHashMap<(ExprId, PhysProp), GroupId> = FxHashMap::default();
         for (new_idx, gi) in order.iter().enumerate() {
@@ -116,15 +112,11 @@ impl Memo {
                 parents[child.0 as usize].push(AltId(ai as u32));
             }
         }
-        let topo: Vec<GroupId> = (0..groups.len() as u32).map(GroupId).collect();
-        let topo_pos: Vec<u32> = (0..groups.len() as u32).collect();
         let root = remap[&(q.root_expr(), PhysProp::Any)];
         Memo {
             groups,
             alts,
             parents,
-            topo_pos,
-            topo,
             root,
             index: remap,
         }

@@ -229,39 +229,6 @@ impl Queue {
         matches!(self, Queue::Batched { .. })
     }
 
-    /// Snapshots the queued-but-unprocessed work at epoch open — exactly
-    /// the external deltas pushed since the last run, held strata
-    /// included. Restoring it after a rollback makes a retry replay the
-    /// same externals against the last committed state.
-    fn checkpoint(&self) -> QueueCheckpoint {
-        match self {
-            Queue::Batched { order, pending, .. } => QueueCheckpoint::Batched {
-                order: order.clone(),
-                pending: pending.clone(),
-            },
-            Queue::PerDelta(q) => QueueCheckpoint::PerDelta(q.clone()),
-        }
-    }
-
-    /// Replaces the queue contents with a checkpoint (the batch pool is
-    /// kept — it holds no live deltas).
-    fn restore(&mut self, cp: QueueCheckpoint) {
-        match (self, cp) {
-            (
-                Queue::Batched { order, pending, .. },
-                QueueCheckpoint::Batched {
-                    order: o,
-                    pending: p,
-                },
-            ) => {
-                *order = o;
-                *pending = p;
-            }
-            (Queue::PerDelta(q), QueueCheckpoint::PerDelta(cq)) => *q = cq,
-            _ => unreachable!("checkpoint mode matches queue mode"),
-        }
-    }
-
     /// Returns a spent batch buffer to the pool.
     fn recycle(&mut self, mut batch: Vec<Delta>) {
         if let Queue::Batched { pool, .. } = self {
@@ -273,24 +240,14 @@ impl Queue {
     }
 }
 
-/// The queue state captured at epoch open (see [`Queue::checkpoint`]).
-enum QueueCheckpoint {
-    Batched {
-        order: BinaryHeap<Reverse<Slot>>,
-        pending: Pending,
-    },
-    PerDelta(VecDeque<(usize, usize, Delta)>),
-}
-
 /// Execution statistics for one fixpoint run.
 ///
 /// Lifecycle: every successful [`Dataflow::run`] reports exactly the
 /// work performed by that call — the scheduler tallies are locals and
 /// the per-operator counters ([`crate::ops::OpCounters`]) are drained
-/// into the result at the end of the run. If a run fails (any
-/// [`DataflowError`]), the rollback discards the counters operators
-/// accumulated during the aborted epoch, so an errored run can never
-/// inflate a later run's statistics.
+/// into the result at the end of the run. A failed run (any
+/// [`DataflowError`]) reports nothing and poisons the dataflow, so no
+/// later run drains what it left in the operators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Individual deltas dequeued and processed (post-coalescing).
@@ -311,8 +268,9 @@ pub struct RunStats {
     /// The committed-epoch number this run produced (1-based, counting
     /// only successful runs over the dataflow's lifetime).
     pub epoch: u64,
-    /// Total epochs rolled back over the dataflow's lifetime (failed
-    /// runs preceding this successful one).
+    /// Always 0: a failed run poisons the dataflow instead of rolling
+    /// back, so no successful run follows one. Kept for readers of the
+    /// field.
     pub rollbacks: u64,
 }
 
@@ -362,8 +320,9 @@ pub struct Dataflow {
     ranks_dirty: bool,
     /// Committed epochs (successful runs) so far.
     epoch: u64,
-    /// Epochs rolled back (failed runs) so far.
-    rollbacks: u64,
+    /// The first error a run returned. Once set, every later run
+    /// returns it without dispatching anything.
+    poisoned: Option<DataflowError>,
     /// Armed chaos-testing fault injector (see [`FaultPlan`]).
     fault_plan: Option<FaultPlan>,
 }
@@ -394,7 +353,7 @@ impl Dataflow {
             ranks: Vec::new(),
             ranks_dirty: false,
             epoch: 0,
-            rollbacks: 0,
+            poisoned: None,
             fault_plan: None,
         }
     }
@@ -411,15 +370,10 @@ impl Dataflow {
         self.max_steps = max;
     }
 
-    /// The current non-termination guard.
-    pub fn max_steps(&self) -> u64 {
-        self.max_steps
-    }
-
     /// Arms (or with `None` disarms) a deterministic fault injector:
     /// the next run(s) fail with [`DataflowError::InjectedFault`] when
-    /// the plan's trigger step is reached. The failed epoch rolls back
-    /// exactly like any other error.
+    /// the plan's trigger step is reached. The failed run poisons the
+    /// dataflow exactly like any other error.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan;
     }
@@ -441,11 +395,6 @@ impl Dataflow {
     /// Committed epochs (successful runs) so far.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Epochs rolled back (failed runs) so far.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
     }
 
     /// Declares an external input relation.
@@ -792,8 +741,7 @@ impl Dataflow {
 
     /// Per-node lifetime service counters in node order — the
     /// profiling view behind "where do epochs spend their deltas".
-    /// Counters survive rollbacks (they measure work attempted, not
-    /// work committed).
+    /// They count work attempted, a failed run's included.
     pub fn node_stats(&self) -> Vec<NodeStats> {
         self.nodes
             .iter()
@@ -831,86 +779,39 @@ impl Dataflow {
             .count()
     }
 
-    /// Runs to fixpoint (empty queue) as one **epoch**: on success the
-    /// state changes commit; on any [`DataflowError`] every stateful
-    /// operator and sink rolls back to the last committed fixpoint and
-    /// the input queue is restored to its pre-run contents, so the
-    /// caller can simply re-run (optionally with a raised budget or the
-    /// fault cause removed) and lose nothing.
+    /// Runs to fixpoint (empty queue) as one **epoch**. On any
+    /// [`DataflowError`] the dataflow is **poisoned**: operator state is
+    /// left wherever the failure found it, the error is kept, and every
+    /// later call returns that same error without dispatching anything,
+    /// so no partial state is ever run on. A caller recovers by building
+    /// a fresh dataflow.
     pub fn run(&mut self) -> Result<RunStats, DataflowError> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
         let batched = self.queue.is_batched();
         if batched && self.fusion && self.graph_dirty {
             self.fuse();
         }
         self.ensure_ranks();
-        let checkpoint = self.queue.checkpoint();
-        self.begin_epoch();
         let mut stats = RunStats::default();
         let result = self.fixpoint(batched, &mut stats);
         self.scratch.trim();
-        match result {
-            Ok(()) => {
-                self.commit_epoch();
-                self.epoch += 1;
-                stats.epoch = self.epoch;
-                stats.rollbacks = self.rollbacks;
-                for node in &mut self.nodes {
-                    if let NodeKind::Op(op) = &mut node.kind {
-                        let c = op.take_counters();
-                        stats.join_probe_deltas += c.join_probe_deltas;
-                        stats.join_probes += c.join_probes;
-                        stats.fused_stages_saved += c.fused_stages_saved;
-                    }
-                }
-                Ok(stats)
-            }
-            Err(e) => {
-                self.rollback_epoch(checkpoint);
-                Err(e)
-            }
+        if let Err(e) = result {
+            self.poisoned = Some(e.clone());
+            return Err(e);
         }
-    }
-
-    /// Opens an epoch on every stateful operator and sink.
-    fn begin_epoch(&mut self) {
+        self.epoch += 1;
+        stats.epoch = self.epoch;
         for node in &mut self.nodes {
             if let NodeKind::Op(op) = &mut node.kind {
-                op.begin_epoch();
+                let c = op.take_counters();
+                stats.join_probe_deltas += c.join_probe_deltas;
+                stats.join_probes += c.join_probes;
+                stats.fused_stages_saved += c.fused_stages_saved;
             }
         }
-        for sink in &mut self.sinks {
-            sink.begin_epoch();
-        }
-    }
-
-    /// Commits the open epoch everywhere (undo logs discarded).
-    fn commit_epoch(&mut self) {
-        for node in &mut self.nodes {
-            if let NodeKind::Op(op) = &mut node.kind {
-                op.commit_epoch();
-            }
-        }
-        for sink in &mut self.sinks {
-            sink.commit_epoch();
-        }
-    }
-
-    /// Rolls the open epoch back everywhere: operator and sink state
-    /// returns to the last committed fixpoint, counters accumulated
-    /// during the aborted epoch are discarded, and the queue is
-    /// restored to the pre-run checkpoint.
-    fn rollback_epoch(&mut self, checkpoint: QueueCheckpoint) {
-        for node in &mut self.nodes {
-            if let NodeKind::Op(op) = &mut node.kind {
-                op.rollback_epoch();
-                op.take_counters();
-            }
-        }
-        for sink in &mut self.sinks {
-            sink.rollback_epoch();
-        }
-        self.queue.restore(checkpoint);
-        self.rollbacks += 1;
+        Ok(stats)
     }
 
     /// Books a batch of `n` deltas `node` is about to service — popped
@@ -941,8 +842,8 @@ impl Dataflow {
     }
 
     /// The fixpoint loop proper. Any error leaves partially-applied
-    /// operator state behind — the caller ([`Dataflow::run`]) rolls the
-    /// epoch back before surfacing it.
+    /// operator state behind — the caller ([`Dataflow::run`]) poisons
+    /// the dataflow before surfacing it.
     fn fixpoint(&mut self, batched: bool, stats: &mut RunStats) -> Result<(), DataflowError> {
         let mut out: Vec<Delta> = Vec::new();
         let mut chain: Vec<Delta> = Vec::new();
@@ -1009,7 +910,7 @@ impl Dataflow {
             stats.deltas_emitted += out.len() as u64;
             self.nodes[node].stat_emitted += out.len() as u64;
             // Lent out for the step and handed back whatever happens:
-            // rollback rewinds state, not graph structure.
+            // a failed step must not cost the graph its edges.
             let downstream = std::mem::take(&mut self.nodes[node].downstream);
             let next = self.route(node, &downstream, out, chain, stats, armed);
             self.nodes[node].downstream = downstream;
@@ -1475,121 +1376,56 @@ mod tests {
         assert_eq!(df.run().unwrap(), expected);
     }
 
+    /// A failed run keeps its error: every later run returns it and
+    /// services nothing, whatever the budget, the fault plan or the
+    /// input queued since — in both scheduler modes.
     #[test]
-    fn errored_run_rolls_back_and_counters_do_not_leak() {
-        let (mut df, l, r, sink) = join_net();
-        df.insert(r, ints(&[1, 20]));
-        df.run().unwrap();
-        // Budget admits the input and the join (which probes, emits and
-        // mutates its index), but errors before the distinct services
-        // its batch: without rollback the join would hold torn state
-        // and counters for a failed run.
+    fn a_failed_run_poisons_the_dataflow() {
+        let serviced = |df: &Dataflow| df.node_stats().iter().map(|n| n.batches).sum::<u64>();
+        for mode in [SchedulerMode::Batched, SchedulerMode::PerDelta] {
+            let (mut df, edge, sink) = tc_mode(mode);
+            df.insert(edge, ints(&[1, 2]));
+            df.run().unwrap();
+            df.insert(edge, ints(&[2, 3]));
+            df.set_fault_plan(Some(FaultPlan::one_shot(2)));
+            let err = df.run().unwrap_err();
+            assert!(matches!(err, DataflowError::InjectedFault { .. }), "{mode:?}: {err:?}");
+            let before = (serviced(&df), df.sink(sink).sorted());
+            df.set_fault_plan(None);
+            df.set_max_steps(1_000_000);
+            df.insert(edge, ints(&[3, 4]));
+            for _ in 0..2 {
+                assert_eq!(df.run().unwrap_err(), err, "{mode:?}");
+            }
+            assert_eq!((serviced(&df), df.sink(sink).sorted()), before, "{mode:?}");
+            assert_eq!(df.epoch(), 1, "{mode:?}");
+        }
+        // An overrun poisons the same way.
+        let (mut df, l, r, _sink) = join_net();
         df.set_max_steps(2);
         df.insert(l, ints(&[1, 10]));
+        df.insert(r, ints(&[1, 20]));
         let err = df.run().unwrap_err();
-        assert!(matches!(err, DataflowError::FixpointOverrun { steps: 2 }));
-        // The epoch rolled back: nothing reached the sink, and the
-        // failed run's externals are back in the queue.
-        assert!(df.sink(sink).sorted().is_empty());
-        assert_eq!(df.rollbacks(), 1);
-        // Recover with a raised budget; the checkpointed delta replays
-        // together with the new one against the committed state.
+        assert_eq!(err, DataflowError::FixpointOverrun { steps: 2 });
         df.set_max_steps(1_000_000);
-        df.insert(l, ints(&[2, 30]));
-        let stats = df.run().unwrap();
-        assert_eq!(
-            stats.join_probe_deltas, 2,
-            "retry must replay the rolled-back delta exactly once: {stats:?}"
-        );
-        assert_eq!(stats.rollbacks, 1);
-        assert_eq!(df.sink(sink).sorted(), vec![ints(&[1, 10, 1, 20])]);
-    }
-
-    /// The satellite regression: overrun → raise budget → re-run
-    /// converges to the same sinks as a never-overrun oracle, on the
-    /// recursive closure network, with fusion both off and on.
-    #[test]
-    fn overrun_retry_matches_never_overrun_oracle() {
-        for fusion in [false, true] {
-            let mk = || {
-                let (mut df, edge, sink) = tc();
-                df.set_fusion(fusion);
-                (df, edge, sink)
-            };
-            let (mut oracle, o_edge, o_sink) = mk();
-            let (mut victim, v_edge, v_sink) = mk();
-            for (a, b) in [(1, 2), (2, 3), (3, 4), (1, 3)] {
-                oracle.insert(o_edge, ints(&[a, b]));
-                victim.insert(v_edge, ints(&[a, b]));
-            }
-            oracle.run().unwrap();
-            // The victim overruns mid-derivation, possibly repeatedly.
-            victim.set_max_steps(3);
-            let err = victim.run().unwrap_err();
-            assert!(
-                matches!(err, DataflowError::FixpointOverrun { .. }),
-                "fusion={fusion}: {err:?}"
-            );
-            victim.set_max_steps(1_000_000);
-            victim.run().unwrap();
-            // A follow-up delta behaves identically on both engines.
-            oracle.delete(o_edge, ints(&[2, 3]));
-            victim.delete(v_edge, ints(&[2, 3]));
-            oracle.run().unwrap();
-            victim.run().unwrap();
-            assert!(!victim.sink(v_sink).has_negative_counts());
-            assert_eq!(
-                oracle.sink(o_sink).sorted(),
-                victim.sink(v_sink).sorted(),
-                "fusion={fusion}"
-            );
-        }
-    }
-
-    #[test]
-    fn injected_fault_rolls_back_and_rerun_recovers() {
-        let (mut df, edge, sink) = tc();
-        df.insert(edge, ints(&[1, 2]));
-        df.insert(edge, ints(&[2, 3]));
-        df.run().unwrap();
-        let committed = df.sink(sink).sorted();
-        df.insert(edge, ints(&[3, 4]));
-        df.set_fault_plan(Some(FaultPlan::one_shot(2)));
-        let err = df.run().unwrap_err();
-        assert!(matches!(err, DataflowError::InjectedFault { .. }));
-        assert_eq!(df.sink(sink).sorted(), committed, "rollback left torn state");
-        // The plan is spent: an immediate re-run succeeds and converges.
-        let stats = df.run().unwrap();
-        assert_eq!(stats.rollbacks, 1);
-        assert_eq!(df.sink(sink).len(), 6);
+        assert_eq!(df.run().unwrap_err(), err);
     }
 
     #[test]
     fn epoch_counters_track_commits_and_rollbacks() {
+        // `epoch` counts successful runs only; `rollbacks` stays 0, as a
+        // failed run poisons the dataflow instead of rolling it back.
         let (mut df, edge, _sink) = tc();
         assert_eq!(df.epoch(), 0);
-        df.insert(edge, ints(&[1, 2]));
-        let stats = df.run().unwrap();
-        assert_eq!((stats.epoch, stats.rollbacks), (1, 0));
-        df.insert(edge, ints(&[2, 3]));
+        for (n, row) in [[1, 2], [2, 3]].iter().enumerate() {
+            df.insert(edge, ints(row));
+            let stats = df.run().unwrap();
+            assert_eq!((stats.epoch, stats.rollbacks), (n as u64 + 1, 0));
+        }
+        df.insert(edge, ints(&[3, 4]));
         df.set_fault_plan(Some(FaultPlan::one_shot(1)));
         assert!(df.run().is_err());
-        assert_eq!((df.epoch(), df.rollbacks()), (1, 1));
-        let stats = df.run().unwrap();
-        assert_eq!((stats.epoch, stats.rollbacks), (2, 1));
-    }
-
-    #[test]
-    fn per_delta_mode_rolls_back_too() {
-        let (mut df, edge, sink) = tc_mode(SchedulerMode::PerDelta);
-        df.insert(edge, ints(&[1, 2]));
-        df.run().unwrap();
-        df.insert(edge, ints(&[2, 3]));
-        df.set_fault_plan(Some(FaultPlan::one_shot(2)));
-        assert!(df.run().is_err());
-        assert_eq!(df.sink(sink).sorted(), vec![ints(&[1, 2])]);
-        df.run().unwrap();
-        assert_eq!(df.sink(sink).len(), 3);
+        assert_eq!(df.epoch(), 2);
     }
 
     #[test]

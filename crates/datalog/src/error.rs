@@ -2,16 +2,16 @@
 //! fault injector used by the chaos differential suite.
 //!
 //! Every way a [`Dataflow::run`](crate::dataflow::Dataflow::run) epoch
-//! can fail is a [`DataflowError`] variant; an errored epoch is rolled
-//! back before the error is returned, so callers always observe the
-//! last committed fixpoint (see the epoch machinery in `dataflow.rs`).
+//! can fail is a [`DataflowError`] variant. The first error poisons the
+//! dataflow: it is kept, and every later run returns it without
+//! dispatching anything, so nothing is ever computed on the partial
+//! state the failure left behind. Recovery is a fresh dataflow.
 
 use std::fmt;
 
-/// A failed dataflow epoch. The substrate guarantees that by the time a
-/// caller sees one of these, all stateful operators and sinks have been
-/// rolled back to the last committed fixpoint and the input queue has
-/// been restored, so the same externals can simply be re-run.
+/// A failed dataflow epoch. The dataflow that returned one is poisoned
+/// (see [`Dataflow::run`](crate::dataflow::Dataflow::run)): its state is
+/// whatever the failure left, and it will not run again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DataflowError {
     /// The fixpoint did not converge within the step budget — either
@@ -90,9 +90,9 @@ impl FaultPlan {
         FaultPlan::with_shots(at_step, 1)
     }
 
-    /// Fail `shots` consecutive epochs that reach `at_step` processed
-    /// deltas (e.g. 2 shots also kills the raised-budget retry, forcing
-    /// a bridge-level rebuild).
+    /// Fail `shots` epochs that reach `at_step` processed deltas. A
+    /// failed run poisons its dataflow, so within one dataflow only the
+    /// first shot can fire; the rest die with it.
     pub fn with_shots(at_step: u64, shots: u32) -> FaultPlan {
         FaultPlan { at_step, shots }
     }

@@ -72,8 +72,8 @@ impl Sym {
 
     /// Interns `s`, surfacing id exhaustion as
     /// [`DataflowError::StateCorruption`] so callers can route it
-    /// through the rollback/degradation ladder instead of aborting the
-    /// process.
+    /// through their recovery path (the bridge rebuilds) instead of
+    /// aborting the process.
     pub fn try_intern(s: &str) -> Result<Sym, DataflowError> {
         let mut t = interner();
         if let Some(&id) = t.by_str.get(s) {

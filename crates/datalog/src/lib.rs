@@ -31,6 +31,11 @@
 //! - **External functions as operators** ([`ops::ExternalFn`]): the
 //!   paper's `Fn_*` predicates run inside the dataflow, processing delta
 //!   tuples like every other operator.
+//! - **Fail-stop epochs**: a failed run poisons the dataflow — it keeps
+//!   the first [`DataflowError`] and returns it from every later run
+//!   without dispatching anything. No state is kept to undo a run; a
+//!   caller recovers by building a fresh dataflow, which is what the
+//!   optimizer's rebuild and its restarts both do.
 
 pub mod agg;
 pub mod dataflow;

@@ -56,28 +56,15 @@ pub trait Operator {
     /// (no two deltas share a tuple, no zero counts), but operators must
     /// not rely on that for correctness.
     ///
-    /// An `Err` aborts the epoch: the scheduler rolls every stateful
-    /// operator (including this one — state mutated before the error is
-    /// journaled) back to the last committed fixpoint. Output deltas
-    /// pushed before the error are discarded by the scheduler.
+    /// An `Err` aborts the run and poisons the dataflow: state mutated
+    /// before the error stays as it was left, and the scheduler never
+    /// dispatches to this operator (or any other) again.
     fn on_batch(
         &mut self,
         port: usize,
         deltas: &[Delta],
         out: &mut Vec<Delta>,
     ) -> Result<(), DataflowError>;
-
-    /// Opens an epoch: stateful operators start journaling state
-    /// mutations so [`Operator::rollback_epoch`] can undo them.
-    /// Stateless operators keep the no-op default.
-    fn begin_epoch(&mut self) {}
-
-    /// Commits the open epoch, discarding the undo journal.
-    fn commit_epoch(&mut self) {}
-
-    /// Rolls the open epoch back, restoring the operator's state to
-    /// what it was at [`Operator::begin_epoch`].
-    fn rollback_epoch(&mut self) {}
 
     /// Number of input ports.
     fn arity(&self) -> usize {
@@ -258,7 +245,7 @@ impl Operator for Map {
 
 /// The callback behind an [`ExternalFn`] node: receives one input tuple
 /// and pushes zero or more output tuples into the sink. Returning `Err`
-/// aborts the epoch (the error string becomes
+/// fails the run (the error string becomes
 /// [`DataflowError::ExternalFn`]).
 pub type ExternalFnBody = Box<dyn FnMut(Row<'_>, &mut dyn FnMut(Tuple)) -> Result<(), String>>;
 
@@ -289,8 +276,8 @@ impl ExternalFn {
         })
     }
 
-    /// An external function whose callback can fail; an `Err` aborts
-    /// the epoch as [`DataflowError::ExternalFn`].
+    /// An external function whose callback can fail; an `Err` fails
+    /// the run as [`DataflowError::ExternalFn`].
     pub fn try_new(
         name: impl Into<String>,
         mut f: impl FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
@@ -520,8 +507,7 @@ pub struct HashJoin {
     /// concatenation. `None` emits the full concatenation.
     proj: Option<Vec<usize>>,
     /// The post-stage ([`Operator::absorb_tail`]): each output runs
-    /// through these stages instead of being emitted. Stateless, so it
-    /// has no epoch state.
+    /// through these stages instead of being emitted. Stateless.
     post: Vec<FuseStage>,
     /// Scratch: a wide output the post-stage reads and nobody stores.
     row: Vec<Val>,
@@ -537,8 +523,7 @@ pub struct HashJoin {
 /// [`ArrangementHandle`] maintained by an upstream [`Arrange`] node.
 /// A shared port's deltas arrive *already applied* to the index (the
 /// `Arrange` applies, then fans out synchronously), so the join only
-/// probes; its epoch lifecycle likewise belongs to the
-/// owning `Arrange`, never to the attached joins.
+/// probes.
 enum Side {
     Owned(IndexedMultiset),
     Shared(ArrangementHandle),
@@ -629,13 +614,6 @@ impl HashJoin {
 
     pub fn state_size(&self) -> usize {
         self.left.total_tuples() + self.right.total_tuples()
-    }
-
-    /// The sides this join keeps its own index for, in port order.
-    fn owned(&mut self) -> impl Iterator<Item = &mut IndexedMultiset> {
-        [&mut self.left, &mut self.right]
-            .into_iter()
-            .filter_map(Side::owned)
     }
 }
 
@@ -829,21 +807,6 @@ impl Operator for HashJoin {
         self.post.extend(stages);
     }
 
-    // Epoch hooks touch only the owned sides: a shared index is
-    // journaled, committed and rolled back exactly once, by its owning
-    // `Arrange` node.
-    fn begin_epoch(&mut self) {
-        self.owned().for_each(IndexedMultiset::begin_epoch);
-    }
-
-    fn commit_epoch(&mut self) {
-        self.owned().for_each(IndexedMultiset::commit_epoch);
-    }
-
-    fn rollback_epoch(&mut self) {
-        self.owned().for_each(IndexedMultiset::rollback_epoch);
-    }
-
     fn take_counters(&mut self) -> OpCounters {
         std::mem::take(&mut self.counters)
     }
@@ -910,18 +873,6 @@ impl Operator for Arrange {
         true
     }
 
-    fn begin_epoch(&mut self) {
-        self.handle.write().begin_epoch();
-    }
-
-    fn commit_epoch(&mut self) {
-        self.handle.write().commit_epoch();
-    }
-
-    fn rollback_epoch(&mut self) {
-        self.handle.write().rollback_epoch();
-    }
-
     fn state_rows(&self) -> usize {
         self.handle.read().total_tuples()
     }
@@ -950,13 +901,6 @@ pub struct GroupAgg {
     /// Batch generation, stamped into each touched group — the
     /// first-touch test is a field compare instead of a second map.
     generation: u64,
-    /// Undo log for the open epoch: `(group key, value, count)` per
-    /// state update. Only populated while `recording`.
-    journal: Vec<(Tuple, Val, i64)>,
-    recording: bool,
-    /// Nothing pre-existed at `begin_epoch`: rollback is truncation,
-    /// per-delta journaling is skipped.
-    was_empty: bool,
     /// Batch scratch: `(key, value, count)` rows, sorted by (key,
     /// value) so each group is touched once and same-value deltas merge
     /// into one BTree update.
@@ -981,9 +925,6 @@ impl GroupAgg {
             groups: FxHashMap::default(),
             touched: Vec::new(),
             generation: 0,
-            journal: Vec::new(),
-            recording: false,
-            was_empty: false,
             batch_rows: Vec::new(),
         }
     }
@@ -1006,9 +947,6 @@ impl Operator for GroupAgg {
                 }
                 let key = delta.tuple.project(&self.key_cols);
                 let value = delta.tuple.get(self.value_col);
-                if self.recording {
-                    self.journal.push((key.clone(), value, delta.count));
-                }
                 let group = self.groups.entry(key.clone()).or_insert_with(|| Group {
                     state: OrderedMultiset::new(),
                     stamp: 0,
@@ -1060,9 +998,6 @@ impl Operator for GroupAgg {
                     if count == 0 {
                         continue;
                     }
-                    if self.recording {
-                        self.journal.push((key.clone(), value, count));
-                    }
                     group.state.update(value, count);
                 }
             }
@@ -1082,39 +1017,6 @@ impl Operator for GroupAgg {
             }
         }
         Ok(())
-    }
-
-    fn begin_epoch(&mut self) {
-        self.journal.clear();
-        self.was_empty = self.groups.is_empty();
-        self.recording = !self.was_empty;
-    }
-
-    fn commit_epoch(&mut self) {
-        self.journal.clear();
-        self.recording = false;
-        self.was_empty = false;
-    }
-
-    fn rollback_epoch(&mut self) {
-        self.recording = false;
-        if self.was_empty {
-            self.was_empty = false;
-            self.groups.clear();
-            self.journal.clear();
-            return;
-        }
-        let journal = std::mem::take(&mut self.journal);
-        for (key, value, count) in journal.into_iter().rev() {
-            // Groups created this epoch roll back to empty state; the
-            // entry itself is left behind (an empty OrderedMultiset
-            // aggregates to None, so it is observationally absent).
-            self.groups
-                .get_mut(&key)
-                .expect("journaled group exists")
-                .state
-                .update(value, -count);
-        }
     }
 
     // One `−old`/`+new` pair per touched group, `old != new`.
@@ -1165,18 +1067,6 @@ impl Operator for Distinct {
             }
         }
         Ok(())
-    }
-
-    fn begin_epoch(&mut self) {
-        self.state.begin_epoch();
-    }
-
-    fn commit_epoch(&mut self) {
-        self.state.commit_epoch();
-    }
-
-    fn rollback_epoch(&mut self) {
-        self.state.rollback_epoch();
     }
 
     fn emits_consolidated(&self) -> bool {
@@ -1572,67 +1462,6 @@ mod tests {
             .on_batch(0, &[Delta::insert(ints(&[-2, 9]))], &mut out)
             .unwrap_err();
         assert!(matches!(err, DataflowError::ExternalFn { .. }));
-    }
-
-    #[test]
-    fn join_rollback_restores_both_sides() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
-        run(&mut j, 0, Delta::insert(ints(&[1, 10])));
-        run(&mut j, 1, Delta::insert(ints(&[1, 20])));
-        j.begin_epoch();
-        run(&mut j, 0, Delta::delete(ints(&[1, 10])));
-        run(&mut j, 1, Delta::insert(ints(&[2, 30])));
-        j.rollback_epoch();
-        assert_eq!(j.state_size(), 2);
-        // The state behaves exactly as before the aborted epoch.
-        let out = run(&mut j, 0, Delta::insert(ints(&[1, 11])));
-        assert_eq!(out, vec![Delta::insert(ints(&[1, 11, 1, 20]))]);
-    }
-
-    #[test]
-    fn distinct_rollback_restores_gate_state() {
-        let mut d = Distinct::new();
-        run(&mut d, 0, Delta::insert(ints(&[1])));
-        d.begin_epoch();
-        run(&mut d, 0, Delta::delete(ints(&[1])));
-        run(&mut d, 0, Delta::insert(ints(&[2])));
-        d.rollback_epoch();
-        // Tuple 1 is still present (a re-insert emits nothing), tuple 2
-        // is gone (an insert re-emits).
-        assert!(run(&mut d, 0, Delta::insert(ints(&[1]))).is_empty());
-        assert_eq!(run(&mut d, 0, Delta::insert(ints(&[2]))).len(), 1);
-    }
-
-    #[test]
-    fn group_agg_rollback_restores_next_best_state() {
-        let mut a = GroupAgg::new(vec![0], 1, AggKind::Min);
-        run(&mut a, 0, Delta::insert(ints(&[1, 10])));
-        run(&mut a, 0, Delta::insert(ints(&[1, 30])));
-        a.begin_epoch();
-        run(&mut a, 0, Delta::insert(ints(&[1, 5])));
-        run(&mut a, 0, Delta::delete(ints(&[1, 30])));
-        run(&mut a, 0, Delta::insert(ints(&[2, 7]))); // fresh group
-        a.rollback_epoch();
-        // Group 1's priority queue is back to {10, 30}: deleting the
-        // minimum recovers 30 via next-best.
-        let out = run(&mut a, 0, Delta::delete(ints(&[1, 10])));
-        assert_eq!(
-            out,
-            vec![Delta::delete(ints(&[1, 10])), Delta::insert(ints(&[1, 30]))]
-        );
-        // Group 2 rolled back to empty: a fresh insert emits anew.
-        let out = run(&mut a, 0, Delta::insert(ints(&[2, 9])));
-        assert_eq!(out, vec![Delta::insert(ints(&[2, 9]))]);
-    }
-
-    #[test]
-    fn commit_discards_undo_log() {
-        let mut d = Distinct::new();
-        d.begin_epoch();
-        run(&mut d, 0, Delta::insert(ints(&[1])));
-        d.commit_epoch();
-        d.rollback_epoch(); // nothing to undo
-        assert!(d.distinct_state().unwrap().contains(&ints(&[1])));
     }
 
     #[test]

@@ -19,33 +19,11 @@ use crate::value::Tuple;
 /// [`Multiset::has_negative_counts`] are O(1).
 #[derive(Clone, Debug, Default)]
 pub struct Multiset {
-    counts: FxHashMap<Tuple, Slot>,
+    counts: FxHashMap<Tuple, i64>,
     /// Entries with count > 0.
     visible: usize,
     /// Entries with count < 0 (out-of-order deletions in flight).
     negative: usize,
-    /// First-touch undo log for the open epoch: `(tuple, pre-epoch
-    /// count)` snapshots, recorded the first time the epoch touches
-    /// each tuple (so a hot tuple updated thousands of times per
-    /// fixpoint journals once). Only populated while `recording`.
-    journal: Vec<(Tuple, i64)>,
-    recording: bool,
-    /// Epoch stamp compared against [`Slot::stamp`] to detect first
-    /// touches. Strictly positive once an epoch has opened, so fresh
-    /// slots (stamp 0) always count as untouched.
-    epoch: u32,
-    /// True when the relation held nothing at epoch open: rollback is
-    /// then plain truncation and per-apply journaling is skipped
-    /// entirely (the common case for from-scratch evaluation).
-    was_empty: bool,
-}
-
-/// One tuple's count plus the journal stamp of the epoch that last
-/// snapshotted it.
-#[derive(Clone, Copy, Debug, Default)]
-struct Slot {
-    count: i64,
-    stamp: u32,
 }
 
 /// How applying a delta changed a tuple's *visibility* (positivity of its
@@ -72,13 +50,9 @@ impl Multiset {
             return Visibility::Unchanged;
         }
         let entry = self.counts.entry(delta.tuple.clone()).or_default();
-        if self.recording && entry.stamp != self.epoch {
-            entry.stamp = self.epoch;
-            self.journal.push((delta.tuple.clone(), entry.count));
-        }
-        let before = entry.count;
-        entry.count += delta.count;
-        let after = entry.count;
+        let before = *entry;
+        *entry += delta.count;
+        let after = *entry;
         if after == 0 {
             self.counts.remove(&delta.tuple);
         }
@@ -104,7 +78,7 @@ impl Multiset {
     }
 
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        self.counts.get(tuple).map_or(0, |s| s.count)
+        self.counts.get(tuple).copied().unwrap_or(0)
     }
 
     pub fn contains(&self, tuple: &Tuple) -> bool {
@@ -113,10 +87,7 @@ impl Multiset {
 
     /// Iterates tuples with positive counts.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.counts
-            .iter()
-            .filter(|(_, s)| s.count > 0)
-            .map(|(t, s)| (t, s.count))
+        self.counts.iter().filter(|(_, &c)| c > 0).map(|(t, &c)| (t, c))
     }
 
     /// Number of distinct visible tuples. O(1).
@@ -139,53 +110,6 @@ impl Multiset {
         let mut v: Vec<Tuple> = self.iter().map(|(t, _)| t.clone()).collect();
         v.sort();
         v
-    }
-
-    /// Opens an epoch: the first [`Multiset::apply`] touching each
-    /// tuple snapshots its pre-epoch count so
-    /// [`Multiset::rollback_epoch`] can restore it. Clears any stale
-    /// journal but keeps its capacity.
-    pub fn begin_epoch(&mut self) {
-        self.journal.clear();
-        self.was_empty = self.counts.is_empty();
-        self.recording = !self.was_empty;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // 0 is the fresh-slot sentinel; skip it on wraparound.
-            self.epoch = 1;
-        }
-    }
-
-    /// Commits the open epoch: the journal is discarded (capacity
-    /// retained) and recording stops.
-    pub fn commit_epoch(&mut self) {
-        self.journal.clear();
-        self.recording = false;
-        self.was_empty = false;
-    }
-
-    /// Rolls the open epoch back by restoring each journaled snapshot,
-    /// in reverse order (a tuple removed and re-created within one
-    /// epoch snapshots twice; reverse replay makes the oldest — true
-    /// pre-epoch — snapshot win).
-    pub fn rollback_epoch(&mut self) {
-        self.recording = false;
-        if self.was_empty {
-            // Nothing pre-existed: rollback is truncation.
-            self.was_empty = false;
-            self.counts.clear();
-            self.visible = 0;
-            self.negative = 0;
-            self.journal.clear();
-            return;
-        }
-        let journal = std::mem::take(&mut self.journal);
-        for (tuple, before) in journal.into_iter().rev() {
-            let now = self.count(&tuple);
-            if now != before {
-                self.apply(&Delta::with_count(tuple, before - now));
-            }
-        }
     }
 }
 
@@ -233,14 +157,6 @@ pub struct IndexedMultiset {
     key_cols: Vec<usize>,
     by_key: FxHashMap<u64, Bucket>,
     total: usize,
-    /// Undo log for the open epoch (applied deltas, in order). Only
-    /// populated while `recording`.
-    journal: Vec<(Tuple, i64)>,
-    recording: bool,
-    /// True when the index held nothing at epoch open: rollback is then
-    /// plain truncation and journaling is skipped (see
-    /// [`Multiset::begin_epoch`]).
-    was_empty: bool,
 }
 
 impl IndexedMultiset {
@@ -249,9 +165,6 @@ impl IndexedMultiset {
             key_cols,
             by_key: FxHashMap::default(),
             total: 0,
-            journal: Vec::new(),
-            recording: false,
-            was_empty: false,
         }
     }
 
@@ -300,9 +213,6 @@ impl IndexedMultiset {
                 continue;
             }
             debug_assert_eq!(h, delta.tuple.hash_cols(&self.key_cols));
-            if self.recording {
-                self.journal.push((delta.tuple.clone(), delta.count));
-            }
             Self::bucket_apply(group, delta, &mut self.total, &mut emptied);
         }
         if emptied && group.entries().is_empty() {
@@ -403,39 +313,6 @@ impl IndexedMultiset {
     pub fn total_tuples(&self) -> usize {
         self.total
     }
-
-    /// Opens an epoch: subsequent applies are journaled for
-    /// [`IndexedMultiset::rollback_epoch`] — unless the index is empty,
-    /// in which case rollback is truncation and nothing is journaled.
-    pub fn begin_epoch(&mut self) {
-        self.journal.clear();
-        self.was_empty = self.by_key.is_empty();
-        self.recording = !self.was_empty;
-    }
-
-    /// Commits the open epoch, discarding the journal.
-    pub fn commit_epoch(&mut self) {
-        self.journal.clear();
-        self.recording = false;
-        self.was_empty = false;
-    }
-
-    /// Rolls the open epoch back by re-applying the journal negated, in
-    /// reverse order.
-    pub fn rollback_epoch(&mut self) {
-        self.recording = false;
-        if self.was_empty {
-            self.was_empty = false;
-            self.by_key.clear();
-            self.total = 0;
-            self.journal.clear();
-            return;
-        }
-        let journal = std::mem::take(&mut self.journal);
-        for (tuple, count) in journal.into_iter().rev() {
-            self.apply(&Delta::with_count(tuple, -count));
-        }
-    }
 }
 
 /// A shared, keyed index over one relation — differential dataflow's
@@ -443,11 +320,9 @@ impl IndexedMultiset {
 /// single [`crate::ops::Arrange`] operator (the sole writer) and probed
 /// read-only by every [`crate::ops::HashJoin`] attached to it via
 /// `share_left`/`share_right`, replacing the per-join [`IndexedMultiset`]
-/// copies that would otherwise each re-apply the same deltas.
-///
-/// Epoch journaling of the shared index is the owning `Arrange`'s
-/// responsibility; attached joins treat the handle as immutable state
-/// and never open a mutable borrow.
+/// copies that would otherwise each re-apply the same deltas. Attached
+/// joins treat the handle as immutable state and never open a mutable
+/// borrow.
 #[derive(Clone, Debug)]
 pub struct ArrangementHandle {
     inner: Rc<RefCell<IndexedMultiset>>,
@@ -615,69 +490,6 @@ mod tests {
         }
         assert_eq!(m.total_tuples(), 0);
         assert_eq!(m.matches(&ints(&[7, 0]), &[0]).count(), 0);
-    }
-
-    #[test]
-    fn multiset_rollback_restores_pre_epoch_state() {
-        let mut m = Multiset::new();
-        m.apply(&Delta::with_count(ints(&[1]), 2));
-        m.apply(&Delta::insert(ints(&[2])));
-        let committed: Vec<(Tuple, i64)> = {
-            let mut v: Vec<_> = m.iter().map(|(t, c)| (t.clone(), c)).collect();
-            v.sort();
-            v
-        };
-        m.begin_epoch();
-        m.apply(&Delta::delete(ints(&[1])));
-        m.apply(&Delta::delete(ints(&[3]))); // transient negative
-        m.apply(&Delta::with_count(ints(&[2]), 4));
-        assert!(m.has_negative_counts());
-        m.rollback_epoch();
-        let mut now: Vec<_> = m.iter().map(|(t, c)| (t.clone(), c)).collect();
-        now.sort();
-        assert_eq!(committed, now);
-        assert!(!m.has_negative_counts());
-        assert_eq!(m.count(&ints(&[3])), 0);
-        // After rollback, recording is off: applies are not journaled.
-        m.apply(&Delta::insert(ints(&[9])));
-        m.rollback_epoch(); // no-op, empty journal
-        assert_eq!(m.count(&ints(&[9])), 1);
-    }
-
-    #[test]
-    fn multiset_commit_keeps_epoch_changes() {
-        let mut m = Multiset::new();
-        m.begin_epoch();
-        m.apply(&Delta::insert(ints(&[1])));
-        m.commit_epoch();
-        m.rollback_epoch(); // journal was discarded at commit
-        assert_eq!(m.count(&ints(&[1])), 1);
-    }
-
-    #[test]
-    fn indexed_multiset_rollback_restores_buckets_and_totals() {
-        let mut m = IndexedMultiset::new(vec![0]);
-        for v in 0..(LINEAR_BUCKET_MAX as i64 + 4) {
-            m.apply(&Delta::insert(ints(&[7, v])));
-        }
-        m.apply(&Delta::insert(ints(&[8, 0])));
-        let total = m.total_tuples();
-        m.begin_epoch();
-        // Deletes through the promoted layout, fresh inserts, and a
-        // bucket emptied entirely.
-        for v in 0..4 {
-            m.apply(&Delta::delete(ints(&[7, v])));
-        }
-        m.apply(&Delta::insert(ints(&[9, 1])));
-        m.apply(&Delta::delete(ints(&[8, 0])));
-        m.rollback_epoch();
-        assert_eq!(m.total_tuples(), total);
-        assert_eq!(
-            m.matches(&ints(&[7, 0]), &[0]).count(),
-            LINEAR_BUCKET_MAX + 4
-        );
-        assert_eq!(m.matches(&ints(&[8, 0]), &[0]).count(), 1);
-        assert_eq!(m.matches(&ints(&[9, 0]), &[0]).count(), 0);
     }
 
     #[test]

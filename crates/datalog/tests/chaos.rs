@@ -1,17 +1,20 @@
 //! Chaos differential harness: random operator networks under random
-//! insert/delete streams, with a fault injected at a random step of a
-//! random run — either a deterministic injected fault or a starved step
-//! budget. A failed epoch must roll back to the last committed
-//! fixpoint, and a disarmed re-run must land on exactly the fixpoint a
-//! fault-free twin reaches, across the full scheduler/fusion matrix,
-//! with zero residual negative counts. The recursive cost loop runs
-//! the same trial with a drawn release order, so faults also land while
-//! strata are held in the queue.
+//! insert/delete streams, with a fault armed on a victim twin — either a
+//! deterministic injected fault or a starved step budget. Until the
+//! fault fires, every victim run must land on exactly the fixpoint a
+//! fault-free oracle reaches, across the full scheduler/fusion matrix,
+//! with zero residual negative counts. The run it fires in must return
+//! the armed error, and that error poisons the victim: every later run
+//! returns the same error and services no batch. Recovery is what the
+//! optimizer does: a fresh twin fed the live inputs must land on the
+//! oracle's fixpoint. The recursive cost loop runs the same trial with a
+//! drawn release order, so faults also land while strata are held in
+//! the queue.
 
 use proptest::prelude::*;
 
 use reopt_datalog::value::ints;
-use reopt_datalog::{Dataflow, DataflowError, FaultPlan};
+use reopt_datalog::{Dataflow, DataflowError, FaultPlan, SinkId};
 
 mod common;
 use common::{
@@ -24,30 +27,79 @@ use common::{
 enum Arm {
     /// `FaultPlan` fires once at the first run reaching the fault step.
     Injected,
-    /// Step budget lowered to the fault step; restored after the overrun.
+    /// Step budget lowered to the fault step.
     Starved,
 }
 
-/// Runs the victim once; on failure, checks the error matches what was
-/// armed, disarms, and re-runs — the rollback + replay that the bridge
-/// ladder automates. Returns how many faults were absorbed (0 or 1).
-fn run_victim(victim: &mut Dataflow, arm: Arm, budget: u64) -> u64 {
-    match victim.run() {
-        Ok(_) => 0,
-        Err(e) => {
-            match (arm, &e) {
-                (Arm::Injected, DataflowError::InjectedFault { .. }) => {
-                    victim.set_fault_plan(None)
-                }
-                (Arm::Starved, DataflowError::FixpointOverrun { .. }) => {
-                    victim.set_max_steps(budget)
-                }
-                other => panic!("fault does not match what was armed: {other:?}"),
-            }
-            victim
-                .run()
-                .expect("the disarmed replay of a rolled-back epoch converges");
-            1
+impl Arm {
+    fn new(starve: bool, victim: &mut Dataflow, fault_step: u64) -> Arm {
+        if starve {
+            victim.set_max_steps(fault_step);
+            Arm::Starved
+        } else {
+            victim.set_fault_plan(Some(FaultPlan::one_shot(fault_step)));
+            Arm::Injected
+        }
+    }
+
+    fn armed(self, e: &DataflowError) -> bool {
+        matches!(
+            (self, e),
+            (Arm::Injected, DataflowError::InjectedFault { .. })
+                | (Arm::Starved, DataflowError::FixpointOverrun { .. })
+        )
+    }
+}
+
+/// Batches the dataflow has serviced over its lifetime.
+fn serviced(df: &Dataflow) -> u64 {
+    df.node_stats().iter().map(|n| n.batches).sum()
+}
+
+/// Every victim sink equals the oracle's, counts included, with no
+/// residual negative counts.
+fn assert_same_fixpoint(
+    (oracle, o_sinks): (&Dataflow, &[SinkId]),
+    (victim, v_sinks): (&Dataflow, &[SinkId]),
+    what: &str,
+) {
+    for (o_sink, v_sink) in o_sinks.iter().zip(v_sinks) {
+        assert!(
+            !victim.sink(*v_sink).has_negative_counts(),
+            "residual negative counts ({what})"
+        );
+        assert_eq!(
+            sink_counted(oracle, *o_sink),
+            sink_counted(victim, *v_sink),
+            "sink diverged from the fault-free oracle ({what})"
+        );
+    }
+}
+
+/// One victim run beside the oracle's. Until the armed fault fires the
+/// run succeeds on the oracle's fixpoint; the run it fires in returns
+/// the armed error, kept in `fired`; every run after that returns the
+/// same error without servicing a batch.
+fn run_victim(
+    oracle: (&Dataflow, &[SinkId]),
+    (victim, v_sinks): (&mut Dataflow, &[SinkId]),
+    arm: Arm,
+    fired: &mut Option<DataflowError>,
+    what: &str,
+) {
+    let before = serviced(victim);
+    match (victim.run(), fired.as_ref()) {
+        (Ok(_), None) => assert_same_fixpoint(oracle, (victim, v_sinks), what),
+        (Err(e), None) => {
+            assert!(arm.armed(&e), "fault does not match what was armed: {arm:?} vs {e:?} ({what})");
+            *fired = Some(e);
+        }
+        (Err(e), Some(first)) => {
+            assert_eq!(&e, first, "a poisoned dataflow changed its error ({what})");
+            assert_eq!(serviced(victim), before, "a poisoned dataflow serviced a batch ({what})");
+        }
+        (Ok(stats), Some(first)) => {
+            panic!("a dataflow poisoned by {first} ran again: {stats:?} ({what})")
         }
     }
 }
@@ -57,8 +109,6 @@ proptest! {
 
     /// The chaos matrix: {Batched, Batched+fusion, PerDelta}, each mode
     /// running a fault-free oracle and a victim with one armed fault.
-    /// After recovery the victim's every materialized sink must equal
-    /// the oracle's, counts included.
     #[test]
     fn faulted_runs_recover_to_the_fault_free_fixpoint(
         gen in net_gen(5),
@@ -69,17 +119,15 @@ proptest! {
         sharing in any::<bool>(),
     ) {
         for (mode, fusion) in MATRIX {
+            let what = format!("{mode:?}, fusion={fusion}");
             let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion, sharing);
             let (mut victim, v_in, v_sinks) = build(&gen, mode, fusion, sharing);
-            let budget = victim.max_steps();
-            let arm = if starve {
-                victim.set_max_steps(fault_step);
-                Arm::Starved
-            } else {
-                victim.set_fault_plan(Some(FaultPlan::one_shot(fault_step)));
-                Arm::Injected
+            let arm = Arm::new(starve, &mut victim, fault_step);
+            let mut fired = None;
+            let run = |oracle: &mut Dataflow, victim: &mut Dataflow, fired: &mut _| {
+                oracle.run().unwrap();
+                run_victim((oracle, &o_sinks), (victim, &v_sinks), arm, fired, &what);
             };
-            let mut faults = 0u64;
             // Set-like inputs (delete only present tuples) keep every
             // fixpoint's state non-negative.
             let mut live: [Vec<(i64, i64)>; 2] = [Vec::new(), Vec::new()];
@@ -106,35 +154,29 @@ proptest! {
                     victim.delete(v_in[side], tup);
                 }
                 if step % run_every == 0 {
-                    oracle.run().unwrap();
-                    faults += run_victim(&mut victim, arm, budget);
+                    run(&mut oracle, &mut victim, &mut fired);
                 }
             }
-            oracle.run().unwrap();
-            faults += run_victim(&mut victim, arm, budget);
-            prop_assert!(faults <= 1, "the single armed fault fired {faults} times");
-            prop_assert_eq!(victim.rollbacks(), faults, "rollbacks != absorbed faults");
-            for (o_sink, v_sink) in o_sinks.iter().zip(&v_sinks) {
-                prop_assert!(
-                    !victim.sink(*v_sink).has_negative_counts(),
-                    "residual negative counts after recovery ({mode:?}, fusion={fusion})"
-                );
-                prop_assert_eq!(
-                    sink_counted(&oracle, *o_sink),
-                    sink_counted(&victim, *v_sink),
-                    "recovered sink diverged from the fault-free oracle \
-                     ({:?}, fusion={})", mode, fusion
-                );
+            // Two more: a fault fired by the last run is refused twice.
+            run(&mut oracle, &mut victim, &mut fired);
+            run(&mut oracle, &mut victim, &mut fired);
+            if fired.is_some() {
+                let (mut fresh, f_in, f_sinks) = build(&gen, mode, fusion, sharing);
+                for (side, rows) in live.iter().enumerate() {
+                    for &(k, v) in rows {
+                        fresh.insert(f_in[side], ints(&[k, v]));
+                    }
+                }
+                fresh.run().unwrap();
+                assert_same_fixpoint((&oracle, &o_sinks), (&fresh, &f_sinks), &what);
             }
         }
     }
 
     /// The same trial on the recursive cost loop with a drawn release
     /// order: most of an epoch's steps there run while later strata are
-    /// held, so the fault aborts the epoch with deltas parked in the
-    /// queue. Rollback must drop them with the rest of the epoch and
-    /// the replay must park and release them again to the fault-free
-    /// fixpoint.
+    /// held, so the fault stops the run with deltas parked in the queue,
+    /// and they must stay parked.
     #[test]
     fn faults_while_strata_are_held_recover_to_the_fault_free_fixpoint(
         gen in cost_loop_gen(),
@@ -148,40 +190,42 @@ proptest! {
         let release = RELEASES[release_sel];
         let moves = cost_moves(&gen, &evts);
         for (mode, fusion) in MATRIX {
+            let what = format!("{mode:?}, fusion={fusion}, {release:?}");
             let mut oracle = CostLoop::build(&gen, mode, fusion, sharing, release);
             let mut victim = CostLoop::build(&gen, mode, fusion, sharing, release);
-            let budget = victim.df.max_steps();
-            let arm = if starve {
-                victim.df.set_max_steps(fault_step);
-                Arm::Starved
-            } else {
-                victim.df.set_fault_plan(Some(FaultPlan::one_shot(fault_step)));
-                Arm::Injected
+            let arm = Arm::new(starve, &mut victim.df, fault_step);
+            let mut fired = None;
+            let run = |oracle: &mut CostLoop, victim: &mut CostLoop, fired: &mut _| {
+                oracle.df.run().unwrap();
+                run_victim(
+                    (&oracle.df, &oracle.sinks),
+                    (&mut victim.df, &victim.sinks),
+                    arm,
+                    fired,
+                    &what,
+                );
             };
-            let mut faults = 0u64;
-            for (step, (alt, old, new)) in moves.iter().enumerate() {
-                oracle.set_local(*alt, *old, *new);
-                victim.set_local(*alt, *old, *new);
+            let mut local: Vec<Option<i64>> = vec![None; gen.alts.len()];
+            for (step, &(alt, old, new)) in moves.iter().enumerate() {
+                oracle.set_local(alt, old, new);
+                victim.set_local(alt, old, new);
+                local[alt] = new;
                 if step % run_every == 0 {
-                    oracle.df.run().unwrap();
-                    faults += run_victim(&mut victim.df, arm, budget);
+                    run(&mut oracle, &mut victim, &mut fired);
                 }
             }
-            oracle.df.run().unwrap();
-            faults += run_victim(&mut victim.df, arm, budget);
-            prop_assert!(faults <= 1, "the single armed fault fired {faults} times");
-            prop_assert_eq!(victim.df.rollbacks(), faults, "rollbacks != absorbed faults");
-            for (o_sink, v_sink) in oracle.sinks.iter().zip(&victim.sinks) {
-                prop_assert!(
-                    !victim.df.sink(*v_sink).has_negative_counts(),
-                    "residual negative counts after recovery \
-                     ({:?}, fusion={}, {:?})", mode, fusion, release
-                );
-                prop_assert_eq!(
-                    sink_counted(&oracle.df, *o_sink),
-                    sink_counted(&victim.df, *v_sink),
-                    "recovered sink diverged from the fault-free oracle \
-                     ({:?}, fusion={}, {:?})", mode, fusion, release
+            run(&mut oracle, &mut victim, &mut fired);
+            run(&mut oracle, &mut victim, &mut fired);
+            if fired.is_some() {
+                let mut fresh = CostLoop::build(&gen, mode, fusion, sharing, release);
+                for (alt, &cost) in local.iter().enumerate() {
+                    fresh.set_local(alt, None, cost);
+                }
+                fresh.df.run().unwrap();
+                assert_same_fixpoint(
+                    (&oracle.df, &oracle.sinks),
+                    (&fresh.df, &fresh.sinks),
+                    &what,
                 );
             }
         }

@@ -5,9 +5,9 @@
 
 use reopt_datalog::{set_intern_capacity, DataflowError, Sym};
 
-/// Id exhaustion surfaces as `StateCorruption` — routable through the
-/// rollback/degradation ladder — never a process abort, and already
-/// interned symbols keep resolving.
+/// Id exhaustion surfaces as `StateCorruption` — routable to the
+/// bridge's rebuild like any other error — never a process abort, and
+/// already interned symbols keep resolving.
 #[test]
 fn interner_exhaustion_is_corruption_not_abort() {
     let seed = Sym::intern("cap-test-seed");
