@@ -5,65 +5,60 @@
 
 use std::time::{Duration, Instant};
 
-use reopt_baselines::optimize_volcano;
+use reopt_baselines::FromScratch;
 use reopt_catalog::Catalog;
-use reopt_core::{IncrementalOptimizer, PruningConfig, RunMetrics, StateMetrics};
-use reopt_cost::CostContext;
+use reopt_core::{Outcome, Reoptimizer};
 use reopt_exec::{observed_deltas, Database, Executor};
-use reopt_expr::{JoinGraph, QuerySpec};
 
-/// Measurements for one partition round (one x-position of Fig 6).
+/// Measurements for one partition round (one x-position of Fig 6). `O`
+/// is the engine's report type.
 #[derive(Clone, Debug)]
-pub struct PartitionReport {
+pub struct PartitionReport<O = Outcome> {
     pub round: usize,
-    /// Incremental re-optimization time after executing this partition.
-    pub incremental_reopt: Duration,
+    /// The engine's re-optimization time after executing this partition.
+    pub reopt_time: Duration,
     /// From-scratch (Volcano) re-optimization time on the same deltas.
-    pub volcano_reopt: Duration,
-    pub run: RunMetrics,
-    pub state: StateMetrics,
+    pub scratch_time: Duration,
+    /// The engine's report of that re-optimization.
+    pub outcome: O,
     pub plan_changed: bool,
     pub observed_rows: usize,
 }
 
-/// Optimizes once on the first partition's statistics, then executes
-/// each partition in turn, feeding observed cardinalities back and
-/// re-optimizing incrementally (with a from-scratch Volcano run timed on
-/// identical inputs for comparison).
-pub fn run_partitions(
+/// Optimizes once with `engine`, then executes each partition in turn,
+/// feeding observed cardinalities back and re-optimizing (with a
+/// [`FromScratch`] run timed on identical deltas for comparison).
+pub fn run_partitions<R: Reoptimizer>(
     catalog: &Catalog,
-    q: &QuerySpec,
+    mut engine: R,
     partitions: &[Database],
-    pruning: PruningConfig,
     damping: f64,
-) -> Vec<PartitionReport> {
-    let graph = JoinGraph::new(q);
-    let mut optimizer = IncrementalOptimizer::new(catalog, q.clone(), pruning);
-    let mut current = optimizer.optimize();
-    let mut scratch_ctx = CostContext::new(catalog, q);
+) -> Vec<PartitionReport<R::Outcome>> {
+    let q = engine.query().clone();
+    let mut scratch = FromScratch::new(catalog, q.clone());
+    let mut plan = R::plan(&engine.optimize()).clone();
     let mut reports = Vec::with_capacity(partitions.len());
     for (round, db) in partitions.iter().enumerate() {
-        let mut exec = Executor::from_database(q, catalog, db);
-        let (rows, _) = exec.run(&current.plan);
-        let deltas = observed_deltas(q, optimizer.cost_context(), &exec.stats, damping);
+        let mut exec = Executor::from_database(&q, catalog, db);
+        let (rows, _) = exec.run(&plan);
+        let deltas = observed_deltas(&q, engine.cost_context(), &exec.stats, damping);
         let t0 = Instant::now();
-        let out = optimizer.reoptimize(&deltas);
-        let incremental_reopt = t0.elapsed();
+        let outcome = engine.reoptimize(&deltas);
+        let reopt_time = t0.elapsed();
         let t1 = Instant::now();
-        scratch_ctx.apply(&deltas);
-        let _ = optimize_volcano(q, &graph, &mut scratch_ctx);
-        let volcano_reopt = t1.elapsed();
-        let plan_changed = out.plan.fingerprint() != current.plan.fingerprint();
+        scratch.reoptimize(&deltas);
+        let scratch_time = t1.elapsed();
+        let new_plan = R::plan(&outcome);
+        let plan_changed = new_plan.fingerprint() != plan.fingerprint();
+        plan = new_plan.clone();
         reports.push(PartitionReport {
             round,
-            incremental_reopt,
-            volcano_reopt,
-            run: out.run,
-            state: out.state,
+            reopt_time,
+            scratch_time,
+            outcome,
             plan_changed,
             observed_rows: rows.len(),
         });
-        current = out;
     }
     reports
 }
@@ -71,6 +66,7 @@ pub fn run_partitions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reopt_core::{IncrementalOptimizer, PruningConfig};
     use reopt_workloads::{QueryId, TpchGen};
 
     #[test]
@@ -83,13 +79,14 @@ mod tests {
         let (catalog, db) = gen.generate();
         let q = QueryId::Q5.build(&catalog);
         let parts = gen.partition(&db, &catalog, 5);
-        let reports = run_partitions(&catalog, &q, &parts, PruningConfig::default(), 0.5);
+        let engine = IncrementalOptimizer::new(&catalog, q, PruningConfig::default());
+        let reports = run_partitions(&catalog, engine, &parts, 0.5);
         assert_eq!(reports.len(), 5);
         // Feedback produced real work at least once, and the update
         // ratio stays a strict subset of the space.
-        assert!(reports.iter().any(|r| r.run.touched_groups > 0));
+        assert!(reports.iter().any(|r| r.outcome.run.touched_groups > 0));
         for r in &reports {
-            assert!(r.run.touched_groups <= r.state.total_groups);
+            assert!(r.outcome.run.touched_groups <= r.outcome.state.total_groups);
         }
     }
 
@@ -105,16 +102,9 @@ mod tests {
         let (catalog, db) = gen.generate();
         let q = QueryId::Q10.build(&catalog);
         let parts: Vec<Database> = vec![db.clone(), db.clone(), db.clone(), db];
-        let reports = run_partitions(&catalog, &q, &parts, PruningConfig::default(), 1.0);
-        let last = reports.last().unwrap();
-        let first = reports.first().unwrap();
-        assert!(
-            last.run.touched_alts <= first.run.touched_alts,
-            "{:?}",
-            reports
-                .iter()
-                .map(|r| r.run.touched_alts)
-                .collect::<Vec<_>>()
-        );
+        let engine = IncrementalOptimizer::new(&catalog, q, PruningConfig::default());
+        let reports = run_partitions(&catalog, engine, &parts, 1.0);
+        let touched: Vec<u64> = reports.iter().map(|r| r.outcome.run.touched_alts).collect();
+        assert!(touched.last() <= touched.first(), "{touched:?}");
     }
 }

@@ -2,30 +2,18 @@
 
 use std::time::{Duration, Instant};
 
-use reopt_baselines::optimize_volcano;
 use reopt_catalog::Catalog;
-use reopt_core::{IncrementalOptimizer, PruningConfig, RunMetrics};
-use reopt_cost::{CostContext, ParamDelta};
+use reopt_core::{IncrementalOptimizer, Outcome, PruningConfig, Reoptimizer};
+use reopt_cost::ParamDelta;
 use reopt_exec::{observed_deltas, ExecStats, StreamExecutor, StreamTuple};
-use reopt_expr::{JoinGraph, PlanNode, QuerySpec};
-
-/// Which re-optimizer runs at each split point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReoptMode {
-    /// The paper's contribution: incremental re-optimization.
-    Incremental,
-    /// Tukwila-style: a full Volcano optimization from scratch.
-    FromScratch,
-    /// No adaptation: keep the initial plan (the static baselines of
-    /// Fig 10).
-    Never,
-}
+use reopt_expr::{PlanNode, QuerySpec};
 
 /// How observed statistics are folded in (Fig 10's AQP-Cumulative vs
 /// AQP-NonCumulative).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StatsMode {
     /// Blend each observation into the running estimate.
+    #[default]
     Cumulative,
     /// Jump straight to the latest slice's observation.
     NonCumulative,
@@ -40,27 +28,17 @@ impl StatsMode {
     }
 }
 
-/// Driver configuration.
-#[derive(Clone, Copy, Debug)]
+/// Driver configuration. The re-optimizer is not configured here: it is
+/// the driver's engine type.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AqpConfig {
-    pub mode: ReoptMode,
     pub stats: StatsMode,
-    pub pruning: PruningConfig,
 }
 
-impl Default for AqpConfig {
-    fn default() -> AqpConfig {
-        AqpConfig {
-            mode: ReoptMode::Incremental,
-            stats: StatsMode::Cumulative,
-            pruning: PruningConfig::default(),
-        }
-    }
-}
-
-/// Per-slice measurements (one row of Fig 9/10).
+/// Per-slice measurements (one row of Fig 9/10). `O` is the engine's
+/// report type.
 #[derive(Clone, Debug)]
-pub struct SliceReport {
+pub struct SliceReport<O = Outcome> {
     pub slice: usize,
     /// Ingest and execute: the windows are regrouped as tuples enter
     /// and leave them, so that work is timed with the scans it serves.
@@ -72,43 +50,47 @@ pub struct SliceReport {
     /// The parameters fed back at the split point: only estimates more
     /// than [`reopt_exec::feedback::Q`]× off an observation.
     pub deltas: Vec<ParamDelta>,
-    pub run: RunMetrics,
+    /// The engine's report of the split point's re-optimization; `None`
+    /// while the plan is pinned.
+    pub outcome: Option<O>,
     pub window_rows: usize,
     /// What each operator of the executed plan observed.
     pub stats: ExecStats,
 }
 
-/// The adaptive execution loop for one continuous query.
-pub struct AqpDriver {
-    q: QuerySpec,
-    graph: JoinGraph,
+/// The adaptive execution loop for one continuous query, re-optimized
+/// by the engine `R`.
+pub struct AqpDriver<R: Reoptimizer = IncrementalOptimizer> {
+    engine: R,
     cfg: AqpConfig,
     exec: StreamExecutor,
-    optimizer: IncrementalOptimizer,
-    /// Parallel context for the from-scratch comparator (kept in sync
-    /// with the same deltas).
-    scratch_ctx: CostContext,
     plan: PlanNode,
+    /// Set by [`AqpDriver::pin_plan`]: no feedback, no re-optimization.
+    pinned: bool,
     slice_no: usize,
 }
 
-impl AqpDriver {
-    /// Starts with a cold optimization on whatever statistics the
-    /// catalog carries ("the optimizer starts with zero statistical
-    /// information on the data" is modelled by generic defaults).
+impl AqpDriver<IncrementalOptimizer> {
+    /// The hand-rolled engine under the default pruning. Starts with a
+    /// cold optimization on whatever statistics the catalog carries ("the
+    /// optimizer starts with zero statistical information on the data"
+    /// is modelled by generic defaults).
     pub fn new(catalog: &Catalog, q: QuerySpec, cfg: AqpConfig) -> AqpDriver {
-        let graph = JoinGraph::new(&q);
-        let mut optimizer = IncrementalOptimizer::new(catalog, q.clone(), cfg.pruning);
-        let initial = optimizer.optimize();
-        let scratch_ctx = CostContext::new(catalog, &q);
+        let engine = IncrementalOptimizer::new(catalog, q, PruningConfig::default());
+        AqpDriver::with_engine(engine, cfg)
+    }
+}
+
+impl<R: Reoptimizer> AqpDriver<R> {
+    /// Starts the loop on `engine`'s initial optimization.
+    pub fn with_engine(mut engine: R, cfg: AqpConfig) -> AqpDriver<R> {
+        let plan = R::plan(&engine.optimize()).clone();
         AqpDriver {
-            exec: StreamExecutor::new(&q),
-            graph,
+            exec: StreamExecutor::new(engine.query()),
+            engine,
             cfg,
-            optimizer,
-            scratch_ctx,
-            plan: initial.plan,
-            q,
+            plan,
+            pinned: false,
             slice_no: 0,
         }
     }
@@ -117,59 +99,41 @@ impl AqpDriver {
     /// baseline runs).
     pub fn pin_plan(&mut self, plan: PlanNode) {
         self.plan = plan;
-        self.cfg.mode = ReoptMode::Never;
+        self.pinned = true;
     }
 
     pub fn current_plan(&self) -> &PlanNode {
         &self.plan
     }
 
-    pub fn query(&self) -> &QuerySpec {
-        &self.q
-    }
-
-    /// Current cardinality factor for one leaf (diagnostics).
-    pub fn optimizer_ctx_factors(&self, leaf: reopt_expr::LeafId) -> f64 {
-        self.optimizer.cost_context().factors().leaf_card(leaf)
-    }
-
     /// Ingests and executes one slice, then re-optimizes at the split
     /// point (unless the plan is pinned).
-    pub fn run_slice(&mut self, tuples: &[StreamTuple]) -> SliceReport {
+    pub fn run_slice(&mut self, tuples: &[StreamTuple]) -> SliceReport<R::Outcome> {
         self.slice_no += 1;
         let t0 = Instant::now();
         self.exec.ingest(tuples);
         let result = self.exec.execute(&self.plan);
         let exec_time = t0.elapsed();
-        let mut run = RunMetrics::default();
         let mut reopt_time = Duration::ZERO;
         let mut plan_changed = false;
         let mut deltas = Vec::new();
-        if self.cfg.mode != ReoptMode::Never {
+        let mut outcome = None;
+        if !self.pinned {
             deltas = observed_deltas(
-                &self.q,
-                self.optimizer.cost_context(),
+                self.engine.query(),
+                self.engine.cost_context(),
                 &result.stats,
                 self.cfg.stats.damping(),
             );
             let t1 = Instant::now();
-            let new_plan = match self.cfg.mode {
-                ReoptMode::Incremental => {
-                    let out = self.optimizer.reoptimize(&deltas);
-                    run = out.run;
-                    out.plan
-                }
-                ReoptMode::FromScratch => {
-                    self.scratch_ctx.apply(&deltas);
-                    optimize_volcano(&self.q, &self.graph, &mut self.scratch_ctx).plan
-                }
-                ReoptMode::Never => unreachable!(),
-            };
+            let out = self.engine.reoptimize(&deltas);
             reopt_time = t1.elapsed();
+            let new_plan = R::plan(&out);
             plan_changed = new_plan.fingerprint() != self.plan.fingerprint();
             if plan_changed {
-                self.plan = new_plan;
+                self.plan = new_plan.clone();
             }
+            outcome = Some(out);
         }
         SliceReport {
             slice: self.slice_no,
@@ -179,7 +143,7 @@ impl AqpDriver {
             plan_changed,
             migrated_rows: result.migrated_rows,
             deltas,
-            run,
+            outcome,
             window_rows: result.window_sizes.iter().sum(),
             stats: result.stats,
         }
@@ -189,6 +153,9 @@ impl AqpDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reopt_baselines::{optimize_volcano, FromScratch};
+    use reopt_bridge::DataflowOptimizer;
+    use reopt_expr::JoinGraph;
     use reopt_workloads::{seg_toll_query, LinearRoadGen};
 
     fn setup() -> (Catalog, QuerySpec, LinearRoadGen) {
@@ -200,6 +167,11 @@ mod tests {
         gen.register(&mut c);
         let q = seg_toll_query(&c);
         (c, q, gen)
+    }
+
+    /// The hand-rolled engine's work at an adaptive slice.
+    fn run_of(r: SliceReport) -> reopt_core::RunMetrics {
+        r.outcome.expect("an adaptive slice re-optimizes").run
     }
 
     #[test]
@@ -215,8 +187,8 @@ mod tests {
             let tuples = gen.slice(i as f64 * 15.0, 15.0);
             let r = driver.run_slice(&tuples);
             any_change |= r.plan_changed;
-            any_work |= r.run.touched_groups > 0;
             assert!(r.window_rows > 0);
+            any_work |= run_of(r).touched_groups > 0;
         }
         assert!(any_work, "feedback never produced optimizer work");
         assert!(any_change, "no plan change across drifting slices");
@@ -245,8 +217,7 @@ mod tests {
         let mut touched = Vec::new();
         for i in 0..15 {
             let tuples = gen.slice(i as f64 * 30.0, 30.0);
-            let r = driver.run_slice(&tuples);
-            touched.push(r.run.touched_alts);
+            touched.push(run_of(driver.run_slice(&tuples)).touched_alts);
         }
         // Fig 9's shape: warm-up slices recompute much more than the
         // saturated tail.
@@ -271,7 +242,7 @@ mod tests {
         let work: Vec<(usize, u64)> = (0..30)
             .map(|i| {
                 let r = driver.run_slice(&gen.slice(i as f64 * 30.0, 30.0));
-                (r.deltas.len(), r.run.touched_alts)
+                (r.deltas.len(), run_of(r).touched_alts)
             })
             .collect();
         assert!(work[..10].iter().any(|&(d, t)| d > 0 && t > 0), "{work:?}");
@@ -287,30 +258,46 @@ mod tests {
         for i in 0..4 {
             let r = driver.run_slice(&gen.slice(i as f64 * 5.0, 5.0));
             assert!(!r.plan_changed);
+            assert!(r.outcome.is_none() && r.deltas.is_empty());
             assert_eq!(r.reopt_time, Duration::ZERO);
         }
         assert_eq!(driver.current_plan().fingerprint(), plan.fingerprint());
     }
 
+    /// The plan `d` has installed costs, under its engine's own
+    /// estimates, what a from-scratch Volcano run on them finds.
+    fn assert_installed_plan_is_optimal<R: Reoptimizer>(d: &AqpDriver<R>, engine: &str, i: usize) {
+        let (q, ctx) = (d.engine.query(), d.engine.cost_context());
+        let installed = ctx.clone().plan_cost(q, &d.plan);
+        let best = optimize_volcano(q, &JoinGraph::new(q), &mut ctx.clone()).cost;
+        assert!(
+            installed.approx_eq(best),
+            "slice {i}, {engine}: installed {installed:?}, optimum {best:?}"
+        );
+    }
+
     #[test]
     fn from_scratch_mode_matches_incremental_plan_quality() {
+        // Every engine behind the one loop, on the same stream: the
+        // answer does not depend on the plan, and each engine installs a
+        // plan that is optimal under its own estimates (plans that tie
+        // may differ, so fingerprints are not compared).
         let (c, q, mut gen) = setup();
-        let mut inc = AqpDriver::new(&c, q.clone(), AqpConfig::default());
-        let mut scratch = AqpDriver::new(
-            &c,
-            q,
-            AqpConfig {
-                mode: ReoptMode::FromScratch,
-                ..Default::default()
-            },
-        );
-        for i in 0..6 {
+        let cfg = AqpConfig::default();
+        let mut hr = AqpDriver::new(&c, q.clone(), cfg);
+        let mut decl = AqpDriver::with_engine(DataflowOptimizer::new(&c, q.clone()), cfg);
+        let mut scratch = AqpDriver::with_engine(FromScratch::new(&c, q), cfg);
+        for i in 0..30 {
             let tuples = gen.slice(i as f64 * 5.0, 5.0);
-            let a = inc.run_slice(&tuples);
-            let b = scratch.run_slice(&tuples);
-            // Same stream, same statistics pipeline: both report the
-            // same result cardinality.
-            assert_eq!(a.out_rows, b.out_rows, "slice {i}");
+            let rows = [
+                hr.run_slice(&tuples).out_rows,
+                decl.run_slice(&tuples).out_rows,
+                scratch.run_slice(&tuples).out_rows,
+            ];
+            assert!(rows.iter().all(|&r| r == rows[0]), "slice {i}: {rows:?}");
+            assert_installed_plan_is_optimal(&hr, "hand-rolled", i);
+            assert_installed_plan_is_optimal(&decl, "declarative", i);
+            assert_installed_plan_is_optimal(&scratch, "from-scratch", i);
         }
     }
 }

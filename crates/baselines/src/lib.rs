@@ -7,7 +7,9 @@
 //! Both baselines here share `reopt-expr`'s enumeration (`Fn_split`) and
 //! `reopt-cost`'s estimation with the declarative optimizer; only search
 //! strategy, dataflow and pruning differ — which is exactly what the
-//! paper's experiments compare.
+//! paper's experiments compare. [`FromScratch`] puts Volcano behind
+//! `reopt_core::Reoptimizer`: the from-scratch engine of the adaptive
+//! loop and of every figure's comparator.
 
 pub mod result;
 pub mod system_r;
@@ -15,4 +17,4 @@ pub mod volcano;
 
 pub use result::{BaselineMetrics, OptResult};
 pub use system_r::{full_space_size, optimize_system_r};
-pub use volcano::optimize_volcano;
+pub use volcano::{optimize_volcano, FromScratch};

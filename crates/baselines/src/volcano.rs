@@ -4,8 +4,10 @@
 //! restriction §3.3 of the paper contrasts with its order-independent
 //! recursive bounding.
 
+use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
-use reopt_cost::CostContext;
+use reopt_core::Reoptimizer;
+use reopt_cost::{CostContext, ParamDelta};
 use reopt_expr::{AltSpec, ExprId, JoinGraph, PhysProp, PlanNode, QuerySpec, SplitCache};
 
 use crate::result::{BaselineMetrics, OptResult};
@@ -51,6 +53,50 @@ pub fn optimize_volcano(q: &QuerySpec, g: &JoinGraph, ctx: &mut CostContext) -> 
         cost,
         plan,
         metrics: v.metrics,
+    }
+}
+
+/// The from-scratch re-optimizer (the paper's "Tukwila's Non-Inc
+/// Re-Opt"): every epoch applies the deltas to its estimates and runs
+/// [`optimize_volcano`] over the whole space again.
+pub struct FromScratch {
+    q: QuerySpec,
+    graph: JoinGraph,
+    ctx: CostContext,
+}
+
+impl FromScratch {
+    pub fn new(catalog: &Catalog, q: QuerySpec) -> FromScratch {
+        FromScratch {
+            graph: JoinGraph::new(&q),
+            ctx: CostContext::new(catalog, &q),
+            q,
+        }
+    }
+}
+
+impl Reoptimizer for FromScratch {
+    type Outcome = OptResult;
+
+    fn query(&self) -> &QuerySpec {
+        &self.q
+    }
+
+    fn cost_context(&self) -> &CostContext {
+        &self.ctx
+    }
+
+    fn optimize(&mut self) -> OptResult {
+        optimize_volcano(&self.q, &self.graph, &mut self.ctx)
+    }
+
+    fn reoptimize(&mut self, deltas: &[ParamDelta]) -> OptResult {
+        self.ctx.apply(deltas);
+        self.optimize()
+    }
+
+    fn plan(outcome: &OptResult) -> &PlanNode {
+        &outcome.plan
     }
 }
 
@@ -154,8 +200,7 @@ impl Volcano<'_> {
 mod tests {
     use super::*;
     use crate::system_r::{full_space_size, optimize_system_r};
-    use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
-    use reopt_cost::ParamDelta;
+    use reopt_catalog::{ColumnStats, TableBuilder, TableStats};
     use reopt_expr::EdgeId;
 
     fn chain_fixture(rows: &[f64]) -> (Catalog, QuerySpec) {

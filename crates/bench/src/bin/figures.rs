@@ -151,28 +151,32 @@ fn fig8(catalog: &reopt_catalog::Catalog) {
 }
 
 fn fig9() {
-    header("Figure 9: per-slice re-optimization time (ms), incremental vs from-scratch");
+    header("Figure 9: per-slice re-optimization time (ms), every engine behind one loop");
+    // One column per engine behind the same loop: hand-rolled
+    // incremental, declarative incremental, from-scratch Volcano.
     println!(
-        "{:<6} {:>14} {:>14} {:>8}",
-        "slice", "incremental", "non-inc", "deltas"
+        "{:<6} {:>14} {:>14} {:>14} {:>8}",
+        "slice", "incremental", "decl", "non-inc", "deltas"
     );
     let points = harness::fig9(60, 2.0);
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for p in &points {
         if p.slice % 5 == 0 || p.slice <= 5 {
             println!(
-                "{:<6} {:>14.3} {:>14.3} {:>8}",
+                "{:<6} {:>14.3} {:>14.3} {:>14.3} {:>8}",
                 p.slice,
                 ms(p.incremental),
+                ms(p.declarative),
                 ms(p.from_scratch),
                 p.deltas
             );
         }
     }
     println!(
-        "{:<6} {:>14.3} {:>14.3} {:>8}",
+        "{:<6} {:>14.3} {:>14.3} {:>14.3} {:>8}",
         "TOTAL",
         points.iter().map(|p| ms(p.incremental)).sum::<f64>(),
+        points.iter().map(|p| ms(p.declarative)).sum::<f64>(),
         points.iter().map(|p| ms(p.from_scratch)).sum::<f64>(),
         points.iter().map(|p| p.deltas).sum::<usize>()
     );

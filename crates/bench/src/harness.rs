@@ -8,10 +8,11 @@
 
 use std::time::{Duration, Instant};
 
-use reopt_aqp::{run_partitions, AqpConfig, AqpDriver, ReoptMode, StatsMode};
-use reopt_baselines::{full_space_size, optimize_volcano};
+use reopt_aqp::{run_partitions, AqpConfig, AqpDriver, StatsMode};
+use reopt_baselines::{full_space_size, FromScratch};
+use reopt_bridge::DataflowOptimizer;
 use reopt_catalog::Catalog;
-use reopt_core::{IncrementalOptimizer, PruningConfig};
+use reopt_core::{IncrementalOptimizer, PruningConfig, Reoptimizer};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_exec::Database;
 use reopt_expr::{JoinGraph, LeafId, QuerySpec};
@@ -70,8 +71,7 @@ pub fn fig4(catalog: &Catalog) -> Vec<Fig4Row> {
             let g = JoinGraph::new(&q);
             let (total_groups, total_alts) = full_space_size(&q, &g);
             let volcano = median_time(|| {
-                let mut ctx = CostContext::new(catalog, &q);
-                let _ = optimize_volcano(&q, &g, &mut ctx);
+                let _ = FromScratch::new(catalog, q.clone()).optimize();
             });
             let system_r = median_time(|| {
                 let mut ctx = CostContext::new(catalog, &q);
@@ -94,8 +94,7 @@ pub fn fig4(catalog: &Catalog) -> Vec<Fig4Row> {
             };
             let (evita_raced, evita_pruning) = declarative_run(PruningConfig::evita_raced());
             let (declarative, declarative_pruning) = declarative_run(PruningConfig::default());
-            let mut ctx = CostContext::new(catalog, &q);
-            let v = optimize_volcano(&q, &g, &mut ctx);
+            let v = FromScratch::new(catalog, q.clone()).optimize();
             let volcano_pruning = (
                 1.0 - v.metrics.groups_created as f64 / total_groups as f64,
                 v.metrics.alts_pruned as f64 / total_alts as f64,
@@ -132,7 +131,6 @@ pub struct Fig5Point {
 /// selectivity changes on each of Q5's expressions A–E.
 pub fn fig5(catalog: &Catalog) -> Vec<Fig5Point> {
     let q = QueryId::Q5.build(catalog);
-    let g = JoinGraph::new(&q);
     let mut out = Vec::new();
     for (label, edge) in fig5_edge_labels() {
         for ratio in RATIOS {
@@ -145,9 +143,7 @@ pub fn fig5(catalog: &Catalog) -> Vec<Fig5Point> {
             let inc = t0.elapsed();
             // From-scratch comparator on identical parameters.
             let volcano = median_time(|| {
-                let mut ctx = CostContext::new(catalog, &q);
-                ctx.apply(&deltas);
-                let _ = optimize_volcano(&q, &g, &mut ctx);
+                let _ = FromScratch::new(catalog, q.clone()).reoptimize(&deltas);
             });
             out.push(Fig5Point {
                 label,
@@ -184,15 +180,19 @@ pub fn fig6() -> Vec<Fig6Point> {
     let (catalog, db) = gen.generate();
     let q = QueryId::Q5.build(&catalog);
     let parts = gen.partition(&db, &catalog, 9);
-    let reports = run_partitions(&catalog, &q, &parts, PruningConfig::default(), 0.5);
+    let engine = IncrementalOptimizer::new(&catalog, q, PruningConfig::default());
+    let reports = run_partitions(&catalog, engine, &parts, 0.5);
     reports
         .iter()
-        .map(|r| Fig6Point {
-            round: r.round + 1,
-            time_vs_volcano: r.incremental_reopt.as_secs_f64()
-                / r.volcano_reopt.as_secs_f64().max(1e-12),
-            group_update_ratio: r.run.group_update_ratio(r.state.total_groups),
-            alt_update_ratio: r.run.alt_update_ratio(r.state.total_alts),
+        .map(|r| {
+            let (run, state) = (&r.outcome.run, &r.outcome.state);
+            Fig6Point {
+                round: r.round + 1,
+                time_vs_volcano: r.reopt_time.as_secs_f64()
+                    / r.scratch_time.as_secs_f64().max(1e-12),
+                group_update_ratio: run.group_update_ratio(state.total_groups),
+                alt_update_ratio: run.alt_update_ratio(state.total_alts),
+            }
         })
         .collect()
 }
@@ -225,10 +225,8 @@ pub fn fig7(catalog: &Catalog) -> Vec<Fig7Row> {
     let mut out = Vec::new();
     for qid in QueryId::figure4_suite() {
         let q = qid.build(catalog);
-        let g = JoinGraph::new(&q);
         let volcano = median_time(|| {
-            let mut ctx = CostContext::new(catalog, &q);
-            let _ = optimize_volcano(&q, &g, &mut ctx);
+            let _ = FromScratch::new(catalog, q.clone()).optimize();
         });
         for (name, cfg) in ablation_configs() {
             let time = median_time(|| {
@@ -265,7 +263,6 @@ pub struct Fig8Point {
 /// re-optimization of Q5 when Orders' scan cost is updated.
 pub fn fig8(catalog: &Catalog) -> Vec<Fig8Point> {
     let q = QueryId::Q5.build(catalog);
-    let g = JoinGraph::new(&q);
     // Orders is leaf 3 in the Q5 builder (region, nation, customer,
     // orders, lineitem, supplier).
     let orders = LeafId(3);
@@ -279,9 +276,7 @@ pub fn fig8(catalog: &Catalog) -> Vec<Fig8Point> {
             let res = opt.reoptimize(&deltas);
             let inc = t0.elapsed();
             let volcano = median_time(|| {
-                let mut ctx = CostContext::new(catalog, &q);
-                ctx.apply(&deltas);
-                let _ = optimize_volcano(&q, &g, &mut ctx);
+                let _ = FromScratch::new(catalog, q.clone()).reoptimize(&deltas);
             });
             out.push(Fig8Point {
                 config: name,
@@ -309,40 +304,37 @@ pub fn default_stream() -> (Catalog, QuerySpec, LinearRoadGen) {
     (c, q, gen)
 }
 
-/// One slice of Figure 9.
+/// One slice of Figure 9: each engine's re-optimization time.
 #[derive(Clone, Debug)]
 pub struct Fig9Point {
     pub slice: usize,
     pub incremental: Duration,
+    pub declarative: Duration,
     pub from_scratch: Duration,
     /// Parameters the incremental driver fed back at the split point.
     pub deltas: usize,
 }
 
-/// Figure 9: per-slice re-optimization time, incremental vs Tukwila-style
-/// from-scratch, over the Linear Road stream.
+/// Figure 9: per-slice re-optimization time over the Linear Road stream
+/// for every engine behind the same loop — the hand-rolled and the
+/// declarative incremental optimizers, and Tukwila-style from-scratch.
 pub fn fig9(slices: usize, slice_dur: f64) -> Vec<Fig9Point> {
-    let (c, q, gen0) = default_stream();
-    let mut inc_gen = gen0.clone();
-    let mut scr_gen = gen0;
-    let mut inc = AqpDriver::new(&c, q.clone(), AqpConfig::default());
-    let mut scr = AqpDriver::new(
-        &c,
-        q,
-        AqpConfig {
-            mode: ReoptMode::FromScratch,
-            ..Default::default()
-        },
-    );
+    let (c, q, mut gen) = default_stream();
+    let cfg = AqpConfig::default();
+    let mut inc = AqpDriver::new(&c, q.clone(), cfg);
+    let mut decl = AqpDriver::with_engine(DataflowOptimizer::new(&c, q.clone()), cfg);
+    let mut scr = AqpDriver::with_engine(FromScratch::new(&c, q), cfg);
     (0..slices)
         .map(|i| {
-            let t = i as f64 * slice_dur;
-            let a = inc.run_slice(&inc_gen.slice(t, slice_dur));
-            let b = scr.run_slice(&scr_gen.slice(t, slice_dur));
+            let tuples = gen.slice(i as f64 * slice_dur, slice_dur);
+            let a = inc.run_slice(&tuples);
+            let b = decl.run_slice(&tuples);
+            let c = scr.run_slice(&tuples);
             Fig9Point {
                 slice: i + 1,
                 incremental: a.reopt_time,
-                from_scratch: b.reopt_time,
+                declarative: b.reopt_time,
+                from_scratch: c.reopt_time,
                 deltas: a.deltas.len(),
             }
         })
@@ -460,7 +452,6 @@ pub fn fig10(slices: usize, slice_dur: f64) -> Vec<Fig10Point> {
                 q.clone(),
                 AqpConfig {
                     stats: StatsMode::NonCumulative,
-                    ..Default::default()
                 },
             ),
             gen0,

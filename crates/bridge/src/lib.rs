@@ -13,7 +13,9 @@
 //!   parameter updates in as base-relation deltas.
 //!
 //! Both are differentially tested to produce the same best-plan cost;
-//! the `optimizer_dataflow` bench compares them head-to-head.
+//! the `optimizer_dataflow` bench compares them head-to-head. Both
+//! implement `reopt_core::Reoptimizer`, so `reopt-aqp`'s adaptive loop
+//! runs either.
 
 pub mod compile;
 pub mod durable;

@@ -86,7 +86,7 @@ use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
 use reopt_core::memo::{AltId, GroupId, Memo};
 use reopt_core::rules_ir::{parse_rules, Rule};
-use reopt_core::{IncrementalOptimizer, ParamIndex, PruningConfig};
+use reopt_core::{IncrementalOptimizer, ParamIndex, PruningConfig, Reoptimizer};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_datalog::{
     ConsolidatorFootprint, DataflowError, Delta, FaultPlan, Multiset, NodeStats, RunStats, Tuple,
@@ -1227,6 +1227,30 @@ impl DataflowOptimizer {
     /// relation by driver-side pruning (diagnostics).
     pub fn pruned_alternatives(&self) -> usize {
         self.pruned.iter().filter(|&&p| p).count()
+    }
+}
+
+impl Reoptimizer for DataflowOptimizer {
+    type Outcome = DataflowOutcome;
+
+    fn query(&self) -> &QuerySpec {
+        &self.q
+    }
+
+    fn cost_context(&self) -> &CostContext {
+        DataflowOptimizer::cost_context(self)
+    }
+
+    fn optimize(&mut self) -> DataflowOutcome {
+        DataflowOptimizer::optimize(self)
+    }
+
+    fn reoptimize(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
+        DataflowOptimizer::reoptimize(self, deltas)
+    }
+
+    fn plan(outcome: &DataflowOutcome) -> &PlanNode {
+        &outcome.plan
     }
 }
 

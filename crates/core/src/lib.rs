@@ -25,6 +25,7 @@ pub mod memo;
 pub mod metrics;
 pub mod optimizer;
 pub mod param_index;
+pub mod reoptimizer;
 pub mod rules;
 pub mod rules_ir;
 pub mod state;
@@ -35,3 +36,4 @@ pub use memo::{AltId, GroupId, Memo};
 pub use metrics::{RunMetrics, StateMetrics};
 pub use optimizer::{IncrementalOptimizer, Outcome};
 pub use param_index::ParamIndex;
+pub use reoptimizer::Reoptimizer;

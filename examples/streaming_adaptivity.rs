@@ -37,13 +37,14 @@ fn main() {
         if r.plan_changed {
             changes += 1;
         }
+        let touched = r.outcome.as_ref().map_or(0, |o| o.run.touched_groups);
         println!(
             "{:<6} {:>8} {:>10.2} {:>10.1} {:>9} {:>8}",
             r.slice,
             r.window_rows,
             r.exec_time.as_secs_f64() * 1e3,
             r.reopt_time.as_secs_f64() * 1e6,
-            r.run.touched_groups,
+            touched,
             if r.plan_changed { "CHANGED" } else { "-" },
         );
     }

@@ -2,9 +2,12 @@
 //! run of the test suite (the quantitative shapes live in the benchmark
 //! harness: the `figures` binary and `benchmark/`).
 
-use reopt::core::{IncrementalOptimizer, ParamIndex, PruningConfig};
+use reopt::baselines::FromScratch;
+use reopt::bridge::DataflowOptimizer;
+use reopt::common::Cost;
+use reopt::core::{IncrementalOptimizer, ParamIndex, PruningConfig, Reoptimizer};
 use reopt::cost::ParamDelta;
-use reopt::expr::EdgeId;
+use reopt::expr::{EdgeId, LeafId};
 use reopt::workloads::{QueryId, TpchGen};
 
 #[test]
@@ -131,27 +134,56 @@ fn claim_state_converges_so_repeated_reoptimization_is_free() {
     // going to nearly zero … the system has essentially converged".
     let (catalog, _db) = TpchGen::default().generate();
     let q = QueryId::Q5.build(&catalog);
-    let mut opt = IncrementalOptimizer::new(&catalog, q, PruningConfig::default());
+    let delta = [ParamDelta::EdgeSelectivity(EdgeId(2), 3.0)];
+    let mut opt = IncrementalOptimizer::new(&catalog, q.clone(), PruningConfig::default());
     opt.optimize();
-    opt.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(2), 3.0)]);
+    opt.reoptimize(&delta);
     // Statistics stopped changing: successive re-optimizations do no
-    // propagation work at all.
+    // propagation work at all ...
     for _ in 0..3 {
-        let out = opt.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(2), 3.0)]);
+        let out = opt.reoptimize(&delta);
         assert_eq!(out.run.queue_pops, 0);
         assert_eq!(out.run.touched_alts, 0);
     }
+    // ... and the declarative engine feeds its network nothing.
+    let mut decl = DataflowOptimizer::new(&catalog, q);
+    decl.optimize();
+    assert!(decl.reoptimize(&delta).stats.deltas_processed > 0);
+    for _ in 0..3 {
+        assert_eq!(decl.reoptimize(&delta).stats.deltas_processed, 0);
+    }
+}
+
+/// The parameter walk [`claim_optimal_plan_is_unchanged_by_pruning`]
+/// takes after `optimize` (valid on every query it names).
+const WALK: [&[ParamDelta]; 3] = [
+    &[ParamDelta::LeafCardinality(LeafId(1), 0.125)],
+    &[ParamDelta::EdgeSelectivity(EdgeId(1), 4.0)],
+    &[
+        ParamDelta::LeafScanCost(LeafId(2), 8.0),
+        ParamDelta::EdgeSelectivity(EdgeId(0), 0.25),
+    ],
+];
+
+/// The best cost `engine` reports after `optimize` and after each step
+/// of [`WALK`].
+fn cost_walk<R: Reoptimizer>(mut engine: R, cost: impl Fn(&R::Outcome) -> Cost) -> Vec<Cost> {
+    let mut costs = vec![cost(&engine.optimize())];
+    costs.extend(WALK.iter().map(|step| cost(&engine.reoptimize(step))));
+    costs
 }
 
 #[test]
 fn claim_optimal_plan_is_unchanged_by_pruning() {
     // §3.2: "the optimal plan computed by the query optimizer is
     // unchanged, but more tuples in SearchSpace and PlanCost are
-    // pruned."
+    // pruned." Every preset of the hand-rolled engine, the declarative
+    // engine (driver-side bounding) and a from-scratch Volcano run agree
+    // on the optimum, initially and after each step of a walk.
     let (catalog, _db) = TpchGen::default().generate();
     for qid in [QueryId::Q5, QueryId::Q10, QueryId::Q8JoinS] {
         let q = qid.build(&catalog);
-        let mut costs = Vec::new();
+        let mut walks = Vec::new();
         for cfg in [
             PruningConfig::none(),
             PruningConfig::aggsel(),
@@ -160,14 +192,26 @@ fn claim_optimal_plan_is_unchanged_by_pruning() {
             PruningConfig::all(),
             PruningConfig::default(),
         ] {
-            let mut opt = IncrementalOptimizer::new(&catalog, q.clone(), cfg);
-            costs.push(opt.optimize().cost);
+            let opt = IncrementalOptimizer::new(&catalog, q.clone(), cfg);
+            walks.push(cost_walk(opt, |o| o.cost));
         }
+        let decl = DataflowOptimizer::new(&catalog, q.clone());
+        walks.push(cost_walk(decl, |o| o.cost));
+        walks.push(cost_walk(FromScratch::new(&catalog, q), |o| o.cost));
         assert!(
-            costs.windows(2).all(|w| w[0].approx_eq(w[1])),
-            "{}: costs diverge across pruning configs: {costs:?}",
-            qid.name()
+            walks[0].windows(2).all(|w| !w[0].approx_eq(w[1])),
+            "{}: a step of the walk left the optimum where it was: {:?}",
+            qid.name(),
+            walks[0]
         );
+        for step in 0..=WALK.len() {
+            let costs: Vec<Cost> = walks.iter().map(|w| w[step]).collect();
+            assert!(
+                costs.windows(2).all(|w| w[0].approx_eq(w[1])),
+                "{} step {step}: costs diverge across engines and pruning configs: {costs:?}",
+                qid.name()
+            );
+        }
     }
 }
 
