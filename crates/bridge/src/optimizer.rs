@@ -49,24 +49,34 @@
 //!   from the network, and an answer taken from it would leave the
 //!   network decorative and every differential against it vacuous.
 //!
-//! ## Pruning (§3.3)
+//! ## Pruning (§3.2, §3.3)
 //!
-//! Recursive bounding (the paper's r1–r4, Figure 3) runs in the driver,
-//! not in the network: a deterministic DP over the `LocalCost` mirror
-//! computes every group's exact best cost bottom-up and its bound
-//! top-down, and every alternative whose total exceeds its group's
-//! bound — except each group's argmin, which keeps `BestCost` and the
-//! extracted plan exact — is *excluded from the network's `LocalCost`
-//! relation*. `SearchSpace` stays complete (enumeration is not pruned,
-//! only costing), so the declarative engine skips the cost propagation
-//! for hopeless alternatives exactly like the hand-rolled pruned
-//! engine. On every reoptimize the driver recomputes the prune set from
-//! the post-delta mirror and feeds the network the difference, so a
-//! pruned alternative that becomes viable is re-costed and a newly
-//! hopeless one is retracted. The network compiles D1–D9 only; the
-//! rules r1–r4 themselves are executed verbatim on the substrate by
-//! `compile.rs`'s `paper_bound_rules_execute_on_the_substrate`, the
-//! way the differential suite holds [`BEST_PLAN_RULE`] to its text.
+//! Recursive bounding (the paper's r1–r4, Figure 3) and reference
+//! counting (§3.2) run in the driver, not in the network: a
+//! deterministic DP over the `LocalCost` mirror computes every group's
+//! exact best cost bottom-up and its bound top-down. An alternative
+//! survives the bound if its total is within its group's bound or it is
+//! the group's argmin. A group is *referenced* if it is the root or a
+//! child of a surviving alternative of a referenced group — the groups
+//! that can still reach the root's plan. Every alternative of an
+//! unreferenced group, and every alternative beyond its bound, is
+//! *excluded from the network's `LocalCost` relation*, so the network
+//! holds only the referenced region (17 of the 2 523 alternatives of
+//! `param_burst_star8`'s 8-relation star).
+//! Every referenced group keeps its argmin, whose children are then
+//! referenced too, so `BestCost` is exact on every group plan
+//! extraction visits and the plan is still read from the network.
+//! `SearchSpace` stays complete (enumeration is not pruned, only
+//! costing), so the declarative engine skips the cost propagation for
+//! hopeless alternatives exactly like the hand-rolled pruned engine. On
+//! every reoptimize the driver recomputes the prune set from the
+//! post-delta mirror and feeds the network the difference, so a pruned
+//! alternative that becomes viable — or a group referenced again — is
+//! re-costed and a newly hopeless or unreferenced one is retracted. The
+//! network compiles D1–D9 only; the rules r1–r4 themselves are executed
+//! verbatim on the substrate by `compile.rs`'s
+//! `paper_bound_rules_execute_on_the_substrate`, the way the
+//! differential suite holds [`BEST_PLAN_RULE`] to its text.
 //!
 //! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
 //! flag) into an `Int`; `prop` is a dense index into the query's
@@ -390,10 +400,11 @@ impl Durable {
     }
 }
 
-/// The driver's DP of rules r1–r4 over the `LocalCost` mirror (see the
-/// module docs): exact best cost per group bottom-up, bound per group
-/// top-down, over every alternative — pruned ones included, so one
-/// re-enters the moment a delta makes it viable.
+/// The driver's DP of rules r1–r4 and §3.2's reference counting over
+/// the `LocalCost` mirror (see the module docs): exact best cost per
+/// group bottom-up, then bound and references per group top-down, over
+/// every alternative — pruned ones included, so one re-enters the
+/// moment a delta makes it viable.
 struct BoundDp {
     /// Total cost per alternative (`Fn_sum` association order, so the
     /// values agree bit-for-bit with the network's `PlanCost`).
@@ -404,6 +415,9 @@ struct BoundDp {
     /// `min(best, max over parent allowances)`; the root's is its best.
     /// `None` for a group no parent alternative bounds.
     bound: Vec<Option<Cost>>,
+    /// §3.2 reference counting: the root, and every child of an
+    /// alternative that survives the bound in a referenced group.
+    referenced: Vec<bool>,
 }
 
 /// The release order of `PlanCost` deltas, per [`AltId`]: 1 + the
@@ -440,6 +454,7 @@ impl BoundDp {
             best: vec![Cost::INFINITY; n_groups],
             argmin: vec![None; n_groups],
             bound: vec![None; n_groups],
+            referenced: vec![false; n_groups],
         };
         for g in order.clone() {
             for a in memo.alts_of(g) {
@@ -498,15 +513,37 @@ impl BoundDp {
                 }
             }
         }
+        // Reference counting, top-down again: a group no surviving
+        // alternative of a referenced group points at cannot reach the
+        // root's plan, so none of its alternatives is costed.
+        dp.referenced[memo.root.0 as usize] = true;
+        for g in (0..n_groups as u32).rev().map(GroupId) {
+            if !dp.referenced[g.0 as usize] {
+                continue;
+            }
+            for a in memo.alts_of(g) {
+                if !dp.beyond_bound(g, a) {
+                    for c in memo.alt(a).children() {
+                        dp.referenced[c.0 as usize] = true;
+                    }
+                }
+            }
+        }
         dp
     }
 
-    /// The prune decision for alternative `a` of group `g`: costlier
-    /// than the group's bound and not the group's argmin (so `BestCost`
-    /// stays exact and plan extraction finds a row per group).
-    fn prunes(&self, g: GroupId, a: AltId) -> bool {
+    /// Costlier than the group's bound and not the group's argmin (so
+    /// `BestCost` stays exact and plan extraction finds a row per
+    /// referenced group).
+    fn beyond_bound(&self, g: GroupId, a: AltId) -> bool {
         let argmin = self.argmin[g.0 as usize] == Some(a);
         self.bound[g.0 as usize].is_some_and(|b| self.alt_cost[a.0 as usize] > b && !argmin)
+    }
+
+    /// The prune decision for alternative `a` of group `g`: its group is
+    /// unreferenced, or it is beyond its group's bound.
+    fn prunes(&self, g: GroupId, a: AltId) -> bool {
+        !self.referenced[g.0 as usize] || self.beyond_bound(g, a)
     }
 }
 
@@ -1538,8 +1575,18 @@ mod tests {
     #[test]
     fn compiled_network_collapses_work_visibly() {
         // The tentpole's observability: the compiler fused chains
-        // (Fn_split scan chains), and runs report shared probes.
+        // (Fn_split scan chains), and runs report shared probes. A boot
+        // shares probe keys where groups are referenced by several
+        // parents — a star's hub, not a chain-5, whose referenced region
+        // repeats no key.
         let c = fixture_catalog();
+        let mut star = DataflowOptimizer::new(&c, shaped_query(&c, "star", 5));
+        let init = star.optimize();
+        assert!(
+            init.stats.join_probes < init.stats.join_probe_deltas,
+            "batch probing shared nothing: {:?}",
+            init.stats
+        );
         let mut df = DataflowOptimizer::new(&c, chain_query(&c, 5));
         assert!(
             df.network_nodes() > df.memo().n_alts() / 10,
@@ -1548,11 +1595,6 @@ mod tests {
         assert!(df.arrangements() > 0, "compiler shared no arrangements");
         let init = df.optimize();
         assert!(init.stats.fused_stages_saved > 0, "{:?}", init.stats);
-        assert!(
-            init.stats.join_probes < init.stats.join_probe_deltas,
-            "batch probing shared nothing: {:?}",
-            init.stats
-        );
         let re = df.reoptimize(&[ParamDelta::LeafCardinality(LeafId(2), 2.0)]);
         assert!(
             re.stats.join_probes < re.stats.join_probe_deltas,
@@ -2076,6 +2118,79 @@ mod tests {
         }
     }
 
+    /// The parameter walk the work-shape tests run on an `n`-relation
+    /// query: a scan cost, a selectivity, a cardinality, a mixed batch
+    /// and a revert.
+    fn walk(n: usize) -> [Vec<ParamDelta>; 5] {
+        let last = LeafId(n as u32 - 1);
+        [
+            vec![ParamDelta::LeafScanCost(LeafId(0), 6.0)],
+            vec![ParamDelta::EdgeSelectivity(EdgeId(0), 8.0)],
+            vec![ParamDelta::LeafCardinality(last, 0.1)],
+            vec![
+                ParamDelta::LeafCardinality(LeafId(1), 4.0),
+                ParamDelta::LeafCardinality(last, 2.0),
+                ParamDelta::EdgeSelectivity(EdgeId(0), 0.5),
+                ParamDelta::EdgeSelectivity(EdgeId(1), 3.0),
+            ],
+            vec![ParamDelta::LeafScanCost(LeafId(0), 1.0)],
+        ]
+    }
+
+    /// §3.2 in the network: after every epoch the groups holding
+    /// `LocalCost` rows are exactly the root and the children of the
+    /// alternatives that hold one, every such alternative derives its
+    /// `PlanCost` row, `BestCost` holds exactly those groups, and cost
+    /// and plan are the hand-rolled engine's under `all()`.
+    #[test]
+    fn the_network_holds_only_referenced_groups() {
+        fn group_of(df: &DataflowOptimizer, t: &Tuple) -> GroupId {
+            let e = decode_expr(t.get(0).as_int());
+            let p = df.props.decode(t.get(1).as_int());
+            df.memo.lookup(e, p).expect("rows name memo groups")
+        }
+        fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+            v.sort_unstable();
+            v.dedup();
+            v
+        }
+        fn check(df: &DataflowOptimizer, hand: &reopt_core::Outcome, got: &DataflowOutcome) {
+            let local = df.local_cost_rows();
+            let live: Vec<AltId> = local
+                .iter()
+                .map(|t| AltId(t.get(2).as_int() as u32))
+                .collect();
+            let holders = sorted(local.iter().map(|t| group_of(df, t)).collect());
+            let referenced = sorted(
+                std::iter::once(df.memo.root)
+                    .chain(live.iter().flat_map(|&a| df.memo.alt(a).children()))
+                    .collect(),
+            );
+            assert_eq!(holders, referenced, "LocalCost holders");
+            let best = df.view("BestCost").iter().map(|(t, _)| group_of(df, t));
+            assert_eq!(sorted(best.collect()), referenced, "BestCost groups");
+            let plan_cost = plan_cost_rows(&df.net).iter();
+            let derived = plan_cost.map(|(t, _)| AltId(t.get(2).as_int() as u32));
+            assert_eq!(sorted(derived.collect()), live, "PlanCost rows");
+            assert_agree(got, hand, "cost");
+            assert_eq!(got.plan, hand.plan);
+        }
+        let c = fixture_catalog();
+        for shape in ["chain", "star", "clique"] {
+            for n in 3..=8 {
+                let q = shaped_query(&c, shape, n);
+                let mut df = DataflowOptimizer::new(&c, q.clone());
+                let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
+                let got = df.optimize();
+                check(&df, &hand.optimize(), &got);
+                for batch in &walk(n) {
+                    let got = df.reoptimize(batch);
+                    check(&df, &hand.reoptimize(batch), &got);
+                }
+            }
+        }
+    }
+
     #[test]
     fn an_epoch_re_derives_each_alternative_and_group_once() {
         // The incremental claim, pinned by counts. Per epoch:
@@ -2089,9 +2204,10 @@ mod tests {
         //   most a pair per *binary* alternative whose `LocalCost` row
         //   changed or entered or left the prune set;
         // - the whole network services at most 40 deltas per changed
-        //   `PlanCost` row (over this matrix: median 22, worst 37; with
-        //   unary alternatives carried through D8 and every set
-        //   re-gated, median 36 and worst 56).
+        //   `PlanCost` row (over this matrix: median 13, worst 30; 22
+        //   and 37 while every group kept its argmin row; with unary
+        //   alternatives carried through D8 and every set re-gated,
+        //   median 36 and worst 56).
         fn stat(df: &DataflowOptimizer, label: &str) -> NodeStats {
             let mut hits = df.node_stats().into_iter().filter(|r| r.label == label);
             let row = hits
@@ -2101,34 +2217,25 @@ mod tests {
             row
         }
         // The network's `PlanCost` rows (absent for pruned alternatives)
-        // and `BestCost` values, from the driver's DP mirror.
-        fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Cost>) {
+        // and `BestCost` rows (absent for unreferenced groups), from the
+        // driver's DP mirror.
+        fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Option<Cost>>) {
             let dp = BoundDp::compute(&df.memo, &df.local);
             let plan_cost = (0..df.memo.n_alts())
                 .map(|a| (!df.pruned[a]).then_some(dp.alt_cost[a]))
                 .collect();
-            (plan_cost, dp.best)
+            let best = (0..df.memo.n_groups())
+                .map(|g| dp.referenced[g].then_some(dp.best[g]))
+                .collect();
+            (plan_cost, best)
         }
         let c = fixture_catalog();
         for shape in ["chain", "star", "clique"] {
             for n in 3..=8 {
                 let q = shaped_query(&c, shape, n);
-                let last = LeafId(n as u32 - 1);
-                let batches = [
-                    vec![ParamDelta::LeafScanCost(LeafId(0), 6.0)],
-                    vec![ParamDelta::EdgeSelectivity(EdgeId(0), 8.0)],
-                    vec![ParamDelta::LeafCardinality(last, 0.1)],
-                    vec![
-                        ParamDelta::LeafCardinality(LeafId(1), 4.0),
-                        ParamDelta::LeafCardinality(last, 2.0),
-                        ParamDelta::EdgeSelectivity(EdgeId(0), 0.5),
-                        ParamDelta::EdgeSelectivity(EdgeId(1), 3.0),
-                    ],
-                    vec![ParamDelta::LeafScanCost(LeafId(0), 1.0)],
-                ];
                 let mut df = DataflowOptimizer::new(&c, q.clone());
                 df.optimize();
-                for batch in &batches {
+                for batch in &walk(n) {
                     let (plan_before, best_before) = rows(&df);
                     let local_before = df.local.clone();
                     let pruned_before = df.pruned.clone();
