@@ -45,38 +45,38 @@
 //!   instead of maintaining second copies of `BestCost` and `PlanCost`
 //!   in two arrangements beside the ones D9, D7 and D8 already hold.
 //!   The plan is read from the network's relations, never from the
-//!   driver's DP mirror below: the mirror decides what to *withhold*
-//!   from the network, and an answer taken from it would leave the
-//!   network decorative and every differential against it vacuous.
+//!   pruning authority below: it decides what to *withhold* from the
+//!   network, and an answer taken from it would leave the network
+//!   decorative and every differential against it vacuous.
 //!
 //! ## Pruning (§3.2, §3.3)
 //!
 //! Recursive bounding (the paper's r1–r4, Figure 3) and reference
-//! counting (§3.2) run in the driver, not in the network: a
-//! deterministic DP over the `LocalCost` mirror computes every group's
-//! exact best cost bottom-up and its bound top-down. An alternative
-//! survives the bound if its total is within its group's bound or it is
-//! the group's argmin. A group is *referenced* if it is the root or a
-//! child of a surviving alternative of a referenced group — the groups
-//! that can still reach the root's plan. Every alternative of an
-//! unreferenced group, and every alternative beyond its bound, is
-//! *excluded from the network's `LocalCost` relation*, so the network
-//! holds only the referenced region (17 of the 2 523 alternatives of
-//! `param_burst_star8`'s 8-relation star).
-//! Every referenced group keeps its argmin, whose children are then
-//! referenced too, so `BestCost` is exact on every group plan
-//! extraction visits and the plan is still read from the network.
+//! counting (§3.2) are not re-derived here: the driver owns an
+//! [`IncrementalOptimizer`] under [`PruningConfig::all`], which
+//! maintains both incrementally, and the network holds that engine's
+//! *held* set ([`IncrementalOptimizer::held`]) as its `LocalCost`
+//! relation — every alternative live in a live group, the groups that
+//! can still reach the root's plan. An alternative lives if its total is
+//! within its group's bound or it is the group's argmin, so every held
+//! group keeps its argmin, whose children are held too: `BestCost` is
+//! exact on every group plan extraction visits, and the plan is still
+//! read from the network. The network holds only that region (17 of the
+//! 2 523 alternatives of `param_burst_star8`'s 8-relation star).
 //! `SearchSpace` stays complete (enumeration is not pruned, only
-//! costing), so the declarative engine skips the cost propagation for
-//! hopeless alternatives exactly like the hand-rolled pruned engine. On
-//! every reoptimize the driver recomputes the prune set from the
-//! post-delta mirror and feeds the network the difference, so a pruned
-//! alternative that becomes viable — or a group referenced again — is
-//! re-costed and a newly hopeless or unreferenced one is retracted. The
-//! network compiles D1–D9 only; the rules r1–r4 themselves are executed
-//! verbatim on the substrate by `compile.rs`'s
-//! `paper_bound_rules_execute_on_the_substrate`, the way the
-//! differential suite holds [`BEST_PLAN_RULE`] to its text.
+//! costing).
+//!
+//! An epoch runs the engine's fixpoint
+//! ([`IncrementalOptimizer::propagate`]), drains its change list —
+//! each alternative whose held value may have moved, with the value it
+//! had before — and feeds the network one retraction/assertion pair per
+//! alternative whose held value did move. Its work is the region's, not
+//! the memo's. The declarative engine is thereby the executable D1–D9
+//! specification: it re-derives the costs of the held region from the
+//! rules, and the audit holds it to the engine every epoch it samples.
+//! The rules r1–r4 themselves are executed verbatim on the substrate by
+//! `compile.rs`'s `paper_bound_rules_execute_on_the_substrate`, the way
+//! the differential suite holds [`BEST_PLAN_RULE`] to its text.
 //!
 //! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
 //! flag) into an `Int`; `prop` is a dense index into the query's
@@ -96,13 +96,13 @@ use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
 use reopt_core::memo::{AltId, GroupId, Memo};
 use reopt_core::rules_ir::{parse_rules, Rule};
-use reopt_core::{IncrementalOptimizer, ParamIndex, PruningConfig, Reoptimizer};
+use reopt_core::{IncrementalOptimizer, PruningConfig, Reoptimizer};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_datalog::{
     ConsolidatorFootprint, DataflowError, Delta, FaultPlan, Multiset, NodeStats, RunStats, Tuple,
     Val,
 };
-use reopt_expr::{ExprId, JoinGraph, PhysOp, PhysProp, PlanNode, QuerySpec};
+use reopt_expr::{ExprId, PhysOp, PhysProp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
 use crate::durable;
@@ -261,8 +261,9 @@ pub enum RecoveryPath {
     /// The epoch committed on the first attempt.
     Committed,
     /// The attempt failed, poisoning the network; a fresh one was built
-    /// from the memo and the `LocalCost` mirror (which already reflects
-    /// every applied parameter delta) and evaluated, as a restart would.
+    /// from the memo and the pruning authority's held set (which already
+    /// reflects every applied parameter delta) and evaluated, as a
+    /// restart would.
     /// A restart that found WAL history but no checkpoint reports the
     /// same.
     RebuiltFromScratch,
@@ -281,8 +282,8 @@ pub enum RecoveryPath {
 pub enum AuditOutcome {
     /// This epoch was not in the sample.
     NotSampled,
-    /// The audited state matched a from-scratch recompute and every
-    /// cross-engine invariant.
+    /// The audited state matched a from-scratch recompute and the
+    /// pruning authority's invariants.
     Passed,
     /// The audit caught drift; the report carries the violation.
     Failed(DataflowError),
@@ -341,31 +342,16 @@ impl AuditMode {
 /// The optimizer-as-a-view: rules compiled onto the dataflow substrate,
 /// maintained incrementally under [`ParamDelta`] base-relation deltas.
 pub struct DataflowOptimizer {
-    q: QuerySpec,
+    /// The pruning authority (see the module docs): it owns the query,
+    /// the [`CostContext`] and the memo, which `memo` shares.
+    core: IncrementalOptimizer,
     memo: Rc<Memo>,
-    ctx: CostContext,
     props: Rc<PropTable>,
     net: RuleNetwork,
-    /// Mirror of the `LocalCost` base relation, per [`AltId`] — the
-    /// old value is needed to emit the retraction half of an update,
-    /// and a from-scratch rebuild re-seeds the relation from it.
-    local: Vec<Cost>,
-    /// The [`CostContext::alt_affected`] predicate inverted (the
-    /// hand-rolled engine's index): parameter → what it can touch, so a
-    /// reoptimize visits candidates directly instead of scanning every
-    /// alternative. Built by the first `reoptimize`; neither `optimize`
-    /// nor a restart reads it.
-    param_index: Option<ParamIndex>,
-    /// Per group: an applied parameter reaches all its alternatives.
-    /// Set and taken back within one `reoptimize`.
-    reached: Vec<bool>,
     initialized: bool,
-    /// Kept so the audit can stand up an independent hand-rolled
-    /// optimizer against pristine statistics.
-    catalog: Catalog,
     /// Deduped log of every applied [`ParamDelta`] (factors are
-    /// absolute, so per parameter only the last write matters) — the
-    /// audit replays it on the shadow engine.
+    /// absolute, so per parameter only the last write matters) —
+    /// checkpoints persist it.
     applied: Vec<ParamDelta>,
     audit: AuditMode,
     epochs_seen: u64,
@@ -373,15 +359,15 @@ pub struct DataflowOptimizer {
     /// (or by [`DataflowOptimizer::recover`]). `None` keeps the optimizer
     /// purely in-memory, exactly as before.
     durable: Option<Durable>,
-    /// Per [`AltId`]: excluded from the network's `LocalCost` relation
-    /// by driver-side pruning (see the module docs).
-    pruned: Vec<bool>,
     /// [`plan_cost_strata`] of the memo: the `PlanCost` release order
     /// every network built for this query declares.
     strata: Vec<u32>,
     /// `PlanCost` point probes made by plan extraction so far (see
     /// [`DataflowOptimizer::plan_cost_probes`]).
     plan_cost_probes: Cell<u64>,
+    /// Change-list entries the driver has visited so far (see
+    /// [`DataflowOptimizer::visited_alternatives`]).
+    visited: u64,
 }
 
 /// WAL bookkeeping for a durably armed optimizer.
@@ -398,26 +384,6 @@ impl Durable {
         let wal = durable::WalWriter::new(dir.join(durable::WAL_FILE));
         Durable { dir, wal_seq, wal }
     }
-}
-
-/// The driver's DP of rules r1–r4 and §3.2's reference counting over
-/// the `LocalCost` mirror (see the module docs): exact best cost per
-/// group bottom-up, then bound and references per group top-down, over
-/// every alternative — pruned ones included, so one re-enters the
-/// moment a delta makes it viable.
-struct BoundDp {
-    /// Total cost per alternative (`Fn_sum` association order, so the
-    /// values agree bit-for-bit with the network's `PlanCost`).
-    alt_cost: Vec<Cost>,
-    /// Best total per group, and the alternative achieving it.
-    best: Vec<Cost>,
-    argmin: Vec<Option<AltId>>,
-    /// `min(best, max over parent allowances)`; the root's is its best.
-    /// `None` for a group no parent alternative bounds.
-    bound: Vec<Option<Cost>>,
-    /// §3.2 reference counting: the root, and every child of an
-    /// alternative that survives the bound in a referenced group.
-    referenced: Vec<bool>,
 }
 
 /// The release order of `PlanCost` deltas, per [`AltId`]: 1 + the
@@ -443,139 +409,26 @@ fn plan_cost_strata(memo: &Memo) -> Vec<u32> {
         .collect()
 }
 
-impl BoundDp {
-    /// Group ids are bottom-up ([`Memo::build`]): ascending ids visit
-    /// children before parents, descending ids parents first.
-    fn compute(memo: &Memo, local: &[Cost]) -> BoundDp {
-        let n_groups = memo.n_groups();
-        let order = (0..n_groups as u32).map(GroupId);
-        let mut dp = BoundDp {
-            alt_cost: vec![Cost::INFINITY; memo.n_alts()],
-            best: vec![Cost::INFINITY; n_groups],
-            argmin: vec![None; n_groups],
-            bound: vec![None; n_groups],
-            referenced: vec![false; n_groups],
-        };
-        for g in order.clone() {
-            for a in memo.alts_of(g) {
-                let alt = memo.alt(a);
-                // Fn_sum's association order: local, then left, right.
-                let mut c = local[a.0 as usize];
-                if let Some(l) = alt.left {
-                    c += dp.best[l.0 as usize];
-                }
-                if let Some(r) = alt.right {
-                    c += dp.best[r.0 as usize];
-                }
-                dp.alt_cost[a.0 as usize] = c;
-                let gi = g.0 as usize;
-                if c < dp.best[gi] {
-                    dp.best[gi] = c;
-                    dp.argmin[gi] = Some(a);
-                }
-            }
-        }
-        // Top-down: each group's bound is fixed before its children's
-        // allowances are derived from it (descending ids).
-        let mut max_bound: Vec<Option<Cost>> = vec![None; n_groups];
-        let relax = |mb: &mut Option<Cost>, allowance: Cost| match mb {
-            Some(prev) if *prev >= allowance => {}
-            _ => *mb = Some(allowance),
-        };
-        for g in order.rev() {
-            let gi = g.0 as usize;
-            dp.bound[gi] = if g == memo.root {
-                // The root's bound, which Figure 3 seeds: never settle
-                // for worse than the best plan already known.
-                Some(dp.best[gi])
-            } else {
-                // r4: min(minCost, maxBound); ties keep the first
-                // argument, matching the scalar combine.
-                max_bound[gi].map(|mb| if mb < dp.best[gi] { mb } else { dp.best[gi] })
-            };
-            let Some(b) = dp.bound[gi] else { continue };
-            for a in memo.alts_of(g) {
-                let alt = memo.alt(a);
-                let local_cost = local[a.0 as usize];
-                match (alt.left, alt.right) {
-                    (Some(l), Some(r)) => {
-                        // r1/r2 subtraction chains, in rule order.
-                        let al = b - dp.best[r.0 as usize] - local_cost;
-                        relax(&mut max_bound[l.0 as usize], al);
-                        let ar = b - dp.best[l.0 as usize] - local_cost;
-                        relax(&mut max_bound[r.0 as usize], ar);
-                    }
-                    (Some(l), None) => {
-                        // The single child gets the full remainder.
-                        relax(&mut max_bound[l.0 as usize], b - local_cost);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Reference counting, top-down again: a group no surviving
-        // alternative of a referenced group points at cannot reach the
-        // root's plan, so none of its alternatives is costed.
-        dp.referenced[memo.root.0 as usize] = true;
-        for g in (0..n_groups as u32).rev().map(GroupId) {
-            if !dp.referenced[g.0 as usize] {
-                continue;
-            }
-            for a in memo.alts_of(g) {
-                if !dp.beyond_bound(g, a) {
-                    for c in memo.alt(a).children() {
-                        dp.referenced[c.0 as usize] = true;
-                    }
-                }
-            }
-        }
-        dp
-    }
-
-    /// Costlier than the group's bound and not the group's argmin (so
-    /// `BestCost` stays exact and plan extraction finds a row per
-    /// referenced group).
-    fn beyond_bound(&self, g: GroupId, a: AltId) -> bool {
-        let argmin = self.argmin[g.0 as usize] == Some(a);
-        self.bound[g.0 as usize].is_some_and(|b| self.alt_cost[a.0 as usize] > b && !argmin)
-    }
-
-    /// The prune decision for alternative `a` of group `g`: its group is
-    /// unreferenced, or it is beyond its group's bound.
-    fn prunes(&self, g: GroupId, a: AltId) -> bool {
-        !self.referenced[g.0 as usize] || self.beyond_bound(g, a)
-    }
-}
-
 impl DataflowOptimizer {
     pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowOptimizer {
-        let graph = JoinGraph::new(&q);
-        let memo = Rc::new(Memo::build(&q, &graph));
-        let ctx = CostContext::new(catalog, &q);
+        let core = IncrementalOptimizer::new(catalog, q, PruningConfig::all());
+        let memo = core.shared_memo();
         let props = Rc::new(PropTable::new(&memo));
         let strata = plan_cost_strata(&memo);
         let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
-        let local = vec![Cost::INFINITY; memo.n_alts()];
-        let reached = vec![false; memo.n_groups()];
-        let pruned = vec![false; memo.n_alts()];
         DataflowOptimizer {
-            q,
+            core,
             memo,
-            ctx,
             props,
             net,
-            local,
-            param_index: None,
-            reached,
             initialized: false,
-            catalog: catalog.clone(),
             applied: Vec::new(),
             audit: AuditMode::from_env(),
             epochs_seen: 0,
             durable: None,
-            pruned,
             strata,
             plan_cost_probes: Cell::new(0),
+            visited: 0,
         }
     }
 
@@ -584,17 +437,19 @@ impl DataflowOptimizer {
     }
 
     pub fn cost_context(&self) -> &CostContext {
-        &self.ctx
+        self.core.cost_context()
     }
 
-    /// Initial evaluation: seed the `Expr` root demand and the full
-    /// `LocalCost` relation, then run the network to fixpoint.
+    /// Initial evaluation: the pruning authority's first fixpoint, then
+    /// the `Expr` root demand and its held set seeded into the network,
+    /// run to fixpoint.
     pub fn optimize(&mut self) -> DataflowOutcome {
         if !self.initialized {
             self.initialized = true;
-            for (_, a, c) in local_costs(&self.memo, &mut self.ctx, &self.q) {
-                self.local[a.0 as usize] = c;
-            }
+            self.core.optimize();
+            // The seed is the whole held set; the boot's change list
+            // (every alternative) says nothing more.
+            self.core.drain_changes();
             self.seed_network();
         }
         let (stats, recovery) = self.run_recovering();
@@ -602,8 +457,8 @@ impl DataflowOptimizer {
     }
 
     /// Incremental re-optimization (§4): apply the parameter deltas to
-    /// the cost context, re-evaluate the affected local costs, and feed
-    /// the changes to the network as `LocalCost` base-relation deltas.
+    /// the pruning authority, and feed the changes to its held set to
+    /// the network as `LocalCost` base-relation deltas.
     /// With durability armed the batch is acknowledged — durable — when
     /// this returns.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
@@ -648,54 +503,26 @@ impl DataflowOptimizer {
         // The applied log keeps the last write per parameter: replaying
         // it reproduces the current [`CostContext`].
         fold_last_writes(&mut self.applied, deltas);
-        let affected = self.ctx.apply(deltas);
-        if affected.is_empty() {
+        if !self.core.propagate(deltas) {
             return self.outcome(RunStats::default(), RecoveryReport::committed());
         }
-        // What the changed parameters reach, straight from the inverted
-        // index — equivalent to testing `alt_affected` on every
-        // alternative (each predicate branch distributes over the
-        // affected set). A group several parameters reach is marked
-        // once, and the walk below takes the marks back in group order:
-        // alternative ids are dense in that order, so the candidates
-        // come up in `AltId` order with nothing to sort but the few
-        // single alternatives a scan cost reaches.
-        let index = self
-            .param_index
-            .get_or_insert_with(|| ParamIndex::build(&self.memo, &self.q));
-        for g in index.affected_groups(&affected) {
-            self.reached[g.0 as usize] = true;
-        }
-        let mut scan_alts: Vec<AltId> = index.affected_scan_alts(&affected).collect();
-        scan_alts.sort_unstable();
-        let mut scan_alts = scan_alts.into_iter().peekable();
-        // Re-evaluate the candidates' local costs in the mirror first;
-        // `old_values` remembers what the network currently holds for
-        // the alternatives whose value changed, in `AltId` order.
-        let mut old_values: Vec<(AltId, Cost)> = Vec::new();
-        for (def, reached) in self.memo.groups.iter().zip(&mut self.reached) {
-            let mut reprice = |a: AltId| {
-                let spec = &self.memo.alt(a).spec;
-                let new = self.ctx.local_cost(&self.q, def.expr, def.prop, spec);
-                let old = std::mem::replace(&mut self.local[a.0 as usize], new);
-                if new != old {
-                    old_values.push((a, old));
-                }
-            };
-            let in_group = |a: &AltId| a.0 < def.alts_end;
-            if std::mem::take(reached) {
-                while scan_alts.next_if(in_group).is_some() {}
-                (def.alts_start..def.alts_end).map(AltId).for_each(reprice);
-            } else {
-                while let Some(a) = scan_alts.next_if(in_group) {
-                    reprice(a);
-                }
+        // The change list comes in the order the fixpoint wrote it; the
+        // network is fed in `AltId` order, a retraction before its
+        // assertion.
+        let mut changes = self.core.drain_changes();
+        changes.sort_unstable_by_key(|&(a, _)| a);
+        self.visited += changes.len() as u64;
+        let mut rows: Vec<Delta> = Vec::new();
+        for (a, before) in changes {
+            let after = self.core.held(a);
+            if before == after {
+                continue;
             }
+            let key = self.group_key(self.memo.alt(a).group);
+            rows.extend(before.map(|c| Delta::delete(local_tuple(key, a, c))));
+            rows.extend(after.map(|c| Delta::insert(local_tuple(key, a, c))));
         }
-        // All network deltas — value updates, prune retractions and
-        // re-assertions — flow through one diffing pass so the network
-        // always mirrors the driver state.
-        self.push_pruned_diff(&old_values);
+        self.net.extend("LocalCost", rows);
         let (stats, recovery) = self.run_recovering();
         self.outcome(stats, recovery)
     }
@@ -724,10 +551,10 @@ impl DataflowOptimizer {
     /// The ladder's rebuild rung, which is what a restart does: discard
     /// the poisoned network (and with it any armed fault plan or
     /// starved budget), compile a fresh one from the memo under the
-    /// default budget, and re-seed it from the `LocalCost` mirror —
-    /// which already reflects every applied parameter delta, so the
-    /// fresh fixpoint equals the one the incremental epoch should have
-    /// produced.
+    /// default budget, and re-seed it from the pruning authority's held
+    /// set — which already reflects every applied parameter delta, so
+    /// the fresh fixpoint equals the one the incremental epoch should
+    /// have produced.
     fn rebuild_from_scratch(&mut self) -> RunStats {
         self.net = self.fresh_network();
         self.seed_network();
@@ -742,53 +569,18 @@ impl DataflowOptimizer {
     }
 
     /// Seeds a freshly built network with everything the driver state
-    /// implies: the root `Expr` demand, then — as the diff against a
-    /// network that has been fed nothing — the unpruned slice of the
-    /// `LocalCost` mirror.
+    /// implies: the root `Expr` demand and the held set's `LocalCost`
+    /// rows.
     fn seed_network(&mut self) {
-        let root = self.group_key(self.memo.root);
-        self.net.insert("Expr", Tuple::from_slice(&root));
-        self.pruned.fill(true);
-        self.push_pruned_diff(&[]);
+        let (root, rows) = self.seed();
+        self.net.insert("Expr", root);
+        self.net.extend("LocalCost", rows);
     }
 
-    /// Recomputes the prune set from the post-delta mirror and feeds
-    /// the network the difference, in one pass over the memo: value
-    /// updates for surviving alternatives, retractions for newly pruned
-    /// ones and assertions for newly viable ones. `old_values` holds, in `AltId` order, what the
-    /// network holds for the alternatives whose mirror value this batch
-    /// changed. The driver is the pruning authority — the DP runs over
-    /// *all* alternatives, so an alternative the network never costed
-    /// still re-enters the moment a delta makes it viable.
-    fn push_pruned_diff(&mut self, old_values: &[(AltId, Cost)]) {
-        let dp = BoundDp::compute(&self.memo, &self.local);
-        // Alternative ids are dense in group order, so the memo walk
-        // and `old_values` advance in step.
-        let mut changed = old_values.iter().peekable();
-        let mut deltas: Vec<Delta> = Vec::new();
-        for gi in 0..self.memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            let key = self.group_key(g);
-            for a in self.memo.alts_of(g) {
-                let i = a.0 as usize;
-                let was_in = !self.pruned[i];
-                let now_in = !dp.prunes(g, a);
-                self.pruned[i] = !now_in;
-                let nv = self.local[i];
-                // What the network holds for a present row: the
-                // pre-delta value for this batch's candidates, the
-                // (unchanged) mirror value for everything else.
-                let ov = changed.next_if(|(c, _)| *c == a).map_or(nv, |&(_, ov)| ov);
-                if was_in && (!now_in || ov != nv) {
-                    deltas.push(Delta::delete(local_tuple(key, a, ov)));
-                }
-                if now_in && (!was_in || ov != nv) {
-                    deltas.push(Delta::insert(local_tuple(key, a, nv)));
-                }
-            }
-        }
-        self.net.extend("LocalCost", deltas);
-        debug_assert!(changed.next().is_none(), "`old_values` is not in `AltId` order");
+    /// What a network fed nothing yet is seeded with.
+    fn seed(&self) -> (Tuple, Vec<Delta>) {
+        let root = Tuple::from_slice(&self.group_key(self.memo.root));
+        (root, self.local_cost_rows().into_iter().map(Delta::insert).collect())
     }
 
     /// Loads recovered parameters into this engine before its first
@@ -805,13 +597,12 @@ impl DataflowOptimizer {
         log: Vec<ParamDelta>,
         tail: &[Vec<ParamDelta>],
     ) {
-        debug_assert!(!self.initialized, "parameters load before the first optimize");
         self.epochs_seen = epochs_seen;
-        self.ctx.apply(&log);
+        self.core.preload(&log);
         self.applied = log;
         for record in tail {
             fold_last_writes(&mut self.applied, record);
-            self.epochs_seen += u64::from(!self.ctx.apply(record).is_empty());
+            self.epochs_seen += u64::from(self.core.preload(record));
         }
     }
 
@@ -836,13 +627,12 @@ impl DataflowOptimizer {
     ///    `PlanCost` rows (a torn epoch would leave the retraction half
     ///    of an update);
     /// 2. the live views match a from-scratch recompute on a fresh
-    ///    network whose `LocalCost` rows are re-derived from the
-    ///    [`CostContext`] (catches both substrate drift and a torn
-    ///    mirror);
-    /// 3. a shadow hand-rolled [`IncrementalOptimizer`] replaying the
-    ///    deduped delta log passes its own structural invariants
-    ///    ([`IncrementalOptimizer::check_invariants`]) and agrees on
-    ///    the best cost.
+    ///    network seeded from the pruning authority's held set (catches
+    ///    substrate drift and a `LocalCost` relation torn from it);
+    /// 3. the pruning authority passes its own structural invariants
+    ///    ([`IncrementalOptimizer::check_invariants`], which re-derive
+    ///    every local cost from the [`CostContext`]), and the network's
+    ///    root `BestCost` is its best cost.
     fn audit_now(&mut self) -> Result<(), DataflowError> {
         for (name, view) in views(&self.net) {
             if view.has_negative_counts() {
@@ -852,23 +642,9 @@ impl DataflowOptimizer {
             }
         }
         let mut fresh = self.fresh_network();
-        let root = self.group_key(self.memo.root);
-        fresh.insert("Expr", Tuple::from_slice(&root));
-        let recomputed: Vec<_> = local_costs(&self.memo, &mut self.ctx, &self.q).collect();
-        for (g, a, c) in recomputed {
-            if c != self.local[a.0 as usize] {
-                return Err(DataflowError::InvariantViolation(format!(
-                    "audit: LocalCost mirror for alt {} holds {:?} but recompute gives {c:?}",
-                    a.0, self.local[a.0 as usize]
-                )));
-            }
-            // The fresh network seeds the same prune set as the live
-            // one — the driver is the pruning authority, so an
-            // equal-state recompute excludes the same rows.
-            if !self.pruned[a.0 as usize] {
-                fresh.insert("LocalCost", local_tuple(self.group_key(g), a, c));
-            }
-        }
+        let (root, rows) = self.seed();
+        fresh.insert("Expr", root);
+        fresh.extend("LocalCost", rows);
         fresh.run().map_err(|e| {
             DataflowError::InvariantViolation(format!("audit: from-scratch recompute failed: {e}"))
         })?;
@@ -883,20 +659,14 @@ impl DataflowOptimizer {
                 )));
             }
         }
-        let mut shadow = IncrementalOptimizer::new(&self.catalog, self.q.clone(), PruningConfig::none());
-        let mut want = shadow.optimize();
-        if !self.applied.is_empty() {
-            let applied = self.applied.clone();
-            want = shadow.reoptimize(&applied);
-        }
-        shadow
+        self.core
             .check_invariants()
-            .map_err(|m| DataflowError::InvariantViolation(format!("audit: shadow engine: {m}")))?;
-        if !want.cost.approx_eq(self.best_cost()) {
+            .map_err(|m| DataflowError::InvariantViolation(format!("audit: pruning authority: {m}")))?;
+        if self.best_cost() != self.core.best_cost() {
             return Err(DataflowError::InvariantViolation(format!(
-                "audit: best cost {:?} disagrees with shadow engine {:?}",
+                "audit: root BestCost {:?} is not the pruning authority's best cost {:?}",
                 self.best_cost(),
-                want.cost
+                self.core.best_cost()
             )));
         }
         Ok(())
@@ -984,8 +754,8 @@ impl DataflowOptimizer {
         let bytes = durable::encode_checkpoint(
             d.wal_seq,
             self.epochs_seen,
-            self.q.n_leaves(),
-            self.q.edges.len() as u32,
+            self.core.query().n_leaves(),
+            self.core.query().edges.len() as u32,
             &self.applied,
         );
         durable::write_atomic(&d.dir.join(durable::CHECKPOINT_FILE), &bytes)
@@ -1083,7 +853,7 @@ impl DataflowOptimizer {
     /// here, so a network whose relations contradict each other is
     /// caught while the ladder can still answer: the failure joins the
     /// report and the rebuild rung recomputes every relation from the
-    /// memo and the `LocalCost` mirror.
+    /// memo and the held set.
     fn outcome(&mut self, mut stats: RunStats, mut recovery: RecoveryReport) -> DataflowOutcome {
         let plan = self.try_best_plan().unwrap_or_else(|e| {
             recovery.errors.push(e);
@@ -1200,17 +970,26 @@ impl DataflowOptimizer {
         self.plan_cost_probes.get()
     }
 
-    /// The `LocalCost` relation as the network holds it — the mirror
-    /// less the pruned alternatives — in `AltId` order (diagnostics; the
-    /// D10 differential feeds its reference network from this).
+    /// The `LocalCost` relation the network holds — the pruning
+    /// authority's held set — in `AltId` order (the seed, the audit and
+    /// diagnostics; the D10 differential feeds its reference network
+    /// from this).
     pub fn local_cost_rows(&self) -> Vec<Tuple> {
         (0..self.memo.n_alts() as u32)
-            .filter(|&a| !self.pruned[a as usize])
-            .map(|a| {
-                let key = self.group_key(self.memo.alt(AltId(a)).group);
-                local_tuple(key, AltId(a), self.local[a as usize])
+            .map(AltId)
+            .filter_map(|a| {
+                let c = self.core.held(a)?;
+                Some(local_tuple(self.group_key(self.memo.alt(a).group), a, c))
             })
             .collect()
+    }
+
+    /// Change-list entries the driver has visited so far, one per
+    /// alternative whose held value an epoch may have moved
+    /// (diagnostics; the work-bound test reads the difference around
+    /// one [`DataflowOptimizer::reoptimize`]).
+    pub fn visited_alternatives(&self) -> u64 {
+        self.visited
     }
 
     /// Distinct `SearchSpace` tuples the network derived — compared by
@@ -1261,9 +1040,9 @@ impl DataflowOptimizer {
     }
 
     /// Alternatives currently excluded from the network's `LocalCost`
-    /// relation by driver-side pruning (diagnostics).
+    /// relation by the pruning authority (diagnostics).
     pub fn pruned_alternatives(&self) -> usize {
-        self.pruned.iter().filter(|&&p| p).count()
+        self.core.state_metrics().pruned_alts as usize
     }
 }
 
@@ -1271,7 +1050,7 @@ impl Reoptimizer for DataflowOptimizer {
     type Outcome = DataflowOutcome;
 
     fn query(&self) -> &QuerySpec {
-        &self.q
+        self.core.query()
     }
 
     fn cost_context(&self) -> &CostContext {
@@ -1289,20 +1068,6 @@ impl Reoptimizer for DataflowOptimizer {
     fn plan(outcome: &DataflowOutcome) -> &PlanNode {
         &outcome.plan
     }
-}
-
-/// `LocalCost` of every alternative, recomputed from the context, in
-/// [`AltId`] order (alternative ids are dense in group order).
-fn local_costs<'a>(
-    memo: &'a Memo,
-    ctx: &'a mut CostContext,
-    q: &'a QuerySpec,
-) -> impl Iterator<Item = (GroupId, AltId, Cost)> + 'a {
-    (0..memo.n_alts() as u32).map(AltId).map(move |a| {
-        let alt = memo.alt(a);
-        let d = memo.group(alt.group);
-        (alt.group, a, ctx.local_cost(q, d.expr, d.prop, &alt.spec))
-    })
 }
 
 /// Dedup key for the applied-delta log: parameter kind plus id.
@@ -1435,7 +1200,7 @@ mod tests {
         agg_chain_query, chain_query, cycle_query, fixture_catalog, shaped_query, star_query,
     };
     use reopt_core::{IncrementalOptimizer, PruningConfig};
-    use reopt_expr::{EdgeId, LeafId};
+    use reopt_expr::{EdgeId, JoinGraph, LeafId};
 
     fn fixture_queries() -> Vec<QuerySpec> {
         let c = fixture_catalog();
@@ -1689,7 +1454,7 @@ mod tests {
     fn repeated_faults_degrade_to_a_from_scratch_rebuild() {
         // A fault in two epochs running — the second in the network the
         // first one rebuilt: each epoch takes the rebuild rung from the
-        // memo + mirror and still converges to the oracle's fixpoint. A
+        // memo + held set and still converges to the oracle's fixpoint. A
         // plan's unspent second shot dies with the network it poisoned.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
@@ -1769,18 +1534,46 @@ mod tests {
     }
 
     #[test]
-    fn audit_catches_a_torn_local_cost_mirror() {
-        // Hand-corrupt the mirror behind the network's back: the audit
-        // must flag the divergence instead of silently drifting.
+    fn audit_catches_a_local_cost_relation_torn_from_the_held_set() {
+        // A stray `LocalCost` row behind the driver's back: a scan the
+        // pruning authority does not hold, in a group it does. The
+        // network derives a `PlanCost` row for it, and the audit must
+        // name that view instead of silently drifting.
         let c = fixture_catalog();
         let q = chain_query(&c, 3);
         let mut df = DataflowOptimizer::new(&c, q);
         df.optimize();
-        df.local[0] = Cost::new(12345.0);
-        let err = df.audit().expect_err("torn mirror must fail the audit");
-        match err {
+        let stray = (0..df.memo.n_alts() as u32)
+            .map(AltId)
+            .find(|&a| {
+                let alt = df.memo.alt(a);
+                df.core.held(a).is_none()
+                    && df.core.group_state(alt.group).live
+                    && alt.children().next().is_none()
+            })
+            .expect("chain-3 prunes a scan of a held group");
+        let key = df.group_key(df.memo.alt(stray).group);
+        let row = local_tuple(key, stray, df.core.alt_state(stray).local);
+        df.net.insert("LocalCost", row);
+        df.net.run().unwrap();
+        match df.audit().expect_err("a stray row must fail the audit") {
+            DataflowError::InvariantViolation(m) => assert!(m.contains("PlanCost diverged"), "{m}"),
+            other => panic!("unexpected error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn audit_catches_a_damaged_pruning_authority() {
+        // Damage the pruning authority's state where the held set does
+        // not see it: only its own invariant check can report it.
+        let c = fixture_catalog();
+        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        df.optimize();
+        let root = df.memo.root;
+        df.core.group_state_mut(root).refs += 1;
+        match df.audit().expect_err("damaged state must fail the audit") {
             DataflowError::InvariantViolation(m) => {
-                assert!(m.contains("LocalCost mirror"), "{m}")
+                assert!(m.contains("pruning authority: refcount mismatch"), "{m}")
             }
             other => panic!("unexpected error: {other:?}"),
         }
@@ -1983,7 +1776,7 @@ mod tests {
             assert_eq!(rec.epochs_seen(), epochs + 1);
 
             let mut fresh = DataflowOptimizer::new(&c, q.clone());
-            fresh.ctx.apply(rec.applied_log());
+            fresh.core.preload(rec.applied_log());
             let want = fresh.optimize();
             assert_eq!(out.stats.epoch, 1, "tail of {tail_len}");
             assert_eq!(
@@ -2217,17 +2010,22 @@ mod tests {
             row
         }
         // The network's `PlanCost` rows (absent for pruned alternatives)
-        // and `BestCost` rows (absent for unreferenced groups), from the
-        // driver's DP mirror.
+        // and `BestCost` rows (absent for groups holding none), from the
+        // pruning authority's state.
         fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Option<Cost>>) {
-            let dp = BoundDp::compute(&df.memo, &df.local);
-            let plan_cost = (0..df.memo.n_alts())
-                .map(|a| (!df.pruned[a]).then_some(dp.alt_cost[a]))
+            let plan_cost = (0..df.memo.n_alts() as u32)
+                .map(AltId)
+                .map(|a| df.core.held(a).map(|_| df.core.alt_state(a).total))
                 .collect();
-            let best = (0..df.memo.n_groups())
-                .map(|g| dp.referenced[g].then_some(dp.best[g]))
+            let best = (0..df.memo.n_groups() as u32)
+                .map(|g| df.core.group_state(GroupId(g)))
+                .map(|s| s.live.then_some(s.best))
                 .collect();
             (plan_cost, best)
+        }
+        fn locals(df: &DataflowOptimizer) -> Vec<Cost> {
+            let alts = (0..df.memo.n_alts() as u32).map(AltId);
+            alts.map(|a| df.core.alt_state(a).local).collect()
         }
         let c = fixture_catalog();
         for shape in ["chain", "star", "clique"] {
@@ -2237,8 +2035,7 @@ mod tests {
                 df.optimize();
                 for batch in &walk(n) {
                     let (plan_before, best_before) = rows(&df);
-                    let local_before = df.local.clone();
-                    let pruned_before = df.pruned.clone();
+                    let local_before = locals(&df);
                     let work = |df: &DataflowOptimizer| {
                         [
                             stat(df, "distinct[PlanCost]").deltas,
@@ -2250,11 +2047,12 @@ mod tests {
                     let out = df.reoptimize(batch);
                     assert!(out.recovery.is_clean(), "{}: {:?}", q.name, out.recovery);
                     let (plan_after, best_after) = rows(&df);
+                    let local_after = locals(&df);
                     let differs = |a: &usize| plan_before[*a] != plan_after[*a];
-                    let moved = |a: &usize| pruned_before[*a] != df.pruned[*a];
+                    let moved = |a: &usize| plan_before[*a].is_some() != plan_after[*a].is_some();
                     let fed = |a: &usize| {
                         df.memo.alt(AltId(*a as u32)).right.is_some()
-                            && (local_before[*a] != df.local[*a] || moved(a))
+                            && (local_before[*a] != local_after[*a] || moved(a))
                     };
                     let alts = 0..df.memo.n_alts();
                     let changed =
@@ -2281,6 +2079,51 @@ mod tests {
                         q.name,
                         out.stats.deltas_processed
                     );
+                }
+            }
+        }
+    }
+
+    /// The driver's work per epoch is the region's, not the memo's: it
+    /// visits the change list of the pruning authority, which holds at
+    /// most as many alternatives as were held before the epoch, are held
+    /// after it and belong to the groups the epoch revived or tombstoned
+    /// (an alternative may be held for part of an epoch only) — on an
+    /// 8-relation star or clique, under a quarter of the memo (every
+    /// alternative, while the driver re-derived the prune set itself).
+    #[test]
+    fn the_driver_visits_only_the_region() {
+        fn held(df: &DataflowOptimizer) -> u64 {
+            let alts = (0..df.memo.n_alts() as u32).map(AltId);
+            alts.filter(|&a| df.core.held(a).is_some()).count() as u64
+        }
+        let c = fixture_catalog();
+        for shape in ["chain", "star", "clique"] {
+            for n in 3..=10 {
+                let q = shaped_query(&c, shape, n);
+                let mut df = DataflowOptimizer::new(&c, q.clone());
+                df.set_audit_mode(AuditMode::Off);
+                df.optimize();
+                for batch in &walk(n) {
+                    let held_before = held(&df);
+                    let visited = df.visited_alternatives();
+                    df.reoptimize(batch);
+                    let visits = df.visited_alternatives() - visited;
+                    let flipped = (0..df.memo.n_groups() as u32)
+                        .map(GroupId)
+                        .filter(|&g| df.core.flipped(g))
+                        .map(|g| df.memo.alts_of(g).count() as u64)
+                        .sum::<u64>();
+                    let bound = held_before + held(&df) + flipped;
+                    assert!(
+                        visits <= bound,
+                        "{} after {batch:?}: visited {visits}, bound {bound}",
+                        q.name
+                    );
+                    if shape != "chain" && n == 8 {
+                        let quarter = df.memo.n_alts() as u64 / 4;
+                        assert!(visits < quarter, "{} after {batch:?}: {visits}", q.name);
+                    }
                 }
             }
         }

@@ -135,8 +135,8 @@ proptest! {
 
     /// Damage to the WAL must also never panic and never yield an
     /// inconsistent optimizer: whatever ladder rung recovery lands on,
-    /// the full audit (from-scratch recompute + shadow engine replaying
-    /// the recovered delta log) must pass. Acknowledged batches past
+    /// the full audit (from-scratch recompute + the pruning authority's
+    /// invariants on the recovered parameters) must pass. Acknowledged batches past
     /// the damage may be lost — that loss is *reported*, not silent.
     #[test]
     fn flipped_wal_bits_recover_to_a_consistent_state(

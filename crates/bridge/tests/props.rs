@@ -509,9 +509,9 @@ proptest! {
     /// Chaos: a fault armed at a random step of a random delta sequence
     /// on a random query. The optimizer must absorb it internally (the
     /// attempt fails and poisons the network, the rebuild rung builds a
-    /// fresh one from the memo and the `LocalCost` mirror) and stay
-    /// byte-identical to a fault-free oracle — best cost, extracted
-    /// plan, and every materialized sink, counts included — with zero
+    /// fresh one from the memo and the pruning authority's held set)
+    /// and stay byte-identical to a fault-free oracle — best cost,
+    /// extracted plan, and every materialized sink, counts included — with zero
     /// residual negative counts. `shots` = 2 leaves a shot armed in the
     /// poisoned network, which the rebuild discards with it.
     #[test]
@@ -526,7 +526,7 @@ proptest! {
         let mut oracle = DataflowOptimizer::new(&c, q.clone());
         let mut victim = DataflowOptimizer::new(&c, q.clone());
         // Audits off: chaos measures recovery, not the (much slower)
-        // shadow cross-check, and `REOPT_AUDIT` must not leak in.
+        // from-scratch cross-check, and `REOPT_AUDIT` must not leak in.
         oracle.set_audit_mode(AuditMode::Off);
         victim.set_audit_mode(AuditMode::Off);
         oracle.optimize();

@@ -92,11 +92,14 @@ pub fn star_query(c: &Catalog) -> QuerySpec {
     b.build()
 }
 
-/// `n` relations of the fixture catalog joined as a `"chain"`, a
-/// `"star"` around `t0`, or (any other name) a clique.
+/// `n` relations joined as a `"chain"`, a `"star"` around `t0`, or (any
+/// other name) a clique. Leaf `i` scans table `t{i % 8}` under the alias
+/// `t{i}`, so past eight relations the fixture's tables repeat.
 pub fn shaped_query(c: &Catalog, shape: &str, n: usize) -> QuerySpec {
     let mut b = QuerySpec::builder(format!("{shape}{n}"));
-    let l: Vec<_> = (0..n).map(|i| b.leaf(c, &format!("t{i}"))).collect();
+    let l: Vec<_> = (0..n)
+        .map(|i| b.leaf_aliased(c, &format!("t{}", i % 8), &format!("t{i}")))
+        .collect();
     for i in 0..n {
         for j in i + 1..n {
             let joined = match shape {

@@ -17,6 +17,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use reopt_catalog::Catalog;
 use reopt_common::Cost;
@@ -27,7 +28,7 @@ use crate::config::PruningConfig;
 use crate::memo::{AltId, GroupId, Memo};
 use crate::metrics::{RunMetrics, StateMetrics};
 use crate::param_index::ParamIndex;
-use crate::state::{le_with_slack, AltState, GroupState};
+use crate::state::{AltState, GroupState};
 
 /// Result of one (re)optimization fixpoint.
 #[derive(Clone, Debug)]
@@ -42,7 +43,7 @@ pub struct Outcome {
 pub struct IncrementalOptimizer {
     q: QuerySpec,
     graph: JoinGraph,
-    memo: Memo,
+    memo: Rc<Memo>,
     ctx: CostContext,
     cfg: PruningConfig,
     groups: Vec<GroupState>,
@@ -66,12 +67,22 @@ pub struct IncrementalOptimizer {
     /// flag flips.
     live_groups: u64,
     live_alts: u64,
+    /// This epoch's changes to the *held* set (see [`Self::held`]):
+    /// each alternative whose held value may have moved, once, with the
+    /// value it had before the epoch. Recorded where the flags and local
+    /// costs are written, the way `live_alts` is adjusted; cleared when
+    /// an epoch begins, drained by [`Self::drain_changes`].
+    changes: Vec<(AltId, Option<Cost>)>,
+    /// Per alternative: the epoch `changes` last recorded it in.
+    alt_noted: Vec<u32>,
+    /// Per group: the epoch that last revived or tombstoned it.
+    group_flipped: Vec<u32>,
 }
 
 impl IncrementalOptimizer {
     pub fn new(catalog: &Catalog, q: QuerySpec, cfg: PruningConfig) -> IncrementalOptimizer {
         let graph = JoinGraph::new(&q);
-        let memo = Memo::build(&q, &graph);
+        let memo = Rc::new(Memo::build(&q, &graph));
         let ctx = CostContext::new(catalog, &q);
         let n_groups = memo.n_groups();
         let n_alts = memo.n_alts();
@@ -103,6 +114,9 @@ impl IncrementalOptimizer {
             index: None,
             live_groups: n_groups as u64,
             live_alts: n_alts as u64,
+            changes: Vec::new(),
+            alt_noted: vec![0; n_alts],
+            group_flipped: vec![0; n_groups],
         }
     }
 
@@ -116,6 +130,12 @@ impl IncrementalOptimizer {
 
     pub fn memo(&self) -> &Memo {
         &self.memo
+    }
+
+    /// The memo, shared: an engine layered on this one (the declarative
+    /// driver) builds on it instead of enumerating the query again.
+    pub fn shared_memo(&self) -> Rc<Memo> {
+        Rc::clone(&self.memo)
     }
 
     /// The query's join graph (connectivity the enumeration respected —
@@ -143,11 +163,19 @@ impl IncrementalOptimizer {
     }
 
     /// Incremental re-optimization under a batch of cost/cardinality
-    /// updates (§4). Only state in the affected cone is recomputed: the
-    /// epoch is seeded from the [`ParamIndex`] lists of the parameters
-    /// that changed, never from a walk over the memo — tombstoned groups
-    /// included, whose costs are kept current like any other's.
+    /// updates (§4): [`Self::propagate`], then the outcome.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> Outcome {
+        self.propagate(deltas);
+        self.outcome()
+    }
+
+    /// The fixpoint of [`Self::reoptimize`] without building an
+    /// [`Outcome`]; `false` when no parameter changed. Only state in the
+    /// affected cone is recomputed: the epoch is seeded from the
+    /// [`ParamIndex`] lists of the parameters that changed, never from a
+    /// walk over the memo — tombstoned groups included, whose costs are
+    /// kept current like any other's.
+    pub fn propagate(&mut self, deltas: &[ParamDelta]) -> bool {
         // A fresh engine evaluates the initial program first, exactly
         // as an explicit `optimize()` would have.
         if !self.initialized {
@@ -156,7 +184,7 @@ impl IncrementalOptimizer {
         self.begin_run();
         let affected = self.ctx.apply(deltas);
         if affected.is_empty() {
-            return self.outcome();
+            return false;
         }
         let index = self
             .index
@@ -179,7 +207,36 @@ impl IncrementalOptimizer {
         }
         self.index = Some(index);
         self.process();
-        self.outcome()
+        true
+    }
+
+    /// Loads parameters into an engine before its first `optimize()` (a
+    /// restart's recovered log); `false` when none changed.
+    pub fn preload(&mut self, deltas: &[ParamDelta]) -> bool {
+        debug_assert!(!self.initialized, "parameters load before the first optimize");
+        !self.ctx.apply(deltas).is_empty()
+    }
+
+    /// The `LocalCost` value alternative `a` holds in the live plan
+    /// table, if it holds one: `a` is live in a live group. The held set
+    /// is the pruned search space — what the declarative driver feeds
+    /// its network.
+    pub fn held(&self, a: AltId) -> Option<Cost> {
+        let s = &self.alts[a.0 as usize];
+        (s.live && self.groups[self.memo.alt(a).group.0 as usize].live).then_some(s.local)
+    }
+
+    /// Takes the last epoch's change list: every alternative whose
+    /// [`Self::held`] value may have changed, once, with its value
+    /// before the epoch (the first `optimize` lists every alternative).
+    pub fn drain_changes(&mut self) -> Vec<(AltId, Option<Cost>)> {
+        std::mem::take(&mut self.changes)
+    }
+
+    /// True iff the last epoch revived or tombstoned `g`, once or more
+    /// (diagnostics: what bounds its change list besides the held set).
+    pub fn flipped(&self, g: GroupId) -> bool {
+        self.group_flipped[g.0 as usize] == self.epoch
     }
 
     /// Current best cost at the root.
@@ -210,6 +267,16 @@ impl IncrementalOptimizer {
     fn begin_run(&mut self) {
         self.epoch += 1;
         self.run = RunMetrics::default();
+        self.changes.clear();
+    }
+
+    /// Records `a`'s held value in this epoch's change list, unless it
+    /// is there already. Called before every write that can change it.
+    fn note(&mut self, a: AltId) {
+        if self.alt_noted[a.0 as usize] != self.epoch {
+            self.alt_noted[a.0 as usize] = self.epoch;
+            self.changes.push((a, self.held(a)));
+        }
     }
 
     fn outcome(&self) -> Outcome {
@@ -314,6 +381,9 @@ impl IncrementalOptimizer {
                     self.ctx
                         .local_cost(&self.q, def_expr, def_prop, &self.memo.alt(a).spec);
                 if new_local != self.alts[a.0 as usize].local {
+                    if live && self.alts[a.0 as usize].live {
+                        self.note(a);
+                    }
                     self.alts[a.0 as usize].local = new_local;
                     // The children's ParentBound through `a` moved
                     // (r1/r2) — a derivation only a live group has.
@@ -459,7 +529,10 @@ impl IncrementalOptimizer {
     /// reference-count side effects (§3.2). Re-introduction of
     /// previously suppressed state (§4.1/§4.3 cases) happens here too:
     /// a suppressed alternative whose (maintained) cost now passes the
-    /// threshold flips back to live, re-adding its references.
+    /// threshold flips back to live, re-adding its references. The
+    /// group's argmin always lives: bounds come out of subtraction
+    /// chains (r1/r2), whose rounding could otherwise suppress it and
+    /// disconnect the chosen plan tree.
     fn refresh_liveness(&mut self, g: GroupId) {
         if !self.cfg.aggregate_selection || !self.groups[g.0 as usize].live {
             return;
@@ -469,11 +542,13 @@ impl IncrementalOptimizer {
         } else {
             self.groups[g.0 as usize].best
         };
+        let best_alt = self.groups[g.0 as usize].best_alt;
         for a in self.memo.alts_of(g) {
-            let should_live = le_with_slack(self.alts[a.0 as usize].total, threshold);
+            let should_live = self.alts[a.0 as usize].total <= threshold || best_alt == Some(a);
             if should_live == self.alts[a.0 as usize].live {
                 continue;
             }
+            self.note(a);
             self.alts[a.0 as usize].live = should_live;
             self.touch_alt(a);
             if should_live {
@@ -523,6 +598,7 @@ impl IncrementalOptimizer {
         if !self.groups[g.0 as usize].live {
             return;
         }
+        self.note_live_alts(g);
         self.groups[g.0 as usize].live = false;
         self.live_groups -= 1;
         self.run.tombstoned_groups += 1;
@@ -548,6 +624,7 @@ impl IncrementalOptimizer {
         if self.groups[g.0 as usize].live {
             return;
         }
+        self.note_live_alts(g);
         self.groups[g.0 as usize].live = true;
         self.live_groups += 1;
         self.run.revived_groups += 1;
@@ -567,6 +644,17 @@ impl IncrementalOptimizer {
         self.push_bound(g);
     }
 
+    /// A tombstone or a revival of `g` flips whether its live
+    /// alternatives are held.
+    fn note_live_alts(&mut self, g: GroupId) {
+        self.group_flipped[g.0 as usize] = self.epoch;
+        for a in self.memo.alts_of(g) {
+            if self.alts[a.0 as usize].live {
+                self.note(a);
+            }
+        }
+    }
+
     fn extract(&self, g: GroupId) -> PlanNode {
         let def = self.memo.group(g);
         let best_alt = self.groups[g.0 as usize]
@@ -581,24 +669,27 @@ impl IncrementalOptimizer {
         }
     }
 
-    // Test/diagnostic accessors.
-    pub(crate) fn group_state(&self, g: GroupId) -> &GroupState {
+    /// Group `g`'s maintained state (tests and diagnostics).
+    pub fn group_state(&self, g: GroupId) -> &GroupState {
         &self.groups[g.0 as usize]
     }
 
-    pub(crate) fn alt_state(&self, a: AltId) -> &AltState {
+    /// Alternative `a`'s maintained state (tests and diagnostics).
+    pub fn alt_state(&self, a: AltId) -> &AltState {
         &self.alts[a.0 as usize]
     }
 
-    // Corruption hooks for the invariant-checker tests: hand-damaging
-    // converged state is the only way to prove each check can fire.
-    #[cfg(test)]
-    pub(crate) fn group_state_mut(&mut self, g: GroupId) -> &mut GroupState {
+    // Corruption hooks for the invariant-checker tests (this crate's,
+    // and the bridge audit's under the `test-hooks` feature): hand-
+    // damaging converged state is the only way to prove each check can
+    // fire.
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn group_state_mut(&mut self, g: GroupId) -> &mut GroupState {
         &mut self.groups[g.0 as usize]
     }
 
-    #[cfg(test)]
-    pub(crate) fn alt_state_mut(&mut self, a: AltId) -> &mut AltState {
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn alt_state_mut(&mut self, a: AltId) -> &mut AltState {
         &mut self.alts[a.0 as usize]
     }
 
@@ -721,10 +812,7 @@ mod tests {
             let best = opt.group_state(g).best;
             for a in opt.memo().alts_of(g).collect::<Vec<_>>() {
                 if opt.alt_state(a).live {
-                    assert!(
-                        crate::state::le_with_slack(opt.alt_state(a).total, best),
-                        "suboptimal live alternative {a:?}"
-                    );
+                    assert!(opt.alt_state(a).total <= best, "suboptimal live alternative {a:?}");
                 }
             }
         }
@@ -1118,6 +1206,44 @@ mod tests {
                 assert_eq!(out.run, RunMetrics::default(), "{} {}", q.name, cfg.label());
                 opt.check_invariants()
                     .unwrap_or_else(|e| panic!("{} under {}: {e}", q.name, cfg.label()));
+            }
+        }
+    }
+
+    #[test]
+    fn the_change_list_replays_the_held_set() {
+        // A copy of the held set that takes each epoch's change list —
+        // every entry once, its value before being the copy's — is the
+        // held set after the epoch: what the declarative driver's
+        // network relies on.
+        let c = fixture_catalog();
+        for shape in ["chain", "star", "clique"] {
+            for n in 3..=6 {
+                let q = shaped_query(&c, shape, n);
+                let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
+                opt.optimize();
+                let held = |opt: &IncrementalOptimizer| -> Vec<Option<Cost>> {
+                    (0..opt.memo().n_alts() as u32).map(|a| opt.held(AltId(a))).collect()
+                };
+                let mut copy = held(&opt);
+                let last = LeafId(n as u32 - 1);
+                for batch in [
+                    vec![ParamDelta::EdgeSelectivity(EdgeId(0), 8.0)],
+                    vec![ParamDelta::LeafCardinality(last, 0.1)],
+                    vec![ParamDelta::LeafScanCost(LeafId(1), 5.0)],
+                    vec![ParamDelta::EdgeSelectivity(EdgeId(0), 1.0)],
+                ] {
+                    assert!(opt.propagate(&batch));
+                    let mut seen = FxHashSet::default();
+                    for (a, before) in opt.drain_changes() {
+                        assert!(seen.insert(a), "{}: {a:?} listed twice", q.name);
+                        assert_eq!(before, copy[a.0 as usize], "{}: {a:?}", q.name);
+                        copy[a.0 as usize] = opt.held(a);
+                    }
+                    assert_eq!(copy, held(&opt), "{} after {batch:?}", q.name);
+                }
+                assert!(!opt.propagate(&[ParamDelta::EdgeSelectivity(EdgeId(0), 1.0)]));
+                assert!(opt.drain_changes().is_empty());
             }
         }
     }

@@ -75,18 +75,6 @@ impl Default for GroupState {
     }
 }
 
-/// Suppression comparison with a relative epsilon: bounds are computed
-/// through subtraction chains (r1/r2), so an exact `<=` could suppress a
-/// group's own best alternative on floating-point noise and disconnect
-/// the chosen plan tree.
-#[inline]
-pub fn le_with_slack(total: Cost, threshold: Cost) -> bool {
-    if threshold == Cost::INFINITY {
-        return true;
-    }
-    total.value() <= threshold.value() * (1.0 + 1e-9) + 1e-12
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,15 +87,5 @@ mod tests {
         let g = GroupState::default();
         assert!(g.live);
         assert_eq!(g.bound, Cost::INFINITY);
-    }
-
-    #[test]
-    fn slack_comparison() {
-        assert!(le_with_slack(Cost::new(1.0), Cost::INFINITY));
-        assert!(le_with_slack(Cost::new(1.0), Cost::new(1.0)));
-        // Tiny FP noise above the threshold still passes…
-        assert!(le_with_slack(Cost::new(1.0 + 1e-12), Cost::new(1.0)));
-        // …but a real difference does not.
-        assert!(!le_with_slack(Cost::new(1.001), Cost::new(1.0)));
     }
 }

@@ -6,7 +6,6 @@ use reopt_common::Cost;
 
 use crate::memo::{AltId, GroupId};
 use crate::optimizer::IncrementalOptimizer;
-use crate::state::le_with_slack;
 
 impl IncrementalOptimizer {
     /// Checks all state invariants at a (supposed) fixpoint. Returns a
@@ -124,7 +123,7 @@ impl IncrementalOptimizer {
     }
 
     /// §3.1/§3.3: alternative liveness agrees with the suppression
-    /// threshold; an alternative over a tombstoned child is never live
+    /// threshold (within it, or the group's argmin); an alternative over a tombstoned child is never live
     /// (it would hold a reference the child does not count).
     fn check_liveness(&mut self) -> Result<(), String> {
         if !self.config().aggregate_selection {
@@ -150,7 +149,8 @@ impl IncrementalOptimizer {
                     }
                     continue;
                 }
-                let should = le_with_slack(self.alt_state(a).total, threshold);
+                let should = self.alt_state(a).total <= threshold
+                    || self.group_state(g).best_alt == Some(a);
                 if live != should {
                     return Err(format!(
                         "liveness mismatch on alt {a:?}: live={live}, total={:?}, threshold={threshold:?}",
