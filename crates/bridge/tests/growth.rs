@@ -209,7 +209,9 @@ const PIN_Q5_BOOT: [u64; 3] = [4_704, 74, 420];
 /// revived, re-priced and tombstoned again every epoch the walks took
 /// 41 820 / 2 155 pops for the same 145 184 / 4 058 touched
 /// alternatives (`none()`, which never prunes: 13 803 / 605 pops), and
-/// seeding asked all 2 643 / 420 alternatives twice an epoch.
+/// seeding asked all 2 643 / 420 alternatives twice an epoch. The pins
+/// are the exact reads since both engines share one tie rule (17 683 /
+/// 145 188 and 793 pops before it).
 #[test]
 fn hand_rolled_strict_counters_stay_within_two_percent_of_their_pins() {
     let pins = [PIN_STAR_CORE, PIN_Q5_CORE];
@@ -234,5 +236,5 @@ fn hand_rolled_strict_counters_stay_within_two_percent_of_their_pins() {
 }
 
 /// `[queue_pops, touched_alts, seeded_alts]`.
-const PIN_STAR_CORE: [u64; 3] = [17_683, 145_188, 145_833];
-const PIN_Q5_CORE: [u64; 3] = [793, 4_058, 2_338];
+const PIN_STAR_CORE: [u64; 3] = [15_257, 145_174, 145_833];
+const PIN_Q5_CORE: [u64; 3] = [735, 4_058, 2_338];

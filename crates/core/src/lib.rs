@@ -21,6 +21,7 @@
 pub mod config;
 pub mod explain;
 pub mod fixtures;
+mod id_set;
 pub mod memo;
 pub mod metrics;
 pub mod optimizer;

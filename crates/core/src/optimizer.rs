@@ -5,18 +5,26 @@
 //!
 //! Execution model. Two work queues drive a fixpoint, with no constraint
 //! on external update order (§3: "our solutions are valid for any
-//! execution order"):
-//! - a **cost queue**, drained in ascending topological order, refreshes
-//!   `PlanCost` totals and `BestCost` aggregates (rules R6–R9, and the
-//!   incremental cases 1–4 of §4.1 via the maintained cost-ordered
-//!   state);
-//! - a **bound queue**, drained in descending topological order,
-//!   refreshes `MaxBound`/`Bound` (rules r1–r4) and re-evaluates
-//!   suppression (§4.3 cases 1–3), which in turn adjusts reference
-//!   counts and revives or tombstones groups (§4.2).
+//! execution order"). Each queue is a set of group ids drained in id
+//! order ([`IdSet`]); since the memo numbers groups bottom-up (every
+//! child's id is below its parent's), id order *is* topological order:
+//! - a **cost queue**, drained lowest id first (children before
+//!   parents), refreshes `PlanCost` totals and `BestCost` aggregates
+//!   (rules R6–R9, and the incremental cases 1–4 of §4.1 via the
+//!   maintained cost-ordered state) in one pass over each group's
+//!   alternatives;
+//! - a **bound queue**, drained highest id first (parents before
+//!   children), refreshes `MaxBound`/`Bound` (rules r1–r4) and
+//!   re-evaluates suppression (§4.3 cases 1–3), which in turn adjusts
+//!   reference counts and revives or tombstones groups (§4.2).
+//!
+//! Row estimates are maintained state too (§2.3's memoized
+//! `Fn_nonscansummary`): one per group, filled by the first `optimize`
+//! and refreshed for exactly the groups [`ParamIndex`] lists for a
+//! changed cardinality or selectivity. A local cost is the cost model's
+//! one formula ([`CostContext::local_cost_of`]) over the estimates of
+//! the group and its children.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use reopt_catalog::Catalog;
@@ -25,6 +33,7 @@ use reopt_cost::{CostContext, ParamDelta};
 use reopt_expr::{JoinGraph, PlanNode, QuerySpec};
 
 use crate::config::PruningConfig;
+use crate::id_set::IdSet;
 use crate::memo::{AltId, GroupId, Memo};
 use crate::metrics::{RunMetrics, StateMetrics};
 use crate::param_index::ParamIndex;
@@ -47,11 +56,12 @@ pub struct IncrementalOptimizer {
     ctx: CostContext,
     cfg: PruningConfig,
     groups: Vec<GroupState>,
+    /// Per group: its expression's output row estimate, kept equal to
+    /// `ctx.expr_rows` (see the module docs).
+    rows: Vec<f64>,
     alts: Vec<AltState>,
-    cost_queue: BinaryHeap<Reverse<u32>>,
-    bound_queue: BinaryHeap<u32>,
-    in_cost_queue: Vec<bool>,
-    in_bound_queue: Vec<bool>,
+    cost_queue: IdSet,
+    bound_queue: IdSet,
     run: RunMetrics,
     epoch: u32,
     group_epoch: Vec<u32>,
@@ -100,11 +110,10 @@ impl IncrementalOptimizer {
             ctx,
             cfg,
             groups,
+            rows: vec![f64::NAN; n_groups],
             alts: vec![AltState::default(); n_alts],
-            cost_queue: BinaryHeap::new(),
-            bound_queue: BinaryHeap::new(),
-            in_cost_queue: vec![false; n_groups],
-            in_bound_queue: vec![false; n_groups],
+            cost_queue: IdSet::new(n_groups),
+            bound_queue: IdSet::new(n_groups),
             run: RunMetrics::default(),
             epoch: 0,
             group_epoch: vec![0; n_groups],
@@ -155,6 +164,7 @@ impl IncrementalOptimizer {
         if !self.initialized {
             self.initialized = true;
             for gi in 0..self.memo.n_groups() as u32 {
+                self.refresh_rows(GroupId(gi));
                 self.push_cost(GroupId(gi));
             }
         }
@@ -196,6 +206,9 @@ impl IncrementalOptimizer {
                 continue;
             }
             self.group_seeded[g.0 as usize] = self.epoch;
+            // These lists are exactly the groups whose row estimate a
+            // cardinality or selectivity change can move.
+            self.refresh_rows(g);
             for a in self.memo.alts_of(g) {
                 self.seed(a);
             }
@@ -296,22 +309,19 @@ impl IncrementalOptimizer {
         self.run.seeded_alts += 1;
     }
 
+    fn refresh_rows(&mut self, g: GroupId) {
+        self.rows[g.0 as usize] = self.recompute_rows(g);
+    }
+
     fn push_cost(&mut self, g: GroupId) {
-        if !self.in_cost_queue[g.0 as usize] {
-            self.in_cost_queue[g.0 as usize] = true;
-            self.cost_queue.push(Reverse(g.0));
-        }
+        self.cost_queue.insert(g.0);
     }
 
     /// A tombstoned group derives no bound (`process_bound` would drop
     /// it); [`Self::revive`] queues the group itself.
     fn push_bound(&mut self, g: GroupId) {
-        if self.cfg.recursive_bounding
-            && self.groups[g.0 as usize].live
-            && !self.in_bound_queue[g.0 as usize]
-        {
-            self.in_bound_queue[g.0 as usize] = true;
-            self.bound_queue.push(g.0);
+        if self.cfg.recursive_bounding && self.groups[g.0 as usize].live {
+            self.bound_queue.insert(g.0);
         }
     }
 
@@ -341,13 +351,11 @@ impl IncrementalOptimizer {
                 "optimizer fixpoint did not converge (bug): {} pops",
                 self.run.queue_pops
             );
-            if let Some(Reverse(g)) = self.cost_queue.pop() {
-                self.in_cost_queue[g as usize] = false;
+            if let Some(g) = self.cost_queue.pop_min() {
                 self.refresh_group(GroupId(g));
                 continue;
             }
-            if let Some(g) = self.bound_queue.pop() {
-                self.in_bound_queue[g as usize] = false;
+            if let Some(g) = self.bound_queue.pop_max() {
                 self.process_bound(GroupId(g));
                 continue;
             }
@@ -356,8 +364,8 @@ impl IncrementalOptimizer {
     }
 
     /// Rules R6–R9 for one group: recompute dirty `PlanCost` totals and
-    /// the `BestCost` aggregate; propagate changes to parents (cost) and
-    /// dependents (bounds); re-evaluate suppression.
+    /// the `BestCost` aggregate in one pass; propagate changes to parents
+    /// (cost) and dependents (bounds); re-evaluate suppression.
     ///
     /// The cost half runs for a tombstoned group too, and through
     /// alternatives with tombstoned children — every total and every
@@ -368,49 +376,56 @@ impl IncrementalOptimizer {
     fn refresh_group(&mut self, g: GroupId) {
         self.run.queue_pops += 1;
         let live = self.groups[g.0 as usize].live;
-        let def_expr = self.memo.group(g).expr;
-        let def_prop = self.memo.group(g).prop;
-        for a in self.memo.alts_of(g) {
-            if !self.alts[a.0 as usize].dirty {
-                continue;
-            }
-            self.alts[a.0 as usize].dirty = false;
-            if self.alts[a.0 as usize].local_dirty {
-                self.alts[a.0 as usize].local_dirty = false;
-                let new_local =
-                    self.ctx
-                        .local_cost(&self.q, def_expr, def_prop, &self.memo.alt(a).spec);
-                if new_local != self.alts[a.0 as usize].local {
-                    if live && self.alts[a.0 as usize].live {
-                        self.note(a);
-                    }
-                    self.alts[a.0 as usize].local = new_local;
-                    // The children's ParentBound through `a` moved
-                    // (r1/r2) — a derivation only a live group has.
-                    if live {
-                        for c in self.memo.alt(a).children() {
-                            self.push_bound(c);
-                        }
-                    }
-                }
-            }
-            // Fn_sum(localCost, lBest, rBest) — rules R6/R7/R8.
-            let mut total = self.alts[a.0 as usize].local;
-            for c in self.memo.alt(a).children() {
-                total += self.groups[c.0 as usize].best;
-            }
-            if total != self.alts[a.0 as usize].total {
-                self.alts[a.0 as usize].total = total;
-                self.touch_alt(a);
-            }
-        }
+        let (expr, prop) = (self.memo.group(g).expr, self.memo.group(g).prop);
+        let out = self.rows[g.0 as usize];
         // Rule R9: BestCost = min over *all* retained totals — the
         // paper's aggregate keeps every PlanCost tuple in its internal
-        // queue, pruned or not.
+        // queue, pruned or not. The argmin is taken in the same pass
+        // that refreshes the dirty totals (a total reads only its own
+        // local cost and its children's bests, never a sibling's).
         let mut best = Cost::INFINITY;
         let mut best_alt = None;
         for a in self.memo.alts_of(g) {
-            let t = self.alts[a.0 as usize].total;
+            let ai = a.0 as usize;
+            if self.alts[ai].dirty {
+                self.alts[ai].dirty = false;
+                if self.alts[ai].local_dirty {
+                    self.alts[ai].local_dirty = false;
+                    let alt = self.memo.alt(a);
+                    let rows_of = |c: Option<GroupId>| c.map_or(0.0, |c| self.rows[c.0 as usize]);
+                    let new_local = self.ctx.local_cost_of(
+                        expr,
+                        prop,
+                        &alt.spec,
+                        out,
+                        rows_of(alt.left),
+                        rows_of(alt.right),
+                    );
+                    if new_local != self.alts[ai].local {
+                        if live && self.alts[ai].live {
+                            self.note(a);
+                        }
+                        self.alts[ai].local = new_local;
+                        // The children's ParentBound through `a` moved
+                        // (r1/r2) — a derivation only a live group has.
+                        if live {
+                            for c in self.memo.alt(a).children() {
+                                self.push_bound(c);
+                            }
+                        }
+                    }
+                }
+                // Fn_sum(localCost, lBest, rBest) — rules R6/R7/R8.
+                let mut total = self.alts[ai].local;
+                for c in self.memo.alt(a).children() {
+                    total += self.groups[c.0 as usize].best;
+                }
+                if total != self.alts[ai].total {
+                    self.alts[ai].total = total;
+                    self.touch_alt(a);
+                }
+            }
+            let t = self.alts[ai].total;
             if t < best {
                 best = t;
                 best_alt = Some(a);
@@ -691,6 +706,23 @@ impl IncrementalOptimizer {
     #[cfg(any(test, feature = "test-hooks"))]
     pub fn alt_state_mut(&mut self, a: AltId) -> &mut AltState {
         &mut self.alts[a.0 as usize]
+    }
+
+    /// Group `g`'s maintained output row estimate (invariant checking).
+    pub(crate) fn group_rows(&self, g: GroupId) -> f64 {
+        self.rows[g.0 as usize]
+    }
+
+    #[cfg(test)]
+    pub(crate) fn group_rows_mut(&mut self, g: GroupId) -> &mut f64 {
+        &mut self.rows[g.0 as usize]
+    }
+
+    /// A group's row estimate, read off the cost context (what
+    /// [`Self::refresh_rows`] stores, and what the invariant checker
+    /// holds the stored one to).
+    pub(crate) fn recompute_rows(&mut self, g: GroupId) -> f64 {
+        self.ctx.expr_rows(&self.q, self.memo.group(g).expr)
     }
 
     /// Recomputes an alternative's local cost from the cost context

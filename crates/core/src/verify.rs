@@ -12,6 +12,7 @@ impl IncrementalOptimizer {
     /// description of the first violation, if any.
     pub fn check_invariants(&mut self) -> Result<(), String> {
         self.check_refcounts()?;
+        self.check_rows()?;
         self.check_costs()?;
         self.check_liveness()?;
         self.check_bounds()?;
@@ -72,6 +73,23 @@ impl IncrementalOptimizer {
             if got != expected {
                 return Err(format!(
                     "refcount mismatch on {g:?}: stored {got}, recomputed {expected}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// §2.3: each group's maintained row estimate is, bit for bit, the
+    /// cost context's `Fn_nonscansummary` of its expression — what every
+    /// local cost the engine computes reads.
+    fn check_rows(&mut self) -> Result<(), String> {
+        for gi in 0..self.memo().n_groups() as u32 {
+            let g = GroupId(gi);
+            let want = self.recompute_rows(g);
+            let got = self.group_rows(g);
+            if got.to_bits() != want.to_bits() {
+                return Err(format!(
+                    "stale row estimate on {g:?}: stored {got:e}, recomputed {want:e}"
                 ));
             }
         }
@@ -274,6 +292,18 @@ mod tests {
         o.alt_state_mut(AltId(0)).local = bad;
         let msg = o.check_invariants().unwrap_err();
         assert!(msg.contains("stale local cost"), "{msg}");
+    }
+
+    #[test]
+    fn a_damaged_row_estimate_is_caught() {
+        // One ulp off on one group: the stored costs are untouched, so
+        // only the row check can fire.
+        let mut o = converged(PruningConfig::all());
+        let g = o.memo().root;
+        let rows = o.group_rows_mut(g);
+        *rows = f64::from_bits(rows.to_bits() + 1);
+        let msg = o.check_invariants().unwrap_err();
+        assert!(msg.contains(&format!("stale row estimate on {g:?}")), "{msg}");
     }
 
     #[test]

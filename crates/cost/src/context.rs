@@ -8,6 +8,15 @@
 //! the textbook independence assumptions: leaf output = raw rows ×
 //! filter selectivities; join output = product of child rows × product of
 //! the selectivities of every edge *internal* to the result set.
+//!
+//! The summaries are memoized twice. This context keeps a lazy cache per
+//! leaf set, which [`CostContext::apply`] invalidates where a delta can
+//! move it. An incremental engine keeps one estimate per group as its
+//! own maintained state and refreshes it only for the groups a changed
+//! parameter reaches. So [`CostContext::local_cost`] is a lookup of the
+//! output and child estimates followed by the one formula,
+//! [`CostContext::local_cost_of`], which such an engine calls directly
+//! with its own estimates.
 
 use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
@@ -275,7 +284,8 @@ impl CostContext {
 
     /// Local (root operator) cost of an alternative — `Fn_scancost` /
     /// `Fn_nonscancost`. `expr`/`prop` identify the group the alternative
-    /// belongs to.
+    /// belongs to. A lookup of the output and child row estimates, then
+    /// [`Self::local_cost_of`].
     pub fn local_cost(
         &mut self,
         q: &QuerySpec,
@@ -283,50 +293,64 @@ impl CostContext {
         prop: PhysProp,
         alt: &AltSpec,
     ) -> Cost {
-        let u = self.unit.clone();
         let out = self.expr_rows(q, expr);
+        let l = alt.left.map_or(0.0, |c| self.expr_rows(q, c.expr));
+        let r = alt.right.map_or(0.0, |c| self.expr_rows(q, c.expr));
+        self.local_cost_of(expr, prop, alt, out, l, r)
+    }
+
+    /// The one local-cost formula, given the row estimates it reads:
+    /// `out` of `expr`, `l`/`r` of the alternative's left/right child
+    /// (ignored where it has none). An engine that keeps the estimates
+    /// per group calls this directly.
+    pub fn local_cost_of(
+        &self,
+        expr: ExprId,
+        prop: PhysProp,
+        alt: &AltSpec,
+        out: f64,
+        l: f64,
+        r: f64,
+    ) -> Cost {
+        let u = &self.unit;
         let cost = match alt.op {
             PhysOp::FullScan => {
-                let l = LeafId(expr.rel.leaf());
-                let base = &self.leaves[l.0 as usize];
+                let leaf = LeafId(expr.rel.leaf());
+                let base = &self.leaves[leaf.0 as usize];
                 let n_filters = base.n_filters as f64;
-                self.leaf_raw_rows(l)
-                    * (u.seq_scan * self.factors.leaf_scan(l) + u.predicate * n_filters)
+                self.leaf_raw_rows(leaf)
+                    * (u.seq_scan * self.factors.leaf_scan(leaf) + u.predicate * n_filters)
                     + out * u.output
             }
             PhysOp::IndexScan { col } => {
-                let l = LeafId(expr.rel.leaf());
+                let leaf = LeafId(expr.rel.leaf());
                 if prop == PhysProp::Indexed(col) {
                     // Access-path opening only: per-probe work is costed
                     // at the indexed nested-loop join that consumes it.
                     u.index_base
                 } else {
-                    let base = &self.leaves[l.0 as usize];
+                    let base = &self.leaves[leaf.0 as usize];
                     let n_filters = base.n_filters as f64;
                     // If the index covers a local predicate, only the
                     // matching fraction is probed; otherwise the index
                     // sweeps every row (in key order).
-                    let frac = base.index_filter_sel.get(&col.col.0).copied().unwrap_or(1.0);
-                    let probes = self.leaf_raw_rows(l) * frac;
+                    let frac = base
+                        .index_filter_sel
+                        .get(&col.col.0)
+                        .copied()
+                        .unwrap_or(1.0);
+                    let probes = self.leaf_raw_rows(leaf) * frac;
                     let residual = (n_filters - 1.0).max(0.0);
                     u.index_base
                         + probes
-                            * (u.index_probe * self.factors.leaf_scan(l) + u.predicate * residual)
+                            * (u.index_probe * self.factors.leaf_scan(leaf)
+                                + u.predicate * residual)
                         + out * u.output
                 }
             }
-            PhysOp::Sort { .. } => {
-                let n = self.child_rows(q, alt, 0);
-                n * (n + 2.0).log2() * u.sort + out * u.output
-            }
-            PhysOp::HashJoin => {
-                let l = self.child_rows(q, alt, 0);
-                let r = self.child_rows(q, alt, 1);
-                l * u.hash_build + r * u.hash_probe + out * u.output
-            }
+            PhysOp::Sort { .. } => l * (l + 2.0).log2() * u.sort + out * u.output,
+            PhysOp::HashJoin => l * u.hash_build + r * u.hash_probe + out * u.output,
             PhysOp::SortMergeJoin { edge } => {
-                let l = self.child_rows(q, alt, 0);
-                let r = self.child_rows(q, alt, 1);
                 // The merge enumerates the cross product of equal-key
                 // blocks: on a low-cardinality merge key (e.g. 4
                 // expressways) that is far more work than l + r. Any
@@ -336,10 +360,11 @@ impl CostContext {
                 (l + r) * u.merge + pairs * u.merge + out * u.output
             }
             PhysOp::IndexNLJoin { edge } => {
+                // The left child is the indexed inner, the right the
+                // outer that probes it.
                 let inner = alt.left.expect("INLJ has an inner").expr.rel;
                 let inner_leaf = LeafId(inner.leaf());
-                let outer = self.child_rows(q, alt, 1);
-                let inner_rows = self.child_rows(q, alt, 0);
+                let (inner_rows, outer) = (l, r);
                 // Index matches on the probe edge; residual cross edges
                 // filter the matched pairs.
                 let pairs = outer * inner_rows * self.edge_selectivity(edge);
@@ -347,25 +372,10 @@ impl CostContext {
                     + pairs * u.predicate
                     + out * u.output
             }
-            PhysOp::HashAgg => {
-                let n = self.child_rows(q, alt, 0);
-                n * u.agg_hash + out * u.output
-            }
-            PhysOp::SortAgg => {
-                let n = self.child_rows(q, alt, 0);
-                n * u.agg_sorted + out * u.output
-            }
+            PhysOp::HashAgg => l * u.agg_hash + out * u.output,
+            PhysOp::SortAgg => l * u.agg_sorted + out * u.output,
         };
         Cost::new(cost)
-    }
-
-    fn child_rows(&mut self, q: &QuerySpec, alt: &AltSpec, idx: usize) -> f64 {
-        let child = match idx {
-            0 => alt.left,
-            _ => alt.right,
-        }
-        .expect("missing child");
-        self.expr_rows(q, child.expr)
     }
 
     /// `Fn_sum`: a plan's cost is its local cost plus the best costs of

@@ -8,7 +8,7 @@
 //! `reoptimize`.
 
 use reopt_common::FxHashMap;
-use reopt_expr::{EdgeId, LeafId, RelSet};
+use reopt_expr::{EdgeId, LeafId};
 
 /// Unit costs combining "CPU, I/O, bandwidth and energy into a single
 /// cost metric" (paper §2.2). Values are per tuple unless noted.
@@ -85,18 +85,6 @@ pub struct AffectedSet {
 impl AffectedSet {
     pub fn is_empty(&self) -> bool {
         self.leaves_card.is_empty() && self.edges.is_empty() && self.leaves_scan.is_empty()
-    }
-
-    /// Leaf-set whose row estimates changed (cardinality factors and edge
-    /// selectivities change `rows(rel)` for any rel containing them).
-    pub fn rows_dirty_rels(&self, edge_rels: impl Fn(EdgeId) -> RelSet) -> Vec<RelSet> {
-        let mut out: Vec<RelSet> = self
-            .leaves_card
-            .iter()
-            .map(|l| RelSet::singleton(l.0))
-            .collect();
-        out.extend(self.edges.iter().map(|&e| edge_rels(e)));
-        out
     }
 }
 
