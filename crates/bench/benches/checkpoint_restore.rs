@@ -6,16 +6,20 @@
 //! declarative` and under `from_scratch_initial`, which replays the
 //! history one epoch per batch; `checkpoint_write` is two fsyncs and a
 //! rename of a few hundred bytes; `durable_epoch` is one re-optimization
-//! with its WAL append, whose fsync runs beside the epoch. Gated in CI
-//! by `check_bench` against the committed baseline.
+//! with its WAL append, whose fsync runs beside the epoch. The `_hr`
+//! entries run the same restart and epoch on the hand-rolled engine,
+//! made durable by the same wrapper. Gated in CI by `check_bench`
+//! against the committed baseline.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use reopt_bridge::{AuditMode, DataflowOptimizer};
+use reopt_bridge::{AuditMode, DataflowOptimizer, Durable};
+use reopt_catalog::Catalog;
 use reopt_core::fixtures::{chain_query, fixture_catalog};
+use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::ParamDelta;
-use reopt_expr::{EdgeId, LeafId};
+use reopt_expr::{EdgeId, LeafId, QuerySpec};
 
 fn fresh_dir(label: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("reopt-bench-ckpt-{label}-{}", std::process::id()));
@@ -31,6 +35,13 @@ fn warm_batches() -> Vec<Vec<ParamDelta>> {
         vec![ParamDelta::EdgeSelectivity(EdgeId(3), 0.5)],
         vec![ParamDelta::LeafScanCost(LeafId(4), 4.0)],
     ]
+}
+
+/// The hand-rolled engine as the benchmark runs it, holding `log`.
+fn hr(catalog: &Catalog, q: &QuerySpec, log: &[ParamDelta]) -> IncrementalOptimizer {
+    let mut opt = IncrementalOptimizer::new(catalog, q.clone(), PruningConfig::all_strict());
+    opt.preload(log);
+    opt
 }
 
 fn checkpoint_restore(c: &mut Criterion) {
@@ -88,6 +99,44 @@ fn checkpoint_restore(c: &mut Criterion) {
         let dir = fresh_dir("epoch");
         let mut opt = DataflowOptimizer::new(&catalog, q.clone());
         opt.set_audit_mode(AuditMode::Off);
+        opt.set_durable_dir(&dir).unwrap();
+        opt.optimize();
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let factor = if flip { 2.0 } else { 1.0 };
+            opt.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(1), factor)]).cost
+        });
+        drop(opt);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // The same restart on the hand-rolled engine.
+    group.bench_function("restore_replay_hr/chain5", |b| {
+        let dir = fresh_dir("restore-hr");
+        {
+            let mut victim = Durable::from(hr(&catalog, &q, &[]));
+            victim.set_durable_dir(&dir).unwrap();
+            victim.optimize();
+            victim.reoptimize(&batches[0]);
+            victim.reoptimize(&batches[1]);
+            victim.reoptimize(&batches[2]);
+            victim.checkpoint_durable().unwrap();
+            victim.reoptimize(&batches[3]);
+        }
+        b.iter(|| {
+            let build = |log: &[ParamDelta]| hr(&catalog, &q, log);
+            let (_opt, out, restart) = Durable::restart(&dir, &q, build).unwrap();
+            assert!(restart.errors.is_empty());
+            out.cost
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+
+    // The same durable epoch on the hand-rolled engine.
+    group.bench_function("durable_epoch_hr/chain5", |b| {
+        let dir = fresh_dir("epoch-hr");
+        let mut opt = Durable::from(hr(&catalog, &q, &[]));
         opt.set_durable_dir(&dir).unwrap();
         opt.optimize();
         let mut flip = false;

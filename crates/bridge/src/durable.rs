@@ -1,24 +1,37 @@
-//! The optimizer's two durable files — the write-ahead log and the
-//! checkpoint — and everything that reads or writes them.
+//! Durability for any re-optimizer: [`Durable`] wraps an engine behind
+//! the [`Reoptimizer`] seam and owns the write-ahead log, the
+//! checkpoint and the restart; the rest of this module is the two files
+//! and everything that reads or writes them.
 //!
-//! **What is persisted, and why only that.** Everything a
-//! [`DataflowOptimizer`] holds is a view over `LocalCost`, itself a
-//! function of the [`CostContext`]'s parameter factors: optimizer state
-//! = f(catalog, query, last write per parameter). So the durable state
-//! is the parameters and nothing else. Every applied [`ParamDelta`]
-//! batch is appended to the WAL as one CRC-framed record, written
-//! before the network is touched and fsynced before `reoptimize`
-//! returns (`WalWriter`: the fsync runs on a helper thread while the
-//! epoch computes), so a crash loses nothing that was acknowledged;
-//! a checkpoint is the deduped log of those writes (one
-//! entry per parameter) plus a *watermark*, the number of WAL records it
-//! covers. A restart folds `checkpoint log ⊕ wal[watermark..]` (or the
-//! whole WAL, without an intact checkpoint) to the last write per
-//! parameter, loads that into a fresh engine's context and runs one
-//! `optimize()` — the one way state is ever built. What a checkpoint
-//! buys is a *bounded replay* (the tail past the watermark instead of
-//! the whole history), not a saved computation: no image of the compiled
-//! network is kept, so no compiler change can invalidate a file on disk.
+//! **What is persisted, and why only that.** Every engine's state is a
+//! function of its [`CostContext`]'s parameter factors: state =
+//! f(catalog, query, last write to each parameter). So the durable
+//! state is the parameters and nothing else, and no engine writes a
+//! line of durability code. Every [`ParamDelta`] batch is appended to
+//! the WAL as one CRC-framed record, written before the engine is
+//! handed the batch and fsynced before `reoptimize` returns
+//! (`WalWriter`: the fsync runs on a helper thread while the epoch
+//! computes), so a crash loses nothing that was acknowledged; a
+//! checkpoint is the deduped log of those writes (one entry per
+//! parameter) plus a *watermark*, the number of WAL records it covers.
+//! A restart folds `checkpoint log ⊕ wal[watermark..]` (or the whole
+//! WAL, without an intact checkpoint) to the last write per parameter,
+//! hands that to a factory that builds a fresh engine on it and runs
+//! one `optimize()` — the one way state is ever built. What a
+//! checkpoint buys is a *bounded replay* (the tail past the watermark
+//! instead of the whole history), not a saved computation: no image of
+//! an engine is kept, so no engine or compiler change can invalidate a
+//! file on disk, and a directory one engine wrote restarts another.
+//! Arming a directory adopts its history only if that history is the
+//! engine's: the parameters a restart would recover from it must be the
+//! ones the engine holds, or arming is refused.
+//!
+//! **No WAL compaction.** The WAL grows by one record per epoch and is
+//! never rewritten. Compacting it behind a checkpoint would bound its
+//! size, but a damaged checkpoint is answered from the *whole* WAL, so
+//! a compacted log would need a second checkpoint generation to fall
+//! back on — more code, and a second file format, than the bytes it
+//! saves (13 per parameter written plus 20 per epoch) are worth.
 //!
 //! File layouts (all integers little-endian):
 //!
@@ -48,19 +61,23 @@
 //! committed atomically ([`write_atomic`]); any single flipped bit or
 //! truncation of it is detected and answered from the whole WAL.
 //!
-//! [`DataflowOptimizer`]: crate::DataflowOptimizer
 //! [`CostContext`]: reopt_cost::CostContext
 
 use std::fs::File;
 use std::io::Write as _;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use reopt_cost::ParamDelta;
+use reopt_core::Reoptimizer;
+use reopt_cost::{CostContext, Factors, ParamDelta};
 use reopt_datalog::DataflowError;
-use reopt_expr::{EdgeId, LeafId};
+use reopt_expr::{EdgeId, LeafId, PlanNode, QuerySpec};
+
+use crate::RecoveryPath;
 
 /// File magic of the write-ahead log.
 pub const WAL_MAGIC: [u8; 4] = *b"RWAL";
@@ -133,11 +150,7 @@ impl Enc {
     }
 
     fn delta(&mut self, d: &ParamDelta) {
-        let (tag, id, factor) = match d {
-            ParamDelta::EdgeSelectivity(e, f) => (TAG_EDGE_SELECTIVITY, e.0, *f),
-            ParamDelta::LeafCardinality(l, f) => (TAG_LEAF_CARDINALITY, l.0, *f),
-            ParamDelta::LeafScanCost(l, f) => (TAG_LEAF_SCAN_COST, l.0, *f),
-        };
+        let ((tag, id), factor) = key_and_factor(d);
         self.u8(tag);
         self.u32(id);
         self.f64(factor);
@@ -434,11 +447,9 @@ pub fn wal_append(path: &Path, seq: u64, deltas: &[ParamDelta]) -> std::io::Resu
 }
 
 /// A failure the WAL writer fakes, for crash tests
-/// ([`DataflowOptimizer::inject_wal_fault`]): the fsync of record
-/// `record` reports an error, once, and with `truncate_too` so does
-/// cutting that record back off the log.
-///
-/// [`DataflowOptimizer::inject_wal_fault`]: crate::DataflowOptimizer::inject_wal_fault
+/// ([`Durable::inject_wal_fault`]): the fsync of record `record`
+/// reports an error, once, and with `truncate_too` so does cutting that
+/// record back off the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalFault {
     pub record: u64,
@@ -488,7 +499,7 @@ impl SyncHelper {
     }
 }
 
-/// The appender of an armed optimizer's WAL. An append is two halves
+/// The appender of an armed directory's WAL. An append is two halves
 /// around the epoch that applies its batch: [`WalWriter::begin`] writes
 /// the record and hands its fsync to a helper thread, and
 /// [`WalWriter::finish`] waits for that fsync — the disk's latency
@@ -499,13 +510,16 @@ impl SyncHelper {
 /// cut fails too, the writer refuses every later append. The open
 /// handle and the helper are made by the first append — arming and
 /// recovering pay for neither — and the helper is joined on drop.
-pub(crate) struct WalWriter {
-    path: PathBuf,
+struct WalWriter {
+    dir: PathBuf,
+    /// Acknowledged records on disk = the next record's sequence
+    /// number; a checkpoint stores this as its replay watermark.
+    wal_seq: u64,
     helper: Option<SyncHelper>,
     /// Header plus fsynced records: what a failed append cuts back to.
     acked_len: u64,
-    /// `(seq, length)` of the record written and not yet acknowledged.
-    pending: Option<(u64, u64)>,
+    /// Length of the record written and not yet acknowledged.
+    pending: Option<u64>,
     /// A failed record could not be cut back off: nothing more is
     /// appended behind it.
     stopped: bool,
@@ -513,11 +527,12 @@ pub(crate) struct WalWriter {
 }
 
 impl WalWriter {
-    /// A writer for the log at `path`, which [`open_dir`] left holding
-    /// exactly its intact records.
-    pub fn new(path: PathBuf) -> WalWriter {
+    /// A writer for the log in `dir`, which [`open_dir`] left holding
+    /// exactly its `wal_seq` intact records.
+    fn new(dir: PathBuf, wal_seq: u64) -> WalWriter {
         WalWriter {
-            path,
+            dir,
+            wal_seq,
             helper: None,
             acked_len: 0,
             pending: None,
@@ -526,15 +541,10 @@ impl WalWriter {
         }
     }
 
-    /// Arms a one-shot [`WalFault`].
-    pub fn inject_fault(&mut self, fault: WalFault) {
-        self.fault = Some(fault);
-    }
-
-    /// Writes `deltas` as record `seq` and hands its fsync to the
+    /// Writes `deltas` as the next record and hands its fsync to the
     /// helper; [`WalWriter::finish`] must follow before the batch is
     /// acknowledged.
-    pub fn begin(&mut self, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<()> {
+    fn begin(&mut self, deltas: &[ParamDelta]) -> std::io::Result<()> {
         if self.stopped {
             return Err(std::io::Error::other(
                 "appends stopped: an earlier failed record could not be cut back off the log",
@@ -543,18 +553,18 @@ impl WalWriter {
         let helper = match &mut self.helper {
             Some(helper) => helper,
             None => {
-                let (helper, len) = SyncHelper::start(&self.path)?;
+                let (helper, len) = SyncHelper::start(&self.dir.join(WAL_FILE))?;
                 self.acked_len = len;
                 self.helper.insert(helper)
             }
         };
-        let handed_off = write_record(&helper.file, seq, deltas).and_then(|len| {
+        let handed_off = write_record(&helper.file, self.wal_seq, deltas).and_then(|len| {
             helper.request.send(()).map_err(std::io::Error::other)?;
             Ok(len)
         });
         match handed_off {
             Ok(len) => {
-                self.pending = Some((seq, len));
+                self.pending = Some(len);
                 Ok(())
             }
             Err(e) => Err(self.cut_back(e, false)),
@@ -564,8 +574,8 @@ impl WalWriter {
     /// Waits for the fsync [`WalWriter::begin`] handed off; `Ok` means
     /// the record is durable and acknowledged, `Err` that it was cut
     /// back off the log.
-    pub fn finish(&mut self) -> std::io::Result<()> {
-        let Some((seq, len)) = self.pending.take() else {
+    fn finish(&mut self) -> std::io::Result<()> {
+        let Some(len) = self.pending.take() else {
             return Ok(());
         };
         let helper = self.helper.as_ref().expect("a pending record has a helper");
@@ -573,7 +583,7 @@ impl WalWriter {
             .synced
             .recv()
             .unwrap_or_else(|_| Err(std::io::Error::other("the WAL fsync helper exited")));
-        let fault = self.fault.filter(|f| f.record == seq);
+        let fault = self.fault.filter(|f| f.record == self.wal_seq);
         if fault.is_some() {
             self.fault = None;
             synced = Err(std::io::Error::other("injected WAL fsync failure"));
@@ -581,6 +591,7 @@ impl WalWriter {
         match synced {
             Ok(()) => {
                 self.acked_len += len;
+                self.wal_seq += 1;
                 Ok(())
             }
             Err(e) => Err(self.cut_back(e, fault.is_some_and(|f| f.truncate_too))),
@@ -716,9 +727,359 @@ pub fn open_dir(dir: &Path) -> std::io::Result<OpenWal> {
     }
 }
 
+/// A parameter write's key — its tag and id — and its factor.
+fn key_and_factor(d: &ParamDelta) -> ((u8, u32), f64) {
+    match *d {
+        ParamDelta::EdgeSelectivity(e, f) => ((TAG_EDGE_SELECTIVITY, e.0), f),
+        ParamDelta::LeafCardinality(l, f) => ((TAG_LEAF_CARDINALITY, l.0), f),
+        ParamDelta::LeafScanCost(l, f) => ((TAG_LEAF_SCAN_COST, l.0), f),
+    }
+}
+
+/// Folds `deltas` into `log`, which holds one entry per parameter in
+/// first-write order: factors are absolute, so only the last write to
+/// a parameter matters. `true` when a write changed a parameter's value
+/// (an absent one reads 1.0) — when an engine handed the same batch
+/// sees its estimates change.
+fn fold_last_writes(log: &mut Vec<ParamDelta>, deltas: &[ParamDelta]) -> bool {
+    let mut changed = false;
+    for d in deltas {
+        let (key, factor) = key_and_factor(d);
+        let slot = log.iter().position(|e| key_and_factor(e).0 == key);
+        changed |= slot.map_or(1.0, |i| key_and_factor(&log[i]).1) != factor;
+        match slot {
+            Some(i) => log[i] = *d,
+            None => log.push(*d),
+        }
+    }
+    changed
+}
+
+/// Whether the log of last writes `log` leaves every parameter at the
+/// value `held` reads (an absent one reads 1.0 in both).
+fn holds(held: &Factors, log: &[ParamDelta]) -> bool {
+    let mut logged = Factors::default();
+    logged.apply(log);
+    let within = |a: &Factors, b: &Factors| {
+        a.edge_sel.iter().all(|(&e, &f)| b.edge_sel(e) == f)
+            && a.leaf_card.iter().all(|(&l, &f)| b.leaf_card(l) == f)
+            && a.leaf_scan.iter().all(|(&l, &f)| b.leaf_scan(l) == f)
+    };
+    within(held, &logged) && within(&logged, held)
+}
+
+/// What a restart found on disk.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Restart {
+    /// How far the files could be trusted (see [`Durable::restart`]).
+    pub path: RecoveryPath,
+    /// Every damage found on the way, in order.
+    pub errors: Vec<DataflowError>,
+}
+
+/// A durable directory's history for one query: the parameters a
+/// restart recovers from it, folded to the last write per parameter,
+/// the epoch count that history reached, and the WAL open for appends.
+struct History {
+    log: Vec<ParamDelta>,
+    epochs_seen: u64,
+    wal: WalWriter,
+    restart: Restart,
+}
+
+/// Reads the history of `dir` for a query of `leaves` leaves and `edges`
+/// join edges, opening the directory by [`open_dir`]. The epoch count
+/// starts at the checkpoint's and advances as replaying the tail record
+/// by record would have: once per record that changed a parameter.
+fn history(dir: &Path, leaves: u32, edges: u32) -> std::io::Result<History> {
+    let wal = open_dir(dir)?;
+    // A torn tail is history too: bytes past the header mean an append
+    // was at least attempted (or a record's length field was damaged),
+    // which a clean first boot never shows.
+    let had_history = !wal.batches.is_empty() || wal.error.is_some() || wal.torn;
+    let mut errors: Vec<DataflowError> = wal.error.into_iter().collect();
+    let checkpoint = std::fs::read(dir.join(CHECKPOINT_FILE)).ok().map(|bytes| {
+        let c = decode_checkpoint(&bytes, leaves, edges)?;
+        if c.watermark > wal.next_seq {
+            return Err(corrupt(format!(
+                "checkpoint watermark {} is beyond the {} intact WAL records",
+                c.watermark, wal.next_seq
+            )));
+        }
+        Ok(c)
+    });
+    let whole = &wal.batches[..];
+    let (path, mut log, mut epochs_seen, tail) = match checkpoint {
+        Some(Ok(c)) => {
+            let tail = &whole[c.watermark as usize..];
+            (RecoveryPath::RestoredFromCheckpoint, c.log, c.epochs_seen, tail)
+        }
+        Some(Err(e)) => {
+            errors.push(e);
+            (RecoveryPath::RebuiltAfterCorruptCheckpoint, Vec::new(), 0, whole)
+        }
+        None if had_history => (RecoveryPath::RebuiltFromScratch, Vec::new(), 0, whole),
+        None => (RecoveryPath::Committed, Vec::new(), 0, whole),
+    };
+    for record in tail {
+        epochs_seen += u64::from(fold_last_writes(&mut log, record));
+    }
+    Ok(History {
+        log,
+        epochs_seen,
+        wal: WalWriter::new(dir.to_path_buf(), wal.next_seq),
+        restart: Restart { path, errors },
+    })
+}
+
+/// The durable layer's share of one epoch: all zero unless a directory
+/// is armed.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct WalEpoch {
+    /// Writing the epoch's WAL record.
+    pub write: Duration,
+    /// Waiting for the record's fsync once the engine's epoch was done
+    /// (zero when the epoch outlasted the fsync).
+    pub wait: Duration,
+    /// Why the record was not acknowledged: the batch was applied in
+    /// memory only.
+    pub error: Option<DataflowError>,
+}
+
+/// An engine outcome a failed WAL append is reported into, ahead of the
+/// epoch's own failures.
+pub trait WalReport {
+    fn wal_failed(&mut self, error: DataflowError);
+}
+
+/// The hand-rolled engine's outcome has no error list: a failed append
+/// is read off [`Durable::last_wal`].
+impl WalReport for reopt_core::Outcome {
+    fn wal_failed(&mut self, _: DataflowError) {}
+}
+
+/// A re-optimizer made durable (see the module docs). Armed with a
+/// directory, every batch is logged before the engine is handed it and
+/// acknowledged when `reoptimize` returns. Unarmed, it keeps the
+/// parameter log and the epoch count a checkpoint would hold. It
+/// dereferences to the engine for everything else.
+pub struct Durable<R> {
+    engine: R,
+    /// The last write to each parameter, in first-write order: what the
+    /// engine's estimates are a function of.
+    applied: Vec<ParamDelta>,
+    /// Epochs run, counting those a restart replayed: each `optimize`,
+    /// and each batch that changed a parameter.
+    epochs_seen: u64,
+    wal: Option<WalWriter>,
+    last_wal: WalEpoch,
+}
+
+/// Wraps an engine that has applied no parameter yet (arming refuses
+/// one whose estimates the wrapper did not log).
+impl<R> From<R> for Durable<R> {
+    fn from(engine: R) -> Durable<R> {
+        Durable {
+            engine,
+            applied: Vec::new(),
+            epochs_seen: 0,
+            wal: None,
+            last_wal: WalEpoch::default(),
+        }
+    }
+}
+
+impl<R> Deref for Durable<R> {
+    type Target = R;
+
+    fn deref(&self) -> &R {
+        &self.engine
+    }
+}
+
+impl<R> DerefMut for Durable<R> {
+    fn deref_mut(&mut self) -> &mut R {
+        &mut self.engine
+    }
+}
+
+impl<R: Reoptimizer<Outcome: WalReport>> Durable<R> {
+    /// The engine's `optimize`, counted as an epoch.
+    pub fn optimize(&mut self) -> R::Outcome {
+        self.epochs_seen += 1;
+        self.engine.optimize()
+    }
+
+    /// With a directory armed, the batch is acknowledged — durable —
+    /// when this returns, or the failure is in [`Durable::last_wal`]
+    /// and reported into the outcome.
+    pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> R::Outcome {
+        // Write-ahead: the record is written before the engine is handed
+        // the batch, which is acknowledged (`wal_seq` advances) only once
+        // the epoch and the record's fsync are both done. A failed append
+        // leaves this batch in memory only and is reported, never
+        // panicked on.
+        let begun = self.wal.as_mut().map(|w| {
+            let clock = Instant::now();
+            (w.begin(deltas), clock.elapsed())
+        });
+        let mut out = self.engine.reoptimize(deltas);
+        self.epochs_seen += u64::from(fold_last_writes(&mut self.applied, deltas));
+        self.last_wal = match (self.wal.as_mut(), begun) {
+            (Some(w), Some((begun, write))) => {
+                let clock = Instant::now();
+                let failed = begun.and_then(|()| w.finish()).err();
+                let error = failed.map(|e| {
+                    corrupt(format!("WAL append failed, operating in-memory for this batch: {e}"))
+                });
+                WalEpoch { write, wait: clock.elapsed(), error }
+            }
+            _ => WalEpoch::default(),
+        };
+        if let Some(e) = &self.last_wal.error {
+            out.wal_failed(e.clone());
+        }
+        out
+    }
+
+    /// Arms durability: every later [`Durable::reoptimize`] batch is
+    /// appended to `<dir>/wal.bin` and [`Durable::checkpoint_durable`]
+    /// writes `<dir>/checkpoint.bin`. The directory is opened by
+    /// [`open_dir`], and its history is adopted only if it is this
+    /// engine's: the parameters [`Durable::restart`] would recover from
+    /// it must be, value for value, the ones the engine holds (a fresh
+    /// directory for an engine that has applied no parameter, or the
+    /// directory its own history wrote). Otherwise a later restart would
+    /// rebuild a state the engine never held, so arming fails with
+    /// `InvalidInput` and changes nothing.
+    pub fn set_durable_dir(&mut self, dir: impl Into<PathBuf>) -> std::io::Result<()> {
+        let dir = dir.into();
+        let q = self.engine.query();
+        let found = history(&dir, q.n_leaves(), q.edges.len() as u32)?;
+        let held = self.engine.cost_context().factors();
+        if !holds(held, &found.log) || !holds(held, &self.applied) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "{}: the parameters a restart would recover from it are not the ones this \
+                     engine holds",
+                    dir.display()
+                ),
+            ));
+        }
+        self.wal = Some(found.wal);
+        Ok(())
+    }
+
+    /// The armed durable directory, if any.
+    pub fn durable_dir(&self) -> Option<&Path> {
+        self.wal.as_ref().map(|w| w.dir.as_path())
+    }
+
+    /// Cuts a durable checkpoint: the applied-parameter log, the WAL
+    /// watermark it covers, `epochs_seen` and the query's leaf and edge
+    /// counts, committed atomically (tmp + fsync + rename). Fails with
+    /// `InvalidInput` unless a directory is armed.
+    pub fn checkpoint_durable(&mut self) -> std::io::Result<()> {
+        let Some(w) = self.wal.as_ref() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "checkpoint_durable needs set_durable_dir first",
+            ));
+        };
+        let q = self.engine.query();
+        let bytes = encode_checkpoint(
+            w.wal_seq,
+            self.epochs_seen,
+            q.n_leaves(),
+            q.edges.len() as u32,
+            &self.applied,
+        );
+        write_atomic(&w.dir.join(CHECKPOINT_FILE), &bytes)
+    }
+
+    /// Restarts from the durable directory `dir` of query `q`, the one
+    /// way a first boot builds state: the recovered parameters are
+    /// handed to `build`, which returns a fresh engine holding them,
+    /// and exactly one `optimize()` runs, whatever the WAL's length;
+    /// the directory is armed. What was found on disk decides the
+    /// [`RecoveryPath`]: `RestoredFromCheckpoint`, the whole WAL after
+    /// a damaged or foreign checkpoint (`RebuiltAfterCorruptCheckpoint`)
+    /// or without one (`RebuiltFromScratch`), or `Committed` for an
+    /// empty directory. State damage never panics and never returns
+    /// `Err`; it degrades down that ladder with every absorbed error in
+    /// the [`Restart`]. `Err` is for failing to open the directory.
+    pub fn restart(
+        dir: impl AsRef<Path>,
+        q: &QuerySpec,
+        build: impl FnOnce(&[ParamDelta]) -> R,
+    ) -> std::io::Result<(Durable<R>, R::Outcome, Restart)> {
+        let found = history(dir.as_ref(), q.n_leaves(), q.edges.len() as u32)?;
+        let mut durable = Durable::from(build(&found.log));
+        durable.applied = found.log;
+        durable.epochs_seen = found.epochs_seen;
+        durable.wal = Some(found.wal);
+        let outcome = durable.optimize();
+        Ok((durable, outcome, found.restart))
+    }
+
+    /// Arms a one-shot WAL writer failure (crash tests); a no-op unless
+    /// a directory is armed.
+    pub fn inject_wal_fault(&mut self, fault: WalFault) {
+        if let Some(w) = self.wal.as_mut() {
+            w.fault = Some(fault);
+        }
+    }
+
+    /// The last `reoptimize`'s WAL record: its timings, and why it
+    /// failed if it did.
+    pub fn last_wal(&self) -> &WalEpoch {
+        &self.last_wal
+    }
+
+    /// Epochs run so far, counting the epochs a restart replayed.
+    pub fn epochs_seen(&self) -> u64 {
+        self.epochs_seen
+    }
+
+    /// The applied-parameter log: the last write per parameter, in
+    /// first-write order (what a checkpoint persists).
+    pub fn applied_log(&self) -> &[ParamDelta] {
+        &self.applied
+    }
+}
+
+impl<R: Reoptimizer<Outcome: WalReport>> Reoptimizer for Durable<R> {
+    type Outcome = R::Outcome;
+
+    fn query(&self) -> &QuerySpec {
+        self.engine.query()
+    }
+
+    fn cost_context(&self) -> &CostContext {
+        self.engine.cost_context()
+    }
+
+    fn optimize(&mut self) -> R::Outcome {
+        Durable::optimize(self)
+    }
+
+    fn reoptimize(&mut self, deltas: &[ParamDelta]) -> R::Outcome {
+        Durable::reoptimize(self, deltas)
+    }
+
+    fn plan(outcome: &R::Outcome) -> &PlanNode {
+        R::plan(outcome)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AuditMode, DataflowOptimizer};
+    use reopt_catalog::Catalog;
+    use reopt_core::fixtures::{chain_query, fixture_catalog};
+    use reopt_core::{IncrementalOptimizer, PruningConfig};
 
     fn sample_batches() -> Vec<Vec<ParamDelta>> {
         vec![
@@ -948,30 +1309,29 @@ mod tests {
         let dir = scratch_dir("writer");
         let path = dir.join(WAL_FILE);
         wal_init(&path).unwrap();
-        let mut w = WalWriter::new(path.clone());
-        let append = |w: &mut WalWriter, seq: u64, deltas: &[ParamDelta]| {
-            w.begin(seq, deltas).and_then(|()| w.finish())
-        };
-        w.inject_fault(WalFault {
+        let mut w = WalWriter::new(dir.clone(), 0);
+        let append =
+            |w: &mut WalWriter, deltas: &[ParamDelta]| w.begin(deltas).and_then(|()| w.finish());
+        w.fault = Some(WalFault {
             record: 1,
             truncate_too: false,
         });
-        append(&mut w, 0, &batches[0]).unwrap();
+        append(&mut w, &batches[0]).unwrap();
         let acked = std::fs::read(&path).unwrap();
-        assert!(append(&mut w, 1, &batches[1]).is_err());
+        assert!(append(&mut w, &batches[1]).is_err());
         assert_eq!(std::fs::read(&path).unwrap(), acked, "the failed record stayed");
         // The fault is one-shot: the retry carries the same number.
-        append(&mut w, 1, &batches[1]).unwrap();
-        append(&mut w, 2, &batches[2]).unwrap();
+        append(&mut w, &batches[1]).unwrap();
+        append(&mut w, &batches[2]).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), written_wal("writer-ref", &batches));
 
-        w.inject_fault(WalFault {
+        w.fault = Some(WalFault {
             record: 3,
             truncate_too: true,
         });
-        let e = append(&mut w, 3, &batches[0]).unwrap_err();
+        let e = append(&mut w, &batches[0]).unwrap_err();
         assert!(e.to_string().contains("appends stop"), "{e}");
-        let e = append(&mut w, 3, &batches[0]).unwrap_err();
+        let e = append(&mut w, &batches[0]).unwrap_err();
         assert!(e.to_string().contains("appends stopped"), "{e}");
         drop(w);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1007,6 +1367,101 @@ mod tests {
         assert!(wal.batches.is_empty() && wal.next_seq == 0);
         assert!(matches!(wal.error, Some(DataflowError::StateCorruption(_))));
         assert_eq!(std::fs::read(&path).unwrap(), header(WAL_MAGIC, WAL_VERSION));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The hand-rolled engine, durable.
+    fn hr(c: &Catalog, q: &QuerySpec) -> Durable<IncrementalOptimizer> {
+        Durable::from(IncrementalOptimizer::new(c, q.clone(), PruningConfig::default()))
+    }
+
+    /// The declarative engine, durable, its audit off.
+    fn decl(c: &Catalog, q: &QuerySpec) -> DataflowOptimizer {
+        let mut opt = DataflowOptimizer::new(c, q.clone());
+        opt.set_audit_mode(AuditMode::Off);
+        opt
+    }
+
+    /// The epoch count follows the engine's: a batch counts iff it
+    /// changes a parameter's value, which is when `Factors::apply`
+    /// reports it — a write of 1.0 to a parameter never written, the
+    /// same value twice, a batch that writes a value and takes it back.
+    #[test]
+    fn the_fold_changes_when_the_estimates_do() {
+        let (e, l) = (EdgeId(1), LeafId(0));
+        let batches = [
+            vec![ParamDelta::EdgeSelectivity(e, 1.0)],
+            vec![ParamDelta::EdgeSelectivity(e, 2.0)],
+            vec![ParamDelta::EdgeSelectivity(e, 2.0)],
+            vec![ParamDelta::LeafCardinality(l, 3.0), ParamDelta::LeafCardinality(l, 1.0)],
+            vec![ParamDelta::LeafScanCost(l, 1.0), ParamDelta::EdgeSelectivity(e, 2.0)],
+            vec![ParamDelta::EdgeSelectivity(e, 1.0), ParamDelta::LeafScanCost(l, 0.5)],
+            vec![],
+        ];
+        let (mut log, mut factors) = (Vec::new(), Factors::default());
+        for batch in &batches {
+            let changed = fold_last_writes(&mut log, batch);
+            assert_eq!(changed, !factors.apply(batch).is_empty(), "{batch:?}");
+            assert!(holds(&factors, &log), "{batch:?}");
+        }
+        assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn checkpoint_durable_without_a_directory_is_an_error() {
+        let c = fixture_catalog();
+        let q = chain_query(&c, 3);
+        let (mut hr, mut decl) = (hr(&c, &q), decl(&c, &q));
+        hr.optimize();
+        decl.optimize();
+        for err in [hr.checkpoint_durable(), decl.checkpoint_durable()] {
+            let err = err.expect_err("no durable directory armed");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        }
+    }
+
+    /// The write-ahead contract under the pipelined WAL, for both
+    /// engines: when `reoptimize` returns, the log scans clean to
+    /// exactly `wal_seq` records in sequence, the last of them this
+    /// batch — batches that change nothing included. Unarmed, the WAL
+    /// costs nothing.
+    #[test]
+    fn every_acknowledged_batch_is_the_logs_last_record() {
+        let c = fixture_catalog();
+        let q = chain_query(&c, 5);
+        every_batch_is_logged(|| hr(&c, &q), |_| true, "hr");
+        every_batch_is_logged(|| decl(&c, &q), |out| out.recovery.is_clean(), "decl");
+    }
+
+    /// The test above for one engine; `clean` holds an epoch's outcome
+    /// to the engine's own report.
+    fn every_batch_is_logged<R: Reoptimizer<Outcome: WalReport>>(
+        make: impl Fn() -> Durable<R>,
+        clean: impl Fn(&R::Outcome) -> bool,
+        label: &str,
+    ) {
+        let mut unarmed = make();
+        unarmed.reoptimize(&[ParamDelta::LeafCardinality(LeafId(0), 2.0)]);
+        assert_eq!(unarmed.last_wal(), &WalEpoch::default(), "{label}");
+        let dir = scratch_dir(&format!("acked-{label}"));
+        let mut opt = make();
+        opt.set_durable_dir(&dir).unwrap();
+        let mut logged: Vec<Vec<ParamDelta>> = Vec::new();
+        for i in 0..12u32 {
+            let batch = match i % 4 {
+                3 => logged.last().unwrap().clone(),
+                _ => vec![ParamDelta::EdgeSelectivity(EdgeId(i % 4), f64::from(i % 3 + 2))],
+            };
+            assert!(clean(&opt.reoptimize(&batch)), "{label} epoch {i}");
+            assert_eq!(opt.last_wal().error, None, "{label}");
+            assert!(opt.last_wal().write > Duration::ZERO, "{label}");
+            logged.push(batch);
+            let wal = open_dir(&dir).unwrap();
+            let wal_seq = opt.wal.as_ref().unwrap().wal_seq;
+            assert_eq!((wal.next_seq, wal.torn, wal.error), (wal_seq, false, None));
+            assert_eq!(wal.batches, logged, "{label} epoch {i}");
+        }
+        drop(opt);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -36,7 +36,7 @@
 //!   every epoch. D10 ([`BEST_PLAN_RULE`]), the join
 //!   back onto `PlanCost`, is *not* compiled: nothing in the program
 //!   reads `BestPlan`, and the driver asks for it once per epoch for
-//!   the groups on the chosen tree only. [`DataflowOptimizer::best_plan`]
+//!   the groups on the chosen tree only. [`DataflowEngine::best_plan`]
 //!   evaluates the rule top-down with exactly that demand — per group,
 //!   `BestCost(expr,prop)` read by key from D9's aggregate, then
 //!   `PlanCost(expr,prop,a,cost)` point-probed in the rows
@@ -87,10 +87,9 @@
 //! a `null` slot where the row is scanned rather than at that join.
 
 use std::cell::Cell;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::rc::Rc;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
@@ -105,7 +104,7 @@ use reopt_datalog::{
 use reopt_expr::{ExprId, PhysOp, PhysProp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
-use crate::durable;
+use crate::durable::{Durable, WalReport};
 
 /// The executable elaboration of the paper's rule program (see the
 /// module docs for the R→D mapping).
@@ -147,7 +146,7 @@ pub const DATAFLOW_RULES: [&str; 7] = [
 ];
 
 /// Rule D10 (the paper's R10) — the specification
-/// [`DataflowOptimizer::best_plan`] evaluates on demand and no network
+/// [`DataflowEngine::best_plan`] evaluates on demand and no network
 /// compiles (see the module docs). The differential suite compiles this
 /// text into a test-only network and holds the on-demand read to it.
 pub const BEST_PLAN_RULE: &str = "D10: BestPlan(expr,prop,index,cost) :- \
@@ -247,12 +246,12 @@ pub struct DataflowOutcome {
     /// How the epoch reached its committed fixpoint, including any
     /// failures absorbed along the way and the sampled audit verdict.
     pub recovery: RecoveryReport,
-    /// The epoch's durability layer: writing its WAL record, and waiting
-    /// for the record's fsync once the epoch's own work was done (zero
-    /// when the fsync was hidden behind it). Both zero unless durability
-    /// is armed.
-    pub wal_write: Duration,
-    pub wal_wait: Duration,
+}
+
+impl WalReport for DataflowOutcome {
+    fn wal_failed(&mut self, error: DataflowError) {
+        self.recovery.errors.insert(0, error);
+    }
 }
 
 /// How a (re)optimization epoch reached its committed fixpoint.
@@ -341,7 +340,7 @@ impl AuditMode {
 
 /// The optimizer-as-a-view: rules compiled onto the dataflow substrate,
 /// maintained incrementally under [`ParamDelta`] base-relation deltas.
-pub struct DataflowOptimizer {
+pub struct DataflowEngine {
     /// The pruning authority (see the module docs): it owns the query,
     /// the [`CostContext`] and the memo, which `memo` shares.
     core: IncrementalOptimizer,
@@ -349,40 +348,50 @@ pub struct DataflowOptimizer {
     props: Rc<PropTable>,
     net: RuleNetwork,
     initialized: bool,
-    /// Deduped log of every applied [`ParamDelta`] (factors are
-    /// absolute, so per parameter only the last write matters) —
-    /// checkpoints persist it.
-    applied: Vec<ParamDelta>,
     audit: AuditMode,
-    epochs_seen: u64,
-    /// Durable-directory state, armed by [`DataflowOptimizer::set_durable_dir`]
-    /// (or by [`DataflowOptimizer::recover`]). `None` keeps the optimizer
-    /// purely in-memory, exactly as before.
-    durable: Option<Durable>,
+    /// Epochs run so far: the audit samples on it.
+    epochs: u64,
     /// [`plan_cost_strata`] of the memo: the `PlanCost` release order
     /// every network built for this query declares.
     strata: Vec<u32>,
     /// `PlanCost` point probes made by plan extraction so far (see
-    /// [`DataflowOptimizer::plan_cost_probes`]).
+    /// [`DataflowEngine::plan_cost_probes`]).
     plan_cost_probes: Cell<u64>,
     /// Change-list entries the driver has visited so far (see
-    /// [`DataflowOptimizer::visited_alternatives`]).
+    /// [`DataflowEngine::visited_alternatives`]).
     visited: u64,
 }
 
-/// WAL bookkeeping for a durably armed optimizer.
-struct Durable {
-    dir: PathBuf,
-    /// Next WAL record sequence number = acknowledged records on disk;
-    /// a checkpoint stores this as its replay watermark.
-    wal_seq: u64,
-    wal: durable::WalWriter,
-}
+/// The declarative engine made durable ([`Durable`]): what the
+/// benchmark and the adaptive loop run. Unarmed it is the engine plus
+/// the parameter log a checkpoint would persist.
+pub type DataflowOptimizer = Durable<DataflowEngine>;
 
-impl Durable {
-    fn new(dir: PathBuf, wal_seq: u64) -> Durable {
-        let wal = durable::WalWriter::new(dir.join(durable::WAL_FILE));
-        Durable { dir, wal_seq, wal }
+impl DataflowOptimizer {
+    pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowOptimizer {
+        Durable::from(DataflowEngine::new(catalog, q))
+    }
+
+    /// [`Durable::restart`] on the declarative engine, with what the
+    /// restart found on disk reported in the outcome's
+    /// [`RecoveryReport`]: its label, and its errors ahead of the
+    /// epoch's own. The restart's epoch is an epoch like any other: it
+    /// runs behind the recovery ladder and is audited when `REOPT_AUDIT`
+    /// samples it.
+    pub fn recover(
+        catalog: &Catalog,
+        q: QuerySpec,
+        dir: impl AsRef<Path>,
+    ) -> std::io::Result<(DataflowOptimizer, DataflowOutcome)> {
+        let build = |log: &[ParamDelta]| {
+            let mut engine = DataflowEngine::new(catalog, q.clone());
+            engine.preload(log);
+            engine
+        };
+        let (opt, mut outcome, restart) = Durable::restart(dir, &q, build)?;
+        outcome.recovery.path = restart.path;
+        outcome.recovery.errors.splice(0..0, restart.errors);
+        Ok((opt, outcome))
     }
 }
 
@@ -409,23 +418,21 @@ fn plan_cost_strata(memo: &Memo) -> Vec<u32> {
         .collect()
 }
 
-impl DataflowOptimizer {
-    pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowOptimizer {
+impl DataflowEngine {
+    pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowEngine {
         let core = IncrementalOptimizer::new(catalog, q, PruningConfig::all());
         let memo = core.shared_memo();
         let props = Rc::new(PropTable::new(&memo));
         let strata = plan_cost_strata(&memo);
         let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
-        DataflowOptimizer {
+        DataflowEngine {
             core,
             memo,
             props,
             net,
             initialized: false,
-            applied: Vec::new(),
             audit: AuditMode::from_env(),
-            epochs_seen: 0,
-            durable: None,
+            epochs: 0,
             strata,
             plan_cost_probes: Cell::new(0),
             visited: 0,
@@ -436,73 +443,9 @@ impl DataflowOptimizer {
         &self.memo
     }
 
-    pub fn cost_context(&self) -> &CostContext {
-        self.core.cost_context()
-    }
-
-    /// Initial evaluation: the pruning authority's first fixpoint, then
-    /// the `Expr` root demand and its held set seeded into the network,
-    /// run to fixpoint.
-    pub fn optimize(&mut self) -> DataflowOutcome {
-        if !self.initialized {
-            self.initialized = true;
-            self.core.optimize();
-            // The seed is the whole held set; the boot's change list
-            // (every alternative) says nothing more.
-            self.core.drain_changes();
-            self.seed_network();
-        }
-        let (stats, recovery) = self.run_recovering();
-        self.outcome(stats, recovery)
-    }
-
-    /// Incremental re-optimization (§4): apply the parameter deltas to
-    /// the pruning authority, and feed the changes to its held set to
-    /// the network as `LocalCost` base-relation deltas.
-    /// With durability armed the batch is acknowledged — durable — when
-    /// this returns.
-    pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
-        // A fresh engine evaluates the initial program first, exactly
-        // as an explicit `optimize()` would have.
-        let mut absorbed = if self.initialized {
-            Vec::new()
-        } else {
-            self.optimize().recovery.errors
-        };
-        // Write-ahead, pipelined: the record is written before any of
-        // the batch's effects touch the network, its fsync runs on the
-        // writer's helper thread while the epoch computes, and the batch
-        // is acknowledged — `wal_seq` advances — only once both are
-        // done. A crash before that loses a batch nobody was told about,
-        // whose effects lived only in memory. A failed append is cut
-        // back off the log, degrades to in-memory operation for this
-        // batch and is reported, never panicked on.
-        let begun = self.durable.as_mut().map(|d| {
-            let clock = Instant::now();
-            (d.wal.begin(d.wal_seq, deltas), clock.elapsed())
-        });
-        let mut out = self.apply_batch(deltas);
-        if let (Some(d), Some((begun, wal_write))) = (self.durable.as_mut(), begun) {
-            let clock = Instant::now();
-            match begun.and_then(|()| d.wal.finish()) {
-                Ok(()) => d.wal_seq += 1,
-                Err(e) => absorbed.push(DataflowError::StateCorruption(format!(
-                    "WAL append failed, operating in-memory for this batch: {e}"
-                ))),
-            }
-            out.wal_write = wal_write;
-            out.wal_wait = clock.elapsed();
-        }
-        out.recovery.errors.splice(0..0, absorbed);
-        out
-    }
-
-    /// The epoch of [`DataflowOptimizer::reoptimize`], from applying the
+    /// The epoch of [`DataflowEngine::reoptimize`], from applying the
     /// batch to the outcome.
     fn apply_batch(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
-        // The applied log keeps the last write per parameter: replaying
-        // it reproduces the current [`CostContext`].
-        fold_last_writes(&mut self.applied, deltas);
         if !self.core.propagate(deltas) {
             return self.outcome(RunStats::default(), RecoveryReport::committed());
         }
@@ -532,7 +475,7 @@ impl DataflowOptimizer {
     ///
     /// 1. the attempt, under the network's step budget;
     /// 2. on any error — which poisons the network — a from-scratch
-    ///    rebuild ([`DataflowOptimizer::rebuild_from_scratch`]).
+    ///    rebuild ([`DataflowEngine::rebuild_from_scratch`]).
     ///
     /// Callers always get a committed fixpoint plus a report of the
     /// failure absorbed on the way.
@@ -543,7 +486,7 @@ impl DataflowOptimizer {
             report.path = RecoveryPath::RebuiltFromScratch;
             self.rebuild_from_scratch()
         });
-        self.epochs_seen += 1;
+        self.epochs += 1;
         report.audit = self.maybe_audit();
         (stats, report)
     }
@@ -583,27 +526,10 @@ impl DataflowOptimizer {
         (root, self.local_cost_rows().into_iter().map(Delta::insert).collect())
     }
 
-    /// Loads recovered parameters into this engine before its first
-    /// `optimize()`: the checkpoint's deduped `log`, then the WAL
-    /// `tail` past it. Factors are absolute, so the context ends up
-    /// holding the last write per parameter — everything the optimizer's
-    /// state is a function of. The epoch counter starts at the
-    /// checkpoint's `epochs_seen` and advances as replaying the tail
-    /// record by record would have advanced it: once per record that
-    /// changed a parameter.
-    fn load_parameters(
-        &mut self,
-        epochs_seen: u64,
-        log: Vec<ParamDelta>,
-        tail: &[Vec<ParamDelta>],
-    ) {
-        self.epochs_seen = epochs_seen;
-        self.core.preload(&log);
-        self.applied = log;
-        for record in tail {
-            fold_last_writes(&mut self.applied, record);
-            self.epochs_seen += u64::from(self.core.preload(record));
-        }
+    /// Loads parameters before the first `optimize()` (a restart's
+    /// recovered log, [`Durable::restart`]).
+    pub fn preload(&mut self, deltas: &[ParamDelta]) {
+        self.core.preload(deltas);
     }
 
     fn maybe_audit(&mut self) -> AuditOutcome {
@@ -611,7 +537,7 @@ impl DataflowOptimizer {
             AuditMode::Off => return AuditOutcome::NotSampled,
             AuditMode::Every(n) => n.max(1),
         };
-        if !self.epochs_seen.is_multiple_of(every) {
+        if !self.epochs.is_multiple_of(every) {
             return AuditOutcome::NotSampled;
         }
         match self.audit_now() {
@@ -677,14 +603,6 @@ impl DataflowOptimizer {
         self.net.set_fault_plan(Some(plan));
     }
 
-    /// Arms a one-shot WAL writer failure (crash tests); a no-op unless
-    /// durability is armed.
-    pub fn inject_wal_fault(&mut self, fault: durable::WalFault) {
-        if let Some(d) = self.durable.as_mut() {
-            d.wal.inject_fault(fault);
-        }
-    }
-
     /// Overrides the audit sampling policy (the constructor default is
     /// [`AuditMode::from_env`]).
     pub fn set_audit_mode(&mut self, mode: AuditMode) {
@@ -715,134 +633,6 @@ impl DataflowOptimizer {
             .expect("build_network materializes every view the driver reads")
     }
 
-    /// Arms durability: every subsequent [`DataflowOptimizer::reoptimize`]
-    /// batch is appended to `<dir>/wal.bin` (written before the network
-    /// is touched, fsynced before `reoptimize` returns) and
-    /// [`DataflowOptimizer::checkpoint_durable`] writes
-    /// `<dir>/checkpoint.bin`. The directory is opened by
-    /// [`durable::open_dir`]: an existing WAL is adopted — appends
-    /// continue after its intact records, and a torn tail from an
-    /// earlier crash is truncated away first; an unreadable WAL is
-    /// reinitialized empty (a later [`DataflowOptimizer::recover`] will
-    /// then degrade rather than trust a stale checkpoint against it).
-    pub fn set_durable_dir(&mut self, dir: impl Into<PathBuf>) -> std::io::Result<()> {
-        let dir = dir.into();
-        let wal_seq = durable::open_dir(&dir)?.next_seq;
-        self.durable = Some(Durable::new(dir, wal_seq));
-        Ok(())
-    }
-
-    /// The armed durable directory, if any.
-    pub fn durable_dir(&self) -> Option<&Path> {
-        self.durable.as_ref().map(|d| d.dir.as_path())
-    }
-
-    /// Cuts a durable checkpoint: the applied-parameter log (the last
-    /// write per parameter), the WAL watermark it covers, `epochs_seen`
-    /// and the query's leaf and edge counts — the parameters, of which
-    /// all other state is a function ([`durable`] has the format and
-    /// the argument) — committed atomically (tmp + fsync + rename).
-    /// Fails with `InvalidInput` unless
-    /// [`DataflowOptimizer::set_durable_dir`] armed a directory first.
-    pub fn checkpoint_durable(&mut self) -> std::io::Result<()> {
-        let Some(d) = self.durable.as_ref() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "checkpoint_durable needs set_durable_dir first",
-            ));
-        };
-        let bytes = durable::encode_checkpoint(
-            d.wal_seq,
-            self.epochs_seen,
-            self.core.query().n_leaves(),
-            self.core.query().edges.len() as u32,
-            &self.applied,
-        );
-        durable::write_atomic(&d.dir.join(durable::CHECKPOINT_FILE), &bytes)
-    }
-
-    /// Restarts an optimizer from a durable directory, the one way a
-    /// first boot builds state: the recovered parameters — an intact
-    /// checkpoint's log and the WAL records past its watermark, else
-    /// the whole WAL — are folded to the last write per parameter and
-    /// loaded into a fresh engine's [`CostContext`], then exactly one
-    /// `optimize()` runs, whatever the WAL's length. What was found on
-    /// disk decides the label:
-    ///
-    /// 1. an intact checkpoint whose watermark the WAL covers →
-    ///    [`RecoveryPath::RestoredFromCheckpoint`];
-    /// 2. a checkpoint that is torn, corrupt, of another format or
-    ///    query, or ahead of the WAL → discarded, the whole WAL replayed
-    ///    → [`RecoveryPath::RebuiltAfterCorruptCheckpoint`];
-    /// 3. no checkpoint but WAL history (crashed before the first
-    ///    checkpoint) → [`RecoveryPath::RebuiltFromScratch`];
-    /// 4. empty directory → a plain first boot →
-    ///    [`RecoveryPath::Committed`].
-    ///
-    /// State damage never panics and never returns `Err`; it degrades
-    /// down the ladder with every absorbed error in the report. `Err`
-    /// is reserved for failing to arm the directory itself. The
-    /// recovery epoch is an epoch like any other: it runs behind the
-    /// recovery ladder and is audited when `REOPT_AUDIT` samples it.
-    pub fn recover(
-        catalog: &Catalog,
-        q: QuerySpec,
-        dir: impl AsRef<Path>,
-    ) -> std::io::Result<(DataflowOptimizer, DataflowOutcome)> {
-        let dir = dir.as_ref();
-        let wal = durable::open_dir(dir)?;
-        // A torn tail is history too: bytes past the header mean an
-        // append was at least attempted (or a record's length field was
-        // damaged), which a clean first boot never shows.
-        let had_history = !wal.batches.is_empty() || wal.error.is_some() || wal.torn;
-        let mut errors: Vec<DataflowError> = wal.error.into_iter().collect();
-
-        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
-        let decoded = std::fs::read(dir.join(durable::CHECKPOINT_FILE))
-            .ok()
-            .map(|bytes| durable::decode_checkpoint(&bytes, leaves, edges));
-        let had_checkpoint = decoded.is_some();
-        let checkpoint = match decoded {
-            Some(Ok(c)) if c.watermark <= wal.next_seq => Some(c),
-            Some(Ok(c)) => {
-                errors.push(DataflowError::StateCorruption(format!(
-                    "checkpoint watermark {} is beyond the {} intact WAL records",
-                    c.watermark, wal.next_seq
-                )));
-                None
-            }
-            Some(Err(e)) => {
-                errors.push(e);
-                None
-            }
-            None => None,
-        };
-
-        let mut opt = DataflowOptimizer::new(catalog, q);
-        let path = match checkpoint {
-            Some(c) => {
-                let tail = &wal.batches[c.watermark as usize..];
-                opt.load_parameters(c.epochs_seen, c.log, tail);
-                RecoveryPath::RestoredFromCheckpoint
-            }
-            None => {
-                opt.load_parameters(0, Vec::new(), &wal.batches);
-                if had_checkpoint {
-                    RecoveryPath::RebuiltAfterCorruptCheckpoint
-                } else if had_history {
-                    RecoveryPath::RebuiltFromScratch
-                } else {
-                    RecoveryPath::Committed
-                }
-            }
-        };
-        opt.durable = Some(Durable::new(dir.to_path_buf(), wal.next_seq));
-        let mut outcome = opt.optimize();
-        outcome.recovery.path = path;
-        outcome.recovery.errors.splice(0..0, errors);
-        Ok((opt, outcome))
-    }
-
     /// The `(expr, prop)` columns every row about group `g` starts with.
     fn group_key(&self, g: GroupId) -> [Val; 2] {
         let d = self.memo.group(g);
@@ -866,8 +656,6 @@ impl DataflowOptimizer {
             plan,
             stats,
             recovery,
-            wal_write: Duration::ZERO,
-            wal_wait: Duration::ZERO,
         }
     }
 
@@ -944,7 +732,7 @@ impl DataflowOptimizer {
     }
 
     /// Rule D10's whole relation, sorted (tests and diagnostics): the
-    /// evaluation [`DataflowOptimizer::best_plan`] runs per group, run
+    /// evaluation [`DataflowEngine::best_plan`] runs per group, run
     /// over every `BestCost` row and keeping every hit.
     pub fn best_plan_rows(&self) -> Vec<Tuple> {
         let plan_cost = plan_cost_rows(&self.net);
@@ -965,7 +753,7 @@ impl DataflowOptimizer {
 
     /// `PlanCost` point probes plan extraction has made over this
     /// optimizer's lifetime (diagnostics; the work-bound test reads the
-    /// difference around one [`DataflowOptimizer::best_plan`]).
+    /// difference around one [`DataflowEngine::best_plan`]).
     pub fn plan_cost_probes(&self) -> u64 {
         self.plan_cost_probes.get()
     }
@@ -987,7 +775,7 @@ impl DataflowOptimizer {
     /// Change-list entries the driver has visited so far, one per
     /// alternative whose held value an epoch may have moved
     /// (diagnostics; the work-bound test reads the difference around
-    /// one [`DataflowOptimizer::reoptimize`]).
+    /// one [`DataflowEngine::reoptimize`]).
     pub fn visited_alternatives(&self) -> u64 {
         self.visited
     }
@@ -1021,18 +809,6 @@ impl DataflowOptimizer {
         self.net.node_stats()
     }
 
-    /// Epochs run so far, counting the epochs a restart replayed
-    /// (diagnostics; the audit samples on it).
-    pub fn epochs_seen(&self) -> u64 {
-        self.epochs_seen
-    }
-
-    /// The applied-delta log: the last write per parameter, in
-    /// first-write order (diagnostics; checkpoints persist it).
-    pub fn applied_log(&self) -> &[ParamDelta] {
-        &self.applied
-    }
-
     /// The live network's batch-consolidator footprint (diagnostics):
     /// bounded by the last epoch's largest batch, not by history.
     pub fn consolidator_footprint(&self) -> ConsolidatorFootprint {
@@ -1046,7 +822,7 @@ impl DataflowOptimizer {
     }
 }
 
-impl Reoptimizer for DataflowOptimizer {
+impl Reoptimizer for DataflowEngine {
     type Outcome = DataflowOutcome;
 
     fn query(&self) -> &QuerySpec {
@@ -1054,15 +830,39 @@ impl Reoptimizer for DataflowOptimizer {
     }
 
     fn cost_context(&self) -> &CostContext {
-        DataflowOptimizer::cost_context(self)
+        self.core.cost_context()
     }
 
+    /// Initial evaluation: the pruning authority's first fixpoint, then
+    /// the `Expr` root demand and its held set seeded into the network,
+    /// run to fixpoint.
     fn optimize(&mut self) -> DataflowOutcome {
-        DataflowOptimizer::optimize(self)
+        if !self.initialized {
+            self.initialized = true;
+            self.core.optimize();
+            // The seed is the whole held set; the boot's change list
+            // (every alternative) says nothing more.
+            self.core.drain_changes();
+            self.seed_network();
+        }
+        let (stats, recovery) = self.run_recovering();
+        self.outcome(stats, recovery)
     }
 
+    /// Incremental re-optimization (§4): apply the parameter deltas to
+    /// the pruning authority, and feed the changes to its held set to
+    /// the network as `LocalCost` base-relation deltas.
     fn reoptimize(&mut self, deltas: &[ParamDelta]) -> DataflowOutcome {
-        DataflowOptimizer::reoptimize(self, deltas)
+        // A fresh engine evaluates the initial program first, exactly
+        // as an explicit `optimize()` would have.
+        let boot = if self.initialized {
+            Vec::new()
+        } else {
+            self.optimize().recovery.errors
+        };
+        let mut out = self.apply_batch(deltas);
+        out.recovery.errors.splice(0..0, boot);
+        out
     }
 
     fn plan(outcome: &DataflowOutcome) -> &PlanNode {
@@ -1070,30 +870,8 @@ impl Reoptimizer for DataflowOptimizer {
     }
 }
 
-/// Dedup key for the applied-delta log: parameter kind plus id.
-fn applied_key(d: &ParamDelta) -> (u8, u32) {
-    match d {
-        ParamDelta::EdgeSelectivity(e, _) => (0, e.0),
-        ParamDelta::LeafCardinality(l, _) => (1, l.0),
-        ParamDelta::LeafScanCost(l, _) => (2, l.0),
-    }
-}
-
-/// Folds `deltas` into `log`, which holds one entry per parameter in
-/// first-write order: factors are absolute, so only the last write to
-/// a parameter matters.
-fn fold_last_writes(log: &mut Vec<ParamDelta>, deltas: &[ParamDelta]) {
-    for d in deltas {
-        let key = applied_key(d);
-        match log.iter_mut().find(|e| applied_key(e) == key) {
-            Some(slot) => *slot = *d,
-            None => log.push(*d),
-        }
-    }
-}
-
 /// The `LocalCost(expr,prop,index,cost)` row of alternative `a`, whose
-/// group's columns are `key` ([`DataflowOptimizer::group_key`]).
+/// group's columns are `key` ([`DataflowEngine::group_key`]).
 fn local_tuple(key: [Val; 2], a: AltId, c: Cost) -> Tuple {
     Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), Val::Cost(c)])
 }
@@ -1230,7 +1008,7 @@ mod tests {
         assert_eq!(dataflow_program().len(), 7);
         parse_rules([BEST_PLAN_RULE]).expect("the specification of `best_plan` parses");
         let c = fixture_catalog();
-        let opt = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        let opt = DataflowEngine::new(&c, chain_query(&c, 3));
         assert!(opt.network_nodes() > 10);
         // What the compiler's proofs leave of it: `BestCost` is read
         // off D9's aggregate, the joins run `Fn_sum` themselves, and of
@@ -1256,7 +1034,7 @@ mod tests {
     fn initial_optimization_matches_hand_rolled_on_fixtures() {
         let c = fixture_catalog();
         for q in fixture_queries() {
-            let mut df = DataflowOptimizer::new(&c, q.clone());
+            let mut df = DataflowEngine::new(&c, q.clone());
             let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
             let got = df.optimize();
             let want = hand.optimize();
@@ -1287,7 +1065,7 @@ mod tests {
         ];
         for q in fixture_queries() {
             for batch in &batches {
-                let mut df = DataflowOptimizer::new(&c, q.clone());
+                let mut df = DataflowEngine::new(&c, q.clone());
                 let mut hand =
                     IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
                 df.optimize();
@@ -1303,7 +1081,7 @@ mod tests {
     fn update_sequences_stay_in_lockstep() {
         let c = fixture_catalog();
         let q = chain_query(&c, 5);
-        let mut df = DataflowOptimizer::new(&c, q.clone());
+        let mut df = DataflowEngine::new(&c, q.clone());
         let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
         assert_agree(&df.optimize(), &hand.optimize(), "initial");
         let seq: Vec<Vec<ParamDelta>> = vec![
@@ -1327,7 +1105,7 @@ mod tests {
         // (priced by an independent context) without re-seeding.
         let c = fixture_catalog();
         let q = chain_query(&c, 5);
-        let mut df = DataflowOptimizer::new(&c, q.clone());
+        let mut df = DataflowEngine::new(&c, q.clone());
         let initial = df.optimize();
         let batch = vec![ParamDelta::EdgeSelectivity(EdgeId(1), 8.0)];
         let out = df.reoptimize(&batch);
@@ -1345,14 +1123,14 @@ mod tests {
         // parents — a star's hub, not a chain-5, whose referenced region
         // repeats no key.
         let c = fixture_catalog();
-        let mut star = DataflowOptimizer::new(&c, shaped_query(&c, "star", 5));
+        let mut star = DataflowEngine::new(&c, shaped_query(&c, "star", 5));
         let init = star.optimize();
         assert!(
             init.stats.join_probes < init.stats.join_probe_deltas,
             "batch probing shared nothing: {:?}",
             init.stats
         );
-        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 5));
+        let mut df = DataflowEngine::new(&c, chain_query(&c, 5));
         assert!(
             df.network_nodes() > df.memo().n_alts() / 10,
             "sanity: network exists"
@@ -1375,12 +1153,12 @@ mod tests {
         // generic-network matrix lives in reopt-datalog's differential
         // suite. The compiler path is exercised via NetworkBuilder
         // options inside build_network only for the default, so this
-        // compares DataflowOptimizer (fused default) against the
+        // compares DataflowEngine (fused default) against the
         // hand-rolled engine after a mixed update sequence — and the
         // fused network against its own unfused node diagnostics.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
-        let mut df = DataflowOptimizer::new(&c, q.clone());
+        let mut df = DataflowEngine::new(&c, q.clone());
         df.optimize();
         assert!(df.fused_nodes() > 0, "compiler emitted no fused chains");
         let mut hand = IncrementalOptimizer::new(&c, q, PruningConfig::none());
@@ -1401,7 +1179,7 @@ mod tests {
     fn unchanged_parameters_cause_no_work() {
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
-        let mut df = DataflowOptimizer::new(&c, q);
+        let mut df = DataflowEngine::new(&c, q);
         df.optimize();
         let first = df.reoptimize(&[ParamDelta::LeafScanCost(LeafId(0), 2.0)]);
         assert!(first.stats.deltas_processed > 0);
@@ -1420,9 +1198,9 @@ mod tests {
         // left for the next epoch.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
-        let mut oracle = DataflowOptimizer::new(&c, q.clone());
+        let mut oracle = DataflowEngine::new(&c, q.clone());
         oracle.optimize();
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
+        let mut victim = DataflowEngine::new(&c, q.clone());
         victim.optimize();
         let batch = vec![ParamDelta::EdgeSelectivity(EdgeId(1), 6.0)];
         let want = oracle.reoptimize(&batch);
@@ -1458,9 +1236,9 @@ mod tests {
         // plan's unspent second shot dies with the network it poisoned.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
-        let mut oracle = DataflowOptimizer::new(&c, q.clone());
+        let mut oracle = DataflowEngine::new(&c, q.clone());
         oracle.optimize();
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
+        let mut victim = DataflowEngine::new(&c, q.clone());
         victim.optimize();
         let mut absorbed = 0;
         for batch in [
@@ -1501,9 +1279,9 @@ mod tests {
         // with the compiled default and converges.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
-        let mut oracle = DataflowOptimizer::new(&c, q.clone());
+        let mut oracle = DataflowEngine::new(&c, q.clone());
         oracle.optimize();
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
+        let mut victim = DataflowEngine::new(&c, q.clone());
         victim.optimize();
         let batch = vec![ParamDelta::EdgeSelectivity(EdgeId(0), 9.0)];
         let want = oracle.reoptimize(&batch);
@@ -1523,7 +1301,7 @@ mod tests {
     fn audit_passes_on_every_fixture_and_epoch() {
         let c = fixture_catalog();
         for q in fixture_queries() {
-            let mut df = DataflowOptimizer::new(&c, q.clone());
+            let mut df = DataflowEngine::new(&c, q.clone());
             df.set_audit_mode(AuditMode::Every(1));
             let init = df.optimize();
             assert_eq!(init.recovery.audit, AuditOutcome::Passed, "{}", q.name);
@@ -1541,7 +1319,7 @@ mod tests {
         // name that view instead of silently drifting.
         let c = fixture_catalog();
         let q = chain_query(&c, 3);
-        let mut df = DataflowOptimizer::new(&c, q);
+        let mut df = DataflowEngine::new(&c, q);
         df.optimize();
         let stray = (0..df.memo.n_alts() as u32)
             .map(AltId)
@@ -1567,7 +1345,7 @@ mod tests {
         // Damage the pruning authority's state where the held set does
         // not see it: only its own invariant check can report it.
         let c = fixture_catalog();
-        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        let mut df = DataflowEngine::new(&c, chain_query(&c, 3));
         df.optimize();
         let root = df.memo.root;
         df.core.group_state_mut(root).refs += 1;
@@ -1583,7 +1361,7 @@ mod tests {
     fn audit_sampling_respects_the_period() {
         let c = fixture_catalog();
         let q = chain_query(&c, 3);
-        let mut df = DataflowOptimizer::new(&c, q);
+        let mut df = DataflowEngine::new(&c, q);
         df.set_audit_mode(AuditMode::Every(2));
         // Epochs are 1-based: epoch 1 is off-sample, epoch 2 audits.
         let first = df.optimize();
@@ -1599,7 +1377,7 @@ mod tests {
         // initial evaluation.
         let c = fixture_catalog();
         let q = chain_query(&c, 5);
-        let mut df = DataflowOptimizer::new(&c, q);
+        let mut df = DataflowEngine::new(&c, q);
         let init = df.optimize();
         let out = df.reoptimize(&[ParamDelta::LeafScanCost(LeafId(4), 1.3)]);
         assert!(
@@ -1649,7 +1427,7 @@ mod tests {
         ];
         let mut ever_pruned = 0usize;
         for q in fixture_queries() {
-            let mut pruned = DataflowOptimizer::new(&c, q.clone());
+            let mut pruned = DataflowEngine::new(&c, q.clone());
             let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
             let w = hand.optimize();
             assert_agree(&pruned.optimize(), &w, &q.name);
@@ -1682,8 +1460,8 @@ mod tests {
             ParamDelta::LeafCardinality(LeafId(1), 0.25),
         ];
         for q in fixture_queries() {
-            let mut lazy = DataflowOptimizer::new(&c, q.clone());
-            let mut eager = DataflowOptimizer::new(&c, q.clone());
+            let mut lazy = DataflowEngine::new(&c, q.clone());
+            let mut eager = DataflowEngine::new(&c, q.clone());
             eager.optimize();
             let got = lazy.reoptimize(&batch);
             let want = eager.reoptimize(&batch);
@@ -1701,7 +1479,7 @@ mod tests {
         // no delta.
         let c = fixture_catalog();
         for q in fixture_queries() {
-            let mut df = DataflowOptimizer::new(&c, q.clone());
+            let mut df = DataflowEngine::new(&c, q.clone());
             let first = df.optimize();
             let out = df.reoptimize(&[
                 ParamDelta::LeafScanCost(LeafId(q.n_leaves()), 3.0),
@@ -1717,7 +1495,7 @@ mod tests {
     #[test]
     fn an_unknown_sink_is_none_not_a_panic() {
         let c = fixture_catalog();
-        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        let mut df = DataflowEngine::new(&c, chain_query(&c, 3));
         df.optimize();
         assert!(df.sink("BestCost").is_some());
         // `PlanCost` exists but is not materialized, `BestPlan` is
@@ -1726,17 +1504,6 @@ mod tests {
         assert!(df.sink("BestPlan").is_none());
         assert!(!df.best_plan_rows().is_empty());
         assert!(df.sink("Typo").is_none());
-    }
-
-    #[test]
-    fn checkpoint_durable_without_a_directory_is_an_error() {
-        let c = fixture_catalog();
-        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
-        df.optimize();
-        let err = df
-            .checkpoint_durable()
-            .expect_err("no durable directory armed");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     /// A restart is a first boot on the recovered parameters: whatever
@@ -1775,8 +1542,8 @@ mod tests {
             // The tail's epochs, plus the one the restart ran.
             assert_eq!(rec.epochs_seen(), epochs + 1);
 
-            let mut fresh = DataflowOptimizer::new(&c, q.clone());
-            fresh.core.preload(rec.applied_log());
+            let mut fresh = DataflowEngine::new(&c, q.clone());
+            fresh.preload(rec.applied_log());
             let want = fresh.optimize();
             assert_eq!(out.stats.epoch, 1, "tail of {tail_len}");
             assert_eq!(
@@ -1789,39 +1556,6 @@ mod tests {
         }
     }
 
-    /// The write-ahead contract under the pipelined WAL: when
-    /// `reoptimize` returns, the log scans clean to exactly `wal_seq`
-    /// records in sequence, the last of them this batch — no-op batches
-    /// (the early return) included.
-    #[test]
-    fn every_acknowledged_batch_is_the_logs_last_record() {
-        let c = fixture_catalog();
-        let dir = std::env::temp_dir().join(format!("reopt-bridge-acked-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 5));
-        df.set_audit_mode(AuditMode::Off);
-        let out = df.reoptimize(&[ParamDelta::LeafCardinality(LeafId(0), 2.0)]);
-        assert_eq!((out.wal_write, out.wal_wait), (Duration::ZERO, Duration::ZERO));
-        df.set_durable_dir(&dir).unwrap();
-        let mut logged: Vec<Vec<ParamDelta>> = Vec::new();
-        for i in 0..12u32 {
-            let batch = match i % 4 {
-                3 => logged.last().unwrap().clone(),
-                _ => vec![ParamDelta::EdgeSelectivity(EdgeId(i % 4), f64::from(i % 3 + 2))],
-            };
-            let out = df.reoptimize(&batch);
-            assert!(out.recovery.is_clean(), "{:?}", out.recovery);
-            assert!(out.wal_write > Duration::ZERO);
-            logged.push(batch);
-            let wal = durable::open_dir(&dir).unwrap();
-            let wal_seq = df.durable.as_ref().unwrap().wal_seq;
-            assert_eq!((wal.next_seq, wal.torn, wal.error), (wal_seq, false, None));
-            assert_eq!(wal.batches, logged, "epoch {i}");
-        }
-        drop(df);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Plan extraction reads two relations of the network against each
     /// other. A network that holds no `PlanCost` row for a group on the
     /// chosen tree — here a fresh one nothing was seeded into — is a
@@ -1832,11 +1566,11 @@ mod tests {
         let c = fixture_catalog();
         let q = chain_query(&c, 5);
         let batch = [ParamDelta::EdgeSelectivity(EdgeId(1), 2.0)];
-        let mut oracle = DataflowOptimizer::new(&c, q.clone());
+        let mut oracle = DataflowEngine::new(&c, q.clone());
         oracle.optimize();
         let want = oracle.reoptimize(&batch);
 
-        let mut df = DataflowOptimizer::new(&c, q);
+        let mut df = DataflowEngine::new(&c, q);
         df.optimize();
         df.reoptimize(&batch);
         df.net = df.fresh_network();
@@ -1868,7 +1602,7 @@ mod tests {
         let c = fixture_catalog();
         for shape in ["chain", "star", "clique"] {
             for n in 3..=8 {
-                let mut df = DataflowOptimizer::new(&c, shaped_query(&c, shape, n));
+                let mut df = DataflowEngine::new(&c, shaped_query(&c, shape, n));
                 df.set_audit_mode(AuditMode::Off);
                 let out = df.optimize();
                 let nodes = df.node_stats();
@@ -1937,7 +1671,7 @@ mod tests {
     /// and plan are the hand-rolled engine's under `all()`.
     #[test]
     fn the_network_holds_only_referenced_groups() {
-        fn group_of(df: &DataflowOptimizer, t: &Tuple) -> GroupId {
+        fn group_of(df: &DataflowEngine, t: &Tuple) -> GroupId {
             let e = decode_expr(t.get(0).as_int());
             let p = df.props.decode(t.get(1).as_int());
             df.memo.lookup(e, p).expect("rows name memo groups")
@@ -1947,7 +1681,7 @@ mod tests {
             v.dedup();
             v
         }
-        fn check(df: &DataflowOptimizer, hand: &reopt_core::Outcome, got: &DataflowOutcome) {
+        fn check(df: &DataflowEngine, hand: &reopt_core::Outcome, got: &DataflowOutcome) {
             let local = df.local_cost_rows();
             let live: Vec<AltId> = local
                 .iter()
@@ -1972,7 +1706,7 @@ mod tests {
         for shape in ["chain", "star", "clique"] {
             for n in 3..=8 {
                 let q = shaped_query(&c, shape, n);
-                let mut df = DataflowOptimizer::new(&c, q.clone());
+                let mut df = DataflowEngine::new(&c, q.clone());
                 let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
                 let got = df.optimize();
                 check(&df, &hand.optimize(), &got);
@@ -2001,7 +1735,7 @@ mod tests {
         //   and 37 while every group kept its argmin row; with unary
         //   alternatives carried through D8 and every set re-gated,
         //   median 36 and worst 56).
-        fn stat(df: &DataflowOptimizer, label: &str) -> NodeStats {
+        fn stat(df: &DataflowEngine, label: &str) -> NodeStats {
             let mut hits = df.node_stats().into_iter().filter(|r| r.label == label);
             let row = hits
                 .next()
@@ -2012,7 +1746,7 @@ mod tests {
         // The network's `PlanCost` rows (absent for pruned alternatives)
         // and `BestCost` rows (absent for groups holding none), from the
         // pruning authority's state.
-        fn rows(df: &DataflowOptimizer) -> (Vec<Option<Cost>>, Vec<Option<Cost>>) {
+        fn rows(df: &DataflowEngine) -> (Vec<Option<Cost>>, Vec<Option<Cost>>) {
             let plan_cost = (0..df.memo.n_alts() as u32)
                 .map(AltId)
                 .map(|a| df.core.held(a).map(|_| df.core.alt_state(a).total))
@@ -2023,7 +1757,7 @@ mod tests {
                 .collect();
             (plan_cost, best)
         }
-        fn locals(df: &DataflowOptimizer) -> Vec<Cost> {
+        fn locals(df: &DataflowEngine) -> Vec<Cost> {
             let alts = (0..df.memo.n_alts() as u32).map(AltId);
             alts.map(|a| df.core.alt_state(a).local).collect()
         }
@@ -2031,12 +1765,12 @@ mod tests {
         for shape in ["chain", "star", "clique"] {
             for n in 3..=8 {
                 let q = shaped_query(&c, shape, n);
-                let mut df = DataflowOptimizer::new(&c, q.clone());
+                let mut df = DataflowEngine::new(&c, q.clone());
                 df.optimize();
                 for batch in &walk(n) {
                     let (plan_before, best_before) = rows(&df);
                     let local_before = locals(&df);
-                    let work = |df: &DataflowOptimizer| {
+                    let work = |df: &DataflowEngine| {
                         [
                             stat(df, "distinct[PlanCost]").deltas,
                             stat(df, "group-agg[D9]").emitted,
@@ -2093,7 +1827,7 @@ mod tests {
     /// alternative, while the driver re-derived the prune set itself).
     #[test]
     fn the_driver_visits_only_the_region() {
-        fn held(df: &DataflowOptimizer) -> u64 {
+        fn held(df: &DataflowEngine) -> u64 {
             let alts = (0..df.memo.n_alts() as u32).map(AltId);
             alts.filter(|&a| df.core.held(a).is_some()).count() as u64
         }
@@ -2101,7 +1835,7 @@ mod tests {
         for shape in ["chain", "star", "clique"] {
             for n in 3..=10 {
                 let q = shaped_query(&c, shape, n);
-                let mut df = DataflowOptimizer::new(&c, q.clone());
+                let mut df = DataflowEngine::new(&c, q.clone());
                 df.set_audit_mode(AuditMode::Off);
                 df.optimize();
                 for batch in &walk(n) {

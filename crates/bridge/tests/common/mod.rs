@@ -1,18 +1,24 @@
-//! Helpers shared by the bridge's crash and growth suites: random query
-//! instances, the chain-5 fixture, sink comparison, scratch durable
-//! directories, and the record-by-record restart that `recover` is
-//! checked against.
+//! Helpers shared by the bridge's crash, growth and WAL suites: random
+//! query instances, the chain-5 fixture, the two durable engines behind
+//! one trait, scratch durable directories, and the record-by-record
+//! restart that `Durable::restart` is checked against.
 #![allow(dead_code)] // each suite uses its own subset
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use reopt_bridge::{AuditMode, DataflowOptimizer, RecoveryPath};
+use reopt_bridge::durable::WalReport;
+use reopt_bridge::{AuditMode, DataflowEngine, DataflowOptimizer, Durable, RecoveryPath, Restart};
 use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
+use reopt_common::Cost;
+use reopt_core::fixtures::deltas_for;
+use reopt_core::memo::AltId;
+use reopt_core::{IncrementalOptimizer, PruningConfig, Reoptimizer};
 use reopt_cost::ParamDelta;
 use reopt_datalog::{Multiset, Tuple};
-use reopt_expr::{EdgeId, LeafId, QuerySpec};
+use reopt_expr::{PlanNode, QuerySpec};
 
 /// Deterministic description of a random query instance (same shape as
 /// the differential property suite in `props.rs`).
@@ -74,38 +80,111 @@ pub fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
     (c, b.build())
 }
 
-pub fn deltas_for(q: &QuerySpec, raw: (u8, u8, u8)) -> Vec<ParamDelta> {
-    let (kind, idx, mag) = raw;
-    let factor = 2f64.powi((mag as i32 % 7) - 3);
-    vec![match kind % 3 {
-        0 if !q.edges.is_empty() => {
-            ParamDelta::EdgeSelectivity(EdgeId(idx as u32 % q.edges.len() as u32), factor)
+/// A durable engine the crash suites run: the hand-rolled engine
+/// (`hr`) and the declarative one (`decl`), each behind [`Durable`].
+pub trait Engine: Reoptimizer<Outcome: WalReport> + Sized {
+    const NAME: &'static str;
+    /// A fresh engine, durable and unarmed, its audit off.
+    fn fresh(c: &Catalog, q: &QuerySpec) -> Durable<Self>;
+    /// A restart from `dir`, its audit off, and what it found there.
+    fn restart(c: &Catalog, q: &QuerySpec, dir: &Path) -> (Durable<Self>, Restart);
+    /// The current best cost and plan.
+    fn best(d: &Durable<Self>) -> (Cost, PlanNode);
+    /// Asserts that `a` holds exactly what `b` holds.
+    fn assert_same(a: &Durable<Self>, b: &Durable<Self>, what: &str);
+    /// The engine's own full consistency check.
+    fn audit(d: &mut Durable<Self>) -> Result<(), String>;
+}
+
+impl Engine for IncrementalOptimizer {
+    const NAME: &'static str = "hr";
+
+    fn fresh(c: &Catalog, q: &QuerySpec) -> Durable<Self> {
+        Durable::from(IncrementalOptimizer::new(c, q.clone(), PruningConfig::default()))
+    }
+
+    fn restart(c: &Catalog, q: &QuerySpec, dir: &Path) -> (Durable<Self>, Restart) {
+        let build = |log: &[ParamDelta]| {
+            let mut engine = IncrementalOptimizer::new(c, q.clone(), PruningConfig::default());
+            engine.preload(log);
+            engine
+        };
+        let (opt, _, restart) = Durable::restart(dir, q, build).unwrap();
+        (opt, restart)
+    }
+
+    fn best(d: &Durable<Self>) -> (Cost, PlanNode) {
+        (d.best_cost(), d.best_plan())
+    }
+
+    /// Cost, plan and the held set — what the declarative engine's
+    /// network would be fed.
+    fn assert_same(a: &Durable<Self>, b: &Durable<Self>, what: &str) {
+        let held = |d: &Durable<Self>| {
+            let alts = (0..d.memo().n_alts() as u32).map(AltId);
+            alts.map(|alt| d.held(alt)).collect::<Vec<_>>()
+        };
+        assert_eq!(Self::best(a), Self::best(b), "hr {what}: best cost or plan diverged");
+        assert_eq!(held(a), held(b), "hr {what}: held set diverged");
+    }
+
+    fn audit(d: &mut Durable<Self>) -> Result<(), String> {
+        d.check_invariants()
+    }
+}
+
+impl Engine for DataflowEngine {
+    const NAME: &'static str = "decl";
+
+    fn fresh(c: &Catalog, q: &QuerySpec) -> Durable<Self> {
+        let mut opt = DataflowOptimizer::new(c, q.clone());
+        opt.set_audit_mode(AuditMode::Off);
+        opt
+    }
+
+    /// Through `DataflowOptimizer::recover`, which reports the restart
+    /// in its outcome.
+    fn restart(c: &Catalog, q: &QuerySpec, dir: &Path) -> (Durable<Self>, Restart) {
+        let (mut opt, out) = DataflowOptimizer::recover(c, q.clone(), dir).unwrap();
+        opt.set_audit_mode(AuditMode::Off);
+        let restart = Restart {
+            path: out.recovery.path,
+            errors: out.recovery.errors,
+        };
+        (opt, restart)
+    }
+
+    fn best(d: &Durable<Self>) -> (Cost, PlanNode) {
+        (d.best_cost(), d.best_plan())
+    }
+
+    /// Cost, plan, the materialized sinks with counts, and `BestPlan`
+    /// as answered on demand.
+    fn assert_same(a: &Durable<Self>, b: &Durable<Self>, what: &str) {
+        assert_eq!(Self::best(a), Self::best(b), "decl {what}: best cost or plan diverged");
+        for name in ["SearchSpace", "BestCost"] {
+            assert!(
+                !a.sink(name).unwrap().has_negative_counts(),
+                "decl {what}: residual negative counts in {name}"
+            );
+            assert_eq!(
+                sink_sorted(a.sink(name).unwrap()),
+                sink_sorted(b.sink(name).unwrap()),
+                "decl {what}: sink {name} diverged"
+            );
         }
-        1 => ParamDelta::LeafCardinality(LeafId(idx as u32 % q.n_leaves()), factor),
-        _ => ParamDelta::LeafScanCost(LeafId(idx as u32 % q.n_leaves()), factor),
-    }]
+        assert_eq!(a.best_plan_rows(), b.best_plan_rows(), "decl {what}: BestPlan diverged");
+    }
+
+    fn audit(d: &mut Durable<Self>) -> Result<(), String> {
+        d.audit().map_err(|e| e.to_string())
+    }
 }
 
 pub fn sink_sorted(sink: &Multiset) -> Vec<(Tuple, i64)> {
     let mut v: Vec<(Tuple, i64)> = sink.iter().map(|(t, c)| (t.clone(), c)).collect();
     v.sort();
     v
-}
-
-/// The materialized sinks, and `BestPlan` as answered on demand.
-pub fn assert_sinks_match(a: &DataflowOptimizer, b: &DataflowOptimizer, what: &str) {
-    for name in ["SearchSpace", "BestCost"] {
-        assert!(
-            !a.sink(name).unwrap().has_negative_counts(),
-            "{what}: residual negative counts in {name}"
-        );
-        assert_eq!(
-            sink_sorted(a.sink(name).unwrap()),
-            sink_sorted(b.sink(name).unwrap()),
-            "{what}: sink {name} diverged"
-        );
-    }
-    assert_eq!(a.best_plan_rows(), b.best_plan_rows(), "{what}: BestPlan diverged");
 }
 
 /// A fresh, unique durable directory under the system temp dir.
@@ -133,17 +212,29 @@ pub fn chain5() -> (Catalog, QuerySpec) {
 }
 
 pub fn chain5_batches(q: &QuerySpec) -> Vec<Vec<ParamDelta>> {
-    vec![
-        deltas_for(q, (0, 1, 6)),
-        deltas_for(q, (1, 3, 1)),
-        deltas_for(q, (2, 0, 5)),
-        deltas_for(q, (0, 2, 2)),
-    ]
+    [(0, 1, 6), (1, 3, 1), (2, 0, 5), (0, 2, 2)]
+        .into_iter()
+        .map(|raw| deltas_for(q, &[raw], false))
+        .collect()
+}
+
+/// An engine that has applied `batches` and never crashed.
+pub fn oracle_after<E: Engine>(
+    c: &Catalog,
+    q: &QuerySpec,
+    batches: &[Vec<ParamDelta>],
+) -> Durable<E> {
+    let mut oracle = E::fresh(c, q);
+    oracle.optimize();
+    for batch in batches {
+        oracle.reoptimize(batch);
+    }
+    oracle
 }
 
 /// A victim that applied `before`, cut a checkpoint, applied `tail` and
 /// crashed; returns its durable directory.
-pub fn crashed_victim(
+pub fn crashed_victim<E: Engine>(
     c: &Catalog,
     q: &QuerySpec,
     label: &str,
@@ -151,8 +242,7 @@ pub fn crashed_victim(
     tail: &[Vec<ParamDelta>],
 ) -> std::path::PathBuf {
     let dir = fresh_dir(label);
-    let mut victim = DataflowOptimizer::new(c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
+    let mut victim = E::fresh(c, q);
     victim.set_durable_dir(&dir).unwrap();
     victim.optimize();
     for record in before {
@@ -167,35 +257,29 @@ pub fn crashed_victim(
 }
 
 /// A restart that replays the WAL one `reoptimize` per record — built
-/// from public calls only and kept as the reference for `recover`,
+/// from public calls only and kept as the reference for a restart,
 /// which loads the records' net effect and optimizes once. The crashed
 /// engine applied `before`, then (if `from_checkpoint`) cut a
 /// checkpoint, then applied `tail`.
 ///
 /// With a checkpoint, a twin that crashed right after cutting its
-/// checkpoint is recovered (no tail, so nothing is folded) and fed the
+/// checkpoint is restarted (no tail, so nothing is folded) and fed the
 /// tail record by record; without one, a fresh engine is fed the whole
 /// history record by record.
-pub fn record_by_record_restart(
+pub fn record_by_record_restart<E: Engine>(
     c: &Catalog,
     q: &QuerySpec,
     before: &[Vec<ParamDelta>],
     tail: &[Vec<ParamDelta>],
     from_checkpoint: bool,
-) -> DataflowOptimizer {
+) -> Durable<E> {
     if !from_checkpoint {
-        let mut opt = DataflowOptimizer::new(c, q.clone());
-        opt.set_audit_mode(AuditMode::Off);
-        opt.optimize();
-        for record in before.iter().chain(tail) {
-            opt.reoptimize(record);
-        }
-        return opt;
+        let history: Vec<_> = before.iter().chain(tail).cloned().collect();
+        return oracle_after(c, q, &history);
     }
-    let dir = crashed_victim(c, q, "reference", before, &[]);
-    let (mut opt, out) = DataflowOptimizer::recover(c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    opt.set_audit_mode(AuditMode::Off);
+    let dir = crashed_victim::<E>(c, q, "reference", before, &[]);
+    let (mut opt, restart) = E::restart(c, q, &dir);
+    assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint);
     for record in tail {
         opt.reoptimize(record);
     }

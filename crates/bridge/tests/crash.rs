@@ -1,24 +1,62 @@
-//! Crash-recovery tests for the durable [`DataflowOptimizer`]: a victim
-//! optimizer is checkpointed (and WAL-logged) at a random point of a
-//! random delta sequence, "crashed" (dropped), and recovered in a fresh
-//! instance — which must land byte-identical to an oracle that never
-//! crashed. Corruption variants seed damage into the on-disk files and
-//! require detection plus graceful degradation, never a panic and never
-//! a silently wrong plan.
+//! Crash-recovery tests for durable engines, each run for the
+//! hand-rolled engine (`hr`, `Durable<IncrementalOptimizer>`) and the
+//! declarative one (`decl`, `DataflowOptimizer`): a victim is
+//! checkpointed (and WAL-logged) at a random point of a random delta
+//! sequence, "crashed" (dropped), and restarted in a fresh instance —
+//! which must land on exactly the state of an oracle that never crashed.
+//! Corruption variants seed damage into the on-disk files and require
+//! detection plus graceful degradation, never a panic and never a
+//! silently wrong plan.
 
 mod common;
 
 use proptest::prelude::*;
 
-use reopt_bridge::{durable, AuditMode, DataflowOptimizer, RecoveryPath};
+use reopt_bridge::{durable, DataflowEngine, RecoveryPath, Restart};
+use reopt_catalog::Catalog;
+use reopt_core::fixtures::deltas_for;
+use reopt_core::IncrementalOptimizer;
 use reopt_cost::ParamDelta;
 use reopt_datalog::DataflowError;
-use reopt_expr::LeafId;
+use reopt_expr::{LeafId, QuerySpec};
 
 use common::{
-    assert_sinks_match, build, chain5, chain5_batches, crashed_victim, deltas_for, fresh_dir,
-    query_gen, record_by_record_restart,
+    build, chain5, chain5_batches, crashed_victim, fresh_dir, oracle_after, query_gen,
+    record_by_record_restart, Engine, QueryGen,
 };
+
+/// `check` for both engines.
+macro_rules! for_both_engines {
+    ($check:ident $(, $arg:expr)*) => {{
+        $check::<IncrementalOptimizer>($($arg),*);
+        $check::<DataflowEngine>($($arg),*);
+    }};
+}
+
+/// Flips bit `bit` of the byte `byte_sel` selects in `dir/file`.
+fn flip_bit(dir: &std::path::Path, file: &str, byte_sel: u32, bit: u8) {
+    let path = dir.join(file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = byte_sel as usize % bytes.len();
+    bytes[at] ^= 1 << bit;
+    std::fs::write(&path, &bytes).unwrap();
+}
+
+/// Cuts the last three bytes off the WAL in `dir`: its final record is
+/// torn, the image of a crash mid-append.
+fn tear_wal(dir: &std::path::Path) {
+    let path = dir.join(durable::WAL_FILE);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+}
+
+/// A clean restart from a checkpoint.
+fn restored() -> Restart {
+    Restart {
+        path: RecoveryPath::RestoredFromCheckpoint,
+        errors: Vec::new(),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -27,9 +65,7 @@ proptest! {
     /// victim checkpoints after a random prefix of a random delta
     /// sequence, keeps going (those batches reach only the WAL), and
     /// crashes. Recovery must restore + replay to the exact state of an
-    /// uninterrupted oracle — best cost, extracted plan, and every
-    /// materialized sink with counts — and then resume incrementally in
-    /// lockstep.
+    /// uninterrupted oracle and then resume incrementally in lockstep.
     #[test]
     fn recovered_optimizer_matches_the_uninterrupted_oracle(
         gen in query_gen(5),
@@ -37,49 +73,44 @@ proptest! {
         ckpt_sel in any::<u8>(),
         resume in (any::<u8>(), any::<u8>(), any::<u8>()),
     ) {
-        let (c, q) = build(&gen);
-        let dir = fresh_dir("lockstep");
-        let ckpt_at = ckpt_sel as usize % (seq.len() + 1);
-
-        let mut oracle = DataflowOptimizer::new(&c, q.clone());
-        oracle.set_audit_mode(AuditMode::Off);
-        oracle.optimize();
-
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
-        victim.set_audit_mode(AuditMode::Off);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        for (i, &raw) in seq.iter().enumerate() {
-            if i == ckpt_at {
+        fn check<E: Engine>(
+            gen: &QueryGen,
+            seq: &[(u8, u8, u8)],
+            ckpt_sel: u8,
+            resume: (u8, u8, u8),
+        ) {
+            let (c, q) = build(gen);
+            let dir = fresh_dir("lockstep");
+            let ckpt_at = ckpt_sel as usize % (seq.len() + 1);
+            let mut oracle = oracle_after::<E>(&c, &q, &[]);
+            let mut victim = E::fresh(&c, &q);
+            victim.set_durable_dir(&dir).unwrap();
+            victim.optimize();
+            for (i, &raw) in seq.iter().enumerate() {
+                if i == ckpt_at {
+                    victim.checkpoint_durable().unwrap();
+                }
+                let deltas = deltas_for(&q, &[raw], false);
+                oracle.reoptimize(&deltas);
+                victim.reoptimize(&deltas);
+            }
+            if ckpt_at == seq.len() {
                 victim.checkpoint_durable().unwrap();
             }
-            let deltas = deltas_for(&q, raw);
+            drop(victim); // the crash
+
+            let (mut rec, restart) = E::restart(&c, &q, &dir);
+            prop_assert_eq!(restart, restored());
+            E::assert_same(&rec, &oracle, "after recovery");
+
+            // Recovery is not a dead end: the next epoch stays in lockstep.
+            let deltas = deltas_for(&q, &[resume], false);
+            rec.reoptimize(&deltas);
             oracle.reoptimize(&deltas);
-            victim.reoptimize(&deltas);
+            E::assert_same(&rec, &oracle, "after post-recovery epoch");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        if ckpt_at == seq.len() {
-            victim.checkpoint_durable().unwrap();
-        }
-        drop(victim); // the crash
-
-        let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-        rec.set_audit_mode(AuditMode::Off);
-        prop_assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-        prop_assert!(out.recovery.errors.is_empty(),
-            "unexpected recovery errors: {:?}", out.recovery.errors);
-        prop_assert!(out.cost.approx_eq(oracle.best_cost()),
-            "recovered cost {:?} vs oracle {:?}", out.cost, oracle.best_cost());
-        prop_assert_eq!(&out.plan, &oracle.best_plan(), "recovered BestPlan diverged");
-        assert_sinks_match(&rec, &oracle, "after recovery");
-
-        // Recovery is not a dead end: the next epoch stays in lockstep.
-        let deltas = deltas_for(&q, resume);
-        let got = rec.reoptimize(&deltas);
-        let want = oracle.reoptimize(&deltas);
-        prop_assert!(got.cost.approx_eq(want.cost),
-            "post-recovery epoch: {:?} vs oracle {:?}", got.cost, want.cost);
-        assert_sinks_match(&rec, &oracle, "after post-recovery epoch");
-        let _ = std::fs::remove_dir_all(&dir);
+        for_both_engines!(check, &gen, &seq, ckpt_sel, resume);
     }
 }
 
@@ -97,47 +128,28 @@ proptest! {
         byte_sel in any::<u32>(),
         bit in 0u8..8,
     ) {
-        let (c, q) = build(&gen);
-        let dir = fresh_dir("flip");
+        fn check<E: Engine>(gen: &QueryGen, seq: &[(u8, u8, u8)], byte_sel: u32, bit: u8) {
+            let (c, q) = build(gen);
+            let batches: Vec<_> = seq.iter().map(|&raw| deltas_for(&q, &[raw], false)).collect();
+            let dir = crashed_victim::<E>(&c, &q, "flip", &batches, &[]);
+            flip_bit(&dir, durable::CHECKPOINT_FILE, byte_sel, bit);
 
-        let mut oracle = DataflowOptimizer::new(&c, q.clone());
-        oracle.set_audit_mode(AuditMode::Off);
-        oracle.optimize();
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
-        victim.set_audit_mode(AuditMode::Off);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        for &raw in &seq {
-            let deltas = deltas_for(&q, raw);
-            oracle.reoptimize(&deltas);
-            victim.reoptimize(&deltas);
+            let (rec, restart) = E::restart(&c, &q, &dir);
+            prop_assert_eq!(
+                restart.path, RecoveryPath::RebuiltAfterCorruptCheckpoint,
+                "{}: flip of bit {} of byte {} went undetected", E::NAME, bit, byte_sel
+            );
+            prop_assert!(!restart.errors.is_empty(), "degradation must be reported");
+            E::assert_same(&rec, &oracle_after(&c, &q, &batches), "after degraded rebuild");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        victim.checkpoint_durable().unwrap();
-        drop(victim);
-
-        let path = dir.join("checkpoint.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = byte_sel as usize % bytes.len();
-        bytes[at] ^= 1 << bit;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-        prop_assert_eq!(
-            out.recovery.path, RecoveryPath::RebuiltAfterCorruptCheckpoint,
-            "flip of bit {} at byte {}/{} went undetected", bit, at, bytes.len()
-        );
-        prop_assert!(!out.recovery.errors.is_empty(), "degradation must be reported");
-        prop_assert!(out.cost.approx_eq(oracle.best_cost()),
-            "rebuilt cost {:?} vs oracle {:?}", out.cost, oracle.best_cost());
-        assert_sinks_match(&rec, &oracle, "after degraded rebuild");
-        let _ = std::fs::remove_dir_all(&dir);
+        for_both_engines!(check, &gen, &seq, byte_sel, bit);
     }
 
     /// Damage to the WAL must also never panic and never yield an
-    /// inconsistent optimizer: whatever ladder rung recovery lands on,
-    /// the full audit (from-scratch recompute + the pruning authority's
-    /// invariants on the recovered parameters) must pass. Acknowledged batches past
-    /// the damage may be lost — that loss is *reported*, not silent.
+    /// inconsistent engine: whatever ladder rung recovery lands on, the
+    /// engine's full audit must pass. Acknowledged batches past the
+    /// damage may be lost — that loss is *reported*, not silent.
     #[test]
     fn flipped_wal_bits_recover_to_a_consistent_state(
         gen in query_gen(4),
@@ -146,55 +158,50 @@ proptest! {
         bit in 0u8..8,
         with_checkpoint in any::<bool>(),
     ) {
-        let (c, q) = build(&gen);
-        let dir = fresh_dir("walflip");
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
-        victim.set_audit_mode(AuditMode::Off);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        if with_checkpoint {
-            victim.checkpoint_durable().unwrap();
-        }
-        for &raw in &seq {
-            victim.reoptimize(&deltas_for(&q, raw));
-        }
-        drop(victim);
+        fn check<E: Engine>(
+            gen: &QueryGen,
+            seq: &[(u8, u8, u8)],
+            byte_sel: u32,
+            bit: u8,
+            with_checkpoint: bool,
+        ) {
+            let (c, q) = build(gen);
+            let dir = fresh_dir("walflip");
+            let mut victim = E::fresh(&c, &q);
+            victim.set_durable_dir(&dir).unwrap();
+            victim.optimize();
+            if with_checkpoint {
+                victim.checkpoint_durable().unwrap();
+            }
+            for &raw in seq {
+                victim.reoptimize(&deltas_for(&q, &[raw], false));
+            }
+            drop(victim);
+            flip_bit(&dir, durable::WAL_FILE, byte_sel, bit);
 
-        let path = dir.join("wal.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = byte_sel as usize % bytes.len();
-        bytes[at] ^= 1 << bit;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-        prop_assert_ne!(out.recovery.path, RecoveryPath::Committed,
-            "damaged history cannot look like a clean first boot");
-        prop_assert!(rec.audit().is_ok(),
-            "recovered state failed the full audit after WAL damage at byte {at}");
-        let _ = std::fs::remove_dir_all(&dir);
+            let (mut rec, restart) = E::restart(&c, &q, &dir);
+            prop_assert_ne!(restart.path, RecoveryPath::Committed,
+                "damaged history cannot look like a clean first boot");
+            let audit = E::audit(&mut rec);
+            let name = E::NAME;
+            prop_assert!(audit.is_ok(), "{name}: WAL damage at byte {byte_sel}: {audit:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        for_both_engines!(check, &gen, &seq, byte_sel, bit, with_checkpoint);
     }
-}
-
-fn flip_checkpoint_bit(dir: &std::path::Path, byte_sel: u32, bit: u8) {
-    let path = dir.join("checkpoint.bin");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let at = byte_sel as usize % bytes.len();
-    bytes[at] ^= 1 << bit;
-    std::fs::write(&path, &bytes).unwrap();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// `recover` loads the net effect of the checkpoint's log and the
+    /// A restart loads the net effect of the checkpoint's log and the
     /// WAL tail — the last write per parameter — and optimizes once;
     /// replaying the tail one `reoptimize` per record (kept in `common`)
     /// is the reference. Random checkpoint position, a tail of 0–40
     /// records that keep hitting the same few parameters, an optional
     /// torn last record, and an optionally corrupted checkpoint (the
-    /// degraded rung loads the whole WAL): both must agree on every
-    /// sink with counts, the best cost and plan, the applied log and
-    /// `epochs_seen`.
+    /// degraded rung loads the whole WAL): both must agree on the
+    /// engine's state, the applied log and `epochs_seen`.
     #[test]
     fn folded_replay_equals_record_by_record_replay(
         gen in query_gen(5),
@@ -207,126 +214,114 @@ proptest! {
         byte_sel in any::<u32>(),
         bit in 0u8..8,
     ) {
-        let (c, q) = build(&gen);
-        let records = |raw: &[Vec<(u8, u8, u8)>]| -> Vec<Vec<ParamDelta>> {
-            raw.iter()
-                .map(|r| r.iter().flat_map(|&d| deltas_for(&q, d)).collect())
-                .collect()
-        };
-        let (before, tail) = (records(&before), records(&tail));
-        let dir = crashed_victim(&c, &q, "fold", &before, &tail);
-        let mut intact = tail.as_slice();
-        if torn && !tail.is_empty() {
-            // Tear the final record: it was never acknowledged durable.
-            let path = dir.join("wal.bin");
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-            intact = &tail[..tail.len() - 1];
-        }
-        if corrupt {
-            flip_checkpoint_bit(&dir, byte_sel, bit);
-        }
+        #[allow(clippy::too_many_arguments)]
+        fn check<E: Engine>(
+            gen: &QueryGen,
+            before: &[Vec<(u8, u8, u8)>],
+            tail: &[Vec<(u8, u8, u8)>],
+            torn: bool,
+            corrupt: bool,
+            byte_sel: u32,
+            bit: u8,
+        ) {
+            let (c, q) = build(gen);
+            let records = |raw: &[Vec<(u8, u8, u8)>]| -> Vec<Vec<ParamDelta>> {
+                raw.iter().map(|r| deltas_for(&q, r, false)).collect()
+            };
+            let (before, tail) = (records(before), records(tail));
+            let dir = crashed_victim::<E>(&c, &q, "fold", &before, &tail);
+            let mut intact = tail.as_slice();
+            if torn && !tail.is_empty() {
+                // The torn final record was never acknowledged durable.
+                tear_wal(&dir);
+                intact = &tail[..tail.len() - 1];
+            }
+            if corrupt {
+                flip_bit(&dir, durable::CHECKPOINT_FILE, byte_sel, bit);
+            }
 
-        let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-        let want = record_by_record_restart(&c, &q, &before, intact, !corrupt);
-        let path = if corrupt {
-            RecoveryPath::RebuiltAfterCorruptCheckpoint
-        } else {
-            RecoveryPath::RestoredFromCheckpoint
-        };
-        prop_assert_eq!(out.recovery.path, path);
-        prop_assert_eq!(out.cost, want.best_cost(), "best cost diverged");
-        prop_assert_eq!(&out.plan, &want.best_plan(), "best plan diverged");
-        assert_sinks_match(&rec, &want, "folded vs record-by-record");
-        prop_assert_eq!(rec.applied_log(), want.applied_log(), "applied log diverged");
-        prop_assert_eq!(rec.epochs_seen(), want.epochs_seen(), "epochs_seen diverged");
-        let _ = std::fs::remove_dir_all(&dir);
+            let (rec, restart) = E::restart(&c, &q, &dir);
+            let want = record_by_record_restart::<E>(&c, &q, &before, intact, !corrupt);
+            let path = if corrupt {
+                RecoveryPath::RebuiltAfterCorruptCheckpoint
+            } else {
+                RecoveryPath::RestoredFromCheckpoint
+            };
+            prop_assert_eq!(restart.path, path);
+            E::assert_same(&rec, &want, "folded vs record-by-record");
+            prop_assert_eq!(rec.applied_log(), want.applied_log(), "applied log diverged");
+            prop_assert_eq!(rec.epochs_seen(), want.epochs_seen(), "epochs_seen diverged");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        for_both_engines!(check, &gen, &before, &tail, torn, corrupt, byte_sel, bit);
     }
 }
 
 /// The acceptance scenario, pinned deterministically: warm a chain-5
-/// optimizer through several epochs, checkpoint mid-sequence, keep
-/// going, crash, recover — byte-identical `BestPlan` and sink multisets
-/// versus the uninterrupted run, then lockstep resume.
+/// engine through several epochs, checkpoint mid-sequence, keep going,
+/// crash, recover — exactly the uninterrupted run's state, then
+/// lockstep resume.
 #[test]
 fn chain5_restart_resumes_from_checkpoint_and_wal_tail() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("chain5");
-    let batches = chain5_batches(&q);
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = crashed_victim::<E>(&c, &q, "chain5", &batches[..2], &batches[2..]);
+        let mut oracle = oracle_after::<E>(&c, &q, &batches);
 
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    for (i, batch) in batches.iter().enumerate() {
-        oracle.reoptimize(batch);
-        victim.reoptimize(batch);
-        if i == 1 {
-            victim.checkpoint_durable().unwrap();
-        }
+        let (mut rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart, restored(), "{}", E::NAME);
+        E::assert_same(&rec, &oracle, "after chain5 recovery");
+
+        let extra = deltas_for(&q, &[(1, 0, 6)], false);
+        rec.reoptimize(&extra);
+        oracle.reoptimize(&extra);
+        E::assert_same(&rec, &oracle, "after chain5 resume");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(victim);
-
-    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    rec.set_audit_mode(AuditMode::Off);
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after chain5 recovery");
-
-    let extra = deltas_for(&q, (1, 0, 6));
-    let got = rec.reoptimize(&extra);
-    let want = oracle.reoptimize(&extra);
-    assert!(got.cost.approx_eq(want.cost));
-    assert_sinks_match(&rec, &oracle, "after chain5 resume");
-    let _ = std::fs::remove_dir_all(&dir);
+    for_both_engines!(check);
 }
 
 /// An empty durable directory is a plain first boot, not a recovery.
 #[test]
 fn recover_on_an_empty_dir_is_a_plain_first_boot() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("boot");
-    let (_rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::Committed);
-    assert!(out.recovery.errors.is_empty());
-    let mut fresh = DataflowOptimizer::new(&c, q);
-    let want = fresh.optimize();
-    assert!(out.cost.approx_eq(want.cost));
-    let _ = std::fs::remove_dir_all(&dir);
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let dir = fresh_dir("boot");
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        let boot = Restart {
+            path: RecoveryPath::Committed,
+            errors: Vec::new(),
+        };
+        assert_eq!(restart, boot, "{}", E::NAME);
+        E::assert_same(&rec, &oracle_after(&c, &q, &[]), "first boot");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
 }
 
 /// Crashing before the first checkpoint still loses nothing: the WAL
 /// alone replays every acknowledged batch onto a from-scratch build.
 #[test]
 fn crash_before_any_checkpoint_replays_the_whole_wal() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("nockpt");
-    let batches = chain5_batches(&q);
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let dir = fresh_dir("nockpt");
+        let batches = chain5_batches(&q);
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        for batch in &batches {
+            victim.reoptimize(batch);
+        }
+        drop(victim);
 
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    for batch in &batches {
-        oracle.reoptimize(batch);
-        victim.reoptimize(batch);
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        E::assert_same(&rec, &oracle_after(&c, &q, &batches), "after WAL-only recovery");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(victim);
-
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "after WAL-only recovery");
-    let _ = std::fs::remove_dir_all(&dir);
+    for_both_engines!(check);
 }
 
 /// A torn WAL tail — the image of a crash mid-append — is truncated
@@ -334,143 +329,109 @@ fn crash_before_any_checkpoint_replays_the_whole_wal() {
 /// appends continue cleanly from the cut.
 #[test]
 fn torn_wal_tail_is_discarded_and_the_log_heals() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("torn");
-    let batches = chain5_batches(&q);
-
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    for (i, batch) in batches.iter().enumerate() {
-        victim.reoptimize(batch);
-        if i + 1 < batches.len() {
-            // The last batch is the one that will be torn away.
-            oracle.reoptimize(batch);
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let dir = fresh_dir("torn");
+        let batches = chain5_batches(&q);
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        for batch in &batches {
+            victim.reoptimize(batch);
         }
+        drop(victim);
+        tear_wal(&dir);
+
+        // The last batch is the one torn away.
+        let mut oracle = oracle_after::<E>(&c, &q, &batches[..batches.len() - 1]);
+        let (mut rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        E::assert_same(&rec, &oracle, "after torn-tail recovery");
+
+        // The healed log accepts new appends and a later recovery sees them.
+        let extra = deltas_for(&q, &[(2, 4, 0)], false);
+        rec.reoptimize(&extra);
+        oracle.reoptimize(&extra);
+        drop(rec);
+        let (rec2, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        E::assert_same(&rec2, &oracle, "after healed-log recovery");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(victim);
-
-    // Tear the final record: chop a few bytes off the WAL.
-    let path = dir.join("wal.bin");
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-
-    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    rec.set_audit_mode(AuditMode::Off);
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_sinks_match(&rec, &oracle, "after torn-tail recovery");
-
-    // The healed log accepts new appends and a later recovery sees them.
-    let extra = deltas_for(&q, (2, 4, 0));
-    rec.reoptimize(&extra);
-    oracle.reoptimize(&extra);
-    drop(rec);
-    let (rec2, out2) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out2.recovery.path, RecoveryPath::RebuiltFromScratch);
-    assert_sinks_match(&rec2, &oracle, "after healed-log recovery");
-    let _ = std::fs::remove_dir_all(&dir);
+    for_both_engines!(check);
 }
 
 /// Crash between "write `checkpoint.tmp`" and "rename over
 /// `checkpoint.bin`": the stranded staging file must be swept on every
 /// startup path, never read as state. Three crash points are staged —
 /// a torn tmp next to a good checkpoint, a torn tmp with no checkpoint
-/// at all (crash during the very first snapshot), and re-arming a live
-/// directory — and in each the recovered optimizer matches the oracle
+/// at all (crash during the very first snapshot), and arming a fresh
+/// directory — and in each the recovered engine matches the oracle
 /// while the orphan is gone from disk.
 #[test]
 fn stale_checkpoint_tmp_files_are_swept_on_startup() {
-    let (c, q) = chain5();
-    let batches = chain5_batches(&q);
-    let tmp_name = "checkpoint.tmp"; // what write_atomic stages
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let tmp_name = "checkpoint.tmp"; // what write_atomic stages
+        let oracle = oracle_after::<E>(&c, &q, &batches);
 
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    for batch in &batches {
-        oracle.reoptimize(batch);
-    }
+        // Crash point A: a later checkpoint died after staging its tmp
+        // but before the rename — the old checkpoint.bin is still the
+        // truth.
+        let dir = crashed_victim::<E>(&c, &q, "tmp-sweep-a", &batches[..2], &batches[2..]);
+        std::fs::write(dir.join(tmp_name), b"torn half-written snapshot").unwrap();
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{}", E::NAME);
+        E::assert_same(&rec, &oracle, "recovery next to a torn tmp");
+        assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived the restart");
+        let _ = std::fs::remove_dir_all(&dir);
 
-    // Crash point A: a later checkpoint died after staging its tmp but
-    // before the rename — the old checkpoint.bin is still the truth.
-    let dir = fresh_dir("tmp-sweep-a");
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    for (i, batch) in batches.iter().enumerate() {
-        victim.reoptimize(batch);
-        if i == 1 {
-            victim.checkpoint_durable().unwrap();
+        // Crash point B: the very first checkpoint never completed —
+        // only the WAL and the stranded tmp exist. Recovery replays the
+        // WAL and must not mistake the tmp for a checkpoint, even when
+        // the orphan would parse (a twin's full checkpoint): the rename
+        // is what commits a checkpoint.
+        let dir = fresh_dir("tmp-sweep-b");
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        for batch in &batches {
+            victim.reoptimize(batch);
         }
-    }
-    drop(victim);
-    std::fs::write(dir.join(tmp_name), b"torn half-written snapshot").unwrap();
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_sinks_match(&rec, &oracle, "recovery next to a torn tmp");
-    assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived recover()");
-    let _ = std::fs::remove_dir_all(&dir);
+        drop(victim);
+        let scratch = crashed_victim::<E>(&c, &q, "tmp-sweep-b-scratch", &batches, &[]);
+        std::fs::copy(scratch.join(durable::CHECKPOINT_FILE), dir.join(tmp_name)).unwrap();
+        let _ = std::fs::remove_dir_all(&scratch);
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        E::assert_same(&rec, &oracle, "WAL-only recovery next to a full tmp");
+        assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived the restart");
+        let _ = std::fs::remove_dir_all(&dir);
 
-    // Crash point B: the very first checkpoint never completed — only
-    // the WAL and the stranded tmp exist. Recovery replays the WAL and
-    // must not mistake the tmp for a checkpoint.
-    let dir = fresh_dir("tmp-sweep-b");
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    for batch in &batches {
-        victim.reoptimize(batch);
+        // Crash point C: arming durability on a directory holding an
+        // orphan (the process died before ever reading it back) sweeps
+        // it too — the sweep is a startup invariant, not a restart
+        // detail.
+        let dir = fresh_dir("tmp-sweep-c");
+        std::fs::write(dir.join(tmp_name), b"stray").unwrap();
+        let mut fresh = E::fresh(&c, &q);
+        fresh.set_durable_dir(&dir).unwrap();
+        assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived set_durable_dir()");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(victim);
-    // Stage a *valid* snapshot under the tmp name (cut by a twin in a
-    // scratch dir) — sweeping must win even when the orphan would
-    // parse, because the rename is what commits a checkpoint.
-    let scratch = fresh_dir("tmp-sweep-b-scratch");
-    let mut twin = DataflowOptimizer::new(&c, q.clone());
-    twin.set_audit_mode(AuditMode::Off);
-    twin.set_durable_dir(&scratch).unwrap();
-    twin.optimize();
-    for batch in &batches {
-        twin.reoptimize(batch);
-    }
-    twin.checkpoint_durable().unwrap();
-    drop(twin);
-    std::fs::copy(scratch.join("checkpoint.bin"), dir.join(tmp_name)).unwrap();
-    let _ = std::fs::remove_dir_all(&scratch);
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_sinks_match(&rec, &oracle, "WAL-only recovery next to a full tmp");
-    assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived recover()");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Crash point C: arming durability on a directory holding an
-    // orphan (the process died before ever reading it back) sweeps it
-    // too — the sweep is a startup invariant, not a recover() detail.
-    let dir = fresh_dir("tmp-sweep-c");
-    std::fs::write(dir.join(tmp_name), b"stray").unwrap();
-    let mut fresh = DataflowOptimizer::new(&c, q.clone());
-    fresh.set_durable_dir(&dir).unwrap();
-    assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived set_durable_dir()");
-    let _ = std::fs::remove_dir_all(&dir);
+    for_both_engines!(check);
 }
 
 /// Cross-process restart: a child process (fresh interner) warms and
-/// checkpoints a durable optimizer, then exits; the parent — whose
+/// checkpoints a durable engine, then exits; the parent — whose
 /// interner is deliberately shifted by decoy strings — recovers from
 /// the same directory. Nothing on disk names an interned symbol — the
-/// files hold parameters — so the recovered sinks are the oracle's.
+/// files hold parameters — so the recovered state is the oracle's.
 #[test]
 fn durable_state_survives_a_process_boundary() {
-    across_a_process_boundary("durable_state_survives_a_process_boundary", false);
+    let test = "durable_state_survives_a_process_boundary";
+    for_both_engines!(across_a_process_boundary, test, false);
 }
 
 /// The same child, killed by `abort()` the moment its last `reoptimize`
@@ -478,21 +439,25 @@ fn durable_state_survives_a_process_boundary() {
 /// `reoptimize` is an acknowledged batch, so recovery replays it.
 #[test]
 fn an_acknowledged_batch_survives_an_abort() {
-    across_a_process_boundary("an_acknowledged_batch_survives_an_abort", true);
+    let test = "an_acknowledged_batch_survives_an_abort";
+    for_both_engines!(across_a_process_boundary, test, true);
 }
 
-/// The two tests above: `test` re-runs itself as the child, which
-/// applies `chain5_batches` (checkpointing after the third) and then
-/// exits — or aborts, with `abort`.
-fn across_a_process_boundary(test: &str, abort: bool) {
-    const ENV: &str = "REOPT_BRIDGE_CRASH_DIR";
+/// The two tests above: `test` re-runs itself as the child, which runs
+/// engine `E` through `chain5_batches` (checkpointing after the third)
+/// and then exits — or aborts, with `abort`.
+fn across_a_process_boundary<E: Engine>(test: &str, abort: bool) {
+    const DIR: &str = "REOPT_BRIDGE_CRASH_DIR";
+    const ENGINE: &str = "REOPT_BRIDGE_CRASH_ENGINE";
     let (c, q) = chain5();
     let batches = chain5_batches(&q);
 
-    if let Ok(dir) = std::env::var(ENV) {
+    if let Ok(dir) = std::env::var(DIR) {
+        if std::env::var(ENGINE).as_deref() != Ok(E::NAME) {
+            return; // the child of the other engine's run
+        }
         // Child: warm, checkpoint mid-sequence, log the rest, "crash".
-        let mut victim = DataflowOptimizer::new(&c, q.clone());
-        victim.set_audit_mode(AuditMode::Off);
+        let mut victim = E::fresh(&c, &q);
         victim.set_durable_dir(&dir).unwrap();
         victim.optimize();
         for (i, batch) in batches.iter().enumerate() {
@@ -517,30 +482,20 @@ fn across_a_process_boundary(test: &str, abort: bool) {
     let exe = std::env::current_exe().unwrap();
     let status = std::process::Command::new(exe)
         .args(["--exact", test])
-        .env(ENV, &dir)
+        .env(DIR, &dir)
+        .env(ENGINE, E::NAME)
         .status()
         .unwrap();
     if abort {
         // Killed by the signal, not failed before reaching it.
-        assert_eq!(status.code(), None, "the child did not abort: {status}");
+        assert_eq!(status.code(), None, "{}: the child did not abort: {status}", E::NAME);
     } else {
-        assert!(status.success(), "child process failed");
+        assert!(status.success(), "{}: child process failed", E::NAME);
     }
 
-    let mut oracle = DataflowOptimizer::new(&c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    for batch in &batches {
-        oracle.reoptimize(batch);
-    }
-
-    let (mut rec, out) = DataflowOptimizer::recover(&c, q, &dir).unwrap();
-    rec.set_audit_mode(AuditMode::Off);
-    assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
-    assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, &oracle, "across the process boundary");
+    let (rec, restart) = E::restart(&c, &q, &dir);
+    assert_eq!(restart, restored(), "{}", E::NAME);
+    E::assert_same(&rec, &oracle_after(&c, &q, &batches), "across the process boundary");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -550,24 +505,24 @@ fn across_a_process_boundary(test: &str, abort: bool) {
 /// property found this through a damaged length field.)
 #[test]
 fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
-    let (c, q) = chain5();
-    let dir = fresh_dir("torn-only");
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
-    victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
-    victim.reoptimize(&chain5_batches(&q)[0]);
-    drop(victim);
-    let path = dir.join("wal.bin");
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let dir = fresh_dir("torn-only");
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        victim.reoptimize(&chain5_batches(&q)[0]);
+        drop(victim);
+        tear_wal(&dir);
 
-    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
-    let mut fresh = DataflowOptimizer::new(&c, q);
-    assert!(out.cost.approx_eq(fresh.optimize().cost));
-    rec.audit().expect("the torn batch, never acknowledged, is not replayed");
-    let _ = std::fs::remove_dir_all(&dir);
+        let (mut rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        // The torn batch, never acknowledged, is not replayed.
+        E::assert_same(&rec, &oracle_after(&c, &q, &[]), "after a torn-only WAL");
+        E::audit(&mut rec).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
 }
 
 /// A failed fsync must not leave its record in the log. The batch is
@@ -578,85 +533,208 @@ fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
 /// open see a sequence gap and replace the whole log by an empty one.)
 #[test]
 fn a_failed_fsync_is_cut_back_off_the_log() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let dir = fresh_dir("fsync-fault");
+        let batches = chain5_batches(&q);
+        let failed = 1;
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        victim.inject_wal_fault(durable::WalFault {
+            record: failed as u64,
+            truncate_too: false,
+        });
+        let mut acked = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            victim.reoptimize(batch);
+            let error = &victim.last_wal().error;
+            if i == failed {
+                assert!(
+                    matches!(error, Some(DataflowError::StateCorruption(m))
+                        if m.contains("in-memory for this batch")),
+                    "{}: {error:?}",
+                    E::NAME
+                );
+            } else {
+                assert_eq!(error, &None, "{}", E::NAME);
+                acked.push(batch.clone());
+            }
+        }
+        drop(victim); // the crash
+
+        let wal = durable::open_dir(&dir).unwrap();
+        assert_eq!((&wal.batches, wal.torn, &wal.error), (&acked, false, &None));
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        let rebuilt = Restart {
+            path: RecoveryPath::RebuiltFromScratch,
+            errors: Vec::new(),
+        };
+        assert_eq!(restart, rebuilt, "{}", E::NAME);
+        E::assert_same(&rec, &oracle_after(&c, &q, &acked), "after a failed fsync and a crash");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+    // The declarative engine's outcome carries the failure too, where
+    // its recovery report counts it as unclean.
     let (c, q) = chain5();
-    let dir = fresh_dir("fsync-fault");
-    let batches = chain5_batches(&q);
-    let failed = 1;
-    let mut victim = DataflowOptimizer::new(&c, q.clone());
-    victim.set_audit_mode(AuditMode::Off);
+    let dir = fresh_dir("fsync-fault-outcome");
+    let mut victim = DataflowEngine::fresh(&c, &q);
     victim.set_durable_dir(&dir).unwrap();
-    victim.optimize();
     victim.inject_wal_fault(durable::WalFault {
-        record: failed as u64,
+        record: 0,
         truncate_too: false,
     });
-    let mut acked = Vec::new();
-    for (i, batch) in batches.iter().enumerate() {
-        let errors = victim.reoptimize(batch).recovery.errors;
-        if i == failed {
-            assert!(
-                matches!(errors.as_slice(),
-                    [DataflowError::StateCorruption(m)] if m.contains("in-memory for this batch")),
-                "{errors:?}"
-            );
-        } else {
-            assert!(errors.is_empty(), "{errors:?}");
-            acked.push(batch.clone());
-        }
-    }
-    drop(victim); // the crash
-
-    let wal = durable::open_dir(&dir).unwrap();
-    assert_eq!((&wal.batches, wal.torn, &wal.error), (&acked, false, &None));
-    let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
-    assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
-    let oracle = oracle_after(&c, &q, &acked);
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_sinks_match(&rec, &oracle, "after a failed fsync and a crash");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-
-/// An oracle that applied `batches` and never crashed.
-fn oracle_after(
-    c: &reopt_catalog::Catalog,
-    q: &reopt_expr::QuerySpec,
-    batches: &[Vec<ParamDelta>],
-) -> DataflowOptimizer {
-    let mut oracle = DataflowOptimizer::new(c, q.clone());
-    oracle.set_audit_mode(AuditMode::Off);
-    oracle.optimize();
-    for batch in batches {
-        oracle.reoptimize(batch);
-    }
-    oracle
-}
-
-/// Recovers `dir`, which must degrade to
-/// [`RecoveryPath::RebuiltAfterCorruptCheckpoint`] reporting an error
-/// that mentions `why`, and still land on `oracle` — the whole WAL was
-/// replayed, not only the records past the refused checkpoint.
-fn assert_degrades_to_the_whole_wal(
-    c: &reopt_catalog::Catalog,
-    q: &reopt_expr::QuerySpec,
-    dir: &std::path::Path,
-    oracle: &DataflowOptimizer,
-    why: &str,
-) {
-    let (rec, out) = DataflowOptimizer::recover(c, q.clone(), dir).unwrap();
-    assert_eq!(out.recovery.path, RecoveryPath::RebuiltAfterCorruptCheckpoint);
+    let out = victim.reoptimize(&chain5_batches(&q)[0]);
     assert!(
-        matches!(
-            out.recovery.errors.as_slice(),
-            [DataflowError::StateCorruption(m)] if m.contains(why)
-        ),
+        matches!(out.recovery.errors.as_slice(),
+            [DataflowError::StateCorruption(m)] if m.contains("in-memory for this batch")),
         "{:?}",
         out.recovery.errors
     );
-    assert!(out.cost.approx_eq(oracle.best_cost()));
-    assert_eq!(out.plan, oracle.best_plan());
-    assert_sinks_match(&rec, oracle, why);
+    drop(victim);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Arming adopts a directory's history only if it is the engine's. An
+/// engine that crashed after two batches leaves a directory a fresh
+/// engine must not arm: its next batch would be logged behind history
+/// it never held, and a restart would rebuild a state it never held
+/// (the live cost 276 227.0 against a restart's 88 827.3 on the
+/// declarative engine, with no error reported). Refused with
+/// `InvalidInput`, the engine stays unarmed and the directory
+/// untouched; the engine restarted from it arms it again.
+#[test]
+fn arming_a_directory_another_engine_wrote_is_refused() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = fresh_dir("foreign-history");
+        let mut a = E::fresh(&c, &q);
+        a.set_durable_dir(&dir).unwrap();
+        a.optimize();
+        a.reoptimize(&batches[0]);
+        a.reoptimize(&batches[1]);
+        drop(a); // the crash
+        let wal = std::fs::read(dir.join(durable::WAL_FILE)).unwrap();
+
+        let mut b = E::fresh(&c, &q);
+        let err = b.set_durable_dir(&dir).expect_err("a history that is not the engine's");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{}", E::NAME);
+        assert!(b.durable_dir().is_none(), "{}", E::NAME);
+        b.reoptimize(&batches[2]);
+        assert_eq!(std::fs::read(dir.join(durable::WAL_FILE)).unwrap(), wal);
+
+        let (mut rec, _) = E::restart(&c, &q, &dir);
+        rec.set_durable_dir(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// The other way round: an engine that applied a batch in memory must
+/// not arm a fresh directory, which a restart would answer with the
+/// base estimates (88 408.3 against the live 88 527.3 after the next
+/// batch, on the declarative engine). Writing the parameter back to its
+/// base value makes the engine's parameters the fresh directory's
+/// again, and arming succeeds.
+#[test]
+fn arming_an_engine_that_applied_batches_in_memory_is_refused() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = fresh_dir("in-memory-history");
+        let mut opt = E::fresh(&c, &q);
+        opt.optimize();
+        opt.reoptimize(&batches[0]);
+        let err = opt.set_durable_dir(&dir).expect_err("parameters no file holds");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{}", E::NAME);
+        assert!(opt.durable_dir().is_none(), "{}", E::NAME);
+
+        let reset: Vec<ParamDelta> = batches[0].iter().map(|d| at_base(*d)).collect();
+        opt.reoptimize(&reset);
+        opt.set_durable_dir(&dir).unwrap();
+        opt.reoptimize(&batches[1]);
+        drop(opt);
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        E::assert_same(&rec, &oracle_after(&c, &q, &batches[1..2]), "armed after a reset");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// `d` writing its parameter's base value.
+fn at_base(d: ParamDelta) -> ParamDelta {
+    match d {
+        ParamDelta::EdgeSelectivity(e, _) => ParamDelta::EdgeSelectivity(e, 1.0),
+        ParamDelta::LeafCardinality(l, _) => ParamDelta::LeafCardinality(l, 1.0),
+        ParamDelta::LeafScanCost(l, _) => ParamDelta::LeafScanCost(l, 1.0),
+    }
+}
+
+/// The files hold parameters only: a directory a durable `hr` wrote
+/// restarts `decl` (through `DataflowOptimizer::recover`) to the
+/// writer's applied log, epoch count (plus the restart's own), cost and
+/// plan, and the other way round.
+#[test]
+fn a_directory_one_engine_wrote_restarts_the_other() {
+    fn check<W: Engine, R: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = fresh_dir("cross-engine");
+        let mut writer = W::fresh(&c, &q);
+        writer.set_durable_dir(&dir).unwrap();
+        writer.optimize();
+        for (i, batch) in batches.iter().enumerate() {
+            writer.reoptimize(batch);
+            if i == 1 {
+                writer.checkpoint_durable().unwrap();
+            }
+        }
+        let (log, epochs) = (writer.applied_log().to_vec(), writer.epochs_seen());
+        let (cost, plan) = W::best(&writer);
+        drop(writer);
+
+        let (rec, restart) = R::restart(&c, &q, &dir);
+        let what = format!("{} wrote, {} restarted", W::NAME, R::NAME);
+        assert_eq!(restart, restored(), "{what}");
+        assert_eq!(rec.applied_log(), log, "{what}");
+        assert_eq!(rec.epochs_seen(), epochs + 1, "{what}");
+        let (got_cost, got_plan) = R::best(&rec);
+        assert!(got_cost.approx_eq(cost), "{what}: {got_cost:?} vs {cost:?}");
+        assert_eq!(got_plan, plan, "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    check::<IncrementalOptimizer, DataflowEngine>();
+    check::<DataflowEngine, IncrementalOptimizer>();
+}
+
+/// Restarts `dir` with engine `E` and checks that it degraded to
+/// [`RecoveryPath::RebuiltAfterCorruptCheckpoint`], reporting one
+/// error that mentions `why`, and still landed on the oracle that
+/// applied `batches` — the whole WAL was replayed, not only the records
+/// past the refused checkpoint.
+fn assert_degrades_to_the_whole_wal<E: Engine>(
+    c: &Catalog,
+    q: &QuerySpec,
+    dir: &std::path::Path,
+    batches: &[Vec<ParamDelta>],
+    why: &str,
+) {
+    let (rec, restart) = E::restart(c, q, dir);
+    assert_eq!(restart.path, RecoveryPath::RebuiltAfterCorruptCheckpoint, "{}", E::NAME);
+    assert!(
+        matches!(
+            restart.errors.as_slice(),
+            [DataflowError::StateCorruption(m)] if m.contains(why)
+        ),
+        "{}: {:?}",
+        E::NAME,
+        restart.errors
+    );
+    let oracle = oracle_after::<E>(c, q, batches);
+    E::assert_same(&rec, &oracle, why);
     assert_eq!(rec.applied_log(), oracle.applied_log());
 }
 
@@ -666,21 +744,23 @@ fn assert_degrades_to_the_whole_wal(
 /// refused by its magic and answered from the whole WAL.
 #[test]
 fn an_old_network_image_degrades_to_an_exact_rebuild() {
-    let (c, q) = chain5();
-    let batches = chain5_batches(&q);
-    let dir = crashed_victim(&c, &q, "old-image", &batches[..2], &batches[2..]);
-    let mut image = b"RCKP".to_vec();
-    image.extend_from_slice(&1u32.to_le_bytes());
-    let records: [&[u8]; 4] = [&[0; 32], &[], &[0; 8], b"RCKP\x01\0\0\0"];
-    for payload in records {
-        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        image.extend_from_slice(&durable::crc32(payload).to_le_bytes());
-        image.extend_from_slice(payload);
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = crashed_victim::<E>(&c, &q, "old-image", &batches[..2], &batches[2..]);
+        let mut image = b"RCKP".to_vec();
+        image.extend_from_slice(&1u32.to_le_bytes());
+        let records: [&[u8]; 4] = [&[0; 32], &[], &[0; 8], b"RCKP\x01\0\0\0"];
+        for payload in records {
+            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            image.extend_from_slice(&durable::crc32(payload).to_le_bytes());
+            image.extend_from_slice(payload);
+        }
+        std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
+        assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, "bad checkpoint magic");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
-    let oracle = oracle_after(&c, &q, &batches);
-    assert_degrades_to_the_whole_wal(&c, &q, &dir, &oracle, "bad checkpoint magic");
-    let _ = std::fs::remove_dir_all(&dir);
+    for_both_engines!(check);
 }
 
 /// A well-formed checkpoint that is not this query's — cut for another
@@ -689,40 +769,49 @@ fn an_old_network_image_degrades_to_an_exact_rebuild() {
 /// parameter refuse it, and the whole WAL answers.
 #[test]
 fn a_checkpoint_of_another_query_is_corruption_not_misrestore() {
-    let (c, q) = chain5();
-    let batches = chain5_batches(&q);
-    let oracle = oracle_after(&c, &q, &batches);
-    let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
-    let stray = [ParamDelta::LeafCardinality(LeafId(leaves), 2.0)];
-    for (image, why) in [
-        (durable::encode_checkpoint(2, 3, leaves + 1, edges, &[]), "leaves"),
-        (durable::encode_checkpoint(2, 3, leaves, edges - 1, &[]), "edges"),
-        (durable::encode_checkpoint(2, 3, leaves, edges, &stray), "outside this query"),
-        // Its own query's, but ahead of the log it claims to cover.
-        (durable::encode_checkpoint(9, 3, leaves, edges, &[]), "beyond the 4 intact WAL records"),
-    ] {
-        let dir = crashed_victim(&c, &q, "other-query", &batches[..2], &batches[2..]);
-        std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
-        assert_degrades_to_the_whole_wal(&c, &q, &dir, &oracle, why);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let stray = [ParamDelta::LeafCardinality(LeafId(leaves), 2.0)];
+        for (image, why) in [
+            (durable::encode_checkpoint(2, 3, leaves + 1, edges, &[]), "leaves"),
+            (durable::encode_checkpoint(2, 3, leaves, edges - 1, &[]), "edges"),
+            (durable::encode_checkpoint(2, 3, leaves, edges, &stray), "outside this query"),
+            // Its own query's, but ahead of the log it claims to cover.
+            (
+                durable::encode_checkpoint(9, 3, leaves, edges, &[]),
+                "beyond the 4 intact WAL records",
+            ),
+        ] {
+            let dir = crashed_victim::<E>(&c, &q, "other-query", &batches[..2], &batches[2..]);
+            std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
+            assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, why);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
+    for_both_engines!(check);
 }
 
-/// The checkpoint file a warmed chain-5 victim cut, and its query shape.
-fn chain5_checkpoint() -> (Vec<u8>, u32, u32) {
+/// The checkpoint file a warmed chain-5 engine `E` cut.
+fn chain5_checkpoint<E: Engine>() -> Vec<u8> {
     let (c, q) = chain5();
-    let dir = crashed_victim(&c, &q, "format", &chain5_batches(&q), &[]);
+    let dir = crashed_victim::<E>(&c, &q, "format", &chain5_batches(&q), &[]);
     let bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    (bytes, q.n_leaves(), q.edges.len() as u32)
+    bytes
 }
 
-/// Every single-bit flip of a checkpoint file — magic, version, frame,
-/// payload — is [`DataflowError::StateCorruption`], exhaustively: never
-/// a panic, never a checkpoint that decodes to something else.
+/// Both engines cut the same checkpoint for the same history, and every
+/// single-bit flip of it — magic, version, frame, payload — is
+/// [`DataflowError::StateCorruption`], exhaustively: never a panic,
+/// never a checkpoint that decodes to something else.
 #[test]
 fn every_bit_flip_in_a_checkpoint_is_detected() {
-    let (bytes, leaves, edges) = chain5_checkpoint();
+    let (_, q) = chain5();
+    let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+    let bytes = chain5_checkpoint::<DataflowEngine>();
+    assert_eq!(chain5_checkpoint::<IncrementalOptimizer>(), bytes);
     let intact = durable::decode_checkpoint(&bytes, leaves, edges).unwrap();
     assert_eq!((intact.watermark, intact.log.len()), (4, 4));
     for bit in 0..bytes.len() * 8 {
@@ -740,7 +829,10 @@ fn every_bit_flip_in_a_checkpoint_is_detected() {
 /// is [`DataflowError::StateCorruption`].
 #[test]
 fn every_truncation_of_a_checkpoint_is_detected() {
-    let (mut bytes, leaves, edges) = chain5_checkpoint();
+    let (_, q) = chain5();
+    let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+    let mut bytes = chain5_checkpoint::<IncrementalOptimizer>();
+    assert_eq!(chain5_checkpoint::<DataflowEngine>(), bytes);
     for cut in 0..bytes.len() {
         let r = durable::decode_checkpoint(&bytes[..cut], leaves, edges);
         assert!(

@@ -1,12 +1,13 @@
-//! The WAL's fsync helper thread belongs to its optimizer: made by the
-//! first durable append, joined when the optimizer drops. A suite of its
-//! own, so no other test's threads come and go while it counts.
+//! The WAL's fsync helper thread belongs to its durable engine: made by
+//! the first durable append, joined when the engine drops. A suite of
+//! its own, so no other test's threads come and go while it counts.
 
 mod common;
 
-use reopt_bridge::{AuditMode, DataflowOptimizer};
+use reopt_bridge::DataflowEngine;
+use reopt_core::IncrementalOptimizer;
 
-use common::{chain5, chain5_batches, fresh_dir};
+use common::{chain5, chain5_batches, fresh_dir, Engine};
 
 #[cfg(target_os = "linux")]
 fn threads() -> usize {
@@ -29,19 +30,24 @@ fn threads_settled_at(want: usize) -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn dropping_durable_optimizers_leaves_no_threads_behind() {
-    let (c, q) = chain5();
-    let batch = &chain5_batches(&q)[0];
-    let dir = fresh_dir("threads");
-    let before = threads();
-    for i in 0..100 {
-        let mut opt = DataflowOptimizer::new(&c, q.clone());
-        opt.set_audit_mode(AuditMode::Off);
-        opt.set_durable_dir(&dir).unwrap();
-        assert_eq!(threads_settled_at(before), before, "arming made a thread");
-        opt.reoptimize(batch);
-        assert_eq!(threads_settled_at(before + 1), before + 1, "optimizer {i}: no helper");
-        drop(opt);
-        assert_eq!(threads_settled_at(before), before, "optimizer {i}: its helper outlived it");
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batch = &chain5_batches(&q)[0];
+        let before = threads();
+        for i in 0..100 {
+            // A directory of its own: each engine's history is its own.
+            let dir = fresh_dir("threads");
+            let mut opt = E::fresh(&c, &q);
+            opt.set_durable_dir(&dir).unwrap();
+            assert_eq!(threads_settled_at(before), before, "{}: arming made a thread", E::NAME);
+            opt.reoptimize(batch);
+            let name = E::NAME;
+            assert_eq!(threads_settled_at(before + 1), before + 1, "{name} {i}: no helper");
+            drop(opt);
+            assert_eq!(threads_settled_at(before), before, "{name} {i}: its helper outlived it");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    check::<IncrementalOptimizer>();
+    check::<DataflowEngine>();
 }

@@ -4,7 +4,8 @@
 //! cycle, since `reopt-workloads` sits above this crate.)
 
 use reopt_catalog::{Catalog, CmpOp, ColumnStats, Datum, TableBuilder, TableStats};
-use reopt_expr::{AggFunc, AggSpec, LeafCol, QuerySpec};
+use reopt_cost::ParamDelta;
+use reopt_expr::{AggFunc, AggSpec, EdgeId, LeafCol, LeafId, QuerySpec};
 
 /// Eight tables `t0..t7` with varied cardinalities; even-numbered tables
 /// are indexed on `a`, `t1` is clustered on `a`.
@@ -113,4 +114,28 @@ pub fn shaped_query(c: &Catalog, shape: &str, n: usize) -> QuerySpec {
         }
     }
     b.build()
+}
+
+/// The parameter updates a property test draws for `q`, one per
+/// `(kind, index, magnitude)`: kind 0 is an edge selectivity (a leaf
+/// scan cost on a query without edges), 1 a leaf cardinality, 2 a leaf
+/// scan cost. The magnitude maps to a factor in 1.0 ..= 8.0 with
+/// `increase_only`, else to a power of two in 0.125 ..= 8.0.
+pub fn deltas_for(q: &QuerySpec, raw: &[(u8, u8, u8)], increase_only: bool) -> Vec<ParamDelta> {
+    raw.iter()
+        .map(|&(kind, idx, mag)| {
+            let factor = if increase_only {
+                1.0 + (mag as f64 % 8.0)
+            } else {
+                2f64.powi((mag as i32 % 7) - 3)
+            };
+            match kind % 3 {
+                0 if !q.edges.is_empty() => {
+                    ParamDelta::EdgeSelectivity(EdgeId(idx as u32 % q.edges.len() as u32), factor)
+                }
+                1 => ParamDelta::LeafCardinality(LeafId(idx as u32 % q.n_leaves()), factor),
+                _ => ParamDelta::LeafScanCost(LeafId(idx as u32 % q.n_leaves()), factor),
+            }
+        })
+        .collect()
 }

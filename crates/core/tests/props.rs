@@ -6,9 +6,10 @@ use proptest::prelude::*;
 
 use reopt_baselines::optimize_system_r;
 use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
+use reopt_core::fixtures::deltas_for;
 use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
-use reopt_expr::{EdgeId, JoinGraph, LeafId, QuerySpec};
+use reopt_expr::{JoinGraph, QuerySpec};
 
 /// Deterministic description of a random query instance.
 #[derive(Clone, Debug)]
@@ -71,29 +72,6 @@ fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
         b.join(&c, leaves[n - 1], "b", leaves[0], "a");
     }
     (c, b.build())
-}
-
-/// One random update: kind 0 = edge selectivity, 1 = leaf cardinality,
-/// 2 = leaf scan cost. `mag` maps to a factor.
-fn deltas_for(q: &QuerySpec, raw: &[(u8, u8, u8)], increase_only: bool) -> Vec<ParamDelta> {
-    raw.iter()
-        .map(|&(kind, idx, mag)| {
-            let factor = if increase_only {
-                // 1.0 .. 8.0
-                1.0 + (mag as f64 % 8.0)
-            } else {
-                // 0.125 .. 8.0 in powers of two
-                2f64.powi((mag as i32 % 7) - 3)
-            };
-            match kind % 3 {
-                0 if !q.edges.is_empty() => {
-                    ParamDelta::EdgeSelectivity(EdgeId(idx as u32 % q.edges.len() as u32), factor)
-                }
-                1 => ParamDelta::LeafCardinality(LeafId(idx as u32 % q.n_leaves()), factor),
-                _ => ParamDelta::LeafScanCost(LeafId(idx as u32 % q.n_leaves()), factor),
-            }
-        })
-        .collect()
 }
 
 fn reference(c: &Catalog, q: &QuerySpec, deltas: &[ParamDelta]) -> reopt_common::Cost {
