@@ -65,7 +65,7 @@ fn const_value(t: &Term) -> Option<Val> {
 
 /// An external function body: receives the values of the atom's input
 /// positions and emits rows of values for its output positions. A pure
-/// function — one fused chain may call the same body re-entrantly.
+/// function: a retraction calls it again to re-derive what to retract.
 pub type ExternalBody = Rc<dyn Fn(&[Val], &mut dyn FnMut(&[Val]))>;
 
 struct ExternalDef {
@@ -100,7 +100,6 @@ pub struct NetworkBuilder {
     /// `(relation, column, strata)` release-order declarations.
     release_orders: Vec<(String, usize, Vec<u32>)>,
     mode: SchedulerMode,
-    fusion: bool,
     share_arrangements: bool,
 }
 
@@ -113,7 +112,6 @@ impl Default for NetworkBuilder {
             sinks: Vec::new(),
             release_orders: Vec::new(),
             mode: SchedulerMode::Batched,
-            fusion: true,
             share_arrangements: true,
         }
     }
@@ -127,17 +125,6 @@ impl NetworkBuilder {
     /// Selects the substrate scheduler (default batched).
     pub fn scheduler_mode(mut self, mode: SchedulerMode) -> NetworkBuilder {
         self.mode = mode;
-        self
-    }
-
-    /// Enables or disables operator-chain fusion (default on; only
-    /// effective under the batched scheduler). The compiler fuses the
-    /// wired network once at [`NetworkBuilder::build`] time, so every
-    /// single-consumer stateless chain a rule body lowers to — scan
-    /// filter → external function → head projection — runs as one
-    /// operator.
-    pub fn fusion(mut self, on: bool) -> NetworkBuilder {
-        self.fusion = on;
         self
     }
 
@@ -397,11 +384,9 @@ impl Binding {
 
 impl Compiler {
     fn new(b: NetworkBuilder) -> Result<Compiler, CompileError> {
-        let mut df = Dataflow::with_mode(b.mode);
-        df.set_fusion(b.fusion);
         Ok(Compiler {
+            df: Dataflow::with_mode(b.mode),
             b,
-            df,
             rels: FxHashMap::default(),
             rel_reads: FxHashSet::default(),
             arrangements: FxHashMap::default(),
@@ -447,10 +432,10 @@ impl Compiler {
             // `sink[BestCost]`: tells the sinks apart.
             self.df.label_suffix_from(self.df.node_count() - 1, &name);
         }
-        // The network is fully wired: fuse single-consumer stateless
-        // chains now so the first run doesn't pay the pass.
-        if self.b.fusion && self.b.mode == SchedulerMode::Batched {
-            self.df.fuse();
+        // The network is fully wired: prove its consolidated ports now
+        // so the first run doesn't pay the pass.
+        if self.b.mode == SchedulerMode::Batched {
+            self.df.prove_consolidated();
         }
         let inputs = self
             .rels
@@ -783,7 +768,7 @@ impl Compiler {
     /// Joins the intermediate with a scanned atom on their shared
     /// variables (an empty share degenerates to a cross join),
     /// projecting away duplicated key columns *and* dead columns inside
-    /// the join (the fused join-then-project output path: one tuple
+    /// the join (the join-then-project output path: one tuple
     /// construction per match instead of a wide concat plus a
     /// projection hop).
     fn compile_join(&mut self, left: Binding, right: Binding, live: &[String]) -> Binding {
@@ -944,7 +929,7 @@ impl Compiler {
         let mut in_scratch: Vec<Val> = Vec::new();
         let mut row_scratch: Vec<Val> = Vec::new();
         let node = self.df.add_op(
-            ExternalFn::on_rows(atom.relation.clone(), move |t, emit| {
+            ExternalFn::new(atom.relation.clone(), move |t, emit| {
                 in_scratch.clear();
                 for i in &ins {
                     in_scratch.push(match i {
@@ -985,7 +970,6 @@ impl Compiler {
                     }
                     emit(Tuple::from_slice(&row_scratch));
                 });
-                Ok(())
             }),
             &[binding.node],
         );
@@ -1047,7 +1031,7 @@ impl Compiler {
         }
         let mut scratch: Vec<Val> = Vec::new();
         Ok(self.df.add_op(
-            Map::on_rows(move |t| {
+            Map::new(move |t| {
                 scratch.clear();
                 for c in &cols {
                     scratch.push(match c {
@@ -1226,12 +1210,6 @@ impl RuleNetwork {
     /// Number of dataflow nodes (diagnostics).
     pub fn node_count(&self) -> usize {
         self.df.node_count()
-    }
-
-    /// Number of operator nodes absorbed into fused chains
-    /// (diagnostics; 0 when fusion is disabled).
-    pub fn fused_node_count(&self) -> usize {
-        self.df.fused_node_count()
     }
 
     /// Per-node lifetime service counters (see
@@ -1541,16 +1519,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_and_fusion_options_preserve_results() {
-        // The same program under {batched+fusion (default), batched,
-        // per-delta} — identical sinks after mixed churn, and the fused
-        // build visibly collapsed chain nodes. B's scan drops a column
-        // in front of `Fn_inc`, so it runs behind a demand set; C's
-        // keeps both, and its two externals still fuse.
-        let build = |mode: SchedulerMode, fusion: bool| {
+    fn scheduler_options_preserve_results() {
+        // The same program under {batched (default), per-delta} —
+        // identical sinks after mixed churn. B's scan drops a column in
+        // front of `Fn_inc`, so it runs behind a demand set; C's keeps
+        // both, and its two externals run as two chained nodes.
+        let build = |mode: SchedulerMode| {
             NetworkBuilder::new()
                 .scheduler_mode(mode)
-                .fusion(fusion)
                 .input("In", 2)
                 .external("Fn_inc", 1, |args, emit| {
                     emit(&[Val::Int(args[0].as_int() + 1)]);
@@ -1569,11 +1545,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let mut nets = [
-            build(SchedulerMode::Batched, true),
-            build(SchedulerMode::Batched, false),
-            build(SchedulerMode::PerDelta, false),
-        ];
+        let mut nets = [build(SchedulerMode::Batched), build(SchedulerMode::PerDelta)];
         for (a, b, ins) in [(1, 10, true), (2, 20, true), (1, 10, false), (3, 5, true)] {
             for net in nets.iter_mut() {
                 if ins {
@@ -1590,54 +1562,23 @@ mod tests {
             reference,
             [vec![ints(&[3]), ints(&[4])], vec![ints(&[5, 8]), ints(&[20, 6])]]
         );
-        for net in &nets[1..] {
-            assert_eq!(sinks(net), reference);
-            assert_eq!(net.fused_node_count(), 0);
-        }
-        assert!(nets[0].fused_node_count() > 0, "no chains fused");
+        assert_eq!(sinks(&nets[1]), reference);
         let labels: Vec<String> = nets[0].node_stats().into_iter().map(|n| n.label).collect();
-        assert!(labels.contains(&"fused(Fn_inc∘Fn_dbl)[C]".to_string()), "{labels:?}");
-        assert!(labels.contains(&"distinct[demand:B]".to_string()), "{labels:?}");
-    }
-
-    /// One external twice in one rule: the two calls fuse into one
-    /// chain, and the second runs while the first is still emitting —
-    /// a re-entrant call of the same body.
-    #[test]
-    fn a_fused_chain_may_call_one_external_twice() {
-        let calls = Rc::new(Cell::new(0u64));
-        let counted = Rc::clone(&calls);
-        let mut net = NetworkBuilder::new()
-            .input("In", 2)
-            .external("Fn_inc", 1, move |args, emit| {
-                counted.set(counted.get() + 1);
-                emit(&[Val::Int(args[0].as_int() + 1)]);
-            })
-            .rule_texts(["C: Twice(z,w) :- In(x,z), Fn_inc(x,y), Fn_inc(y,w);"])
-            .unwrap()
-            .sink("Twice")
-            .build()
-            .unwrap();
-        let labels: Vec<String> = net.node_stats().into_iter().map(|n| n.label).collect();
-        assert!(labels.contains(&"fused(Fn_inc∘Fn_inc)[C]".to_string()), "{labels:?}");
-        net.insert("In", ints(&[1, 10]));
-        net.insert("In", ints(&[5, 20]));
-        net.run().unwrap();
-        assert_eq!(net.sink("Twice").unwrap().sorted(), vec![ints(&[10, 3]), ints(&[20, 7])]);
-        assert_eq!(calls.get(), 4);
+        for built in ["Fn_inc[C]", "Fn_dbl[C]", "distinct[demand:B]"] {
+            assert!(labels.iter().any(|l| l == built), "{built}: {labels:?}");
+        }
     }
 
     /// `In(parent, child)` expanded per child: `Fn_expand(x | y)` emits
     /// `x % 3 + 1` rows and counts its calls. E's scan drops the parent
     /// in front of the expansion; N is the same body under a `count<>`
     /// head, which counts derivations.
-    fn demand_network(mode: SchedulerMode, fusion: bool, calls: Rc<Cell<u64>>) -> RuleNetwork {
+    fn demand_network(mode: SchedulerMode, calls: Rc<Cell<u64>>) -> RuleNetwork {
         let expand = |x: i64, emit: &mut dyn FnMut(&[Val])| {
             (0..x.rem_euclid(3) + 1).for_each(|k| emit(&[Val::Int(x * 10 + k)]));
         };
         NetworkBuilder::new()
             .scheduler_mode(mode)
-            .fusion(fusion)
             .input("In", 2)
             .external("Fn_expand", 1, move |args, emit| {
                 calls.set(calls.get() + 1);
@@ -1674,7 +1615,7 @@ mod tests {
     #[test]
     fn a_demand_set_expands_each_child_once_and_counts_its_demanders() {
         let calls = Rc::new(Cell::new(0));
-        let mut net = demand_network(SchedulerMode::Batched, true, Rc::clone(&calls));
+        let mut net = demand_network(SchedulerMode::Batched, Rc::clone(&calls));
         let labels: Vec<String> = net.node_stats().into_iter().map(|n| n.label).collect();
         for built in ["map[E]", "union[demand:E]", "distinct[demand:E]", "Fn_expand[E]"] {
             assert!(labels.iter().any(|l| l == built), "{built}: {labels:?}");
@@ -1707,18 +1648,16 @@ mod tests {
 
         /// Random insert/delete sequences over a small domain (so
         /// parents share children and rows come back), a fixpoint after
-        /// every few, in all three scheduler/fusion modes: both sinks
+        /// every few, in both scheduler modes: both sinks
         /// equal the recompute, and the expansion ran once per child
         /// that entered or left the demand set.
         #[test]
         fn demand_sets_match_a_naive_recompute(
             script in proptest::collection::vec((0i64..4, 0i64..5, 0u8..3), 1..40),
         ) {
-            let modes =
-                [(SchedulerMode::Batched, true), (SchedulerMode::Batched, false), (SchedulerMode::PerDelta, false)];
-            for (mode, fusion) in modes {
+            for mode in [SchedulerMode::Batched, SchedulerMode::PerDelta] {
                 let calls = Rc::new(Cell::new(0));
-                let mut net = demand_network(mode, fusion, Rc::clone(&calls));
+                let mut net = demand_network(mode, Rc::clone(&calls));
                 let mut rows: Vec<(i64, i64)> = Vec::new();
                 let (mut demanded, mut flips) = (Vec::new(), 0);
                 for &(p, x, run) in &script {
@@ -1737,7 +1676,7 @@ mod tests {
                     }
                     net.run().unwrap();
                     let got = sorted_sinks(&net, ["Out", "Fanout"]);
-                    prop_assert_eq!(got, demand_reference(&rows), "{:?}/{}", mode, fusion);
+                    prop_assert_eq!(got, demand_reference(&rows), "{:?}", mode);
                     prop_assert!(!net.sink("Out").unwrap().has_negative_counts());
                     let mut now: Vec<i64> = rows.iter().map(|r| r.1).collect();
                     now.sort_unstable();

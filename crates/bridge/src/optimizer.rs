@@ -98,8 +98,8 @@ use reopt_core::rules_ir::{parse_rules, Rule};
 use reopt_core::{IncrementalOptimizer, PruningConfig, Reoptimizer};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_datalog::{
-    ConsolidatorFootprint, DataflowError, Delta, FaultPlan, Multiset, NodeStats, RunStats, Tuple,
-    Val,
+    ConsolidatorFootprint, DataflowError, Delta, FaultPlan, Multiset, NodeStats, RunStats,
+    SchedulerMode, Tuple, Val,
 };
 use reopt_expr::{ExprId, PhysOp, PhysProp, PlanNode, QuerySpec};
 
@@ -424,7 +424,12 @@ impl DataflowEngine {
         let memo = core.shared_memo();
         let props = Rc::new(PropTable::new(&memo));
         let strata = plan_cost_strata(&memo);
-        let net = build_network(Rc::clone(&memo), Rc::clone(&props), &strata);
+        let net = build_network(
+            Rc::clone(&memo),
+            Rc::clone(&props),
+            &strata,
+            SchedulerMode::Batched,
+        );
         DataflowEngine {
             core,
             memo,
@@ -508,7 +513,8 @@ impl DataflowEngine {
 
     /// A new, unseeded network for this query.
     fn fresh_network(&self) -> RuleNetwork {
-        build_network(Rc::clone(&self.memo), Rc::clone(&self.props), &self.strata)
+        let (memo, props) = (Rc::clone(&self.memo), Rc::clone(&self.props));
+        build_network(memo, props, &self.strata, SchedulerMode::Batched)
     }
 
     /// Seeds a freshly built network with everything the driver state
@@ -791,12 +797,6 @@ impl DataflowEngine {
         self.net.node_count()
     }
 
-    /// Operator nodes the compiler absorbed into fused chains
-    /// (diagnostics).
-    pub fn fused_nodes(&self) -> usize {
-        self.net.fused_node_count()
-    }
-
     /// Shared arrangements the compiler built for the executable
     /// program (diagnostics).
     pub fn arrangements(&self) -> usize {
@@ -881,9 +881,15 @@ fn counted(sink: &Multiset) -> FxHashMap<Tuple, i64> {
     sink.iter().map(|(t, c)| (t.clone(), c)).collect()
 }
 
-/// Compiles [`DATAFLOW_RULES`] with the memo-backed externals and the
-/// `PlanCost` release order `strata` ([`plan_cost_strata`]).
-fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNetwork {
+/// Compiles [`DATAFLOW_RULES`] under the scheduler `mode` with the
+/// memo-backed externals and the `PlanCost` release order `strata`
+/// ([`plan_cost_strata`]).
+fn build_network(
+    memo: Rc<Memo>,
+    props: Rc<PropTable>,
+    strata: &[u32],
+    mode: SchedulerMode,
+) -> RuleNetwork {
     let split_memo = Rc::clone(&memo);
     let split_props = Rc::clone(&props);
     // Pre-encode Fn_split's output rows once per alternative: the
@@ -922,7 +928,10 @@ fn build_network(memo: Rc<Memo>, props: Rc<PropTable>, strata: &[u32]) -> RuleNe
             ]
         })
         .collect();
-    let mut builder = NetworkBuilder::new().input("Expr", 2).input("LocalCost", 4);
+    let mut builder = NetworkBuilder::new()
+        .scheduler_mode(mode)
+        .input("Expr", 2)
+        .input("LocalCost", 4);
     for name in SINKS {
         builder = builder.sink(name);
     }
@@ -1009,10 +1018,11 @@ mod tests {
         parse_rules([BEST_PLAN_RULE]).expect("the specification of `best_plan` parses");
         let c = fixture_catalog();
         let opt = DataflowEngine::new(&c, chain_query(&c, 3));
-        assert!(opt.network_nodes() > 10);
+        assert_eq!(opt.network_nodes(), 30);
         // What the compiler's proofs leave of it: `BestCost` is read
-        // off D9's aggregate, the joins run `Fn_sum` themselves, and of
-        // the cost loop only the held, three-rule `PlanCost` coalesces.
+        // off D9's aggregate, each join's `Fn_sum` is a stateless node
+        // the scheduler chains behind it, and of the cost loop only the
+        // held, three-rule `PlanCost` coalesces.
         // D10 is answered on demand: none of its nodes is built.
         let nodes = opt.node_stats();
         let live = |label: &str| nodes.iter().find(|n| n.label == label);
@@ -1022,8 +1032,9 @@ mod tests {
         assert!(!nodes.iter().any(|n| n.label.contains("D10")), "{nodes:?}");
         assert_eq!(opt.arrangements(), 2);
         assert!(opt.sink("BestPlan").is_none());
-        assert!(!nodes.iter().any(|n| n.label.starts_with("Fn_sum")));
-        assert!(live("fused:Fn_sum[D8]").is_some());
+        for chained in ["Fn_sum[D7]", "Fn_sum[D8]"] {
+            assert!(!live(chained).unwrap().coalesces, "{chained}");
+        }
         assert!(live("distinct[PlanCost]").unwrap().coalesces);
         for proven in ["group-agg[D9]", "arrange[D6]", "arrange[D7]"] {
             assert!(!live(proven).unwrap().coalesces, "{proven}");
@@ -1115,10 +1126,20 @@ mod tests {
         assert!(ctx.plan_cost(&q, &out.plan).approx_eq(out.cost));
     }
 
+    /// The engine over the same program compiled for the per-delta
+    /// scheduler, the substrate's semantic reference.
+    fn per_delta_engine(c: &Catalog, q: QuerySpec) -> DataflowEngine {
+        let mut df = DataflowEngine::new(c, q);
+        let (memo, props) = (Rc::clone(&df.memo), Rc::clone(&df.props));
+        df.net = build_network(memo, props, &df.strata, SchedulerMode::PerDelta);
+        df
+    }
+
     #[test]
     fn compiled_network_collapses_work_visibly() {
-        // The tentpole's observability: the compiler fused chains
-        // (Fn_split scan chains), and runs report shared probes. A boot
+        // The tentpole's observability: batching collapses the boot's
+        // dispatch against the per-delta reference, which services one
+        // batch per delta, and runs report shared probes. A boot
         // shares probe keys where groups are referenced by several
         // parents — a star's hub, not a chain-5, whose referenced region
         // repeats no key.
@@ -1137,7 +1158,14 @@ mod tests {
         );
         assert!(df.arrangements() > 0, "compiler shared no arrangements");
         let init = df.optimize();
-        assert!(init.stats.fused_stages_saved > 0, "{:?}", init.stats);
+        let reference = per_delta_engine(&c, chain_query(&c, 5)).optimize();
+        assert_eq!((init.cost, &init.plan), (reference.cost, &reference.plan));
+        assert!(
+            init.stats.batches_processed * 10 < reference.stats.batches_processed,
+            "{:?} vs {:?}",
+            init.stats,
+            reference.stats
+        );
         let re = df.reoptimize(&[ParamDelta::LeafCardinality(LeafId(2), 2.0)]);
         assert!(
             re.stats.join_probes < re.stats.join_probe_deltas,
@@ -1148,30 +1176,39 @@ mod tests {
 
     #[test]
     fn scheduler_matrix_agrees_on_the_executable_program() {
-        // The same DATAFLOW_RULES network under {batched+fusion,
-        // batched, per-delta} — pinned here at the optimizer level; the
-        // generic-network matrix lives in reopt-datalog's differential
-        // suite. The compiler path is exercised via NetworkBuilder
-        // options inside build_network only for the default, so this
-        // compares DataflowEngine (fused default) against the
-        // hand-rolled engine after a mixed update sequence — and the
-        // fused network against its own unfused node diagnostics.
+        // The same DATAFLOW_RULES network under {batched, per-delta} —
+        // pinned here at the optimizer level; the generic-network
+        // matrix lives in reopt-datalog's differential suite. Both
+        // engines agree with the hand-rolled engine after every batch
+        // of a mixed update sequence, and with each other on the plan
+        // and on every view the driver reads, counts included.
         let c = fixture_catalog();
         let q = chain_query(&c, 4);
         let mut df = DataflowEngine::new(&c, q.clone());
-        df.optimize();
-        assert!(df.fused_nodes() > 0, "compiler emitted no fused chains");
+        let mut per_delta = per_delta_engine(&c, q.clone());
         let mut hand = IncrementalOptimizer::new(&c, q, PruningConfig::none());
-        hand.optimize();
-        for batch in [
+        fn epoch<R: Reoptimizer>(engine: &mut R, batch: Option<&[ParamDelta]>) -> R::Outcome {
+            match batch {
+                Some(batch) => engine.reoptimize(batch),
+                None => engine.optimize(),
+            }
+        }
+        let batches = [
             vec![ParamDelta::LeafScanCost(LeafId(0), 2.0)],
             vec![ParamDelta::EdgeSelectivity(EdgeId(1), 4.0)],
             vec![ParamDelta::LeafCardinality(LeafId(3), 0.25)],
             vec![ParamDelta::EdgeSelectivity(EdgeId(1), 1.0)],
-        ] {
-            let got = df.reoptimize(&batch);
-            let want = hand.reoptimize(&batch);
+        ];
+        for batch in std::iter::once(None).chain(batches.iter().map(|b| Some(b.as_slice()))) {
+            let want = epoch(&mut hand, batch);
+            let got = epoch(&mut df, batch);
+            let other = epoch(&mut per_delta, batch);
+            assert!(other.recovery.is_clean(), "{batch:?}: {:?}", other.recovery);
             assert_agree(&got, &want, &format!("{batch:?}"));
+            assert_eq!((got.cost, &got.plan), (other.cost, &other.plan), "{batch:?}");
+            for name in SINKS {
+                assert_eq!(counted(df.view(name)), counted(per_delta.view(name)), "{name}");
+            }
         }
     }
 

@@ -130,9 +130,13 @@ fn pinned_walks() -> [(&'static str, QueryGen, Vec<Vec<ParamDelta>>); 2] {
 /// here.
 #[test]
 fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
-    // (pinned deltas, pinned batches); while every group kept its
-    // argmin row: 377 310 / 7 376 and 13 439 / 1 276; with D10 also
-    // maintained in the network: 487 960 / 7 616 and 18 239 / 1 336.
+    // (pinned deltas, pinned batches); while stateless chains were
+    // fused at build time, so a chain's hops were one service:
+    // 21 774 / 3 692 and 1 250 / 476 (the stateful share,
+    // `stateful_work_is_pinned_exactly`, is the same either way); while
+    // every group kept its argmin row: 377 310 / 7 376 and
+    // 13 439 / 1 276; with D10 also maintained in the network:
+    // 487 960 / 7 616 and 18 239 / 1 336.
     let pins = [
         (PIN_STAR_DELTAS, PIN_STAR_BATCHES),
         (PIN_Q5_DELTAS, PIN_Q5_BATCHES),
@@ -159,10 +163,50 @@ fn cost_loop_counters_stay_within_two_percent_of_their_pins() {
     }
 }
 
-const PIN_STAR_DELTAS: u64 = 21_774;
-const PIN_STAR_BATCHES: u64 = 3_692;
-const PIN_Q5_DELTAS: u64 = 1_250;
-const PIN_Q5_BATCHES: u64 = 476;
+const PIN_STAR_DELTAS: u64 = 24_513;
+const PIN_STAR_BATCHES: u64 = 4_153;
+const PIN_Q5_DELTAS: u64 = 1_382;
+const PIN_Q5_BATCHES: u64 = 524;
+
+/// Deltas serviced by the nodes that hold state or take input — the
+/// rules' own work, apart from the stateless hops (`map`, `Fn_*`,
+/// `union`) whose batches the scheduler books as it chains through
+/// them. Lifetime counts, so a walk's share is a difference.
+fn stateful_deltas(opt: &DataflowOptimizer) -> u64 {
+    const STATEFUL: [&str; 6] = ["join", "arrange", "distinct", "group-agg", "Expr", "LocalCost"];
+    (opt.node_stats().iter())
+        .filter(|n| STATEFUL.contains(&n.label.split('[').next().unwrap_or("")))
+        .map(|n| n.deltas)
+        .sum()
+}
+
+/// The rules' work on the boot and over the [`pinned_walks`], exactly:
+/// deltas serviced by joins, arrangements, distincts, aggregates and
+/// the two inputs ([`stateful_deltas`]). How a batch moves between
+/// those nodes — queued, chained, or run through an operator chain
+/// merged at build time — cannot change these counts; the pins read
+/// the same with and without build-time chain fusion.
+#[test]
+fn stateful_work_is_pinned_exactly() {
+    let pins = [PIN_STAR_STATEFUL, PIN_Q5_STATEFUL];
+    for ((name, gen, walk), pin) in pinned_walks().into_iter().zip(pins) {
+        let (c, q) = build(&gen);
+        let mut opt = DataflowOptimizer::new(&c, q);
+        opt.set_audit_mode(AuditMode::Off);
+        assert!(opt.optimize().recovery.is_clean(), "{name}");
+        let boot = stateful_deltas(&opt);
+        for (i, batch) in walk.iter().enumerate() {
+            let out = opt.reoptimize(batch);
+            assert!(out.recovery.is_clean(), "{name} epoch {i}: {:?}", out.recovery);
+        }
+        let got = [boot, stateful_deltas(&opt) - boot];
+        assert_eq!(got, pin, "{name}: stateful deltas [boot, cost loop]");
+    }
+}
+
+/// `[boot, cost loop]` stateful deltas.
+const PIN_STAR_STATEFUL: [u64; 2] = [6_363, 18_893];
+const PIN_Q5_STATEFUL: [u64; 2] = [1_238, 1_110];
 
 /// The same kind of gate on the boot: what the first `optimize()` — and
 /// so every restart and every from-scratch rebuild — services on the
@@ -176,7 +220,9 @@ const PIN_Q5_BATCHES: u64 = 476;
 /// that came on top). The demand set moved none of `PIN_STAR_*`/
 /// `PIN_Q5_*` above: no epoch after the first visits a demand node.
 /// While every group kept its argmin row the boots serviced 31 204 /
-/// 177 and 5 797 / 114.
+/// 177 and 5 797 / 114; while stateless chains were fused at build
+/// time, 27 807 / 124 and 4 704 / 74 (same `Fn_split` rows, same
+/// stateful share).
 #[test]
 fn boot_counters_stay_within_two_percent_of_their_pins() {
     for ((name, gen, _), pin) in pinned_walks().into_iter().zip([PIN_STAR_BOOT, PIN_Q5_BOOT]) {
@@ -199,8 +245,8 @@ fn boot_counters_stay_within_two_percent_of_their_pins() {
 }
 
 /// `[deltas_processed, batches_processed, rows out of Fn_split]`.
-const PIN_STAR_BOOT: [u64; 3] = [27_807, 124, 2_643];
-const PIN_Q5_BOOT: [u64; 3] = [4_704, 74, 420];
+const PIN_STAR_BOOT: [u64; 3] = [30_622, 133, 2_643];
+const PIN_Q5_BOOT: [u64; 3] = [5_204, 81, 420];
 
 /// The same gate on the hand-rolled engine under full pruning over
 /// the same walks: queue pops, alternatives whose cost or liveness

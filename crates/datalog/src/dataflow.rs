@@ -16,8 +16,9 @@
 //! amplifying through a join. Dirty destinations are serviced in
 //! topological-rank order (SCCs share a rank), draining each layer
 //! before its consumers so stateful operators see whole waves at once,
-//! and single-consumer stateless chains are fused into one operator
-//! before the first run ([`Dataflow::fuse`]). Inside one SCC a
+//! and a batch bound for a sole stateless consumer is *chained* through
+//! it inside the producing dispatch, with no queue round trip
+//! (`Dataflow::dispatch`). Inside one SCC a
 //! destination may declare a *release order*
 //! ([`Dataflow::set_release_order`]): its pending deltas are held per
 //! stratum and the lowest stratum is released only once the rest of the
@@ -35,7 +36,7 @@ use reopt_common::{FxHashMap, FxHashSet};
 use crate::agg::OrderedMultiset;
 use crate::delta::{coalesce, CoalesceScratch, ConsolidatorFootprint, Delta};
 use crate::error::{DataflowError, FaultPlan};
-use crate::ops::{Fused, Operator};
+use crate::ops::Operator;
 use crate::relation::Multiset;
 use crate::value::{Tuple, Val};
 
@@ -53,9 +54,6 @@ enum NodeKind {
     Op(Box<dyn Operator>),
     /// Materialization point; contents readable via [`Dataflow::sink`].
     Sink(usize),
-    /// An operator absorbed into a fused chain. Unreachable: its only
-    /// incoming edge was rewired through the chain's head.
-    Fused,
 }
 
 struct Node {
@@ -262,8 +260,9 @@ pub struct RunStats {
     /// less whenever batch-aware probing shared a probe across
     /// repeated keys.
     pub join_probes: u64,
-    /// Operator hops that fused chains absorbed (per batch, the number
-    /// of constituent stages beyond the first).
+    /// Always 0: the scheduler chains a batch through a sole stateless
+    /// consumer instead of merging operators at build time, and counts
+    /// each chained hop as a batch. Kept for readers of the field.
     pub fused_stages_saved: u64,
     /// The committed-epoch number this run produced (1-based, counting
     /// only successful runs over the dataflow's lifetime).
@@ -293,8 +292,8 @@ pub struct NodeStats {
     /// sink's contents); 0 for stateless nodes.
     pub state_rows: u64,
     /// Whether batches queued for the node are coalesced first — false
-    /// for stateless operators and for ports [`Dataflow::fuse`] proved
-    /// consolidated.
+    /// for stateless operators and for ports
+    /// [`Dataflow::prove_consolidated`] proved consolidated.
     pub coalesces: bool,
 }
 
@@ -307,10 +306,8 @@ pub struct Dataflow {
     /// no more than the last run's largest batch needed.
     scratch: CoalesceScratch,
     max_steps: u64,
-    /// Whether [`Dataflow::run`] auto-fuses stateless chains first
-    /// (batched mode only; per-delta mode keeps the reference schedule).
-    fusion: bool,
-    /// Set by graph mutations; cleared by the fusion pass.
+    /// Set by graph mutations; cleared by
+    /// [`Dataflow::prove_consolidated`].
     graph_dirty: bool,
     /// Topological service rank per node (lower = closer to the
     /// sources; members of one strongly connected component share a
@@ -338,9 +335,7 @@ impl Dataflow {
         Dataflow::with_mode(SchedulerMode::Batched)
     }
 
-    /// Builds a dataflow with an explicit scheduler mode. Operator-chain
-    /// fusion defaults to on in batched mode and is never applied in
-    /// per-delta mode.
+    /// Builds a dataflow with an explicit scheduler mode.
     pub fn with_mode(mode: SchedulerMode) -> Dataflow {
         Dataflow {
             nodes: Vec::new(),
@@ -348,7 +343,6 @@ impl Dataflow {
             queue: Queue::new(mode),
             scratch: CoalesceScratch::default(),
             max_steps: 50_000_000,
-            fusion: mode == SchedulerMode::Batched,
             graph_dirty: false,
             ranks: Vec::new(),
             ranks_dirty: false,
@@ -356,13 +350,6 @@ impl Dataflow {
             poisoned: None,
             fault_plan: None,
         }
-    }
-
-    /// Enables or disables automatic operator-chain fusion (effective in
-    /// batched mode only). Call before the first [`Dataflow::run`]; an
-    /// already-fused graph is not unfused.
-    pub fn set_fusion(&mut self, on: bool) {
-        self.fusion = on;
     }
 
     /// Overrides the non-termination guard.
@@ -431,34 +418,11 @@ impl Dataflow {
     }
 
     /// Wires `from`'s output into `to`'s input `port`. Cycles are
-    /// allowed. Fails with [`DataflowError::InvalidWiring`] if either
-    /// endpoint was absorbed into a fused chain.
-    pub fn try_connect(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        port: usize,
-    ) -> Result<(), DataflowError> {
-        for id in [from, to] {
-            if matches!(self.nodes[id.0].kind, NodeKind::Fused) {
-                return Err(DataflowError::InvalidWiring(format!(
-                    "node `{}` was absorbed into a fused chain; wire the graph before \
-                     running, or disable fusion with `set_fusion(false)`",
-                    self.nodes[id.0].label
-                )));
-            }
-        }
+    /// allowed.
+    pub fn connect(&mut self, from: NodeId, to: NodeId, port: usize) {
         self.graph_dirty = true;
         self.ranks_dirty = true;
         self.nodes[from.0].downstream.push((to.0, port));
-        Ok(())
-    }
-
-    /// Panicking convenience over [`Dataflow::try_connect`] (tests,
-    /// hand-built graphs).
-    pub fn connect(&mut self, from: NodeId, to: NodeId, port: usize) {
-        self.try_connect(from, to, port)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Adds a materialization sink reading `from`.
@@ -612,131 +576,39 @@ impl Dataflow {
         self.push(input, Delta::delete(tuple));
     }
 
-    /// The build-time rewrite of the wired graph; each step acts only
-    /// on what the wiring proves. Returns the number of operator nodes
-    /// absorbed. Idempotent; called automatically by [`Dataflow::run`]
-    /// in batched mode unless disabled via [`Dataflow::set_fusion`].
-    ///
-    /// 1. A port whose only producer emits consolidated batches (an
-    ///    input, an [`Operator::emits_consolidated`] operator) and that
-    ///    holds no release order stops coalescing: nothing could merge.
-    /// 2. Single-consumer chains of stateless linear operators (`Map`,
-    ///    `ExternalFn`, prior `Fused` nodes) fuse into one [`Fused`]
-    ///    node each, eliminating the per-hop dispatch between them. A
-    ///    node is chain *interior* if it is fusable, single-input, and
-    ///    has exactly one incoming edge (on port 0); a chain extends
-    ///    while each member's sole downstream edge leads to another
-    ///    interior node.
-    /// 3. A chain whose producer [`Operator::absorbs_tail`] (a join)
-    ///    and feeds nothing else moves into that producer instead.
-    ///
-    /// Absorbed nodes become [`NodeKind::Fused`] tombstones — their ids
-    /// stay allocated but they can no longer be wired.
-    pub fn fuse(&mut self) -> usize {
+    /// The build-time proof over the wired graph: a port whose only
+    /// producer emits consolidated batches (an input, an
+    /// [`Operator::emits_consolidated`] operator) and that holds no
+    /// release order stops coalescing, since nothing could merge.
+    /// Idempotent; [`Dataflow::run`] calls it in batched mode whenever
+    /// the graph changed since the last call.
+    pub fn prove_consolidated(&mut self) {
         self.graph_dirty = false;
         let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut port_ok = vec![true; n];
-        // The producer of a node's last-seen incoming edge; whether
-        // every port so far has one producer, a consolidated one.
-        let mut pred = vec![usize::MAX; n];
+        let mut fed_by_one = vec![false; n];
+        // Whether every incoming edge so far comes from a consolidated
+        // producer, one producer per port.
         let mut consolidated = vec![true; n];
         let mut fed: FxHashSet<(usize, usize)> = FxHashSet::default();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for node in &self.nodes {
             let emits = match &node.kind {
                 NodeKind::Input => true,
                 NodeKind::Op(op) => op.emits_consolidated(),
-                _ => false,
+                NodeKind::Sink(_) => false,
             };
             for &(t, p) in &node.downstream {
-                indeg[t] += 1;
-                pred[t] = i;
-                if p != 0 {
-                    port_ok[t] = false;
-                }
+                fed_by_one[t] = true;
                 if !emits || !fed.insert((t, p)) {
                     consolidated[t] = false;
                 }
             }
         }
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            let proven = indeg[i] > 0 && consolidated[i] && node.release.is_none();
+            let proven = fed_by_one[i] && consolidated[i] && node.release.is_none();
             if let NodeKind::Op(op) = &node.kind {
                 node.coalesce_input = op.coalesces_input() && !proven;
             }
         }
-        let interior = |nodes: &[Node], i: usize| -> bool {
-            indeg[i] == 1
-                && port_ok[i]
-                && matches!(&nodes[i].kind, NodeKind::Op(op) if op.fusable() && op.arity() == 1)
-        };
-        // succ[i]: the interior node i's sole consumer, when that
-        // consumer is itself interior (a chain edge).
-        let mut succ = vec![usize::MAX; n];
-        let mut has_chain_pred = vec![false; n];
-        #[allow(clippy::needless_range_loop)] // indexes four arrays
-        for i in 0..n {
-            if !interior(&self.nodes, i) {
-                continue;
-            }
-            if let [(t, _)] = self.nodes[i].downstream[..] {
-                if t != i && interior(&self.nodes, t) {
-                    succ[i] = t;
-                    has_chain_pred[t] = true;
-                }
-            }
-        }
-        let mut absorbed = 0;
-        #[allow(clippy::needless_range_loop)] // indexes disjoint arrays
-        for head in 0..n {
-            if !interior(&self.nodes, head) || has_chain_pred[head] {
-                continue;
-            }
-            let mut chain = vec![head];
-            let mut cur = head;
-            while succ[cur] != usize::MAX && !chain.contains(&succ[cur]) {
-                cur = succ[cur];
-                chain.push(cur);
-            }
-            // The chain's producer takes it over if it can and feeds
-            // nothing else; otherwise the chain's head does.
-            let producer = &self.nodes[pred[head]];
-            let owner = match &producer.kind {
-                NodeKind::Op(op) if op.absorbs_tail() && producer.downstream.len() == 1 => {
-                    pred[head]
-                }
-                _ if chain.len() < 2 => continue,
-                _ => head,
-            };
-            let mut stages = Vec::new();
-            for &i in &chain {
-                match &mut self.nodes[i].kind {
-                    NodeKind::Op(op) => stages.extend(
-                        op.take_fuse_stages().expect("interior nodes are fusable"),
-                    ),
-                    _ => unreachable!("interior nodes are operators"),
-                }
-            }
-            let last = *chain.last().unwrap();
-            let downstream = std::mem::take(&mut self.nodes[last].downstream);
-            if owner == head {
-                let fused = Fused::new(stages);
-                // `fused(map∘Fn_f)[D7]`: the head keeps its tag.
-                let label = &self.nodes[head].label;
-                let tag = label.find('[').map_or("", |at| &label[at..]);
-                self.nodes[head].label = format!("{}{tag}", fused.name());
-                self.nodes[head].kind = NodeKind::Op(Box::new(fused));
-            } else if let NodeKind::Op(op) = &mut self.nodes[owner].kind {
-                op.absorb_tail(stages);
-            }
-            for &i in chain.iter().filter(|&&i| i != owner) {
-                self.nodes[i].kind = NodeKind::Fused;
-                self.nodes[i].downstream.clear();
-                absorbed += 1;
-            }
-            self.nodes[owner].downstream = downstream;
-        }
-        absorbed
     }
 
     /// Per-node lifetime service counters in node order — the
@@ -746,19 +618,14 @@ impl Dataflow {
         self.nodes
             .iter()
             .map(|n| NodeStats {
-                label: match n.kind {
-                    // A tombstone: the work is booked on the node that
-                    // absorbed it.
-                    NodeKind::Fused => format!("fused:{}", n.label),
-                    _ => n.label.clone(),
-                },
+                label: n.label.clone(),
                 batches: n.stat_batches,
                 deltas: n.stat_deltas,
                 emitted: n.stat_emitted,
                 state_rows: match &n.kind {
                     NodeKind::Op(op) => op.state_rows() as u64,
                     NodeKind::Sink(idx) => self.sinks[*idx].len() as u64,
-                    NodeKind::Input | NodeKind::Fused => 0,
+                    NodeKind::Input => 0,
                 },
                 coalesces: n.coalesce_input,
             })
@@ -769,14 +636,6 @@ impl Dataflow {
     /// largest batch of the last run, whatever ran before it.
     pub fn consolidator_footprint(&self) -> ConsolidatorFootprint {
         self.scratch.footprint()
-    }
-
-    /// Number of operator nodes absorbed into fused chains so far.
-    pub fn fused_node_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Fused))
-            .count()
     }
 
     /// Runs to fixpoint (empty queue) as one **epoch**. On any
@@ -790,8 +649,8 @@ impl Dataflow {
             return Err(e.clone());
         }
         let batched = self.queue.is_batched();
-        if batched && self.fusion && self.graph_dirty {
-            self.fuse();
+        if batched && self.graph_dirty {
+            self.prove_consolidated();
         }
         self.ensure_ranks();
         let mut stats = RunStats::default();
@@ -808,7 +667,6 @@ impl Dataflow {
                 let c = op.take_counters();
                 stats.join_probe_deltas += c.join_probe_deltas;
                 stats.join_probes += c.join_probes;
-                stats.fused_stages_saved += c.fused_stages_saved;
             }
         }
         Ok(stats)
@@ -877,12 +735,6 @@ impl Dataflow {
                     self.queue.recycle(batch);
                     continue;
                 }
-                // Tombstones are unreachable (their sole incoming edge
-                // was rewired through the chain head); tolerate anyway.
-                NodeKind::Fused => {
-                    self.queue.recycle(batch);
-                    continue;
-                }
             }
             self.queue.recycle(batch);
             self.dispatch(node, &mut out, &mut chain, stats, armed)?;
@@ -893,7 +745,7 @@ impl Dataflow {
     /// Routes an output batch downstream. Sinks absorb it in place (they
     /// emit nothing, so a queue round trip would only copy). A sole
     /// non-sink consumer that is a stateless non-coalescing operator
-    /// (`Map`, `Union`) is *chained*: processed immediately in this
+    /// (`Map`, `ExternalFn`, `Union`) is *chained*: processed immediately in this
     /// scheduling step, with no queue round trip — the loop then
     /// continues from that operator's output. Everything else is
     /// enqueued; the last non-sink edge takes the deltas by move.
@@ -952,10 +804,7 @@ impl Dataflow {
         // acyclic path (consumers themselves enqueue normally).
         if self.nodes[node].sync_fanout {
             for &(target, tport) in downstream {
-                if matches!(
-                    self.nodes[target].kind,
-                    NodeKind::Sink(_) | NodeKind::Fused
-                ) {
+                if matches!(self.nodes[target].kind, NodeKind::Sink(_)) {
                     continue; // sinks absorbed above
                 }
                 self.admit(target, out.len(), stats, armed)?;
@@ -1138,7 +987,7 @@ mod tests {
     #[test]
     fn node_stats_account_for_every_serviced_delta() {
         // Also for consumers serviced inside `dispatch`: a join behind
-        // its `Arrange`, a chained `Map`.
+        // its `Arrange`, the chained `Map`s behind the join and the gate.
         let mut df = Dataflow::new();
         let (r, s) = (df.add_input("r"), df.add_input("s"));
         let arrange = Arrange::new(vec![0]);
@@ -1158,13 +1007,15 @@ mod tests {
         let stats = df.node_stats();
         assert_eq!(stats.iter().map(|n| n.deltas).sum::<u64>(), processed);
         assert!(stats[joined.0].deltas > 0 && stats[chained.0].deltas > 0);
-        // The join ran its projection itself.
-        assert_eq!((stats[tail.0].label.as_str(), stats[tail.0].deltas), ("fused:map", 0));
-        assert_eq!(stats[joined.0].emitted, stats[gate.0].deltas);
+        // The join's tail serviced exactly what the join emitted, and
+        // the gate exactly what the tail emitted.
+        assert_eq!(stats[tail.0].label, "map");
+        assert_eq!(stats[tail.0].deltas, stats[joined.0].emitted);
+        assert_eq!(stats[tail.0].emitted, stats[gate.0].deltas);
     }
 
     #[test]
-    fn fuse_stops_coalescing_only_where_the_producer_proves_it() {
+    fn coalescing_stops_only_where_the_producer_proves_it() {
         let mut df = Dataflow::new();
         let r = df.add_input("r");
         let agg = || GroupAgg::new(vec![0], 1, AggKind::Min);
@@ -1176,7 +1027,7 @@ mod tests {
         let merged = df.add_op(Distinct::new(), &[both]); // two producers
         let join = df.add_op(HashJoin::new(vec![0], vec![0]), &[set, best]);
         let joined = df.add_op(Distinct::new(), &[join]); // a join proves nothing
-        df.fuse();
+        df.prove_consolidated();
         let stats = df.node_stats();
         let coalesces = [set, best, held, merged, join, joined].map(|n| stats[n.0].coalesces);
         assert_eq!(coalesces, [false, false, true, true, false, true]);
@@ -1443,36 +1294,6 @@ mod tests {
     }
 
     #[test]
-    fn fusion_collapses_stateless_chains() {
-        let build = |fusion: bool| {
-            let mut df = Dataflow::new();
-            df.set_fusion(fusion);
-            let input = df.add_input("r");
-            let a = df.add_op(Map::new(|t| Some(t.with_appended(crate::value::Val::Int(1)))), &[input]);
-            let b = df.add_op(Map::filter(|t| t.get(0).as_int() > 0), &[a]);
-            let c = df.add_op(Map::project(vec![0]), &[b]);
-            let sink = df.add_sink(c);
-            (df, input, sink)
-        };
-        let (mut fused, f_in, f_sink) = build(true);
-        let (mut plain, p_in, p_sink) = build(false);
-        for df in [&mut fused, &mut plain] {
-            df.run().unwrap(); // triggers the (auto) fusion pass
-        }
-        assert_eq!(fused.fused_node_count(), 2);
-        assert_eq!(plain.fused_node_count(), 0);
-        for (df, input) in [(&mut fused, f_in), (&mut plain, p_in)] {
-            for v in [-3i64, 2, 5] {
-                df.insert(input, ints(&[v]));
-            }
-        }
-        let f_stats = fused.run().unwrap();
-        plain.run().unwrap();
-        assert_eq!(fused.sink(f_sink).sorted(), plain.sink(p_sink).sorted());
-        assert!(f_stats.fused_stages_saved >= 2, "{f_stats:?}");
-    }
-
-    #[test]
     fn per_delta_mode_never_fuses() {
         let mut df = Dataflow::with_mode(SchedulerMode::PerDelta);
         let input = df.add_input("r");
@@ -1481,38 +1302,9 @@ mod tests {
         let sink = df.add_sink(b);
         df.insert(input, ints(&[7]));
         let stats = df.run().unwrap();
-        assert_eq!(df.fused_node_count(), 0);
-        assert_eq!(stats.fused_stages_saved, 0);
+        // One batch per hop: the input, `a` and `b`.
+        assert_eq!((stats.batches_processed, stats.fused_stages_saved), (3, 0));
         assert_eq!(df.sink(sink).sorted(), vec![ints(&[7])]);
-    }
-
-    #[test]
-    fn wiring_through_a_fused_node_panics() {
-        let mut df = Dataflow::new();
-        let input = df.add_input("r");
-        let a = df.add_op(Map::project(vec![0]), &[input]);
-        let b = df.add_op(Map::project(vec![0]), &[a]);
-        df.add_sink(b);
-        assert_eq!(df.fuse(), 1); // `b` absorbed into `a`
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let c = df.add_op_unwired(Map::project(vec![0]));
-            df.connect(b, c, 0);
-        }));
-        assert!(result.is_err(), "connecting a fused-away node must panic");
-    }
-
-    #[test]
-    fn explicit_fuse_is_idempotent() {
-        let mut df = Dataflow::new();
-        let input = df.add_input("r");
-        let a = df.add_op(Map::project(vec![0]), &[input]);
-        let b = df.add_op(Map::project(vec![0]), &[a]);
-        let sink = df.add_sink(b);
-        assert_eq!(df.fuse(), 1);
-        assert_eq!(df.fuse(), 0);
-        df.insert(input, ints(&[3]));
-        df.run().unwrap();
-        assert_eq!(df.sink(sink).sorted(), vec![ints(&[3])]);
     }
 
     #[test]
@@ -1536,13 +1328,11 @@ mod tests {
         // Pushing to a non-input is a typed error.
         let err = df.try_push(b, Delta::insert(ints(&[1]))).unwrap_err();
         assert!(matches!(err, DataflowError::InvalidWiring(_)));
-        // Wiring through a fused-away node is a typed error.
-        assert_eq!(df.fuse(), 1);
-        let c = df.add_op_unwired(Map::project(vec![0]));
-        let err = df.try_connect(b, c, 0).unwrap_err();
-        assert!(matches!(err, DataflowError::InvalidWiring(_)));
-        assert!(err.to_string().contains("fused"));
-        // A well-formed wiring still succeeds through the try API.
-        df.try_connect(input, c, 0).unwrap();
+        assert!(err.to_string().contains("not an input"), "{err}");
+        // Nothing was queued: the run services no batch.
+        assert_eq!(df.run().unwrap().batches_processed, 0);
+        // A push to an input still succeeds through the try API.
+        df.try_push(input, Delta::insert(ints(&[1]))).unwrap();
+        assert_eq!(df.run().unwrap().batches_processed, 3);
     }
 }

@@ -36,8 +36,8 @@ pub enum DataflowError {
     /// A cross-check (audit mode, negative-count scan) found the state
     /// inconsistent. Carries a human-readable description.
     InvariantViolation(String),
-    /// A structural misuse of the graph API: wiring through a fused
-    /// node, pushing to a non-input node, and the like.
+    /// A structural misuse of the graph API: pushing to a non-input
+    /// node.
     InvalidWiring(String),
     /// Durable state (the bridge's checkpoint or WAL) failed validation
     /// on recovery: bad magic/version, a per-record CRC mismatch (bit

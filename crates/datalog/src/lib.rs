@@ -52,8 +52,7 @@ pub use error::{DataflowError, FaultPlan};
 pub use delta::{coalesce, CoalesceScratch, ConsolidatorFootprint, Delta};
 pub use intern::{set_intern_capacity, Sym};
 pub use ops::{
-    Arrange, Distinct, ExternalFn, FuseStage, Fused, GroupAgg, HashJoin, Map, OpCounters, Operator,
-    Union,
+    Arrange, Distinct, ExternalFn, GroupAgg, HashJoin, Map, OpCounters, Operator, Union,
 };
 pub use relation::{ArrangementHandle, IndexedMultiset, Multiset};
 pub use value::{Tuple, Val};

@@ -18,7 +18,7 @@ use crate::agg::{AggKind, OrderedMultiset};
 use crate::delta::Delta;
 use crate::error::DataflowError;
 use crate::relation::{ArrangementHandle, IndexedMultiset, Multiset, Visibility};
-use crate::value::{Row, Tuple, Val, INLINE_CAP};
+use crate::value::{Tuple, Val};
 
 /// Per-operator work counters, drained by the scheduler into
 /// [`crate::dataflow::RunStats`] at the end of each fixpoint run.
@@ -34,10 +34,6 @@ pub struct OpCounters {
     /// probe across same-key deltas, so this is ≤ `join_probe_deltas` —
     /// strictly less whenever a batch repeats a key.
     pub join_probes: u64,
-    /// Operator hops eliminated by fused chains: for each batch a
-    /// [`Fused`] operator processes, the number of constituent stages
-    /// beyond the first (each would have been its own dispatch).
-    pub fused_stages_saved: u64,
 }
 
 impl OpCounters {
@@ -45,7 +41,6 @@ impl OpCounters {
     pub fn absorb(&mut self, other: OpCounters) {
         self.join_probe_deltas += other.join_probe_deltas;
         self.join_probes += other.join_probes;
-        self.fused_stages_saved += other.fused_stages_saved;
     }
 }
 
@@ -90,14 +85,6 @@ pub trait Operator {
         true
     }
 
-    /// True if the operator is a linear stateless single-input stage
-    /// that can be folded into a [`Fused`] chain. An operator returning
-    /// `true` must also yield its stages from
-    /// [`Operator::take_fuse_stages`].
-    fn fusable(&self) -> bool {
-        false
-    }
-
     /// True if the scheduler must deliver this operator's emitted batch
     /// to every downstream consumer *synchronously, within the producing
     /// dispatch* — before any other queued batch is serviced — instead
@@ -114,30 +101,10 @@ pub trait Operator {
     /// True if every batch the operator emits is consolidated — no two
     /// deltas share a tuple, none has a zero count — whenever the batch
     /// it was given is. A port fed by one such producer alone needs no
-    /// coalescing pass ([`crate::dataflow::Dataflow::fuse`] proves it).
+    /// coalescing pass ([`crate::dataflow::Dataflow::prove_consolidated`]
+    /// proves it).
     fn emits_consolidated(&self) -> bool {
         false
-    }
-
-    /// True if the operator can run a stateless tail inside its own
-    /// emit loop ([`Operator::absorb_tail`]).
-    fn absorbs_tail(&self) -> bool {
-        false
-    }
-
-    /// Takes over the stages of the single-consumer stateless chain
-    /// behind this operator: every tuple it would have emitted runs
-    /// through them first. Only called when [`Operator::absorbs_tail`].
-    fn absorb_tail(&mut self, _stages: Vec<FuseStage>) {
-        unreachable!("`{}` absorbs no tail", self.name())
-    }
-
-    /// Surrenders the operator's stages for chain fusion, leaving it
-    /// inert. Only called on operators whose [`Operator::fusable`] is
-    /// `true`, and only by the dataflow's fusion pass (the node is
-    /// replaced or tombstoned immediately afterwards).
-    fn take_fuse_stages(&mut self) -> Option<Vec<FuseStage>> {
-        None
     }
 
     /// Drains the operator's accumulated work counters (see
@@ -173,8 +140,8 @@ pub trait Operator {
     fn name(&self) -> &str;
 }
 
-/// The transformation a [`Map`] applies per row.
-pub type MapFn = Box<dyn FnMut(Row<'_>) -> Option<Tuple>>;
+/// The transformation a [`Map`] applies per tuple.
+pub type MapFn = Box<dyn FnMut(&Tuple) -> Option<Tuple>>;
 
 /// Stateless map/filter: applies a function to each tuple; `None` drops
 /// it. Counts pass through unchanged (linear operator).
@@ -183,16 +150,7 @@ pub struct Map {
 }
 
 impl Map {
-    pub fn new(mut f: impl FnMut(&Tuple) -> Option<Tuple> + 'static) -> Map {
-        Map::on_rows(move |row| match row {
-            Row::Tuple(t) => f(t),
-            Row::Vals(_) => f(&row.to_tuple()),
-        })
-    }
-
-    /// A map that reads [`Row`]s: absorbed into a join's post-stage it
-    /// sees the join's output without that output ever being stored.
-    pub fn on_rows(f: impl FnMut(Row<'_>) -> Option<Tuple> + 'static) -> Map {
+    pub fn new(f: impl FnMut(&Tuple) -> Option<Tuple> + 'static) -> Map {
         Map { f: Box::new(f) }
     }
 
@@ -218,7 +176,7 @@ impl Operator for Map {
             if delta.count == 0 {
                 continue;
             }
-            if let Some(t) = (self.f)(Row::Tuple(&delta.tuple)) {
+            if let Some(t) = (self.f)(&delta.tuple) {
                 out.push(Delta::with_count(t, delta.count));
             }
         }
@@ -227,15 +185,6 @@ impl Operator for Map {
 
     fn coalesces_input(&self) -> bool {
         false
-    }
-
-    fn fusable(&self) -> bool {
-        true
-    }
-
-    fn take_fuse_stages(&mut self) -> Option<Vec<FuseStage>> {
-        let f = std::mem::replace(&mut self.f, Box::new(|_| None));
-        Some(vec![FuseStage::Map(f)])
     }
 
     fn name(&self) -> &str {
@@ -247,7 +196,7 @@ impl Operator for Map {
 /// and pushes zero or more output tuples into the sink. Returning `Err`
 /// fails the run (the error string becomes
 /// [`DataflowError::ExternalFn`]).
-pub type ExternalFnBody = Box<dyn FnMut(Row<'_>, &mut dyn FnMut(Tuple)) -> Result<(), String>>;
+pub type ExternalFnBody = Box<dyn FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String>>;
 
 /// Stateless external-function operator — the paper's `Fn_*` predicates
 /// (`Fn_split`, `Fn_scancost`, `Fn_sum`, …) lifted into the dataflow: for
@@ -280,18 +229,7 @@ impl ExternalFn {
     /// the run as [`DataflowError::ExternalFn`].
     pub fn try_new(
         name: impl Into<String>,
-        mut f: impl FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
-    ) -> ExternalFn {
-        ExternalFn::on_rows(name, move |row, emit| match row {
-            Row::Tuple(t) => f(t, emit),
-            Row::Vals(_) => f(&row.to_tuple(), emit),
-        })
-    }
-
-    /// [`ExternalFn::try_new`] over [`Row`]s (see [`Map::on_rows`]).
-    pub fn on_rows(
-        name: impl Into<String>,
-        f: impl FnMut(Row<'_>, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
+        f: impl FnMut(&Tuple, &mut dyn FnMut(Tuple)) -> Result<(), String> + 'static,
     ) -> ExternalFn {
         ExternalFn {
             name: name.into(),
@@ -312,7 +250,7 @@ impl Operator for ExternalFn {
                 continue;
             }
             let count = delta.count;
-            (self.f)(Row::Tuple(&delta.tuple), &mut |t| {
+            (self.f)(&delta.tuple, &mut |t| {
                 out.push(Delta::with_count(t, count));
             })
             .map_err(|detail| DataflowError::ExternalFn {
@@ -327,158 +265,8 @@ impl Operator for ExternalFn {
         false
     }
 
-    fn fusable(&self) -> bool {
-        true
-    }
-
-    fn take_fuse_stages(&mut self) -> Option<Vec<FuseStage>> {
-        let f = std::mem::replace(&mut self.f, Box::new(|_, _| Ok(())));
-        Some(vec![FuseStage::External {
-            name: std::mem::take(&mut self.name),
-            f,
-        }])
-    }
-
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-/// One constituent stage of a [`Fused`] chain: a linear stateless
-/// transformation extracted from a [`Map`] or [`ExternalFn`] node.
-pub enum FuseStage {
-    /// One-to-at-most-one: the payload of a [`Map`].
-    Map(MapFn),
-    /// One-to-many: the payload of an [`ExternalFn`].
-    External { name: String, f: ExternalFnBody },
-}
-
-impl FuseStage {
-    fn label(&self) -> &str {
-        match self {
-            FuseStage::Map(_) => "map",
-            FuseStage::External { name, .. } => name,
-        }
-    }
-}
-
-/// A chain of linear stateless stages composed into one operator: each
-/// input delta flows through every stage in a single `on_batch` call,
-/// with no intermediate delta buffers and no per-stage scheduler
-/// dispatch. Built by the dataflow's fusion pass
-/// ([`crate::dataflow::Dataflow::fuse`]) from single-consumer chains of
-/// `Map`/`ExternalFn` nodes; behaviourally identical to running the
-/// stages as separate nodes (each stage is linear, so composition
-/// commutes with delta propagation).
-pub struct Fused {
-    stages: Vec<FuseStage>,
-    label: String,
-    counters: OpCounters,
-}
-
-impl Fused {
-    pub fn new(stages: Vec<FuseStage>) -> Fused {
-        assert!(stages.len() >= 2, "a fused chain needs at least 2 stages");
-        let label = format!(
-            "fused({})",
-            stages.iter().map(FuseStage::label).collect::<Vec<_>>().join("∘")
-        );
-        Fused {
-            stages,
-            label,
-            counters: OpCounters::default(),
-        }
-    }
-
-    /// Number of composed stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Runs `row` (with multiplicity `count`) through the remaining
-    /// stages, pushing fully transformed deltas into `out`. The first
-    /// stage error (from a constituent external function) aborts the
-    /// traversal.
-    fn run_stages(
-        stages: &mut [FuseStage],
-        row: Row<'_>,
-        count: i64,
-        out: &mut Vec<Delta>,
-    ) -> Result<(), DataflowError> {
-        match stages.split_first_mut() {
-            None => {
-                out.push(Delta::with_count(row.to_tuple(), count));
-                Ok(())
-            }
-            Some((FuseStage::Map(f), rest)) => match f(row) {
-                Some(t) if rest.is_empty() => {
-                    out.push(Delta::with_count(t, count));
-                    Ok(())
-                }
-                Some(t) => Self::run_stages(rest, Row::Tuple(&t), count, out),
-                None => Ok(()),
-            },
-            Some((FuseStage::External { name, f }, rest)) => {
-                // The emit callback can't return a Result, so a nested
-                // stage error is parked and re-raised after the call.
-                let mut nested = Ok(());
-                f(row, &mut |t| {
-                    if rest.is_empty() {
-                        out.push(Delta::with_count(t, count));
-                    } else if nested.is_ok() {
-                        nested = Self::run_stages(rest, Row::Tuple(&t), count, out);
-                    }
-                })
-                .map_err(|detail| DataflowError::ExternalFn {
-                    name: name.clone(),
-                    detail,
-                })?;
-                nested
-            }
-        }
-    }
-}
-
-impl Operator for Fused {
-    fn on_batch(
-        &mut self,
-        _port: usize,
-        deltas: &[Delta],
-        out: &mut Vec<Delta>,
-    ) -> Result<(), DataflowError> {
-        // A drained chain (`take_fuse_stages`) must not masquerade as
-        // an identity operator.
-        assert!(!self.stages.is_empty(), "fused chain `{}` was drained", self.label);
-        for delta in deltas {
-            if delta.count == 0 {
-                continue;
-            }
-            Self::run_stages(&mut self.stages, Row::Tuple(&delta.tuple), delta.count, out)?;
-        }
-        // Every batch through the chain is (stages − 1) dispatches that
-        // no longer happen.
-        self.counters.fused_stages_saved += self.stages.len() as u64 - 1;
-        Ok(())
-    }
-
-    fn coalesces_input(&self) -> bool {
-        false
-    }
-
-    fn fusable(&self) -> bool {
-        true
-    }
-
-    fn take_fuse_stages(&mut self) -> Option<Vec<FuseStage>> {
-        Some(std::mem::take(&mut self.stages))
-    }
-
-    fn take_counters(&mut self) -> OpCounters {
-        std::mem::take(&mut self.counters)
-    }
-
-    fn name(&self) -> &str {
-        &self.label
     }
 }
 
@@ -503,14 +291,9 @@ pub struct HashJoin {
     right: Side,
     /// Key columns of the left and right port.
     keys: [Vec<usize>; 2],
-    /// Fused output projection: columns of the virtual `left ++ right`
+    /// Output projection: columns of the virtual `left ++ right`
     /// concatenation. `None` emits the full concatenation.
     proj: Option<Vec<usize>>,
-    /// The post-stage ([`Operator::absorb_tail`]): each output runs
-    /// through these stages instead of being emitted. Stateless.
-    post: Vec<FuseStage>,
-    /// Scratch: a wide output the post-stage reads and nobody stores.
-    row: Vec<Val>,
     /// Batch scratch: `(key hash, delta index)`, sorted to group
     /// repeated keys.
     by_key: Vec<(u64, u32)>,
@@ -557,8 +340,6 @@ impl HashJoin {
             right: Side::Owned(IndexedMultiset::new(right_key.clone())),
             keys: [left_key, right_key],
             proj: None,
-            post: Vec::new(),
-            row: Vec::new(),
             by_key: Vec::new(),
             hits: Vec::new(),
             counters: OpCounters::default(),
@@ -567,8 +348,8 @@ impl HashJoin {
 
     /// A join that projects its output in place: emits
     /// `(left ++ right)[proj]`, built directly from the two sides —
-    /// the ubiquitous join-then-project pair fused into one operator
-    /// and one tuple construction.
+    /// the ubiquitous join-then-project pair as one operator and one
+    /// tuple construction.
     pub fn with_projection(
         left_key: Vec<usize>,
         right_key: Vec<usize>,
@@ -617,49 +398,30 @@ impl HashJoin {
     }
 }
 
-/// Where a join's matches go: out as `(left ++ right)[proj]`, or — with
-/// a post-stage — through its stages, read from the `row` scratch.
+/// Where a join's matches go: out as `(left ++ right)[proj]`.
 struct Emit<'a> {
     delta_is_left: bool,
     proj: &'a Option<Vec<usize>>,
-    post: &'a mut [FuseStage],
-    row: &'a mut Vec<Val>,
     out: &'a mut Vec<Delta>,
 }
 
 impl Emit<'_> {
     #[inline]
-    fn push(&mut self, delta: &Delta, matched: &Tuple, c: i64) -> Result<(), DataflowError> {
+    fn push(&mut self, delta: &Delta, matched: &Tuple, c: i64) {
         let count = delta.count * c;
         if count == 0 {
-            return Ok(());
+            return;
         }
         let (l, r) = if self.delta_is_left {
             (&delta.tuple, matched)
         } else {
             (matched, &delta.tuple)
         };
-        let split = l.len();
-        let width = self.proj.as_ref().map_or(split + r.len(), Vec::len);
-        if self.post.is_empty() || width <= INLINE_CAP {
-            // Nothing to save on a tuple that is emitted or lives inline.
-            let t = match self.proj {
-                Some(cols) => l.project_concat(r, cols),
-                None => l.concat(r),
-            };
-            if self.post.is_empty() {
-                self.out.push(Delta::with_count(t, count));
-                return Ok(());
-            }
-            return Fused::run_stages(self.post, Row::Tuple(&t), count, self.out);
-        }
-        let pick = |c: usize| if c < split { l.get(c) } else { r.get(c - split) };
-        self.row.clear();
-        match self.proj {
-            Some(cols) => self.row.extend(cols.iter().map(|&c| pick(c))),
-            None => self.row.extend(l.values().chain(r.values())),
-        }
-        Fused::run_stages(self.post, Row::Vals(self.row), count, self.out)
+        let t = match self.proj {
+            Some(cols) => l.project_concat(r, cols),
+            None => l.concat(r),
+        };
+        self.out.push(Delta::with_count(t, count));
     }
 }
 
@@ -677,7 +439,7 @@ fn probe_batch(
     hits: &mut Vec<(Tuple, i64)>,
     counters: &mut OpCounters,
     emit: &mut Emit<'_>,
-) -> Result<(), DataflowError> {
+) {
     by_key.clear();
     for (i, delta) in deltas.iter().enumerate() {
         if delta.count != 0 {
@@ -710,7 +472,7 @@ fn probe_batch(
             // workloads): emit straight off the probe iterator, no
             // match buffering.
             for (t, c) in other.matches_hashed(h, &rep.tuple, own_key) {
-                emit.push(rep, t, c)?;
+                emit.push(rep, t, c);
             }
             continue;
         }
@@ -727,16 +489,15 @@ fn probe_batch(
             if di != first && !delta.tuple.cols_eq(own_key, &rep.tuple, own_key) {
                 counters.join_probes += 1;
                 for (t, c) in other.matches_hashed(h, &delta.tuple, own_key) {
-                    emit.push(delta, t, c)?;
+                    emit.push(delta, t, c);
                 }
                 continue;
             }
             for (t, c) in hits.iter() {
-                emit.push(delta, t, *c)?;
+                emit.push(delta, t, *c);
             }
         }
     }
-    Ok(())
 }
 
 impl Operator for HashJoin {
@@ -751,8 +512,6 @@ impl Operator for HashJoin {
             right,
             keys,
             proj,
-            post,
-            row,
             by_key,
             hits,
             counters,
@@ -773,14 +532,9 @@ impl Operator for HashJoin {
                 &guard
             }
         };
-        // Each batch is one dispatch per absorbed stage that no longer
-        // happens.
-        counters.fused_stages_saved += post.len() as u64;
         let mut emit = Emit {
             delta_is_left: port == 0,
             proj,
-            post,
-            row,
             out,
         };
         probe_batch(
@@ -792,19 +546,12 @@ impl Operator for HashJoin {
             hits,
             counters,
             &mut emit,
-        )
+        );
+        Ok(())
     }
 
     fn arity(&self) -> usize {
         2
-    }
-
-    fn absorbs_tail(&self) -> bool {
-        true
-    }
-
-    fn absorb_tail(&mut self, stages: Vec<FuseStage>) {
-        self.post.extend(stages);
     }
 
     fn take_counters(&mut self) -> OpCounters {
@@ -913,7 +660,7 @@ pub struct GroupAgg {
 struct Group {
     state: OrderedMultiset,
     stamp: u64,
-    before: Option<crate::value::Val>,
+    before: Option<Val>,
 }
 
 impl GroupAgg {
@@ -1387,39 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_chain_composes_maps_and_externals() {
-        // filter(even) ∘ Fn_split(x → x+1, x+2) ∘ project[0]
-        let mut filter = Map::filter(|t| t.get(0).as_int() % 2 == 0);
-        let mut split = ExternalFn::new("Fn_split", |t, emit| {
-            let x = t.get(0).as_int();
-            emit(ints(&[x, x + 1]));
-            emit(ints(&[x, x + 2]));
-        });
-        let mut proj = Map::project(vec![1]);
-        let mut stages = Vec::new();
-        stages.extend(filter.take_fuse_stages().unwrap());
-        stages.extend(split.take_fuse_stages().unwrap());
-        stages.extend(proj.take_fuse_stages().unwrap());
-        let mut fused = Fused::new(stages);
-        assert_eq!(fused.stage_count(), 3);
-        assert!(fused.fusable());
-        // Odd input: dropped by the first stage.
-        assert!(run(&mut fused, 0, Delta::insert(ints(&[3]))).is_empty());
-        // Even input with multiplicity: fans out through the external,
-        // projected, counts preserved.
-        let out = run(&mut fused, 0, Delta::with_count(ints(&[4]), -2));
-        assert_eq!(
-            out,
-            vec![
-                Delta::with_count(ints(&[5]), -2),
-                Delta::with_count(ints(&[6]), -2),
-            ]
-        );
-        let c = fused.take_counters();
-        assert_eq!(c.fused_stages_saved, 4); // 2 batches × 2 saved hops
-    }
-
-    #[test]
     fn external_fn_failure_surfaces_as_typed_error() {
         let mut f = ExternalFn::try_new("Fn_flaky", |t, emit| {
             if t.get(0).as_int() < 0 {
@@ -1439,50 +1153,6 @@ mod tests {
                 name: "Fn_flaky".into(),
                 detail: "negative input".into()
             }
-        );
-    }
-
-    #[test]
-    fn fused_chain_propagates_stage_errors() {
-        let mut pre = Map::project(vec![0]);
-        let mut flaky = ExternalFn::try_new("Fn_flaky", |t, emit| {
-            if t.get(0).as_int() < 0 {
-                return Err("negative input".into());
-            }
-            emit(t.clone());
-            Ok(())
-        });
-        let mut stages = Vec::new();
-        stages.extend(pre.take_fuse_stages().unwrap());
-        stages.extend(flaky.take_fuse_stages().unwrap());
-        let mut fused = Fused::new(stages);
-        assert_eq!(run(&mut fused, 0, Delta::insert(ints(&[2, 9]))).len(), 1);
-        let mut out = Vec::new();
-        let err = fused
-            .on_batch(0, &[Delta::insert(ints(&[-2, 9]))], &mut out)
-            .unwrap_err();
-        assert!(matches!(err, DataflowError::ExternalFn { .. }));
-    }
-
-    #[test]
-    fn fused_chains_refuse_single_stages_and_renest() {
-        let mut m = Map::project(vec![0]);
-        let stages = m.take_fuse_stages().unwrap();
-        assert_eq!(stages.len(), 1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Fused::new(Vec::new());
-        }));
-        assert!(result.is_err(), "an empty chain must be rejected");
-        // A Fused can itself be refused into a longer chain.
-        let mut m2 = Map::project(vec![0]);
-        let mut all = stages;
-        all.extend(m2.take_fuse_stages().unwrap());
-        let mut fused = Fused::new(all);
-        let mut renested = Fused::new(fused.take_fuse_stages().unwrap());
-        assert_eq!(renested.stage_count(), 2);
-        assert_eq!(
-            run(&mut renested, 0, Delta::insert(ints(&[9, 1]))),
-            vec![Delta::insert(ints(&[9]))]
         );
     }
 }

@@ -276,8 +276,8 @@ impl Tuple {
     }
 
     /// Projects columns out of the *virtual concatenation*
-    /// `self ++ other` without materializing it — the fused
-    /// join-then-project output path: one tuple construction instead of
+    /// `self ++ other` without materializing it — the join's
+    /// projected output path: one tuple construction instead of
     /// a wide concat followed by a projection.
     pub fn project_concat(&self, other: &Tuple, cols: &[usize]) -> Tuple {
         let split = self.len();
@@ -490,33 +490,6 @@ impl fmt::Debug for Tuple {
             write!(f, "{v}")?;
         }
         write!(f, ")")
-    }
-}
-
-/// What a stateless stage reads: a stored tuple, or a row its producer
-/// assembled in a scratch buffer and never stored (a join's post-stage
-/// reads the join's projected output this way, so a wide intermediate
-/// is never allocated).
-#[derive(Clone, Copy)]
-pub enum Row<'a> {
-    Tuple(&'a Tuple),
-    Vals(&'a [Val]),
-}
-
-impl Row<'_> {
-    #[inline]
-    pub fn get(&self, i: usize) -> Val {
-        match self {
-            Row::Tuple(t) => t.get(i),
-            Row::Vals(v) => v[i],
-        }
-    }
-
-    pub fn to_tuple(&self) -> Tuple {
-        match self {
-            Row::Tuple(t) => (*t).clone(),
-            Row::Vals(v) => Tuple::from_slice(v),
-        }
     }
 }
 

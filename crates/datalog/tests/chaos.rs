@@ -2,7 +2,7 @@
 //! insert/delete streams, with a fault armed on a victim twin — either a
 //! deterministic injected fault or a starved step budget. Until the
 //! fault fires, every victim run must land on exactly the fixpoint a
-//! fault-free oracle reaches, across the full scheduler/fusion matrix,
+//! fault-free oracle reaches, across the full scheduler matrix,
 //! with zero residual negative counts. The run it fires in must return
 //! the armed error, and that error poisons the victim: every later run
 //! returns the same error and services no batch. Recovery is what the
@@ -107,7 +107,7 @@ fn run_victim(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The chaos matrix: {Batched, Batched+fusion, PerDelta}, each mode
+    /// The chaos matrix: {Batched, PerDelta}, each mode
     /// running a fault-free oracle and a victim with one armed fault.
     #[test]
     fn faulted_runs_recover_to_the_fault_free_fixpoint(
@@ -118,10 +118,10 @@ proptest! {
         starve in any::<bool>(),
         sharing in any::<bool>(),
     ) {
-        for (mode, fusion) in MATRIX {
-            let what = format!("{mode:?}, fusion={fusion}");
-            let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion, sharing);
-            let (mut victim, v_in, v_sinks) = build(&gen, mode, fusion, sharing);
+        for mode in MATRIX {
+            let what = format!("{mode:?}");
+            let (mut oracle, o_in, o_sinks) = build(&gen, mode, sharing);
+            let (mut victim, v_in, v_sinks) = build(&gen, mode, sharing);
             let arm = Arm::new(starve, &mut victim, fault_step);
             let mut fired = None;
             let run = |oracle: &mut Dataflow, victim: &mut Dataflow, fired: &mut _| {
@@ -161,7 +161,7 @@ proptest! {
             run(&mut oracle, &mut victim, &mut fired);
             run(&mut oracle, &mut victim, &mut fired);
             if fired.is_some() {
-                let (mut fresh, f_in, f_sinks) = build(&gen, mode, fusion, sharing);
+                let (mut fresh, f_in, f_sinks) = build(&gen, mode, sharing);
                 for (side, rows) in live.iter().enumerate() {
                     for &(k, v) in rows {
                         fresh.insert(f_in[side], ints(&[k, v]));
@@ -189,10 +189,10 @@ proptest! {
     ) {
         let release = RELEASES[release_sel];
         let moves = cost_moves(&gen, &evts);
-        for (mode, fusion) in MATRIX {
-            let what = format!("{mode:?}, fusion={fusion}, {release:?}");
-            let mut oracle = CostLoop::build(&gen, mode, fusion, sharing, release);
-            let mut victim = CostLoop::build(&gen, mode, fusion, sharing, release);
+        for mode in MATRIX {
+            let what = format!("{mode:?}, {release:?}");
+            let mut oracle = CostLoop::build(&gen, mode, sharing, release);
+            let mut victim = CostLoop::build(&gen, mode, sharing, release);
             let arm = Arm::new(starve, &mut victim.df, fault_step);
             let mut fired = None;
             let run = |oracle: &mut CostLoop, victim: &mut CostLoop, fired: &mut _| {
@@ -217,7 +217,7 @@ proptest! {
             run(&mut oracle, &mut victim, &mut fired);
             run(&mut oracle, &mut victim, &mut fired);
             if fired.is_some() {
-                let mut fresh = CostLoop::build(&gen, mode, fusion, sharing, release);
+                let mut fresh = CostLoop::build(&gen, mode, sharing, release);
                 for (alt, &cost) in local.iter().enumerate() {
                     fresh.set_local(alt, None, cost);
                 }

@@ -1,6 +1,6 @@
 //! Shared generators for the differential and chaos harnesses: random
 //! operator networks over all operator kinds, instantiated under any
-//! scheduler/fusion mode, plus set-like input event streams.
+//! scheduler mode, plus set-like input event streams.
 #![allow(dead_code)]
 
 use std::collections::HashMap;
@@ -13,13 +13,9 @@ use reopt_datalog::{
     SchedulerMode, SinkId, Union,
 };
 
-/// The scheduler matrix every harness runs: `(mode, fusion)`, per-delta
-/// last — it is the semantic reference.
-pub const MATRIX: [(SchedulerMode, bool); 3] = [
-    (SchedulerMode::Batched, false),
-    (SchedulerMode::Batched, true),
-    (SchedulerMode::PerDelta, false),
-];
+/// The scheduler matrix every harness runs, per-delta last — it is the
+/// semantic reference.
+pub const MATRIX: [SchedulerMode; 2] = [SchedulerMode::Batched, SchedulerMode::PerDelta];
 
 /// One randomly generated operator stage. Input indices select from the
 /// pool `[input0, input1, stage0, stage1, ...]` (mod pool size), so
@@ -32,8 +28,8 @@ pub enum StageGen {
     Filter(u8, bool),
     /// Arithmetic map: `(c0, c1 + k)`.
     Shift(u8, i8),
-    /// Equi-join on column 0 with a fused output projection back to a
-    /// binary tuple.
+    /// Equi-join on column 0 with an in-join output projection back to
+    /// a binary tuple.
     Join(u8, u8),
     Union(u8, u8),
     Distinct(u8),
@@ -72,7 +68,7 @@ pub fn net_gen(max_stages: usize) -> impl Strategy<Value = NetGen> {
     })
 }
 
-/// Instantiates the described network under one scheduler/fusion/
+/// Instantiates the described network under one scheduler/
 /// arrangement-sharing mode. With `sharing` on, every join input gets
 /// an [`Arrange`] node (keyed on column 0, deduplicated per source
 /// node) and the join attaches the shared index instead of building an
@@ -81,10 +77,9 @@ pub fn net_gen(max_stages: usize) -> impl Strategy<Value = NetGen> {
 pub fn build(
     gen: &NetGen,
     mode: SchedulerMode,
-    fusion: bool,
     sharing: bool,
 ) -> (Dataflow, [NodeId; 2], Vec<SinkId>) {
-    build_eliding(gen, mode, fusion, sharing, false)
+    build_eliding(gen, mode, sharing, false)
 }
 
 /// [`build`], optionally with the eliminations a compiler may infer
@@ -92,18 +87,16 @@ pub fn build(
 /// stream that can only carry a set — an input (the harnesses feed
 /// set-like streams), a `Distinct` or grouped aggregate, or a
 /// one-to-one map or a filter of one — is not built: its consumers read
-/// the stream itself. (The wiring-level eliminations — consolidated
-/// ports that skip coalescing, join tails run inside the join — are
-/// inferred by `Dataflow::fuse`, so the `fusion` axis covers them.)
+/// the stream itself. (The wiring-level elimination — consolidated
+/// ports that skip coalescing — is inferred by
+/// `Dataflow::prove_consolidated` under every batched build.)
 pub fn build_eliding(
     gen: &NetGen,
     mode: SchedulerMode,
-    fusion: bool,
     sharing: bool,
     elide: bool,
 ) -> (Dataflow, [NodeId; 2], Vec<SinkId>) {
     let mut df = Dataflow::with_mode(mode);
-    df.set_fusion(fusion);
     let inputs = [df.add_input("r"), df.add_input("s")];
     let mut pool: Vec<NodeId> = inputs.to_vec();
     // Per pool entry: can the stream only ever carry a set?
@@ -338,14 +331,12 @@ impl CostLoop {
     pub fn build(
         gen: &CostLoopGen,
         mode: SchedulerMode,
-        fusion: bool,
         sharing: bool,
         release: Release,
     ) -> CostLoop {
         const NONE: i64 = -1;
         let int = |t: &Tuple, i: usize| t.get(i).as_int();
         let mut df = Dataflow::with_mode(mode);
-        df.set_fusion(fusion);
         let alt_in = df.add_input("alt"); // (alt, group, left, right)
         let local_in = df.add_input("local"); // (alt, cost)
         // (alt, group, left, right, cost)

@@ -1,14 +1,14 @@
 //! Differential harness for the scheduler-mode matrix: random operator
 //! networks (joins, maps, unions, distinct, grouped aggregation) are
-//! executed under all of {`Batched`, `Batched`+fusion, `PerDelta`},
+//! executed under both of {`Batched`, `PerDelta`},
 //! each with and without shared arrangements and with and without the
 //! eliminations a compiler infers from the network, and must produce
 //! identical sink multisets — counts included — with zero residual
 //! negative counts at every fixpoint.
 //!
-//! This pins the tentpole invariant of the batched/fused substrate: the
-//! scheduler's service order, batch grouping, probe sharing, shared
-//! arrangements, chain fusion and coalescing are *performance* choices;
+//! This pins the tentpole invariant of the batched substrate: the
+//! scheduler's service order, batch grouping, chaining, probe sharing,
+//! shared arrangements and coalescing are *performance* choices;
 //! the per-delta FIFO execution with owned per-join indexes remains the
 //! semantic reference. The recursive networks add the release-order
 //! axis: any stratum table declared on a relation inside the cycle —
@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use reopt_datalog::value::{ints, Tuple, Val};
+use reopt_datalog::value::ints;
 use reopt_datalog::{Dataflow, Distinct, HashJoin, Map, NodeId, SchedulerMode, SinkId, Union};
 
 mod common;
@@ -29,7 +29,7 @@ use common::{
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The full matrix: {Batched, Batched+fusion, PerDelta} on random
+    /// The full matrix: {Batched, PerDelta} on random
     /// DAGs of all operator kinds agree on every materialized sink and
     /// leave no residual negative counts, under random set-like
     /// insert/delete streams with interleaved fixpoints.
@@ -40,27 +40,22 @@ proptest! {
         run_every in 1usize..6,
     ) {
         let matrix = [
-            (SchedulerMode::Batched, false, false, false),
-            (SchedulerMode::Batched, true, false, false),
-            (SchedulerMode::PerDelta, false, false, false),
+            (SchedulerMode::Batched, false, false),
+            (SchedulerMode::PerDelta, false, false),
             // Arrangement-sharing variants: every join probes shared
             // indexes maintained once per source; must be
             // observationally identical to per-join owned indexes.
-            (SchedulerMode::Batched, false, true, false),
-            (SchedulerMode::Batched, true, true, false),
-            (SchedulerMode::PerDelta, false, true, false),
+            (SchedulerMode::Batched, true, false),
+            (SchedulerMode::PerDelta, true, false),
             // The inferred eliminations: no `Distinct` over a stream
-            // that can only carry a set; under fusion also no
-            // coalescing of consolidated ports and join tails run
-            // inside the join (`Dataflow::fuse` infers both).
-            (SchedulerMode::Batched, false, false, true),
-            (SchedulerMode::Batched, true, false, true),
-            (SchedulerMode::Batched, true, true, true),
-            (SchedulerMode::PerDelta, false, true, true),
+            // that can only carry a set.
+            (SchedulerMode::Batched, false, true),
+            (SchedulerMode::Batched, true, true),
+            (SchedulerMode::PerDelta, true, true),
         ];
         let mut nets: Vec<(Dataflow, [NodeId; 2], Vec<SinkId>)> = matrix
             .iter()
-            .map(|&(m, f, s, e)| build_eliding(&gen, m, f, s, e))
+            .map(|&(m, s, e)| build_eliding(&gen, m, s, e))
             .collect();
         // Set-like inputs (delete only present tuples) keep every
         // operator's fixpoint state non-negative.
@@ -111,57 +106,9 @@ proptest! {
         }
     }
 
-    /// Fusion-focused slice of the matrix: single-consumer stateless
-    /// chains (the shape fusion rewrites) produce identical sinks, the
-    /// rewrite provably fires, and the run reports the dispatches it
-    /// absorbed.
-    #[test]
-    fn fused_chains_match_unfused_and_collapse_dispatch(
-        shifts in proptest::collection::vec(any::<i8>(), 2..6),
-        keys in proptest::collection::vec((0u8..8, 0u8..8), 1..12),
-    ) {
-        let build_chain = |fusion: bool| {
-            let mut df = Dataflow::new();
-            df.set_fusion(fusion);
-            let input = df.add_input("r");
-            let mut node = input;
-            for k in &shifts {
-                let k = *k as i64;
-                node = df.add_op(
-                    Map::new(move |t| {
-                        Some(Tuple::new(vec![t.get(0), Val::Int(t.get(1).as_int() + k)]))
-                    }),
-                    &[node],
-                );
-            }
-            let sink = df.add_sink(node);
-            (df, input, sink)
-        };
-        let (mut fused, f_in, f_sink) = build_chain(true);
-        let (mut plain, p_in, p_sink) = build_chain(false);
-        for (k, v) in &keys {
-            fused.insert(f_in, ints(&[*k as i64, *v as i64]));
-            plain.insert(p_in, ints(&[*k as i64, *v as i64]));
-        }
-        let f_stats = fused.run().unwrap();
-        let p_stats = plain.run().unwrap();
-        prop_assert_eq!(sink_counted(&fused, f_sink), sink_counted(&plain, p_sink));
-        // The whole chain collapsed into one operator…
-        prop_assert_eq!(fused.fused_node_count(), shifts.len() - 1);
-        prop_assert_eq!(plain.fused_node_count(), 0);
-        // …and the run visibly skipped the per-stage dispatches.
-        prop_assert!(
-            f_stats.fused_stages_saved >= (shifts.len() - 1) as u64,
-            "no dispatch savings reported: {f_stats:?}"
-        );
-        prop_assert!(f_stats.batches_processed < p_stats.batches_processed
-            || f_stats.deltas_processed < p_stats.deltas_processed,
-            "fusion did not shrink scheduling: {f_stats:?} vs {p_stats:?}");
-    }
-
     /// The release-order axis: the recursive cost loop (a grouped `min`
     /// feeding the joins that feed it) under {none, depth, reversed,
-    /// constant, hashed} × {Batched, Batched+fusion, PerDelta} ×
+    /// constant, hashed} × {Batched, PerDelta} ×
     /// sharing. Every network holds the bottom-up recomputed best costs
     /// at every fixpoint, all agree on both sinks counts included, and
     /// none keeps a negative count.
@@ -174,10 +121,10 @@ proptest! {
         let moves = cost_moves(&gen, &evts);
         let mut reference = None;
         for release in RELEASES {
-            for (mode, fusion) in MATRIX {
+            for mode in MATRIX {
                 for sharing in [false, true] {
-                    let what = format!("{release:?}/{mode:?}/fusion={fusion}/sharing={sharing}");
-                    let mut net = CostLoop::build(&gen, mode, fusion, sharing, release);
+                    let what = format!("{release:?}/{mode:?}/sharing={sharing}");
+                    let mut net = CostLoop::build(&gen, mode, sharing, release);
                     let mut live = vec![None; gen.alts.len()];
                     for (step, (alt, old, new)) in moves.iter().enumerate() {
                         net.set_local(*alt, *old, *new);
@@ -206,15 +153,14 @@ proptest! {
 }
 
 /// The recursive transitive-closure network — cyclic, so it exercises
-/// fusion + rank scheduling + counting deletions together — run under
+/// chaining + rank scheduling + counting deletions together — run under
 /// the full mode matrix on a fixed churn script, with `Path` released
 /// by its target vertex under several stratum tables (closure has no
 /// well-founded order to follow; every table is just a schedule).
 #[test]
 fn scheduler_modes_agree_on_recursive_closure() {
-    let tc = |mode: SchedulerMode, fusion: bool, strata: &[u32]| {
+    let tc = |mode: SchedulerMode, strata: &[u32]| {
         let mut df = Dataflow::with_mode(mode);
-        df.set_fusion(fusion);
         let edge = df.add_input("edge");
         let union = df.add_op_unwired(Union::new(2));
         df.connect(edge, union, 0);
@@ -248,7 +194,7 @@ fn scheduler_modes_agree_on_recursive_closure() {
     ];
     let mut nets: Vec<_> = tables
         .iter()
-        .flat_map(|strata| MATRIX.map(|(mode, fusion)| tc(mode, fusion, strata)))
+        .flat_map(|strata| MATRIX.map(|mode| tc(mode, strata)))
         .collect();
     for &(a, b, insert) in script {
         for (df, edge, _) in nets.iter_mut() {
@@ -282,7 +228,7 @@ fn depth_release_services_each_plan_cost_row_once() {
     }
     let gen = CostLoopGen { alts };
     let serviced = |release: Release| {
-        let mut net = CostLoop::build(&gen, SchedulerMode::Batched, true, true, release);
+        let mut net = CostLoop::build(&gen, SchedulerMode::Batched, true, release);
         for alt in 0..gen.alts.len() {
             net.set_local(alt, None, Some(10));
         }
