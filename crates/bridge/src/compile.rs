@@ -24,8 +24,8 @@
 //! - join sides that read a relation directly attach to *shared
 //!   arrangements*: one [`Arrange`] node per `(relation, key columns)`
 //!   maintains the keyed index, and every join demanding that index
-//!   probes it through a handle instead of keeping an owned copy (see
-//!   [`NetworkBuilder::share_arrangements`]).
+//!   probes it through a handle instead of keeping an owned copy; a
+//!   side that reads an intermediate binding owns its index.
 //!
 //! A relation may be *both* derived and a base input ("seeded"): the
 //! input feeds port 0 of the relation's union — how `Bound(root)` is
@@ -100,7 +100,6 @@ pub struct NetworkBuilder {
     /// `(relation, column, strata)` release-order declarations.
     release_orders: Vec<(String, usize, Vec<u32>)>,
     mode: SchedulerMode,
-    share_arrangements: bool,
 }
 
 impl Default for NetworkBuilder {
@@ -112,7 +111,6 @@ impl Default for NetworkBuilder {
             sinks: Vec::new(),
             release_orders: Vec::new(),
             mode: SchedulerMode::Batched,
-            share_arrangements: true,
         }
     }
 }
@@ -169,17 +167,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables shared arrangements (default on). When on,
-    /// every join side that reads a relation directly probes a keyed
-    /// index maintained once per `(relation, key signature)` by an
-    /// [`Arrange`] node, instead of each join keeping an owned copy of
-    /// the same index. Dedup is by key columns, so `SearchSpace` joined
-    /// on `(expr,prop)` by several rules is indexed exactly once.
-    pub fn share_arrangements(mut self, on: bool) -> NetworkBuilder {
-        self.share_arrangements = on;
-        self
-    }
-
     /// Declares the release order of a relation's pending deltas: a
     /// delta holding `Int(v)` in `column` waits in stratum `strata[v]`
     /// until the rest of the relation's recursive component has
@@ -227,8 +214,8 @@ impl NetworkBuilder {
 /// single-rule relations) keeps its `Distinct`.
 ///
 /// The wiring-level half — which input ports are fed consolidated
-/// batches and which stateless tails a join can run itself — is proved
-/// on the wired graph by [`Dataflow::fuse`].
+/// batches — is proved on the wired graph by
+/// [`Dataflow::prove_consolidated`].
 fn infer_properties(
     rules: &[Rule],
     inputs: &[(String, usize)],
@@ -801,13 +788,13 @@ impl Compiler {
         // key keeps its right side owned.
         let mut wire = [left.node, right.node];
         let mut left_arr: Option<NodeId> = None;
-        if self.b.share_arrangements && self.rel_reads.contains(&left.node) {
+        if self.rel_reads.contains(&left.node) {
             let (node, handle) = self.arrangement(left.node, lk);
             join = join.share_left(handle);
             wire[0] = node;
             left_arr = Some(node);
         }
-        if self.b.share_arrangements && self.rel_reads.contains(&right.node) {
+        if self.rel_reads.contains(&right.node) {
             let (node, handle) = self.arrangement(right.node, rk);
             if Some(node) != left_arr {
                 join = join.share_right(handle);
@@ -1193,9 +1180,8 @@ impl RuleNetwork {
     /// ordered state its `GroupAgg` holds for the group at `key` (the
     /// head's key columns), so `.min()`/`.max()` is the relation's row
     /// for that key. It reads the operator's own state — no sink, no
-    /// arrangement — so it does not depend on
-    /// [`NetworkBuilder::share_arrangements`]. `None` for an unseen
-    /// group or a relation not read off an aggregate.
+    /// arrangement. `None` for an unseen group or a relation not read
+    /// off an aggregate.
     pub fn group_state(&self, relation: &str, key: &Tuple) -> Option<&OrderedMultiset> {
         self.df.group_state(*self.reads.get(relation)?, key)
     }
@@ -1224,8 +1210,8 @@ impl RuleNetwork {
         self.df.consolidator_footprint()
     }
 
-    /// Number of shared arrangements the compiler built (diagnostics;
-    /// 0 when arrangement sharing is disabled).
+    /// Number of shared arrangements the compiler built (diagnostics):
+    /// one per `(relation, key columns)` a join side reads directly.
     pub fn arrangement_count(&self) -> usize {
         self.arrangements
     }
@@ -1693,13 +1679,14 @@ mod tests {
 
     #[test]
     fn shared_arrangements_dedup_indexes_and_preserve_results() {
-        // Three rules join on `R` keyed by its first column — with
-        // sharing on, that index is arranged exactly once (plus one for
-        // `S`); sinks match the owned-index build through mixed churn,
-        // including recursion through `Reach`.
-        let build = |share: bool| {
+        // `R` is joined on its second column (A, B) and on its first
+        // (B, D), `S` and `Reach` on one column each: one arrangement
+        // per `(relation, key)`, four in all. Sinks match the same
+        // program compiled for the per-delta scheduler through mixed
+        // churn, including recursion through `Reach`.
+        let build = |mode: SchedulerMode| {
             NetworkBuilder::new()
-                .share_arrangements(share)
+                .scheduler_mode(mode)
                 .input("R", 2)
                 .input("S", 2)
                 .rule_texts([
@@ -1715,10 +1702,10 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let mut shared = build(true);
-        let mut owned = build(false);
-        assert!(shared.arrangement_count() > 0, "nothing was arranged");
-        assert_eq!(owned.arrangement_count(), 0);
+        let mut batched = build(SchedulerMode::Batched);
+        let mut per_delta = build(SchedulerMode::PerDelta);
+        assert_eq!(batched.arrangement_count(), 4);
+        assert_eq!(per_delta.arrangement_count(), 4);
         let script: &[(&str, i64, i64, bool)] = &[
             ("R", 1, 2, true),
             ("R", 2, 3, true),
@@ -1729,7 +1716,7 @@ mod tests {
             ("R", 2, 4, true),
         ];
         for &(rel, a, b, ins) in script {
-            for net in [&mut shared, &mut owned] {
+            for net in [&mut batched, &mut per_delta] {
                 if ins {
                     net.insert(rel, ints(&[a, b]));
                 } else {
@@ -1739,10 +1726,10 @@ mod tests {
             }
         }
         for rel in ["Pair", "Wide", "Reach"] {
-            assert!(!shared.sink(rel).unwrap().has_negative_counts());
+            assert!(!batched.sink(rel).unwrap().has_negative_counts());
             assert_eq!(
-                shared.sink(rel).unwrap().sorted(),
-                owned.sink(rel).unwrap().sorted(),
+                batched.sink(rel).unwrap().sorted(),
+                per_delta.sink(rel).unwrap().sorted(),
                 "{rel}"
             );
         }

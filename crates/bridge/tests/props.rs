@@ -9,6 +9,8 @@
 //! configuration, so their best-plan costs must agree within
 //! floating-point slack after any update sequence.
 
+mod common;
+
 use proptest::prelude::*;
 
 use reopt_bridge::compile::null_value;
@@ -16,77 +18,15 @@ use reopt_bridge::{
     AuditMode, AuditOutcome, DataflowOptimizer, DataflowOutcome, NetworkBuilder, RuleNetwork,
     BEST_PLAN_RULE, DATAFLOW_RULES,
 };
-use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
+use reopt_catalog::Catalog;
 use reopt_core::memo::{AltId, GroupId, Memo};
-use reopt_core::fixtures::deltas_for;
+use reopt_core::fixtures::{all_configs, build, deltas_for, QueryGen};
 use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_datalog::{FaultPlan, Multiset, Tuple, Val};
 use reopt_expr::{PlanNode, QuerySpec};
 
-/// Deterministic description of a random query instance (same shape as
-/// the `reopt-core` property suite).
-#[derive(Clone, Debug)]
-struct QueryGen {
-    /// Per-leaf row counts (log scale 1..=5 → 10^x rows).
-    rows: Vec<u8>,
-    /// Per-leaf: has an index on column `a`.
-    indexed: Vec<bool>,
-    /// For leaf i>0: joins to leaf `parent[i-1] % i` (random tree).
-    parent: Vec<u8>,
-    /// Close a cycle between leaf 0 and the last leaf.
-    cycle: bool,
-}
-
-fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
-    (2..=max_leaves).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(1u8..=5, n),
-            proptest::collection::vec(any::<bool>(), n),
-            proptest::collection::vec(any::<u8>(), n - 1),
-            any::<bool>(),
-        )
-            .prop_map(|(rows, indexed, parent, cycle)| QueryGen {
-                rows,
-                indexed,
-                parent,
-                cycle,
-            })
-    })
-}
-
-fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
-    let n = gen.rows.len();
-    let mut c = Catalog::new();
-    for i in 0..n {
-        let rows = 10f64.powi(gen.rows[i] as i32);
-        let name = format!("t{i}");
-        let indexed = gen.indexed[i];
-        c.add_table(
-            |id| {
-                let mut b = TableBuilder::new(&name).int_col("a").int_col("b");
-                if indexed {
-                    b = b.index_on("a");
-                }
-                b.build(id)
-            },
-            TableStats {
-                row_count: rows,
-                columns: vec![ColumnStats::uniform_key(rows); 2],
-            },
-        );
-    }
-    let mut b = QuerySpec::builder("prop");
-    let leaves: Vec<_> = (0..n).map(|i| b.leaf(&c, &format!("t{i}"))).collect();
-    for i in 1..n {
-        let p = (gen.parent[i - 1] as usize) % i;
-        b.join(&c, leaves[p], "b", leaves[i], "a");
-    }
-    if gen.cycle && n > 2 {
-        b.join(&c, leaves[n - 1], "b", leaves[0], "a");
-    }
-    (c, b.build())
-}
+use common::query_gen;
 
 /// Raises every delta to the highest factor its parameter has been
 /// given so far (`highest`, one entry per parameter). Factors are
@@ -366,17 +306,6 @@ fn plan_extraction_probes_only_the_alternatives_of_the_chosen_groups() {
             }
         }
     }
-}
-
-fn all_configs() -> Vec<PruningConfig> {
-    vec![
-        PruningConfig::none(),
-        PruningConfig::evita_raced(),
-        PruningConfig::aggsel(),
-        PruningConfig::aggsel_refcount(),
-        PruningConfig::aggsel_bounding(),
-        PruningConfig::all(),
-    ]
 }
 
 proptest! {

@@ -1,11 +1,14 @@
-//! Small synthetic catalogs and queries shared by this crate's unit
-//! tests and property tests. (The realistic TPC-H / Linear Road suite
-//! lives in `reopt-workloads`; keeping these here avoids a dependency
-//! cycle, since `reopt-workloads` sits above this crate.)
+//! Small synthetic catalogs and queries shared by the unit tests and
+//! property tests of this crate and the crates above it. (The realistic
+//! TPC-H / Linear Road suite lives in `reopt-workloads`; keeping these
+//! here avoids a dependency cycle, since `reopt-workloads` sits above
+//! this crate.)
 
 use reopt_catalog::{Catalog, CmpOp, ColumnStats, Datum, TableBuilder, TableStats};
 use reopt_cost::ParamDelta;
 use reopt_expr::{AggFunc, AggSpec, EdgeId, LeafCol, LeafId, QuerySpec};
+
+use crate::config::PruningConfig;
 
 /// Eight tables `t0..t7` with varied cardinalities; even-numbered tables
 /// are indexed on `a`, `t1` is clustered on `a`.
@@ -138,4 +141,66 @@ pub fn deltas_for(q: &QuerySpec, raw: &[(u8, u8, u8)], increase_only: bool) -> V
             }
         })
         .collect()
+}
+
+/// Deterministic description of a random query instance: what the
+/// property suites' `query_gen` strategies draw and [`build`] turns
+/// into a catalog and a query.
+#[derive(Clone, Debug)]
+pub struct QueryGen {
+    /// Per-leaf row counts (log scale: `10^rows[i]` rows).
+    pub rows: Vec<u8>,
+    /// Per-leaf: has an index on column `a`.
+    pub indexed: Vec<bool>,
+    /// For leaf i>0: joins to leaf `parent[i-1] % i` (random tree).
+    pub parent: Vec<u8>,
+    /// Close a cycle between leaf 0 and the last leaf.
+    pub cycle: bool,
+}
+
+/// The catalog (tables `t0..`, columns `a`, `b`) and the tree- or
+/// cycle-shaped query joining `b = a` that `gen` describes.
+pub fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
+    let n = gen.rows.len();
+    let mut c = Catalog::new();
+    for i in 0..n {
+        let rows = 10f64.powi(gen.rows[i] as i32);
+        let name = format!("t{i}");
+        let indexed = gen.indexed[i];
+        c.add_table(
+            |id| {
+                let mut b = TableBuilder::new(&name).int_col("a").int_col("b");
+                if indexed {
+                    b = b.index_on("a");
+                }
+                b.build(id)
+            },
+            TableStats {
+                row_count: rows,
+                columns: vec![ColumnStats::uniform_key(rows); 2],
+            },
+        );
+    }
+    let mut b = QuerySpec::builder("gen");
+    let leaves: Vec<_> = (0..n).map(|i| b.leaf(&c, &format!("t{i}"))).collect();
+    for i in 1..n {
+        let p = (gen.parent[i - 1] as usize) % i;
+        b.join(&c, leaves[p], "b", leaves[i], "a");
+    }
+    if gen.cycle && n > 2 {
+        b.join(&c, leaves[n - 1], "b", leaves[0], "a");
+    }
+    (c, b.build())
+}
+
+/// Every pruning preset, `none()` included.
+pub fn all_configs() -> Vec<PruningConfig> {
+    vec![
+        PruningConfig::none(),
+        PruningConfig::evita_raced(),
+        PruningConfig::aggsel(),
+        PruningConfig::aggsel_refcount(),
+        PruningConfig::aggsel_bounding(),
+        PruningConfig::all(),
+    ]
 }

@@ -745,22 +745,12 @@ impl IncrementalOptimizer {
 mod tests {
     use super::*;
     use crate::fixtures::{
-        agg_chain_query, chain_query, cycle_query, fixture_catalog, shaped_query, star_query,
+        agg_chain_query, all_configs, chain_query, cycle_query, fixture_catalog, shaped_query,
+        star_query,
     };
     use reopt_baselines::optimize_system_r;
     use reopt_common::FxHashSet;
     use reopt_expr::{EdgeId, LeafId};
-
-    fn all_configs() -> Vec<PruningConfig> {
-        vec![
-            PruningConfig::none(),
-            PruningConfig::evita_raced(),
-            PruningConfig::aggsel(),
-            PruningConfig::aggsel_refcount(),
-            PruningConfig::aggsel_bounding(),
-            PruningConfig::all(),
-        ]
-    }
 
     fn fixture_queries() -> Vec<QuerySpec> {
         let c = fixture_catalog();

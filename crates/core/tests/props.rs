@@ -5,24 +5,11 @@
 use proptest::prelude::*;
 
 use reopt_baselines::optimize_system_r;
-use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
-use reopt_core::fixtures::deltas_for;
+use reopt_catalog::Catalog;
+use reopt_core::fixtures::{all_configs, build, deltas_for, QueryGen};
 use reopt_core::{IncrementalOptimizer, PruningConfig};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_expr::{JoinGraph, QuerySpec};
-
-/// Deterministic description of a random query instance.
-#[derive(Clone, Debug)]
-struct QueryGen {
-    /// Per-leaf row counts (log scale 1..=6 → 10^x rows).
-    rows: Vec<u8>,
-    /// Per-leaf: has an index on column `a`.
-    indexed: Vec<bool>,
-    /// For leaf i>0: joins to leaf `parent[i-1] % i` (random tree).
-    parent: Vec<u8>,
-    /// Close a cycle between leaf 0 and the last leaf.
-    cycle: bool,
-}
 
 fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
     (2..=max_leaves).prop_flat_map(|n| {
@@ -41,55 +28,12 @@ fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
     })
 }
 
-fn build(gen: &QueryGen) -> (Catalog, QuerySpec) {
-    let n = gen.rows.len();
-    let mut c = Catalog::new();
-    for i in 0..n {
-        let rows = 10f64.powi(gen.rows[i] as i32);
-        let name = format!("t{i}");
-        let indexed = gen.indexed[i];
-        c.add_table(
-            |id| {
-                let mut b = TableBuilder::new(&name).int_col("a").int_col("b");
-                if indexed {
-                    b = b.index_on("a");
-                }
-                b.build(id)
-            },
-            TableStats {
-                row_count: rows,
-                columns: vec![ColumnStats::uniform_key(rows); 2],
-            },
-        );
-    }
-    let mut b = QuerySpec::builder("prop");
-    let leaves: Vec<_> = (0..n).map(|i| b.leaf(&c, &format!("t{i}"))).collect();
-    for i in 1..n {
-        let p = (gen.parent[i - 1] as usize) % i;
-        b.join(&c, leaves[p], "b", leaves[i], "a");
-    }
-    if gen.cycle && n > 2 {
-        b.join(&c, leaves[n - 1], "b", leaves[0], "a");
-    }
-    (c, b.build())
-}
-
 fn reference(c: &Catalog, q: &QuerySpec, deltas: &[ParamDelta]) -> reopt_common::Cost {
     let g = JoinGraph::new(q);
     let mut ctx = CostContext::new(c, q);
     ctx.apply(deltas);
     optimize_system_r(q, &g, &mut ctx).cost
 }
-
-/// Every pruning preset, `none()` included.
-const PRESETS: [fn() -> PruningConfig; 6] = [
-    PruningConfig::none,
-    PruningConfig::evita_raced,
-    PruningConfig::aggsel,
-    PruningConfig::aggsel_refcount,
-    PruningConfig::aggsel_bounding,
-    PruningConfig::all,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -99,7 +43,7 @@ proptest! {
     fn initial_matches_dp(gen in query_gen(6)) {
         let (c, q) = build(&gen);
         let want = reference(&c, &q, &[]);
-        for cfg in PRESETS.map(|cfg| cfg()) {
+        for cfg in all_configs() {
             let mut opt = IncrementalOptimizer::new(&c, q.clone(), cfg);
             let out = opt.optimize();
             prop_assert!(out.cost.approx_eq(want),
@@ -169,9 +113,9 @@ proptest! {
         let (c, q) = build(&gen);
         let mut unpruned = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
         let first = unpruned.optimize().cost;
-        let mut opts: Vec<IncrementalOptimizer> = PRESETS
-            .iter()
-            .map(|cfg| IncrementalOptimizer::new(&c, q.clone(), cfg()))
+        let mut opts: Vec<IncrementalOptimizer> = all_configs()
+            .into_iter()
+            .map(|cfg| IncrementalOptimizer::new(&c, q.clone(), cfg))
             .collect();
         for opt in &mut opts {
             prop_assert_eq!(opt.optimize().cost, first, "{}", opt.config().label());

@@ -256,9 +256,8 @@ pub struct RunStats {
     pub deltas_emitted: u64,
     /// Join-input deltas that needed the opposite index consulted.
     pub join_probe_deltas: u64,
-    /// Index probes actually performed: ≤ `join_probe_deltas`, strictly
-    /// less whenever batch-aware probing shared a probe across
-    /// repeated keys.
+    /// Always `join_probe_deltas`: every join delta probes the opposite
+    /// index once. Kept for readers of the field.
     pub join_probes: u64,
     /// Always 0: the scheduler chains a batch through a sole stateless
     /// consumer instead of merging operators at build time, and counts
@@ -666,9 +665,9 @@ impl Dataflow {
             if let NodeKind::Op(op) = &mut node.kind {
                 let c = op.take_counters();
                 stats.join_probe_deltas += c.join_probe_deltas;
-                stats.join_probes += c.join_probes;
             }
         }
+        stats.join_probes = stats.join_probe_deltas;
         Ok(stats)
     }
 
@@ -1217,7 +1216,7 @@ mod tests {
         df.insert(l, ints(&[1, 10]));
         let stats = df.run().unwrap();
         assert!(stats.join_probe_deltas >= 2);
-        assert!(stats.join_probes >= 1);
+        assert_eq!(stats.join_probes, stats.join_probe_deltas);
         // An empty follow-up run reports no counters: nothing leaked
         // out of the operators from the previous run.
         let expected = RunStats {
@@ -1280,21 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_probing_shares_index_lookups_across_repeated_keys() {
-        let (mut df, l, r, _sink) = join_net();
-        df.insert(r, ints(&[1, 20]));
-        df.run().unwrap();
-        // Eight left deltas, one key: queued as one batch, one probe.
-        for v in 0..8 {
-            df.insert(l, ints(&[1, v]));
-        }
-        let stats = df.run().unwrap();
-        assert_eq!(stats.join_probe_deltas, 8);
-        assert_eq!(stats.join_probes, 1, "{stats:?}");
-    }
-
-    #[test]
-    fn per_delta_mode_never_fuses() {
+    fn per_delta_mode_services_one_batch_per_hop() {
         let mut df = Dataflow::with_mode(SchedulerMode::PerDelta);
         let input = df.add_input("r");
         let a = df.add_op(Map::project(vec![0]), &[input]);

@@ -4,13 +4,13 @@
 //! internal computations, (3) construct output deltas.
 //!
 //! Batches are the unit of scheduling (one queue entry, one dynamic
-//! dispatch, one state borrow per batch rather than per delta). State
-//! updates apply every delta of the batch; emission order within a
-//! batch may be grouped (the join probes per distinct key) rather than
-//! delta order — invisible at the fixpoint, where sinks and downstream
-//! state are multisets. Every operator remains observationally
-//! identical to per-delta execution, pinned by the differential suite
-//! in `tests/differential.rs`.
+//! dispatch, one state borrow per batch rather than per delta); within
+//! a batch each operator handles one delta at a time. A [`GroupAgg`]
+//! emits per touched group at the end of the batch rather than per
+//! delta — invisible at the fixpoint, where sinks and downstream state
+//! are multisets. Every operator remains observationally identical to
+//! per-delta execution, pinned by the differential suite in
+//! `tests/differential.rs`.
 
 use reopt_common::FxHashMap;
 
@@ -27,21 +27,9 @@ use crate::value::{Tuple, Val};
 /// resets them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounters {
-    /// Deltas that required consulting a join index (join inputs with a
-    /// non-zero count).
+    /// Deltas that probed a join index (join inputs with a non-zero
+    /// count), one probe each.
     pub join_probe_deltas: u64,
-    /// Index probes actually performed. Batch-aware probing shares one
-    /// probe across same-key deltas, so this is ≤ `join_probe_deltas` —
-    /// strictly less whenever a batch repeats a key.
-    pub join_probes: u64,
-}
-
-impl OpCounters {
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: OpCounters) {
-        self.join_probe_deltas += other.join_probe_deltas;
-        self.join_probes += other.join_probes;
-    }
 }
 
 /// A dataflow operator.
@@ -277,15 +265,10 @@ impl Operator for ExternalFn {
 ///
 /// A whole batch arrives on one port, so the opposite side's state is
 /// constant across the batch and `ΔL ⋈ R` distributes over the batch's
-/// deltas — the batch can be applied up front and probed in any order.
-/// The batch path exploits that: each delta's key columns are hashed
-/// exactly once (shared between the index update and the probe), the
-/// batch is grouped by key hash so repeated keys consult the index once
-/// and share one output-buffer reservation, and update pairs (`-old`
-/// `+new` on the same key, the dominant shape in view maintenance) pay
-/// for a single probe. Output order within a batch is grouped by key
-/// rather than delta order — invisible at the fixpoint, where sinks and
-/// downstream state are multisets.
+/// deltas. Each delta hashes its key columns once, applies itself to
+/// the port's side if the join owns it, probes the other side with
+/// that hash (the probe re-checks key equality, so colliding keys stay
+/// correct) and emits its matches.
 pub struct HashJoin {
     left: Side,
     right: Side,
@@ -294,11 +277,6 @@ pub struct HashJoin {
     /// Output projection: columns of the virtual `left ++ right`
     /// concatenation. `None` emits the full concatenation.
     proj: Option<Vec<usize>>,
-    /// Batch scratch: `(key hash, delta index)`, sorted to group
-    /// repeated keys.
-    by_key: Vec<(u64, u32)>,
-    /// Batch scratch: the current group's matches on the other side.
-    hits: Vec<(Tuple, i64)>,
     counters: OpCounters,
 }
 
@@ -340,8 +318,6 @@ impl HashJoin {
             right: Side::Owned(IndexedMultiset::new(right_key.clone())),
             keys: [left_key, right_key],
             proj: None,
-            by_key: Vec::new(),
-            hits: Vec::new(),
             counters: OpCounters::default(),
         }
     }
@@ -398,108 +374,6 @@ impl HashJoin {
     }
 }
 
-/// Where a join's matches go: out as `(left ++ right)[proj]`.
-struct Emit<'a> {
-    delta_is_left: bool,
-    proj: &'a Option<Vec<usize>>,
-    out: &'a mut Vec<Delta>,
-}
-
-impl Emit<'_> {
-    #[inline]
-    fn push(&mut self, delta: &Delta, matched: &Tuple, c: i64) {
-        let count = delta.count * c;
-        if count == 0 {
-            return;
-        }
-        let (l, r) = if self.delta_is_left {
-            (&delta.tuple, matched)
-        } else {
-            (matched, &delta.tuple)
-        };
-        let t = match self.proj {
-            Some(cols) => l.project_concat(r, cols),
-            None => l.concat(r),
-        };
-        self.out.push(Delta::with_count(t, count));
-    }
-}
-
-/// The batch-aware probe for one port: applies all deltas to `own`
-/// (hashing each key once) unless the port is shared — the upstream
-/// [`Arrange`] has then already applied the batch — and probes `other`
-/// once per distinct key.
-#[allow(clippy::too_many_arguments)]
-fn probe_batch(
-    mut own: Option<&mut IndexedMultiset>,
-    own_key: &[usize],
-    other: &IndexedMultiset,
-    deltas: &[Delta],
-    by_key: &mut Vec<(u64, u32)>,
-    hits: &mut Vec<(Tuple, i64)>,
-    counters: &mut OpCounters,
-    emit: &mut Emit<'_>,
-) {
-    by_key.clear();
-    for (i, delta) in deltas.iter().enumerate() {
-        if delta.count != 0 {
-            by_key.push((delta.tuple.hash_cols(own_key), i as u32));
-        }
-    }
-    counters.join_probe_deltas += by_key.len() as u64;
-    // Sort by (hash, arrival): repeated keys become contiguous runs and
-    // the iteration order stays deterministic.
-    by_key.sort_unstable();
-    let mut g = 0;
-    while g < by_key.len() {
-        let (h, first) = by_key[g];
-        let mut end = g + 1;
-        while end < by_key.len() && by_key[end].0 == h {
-            end += 1;
-        }
-        let run = &by_key[g..end];
-        g = end;
-        // One state-bucket update and one probe for the whole run.
-        // (Own-side application order across runs is immaterial: probes
-        // only consult the other side.)
-        if let Some(own) = own.as_deref_mut() {
-            own.apply_run_hashed(h, run.iter().map(|&(_, i)| &deltas[i as usize]));
-        }
-        let rep = &deltas[first as usize];
-        counters.join_probes += 1;
-        if run.len() == 1 {
-            // Unrepeated key (the common case on ingest-heavy
-            // workloads): emit straight off the probe iterator, no
-            // match buffering.
-            for (t, c) in other.matches_hashed(h, &rep.tuple, own_key) {
-                emit.push(rep, t, c);
-            }
-            continue;
-        }
-        hits.clear();
-        hits.extend(
-            other
-                .matches_hashed(h, &rep.tuple, own_key)
-                .map(|(t, c)| (t.clone(), c)),
-        );
-        for &(_, di) in run {
-            let delta = &deltas[di as usize];
-            // A same-hash delta with a *different* key (hash collision)
-            // cannot reuse the run's matches; probe it individually.
-            if di != first && !delta.tuple.cols_eq(own_key, &rep.tuple, own_key) {
-                counters.join_probes += 1;
-                for (t, c) in other.matches_hashed(h, &delta.tuple, own_key) {
-                    emit.push(delta, t, c);
-                }
-                continue;
-            }
-            for (t, c) in hits.iter() {
-                emit.push(delta, t, *c);
-            }
-        }
-    }
-}
-
 impl Operator for HashJoin {
     fn on_batch(
         &mut self,
@@ -512,8 +386,6 @@ impl Operator for HashJoin {
             right,
             keys,
             proj,
-            by_key,
-            hits,
             counters,
         } = self;
         let (own, other) = match port {
@@ -532,21 +404,32 @@ impl Operator for HashJoin {
                 &guard
             }
         };
-        let mut emit = Emit {
-            delta_is_left: port == 0,
-            proj,
-            out,
-        };
-        probe_batch(
-            own.owned(),
-            &keys[port],
-            other,
-            deltas,
-            by_key,
-            hits,
-            counters,
-            &mut emit,
-        );
+        // A shared own side was already applied by the upstream
+        // `Arrange`.
+        let mut own = own.owned();
+        let key = &keys[port];
+        for delta in deltas {
+            if delta.count == 0 {
+                continue;
+            }
+            let h = delta.tuple.hash_cols(key);
+            if let Some(own) = own.as_deref_mut() {
+                own.apply_hashed(delta, h);
+            }
+            counters.join_probe_deltas += 1;
+            for (matched, c) in other.matches_hashed(h, &delta.tuple, key) {
+                let (l, r) = if port == 0 {
+                    (&delta.tuple, matched)
+                } else {
+                    (matched, &delta.tuple)
+                };
+                let t = match proj {
+                    Some(cols) => l.project_concat(r, cols),
+                    None => l.concat(r),
+                };
+                out.push(Delta::with_count(t, delta.count * c));
+            }
+        }
         Ok(())
     }
 
@@ -648,10 +531,6 @@ pub struct GroupAgg {
     /// Batch generation, stamped into each touched group — the
     /// first-touch test is a field compare instead of a second map.
     generation: u64,
-    /// Batch scratch: `(key, value, count)` rows, sorted by (key,
-    /// value) so each group is touched once and same-value deltas merge
-    /// into one BTree update.
-    batch_rows: Vec<(Tuple, Val, i64)>,
 }
 
 /// One group's state plus its per-batch bookkeeping (the aggregate
@@ -672,7 +551,6 @@ impl GroupAgg {
             groups: FxHashMap::default(),
             touched: Vec::new(),
             generation: 0,
-            batch_rows: Vec::new(),
         }
     }
 }
@@ -686,68 +564,22 @@ impl Operator for GroupAgg {
     ) -> Result<(), DataflowError> {
         self.touched.clear();
         self.generation += 1;
-        if deltas.len() == 1 {
-            // Per-delta trickle (all of per-delta mode): skip the sort.
-            for delta in deltas {
-                if delta.count == 0 {
-                    continue;
-                }
-                let key = delta.tuple.project(&self.key_cols);
-                let value = delta.tuple.get(self.value_col);
-                let group = self.groups.entry(key.clone()).or_insert_with(|| Group {
-                    state: OrderedMultiset::new(),
-                    stamp: 0,
-                    before: None,
-                });
-                if group.stamp != self.generation {
-                    group.stamp = self.generation;
-                    group.before = group.state.aggregate(self.kind);
-                    self.touched.push(key);
-                }
-                group.state.update(value, delta.count);
+        for delta in deltas {
+            if delta.count == 0 {
+                continue;
             }
-        } else {
-            // Batch path: sort the batch by (key, value) so each group
-            // costs one map lookup and one `before` capture, and each
-            // distinct value one BTree update with the run's summed
-            // count (instead of per-delta map + tree traffic).
-            self.batch_rows.clear();
-            self.batch_rows.extend(deltas.iter().filter(|d| d.count != 0).map(|d| {
-                (
-                    d.tuple.project(&self.key_cols),
-                    d.tuple.get(self.value_col),
-                    d.count,
-                )
-            }));
-            self.batch_rows
-                .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            let rows = &self.batch_rows;
-            let mut i = 0;
-            while i < rows.len() {
-                let key = &rows[i].0;
-                let group = self.groups.entry(key.clone()).or_insert_with(|| Group {
-                    state: OrderedMultiset::new(),
-                    stamp: 0,
-                    before: None,
-                });
-                if group.stamp != self.generation {
-                    group.stamp = self.generation;
-                    group.before = group.state.aggregate(self.kind);
-                    self.touched.push(key.clone());
-                }
-                while i < rows.len() && rows[i].0 == *key {
-                    let value = rows[i].1;
-                    let mut count = 0;
-                    while i < rows.len() && rows[i].0 == *key && rows[i].1 == value {
-                        count += rows[i].2;
-                        i += 1;
-                    }
-                    if count == 0 {
-                        continue;
-                    }
-                    group.state.update(value, count);
-                }
+            let key = delta.tuple.project(&self.key_cols);
+            let group = self.groups.entry(key.clone()).or_insert_with(|| Group {
+                state: OrderedMultiset::new(),
+                stamp: 0,
+                before: None,
+            });
+            if group.stamp != self.generation {
+                group.stamp = self.generation;
+                group.before = group.state.aggregate(self.kind);
+                self.touched.push(key);
             }
+            group.state.update(delta.tuple.get(self.value_col), delta.count);
         }
         for key in self.touched.drain(..) {
             let group = &self.groups[&key];
@@ -1010,6 +842,26 @@ mod tests {
             out,
             vec![Delta::delete(ints(&[1, 10])), Delta::insert(ints(&[1, 3]))]
         );
+        // Interleaved groups: each touched group is compared once
+        // against its value before the batch, in first-touch order.
+        let out = run_batch(
+            &mut a,
+            0,
+            &[
+                Delta::insert(ints(&[2, 8])),
+                Delta::delete(ints(&[1, 3])),
+                Delta::insert(ints(&[2, 6])),
+                Delta::insert(ints(&[1, 2])),
+            ],
+        );
+        assert_eq!(
+            out,
+            vec![
+                Delta::insert(ints(&[2, 6])),
+                Delta::delete(ints(&[1, 3])),
+                Delta::insert(ints(&[1, 2])),
+            ]
+        );
     }
 
     #[test]
@@ -1091,13 +943,13 @@ mod tests {
     fn join_counters_report_shared_probes() {
         let mut j = HashJoin::new(vec![0], vec![0]);
         run(&mut j, 1, Delta::insert(ints(&[1, 20])));
-        // Five same-key deltas in one batch: one shared probe.
+        // Five same-key deltas in one batch share no probe: each delta
+        // probes once, so five probes.
         let batch: Vec<Delta> = (0..5).map(|v| Delta::insert(ints(&[1, v]))).collect();
         let out = run_batch(&mut j, 0, &batch);
         assert_eq!(out.len(), 5);
         let c = j.take_counters();
         assert_eq!(c.join_probe_deltas, 6); // priming delta + batch
-        assert_eq!(c.join_probes, 2); // one per port-batch
         // Counters drained: a second take reports nothing.
         assert_eq!(j.take_counters(), OpCounters::default());
     }
@@ -1111,7 +963,7 @@ mod tests {
             &[Delta::insert(ints(&[1, 100])), Delta::insert(ints(&[2, 200]))],
         );
         // A batch mixing an update pair on key 1 with an insert on key
-        // 2 — grouped probing must emit exactly the per-delta outputs.
+        // 2 emits exactly the per-delta outputs.
         let out = run_batch(
             &mut j,
             0,

@@ -141,6 +141,60 @@ impl Bucket {
             Bucket::Large { entries, .. } => entries,
         }
     }
+
+    /// Applies one delta, maintaining the index's `total`; true if the
+    /// bucket is left empty.
+    fn apply(&mut self, delta: &Delta, total: &mut usize) -> bool {
+        match self {
+            Bucket::Small(v) => match v.iter().position(|(t, _)| *t == delta.tuple) {
+                Some(i) => {
+                    v[i].1 += delta.count;
+                    if v[i].1 == 0 {
+                        v.swap_remove(i);
+                        *total -= 1;
+                        return v.is_empty();
+                    }
+                }
+                None => {
+                    v.push((delta.tuple.clone(), delta.count));
+                    *total += 1;
+                    if v.len() > LINEAR_BUCKET_MAX {
+                        let entries = std::mem::take(v);
+                        let index = entries
+                            .iter()
+                            .enumerate()
+                            .map(|(i, (t, _))| (t.clone(), i as u32))
+                            .collect();
+                        *self = Bucket::Large { entries, index };
+                    }
+                }
+            },
+            Bucket::Large { entries, index } => match index.get(&delta.tuple) {
+                Some(&i) => {
+                    let i = i as usize;
+                    entries[i].1 += delta.count;
+                    if entries[i].1 == 0 {
+                        index.remove(&delta.tuple);
+                        entries.swap_remove(i);
+                        if i < entries.len() {
+                            // The moved entry's position changed.
+                            *index
+                                .get_mut(&entries[i].0)
+                                .expect("indexed entry present") = i as u32;
+                        }
+                        *total -= 1;
+                        return entries.is_empty();
+                    }
+                }
+                None => {
+                    index.insert(delta.tuple.clone(), entries.len() as u32);
+                    entries.push((delta.tuple.clone(), delta.count));
+                    *total += 1;
+                }
+            },
+        }
+        false
+    }
 }
 
 /// A multiset indexed by a key projection — join-side state.
@@ -173,105 +227,25 @@ impl IndexedMultiset {
         &self.key_cols
     }
 
-    /// The index hash of `t`'s key columns — computed once per delta by
-    /// the batch-aware join and shared between [`apply_hashed`] and
-    /// [`matches_hashed`].
-    ///
-    /// [`apply_hashed`]: IndexedMultiset::apply_hashed
-    /// [`matches_hashed`]: IndexedMultiset::matches_hashed
-    #[inline]
-    pub fn key_hash(&self, t: &Tuple) -> u64 {
-        t.hash_cols(&self.key_cols)
-    }
-
     /// Applies a delta to the indexed state.
     pub fn apply(&mut self, delta: &Delta) {
         self.apply_hashed(delta, delta.tuple.hash_cols(&self.key_cols));
     }
 
     /// [`IndexedMultiset::apply`] with the key hash already computed
-    /// (must equal `self.key_hash(&delta.tuple)`).
+    /// (must equal `delta.tuple.hash_cols(self.key_cols())`) — the join
+    /// hashes each delta once for the update and the probe.
     pub fn apply_hashed(&mut self, delta: &Delta, h: u64) {
-        self.apply_run_hashed(h, std::iter::once(delta));
-    }
-
-    /// Applies a run of deltas sharing one key hash — one bucket lookup
-    /// for the whole run (batch-aware joins feed each sorted same-key
-    /// run here; update pairs touch their bucket once).
-    pub fn apply_run_hashed<'a>(
-        &mut self,
-        h: u64,
-        deltas: impl Iterator<Item = &'a Delta>,
-    ) {
-        let mut emptied = false;
-        let group = self
+        if delta.count == 0 {
+            return;
+        }
+        debug_assert_eq!(h, delta.tuple.hash_cols(&self.key_cols));
+        let bucket = self
             .by_key
             .entry(h)
             .or_insert_with(|| Bucket::Small(Vec::new()));
-        for delta in deltas {
-            if delta.count == 0 {
-                continue;
-            }
-            debug_assert_eq!(h, delta.tuple.hash_cols(&self.key_cols));
-            Self::bucket_apply(group, delta, &mut self.total, &mut emptied);
-        }
-        if emptied && group.entries().is_empty() {
+        if bucket.apply(delta, &mut self.total) {
             self.by_key.remove(&h);
-        }
-    }
-
-    /// Applies one delta to a bucket, maintaining `total` and flagging
-    /// a (possibly transient) empty bucket.
-    fn bucket_apply(group: &mut Bucket, delta: &Delta, total: &mut usize, emptied: &mut bool) {
-        match group {
-            Bucket::Small(v) => {
-                match v.iter().position(|(t, _)| *t == delta.tuple) {
-                    Some(i) => {
-                        v[i].1 += delta.count;
-                        if v[i].1 == 0 {
-                            v.swap_remove(i);
-                            *total -= 1;
-                            *emptied |= v.is_empty();
-                        }
-                    }
-                    None => {
-                        v.push((delta.tuple.clone(), delta.count));
-                        *total += 1;
-                        if v.len() > LINEAR_BUCKET_MAX {
-                            let entries = std::mem::take(v);
-                            let index = entries
-                                .iter()
-                                .enumerate()
-                                .map(|(i, (t, _))| (t.clone(), i as u32))
-                                .collect();
-                            *group = Bucket::Large { entries, index };
-                        }
-                    }
-                }
-            }
-            Bucket::Large { entries, index } => match index.get(&delta.tuple) {
-                Some(&i) => {
-                    let i = i as usize;
-                    entries[i].1 += delta.count;
-                    if entries[i].1 == 0 {
-                        index.remove(&delta.tuple);
-                        entries.swap_remove(i);
-                        if i < entries.len() {
-                            // The moved entry's position changed.
-                            *index
-                                .get_mut(&entries[i].0)
-                                .expect("indexed entry present") = i as u32;
-                        }
-                        *total -= 1;
-                        *emptied |= entries.is_empty();
-                    }
-                }
-                None => {
-                    index.insert(delta.tuple.clone(), entries.len() as u32);
-                    entries.push((delta.tuple.clone(), delta.count));
-                    *total += 1;
-                }
-            },
         }
     }
 
@@ -296,17 +270,12 @@ impl IndexedMultiset {
         probe_cols: &'a [usize],
     ) -> impl Iterator<Item = (&'a Tuple, i64)> + 'a {
         debug_assert_eq!(h, probe.hash_cols(probe_cols));
-        self.bucket(h)
+        self.by_key
+            .get(&h)
+            .map_or(&[][..], Bucket::entries)
             .iter()
             .filter(move |(t, _)| t.cols_eq(&self.key_cols, probe, probe_cols))
             .map(|(t, c)| (t, *c))
-    }
-
-    /// The whole bucket for a key hash, unfiltered (batch probing
-    /// filters per entry itself).
-    #[inline]
-    pub(crate) fn bucket(&self, h: u64) -> &[(Tuple, i64)] {
-        self.by_key.get(&h).map_or(&[], Bucket::entries)
     }
 
     /// Distinct tuples currently stored (any count sign). O(1).
@@ -494,23 +463,23 @@ mod tests {
 
     #[test]
     fn apply_run_shares_one_bucket_lookup() {
-        // An update pair (−old, +new on one key) through the run API
+        // An update pair (−old, +new on one key) run through
+        // `apply_hashed` with one shared key hash lands in one bucket and
         // leaves exactly the new tuple.
         let mut m = IndexedMultiset::new(vec![0]);
         m.apply(&Delta::insert(ints(&[5, 1])));
-        let h = m.key_hash(&ints(&[5, 2]));
-        let run = [Delta::delete(ints(&[5, 1])), Delta::insert(ints(&[5, 2]))];
-        m.apply_run_hashed(h, run.iter());
+        let h = ints(&[5, 2]).hash_cols(&[0]);
+        m.apply_hashed(&Delta::delete(ints(&[5, 1])), h);
+        m.apply_hashed(&Delta::insert(ints(&[5, 2])), h);
         assert_eq!(m.total_tuples(), 1);
         let hits: Vec<i64> = m
-            .matches(&ints(&[5, 0]), &[0])
+            .matches_hashed(h, &ints(&[5, 0]), &[0])
             .map(|(t, _)| t.get(1).as_int())
             .collect();
         assert_eq!(hits, vec![2]);
-        // A run that nets to empty removes the bucket entirely.
-        let run = [Delta::delete(ints(&[5, 2]))];
-        m.apply_run_hashed(h, run.iter());
+        // Emptying the key removes its bucket entirely.
+        m.apply_hashed(&Delta::delete(ints(&[5, 2])), h);
         assert_eq!(m.total_tuples(), 0);
-        assert_eq!(m.matches(&ints(&[5, 0]), &[0]).count(), 0);
+        assert!(m.by_key.is_empty());
     }
 }

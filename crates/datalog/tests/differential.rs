@@ -7,7 +7,7 @@
 //! negative counts at every fixpoint.
 //!
 //! This pins the tentpole invariant of the batched substrate: the
-//! scheduler's service order, batch grouping, chaining, probe sharing,
+//! scheduler's service order, batch grouping, chaining,
 //! shared arrangements and coalescing are *performance* choices;
 //! the per-delta FIFO execution with owned per-join indexes remains the
 //! semantic reference. The recursive networks add the release-order
