@@ -1,8 +1,8 @@
 //! Adaptive query processing driver (paper §5.4): data-partitioned
-//! adaptation in the style of Tukwila [15] — execution pauses at slice
+//! adaptation in the style of Tukwila \[15\] — execution pauses at slice
 //! boundaries ("split points"), statistics observed so far feed the
 //! re-optimizer, and a new plan may be installed for the next slice,
-//! with CAPS-style state migration [26] carrying window state across.
+//! with CAPS-style state migration \[26\] carrying window state across.
 //!
 //! The re-optimizer is chosen by type: [`AqpDriver`] and
 //! [`run_partitions`] are generic over `reopt_core::Reoptimizer`, which

@@ -1,4 +1,4 @@
-//! System-R-style bottom-up dynamic programming (Selinger et al. [23]):
+//! System-R-style bottom-up dynamic programming (Selinger et al. \[23\]):
 //! optimize every reachable `(expression, property)` group in ascending
 //! expression-size order, keeping the best plan per group — interesting
 //! orders included. Exact by the principle of optimality (paper

@@ -1,4 +1,4 @@
-//! Volcano-style top-down optimization (Graefe & McKenna [12]):
+//! Volcano-style top-down optimization (Graefe & McKenna \[12\]):
 //! goal-driven memoized search with branch-and-bound pruning. The cost
 //! limit flows down the single recursive descent — the execution-order
 //! restriction §3.3 of the paper contrasts with its order-independent

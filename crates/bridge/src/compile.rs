@@ -7,10 +7,10 @@
 //! - every derived relation becomes `Union(rule outputs) → Distinct`
 //!   (set semantics with counting, so recursive rules terminate and
 //!   deletions retract exactly) — unless the property pass
-//!   ([`infer_properties`]) proves its one rule already derives a set,
+//!   (`infer_properties`) proves its one rule already derives a set,
 //!   in which case the relation *is* that rule's output;
 //! - a rule whose first atom drops columns in front of an expanding
-//!   `Fn_*` atom is split around a *demand set* ([`demand_sets`]): the
+//!   `Fn_*` atom is split around a *demand set* (`demand_sets`): the
 //!   function runs once per distinct demand, not once per duplicate;
 //! - each rule body compiles left-to-right into a join tree:
 //!   constants/duplicate variables become filters, stored relations

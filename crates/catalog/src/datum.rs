@@ -43,29 +43,6 @@ impl Datum {
             other => panic!("expected Int datum, got {other:?}"),
         }
     }
-
-    pub fn as_str(&self) -> &str {
-        match self {
-            Datum::Str(s) => s,
-            other => panic!("expected Str datum, got {other:?}"),
-        }
-    }
-
-    pub fn as_double(&self) -> f64 {
-        match self {
-            Datum::Double(v) => *v,
-            Datum::Int(v) => *v as f64,
-            other => panic!("expected numeric datum, got {other:?}"),
-        }
-    }
-
-    pub fn data_type(&self) -> DataType {
-        match self {
-            Datum::Int(_) => DataType::Int,
-            Datum::Double(_) => DataType::Double,
-            Datum::Str(_) => DataType::Str,
-        }
-    }
 }
 
 impl PartialEq for Datum {
@@ -165,8 +142,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Datum::Int(7).as_int(), 7);
-        assert_eq!(Datum::str("x").as_str(), "x");
-        assert_eq!(Datum::Int(3).as_double(), 3.0);
     }
 
     #[test]

@@ -44,20 +44,6 @@ impl Histogram {
         }
     }
 
-    /// Builds a histogram directly from bucket counts (used by the
-    /// workload generators when the distribution is known analytically).
-    pub fn from_buckets(min: i64, max: i64, buckets: Vec<f64>) -> Histogram {
-        assert!(!buckets.is_empty(), "histogram needs at least one bucket");
-        assert!(min <= max, "histogram domain is empty");
-        let total = buckets.iter().sum();
-        Histogram {
-            min,
-            max,
-            buckets,
-            total,
-        }
-    }
-
     fn bucket_of(min: i64, max: i64, n: usize, v: i64) -> usize {
         if max == min {
             return 0;
@@ -116,15 +102,6 @@ impl Histogram {
     /// Estimated fraction of tuples with value `> v`.
     pub fn selectivity_gt(&self, v: i64) -> f64 {
         (1.0 - self.selectivity_lt(v) - self.selectivity_eq(v)).clamp(0.0, 1.0)
-    }
-
-    /// Estimated fraction with `lo < value < hi` (exclusive on both ends).
-    pub fn selectivity_between(&self, lo: i64, hi: i64) -> f64 {
-        if lo >= hi {
-            return 0.0;
-        }
-        (self.selectivity_lt(hi) - self.selectivity_lt(lo) - self.selectivity_eq(lo))
-            .clamp(0.0, 1.0)
     }
 
     /// Histogram-aligned equi-join selectivity: for each aligned value
@@ -219,14 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn between_matches_range() {
-        let h = uniform_0_99();
-        let s = h.selectivity_between(20, 40);
-        assert!((s - 0.19).abs() < 0.05, "got {s}");
-        assert_eq!(h.selectivity_between(40, 20), 0.0);
-    }
-
-    #[test]
     fn join_selectivity_uniform_keys() {
         // Two uniform key columns over the same domain of 100 values:
         // P(match) should be ~1/100.
@@ -250,12 +219,5 @@ mod tests {
         vals.extend(1..=10);
         let h = Histogram::build(vals, 11);
         assert!(h.selectivity_eq(0) > 5.0 * h.selectivity_eq(7));
-    }
-
-    #[test]
-    fn from_buckets_roundtrip() {
-        let h = Histogram::from_buckets(0, 9, vec![5.0, 5.0]);
-        assert_eq!(h.total(), 10.0);
-        assert!((h.selectivity_lt(5) - 0.5).abs() < 0.01);
     }
 }

@@ -14,5 +14,5 @@ pub mod stats;
 pub use catalog::Catalog;
 pub use datum::{DataType, Datum};
 pub use histogram::Histogram;
-pub use schema::{AttrRef, ColId, Column, Table, TableBuilder, TableId};
+pub use schema::{ColId, Column, Table, TableBuilder, TableId};
 pub use stats::{CmpOp, ColumnStats, TableStats};

@@ -11,22 +11,6 @@ pub struct TableId(pub u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColId(pub u32);
 
-/// A fully qualified attribute reference (`Orders.o_custkey`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AttrRef {
-    pub table: TableId,
-    pub col: ColId,
-}
-
-impl AttrRef {
-    pub fn new(table: TableId, col: u32) -> AttrRef {
-        AttrRef {
-            table,
-            col: ColId(col),
-        }
-    }
-}
-
 /// A column definition.
 #[derive(Clone, Debug)]
 pub struct Column {
@@ -40,14 +24,6 @@ impl Column {
             name: name.into(),
             ty,
         }
-    }
-
-    pub fn int(name: impl Into<String>) -> Column {
-        Column::new(name, DataType::Int)
-    }
-
-    pub fn str(name: impl Into<String>) -> Column {
-        Column::new(name, DataType::Str)
     }
 }
 
@@ -73,22 +49,6 @@ impl Table {
             .iter()
             .position(|c| c.name == name)
             .map(|i| ColId(i as u32))
-    }
-
-    /// Resolves a column name to a fully qualified [`AttrRef`]; panics if
-    /// missing (schema lookups in query definitions are static).
-    pub fn attr(&self, name: &str) -> AttrRef {
-        let col = self
-            .col(name)
-            .unwrap_or_else(|| panic!("no column `{name}` in table `{}`", self.name));
-        AttrRef {
-            table: self.id,
-            col,
-        }
-    }
-
-    pub fn has_index_on(&self, col: ColId) -> bool {
-        self.indexed.contains(&col)
     }
 }
 
@@ -173,20 +133,12 @@ mod tests {
         let t = sample();
         assert_eq!(t.col("o_custkey"), Some(ColId(1)));
         assert_eq!(t.col("missing"), None);
-        assert_eq!(t.attr("o_orderkey"), AttrRef::new(TableId(3), 0));
     }
 
     #[test]
     fn index_and_clustering() {
         let t = sample();
-        assert!(t.has_index_on(ColId(0)));
-        assert!(!t.has_index_on(ColId(1)));
+        assert_eq!(t.indexed, vec![ColId(0)]);
         assert_eq!(t.clustered_on, Some(ColId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "no column")]
-    fn attr_panics_on_unknown() {
-        sample().attr("nope");
     }
 }

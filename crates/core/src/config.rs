@@ -40,7 +40,7 @@ impl PruningConfig {
         }
     }
 
-    /// The Evita Raced [8] pruning level: "pruning is only done against
+    /// The Evita Raced \[8\] pruning level: "pruning is only done against
     /// logically equivalent plans for the same output properties".
     pub fn evita_raced() -> PruningConfig {
         PruningConfig {

@@ -19,7 +19,6 @@
 //! each incrementally maintained under cost/cardinality updates (§4).
 
 pub mod config;
-pub mod explain;
 pub mod fixtures;
 mod id_set;
 pub mod memo;

@@ -6,7 +6,7 @@
 //! Execution model. Two work queues drive a fixpoint, with no constraint
 //! on external update order (§3: "our solutions are valid for any
 //! execution order"). Each queue is a set of group ids drained in id
-//! order ([`IdSet`]); since the memo numbers groups bottom-up (every
+//! order (`IdSet`); since the memo numbers groups bottom-up (every
 //! child's id is below its parent's), id order *is* topological order:
 //! - a **cost queue**, drained lowest id first (children before
 //!   parents), refreshes `PlanCost` totals and `BestCost` aggregates
@@ -51,7 +51,6 @@ pub struct Outcome {
 /// The incremental declarative optimizer.
 pub struct IncrementalOptimizer {
     q: QuerySpec,
-    graph: JoinGraph,
     memo: Rc<Memo>,
     ctx: CostContext,
     cfg: PruningConfig,
@@ -91,8 +90,7 @@ pub struct IncrementalOptimizer {
 
 impl IncrementalOptimizer {
     pub fn new(catalog: &Catalog, q: QuerySpec, cfg: PruningConfig) -> IncrementalOptimizer {
-        let graph = JoinGraph::new(&q);
-        let memo = Rc::new(Memo::build(&q, &graph));
+        let memo = Rc::new(Memo::build(&q, &JoinGraph::new(&q)));
         let ctx = CostContext::new(catalog, &q);
         let n_groups = memo.n_groups();
         let n_alts = memo.n_alts();
@@ -105,7 +103,6 @@ impl IncrementalOptimizer {
         groups[memo.root.0 as usize].refs += 1;
         IncrementalOptimizer {
             q,
-            graph,
             memo,
             ctx,
             cfg,
@@ -145,12 +142,6 @@ impl IncrementalOptimizer {
     /// driver) builds on it instead of enumerating the query again.
     pub fn shared_memo(&self) -> Rc<Memo> {
         Rc::clone(&self.memo)
-    }
-
-    /// The query's join graph (connectivity the enumeration respected —
-    /// rendered by `explain_join_graph`).
-    pub fn join_graph(&self) -> &JoinGraph {
-        &self.graph
     }
 
     pub fn cost_context(&self) -> &CostContext {

@@ -91,7 +91,7 @@ mod tests {
         assert_eq!(parse_rules(COST_ESTIMATION).unwrap().len(), 3);
         assert_eq!(parse_rules(PLAN_SELECTION).unwrap().len(), 2);
         assert_eq!(parse_rules(BOUND_RULES).unwrap().len(), 4);
-        assert_eq!(crate::rules_ir::paper_rules().len(), 14);
+        assert_eq!(parse_rules(all_rules()).unwrap().len(), 14);
     }
 
     #[test]

@@ -165,12 +165,6 @@ impl Rule {
         })
     }
 
-    /// True if the head relation also appears in the body (recursive
-    /// rules R2/R3, and the `Bound` cycle of r1–r4 taken as a program).
-    pub fn is_recursive(&self) -> bool {
-        self.body.iter().any(|a| a.relation == self.head.relation)
-    }
-
     /// Safety: every variable the head references must be bound by some
     /// body atom.
     pub fn check_safety(&self) -> Result<(), ParseError> {
@@ -443,12 +437,6 @@ pub fn parse_rules<'a>(srcs: impl IntoIterator<Item = &'a str>) -> Result<Vec<Ru
     srcs.into_iter().map(parse_rule).collect()
 }
 
-/// All 14 paper rules ([`crate::rules::all_rules`]) in IR form.
-pub fn paper_rules() -> Vec<Rule> {
-    parse_rules(crate::rules::all_rules())
-        .expect("the paper's rule texts parse (pinned by tests)")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,7 +444,7 @@ mod tests {
 
     #[test]
     fn all_fourteen_rules_parse() {
-        let rules = paper_rules();
+        let rules = parse_rules(crate::rules::all_rules()).unwrap();
         assert_eq!(rules.len(), 14);
         for r in &rules {
             r.check_safety().unwrap();
@@ -483,8 +471,10 @@ mod tests {
         }
         // R1 is the seed (reads Expr); R2/R3 recurse through SearchSpace.
         assert_eq!(rules[0].body[0].relation, "Expr");
-        assert!(!rules[0].is_recursive());
-        assert!(rules[1].is_recursive() && rules[2].is_recursive());
+        assert!(rules[0].body.iter().all(|a| a.relation != "SearchSpace"));
+        assert!(rules[1..3]
+            .iter()
+            .all(|r| r.body[0].relation == "SearchSpace"));
         // R2 demands the *left* child slot, R3 the right.
         assert_eq!(rules[1].body[0].terms[5], Term::Var("expr".into()));
         assert_eq!(rules[2].body[0].terms[7], Term::Var("expr".into()));
@@ -512,7 +502,7 @@ mod tests {
         }
         // R6 (scan costing) uses Fn_scancost and no recursive PlanCost.
         assert!(rules[0].body.iter().any(|a| a.relation == "Fn_scancost"));
-        assert!(!rules[0].is_recursive());
+        assert!(rules[0].body.iter().all(|a| a.relation != "PlanCost"));
         // R7 reads one child PlanCost, R8 two; both total via Fn_sum.
         for (r, n_children) in [(&rules[1], 1), (&rules[2], 2)] {
             let plan_cost_atoms = r

@@ -119,13 +119,6 @@ impl RowsCache {
             RowsCache::Sparse(m) => m.retain(|rel, _| !part.is_subset_of(*rel)),
         }
     }
-
-    fn clear(&mut self) {
-        match self {
-            RowsCache::Dense(t) => t.fill(f64::NAN),
-            RowsCache::Sparse(m) => m.clear(),
-        }
-    }
 }
 
 impl CostContext {
@@ -199,15 +192,6 @@ impl CostContext {
         }
     }
 
-    pub fn unit_costs(&self) -> &UnitCosts {
-        &self.unit
-    }
-
-    pub fn set_unit_costs(&mut self, unit: UnitCosts) {
-        self.unit = unit;
-        self.rows_cache.clear();
-    }
-
     /// Applies a batch of parameter deltas (§4), returning the affected
     /// parameters so callers can seed their dirty sets.
     pub fn apply(&mut self, deltas: &[ParamDelta]) -> AffectedSet {
@@ -231,11 +215,6 @@ impl CostContext {
 
     pub fn factors(&self) -> &Factors {
         &self.factors
-    }
-
-    /// The two-leaf set of an edge.
-    pub fn edge_rels(&self, e: EdgeId) -> RelSet {
-        self.edge_rels[e.0 as usize]
     }
 
     /// Current selectivity of a join edge (base × runtime factor).
@@ -576,7 +555,7 @@ mod tests {
             right: None,
         };
         let c = ctx.local_cost(&q, expr, PhysProp::Indexed(col), &alt);
-        assert_eq!(c, Cost::new(ctx.unit_costs().index_base));
+        assert_eq!(c, Cost::new(UnitCosts::default().index_base));
     }
 
     #[test]

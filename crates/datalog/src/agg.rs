@@ -62,37 +62,9 @@ impl OrderedMultiset {
             .map(|(v, _)| v)
     }
 
-    /// The smallest visible value strictly greater than `v` — the
-    /// "second-from-minimum" retrieval of §4.1.
-    pub fn next_above(&self, v: &Val) -> Option<&Val> {
-        use std::ops::Bound;
-        self.values
-            .range((Bound::Excluded(*v), Bound::Unbounded))
-            .find(|(_, &c)| c > 0)
-            .map(|(val, _)| val)
-    }
-
-    pub fn count_of(&self, v: &Val) -> i64 {
-        self.values.get(v).copied().unwrap_or(0)
-    }
-
     /// Distinct values stored (any count sign). O(1).
     pub fn distinct(&self) -> usize {
         self.values.len()
-    }
-
-    /// Total visible multiplicity (COUNT aggregate).
-    pub fn total(&self) -> i64 {
-        self.total
-    }
-
-    /// Integer sum (SUM aggregate).
-    pub fn sum(&self) -> i64 {
-        self.sum
-    }
-
-    pub fn is_visible_empty(&self) -> bool {
-        self.min().is_none()
     }
 
     /// Current aggregate value for `kind`, if defined.
@@ -120,7 +92,6 @@ mod tests {
         // Delete the minimum: the second-from-minimum takes over.
         m.update(Val::cost(1.0), -1);
         assert_eq!(m.min(), Some(&Val::cost(2.0)));
-        assert_eq!(m.next_above(&Val::cost(2.0)), Some(&Val::cost(3.0)));
     }
 
     #[test]

@@ -30,10 +30,6 @@ impl Delta {
         Delta { tuple, count }
     }
 
-    pub fn is_insert(&self) -> bool {
-        self.count > 0
-    }
-
     /// The same change with multiplicity scaled (bilinear operators).
     pub fn scaled(&self, by: i64) -> Delta {
         Delta {
@@ -165,8 +161,6 @@ mod tests {
     fn constructors() {
         assert_eq!(Delta::insert(ints(&[1])).count, 1);
         assert_eq!(Delta::delete(ints(&[1])).count, -1);
-        assert!(Delta::insert(ints(&[1])).is_insert());
-        assert!(!Delta::delete(ints(&[1])).is_insert());
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl FaultPlan {
         FaultPlan { at_step, shots }
     }
 
-    /// True while the plan can still fire.
-    pub fn armed(&self) -> bool {
-        self.shots > 0
-    }
-
     /// Checks the trigger at `step` processed deltas; consumes a shot
     /// when it fires.
     pub(crate) fn fire(&mut self, step: u64) -> bool {
@@ -121,13 +116,10 @@ mod tests {
     #[test]
     fn fault_plan_fires_once_per_shot() {
         let mut fp = FaultPlan::with_shots(3, 2);
-        assert!(fp.armed());
         assert!(!fp.fire(1));
         assert!(!fp.fire(2));
         assert!(fp.fire(3));
-        assert!(fp.armed());
         assert!(fp.fire(5)); // second shot, past the trigger
-        assert!(!fp.armed());
         assert!(!fp.fire(100));
     }
 

@@ -64,16 +64,14 @@ fn interner() -> MutexGuard<'static, Interner> {
 
 impl Sym {
     /// Interns `s`, returning its symbol (idempotent). Panics on id
-    /// exhaustion; use [`Sym::try_intern`] on paths (bulk symbol
-    /// adoption) that must degrade instead of aborting.
+    /// exhaustion, which [`Sym::try_intern`] reports instead.
     pub fn intern(s: &str) -> Sym {
         Sym::try_intern(s).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Interns `s`, surfacing id exhaustion as
-    /// [`DataflowError::StateCorruption`] so callers can route it
-    /// through their recovery path (the bridge rebuilds) instead of
-    /// aborting the process.
+    /// The fallible form of [`Sym::intern`]: id exhaustion is a
+    /// [`DataflowError::StateCorruption`], and interning resumes once
+    /// capacity is raised (both pinned by `tests/intern_capacity.rs`).
     pub fn try_intern(s: &str) -> Result<Sym, DataflowError> {
         let mut t = interner();
         if let Some(&id) = t.by_str.get(s) {

@@ -1,6 +1,6 @@
 //! A pipelined, delta-processing dataflow engine for recursive datalog —
 //! the substrate the paper runs its declarative optimizer on (the ASPEN
-//! engine of [18], extended per §4: "instead of processing standard
+//! engine of \[18\], extended per §4: "instead of processing standard
 //! tuples, each operator in the query processor must be extended to
 //! process delta tuples encoding changes").
 //!
@@ -11,7 +11,7 @@
 //!   corresponding insertion" (§4) — a tuple affects downstream state
 //!   only while its count is positive.
 //! - **Incremental joins** following the delta rules of Gupta et al.
-//!   [14]: a delta on one input joins the other input's current state.
+//!   \[14\]: a delta on one input joins the other input's current state.
 //! - **Min/max aggregation with next-best recovery** (§4.1): the
 //!   aggregate retains *all* input values in an ordered multiset so that
 //!   deleting the current minimum emits an update to the

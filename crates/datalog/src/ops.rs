@@ -258,7 +258,7 @@ impl Operator for ExternalFn {
     }
 }
 
-/// Incremental equi-join following the delta rules of [14]: a delta on
+/// Incremental equi-join following the delta rules of \[14\]: a delta on
 /// one side joins the *current* state of the other side
 /// (`ΔL ⋈ R  ∪  L' ⋈ ΔR`), with multiplicities multiplied (bilinear).
 /// Output tuples are `left ++ right`.
@@ -295,13 +295,6 @@ impl Side {
         match self {
             Side::Owned(m) => Some(m),
             Side::Shared(_) => None,
-        }
-    }
-
-    fn total_tuples(&self) -> usize {
-        match self {
-            Side::Owned(m) => m.total_tuples(),
-            Side::Shared(handle) => handle.read().total_tuples(),
         }
     }
 }
@@ -367,10 +360,6 @@ impl HashJoin {
             );
         }
         Side::Shared(handle)
-    }
-
-    pub fn state_size(&self) -> usize {
-        self.left.total_tuples() + self.right.total_tuples()
     }
 }
 
@@ -618,7 +607,7 @@ impl Operator for GroupAgg {
 
 /// Set-semantics gate: emits +1 when a tuple's derivation count becomes
 /// positive and −1 when it returns to zero. This is what makes recursive
-/// rules terminate and what implements [14]'s counting algorithm for
+/// rules terminate and what implements \[14\]'s counting algorithm for
 /// deletions.
 #[derive(Default)]
 pub struct Distinct {
@@ -784,7 +773,10 @@ mod tests {
         run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         let out = run(&mut j, 0, Delta::with_count(ints(&[1, 10]), 0));
         assert!(out.is_empty());
-        assert_eq!(j.state_size(), 1); // the zero delta was not applied
+        // The zero delta was not applied: the join holds the right row
+        // only, and a probe from the right side finds nothing to match.
+        assert_eq!(j.state_rows(), 1);
+        assert!(run(&mut j, 1, Delta::insert(ints(&[1, 30]))).is_empty());
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl Bucket {
 /// The index is keyed by the *hash of the key columns*, computed
 /// directly from each tuple ([`Tuple::hash_cols`]) — no key tuple is
 /// ever materialized. Hash buckets store full tuples in flat vectors
-/// ([`Bucket`]): probes iterate densely, updates scan linearly while
+/// (`Bucket`): probes iterate densely, updates scan linearly while
 /// the bucket is small and through a position index once it grows.
 /// Probes re-check key-column equality, so colliding keys sharing a
 /// bucket stay correct.
@@ -253,16 +253,8 @@ impl IndexedMultiset {
     /// including transiently negative ones — the bilinear join form
     /// needs raw counts). The probe is a tuple from the *other* side
     /// together with that side's key columns; no key tuple is built.
-    pub fn matches<'a>(
-        &'a self,
-        probe: &'a Tuple,
-        probe_cols: &'a [usize],
-    ) -> impl Iterator<Item = (&'a Tuple, i64)> + 'a {
-        self.matches_hashed(probe.hash_cols(probe_cols), probe, probe_cols)
-    }
-
-    /// [`IndexedMultiset::matches`] with the probe hash already computed
-    /// (must equal `probe.hash_cols(probe_cols)`).
+    /// `h` is the probe's key hash, computed once by the caller (must
+    /// equal `probe.hash_cols(probe_cols)`).
     pub fn matches_hashed<'a>(
         &'a self,
         h: u64,
@@ -334,6 +326,17 @@ impl ArrangementHandle {
 mod tests {
     use super::*;
     use crate::value::ints;
+
+    impl IndexedMultiset {
+        /// `matches_hashed`, hashing the probe here.
+        fn matches<'a>(
+            &'a self,
+            probe: &'a Tuple,
+            probe_cols: &'a [usize],
+        ) -> impl Iterator<Item = (&'a Tuple, i64)> + 'a {
+            self.matches_hashed(probe.hash_cols(probe_cols), probe, probe_cols)
+        }
+    }
 
     #[test]
     fn visibility_transitions() {

@@ -36,11 +36,6 @@ impl Database {
         Database::default()
     }
 
-    /// Registers data for the next table id (call in catalog order).
-    pub fn push_table(&mut self, data: TableData) {
-        self.tables.push(data);
-    }
-
     pub fn set_table(&mut self, id: TableId, data: TableData) {
         let idx = id.0 as usize;
         if idx >= self.tables.len() {

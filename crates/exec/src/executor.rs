@@ -26,12 +26,11 @@
 //! column is read — each row is its own representative and every weight
 //! is 1.
 //!
-//! A leaf input may come grouped already ([`Grouped`]): the stream
+//! A leaf input may come grouped already (`Grouped`): the stream
 //! executor keeps each window filtered and grouped on everything any
 //! plan reads of its leaf, so a window scan hands representatives and
 //! weights on as they are. A stored table is read row by row.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
@@ -72,10 +71,10 @@ impl ExecStats {
     }
 }
 
-/// A batch executor over fixed per-leaf inputs.
+/// A batch executor over a database's stored tables, one per leaf.
 pub struct Executor<'a> {
     q: &'a QuerySpec,
-    inputs: Vec<Cow<'a, [Row]>>,
+    inputs: Vec<&'a [Row]>,
     /// Columns per leaf: the root layout lists them all, whether or not
     /// the leaf has a row to show for them.
     widths: Vec<usize>,
@@ -91,29 +90,13 @@ impl<'a> Executor<'a> {
             inputs: q
                 .leaves
                 .iter()
-                .map(|leaf| Cow::Borrowed(&db.table(leaf.table).rows[..]))
+                .map(|leaf| &db.table(leaf.table).rows[..])
                 .collect(),
             widths: q
                 .leaves
                 .iter()
                 .map(|leaf| catalog.table(leaf.table).columns.len())
                 .collect(),
-            stats: ExecStats::default(),
-        }
-    }
-
-    /// Executes over explicit per-leaf inputs (data partitions, window
-    /// snapshots). Without a catalog a leaf is as wide as its first row;
-    /// an empty input contributes no columns to the root layout.
-    pub fn with_inputs(q: &'a QuerySpec, inputs: Vec<Vec<Row>>) -> Executor<'a> {
-        assert_eq!(inputs.len(), q.leaves.len(), "one input per leaf");
-        Executor {
-            q,
-            widths: inputs
-                .iter()
-                .map(|rows| rows.first().map_or(0, Vec::len))
-                .collect(),
-            inputs: inputs.into_iter().map(Cow::Owned).collect(),
             stats: ExecStats::default(),
         }
     }
@@ -1019,7 +1002,7 @@ mod tests {
             let mut exec = Executor::from_database(&q, &c, &db);
             let (rows, layout) = exec.run(&plan);
             assert_eq!(rows.len(), want, "plan:\n{plan}");
-            assert_eq!(layout.width(), 6);
+            assert_eq!(layout.cols().len(), 6);
         }
     }
 

@@ -45,14 +45,6 @@ impl Layout {
             .unwrap_or_else(|| panic!("column {col:?} not in layout {:?}", self.cols))
     }
 
-    pub fn try_pos(&self, col: LeafCol) -> Option<usize> {
-        self.index.get(&col).copied()
-    }
-
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
     pub fn cols(&self) -> &[LeafCol] {
         &self.cols
     }
@@ -67,10 +59,9 @@ mod tests {
         let a = Layout::from_cols(vec![LeafCol::new(0, 0), LeafCol::new(0, 1)]);
         let b = Layout::from_cols(vec![LeafCol::new(1, 0)]);
         let ab = a.concat(&b);
-        assert_eq!(ab.width(), 3);
+        assert_eq!(ab.cols().len(), 3);
         assert_eq!(ab.pos(LeafCol::new(1, 0)), 2);
         assert_eq!(ab.pos(LeafCol::new(0, 1)), 1);
-        assert_eq!(ab.try_pos(LeafCol::new(2, 0)), None);
     }
 
     #[test]

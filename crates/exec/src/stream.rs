@@ -4,9 +4,9 @@
 //! query (paper Table 2): `[size N time]`, `[size N tuple]`, and
 //! `[size N tuple partition by cols]` windows over a shared input
 //! stream, evaluated a slice at a time under the data-partitioned
-//! adaptation model of [15] — the optimizer may install a new plan at
+//! adaptation model of \[15\] — the optimizer may install a new plan at
 //! each slice boundary, and window state carries across (the CAPS-style
-//! state migration of [26] amounts to rebuilding operator state from
+//! state migration of \[26\] amounts to rebuilding operator state from
 //! the retained windows when the plan changes).
 //!
 //! A tuple is stored once, whatever the number of leaves that window

@@ -299,7 +299,7 @@ fn an_empty_table_yields_no_rows_and_a_full_width_layout() {
         let mut exec = Executor::from_database(&q, &catalog, &db);
         let (rows, layout) = exec.run(&plan);
         assert!(rows.is_empty());
-        assert_eq!(layout.width(), 8, "plan:\n{plan}");
+        assert_eq!(layout.cols().len(), 8, "plan:\n{plan}");
         for expr in exprs(&plan) {
             assert!(
                 exec.stats.rows_of(expr).is_some(),

@@ -13,7 +13,6 @@ use crate::graph::JoinGraph;
 use crate::ops::PhysOp;
 use crate::props::PhysProp;
 use crate::query::{ExprId, LeafCol, LeafId, QuerySpec};
-use crate::relset::RelSet;
 
 /// A reference to a child group: `(expression, required property)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -172,7 +171,7 @@ fn enumerate_join(q: &QuerySpec, g: &JoinGraph, expr: ExprId, prop: PhysProp) ->
             let (lc, rc) = q.edge(eid).across(l, r).expect("edge crosses the cut");
             // Sort-merge join produces output sorted on the left merge
             // column: usable for Any or for exactly Sorted(lc).
-            if prop == PhysProp::Any || prop == PhysProp::Sorted(lc) {
+            if PhysProp::Sorted(lc).satisfies(prop) {
                 alts.push(AltSpec::binary(
                     PhysOp::SortMergeJoin { edge: eid },
                     ChildRef::new(le, PhysProp::Sorted(lc)),
@@ -257,30 +256,11 @@ impl SplitCache {
     }
 }
 
-/// The "interesting" sort columns for a relation set: edge endpoints
-/// inside it, plus the first group-by column at the root (System R's
-/// interesting orders, paper §2.1).
-pub fn interesting_sort_cols(q: &QuerySpec, rel: RelSet) -> Vec<LeafCol> {
-    let mut cols: Vec<LeafCol> = q
-        .edges
-        .iter()
-        .flat_map(|e| [e.l, e.r])
-        .filter(|c| rel.contains(c.leaf.0))
-        .collect();
-    if rel == q.all_rels() {
-        if let Some(agg) = &q.aggregate {
-            cols.extend(agg.group_by.first().copied());
-        }
-    }
-    cols.sort_unstable();
-    cols.dedup();
-    cols
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{AggFunc, AggSpec, QuerySpec};
+    use crate::relset::RelSet;
     use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
 
     /// Catalog with three tables; `b` is indexed + clustered on `k`.
@@ -483,17 +463,5 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(cache.misses, 1);
         assert_eq!(cache.hits, 1);
-    }
-
-    #[test]
-    fn interesting_sort_cols_are_edge_endpoints() {
-        let q = chain();
-        let cols = interesting_sort_cols(&q, RelSet(0b011));
-        assert_eq!(
-            cols,
-            vec![LeafCol::new(0, 0), LeafCol::new(1, 0), LeafCol::new(1, 1)]
-        );
-        let cols = interesting_sort_cols(&q, RelSet::singleton(2));
-        assert_eq!(cols, vec![LeafCol::new(2, 0)]);
     }
 }

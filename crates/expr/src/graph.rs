@@ -11,23 +11,17 @@ use crate::relset::RelSet;
 pub struct JoinGraph {
     /// `adj[i]` = leaves adjacent to leaf `i`.
     adj: Vec<RelSet>,
-    n: u32,
 }
 
 impl JoinGraph {
     pub fn new(q: &QuerySpec) -> JoinGraph {
-        let n = q.n_leaves();
-        let mut adj = vec![RelSet::EMPTY; n as usize];
+        let mut adj = vec![RelSet::EMPTY; q.n_leaves() as usize];
         for e in &q.edges {
             let (a, b) = (e.l.leaf.0, e.r.leaf.0);
             adj[a as usize] = adj[a as usize].union(RelSet::singleton(b));
             adj[b as usize] = adj[b as usize].union(RelSet::singleton(a));
         }
-        JoinGraph { adj, n }
-    }
-
-    pub fn n_leaves(&self) -> u32 {
-        self.n
+        JoinGraph { adj }
     }
 
     /// Leaves adjacent to any member of `rels`, excluding `rels` itself.
@@ -68,25 +62,27 @@ impl JoinGraph {
     pub fn are_joined(&self, l: RelSet, r: RelSet) -> bool {
         !self.neighbors(l).intersect(r).is_empty()
     }
-
-    /// All connected subsets of the full leaf set, in ascending size
-    /// order (the System-R DP enumeration order, also the denominator for
-    /// the paper's "pruning ratio" metrics).
-    pub fn connected_subsets(&self) -> Vec<RelSet> {
-        let full = RelSet::full(self.n);
-        let mut out: Vec<RelSet> = (1..=full.0)
-            .map(RelSet)
-            .filter(|r| r.is_subset_of(full) && self.is_connected(*r))
-            .collect();
-        out.sort_by_key(|r| (r.len(), r.0));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{JoinEdge, LeafCol};
+
+    impl JoinGraph {
+        /// All connected subsets of the full leaf set, in ascending size
+        /// order (the System-R DP enumeration order): the oracle the
+        /// explored space is held to (`space_covers_all_connected_subsets`).
+        pub(crate) fn connected_subsets(&self) -> Vec<RelSet> {
+            let full = RelSet::full(self.adj.len() as u32);
+            let mut out: Vec<RelSet> = (1..=full.0)
+                .map(RelSet)
+                .filter(|r| r.is_subset_of(full) && self.is_connected(*r))
+                .collect();
+            out.sort_by_key(|r| (r.len(), r.0));
+            out
+        }
+    }
 
     /// Builds a graph from explicit leaf-pair edges, without a catalog.
     fn graph(n: u32, edges: &[(u32, u32)]) -> JoinGraph {

@@ -35,21 +35,6 @@ pub enum PhysOp {
 }
 
 impl PhysOp {
-    pub fn is_scan(self) -> bool {
-        matches!(self, PhysOp::FullScan | PhysOp::IndexScan { .. })
-    }
-
-    pub fn is_join(self) -> bool {
-        matches!(
-            self,
-            PhysOp::HashJoin | PhysOp::SortMergeJoin { .. } | PhysOp::IndexNLJoin { .. }
-        )
-    }
-
-    pub fn is_unary(self) -> bool {
-        matches!(self, PhysOp::Sort { .. } | PhysOp::HashAgg | PhysOp::SortAgg)
-    }
-
     /// The paper's `LogOp` column: the logical operator this implements.
     pub fn logical_name(self) -> &'static str {
         match self {
@@ -79,19 +64,6 @@ impl fmt::Display for PhysOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        assert!(PhysOp::FullScan.is_scan());
-        assert!(PhysOp::HashJoin.is_join());
-        assert!(PhysOp::SortMergeJoin { edge: EdgeId(0) }.is_join());
-        assert!(PhysOp::Sort {
-            col: LeafCol::new(0, 0)
-        }
-        .is_unary());
-        assert!(PhysOp::HashAgg.is_unary());
-        assert!(!PhysOp::HashAgg.is_join());
-    }
 
     #[test]
     fn logical_names_match_paper_logop_column() {

@@ -22,20 +22,6 @@ impl PlanNode {
         1 + self.children.iter().map(PlanNode::size).sum::<usize>()
     }
 
-    /// Pre-order operator list (useful for plan-shape assertions).
-    pub fn ops(&self) -> Vec<PhysOp> {
-        let mut out = Vec::with_capacity(self.size());
-        self.collect_ops(&mut out);
-        out
-    }
-
-    fn collect_ops(&self, out: &mut Vec<PhysOp>) {
-        out.push(self.op);
-        for c in &self.children {
-            c.collect_ops(out);
-        }
-    }
-
     /// A stable structural fingerprint: two plans with the same shape and
     /// operators produce the same fingerprint. Used to detect plan
     /// switches in the adaptive driver.
@@ -106,8 +92,14 @@ mod tests {
     fn size_and_ops() {
         let p = join(leaf(0), join(leaf(1), leaf(2)));
         assert_eq!(p.size(), 5);
+        fn preorder(p: &PlanNode, out: &mut Vec<PhysOp>) {
+            out.push(p.op);
+            p.children.iter().for_each(|c| preorder(c, out));
+        }
+        let mut ops = Vec::new();
+        preorder(&p, &mut ops);
         assert_eq!(
-            p.ops(),
+            ops,
             vec![
                 PhysOp::HashJoin,
                 PhysOp::FullScan,

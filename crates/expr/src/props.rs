@@ -23,10 +23,6 @@ pub enum PhysProp {
 }
 
 impl PhysProp {
-    pub fn is_any(self) -> bool {
-        self == PhysProp::Any
-    }
-
     /// Whether a plan producing `self` satisfies a requirement of `req`.
     /// `Any` is satisfied by everything; `Sorted`/`Indexed` must match
     /// exactly.

@@ -19,8 +19,8 @@ pub struct LeafId(pub u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
-/// A column of a specific query leaf. Unlike `catalog::AttrRef`, this is
-/// unambiguous under self-joins.
+/// A column of a specific query leaf: `(leaf, column)` rather than
+/// `(table, column)`, so it is unambiguous under self-joins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LeafCol {
     pub leaf: LeafId,
@@ -128,12 +128,6 @@ pub struct ExprId {
 impl ExprId {
     pub fn rel(rel: RelSet) -> ExprId {
         ExprId { rel, agg: false }
-    }
-
-    /// The paper's `Fn_isleaf`: a single relation with no pending
-    /// aggregate.
-    pub fn is_leaf(self) -> bool {
-        !self.agg && self.rel.is_singleton()
     }
 }
 
@@ -279,11 +273,6 @@ impl QueryBuilder {
         self
     }
 
-    pub fn project(&mut self, cols: Vec<LeafCol>) -> &mut Self {
-        self.projection = cols;
-        self
-    }
-
     pub fn build(self) -> QuerySpec {
         assert!(!self.leaves.is_empty(), "query needs at least one leaf");
         QuerySpec {
@@ -376,17 +365,6 @@ mod tests {
         q.aggregate = Some(AggSpec::default());
         assert!(q.root_expr().agg);
         assert_eq!(q.root_expr().rel, RelSet::full(3));
-    }
-
-    #[test]
-    fn leaf_expr_detection() {
-        assert!(ExprId::rel(RelSet::singleton(2)).is_leaf());
-        assert!(!ExprId::rel(RelSet(0b11)).is_leaf());
-        assert!(!ExprId {
-            rel: RelSet::singleton(0),
-            agg: true
-        }
-        .is_leaf());
     }
 
     #[test]

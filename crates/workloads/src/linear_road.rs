@@ -1,4 +1,4 @@
-//! Linear Road stream workload [3] and the modified `SegTollS` query
+//! Linear Road stream workload \[3\] and the modified `SegTollS` query
 //! (paper Table 2).
 //!
 //! The generator synthesizes `CarLocStr(carid, expway, dir, seg, xpos)`

@@ -1,5 +1,5 @@
 //! Zipfian sampling via inverse-CDF over precomputed cumulative weights
-//! — the skew model of the Microsoft skewed TPC-D generator [22] the
+//! — the skew model of the Microsoft skewed TPC-D generator \[22\] the
 //! paper uses ("Zipfian skew factor", §5).
 
 use rand::Rng;
@@ -37,10 +37,6 @@ impl Zipf {
             Ok(i) => i + 1,
             Err(i) => i + 1,
         }
-    }
-
-    pub fn n(&self) -> usize {
-        self.cdf.len()
     }
 }
 
