@@ -26,17 +26,18 @@
 //! engine's: the parameters a restart would recover from it must be the
 //! ones the engine holds, or arming is refused.
 //!
-//! **No WAL compaction.** The WAL grows by one record per epoch and is
-//! never rewritten. Compacting it behind a checkpoint would bound its
-//! size, but a damaged checkpoint is answered from the *whole* WAL, so
-//! a compacted log would need a second checkpoint generation to fall
-//! back on — more code, and a second file format, than the bytes it
-//! saves (13 per parameter written plus 20 per epoch) are worth.
+//! **No WAL compaction.** The WAL grows by one record per epoch and no
+//! acknowledged record is ever rewritten. Compacting it behind a
+//! checkpoint would bound its size, but a damaged checkpoint is
+//! answered from the *whole* WAL, so a compacted log would need a
+//! second checkpoint generation to fall back on — more code, and a
+//! second file format, than the bytes it saves (13 per parameter
+//! written plus 20 per epoch) are worth.
 //!
 //! File layouts (all integers little-endian):
 //!
 //! ```text
-//! wal        := "RWAL" version(u32) record*
+//! wal        := "RWAL" version(u32) record* zero*   -- zero-filled tail
 //! checkpoint := "RPRM" version(u32) record            -- exactly one
 //! record     := len(u32) crc32(u32, over payload) payload[len]
 //!
@@ -47,25 +48,43 @@
 //! ```
 //!
 //! `seq` is the record's zero-based position; a mismatch means records
-//! were lost or reordered and is reported as corruption. The WAL is
-//! never rewritten in place; the one cut is a failed append's own
-//! record, truncated back off before the failure is reported. A torn
-//! final record — the image of a crash mid-append — is discarded: its
-//! batch was never acknowledged, and whatever of it was applied lived
-//! only in the memory that died with the process. Damage anywhere
-//! earlier is
-//! [`DataflowError::StateCorruption`]. `leaves`/`edges` are the shape of
-//! the query the checkpoint was cut for — a guard that depends on
-//! neither the memo nor the compiled network — and every logged
-//! parameter must name a leaf or edge inside it. A checkpoint is
-//! committed atomically ([`write_atomic`]); any single flipped bit or
-//! truncation of it is detected and answered from the whole WAL.
+//! were lost or reordered and is reported as corruption. The WAL file
+//! is allocated in zero-filled chunks of `WAL_CHUNK` bytes, and each
+//! record is written in place, with one positioned write, at the log's
+//! *logical end*; a record that runs past the allocated end carries the
+//! zeros up to the next chunk boundary in the same write. So most
+//! appends leave the file's size alone and their fsync commits data
+//! only. The log ends at the first position that does not frame a
+//! valid record — a zero frame (`len` 0, CRC 0) never does, since a WAL
+//! payload is at least 12 bytes. Only zeros from there to the end of the
+//! file are a clean end. Any non-zero byte there is a torn final record,
+//! the image of a crash mid-append, which is discarded and reported
+//! ([`OpenWal::torn`]): its batch was never acknowledged, and whatever of
+//! it was applied lived only in the memory that died with the process.
+//! But only the last record can be torn: a valid record carrying the
+//! next sequence number framed anywhere behind the broken one (at its
+//! claimed end, say, behind a failed CRC) makes it damage in the middle
+//! of the log, as is any sequence gap — [`DataflowError::StateCorruption`].
+//! The one case the file cannot tell apart is damage confined to the
+//! last record: it reads as a reported torn tail, as a length field
+//! flipped past the end of the file always has. A torn tail, and a
+//! failed append's own record, are zeroed in place and synced — the
+//! logical log is cut back, the file keeps its length — and opening an
+//! intact log writes nothing.
+//!
+//! `leaves`/`edges` are the shape of the query the checkpoint was cut
+//! for — a guard that depends on neither the memo nor the compiled
+//! network — and every logged parameter must name a leaf or edge inside
+//! it. A checkpoint is committed atomically ([`write_atomic`]); any
+//! single flipped bit or truncation of it is detected and answered from
+//! the whole WAL.
 //!
 //! [`CostContext`]: reopt_cost::CostContext
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, Write as _};
 use std::ops::{Deref, DerefMut};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -90,8 +109,12 @@ pub const WAL_FILE: &str = "wal.bin";
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// On-disk format versions; readers reject what they do not speak.
-const WAL_VERSION: u32 = 1;
+/// WAL version 1 grew its file by every append and had no zero tail.
+const WAL_VERSION: u32 = 2;
 const CHECKPOINT_VERSION: u32 = 1;
+
+/// The WAL file grows in zero-filled chunks of this many bytes.
+const WAL_CHUNK: u64 = 4096;
 
 /// Bytes of `magic version`, and of a record's `len crc32` frame.
 const HEADER_LEN: usize = 8;
@@ -107,24 +130,38 @@ fn corrupt(msg: impl Into<String>) -> DataflowError {
 }
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `bytes`.
-/// Hand-rolled because the container has no crates.io access; the table
-/// is built once at first use.
+/// Hand-rolled because the container has no crates.io access. Eight
+/// bytes a step through eight tables (slicing-by-8), built once at first
+/// use: every standalone append scans the whole log, so the CRC is most
+/// of what that scan costs.
 pub fn crc32(bytes: &[u8]) -> u32 {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let t = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *slot = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
         t
     });
-    !bytes.iter().fold(!0u32, |crc, &b| {
-        t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().unwrap()) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, i| acc ^ t[7 - i][((w >> (8 * i)) & 0xFF) as usize]);
+    }
+    !words.remainder().iter().fold(crc, |crc, &b| {
+        t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
     })
 }
 
@@ -411,39 +448,86 @@ pub fn decode_checkpoint(
     })
 }
 
-/// Creates (or truncates to) an empty WAL: just the header, fsynced —
-/// file and directory entry — so the armed log survives a crash that
-/// follows immediately.
+/// Creates (or truncates to) an empty WAL: the header and a zeroed
+/// tail up to the first chunk boundary, fsynced — file and directory
+/// entry — so the armed log survives a crash that follows immediately.
 pub fn wal_init(path: &Path) -> std::io::Result<()> {
+    let mut chunk = vec![0; WAL_CHUNK as usize];
+    chunk[..HEADER_LEN].copy_from_slice(&header(WAL_MAGIC, WAL_VERSION));
     let mut f = std::fs::File::create(path)?;
-    f.write_all(&header(WAL_MAGIC, WAL_VERSION))?;
+    f.write_all(&chunk)?;
     f.sync_all()?;
     sync_parent(path);
     Ok(())
 }
 
-/// Writes `deltas` as WAL record `seq` at the end of the log open on
-/// `file` — the one framing and the one write every append goes
-/// through — and returns the record's length. Nothing is fsynced here.
-fn write_record(mut file: &File, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<u64> {
+/// Writes `deltas` as WAL record `seq` at `end`, the log's logical end
+/// in `file` — the one framing and the one write every append goes
+/// through — and returns the record's length. A record that runs past
+/// `allocated`, the file's length, carries the zeros up to the next
+/// chunk boundary in the same write, and `allocated` grows to it.
+/// Nothing is fsynced here.
+fn write_record(
+    file: &File,
+    seq: u64,
+    deltas: &[ParamDelta],
+    end: u64,
+    allocated: &mut u64,
+) -> std::io::Result<u64> {
     let mut e = Enc::default();
     e.u64(seq);
     e.u32(deltas.len() as u32);
     for d in deltas {
         e.delta(d);
     }
-    let record = e.into_record();
-    file.write_all(&record)?;
-    Ok(record.len() as u64)
+    let mut record = e.into_record();
+    let len = record.len() as u64;
+    if end + len > *allocated {
+        record.resize(((end + len).next_multiple_of(WAL_CHUNK) - end) as usize, 0);
+    }
+    file.write_all_at(&record, end)?;
+    *allocated = (*allocated).max(end + record.len() as u64);
+    Ok(len)
+}
+
+/// Zeroes `file` from `from` to its end and syncs it: the logical log
+/// is cut back to `from`, the file keeps its length, which is returned.
+fn zero_tail(mut file: &File, from: u64) -> std::io::Result<u64> {
+    let len = file.metadata()?.len();
+    file.seek(std::io::SeekFrom::Start(from))?;
+    std::io::copy(&mut std::io::repeat(0).take(len.saturating_sub(from)), &mut file)?;
+    file.sync_data()?;
+    Ok(len)
 }
 
 /// Appends one batch as record `seq`, fsyncing before returning: once
 /// this returns, recovery will replay the batch. A standalone append;
-/// an armed optimizer appends through its `WalWriter`.
+/// an armed optimizer appends through its `WalWriter`. The logical end
+/// is found by the scan a restart runs; a log that does not scan clean,
+/// or whose next record is not `seq`, is refused (`InvalidData`,
+/// `InvalidInput`) and left as it is.
 pub fn wal_append(path: &Path, seq: u64, deltas: &[ParamDelta]) -> std::io::Result<()> {
-    let f = std::fs::OpenOptions::new().append(true).open(path)?;
-    write_record(&f, seq, deltas)?;
-    f.sync_all()
+    use std::io::{Error, ErrorKind};
+    let file = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
+    let mut bytes = Vec::new();
+    (&file).read_to_end(&mut bytes)?;
+    let mut records = 0;
+    let scanned = scan_wal(&bytes, |_| {
+        records += 1;
+        Ok(())
+    });
+    let (end, torn) = scanned.map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
+    if torn {
+        let msg = "the WAL ends in a torn record; open_dir heals it";
+        return Err(Error::new(ErrorKind::InvalidData, msg));
+    }
+    if records != seq {
+        let msg = format!("the WAL's next record is {records}, not {seq}");
+        return Err(Error::new(ErrorKind::InvalidInput, msg));
+    }
+    let mut allocated = bytes.len() as u64;
+    write_record(&file, seq, deltas, end as u64, &mut allocated)?;
+    file.sync_data()
 }
 
 /// A failure the WAL writer fakes, for crash tests
@@ -456,7 +540,7 @@ pub struct WalFault {
     pub truncate_too: bool,
 }
 
-/// Stack of the fsync helper thread, which only calls `sync_all` and
+/// Stack of the fsync helper thread, which only calls `sync_data` and
 /// passes unit requests and results over two bounded channels.
 const SYNC_HELPER_STACK: usize = 32 * 1024;
 
@@ -469,10 +553,10 @@ struct SyncHelper {
 }
 
 impl SyncHelper {
-    /// Opens the log for appending and starts the helper; also returns
-    /// the log's length at the start.
+    /// Opens the log for writing and starts the helper; also returns
+    /// the file's length at the start.
     fn start(path: &Path) -> std::io::Result<(SyncHelper, u64)> {
-        let file = Arc::new(std::fs::OpenOptions::new().append(true).open(path)?);
+        let file = Arc::new(std::fs::OpenOptions::new().write(true).open(path)?);
         let len = file.metadata()?.len();
         // Both channels are made here, on the caller's side: the helper
         // allocates nothing of its own.
@@ -484,7 +568,7 @@ impl SyncHelper {
             .stack_size(SYNC_HELPER_STACK)
             .spawn(move || {
                 for () in requests {
-                    if done.send(log.sync_all()).is_err() {
+                    if done.send(log.sync_data()).is_err() {
                         break;
                     }
                 }
@@ -504,10 +588,11 @@ impl SyncHelper {
 /// the record and hands its fsync to a helper thread, and
 /// [`WalWriter::finish`] waits for that fsync — the disk's latency
 /// overlaps the epoch's compute, and the batch is acknowledged only
-/// when both are done. A failed append is cut back off the log
-/// (truncated to the acknowledged length, fsynced) before it is
-/// reported, so the next record keeps the sequence contiguous; if the
-/// cut fails too, the writer refuses every later append. The open
+/// when both are done. A failed append is cut back off the log (zeroed
+/// from the acknowledged end on, fsynced) before it is reported, so the
+/// next record is written where it was and keeps the sequence
+/// contiguous; if the cut fails too, the writer refuses every later
+/// append. The open
 /// handle and the helper are made by the first append — arming and
 /// recovering pay for neither — and the helper is joined on drop.
 struct WalWriter {
@@ -516,8 +601,11 @@ struct WalWriter {
     /// number; a checkpoint stores this as its replay watermark.
     wal_seq: u64,
     helper: Option<SyncHelper>,
-    /// Header plus fsynced records: what a failed append cuts back to.
+    /// Header plus acknowledged records: the log's logical end, where
+    /// the next record is written and what a failed append cuts back to.
     acked_len: u64,
+    /// The file's length, zero tail included (read by the first append).
+    allocated: u64,
     /// Length of the record written and not yet acknowledged.
     pending: Option<u64>,
     /// A failed record could not be cut back off: nothing more is
@@ -528,13 +616,14 @@ struct WalWriter {
 
 impl WalWriter {
     /// A writer for the log in `dir`, which [`open_dir`] left holding
-    /// exactly its `wal_seq` intact records.
-    fn new(dir: PathBuf, wal_seq: u64) -> WalWriter {
+    /// exactly its `wal_seq` intact records in its first `len` bytes.
+    fn new(dir: PathBuf, wal_seq: u64, len: u64) -> WalWriter {
         WalWriter {
             dir,
             wal_seq,
             helper: None,
-            acked_len: 0,
+            acked_len: len,
+            allocated: 0,
             pending: None,
             stopped: false,
             fault: None,
@@ -553,12 +642,14 @@ impl WalWriter {
         let helper = match &mut self.helper {
             Some(helper) => helper,
             None => {
-                let (helper, len) = SyncHelper::start(&self.dir.join(WAL_FILE))?;
-                self.acked_len = len;
+                let (helper, allocated) = SyncHelper::start(&self.dir.join(WAL_FILE))?;
+                self.allocated = allocated;
                 self.helper.insert(helper)
             }
         };
-        let handed_off = write_record(&helper.file, self.wal_seq, deltas).and_then(|len| {
+        let end = self.acked_len;
+        let written = write_record(&helper.file, self.wal_seq, deltas, end, &mut self.allocated);
+        let handed_off = written.and_then(|len| {
             helper.request.send(()).map_err(std::io::Error::other)?;
             Ok(len)
         });
@@ -598,19 +689,21 @@ impl WalWriter {
         }
     }
 
-    /// Truncates the log back to its acknowledged length and fsyncs the
-    /// cut, returning `cause` to report; a failed cut (or a faked one,
+    /// Zeroes the log from its acknowledged end on and fsyncs the cut,
+    /// returning `cause` to report; a failed cut (or a faked one,
     /// `fake_failure`) stops the writer and is reported with it.
     fn cut_back(&mut self, cause: std::io::Error, fake_failure: bool) -> std::io::Error {
         let helper = self.helper.as_ref().expect("only a started writer cuts");
-        let file = &helper.file;
         let cut = if fake_failure {
-            Err(std::io::Error::other("injected WAL truncation failure"))
+            Err(std::io::Error::other("injected WAL cut-back failure"))
         } else {
-            file.set_len(self.acked_len).and_then(|()| file.sync_all())
+            zero_tail(&helper.file, self.acked_len)
         };
         match cut {
-            Ok(()) => cause,
+            Ok(allocated) => {
+                self.allocated = allocated;
+                cause
+            }
             Err(e) => {
                 self.stopped = true;
                 let msg = format!("{cause}; cutting it back off failed too, so appends stop: {e}");
@@ -634,40 +727,78 @@ impl Drop for WalWriter {
 struct WalScan {
     /// Every intact batch, in append order (index = record seq).
     batches: Vec<Vec<ParamDelta>>,
-    /// Bytes covered by the header plus intact records; anything past
-    /// this is a torn tail from a crash mid-append.
+    /// Bytes covered by the header plus intact records: the log's
+    /// logical end.
     valid_len: usize,
+    /// Whether a non-zero byte follows the logical end: a torn final
+    /// record from a crash mid-append.
+    torn: bool,
 }
 
-/// Scans a WAL image. A record whose framed length runs past the end
-/// of the file is a torn tail — discarded, because its batch was never
-/// acknowledged (see the module docs). A CRC mismatch or a sequence
-/// gap *within* the intact region is real damage and fails the scan.
+/// Scans a WAL image into its batches ([`scan_wal`]).
 fn wal_records(bytes: &[u8]) -> Result<WalScan, DataflowError> {
-    check_header(bytes, WAL_MAGIC, WAL_VERSION, "WAL")?;
-    let mut batches: Vec<Vec<ParamDelta>> = Vec::new();
-    let mut pos = HEADER_LEN;
-    while pos < bytes.len() {
-        let Some((payload, end)) = read_record(bytes, pos)? else {
-            break;
-        };
-        let mut d = Dec::new(payload);
-        let seq = d.u64()?;
-        if seq != batches.len() as u64 {
-            return Err(corrupt(format!(
-                "WAL sequence gap: record {} carries seq {seq}",
-                batches.len()
-            )));
-        }
+    let mut batches = Vec::new();
+    let (valid_len, torn) = scan_wal(bytes, |mut d| {
         batches.push(d.deltas("WAL record")?);
-        pos = end;
-    }
-    // After a torn break `pos` still points at the torn record's start;
-    // on a clean scan it equals the file length.
+        Ok(())
+    })?;
     Ok(WalScan {
         batches,
-        valid_len: pos,
+        valid_len,
+        torn,
     })
+}
+
+/// Scans a WAL image up to its logical end (see the module docs),
+/// handing each intact record's `count delta*` to `record` in append
+/// order, and returns the logical end and whether a torn record follows
+/// it. A sequence gap, or a broken record with the next one framed
+/// after it, is real damage and fails the scan.
+fn scan_wal<'a>(
+    bytes: &'a [u8],
+    mut record: impl FnMut(Dec<'a>) -> Result<(), DataflowError>,
+) -> Result<(usize, bool), DataflowError> {
+    check_header(bytes, WAL_MAGIC, WAL_VERSION, "WAL")?;
+    let mut records = 0u64;
+    let mut pos = HEADER_LEN;
+    while let Some((payload, end)) = wal_record(bytes, pos) {
+        let mut d = Dec::new(payload);
+        let seq = d.u64()?;
+        if seq != records {
+            return Err(corrupt(format!("WAL sequence gap: record {records} carries seq {seq}")));
+        }
+        record(d)?;
+        records += 1;
+        pos = end;
+    }
+    // The last non-zero byte, if it lies past the logical end.
+    let torn_to = bytes[pos..].iter().rposition(|&b| b != 0).map(|i| pos + i);
+    if let Some(last) = torn_to {
+        // Only the last record can be torn: one framed behind it means
+        // the broken record is damage in the middle of the log.
+        let after = (records + 1).to_le_bytes();
+        let carries_after = |at: usize| {
+            bytes[at..].get(FRAME_LEN..FRAME_LEN + 8) == Some(&after[..])
+                && wal_record(bytes, at).is_some()
+        };
+        if let Some(at) = (pos + 1..last).find(|&at| carries_after(at)) {
+            return Err(corrupt(format!(
+                "WAL record {records} at byte {pos} is damaged and record {} follows at byte {at}",
+                records + 1
+            )));
+        }
+    }
+    Ok((pos, torn_to.is_some()))
+}
+
+/// The WAL record framed at `pos`: its payload and the offset just past
+/// it. `None` for a zero frame, a frame that runs past the end of the
+/// file and a payload that fails its CRC: the log ends there.
+fn wal_record(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+    read_record(bytes, pos)
+        .ok()
+        .flatten()
+        .filter(|(payload, _)| !payload.is_empty())
 }
 
 /// A durable directory's WAL, opened for appending ([`open_dir`]).
@@ -676,9 +807,12 @@ pub struct OpenWal {
     pub batches: Vec<Vec<ParamDelta>>,
     /// The sequence number the next [`wal_append`] must carry.
     pub next_seq: u64,
-    /// Whether a torn final record was cut away: an append was at least
-    /// attempted, so the directory has history even if `batches` is
-    /// empty.
+    /// The log's logical length — the header plus its intact records,
+    /// where the next record is written; the file's zero tail follows.
+    pub len: u64,
+    /// Whether a torn final record was found (and zeroed in place): an
+    /// append was at least attempted, so the directory has history even
+    /// if `batches` is empty.
     pub torn: bool,
     /// Why an unreadable WAL was replaced by an empty one, if it was.
     pub error: Option<DataflowError>,
@@ -687,31 +821,28 @@ pub struct OpenWal {
 /// Opens a durable directory the one way every startup path does: the
 /// directory is created if missing, stranded `*.tmp` staging files are
 /// swept, and `<dir>/wal.bin` is made appendable — an intact log is
-/// adopted (appends continue after its records), a torn tail from a
-/// crash mid-append is truncated away first, a missing log is created
-/// empty, and a damaged one is replaced by an empty log with the scan
-/// error handed back: the caller decides what losing it means. `Err` is
-/// for failing to create the directory or to repair or create the file.
+/// adopted as it is (nothing is written or synced; appends continue at
+/// its logical end), a torn tail from a crash mid-append is zeroed in
+/// place and synced first, a missing log is created empty, and a
+/// damaged one is replaced by an empty log with the scan error handed
+/// back: the caller decides what losing it means. `Err` is for failing
+/// to create the directory or to repair or create the file.
 pub fn open_dir(dir: &Path) -> std::io::Result<OpenWal> {
     std::fs::create_dir_all(dir)?;
     sweep_tmp(dir);
     let path = dir.join(WAL_FILE);
-    let scanned = std::fs::read(&path).ok().map(|bytes| {
-        let len = bytes.len();
-        wal_records(&bytes).map(|scan| (scan, len))
-    });
+    let scanned = std::fs::read(&path).ok().map(|bytes| wal_records(&bytes));
     match scanned {
-        Some(Ok((scan, len))) => {
-            let torn = scan.valid_len < len;
-            if torn {
+        Some(Ok(scan)) => {
+            if scan.torn {
                 let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-                f.set_len(scan.valid_len as u64)?;
-                f.sync_all()?;
+                zero_tail(&f, scan.valid_len as u64)?;
             }
             Ok(OpenWal {
                 next_seq: scan.batches.len() as u64,
                 batches: scan.batches,
-                torn,
+                len: scan.valid_len as u64,
+                torn: scan.torn,
                 error: None,
             })
         }
@@ -720,6 +851,7 @@ pub fn open_dir(dir: &Path) -> std::io::Result<OpenWal> {
             Ok(OpenWal {
                 batches: Vec::new(),
                 next_seq: 0,
+                len: HEADER_LEN as u64,
                 torn: false,
                 error: missing_or_damaged.and_then(Result::err),
             })
@@ -827,7 +959,7 @@ fn history(dir: &Path, leaves: u32, edges: u32) -> std::io::Result<History> {
     Ok(History {
         log,
         epochs_seen,
-        wal: WalWriter::new(dir.to_path_buf(), wal.next_seq),
+        wal: WalWriter::new(dir.to_path_buf(), wal.next_seq, wal.len),
         restart: Restart { path, errors },
     })
 }
@@ -1114,11 +1246,37 @@ mod tests {
         bytes
     }
 
+    /// Where each of the first `n` records of a WAL image starts, and
+    /// where the last of them ends, read off their length fields.
+    fn record_bounds(bytes: &[u8], n: usize) -> Vec<usize> {
+        let mut bounds = vec![HEADER_LEN];
+        for _ in 0..n {
+            let pos = *bounds.last().unwrap();
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            bounds.push(pos + FRAME_LEN + len);
+        }
+        bounds
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The catalogue value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every length and alignment against the bit-at-a-time definition.
+        let bitwise = |bytes: &[u8]| {
+            !bytes.iter().fold(!0u32, |crc, &b| {
+                (0..8).fold(crc ^ u32::from(b), |c, _| {
+                    if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 }
+                })
+            })
+        };
+        let data: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bitwise(&data[start..end]), "{start}..{end}");
+            }
+        }
     }
 
     #[test]
@@ -1219,29 +1377,25 @@ mod tests {
         let batches = sample_batches();
         let bytes = written_wal("round-trip", &batches);
         let scan = wal_records(&bytes).unwrap();
-        assert_eq!(scan.batches, batches);
-        assert_eq!(scan.valid_len, bytes.len());
+        assert_eq!((&scan.batches, scan.torn), (&batches, false));
+        assert_eq!(scan.valid_len, record_bounds(&bytes, 3)[3]);
+        // Three small records leave the first chunk's zero tail in place.
+        assert_eq!(bytes.len() as u64, WAL_CHUNK);
+        assert!(bytes[scan.valid_len..].iter().all(|&b| b == 0));
     }
 
+    /// A file cut short mid-record — the image of a crash that lost the
+    /// write that grew the file.
     #[test]
     fn torn_tail_is_discarded_but_intact_prefix_survives() {
         let batches = sample_batches();
         let bytes = written_wal("torn", &batches);
-        let intact_two = {
-            // Find where record 2 starts by re-scanning lengths.
-            let mut pos = HEADER_LEN;
-            for _ in 0..2 {
-                let len =
-                    u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += FRAME_LEN + len;
-            }
-            pos
-        };
+        let bounds = record_bounds(&bytes, 3);
         // Cut mid-record-2: records 0 and 1 survive, the tail is torn.
-        for cut in intact_two + 1..bytes.len() {
+        for cut in bounds[2] + 1..bounds[3] {
             let scan = wal_records(&bytes[..cut]).unwrap();
             assert_eq!(scan.batches, batches[..2].to_vec(), "cut at {cut}");
-            assert_eq!(scan.valid_len, intact_two);
+            assert_eq!((scan.valid_len, scan.torn), (bounds[2], true), "cut at {cut}");
         }
     }
 
@@ -1264,19 +1418,28 @@ mod tests {
         scan.batches.len() < batches.len() && scan.batches == batches[..scan.batches.len()]
     }
 
+    /// Every bit of the log and of the zero frame that ends it: a flip
+    /// in the header or in any record but the last is corruption; one in
+    /// the last record is a reported torn tail holding a strict prefix
+    /// (the file cannot tell it from a crash mid-append); one in the
+    /// zero frame is a reported torn tail holding every record (as is
+    /// any non-zero byte further into the zero tail, checked below).
     #[test]
     fn every_single_bit_flip_is_detected() {
         let batches = sample_batches();
         let bytes = written_wal("flip", &batches);
-        for bit in 0..bytes.len() * 8 {
+        let bounds = record_bounds(&bytes, 3);
+        let (last, end) = (bounds[2], bounds[3]);
+        for bit in 0..(end + FRAME_LEN) * 8 {
+            let at = bit / 8;
             let mut evil = bytes.clone();
-            evil[bit / 8] ^= 1 << (bit % 8);
-            // A failed scan, or a tail cut off as torn — which the
-            // caller sees (`valid_len` short of the file).
+            evil[at] ^= 1 << (bit % 8);
             let detected = match wal_records(&evil) {
-                Err(DataflowError::StateCorruption(_)) => true,
+                Err(DataflowError::StateCorruption(_)) => at < last,
                 Err(_) => false,
-                Ok(scan) => scan.valid_len < evil.len() && is_strict_prefix(&scan, &batches),
+                Ok(_) if at < last => false,
+                Ok(scan) if at < end => scan.torn && is_strict_prefix(&scan, &batches),
+                Ok(scan) => scan.torn && scan.batches == batches,
             };
             assert!(detected, "flip of bit {bit} slipped through");
         }
@@ -1286,16 +1449,102 @@ mod tests {
     fn truncation_at_every_length_is_detected() {
         let batches = sample_batches();
         let bytes = written_wal("truncate", &batches);
+        let end = record_bounds(&bytes, 3)[3];
         for cut in 0..bytes.len() {
             match wal_records(&bytes[..cut]) {
                 Err(e) => assert!(cut < HEADER_LEN, "cut at {cut}: {e}"),
                 // A cut on a record boundary is a shorter intact log:
                 // the checkpoint's watermark is what notices that one.
-                Ok(scan) => assert!(
+                Ok(scan) if cut < end => assert!(
                     scan.valid_len <= cut && is_strict_prefix(&scan, &batches),
                     "cut at {cut} produced a record"
                 ),
+                // A cut in the zero tail loses nothing.
+                Ok(scan) => assert!(!scan.torn && scan.batches == batches, "cut at {cut}"),
             }
+        }
+    }
+
+    /// The crash images of an append into a preallocated log, with each
+    /// record of a three-record log in flight in turn, and the last of
+    /// 124 one-delta records, which crosses the first chunk's end: the
+    /// acknowledged records, the in-flight record's first `k`
+    /// bytes for every `k` (or the whole record but one zeroed byte),
+    /// then the zero tail — and, for the record that crosses, the file
+    /// cut at its old length too. Each scans to exactly the acknowledged
+    /// batches, torn unless nothing of the record reached the disk;
+    /// where the missing bytes are zeros anyway the image is the whole
+    /// record, which scans as written.
+    #[test]
+    fn every_crash_image_of_a_preallocated_log_scans_to_its_acknowledged_batches() {
+        let crossing: Vec<Vec<ParamDelta>> = (0..124)
+            .map(|i| vec![ParamDelta::LeafCardinality(LeafId(i), 2.0)])
+            .collect();
+        for (label, batches) in [("images", sample_batches()), ("images-crossing", crossing)] {
+            let full = written_wal(label, &batches);
+            let n = batches.len();
+            let bounds = record_bounds(&full, n);
+            let grown_by_chunks = (bounds[n] as u64).next_multiple_of(WAL_CHUNK);
+            assert_eq!(full.len() as u64, grown_by_chunks, "{label}");
+            let first_in_flight = if n > 3 { n - 1 } else { 0 };
+            for last in first_in_flight..n {
+                let (start, end) = (bounds[last], bounds[last + 1]);
+                let record = &full[start..end];
+                let check = |image: &[u8], missing: &[u8], what: &str| {
+                    let scan = wal_records(image).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    if missing.iter().all(|&b| b == 0) {
+                        assert_eq!(scan.batches, batches[..=last], "{what}");
+                        return;
+                    }
+                    assert_eq!(scan.batches, batches[..last], "{what}");
+                    assert_eq!(scan.valid_len, start, "{what}");
+                    let written = image[start..].iter().any(|&b| b != 0);
+                    assert_eq!(scan.torn, written, "{what}");
+                };
+                let mut image = full.clone();
+                image[bounds[last + 1]..].fill(0);
+                for k in 0..=record.len() {
+                    image[start..end].copy_from_slice(record);
+                    image[start + k..end].fill(0);
+                    check(&image, &record[k..], &format!("{label} record {last}, k = {k}"));
+                    if end > WAL_CHUNK as usize && start + k <= WAL_CHUNK as usize {
+                        let what = format!("{label} record {last}, k = {k}, file cut");
+                        check(&image[..WAL_CHUNK as usize], &record[k..], &what);
+                    }
+                }
+                for i in 0..record.len() {
+                    image[start..end].copy_from_slice(record);
+                    image[start + i] = 0;
+                    let what = format!("{label} record {last}, byte {i} zeroed");
+                    check(&image, &record[i..=i], &what);
+                }
+            }
+        }
+    }
+
+    /// Beside an append torn mid-record, damage to a record before the
+    /// last acknowledged one is still corruption; and a non-zero byte
+    /// anywhere in the zero tail of an intact log is a reported torn
+    /// tail that keeps every record.
+    #[test]
+    fn damage_before_a_torn_record_and_in_the_zero_tail_is_reported() {
+        let batches = sample_batches();
+        let full = written_wal("damage-images", &batches);
+        let bounds = record_bounds(&full, 3);
+        let mut torn = full.clone();
+        torn[bounds[2] + 5..bounds[3]].fill(0);
+        for bit in HEADER_LEN * 8..bounds[1] * 8 {
+            let mut evil = torn.clone();
+            evil[bit / 8] ^= 1 << (bit % 8);
+            let r = wal_records(&evil);
+            assert!(matches!(r, Err(DataflowError::StateCorruption(_))), "bit {bit}");
+        }
+        for at in bounds[3]..full.len() {
+            let mut evil = full.clone();
+            evil[at] = 0x5A;
+            let scan = wal_records(&evil).unwrap();
+            assert!(scan.torn && scan.batches == batches, "byte {at}");
+            assert_eq!(scan.valid_len, bounds[3], "byte {at}");
         }
     }
 
@@ -1309,21 +1558,29 @@ mod tests {
         let dir = scratch_dir("writer");
         let path = dir.join(WAL_FILE);
         wal_init(&path).unwrap();
-        let mut w = WalWriter::new(dir.clone(), 0);
+        let mut w = WalWriter::new(dir.clone(), 0, HEADER_LEN as u64);
         let append =
             |w: &mut WalWriter, deltas: &[ParamDelta]| w.begin(deltas).and_then(|()| w.finish());
+        let scanned = || {
+            let scan = wal_records(&std::fs::read(&path).unwrap()).unwrap();
+            assert!(!scan.torn);
+            (scan.batches, scan.valid_len)
+        };
         w.fault = Some(WalFault {
             record: 1,
             truncate_too: false,
         });
         append(&mut w, &batches[0]).unwrap();
-        let acked = std::fs::read(&path).unwrap();
+        let acked = scanned();
         assert!(append(&mut w, &batches[1]).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), acked, "the failed record stayed");
+        assert_eq!(scanned(), acked, "the failed record stayed");
         // The fault is one-shot: the retry carries the same number.
         append(&mut w, &batches[1]).unwrap();
         append(&mut w, &batches[2]).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), written_wal("writer-ref", &batches));
+        let reference = written_wal("writer-ref", &batches);
+        let scan = wal_records(&reference).unwrap();
+        assert_eq!(scanned(), (scan.batches, scan.valid_len));
+        assert_eq!(std::fs::read(&path).unwrap(), reference);
 
         w.fault = Some(WalFault {
             record: 3,
@@ -1344,21 +1601,51 @@ mod tests {
         // Missing: created empty, no error, no history.
         let wal = open_dir(&dir).unwrap();
         assert!(wal.batches.is_empty() && !wal.torn && wal.error.is_none());
-        assert_eq!(std::fs::read(&path).unwrap(), header(WAL_MAGIC, WAL_VERSION));
-        // Intact: adopted, appends continue after it.
+        let empty = std::fs::read(&path).unwrap();
+        assert_eq!(empty.len() as u64, WAL_CHUNK);
+        assert_eq!(empty[..HEADER_LEN], header(WAL_MAGIC, WAL_VERSION));
+        assert_eq!((wal.len, wal_records(&empty).unwrap().valid_len), (8, HEADER_LEN));
+        // Intact: adopted as it is — not written, so its modification
+        // time stays put — and appends continue after it.
         let batches = sample_batches();
         for (i, b) in batches.iter().enumerate() {
             wal_append(&path, i as u64, b).unwrap();
         }
         let intact = std::fs::read(&path).unwrap();
+        let bounds = record_bounds(&intact, 3);
+        let long_ago = std::time::SystemTime::UNIX_EPOCH + Duration::from_secs(1 << 30);
+        File::options().write(true).open(&path).unwrap().set_modified(long_ago).unwrap();
         let wal = open_dir(&dir).unwrap();
         assert_eq!((wal.batches, wal.next_seq, wal.torn), (batches.clone(), 3, false));
-        // Torn: the tail is cut off the file, the prefix adopted.
-        std::fs::write(&path, &intact[..intact.len() - 3]).unwrap();
-        let wal = open_dir(&dir).unwrap();
-        assert_eq!((wal.batches.len(), wal.next_seq, wal.torn), (2, 2, true));
-        assert!(wal.error.is_none());
-        assert_eq!(wal_records(&std::fs::read(&path).unwrap()).unwrap().batches, batches[..2]);
+        assert_eq!(wal.len, bounds[3] as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), long_ago);
+        assert_eq!(std::fs::read(&path).unwrap(), intact);
+        // Torn in place, or cut short: the torn record is zeroed where
+        // it lies, the prefix adopted, the file keeps its length.
+        let mut torn_in_place = intact.clone();
+        torn_in_place[bounds[2] + 4..bounds[3]].fill(0);
+        for image in [torn_in_place, intact[..bounds[3] - 3].to_vec()] {
+            std::fs::write(&path, &image).unwrap();
+            let wal = open_dir(&dir).unwrap();
+            assert_eq!((wal.batches.len(), wal.next_seq, wal.torn), (2, 2, true));
+            assert_eq!((wal.len, &wal.error), (bounds[2] as u64, &None));
+            let healed = std::fs::read(&path).unwrap();
+            assert_eq!(healed.len(), image.len());
+            let scan = wal_records(&healed).unwrap();
+            assert_eq!((&scan.batches[..], scan.torn), (&batches[..2], false));
+            // The next append lands where the torn record began.
+            wal_append(&path, 2, &batches[2]).unwrap();
+            assert_eq!(wal_records(&std::fs::read(&path).unwrap()).unwrap().batches, batches);
+        }
+        // An appender refuses a torn log, and a sequence number that is
+        // not the next, leaving the file as it is.
+        std::fs::write(&path, &intact[..bounds[3] - 3]).unwrap();
+        let e = wal_append(&path, 2, &batches[2]).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        std::fs::write(&path, &intact).unwrap();
+        let e = wal_append(&path, 2, &batches[2]).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        assert_eq!(std::fs::read(&path).unwrap(), intact);
         // Damaged: replaced by an empty log, the scan error handed back.
         let mut evil = intact.clone();
         evil[HEADER_LEN + FRAME_LEN + 2] ^= 0x40;
@@ -1366,7 +1653,7 @@ mod tests {
         let wal = open_dir(&dir).unwrap();
         assert!(wal.batches.is_empty() && wal.next_seq == 0);
         assert!(matches!(wal.error, Some(DataflowError::StateCorruption(_))));
-        assert_eq!(std::fs::read(&path).unwrap(), header(WAL_MAGIC, WAL_VERSION));
+        assert_eq!(std::fs::read(&path).unwrap(), empty);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,6 +10,8 @@
 
 mod common;
 
+use std::path::Path;
+
 use proptest::prelude::*;
 
 use reopt_bridge::{durable, DataflowEngine, RecoveryPath, Restart};
@@ -33,21 +35,45 @@ macro_rules! for_both_engines {
     }};
 }
 
-/// Flips bit `bit` of the byte `byte_sel` selects in `dir/file`.
-fn flip_bit(dir: &std::path::Path, file: &str, byte_sel: u32, bit: u8) {
+/// Flips bit `bit` of the byte `byte_sel` selects in `dir/file` — in
+/// the WAL, among its records and the 8-byte zero frame that ends them,
+/// not the rest of its zero tail.
+fn flip_bit(dir: &Path, file: &str, byte_sel: u32, bit: u8) {
     let path = dir.join(file);
     let mut bytes = std::fs::read(&path).unwrap();
-    let at = byte_sel as usize % bytes.len();
-    bytes[at] ^= 1 << bit;
+    let span = match file {
+        durable::WAL_FILE => bytes.len().min(wal_end(dir) + 8),
+        _ => bytes.len(),
+    };
+    bytes[byte_sel as usize % span] ^= 1 << bit;
     std::fs::write(&path, &bytes).unwrap();
 }
 
-/// Cuts the last three bytes off the WAL in `dir`: its final record is
-/// torn, the image of a crash mid-append.
-fn tear_wal(dir: &std::path::Path) {
+/// The logical end of the intact WAL in `dir`: header plus records.
+fn wal_end(dir: &Path) -> usize {
+    let wal = durable::open_dir(dir).unwrap();
+    assert!(!wal.torn && wal.error.is_none());
+    wal.len as usize
+}
+
+/// Zeroes the last three bytes of the WAL's final record in `dir`, in
+/// place: the record is torn, the image of a crash mid-append.
+fn tear_wal(dir: &Path) {
+    let end = wal_end(dir);
+    let path = dir.join(durable::WAL_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert!(bytes[end - 3..end].iter().any(|&b| b != 0), "nothing to tear");
+    bytes[end - 3..end].fill(0);
+    std::fs::write(&path, &bytes).unwrap();
+}
+
+/// Cuts the WAL in `dir` three bytes short of its final record's end:
+/// the image of a crash that lost the write that grew the file.
+fn cut_wal(dir: &Path) {
+    let end = wal_end(dir);
     let path = dir.join(durable::WAL_FILE);
     let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+    std::fs::write(&path, &bytes[..end - 3]).unwrap();
 }
 
 /// A clean restart from a checkpoint.
@@ -324,12 +350,12 @@ fn crash_before_any_checkpoint_replays_the_whole_wal() {
     for_both_engines!(check);
 }
 
-/// A torn WAL tail — the image of a crash mid-append — is truncated
-/// away on recovery; the batches before it replay normally and new
-/// appends continue cleanly from the cut.
+/// A torn WAL tail — the image of a crash mid-append, torn in place or
+/// cut short — is zeroed away on recovery; the batches before it replay
+/// normally and new appends continue cleanly from the cut.
 #[test]
 fn torn_wal_tail_is_discarded_and_the_log_heals() {
-    fn check<E: Engine>() {
+    fn check<E: Engine>(tear: fn(&Path)) {
         let (c, q) = chain5();
         let dir = fresh_dir("torn");
         let batches = chain5_batches(&q);
@@ -340,13 +366,15 @@ fn torn_wal_tail_is_discarded_and_the_log_heals() {
             victim.reoptimize(batch);
         }
         drop(victim);
-        tear_wal(&dir);
+        tear(&dir);
 
         // The last batch is the one torn away.
         let mut oracle = oracle_after::<E>(&c, &q, &batches[..batches.len() - 1]);
         let (mut rec, restart) = E::restart(&c, &q, &dir);
         assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
         E::assert_same(&rec, &oracle, "after torn-tail recovery");
+        let healed = durable::open_dir(&dir).unwrap();
+        assert!(!healed.torn, "{}: the restart left the torn bytes", E::NAME);
 
         // The healed log accepts new appends and a later recovery sees them.
         let extra = deltas_for(&q, &[(2, 4, 0)], false);
@@ -358,7 +386,9 @@ fn torn_wal_tail_is_discarded_and_the_log_heals() {
         E::assert_same(&rec2, &oracle, "after healed-log recovery");
         let _ = std::fs::remove_dir_all(&dir);
     }
-    for_both_engines!(check);
+    for tear in [tear_wal, cut_wal] {
+        for_both_engines!(check, tear);
+    }
 }
 
 /// Crash between "write `checkpoint.tmp`" and "rename over
@@ -505,7 +535,7 @@ fn across_a_process_boundary<E: Engine>(test: &str, abort: bool) {
 /// property found this through a damaged length field.)
 #[test]
 fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
-    fn check<E: Engine>() {
+    fn check<E: Engine>(tear: fn(&Path)) {
         let (c, q) = chain5();
         let dir = fresh_dir("torn-only");
         let mut victim = E::fresh(&c, &q);
@@ -513,13 +543,56 @@ fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
         victim.optimize();
         victim.reoptimize(&chain5_batches(&q)[0]);
         drop(victim);
-        tear_wal(&dir);
+        tear(&dir);
 
         let (mut rec, restart) = E::restart(&c, &q, &dir);
         assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
         // The torn batch, never acknowledged, is not replayed.
         E::assert_same(&rec, &oracle_after(&c, &q, &[]), "after a torn-only WAL");
         E::audit(&mut rec).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for tear in [tear_wal, cut_wal] {
+        for_both_engines!(check, tear);
+    }
+}
+
+/// A WAL in the layout of older builds — version 1: the same records,
+/// running to the end of the file with no zero tail — is refused by its
+/// version, the way an `RCKP` checkpoint is refused by its magic: the
+/// refusal is reported, nothing of it is replayed, and the directory
+/// gets a fresh log.
+#[test]
+fn a_version_1_wal_is_refused_by_its_version() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let dir = fresh_dir("wal-v1");
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        for batch in &chain5_batches(&q) {
+            victim.reoptimize(batch);
+        }
+        drop(victim);
+        let end = wal_end(&dir);
+        let path = dir.join(durable::WAL_FILE);
+        let mut v1 = std::fs::read(&path).unwrap();
+        v1.truncate(end);
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &v1).unwrap();
+
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        assert!(
+            matches!(restart.errors.as_slice(),
+                [DataflowError::StateCorruption(m)] if m.contains("unsupported WAL version 1")),
+            "{}: {:?}",
+            E::NAME,
+            restart.errors
+        );
+        E::assert_same(&rec, &oracle_after(&c, &q, &[]), "after a refused version-1 WAL");
+        let wal = durable::open_dir(&dir).unwrap();
+        assert!(wal.batches.is_empty() && !wal.torn && wal.error.is_none(), "{}", E::NAME);
         let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);
@@ -718,7 +791,7 @@ fn a_directory_one_engine_wrote_restarts_the_other() {
 fn assert_degrades_to_the_whole_wal<E: Engine>(
     c: &Catalog,
     q: &QuerySpec,
-    dir: &std::path::Path,
+    dir: &Path,
     batches: &[Vec<ParamDelta>],
     why: &str,
 ) {
