@@ -4,9 +4,10 @@
 //! parameters plus the file reads: `restore_replay` must stay within
 //! the gate's tolerance of `optimizer_dataflow/initial_chain5/
 //! declarative` and under `from_scratch_initial`, which replays the
-//! history one epoch per batch; `checkpoint_write` is two fsyncs and a
-//! rename of a few hundred bytes; `durable_epoch` is one re-optimization
-//! with its WAL append, whose fsync runs beside the epoch. The `_hr`
+//! history one epoch per batch; `checkpoint_write` is one positioned
+//! write of a 4 KiB checkpoint slot and its `sync_data`;
+//! `durable_epoch` is one re-optimization with its WAL append, whose
+//! fsync runs beside the epoch. The `_hr`
 //! entries run the same restart and epoch on the hand-rolled engine,
 //! made durable by the same wrapper. Gated in CI by `check_bench`
 //! against the committed baseline.
@@ -55,7 +56,7 @@ fn checkpoint_restore(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200));
 
     // Cutting a durable checkpoint of a warmed chain-5 optimizer:
-    // encode the parameter log + atomic tmp/fsync/rename.
+    // encode the parameter log + write the free slot + `sync_data`.
     group.bench_function("checkpoint_write/chain5", |b| {
         let dir = fresh_dir("write");
         let mut opt = DataflowOptimizer::new(&catalog, q.clone());

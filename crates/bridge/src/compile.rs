@@ -910,6 +910,10 @@ impl Compiler {
                 vars.push(v.clone());
             }
         }
+        // A guard — it binds no column and keeps every binding column —
+        // passes its input tuple on once its checks hold.
+        let guard =
+            keep.len() == binding.vars.len() && !outs.iter().any(|o| matches!(o, Out::Bind));
         let body = Rc::clone(&def.body);
         let label = atom.relation.clone();
         let n_out = outs.len();
@@ -933,7 +937,9 @@ impl Compiler {
                         n_out
                     );
                     row_scratch.clear();
-                    row_scratch.extend(keep.iter().map(|&c| t.get(c)));
+                    if !guard {
+                        row_scratch.extend(keep.iter().map(|&c| t.get(c)));
+                    }
                     for (spec, v) in outs.iter().zip(row) {
                         match spec {
                             Out::Bind => row_scratch.push(*v),
@@ -955,7 +961,7 @@ impl Compiler {
                             }
                         }
                     }
-                    emit(Tuple::from_slice(&row_scratch));
+                    emit(if guard { t.clone() } else { Tuple::from_slice(&row_scratch) });
                 });
             }),
             &[binding.node],

@@ -28,21 +28,25 @@
 //!
 //! **No WAL compaction.** The WAL grows by one record per epoch and no
 //! acknowledged record is ever rewritten. Compacting it behind a
-//! checkpoint would bound its size, but a damaged checkpoint is
-//! answered from the *whole* WAL, so a compacted log would need a
-//! second checkpoint generation to fall back on — more code, and a
-//! second file format, than the bytes it saves (13 per parameter
-//! written plus 20 per epoch) are worth.
+//! checkpoint would bound its size. The two checkpoint slots are the
+//! second generation such a log would fall back on — a damaged newest
+//! checkpoint is answered from the older one and the records past *its*
+//! watermark — but with both slots damaged a restart still needs the
+//! whole WAL, so compaction stays unbuilt: the bytes it would save (13
+//! per parameter written plus 20 per epoch) are not worth a history
+//! that two damaged slots could lose.
 //!
 //! File layouts (all integers little-endian):
 //!
 //! ```text
 //! wal        := "RWAL" version(u32) record* zero*   -- zero-filled tail
-//! checkpoint := "RPRM" version(u32) record            -- exactly one
+//! checkpoint := slot slot                             -- slot_len bytes each
+//! slot       := "RPRM" version(u32) record zero*      -- zero-padded
+//!             | zero*                                 -- empty
 //! record     := len(u32) crc32(u32, over payload) payload[len]
 //!
 //! wal payload        := seq(u64) count(u32) delta*
-//! checkpoint payload := watermark(u64) epochs_seen(u64)
+//! checkpoint payload := generation(u64) watermark(u64) epochs_seen(u64)
 //!                       leaves(u32) edges(u32) count(u32) delta*
 //! delta              := tag(u8) id(u32) factor(f64 bits)
 //! ```
@@ -75,9 +79,29 @@
 //! `leaves`/`edges` are the shape of the query the checkpoint was cut
 //! for — a guard that depends on neither the memo nor the compiled
 //! network — and every logged parameter must name a leaf or edge inside
-//! it. A checkpoint is committed atomically ([`write_atomic`]); any
-//! single flipped bit or truncation of it is detected and answered from
-//! the whole WAL.
+//! it. The checkpoint file is two slots of `slot_len(leaves, edges)`
+//! bytes: the largest checkpoint the shape can produce (one delta per
+//! parameter) rounded up to whole 4 KiB pages, so a slot is never
+//! resized and a write to one never touches the other's page. The file
+//! is allocated where the shape is known — arming and restarting — with
+//! real zeros, not a sparse hole, which would make the first checkpoint
+//! allocate blocks and commit metadata; it is synced with its directory
+//! entry.
+//!
+//! A restart uses the slot of the highest `generation` that decodes,
+//! fits the query and has a watermark the intact WAL covers. An all-zero
+//! slot is empty. Every other slot it cannot use — a flipped bit, a torn
+//! write, another query's checkpoint, a watermark past the WAL — is
+//! reported ([`Restart::errors`]) and zeroed in place, so a log that
+//! later grows past a stale watermark cannot make it usable; beside a
+//! usable slot the restart still restores, from that one, with a
+//! bounded replay. Each checkpoint is written into the slot a restart
+//! would *not* use, as the next generation: one positioned write of the
+//! whole slot and `sync_data` — no new file, rename or directory sync,
+//! and the file's length never changes — so a crash mid-write leaves
+//! the other slot's checkpoint to restart from. A file that is not two
+//! slots of the query's length (a version-1 checkpoint, an `RCKP`
+//! network image) is refused as a whole and replaced by a zeroed one.
 //!
 //! [`CostContext`]: reopt_cost::CostContext
 
@@ -109,11 +133,13 @@ pub const WAL_FILE: &str = "wal.bin";
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// On-disk format versions; readers reject what they do not speak.
-/// WAL version 1 grew its file by every append and had no zero tail.
+/// WAL version 1 grew its file by every append and had no zero tail;
+/// checkpoint version 1 was one record in a file replaced by a rename.
 const WAL_VERSION: u32 = 2;
-const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 2;
 
-/// The WAL file grows in zero-filled chunks of this many bytes.
+/// The WAL file grows in zero-filled chunks of this many bytes, and a
+/// checkpoint slot is a whole number of them.
 const WAL_CHUNK: u64 = 4096;
 
 /// Bytes of `magic version`, and of a record's `len crc32` frame.
@@ -121,6 +147,8 @@ const HEADER_LEN: usize = 8;
 const FRAME_LEN: usize = 8;
 /// Encoded bytes of one [`ParamDelta`], and its tags.
 const DELTA_LEN: usize = 13;
+/// Bytes of a checkpoint payload ahead of its deltas.
+const CHECKPOINT_FIXED_LEN: usize = 3 * 8 + 3 * 4;
 const TAG_EDGE_SELECTIVITY: u8 = 0;
 const TAG_LEAF_CARDINALITY: u8 = 1;
 const TAG_LEAF_SCAN_COST: u8 = 2;
@@ -322,9 +350,9 @@ fn read_record(bytes: &[u8], pos: usize) -> Result<Option<(&[u8], usize)>, Dataf
     Ok(Some((payload, end)))
 }
 
-/// Fsyncs `path`'s directory so a file just created or renamed there
-/// keeps its entry across power loss. Best effort — some filesystems
-/// do not support directory fsync.
+/// Fsyncs `path`'s directory so a file just created there keeps its
+/// entry across power loss. Best effort — some filesystems do not
+/// support directory fsync.
 fn sync_parent(path: &Path) {
     if let Some(dir) = path.parent() {
         if let Ok(d) = std::fs::File::open(dir) {
@@ -333,27 +361,11 @@ fn sync_parent(path: &Path) {
     }
 }
 
-/// Atomically commits `bytes` to `path`: write to `<path>.tmp`, fsync,
-/// rename over the final name, then fsync the parent directory. A crash
-/// at any point leaves either the complete old file or the complete new
-/// one; a torn `.tmp` is never the live checkpoint.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_parent(path);
-    Ok(())
-}
-
 /// Sweeps orphaned `*.tmp` staging files out of a durable directory.
-/// The atomic-checkpoint protocol writes `checkpoint.tmp`, fsyncs, then
-/// renames — a crash between the write and the rename strands the
-/// staging file. An orphan is never live state (the rename is what
-/// commits), but left behind it accumulates across crashes and is one
+/// Older builds committed a checkpoint by writing `checkpoint.tmp`,
+/// fsyncing, then renaming it — a crash between the write and the
+/// rename stranded the staging file, which a directory they wrote may
+/// still hold. An orphan is never live state, but left behind it is one
 /// `mv` away from masquerading as a checkpoint, so every startup path
 /// removes it. Unreadable entries are skipped rather than failing the
 /// boot.
@@ -368,9 +380,13 @@ fn sweep_tmp(dir: &Path) {
     }
 }
 
-/// What a checkpoint file holds (see the module docs).
+/// What a checkpoint slot holds (see the module docs).
 #[derive(Debug, PartialEq)]
 pub struct Checkpoint {
+    /// One more than the generation of the checkpoint a restart would
+    /// have used when this one was cut: of two usable slots, a restart
+    /// uses the higher.
+    pub generation: u64,
     /// WAL records the log already covers; replay starts here.
     pub watermark: u64,
     /// The optimizer's epoch counter when the checkpoint was cut.
@@ -379,9 +395,21 @@ pub struct Checkpoint {
     pub log: Vec<ParamDelta>,
 }
 
+/// The length of each checkpoint slot for a query of `leaves` leaves
+/// and `edges` join edges: the largest checkpoint that shape can
+/// produce — one delta per parameter — rounded up to whole pages.
+fn slot_len(leaves: u32, edges: u32) -> usize {
+    let params = edges as usize + 2 * leaves as usize;
+    let largest = HEADER_LEN + FRAME_LEN + CHECKPOINT_FIXED_LEN + params * DELTA_LEN;
+    largest.next_multiple_of(WAL_CHUNK as usize)
+}
+
 /// Encodes a checkpoint of `log` for a query of `leaves` leaves and
-/// `edges` join edges.
+/// `edges` join edges as the slot image a checkpoint writes: `magic
+/// version record`, zero-padded to the shape's slot length (longer only
+/// for a log naming parameters outside the query, which no slot holds).
 pub fn encode_checkpoint(
+    generation: u64,
     watermark: u64,
     epochs_seen: u64,
     leaves: u32,
@@ -389,6 +417,7 @@ pub fn encode_checkpoint(
     log: &[ParamDelta],
 ) -> Vec<u8> {
     let mut e = Enc::default();
+    e.u64(generation);
     e.u64(watermark);
     e.u64(epochs_seen);
     e.u32(leaves);
@@ -399,27 +428,33 @@ pub fn encode_checkpoint(
     }
     let mut out = header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION).to_vec();
     out.extend_from_slice(&e.into_record());
+    out.resize(out.len().max(slot_len(leaves, edges)), 0);
     out
 }
 
-/// Decodes a checkpoint file for a query of `leaves` leaves and `edges`
-/// join edges. Anything but a well-formed checkpoint of exactly that
-/// shape whose every parameter is in range — a foreign or older format,
-/// a flipped bit, a truncation, trailing bytes, another query's file —
-/// is [`DataflowError::StateCorruption`].
+/// Decodes one checkpoint slot for a query of `leaves` leaves and
+/// `edges` join edges: `None` for an all-zero slot. Anything but a
+/// well-formed checkpoint of exactly that shape whose every parameter
+/// is in range, followed by zeros only — a foreign or older format, a
+/// flipped bit, a torn write, another query's checkpoint — is
+/// [`DataflowError::StateCorruption`].
 pub fn decode_checkpoint(
-    bytes: &[u8],
+    slot: &[u8],
     leaves: u32,
     edges: u32,
-) -> Result<Checkpoint, DataflowError> {
-    check_header(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
-    let Some((payload, end)) = read_record(bytes, HEADER_LEN)? else {
+) -> Result<Option<Checkpoint>, DataflowError> {
+    if slot.iter().all(|&b| b == 0) {
+        return Ok(None);
+    }
+    check_header(slot, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
+    let Some((payload, end)) = read_record(slot, HEADER_LEN)? else {
         return Err(corrupt("checkpoint record truncated"));
     };
-    if end != bytes.len() {
-        return Err(corrupt("trailing bytes after the checkpoint record"));
+    if slot[end..].iter().any(|&b| b != 0) {
+        return Err(corrupt("non-zero byte after the checkpoint record"));
     }
     let mut d = Dec::new(payload);
+    let generation = d.u64()?;
     let watermark = d.u64()?;
     let epochs_seen = d.u64()?;
     let shape = (d.u32()?, d.u32()?);
@@ -441,11 +476,152 @@ pub fn decode_checkpoint(
             )));
         }
     }
-    Ok(Checkpoint {
+    Ok(Some(Checkpoint {
+        generation,
         watermark,
         epochs_seen,
         log,
-    })
+    }))
+}
+
+/// What a restart finds in a checkpoint file (see the module docs).
+#[derive(Debug, Default, PartialEq)]
+pub struct Slots {
+    /// The checkpoint a restart uses and its slot: the highest
+    /// generation among the slots that decode, fit the query and have a
+    /// watermark the WAL covers.
+    pub chosen: Option<(usize, Checkpoint)>,
+    /// Every slot that is neither empty nor usable, with why. A file
+    /// that is not two slots of the query's length is refused as a
+    /// whole, as slot 0.
+    pub refused: Vec<(usize, DataflowError)>,
+}
+
+/// Reads a checkpoint file image for a query of `leaves` leaves and
+/// `edges` join edges whose WAL holds `wal_records` intact records.
+pub fn read_slots(file: &[u8], leaves: u32, edges: u32, wal_records: u64) -> Slots {
+    let slot_len = slot_len(leaves, edges);
+    let mut slots = Slots::default();
+    if file.len() != 2 * slot_len {
+        if file.iter().any(|&b| b != 0) {
+            let e = check_header(file, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+                .err()
+                .unwrap_or_else(|| {
+                    let len = file.len();
+                    corrupt(format!("checkpoint file is {len} bytes, not two slots of {slot_len}"))
+                });
+            slots.refused.push((0, e));
+        }
+        return slots;
+    }
+    for (i, slot) in file.chunks_exact(slot_len).enumerate() {
+        let read = decode_checkpoint(slot, leaves, edges).and_then(|c| match c {
+            Some(c) if c.watermark > wal_records => Err(corrupt(format!(
+                "checkpoint watermark {} is beyond the {wal_records} intact WAL records",
+                c.watermark
+            ))),
+            c => Ok(c),
+        });
+        match read {
+            Ok(None) => {}
+            Ok(Some(c)) => {
+                if slots.chosen.as_ref().is_none_or(|(_, best)| c.generation > best.generation) {
+                    slots.chosen = Some((i, c));
+                }
+            }
+            Err(DataflowError::StateCorruption(m)) => {
+                slots.refused.push((i, corrupt(format!("checkpoint slot {i}: {m}"))));
+            }
+            Err(e) => slots.refused.push((i, e)),
+        }
+    }
+    slots
+}
+
+/// An armed directory's checkpoint file, open, and where the next
+/// checkpoint goes.
+struct CheckpointFile {
+    file: File,
+    slot_len: u64,
+    /// The slot the next checkpoint is written into — never the one a
+    /// restart would use — and its generation.
+    next: usize,
+    generation: u64,
+}
+
+impl CheckpointFile {
+    /// Opens the checkpoint file in `dir` for a query of `leaves` leaves
+    /// and `edges` join edges whose WAL holds `wal_records` intact
+    /// records, and returns it with what a restart finds in it
+    /// ([`read_slots`]). A file that is missing or not two slots of this
+    /// shape is allocated anew: real zeros, synced with its directory
+    /// entry. Every slot the restart refuses is zeroed in place and
+    /// synced; an intact file is only read.
+    fn open(
+        dir: &Path,
+        leaves: u32,
+        edges: u32,
+        wal_records: u64,
+    ) -> std::io::Result<(CheckpointFile, Slots)> {
+        let path = dir.join(CHECKPOINT_FILE);
+        let slot_len = slot_len(leaves, edges);
+        let opened = File::options().read(true).write(true).open(&path);
+        let mut bytes = Vec::new();
+        if let Ok(mut f) = opened.as_ref() {
+            f.read_to_end(&mut bytes)?;
+        }
+        let slots = read_slots(&bytes, leaves, edges, wal_records);
+        let file = match opened {
+            Ok(f) if bytes.len() == 2 * slot_len => {
+                for &(i, _) in &slots.refused {
+                    f.write_all_at(&vec![0; slot_len], (i * slot_len) as u64)?;
+                }
+                if !slots.refused.is_empty() {
+                    f.sync_data()?;
+                }
+                f
+            }
+            _ => {
+                let mut f = File::options()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(&path)?;
+                f.write_all(&vec![0; 2 * slot_len])?;
+                f.sync_all()?;
+                sync_parent(&path);
+                f
+            }
+        };
+        let (next, generation) = match &slots.chosen {
+            Some((i, c)) => (1 - i, c.generation + 1),
+            None => (0, 1),
+        };
+        let ckpt = CheckpointFile {
+            file,
+            slot_len: slot_len as u64,
+            next,
+            generation,
+        };
+        Ok((ckpt, slots))
+    }
+
+    /// Writes the slot image `slot` into the next slot and syncs its
+    /// data; from then on a restart uses it, and the slot after it is
+    /// the other one. A failed write leaves the next slot where it was.
+    fn write(&mut self, slot: &[u8]) -> std::io::Result<()> {
+        if slot.len() as u64 != self.slot_len {
+            let (len, slot_len) = (slot.len(), self.slot_len);
+            let msg = format!("a checkpoint of {len} bytes does not fit its slot of {slot_len}");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        }
+        self.file.write_all_at(slot, self.next as u64 * self.slot_len)?;
+        self.file.sync_data()?;
+        self.next = 1 - self.next;
+        self.generation += 1;
+        Ok(())
+    }
 }
 
 /// Creates (or truncates to) an empty WAL: the header and a zeroed
@@ -911,18 +1087,21 @@ pub struct Restart {
 
 /// A durable directory's history for one query: the parameters a
 /// restart recovers from it, folded to the last write per parameter,
-/// the epoch count that history reached, and the WAL open for appends.
+/// the epoch count that history reached, and the WAL and the checkpoint
+/// file open for writing.
 struct History {
     log: Vec<ParamDelta>,
     epochs_seen: u64,
     wal: WalWriter,
+    checkpoint: CheckpointFile,
     restart: Restart,
 }
 
 /// Reads the history of `dir` for a query of `leaves` leaves and `edges`
-/// join edges, opening the directory by [`open_dir`]. The epoch count
-/// starts at the checkpoint's and advances as replaying the tail record
-/// by record would have: once per record that changed a parameter.
+/// join edges, opening the directory by [`open_dir`] and its checkpoint
+/// file by `CheckpointFile::open`. The epoch count starts at the chosen
+/// checkpoint's and advances as replaying the tail record by record
+/// would have: once per record that changed a parameter.
 fn history(dir: &Path, leaves: u32, edges: u32) -> std::io::Result<History> {
     let wal = open_dir(dir)?;
     // A torn tail is history too: bytes past the header mean an append
@@ -930,26 +1109,16 @@ fn history(dir: &Path, leaves: u32, edges: u32) -> std::io::Result<History> {
     // which a clean first boot never shows.
     let had_history = !wal.batches.is_empty() || wal.error.is_some() || wal.torn;
     let mut errors: Vec<DataflowError> = wal.error.into_iter().collect();
-    let checkpoint = std::fs::read(dir.join(CHECKPOINT_FILE)).ok().map(|bytes| {
-        let c = decode_checkpoint(&bytes, leaves, edges)?;
-        if c.watermark > wal.next_seq {
-            return Err(corrupt(format!(
-                "checkpoint watermark {} is beyond the {} intact WAL records",
-                c.watermark, wal.next_seq
-            )));
-        }
-        Ok(c)
-    });
+    let (checkpoint, slots) = CheckpointFile::open(dir, leaves, edges, wal.next_seq)?;
+    let refused = !slots.refused.is_empty();
+    errors.extend(slots.refused.into_iter().map(|(_, e)| e));
     let whole = &wal.batches[..];
-    let (path, mut log, mut epochs_seen, tail) = match checkpoint {
-        Some(Ok(c)) => {
+    let (path, mut log, mut epochs_seen, tail) = match slots.chosen {
+        Some((_, c)) => {
             let tail = &whole[c.watermark as usize..];
             (RecoveryPath::RestoredFromCheckpoint, c.log, c.epochs_seen, tail)
         }
-        Some(Err(e)) => {
-            errors.push(e);
-            (RecoveryPath::RebuiltAfterCorruptCheckpoint, Vec::new(), 0, whole)
-        }
+        None if refused => (RecoveryPath::RebuiltAfterCorruptCheckpoint, Vec::new(), 0, whole),
         None if had_history => (RecoveryPath::RebuiltFromScratch, Vec::new(), 0, whole),
         None => (RecoveryPath::Committed, Vec::new(), 0, whole),
     };
@@ -960,6 +1129,7 @@ fn history(dir: &Path, leaves: u32, edges: u32) -> std::io::Result<History> {
         log,
         epochs_seen,
         wal: WalWriter::new(dir.to_path_buf(), wal.next_seq, wal.len),
+        checkpoint,
         restart: Restart { path, errors },
     })
 }
@@ -1004,6 +1174,8 @@ pub struct Durable<R> {
     /// and each batch that changed a parameter.
     epochs_seen: u64,
     wal: Option<WalWriter>,
+    /// Armed with the WAL.
+    checkpoint: Option<CheckpointFile>,
     last_wal: WalEpoch,
 }
 
@@ -1016,6 +1188,7 @@ impl<R> From<R> for Durable<R> {
             applied: Vec::new(),
             epochs_seen: 0,
             wal: None,
+            checkpoint: None,
             last_wal: WalEpoch::default(),
         }
     }
@@ -1076,14 +1249,16 @@ impl<R: Reoptimizer<Outcome: WalReport>> Durable<R> {
 
     /// Arms durability: every later [`Durable::reoptimize`] batch is
     /// appended to `<dir>/wal.bin` and [`Durable::checkpoint_durable`]
-    /// writes `<dir>/checkpoint.bin`. The directory is opened by
-    /// [`open_dir`], and its history is adopted only if it is this
+    /// writes a slot of `<dir>/checkpoint.bin`. The directory is opened
+    /// by [`open_dir`], the checkpoint file is allocated if it is not
+    /// this query's, and the history is adopted only if it is this
     /// engine's: the parameters [`Durable::restart`] would recover from
     /// it must be, value for value, the ones the engine holds (a fresh
     /// directory for an engine that has applied no parameter, or the
     /// directory its own history wrote). Otherwise a later restart would
     /// rebuild a state the engine never held, so arming fails with
-    /// `InvalidInput` and changes nothing.
+    /// `InvalidInput`, the engine stays unarmed and the parameters the
+    /// directory recovers stay as they were.
     pub fn set_durable_dir(&mut self, dir: impl Into<PathBuf>) -> std::io::Result<()> {
         let dir = dir.into();
         let q = self.engine.query();
@@ -1100,6 +1275,7 @@ impl<R: Reoptimizer<Outcome: WalReport>> Durable<R> {
             ));
         }
         self.wal = Some(found.wal);
+        self.checkpoint = Some(found.checkpoint);
         Ok(())
     }
 
@@ -1110,24 +1286,27 @@ impl<R: Reoptimizer<Outcome: WalReport>> Durable<R> {
 
     /// Cuts a durable checkpoint: the applied-parameter log, the WAL
     /// watermark it covers, `epochs_seen` and the query's leaf and edge
-    /// counts, committed atomically (tmp + fsync + rename). Fails with
-    /// `InvalidInput` unless a directory is armed.
+    /// counts, as the next generation. It is one positioned write into
+    /// the slot a restart would not use, then `sync_data` on the file
+    /// the directory was armed with; once it returns, a restart uses
+    /// it. Fails with `InvalidInput` unless a directory is armed.
     pub fn checkpoint_durable(&mut self) -> std::io::Result<()> {
-        let Some(w) = self.wal.as_ref() else {
+        let (Some(w), Some(ckpt)) = (self.wal.as_ref(), self.checkpoint.as_mut()) else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "checkpoint_durable needs set_durable_dir first",
             ));
         };
         let q = self.engine.query();
-        let bytes = encode_checkpoint(
+        let slot = encode_checkpoint(
+            ckpt.generation,
             w.wal_seq,
             self.epochs_seen,
             q.n_leaves(),
             q.edges.len() as u32,
             &self.applied,
         );
-        write_atomic(&w.dir.join(CHECKPOINT_FILE), &bytes)
+        ckpt.write(&slot)
     }
 
     /// Restarts from the durable directory `dir` of query `q`, the one
@@ -1135,10 +1314,11 @@ impl<R: Reoptimizer<Outcome: WalReport>> Durable<R> {
     /// handed to `build`, which returns a fresh engine holding them,
     /// and exactly one `optimize()` runs, whatever the WAL's length;
     /// the directory is armed. What was found on disk decides the
-    /// [`RecoveryPath`]: `RestoredFromCheckpoint`, the whole WAL after
-    /// a damaged or foreign checkpoint (`RebuiltAfterCorruptCheckpoint`)
-    /// or without one (`RebuiltFromScratch`), or `Committed` for an
-    /// empty directory. State damage never panics and never returns
+    /// [`RecoveryPath`]: `RestoredFromCheckpoint` from the newest usable
+    /// slot (a damaged slot beside it is reported, not fatal), the whole
+    /// WAL when no slot is usable but one is damaged or foreign
+    /// (`RebuiltAfterCorruptCheckpoint`) or when both are empty
+    /// (`RebuiltFromScratch`), or `Committed` for an empty directory. State damage never panics and never returns
     /// `Err`; it degrades down that ladder with every absorbed error in
     /// the [`Restart`]. `Err` is for failing to open the directory.
     pub fn restart(
@@ -1151,6 +1331,7 @@ impl<R: Reoptimizer<Outcome: WalReport>> Durable<R> {
         durable.applied = found.log;
         durable.epochs_seen = found.epochs_seen;
         durable.wal = Some(found.wal);
+        durable.checkpoint = Some(found.checkpoint);
         let outcome = durable.optimize();
         Ok((durable, outcome, found.restart))
     }
@@ -1339,37 +1520,154 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_replaces_whole_files() {
-        let dir = scratch_dir("atomic");
-        let path = dir.join("atomic.bin");
-        write_atomic(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        write_atomic(&path, b"second, longer").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second, longer");
-        assert!(!path.with_extension("tmp").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn checkpoint_round_trips_and_guards_its_query_shape() {
         let log = sample_batches().concat();
-        let bytes = encode_checkpoint(9, 12, 3, 2, &log);
+        let bytes = encode_checkpoint(5, 9, 12, 3, 2, &log);
+        assert_eq!(bytes.len(), slot_len(3, 2));
+        assert_eq!(bytes.len() as u64, WAL_CHUNK);
         let want = Checkpoint {
+            generation: 5,
             watermark: 9,
             epochs_seen: 12,
             log,
         };
-        assert_eq!(decode_checkpoint(&bytes, 3, 2).unwrap(), want);
-        // Another query's file; a log naming leaf 2 of a 2-leaf query.
+        assert_eq!(decode_checkpoint(&bytes, 3, 2).unwrap(), Some(want));
+        assert_eq!(decode_checkpoint(&vec![0; bytes.len()], 3, 2).unwrap(), None);
+        // Another query's checkpoint; a log naming leaf 2 of a 2-leaf
+        // query.
         for (leaves, edges) in [(4, 2), (3, 3)] {
             let r = decode_checkpoint(&bytes, leaves, edges);
             assert!(matches!(r, Err(DataflowError::StateCorruption(_))));
         }
-        let r = decode_checkpoint(&encode_checkpoint(9, 12, 2, 2, &want.log), 2, 2);
+        let r = decode_checkpoint(&encode_checkpoint(5, 9, 12, 2, 2, &sample_batches()[1]), 2, 2);
         assert!(
             matches!(&r, Err(DataflowError::StateCorruption(m)) if m.contains("outside this query")),
             "{r:?}"
         );
+    }
+
+    /// A slot holds the largest checkpoint its shape can produce, and a
+    /// shape's slots are whole pages.
+    #[test]
+    fn a_slot_holds_a_write_to_every_parameter() {
+        for (leaves, edges) in [(1, 0), (5, 4), (8, 28), (40, 300)] {
+            let log: Vec<ParamDelta> = (0..edges)
+                .map(|e| ParamDelta::EdgeSelectivity(EdgeId(e), 2.0))
+                .chain((0..leaves).map(|l| ParamDelta::LeafCardinality(LeafId(l), 2.0)))
+                .chain((0..leaves).map(|l| ParamDelta::LeafScanCost(LeafId(l), 2.0)))
+                .collect();
+            let slot = encode_checkpoint(1, 0, 0, leaves, edges, &log);
+            let len = slot_len(leaves, edges);
+            assert_eq!((slot.len(), len % WAL_CHUNK as usize), (len, 0), "{leaves} x {edges}");
+            let tight = HEADER_LEN + FRAME_LEN + CHECKPOINT_FIXED_LEN + log.len() * DELTA_LEN;
+            assert!(len - tight < WAL_CHUNK as usize, "{leaves} x {edges}");
+            assert_eq!(decode_checkpoint(&slot, leaves, edges).unwrap().unwrap().log, log);
+        }
+    }
+
+    /// A two-slot file image holding `a` and `b` (`None`: empty) for a
+    /// 3-leaf, 2-edge query.
+    fn slots_image(a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> Vec<u8> {
+        let log = sample_batches().concat();
+        [a, b]
+            .into_iter()
+            .flat_map(|slot| match slot {
+                Some((generation, watermark)) => {
+                    encode_checkpoint(generation, watermark, generation, 3, 2, &log)
+                }
+                None => vec![0; slot_len(3, 2)],
+            })
+            .collect()
+    }
+
+    /// Which slot a restart uses: the highest generation among the
+    /// slots that decode, fit and are covered by the WAL (here 4
+    /// records); every other non-empty slot is refused and reported.
+    #[test]
+    fn a_restart_uses_the_newest_usable_slot() {
+        let chosen = |image: &[u8]| {
+            let slots = read_slots(image, 3, 2, 4);
+            let refused: Vec<usize> = slots.refused.iter().map(|&(i, _)| i).collect();
+            (slots.chosen.map(|(i, c)| (i, c.generation)), refused)
+        };
+        assert_eq!(chosen(&[]), (None, vec![]));
+        assert_eq!(chosen(&slots_image(None, None)), (None, vec![]));
+        assert_eq!(chosen(&slots_image(Some((1, 2)), None)), (Some((0, 1)), vec![]));
+        assert_eq!(chosen(&slots_image(None, Some((1, 2)))), (Some((1, 1)), vec![]));
+        // The newer generation wins, in either slot.
+        assert_eq!(chosen(&slots_image(Some((3, 4)), Some((2, 2)))), (Some((0, 3)), vec![]));
+        assert_eq!(chosen(&slots_image(Some((2, 2)), Some((3, 4)))), (Some((1, 3)), vec![]));
+        // A newer slot whose watermark the WAL does not cover is refused.
+        assert_eq!(chosen(&slots_image(Some((3, 5)), Some((2, 2)))), (Some((1, 2)), vec![0]));
+        assert_eq!(chosen(&slots_image(Some((3, 5)), None)), (None, vec![0]));
+        // A damaged slot is refused, not empty, beside a good one or not.
+        let mut image = slots_image(Some((2, 2)), Some((3, 4)));
+        image[slot_len(3, 2) + HEADER_LEN + FRAME_LEN] ^= 1;
+        assert_eq!(chosen(&image), (Some((0, 2)), vec![1]));
+        image[HEADER_LEN + FRAME_LEN] ^= 1;
+        assert_eq!(chosen(&image), (None, vec![0, 1]));
+        let mut image = slots_image(None, None);
+        image[slot_len(3, 2) - 1] = 1;
+        assert_eq!(chosen(&image), (None, vec![0]));
+        // A file of another length is refused as a whole.
+        let image = slots_image(Some((2, 2)), Some((3, 4)));
+        assert_eq!(chosen(&image[..slot_len(3, 2)]), (None, vec![0]));
+        assert_eq!(chosen(&[image.as_slice(), &[0]].concat()), (None, vec![0]));
+        assert_eq!(chosen(&[0; 100]), (None, vec![]));
+    }
+
+    /// Arming allocates the checkpoint file — two zeroed slots, real
+    /// blocks — and ten checkpoints then write the slots by turns, each
+    /// a generation past the last, leaving the file's length and the
+    /// directory's entries as they were, with no staging file ever.
+    #[test]
+    fn checkpoints_take_the_slots_by_turns_in_place() {
+        let c = fixture_catalog();
+        let q = chain_query(&c, 5);
+        by_turns(hr(&c, &q), "hr");
+        by_turns(decl(&c, &q), "decl");
+    }
+
+    /// The test above for one engine.
+    fn by_turns<R: Reoptimizer<Outcome: WalReport>>(mut opt: Durable<R>, label: &str) {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = scratch_dir(&format!("turns-{label}"));
+        let path = dir.join(CHECKPOINT_FILE);
+        let (leaves, edges) = (opt.query().n_leaves(), opt.query().edges.len() as u32);
+        let slot = slot_len(leaves, edges);
+        let entries = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        opt.set_durable_dir(&dir).unwrap();
+        opt.optimize();
+        let armed = entries();
+        let meta = std::fs::metadata(&path).unwrap();
+        assert_eq!(meta.len(), 2 * slot as u64, "{label}");
+        assert!(meta.blocks() * 512 >= meta.len(), "{label}: a sparse file");
+        assert!(std::fs::read(&path).unwrap().iter().all(|&b| b == 0), "{label}");
+        for k in 1..=10u64 {
+            let batch = [ParamDelta::EdgeSelectivity(EdgeId((k % 4) as u32), (k + 1) as f64)];
+            opt.reoptimize(&batch);
+            let before = std::fs::read(&path).unwrap();
+            opt.checkpoint_durable().unwrap();
+            let image = std::fs::read(&path).unwrap();
+            assert_eq!(entries(), armed, "{label} checkpoint {k}");
+            assert_eq!(image.len(), 2 * slot, "{label} checkpoint {k}");
+            let slots = read_slots(&image, leaves, edges, k);
+            let (i, ckpt) = slots.chosen.unwrap();
+            assert!(slots.refused.is_empty(), "{label} checkpoint {k}");
+            assert_eq!((i as u64, ckpt.generation, ckpt.watermark), ((k - 1) % 2, k, k));
+            // The other slot is untouched.
+            let other = (1 - i) * slot..(2 - i) * slot;
+            assert_eq!(image[other.clone()], before[other], "{label} checkpoint {k}");
+        }
+        drop(opt);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

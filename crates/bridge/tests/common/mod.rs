@@ -202,16 +202,31 @@ pub fn crashed_victim<E: Engine>(
     before: &[Vec<ParamDelta>],
     tail: &[Vec<ParamDelta>],
 ) -> std::path::PathBuf {
+    let batches: Vec<_> = before.iter().chain(tail).cloned().collect();
+    checkpointed_victim::<E>(c, q, label, &batches, &[before.len()])
+}
+
+/// A victim that applied `batches`, cut a checkpoint after the first
+/// `n` of them for each `n` in `cuts`, and crashed; returns its durable
+/// directory.
+pub fn checkpointed_victim<E: Engine>(
+    c: &Catalog,
+    q: &QuerySpec,
+    label: &str,
+    batches: &[Vec<ParamDelta>],
+    cuts: &[usize],
+) -> std::path::PathBuf {
     let dir = fresh_dir(label);
     let mut victim = E::fresh(c, q);
     victim.set_durable_dir(&dir).unwrap();
     victim.optimize();
-    for record in before {
-        victim.reoptimize(record);
-    }
-    victim.checkpoint_durable().unwrap();
-    for record in tail {
-        victim.reoptimize(record);
+    for n in 0..=batches.len() {
+        for _ in cuts.iter().filter(|&&cut| cut == n) {
+            victim.checkpoint_durable().unwrap();
+        }
+        if let Some(record) = batches.get(n) {
+            victim.reoptimize(record);
+        }
     }
     drop(victim); // the crash
     dir

@@ -23,8 +23,8 @@ use reopt_datalog::DataflowError;
 use reopt_expr::{LeafId, QuerySpec};
 
 use common::{
-    build, chain5, chain5_batches, crashed_victim, fresh_dir, oracle_after, query_gen,
-    record_by_record_restart, Engine, QueryGen,
+    build, chain5, chain5_batches, checkpointed_victim, crashed_victim, fresh_dir, oracle_after,
+    query_gen, record_by_record_restart, Engine, QueryGen,
 };
 
 /// `check` for both engines.
@@ -35,18 +35,48 @@ macro_rules! for_both_engines {
     }};
 }
 
-/// Flips bit `bit` of the byte `byte_sel` selects in `dir/file` — in
-/// the WAL, among its records and the 8-byte zero frame that ends them,
-/// not the rest of its zero tail.
-fn flip_bit(dir: &Path, file: &str, byte_sel: u32, bit: u8) {
-    let path = dir.join(file);
+/// Flips bit `bit` of the byte `byte_sel` selects in the WAL in `dir`,
+/// among its records and the 8-byte zero frame that ends them, not the
+/// rest of its zero tail.
+fn flip_wal_bit(dir: &Path, byte_sel: u32, bit: u8) {
+    let path = dir.join(durable::WAL_FILE);
     let mut bytes = std::fs::read(&path).unwrap();
-    let span = match file {
-        durable::WAL_FILE => bytes.len().min(wal_end(dir) + 8),
-        _ => bytes.len(),
-    };
+    let span = bytes.len().min(wal_end(dir) + 8);
     bytes[byte_sel as usize % span] ^= 1 << bit;
     std::fs::write(&path, &bytes).unwrap();
+}
+
+/// Where the record in a checkpoint slot image ends: magic, version,
+/// the record's length and CRC, then the payload its length claims.
+fn record_end(slot: &[u8]) -> usize {
+    16 + u32::from_le_bytes(slot[8..12].try_into().unwrap()) as usize
+}
+
+/// Flips bit `bit` of a byte of checkpoint slot `slot` in `dir`: an
+/// even `byte_sel` selects a byte of its record (magic and version
+/// included), an odd one a byte of the zero padding behind it.
+fn flip_slot_bit(dir: &Path, slot: usize, byte_sel: u32, bit: u8) {
+    let path = dir.join(durable::CHECKPOINT_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let slot_len = bytes.len() / 2;
+    let image = &mut bytes[slot * slot_len..(slot + 1) * slot_len];
+    let (end, sel) = (record_end(image), byte_sel as usize / 2);
+    let at = match byte_sel % 2 {
+        0 => sel % end,
+        _ => end + sel % (slot_len - end),
+    };
+    image[at] ^= 1 << bit;
+    std::fs::write(&path, &bytes).unwrap();
+}
+
+/// Overwrites checkpoint slot `slot` in `dir` with the slot image `image`.
+fn write_slot(dir: &Path, slot: usize, image: &[u8]) {
+    use std::os::unix::fs::FileExt as _;
+    let path = dir.join(durable::CHECKPOINT_FILE);
+    let slot_len = std::fs::metadata(&path).unwrap().len() / 2;
+    assert_eq!(image.len() as u64, slot_len, "a slot image of another length");
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.write_all_at(image, slot as u64 * slot_len).unwrap();
 }
 
 /// The logical end of the intact WAL in `dir`: header plus records.
@@ -143,33 +173,53 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// A seeded bit flip anywhere in the checkpoint file must be
-    /// detected (per-record CRC, bounds checks) and degrade to a
-    /// from-scratch rebuild plus full WAL replay that still matches the
-    /// oracle exactly — corruption costs time, never correctness.
+    /// A seeded bit flip in a written checkpoint slot — in its record
+    /// or in its zero padding — must be detected (per-record CRC, bounds
+    /// checks, the padding read as zeros) and reported, and costs time,
+    /// never correctness. In the only written slot it degrades to a
+    /// from-scratch rebuild plus full WAL replay; beside a second
+    /// checkpoint, the newest or the older one flipped, the restart
+    /// restores from the other slot. Either way it matches the oracle
+    /// exactly.
     #[test]
     fn flipped_checkpoint_bits_degrade_to_an_exact_rebuild(
         gen in query_gen(4),
         seq in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+        second in any::<bool>(),
+        newest in any::<bool>(),
         byte_sel in any::<u32>(),
         bit in 0u8..8,
     ) {
-        fn check<E: Engine>(gen: &QueryGen, seq: &[(u8, u8, u8)], byte_sel: u32, bit: u8) {
+        fn check<E: Engine>(
+            gen: &QueryGen,
+            seq: &[(u8, u8, u8)],
+            second: bool,
+            newest: bool,
+            byte_sel: u32,
+            bit: u8,
+        ) {
             let (c, q) = build(gen);
             let batches: Vec<_> = seq.iter().map(|&raw| deltas_for(&q, &[raw], false)).collect();
-            let dir = crashed_victim::<E>(&c, &q, "flip", &batches, &[]);
-            flip_bit(&dir, durable::CHECKPOINT_FILE, byte_sel, bit);
+            // A checkpoint after the first batch, and one after the last.
+            let cuts: &[usize] = if second { &[1, batches.len()] } else { &[1] };
+            let dir = checkpointed_victim::<E>(&c, &q, "flip", &batches, cuts);
+            flip_slot_bit(&dir, usize::from(second && newest), byte_sel, bit);
 
             let (rec, restart) = E::restart(&c, &q, &dir);
+            let path = if second {
+                RecoveryPath::RestoredFromCheckpoint
+            } else {
+                RecoveryPath::RebuiltAfterCorruptCheckpoint
+            };
             prop_assert_eq!(
-                restart.path, RecoveryPath::RebuiltAfterCorruptCheckpoint,
+                restart.path, path,
                 "{}: flip of bit {} of byte {} went undetected", E::NAME, bit, byte_sel
             );
-            prop_assert!(!restart.errors.is_empty(), "degradation must be reported");
-            E::assert_same(&rec, &oracle_after(&c, &q, &batches), "after degraded rebuild");
+            prop_assert_eq!(restart.errors.len(), 1, "the damage must be reported");
+            E::assert_same(&rec, &oracle_after(&c, &q, &batches), "after a flipped slot");
             let _ = std::fs::remove_dir_all(&dir);
         }
-        for_both_engines!(check, &gen, &seq, byte_sel, bit);
+        for_both_engines!(check, &gen, &seq, second, newest, byte_sel, bit);
     }
 
     /// Damage to the WAL must also never panic and never yield an
@@ -203,7 +253,7 @@ proptest! {
                 victim.reoptimize(&deltas_for(&q, &[raw], false));
             }
             drop(victim);
-            flip_bit(&dir, durable::WAL_FILE, byte_sel, bit);
+            flip_wal_bit(&dir, byte_sel, bit);
 
             let (mut rec, restart) = E::restart(&c, &q, &dir);
             prop_assert_ne!(restart.path, RecoveryPath::Committed,
@@ -225,8 +275,9 @@ proptest! {
     /// replaying the tail one `reoptimize` per record (kept in `common`)
     /// is the reference. Random checkpoint position, a tail of 0–40
     /// records that keep hitting the same few parameters, an optional
-    /// torn last record, and an optionally corrupted checkpoint (the
-    /// degraded rung loads the whole WAL): both must agree on the
+    /// torn last record, and an optionally corrupted checkpoint (a bit
+    /// flipped in its slot, the only one written: the degraded rung
+    /// loads the whole WAL): both must agree on the
     /// engine's state, the applied log and `epochs_seen`.
     #[test]
     fn folded_replay_equals_record_by_record_replay(
@@ -263,7 +314,7 @@ proptest! {
                 intact = &tail[..tail.len() - 1];
             }
             if corrupt {
-                flip_bit(&dir, durable::CHECKPOINT_FILE, byte_sel, bit);
+                flip_slot_bit(&dir, 0, byte_sel, bit);
             }
 
             let (rec, restart) = E::restart(&c, &q, &dir);
@@ -391,19 +442,20 @@ fn torn_wal_tail_is_discarded_and_the_log_heals() {
     }
 }
 
-/// Crash between "write `checkpoint.tmp`" and "rename over
-/// `checkpoint.bin`": the stranded staging file must be swept on every
-/// startup path, never read as state. Three crash points are staged —
-/// a torn tmp next to a good checkpoint, a torn tmp with no checkpoint
-/// at all (crash during the very first snapshot), and arming a fresh
-/// directory — and in each the recovered engine matches the oracle
-/// while the orphan is gone from disk.
+/// Older builds committed a checkpoint by writing `checkpoint.tmp` and
+/// renaming it over `checkpoint.bin`, so a crash between the two left a
+/// staging file that a directory they wrote may still hold: it must be
+/// swept on every startup path, never read as state. Three such
+/// directories are staged — a torn tmp next to a good checkpoint, a
+/// torn tmp with no checkpoint at all (crash during the very first
+/// snapshot), and arming a fresh directory — and in each the recovered
+/// engine matches the oracle while the orphan is gone from disk.
 #[test]
 fn stale_checkpoint_tmp_files_are_swept_on_startup() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
-        let tmp_name = "checkpoint.tmp"; // what write_atomic stages
+        let tmp_name = "checkpoint.tmp"; // what older builds staged
         let oracle = oracle_after::<E>(&c, &q, &batches);
 
         // Crash point A: a later checkpoint died after staging its tmp
@@ -420,8 +472,7 @@ fn stale_checkpoint_tmp_files_are_swept_on_startup() {
         // Crash point B: the very first checkpoint never completed —
         // only the WAL and the stranded tmp exist. Recovery replays the
         // WAL and must not mistake the tmp for a checkpoint, even when
-        // the orphan would parse (a twin's full checkpoint): the rename
-        // is what commits a checkpoint.
+        // the orphan would parse (a twin's full checkpoint file).
         let dir = fresh_dir("tmp-sweep-b");
         let mut victim = E::fresh(&c, &q);
         victim.set_durable_dir(&dir).unwrap();
@@ -814,13 +865,18 @@ fn assert_degrades_to_the_whole_wal<E: Engine>(
 /// The checkpoints older builds cut were network images: four records
 /// (meta, delta log, `LocalCost` mirror, embedded network) under the
 /// magic `RCKP`. One left in a durable directory across the upgrade is
-/// refused by its magic and answered from the whole WAL.
+/// refused by its magic, answered from the whole WAL and replaced by
+/// two empty slots. The same image in the newest slot of a directory
+/// holding two checkpoints is refused there, and the restart restores
+/// from the older slot.
 #[test]
 fn an_old_network_image_degrades_to_an_exact_rebuild() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
         let dir = crashed_victim::<E>(&c, &q, "old-image", &batches[..2], &batches[2..]);
+        let path = dir.join(durable::CHECKPOINT_FILE);
+        let allocated = std::fs::metadata(&path).unwrap().len();
         let mut image = b"RCKP".to_vec();
         image.extend_from_slice(&1u32.to_le_bytes());
         let records: [&[u8]; 4] = [&[0; 32], &[], &[0; 8], b"RCKP\x01\0\0\0"];
@@ -829,17 +885,49 @@ fn an_old_network_image_degrades_to_an_exact_rebuild() {
             image.extend_from_slice(&durable::crc32(payload).to_le_bytes());
             image.extend_from_slice(payload);
         }
-        std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
+        std::fs::write(&path, &image).unwrap();
         assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, "bad checkpoint magic");
+        assert_eq!(std::fs::read(&path).unwrap(), vec![0; allocated as usize], "{}", E::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = checkpointed_victim::<E>(&c, &q, "old-image-slot", &batches, &[2, 4]);
+        image.resize(allocated as usize / 2, 0);
+        write_slot(&dir, 1, &image);
+        assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches, "bad checkpoint magic");
         let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);
 }
 
+/// Restarts `dir` with engine `E` and checks that it restored from a
+/// checkpoint, reporting one error that mentions `why` (the refused
+/// slot), and landed on the oracle that applied `batches`.
+fn assert_restores_beside_a_refused_slot<E: Engine>(
+    c: &Catalog,
+    q: &QuerySpec,
+    dir: &Path,
+    batches: &[Vec<ParamDelta>],
+    why: &str,
+) {
+    let (rec, restart) = E::restart(c, q, dir);
+    assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{}", E::NAME);
+    assert!(
+        matches!(
+            restart.errors.as_slice(),
+            [DataflowError::StateCorruption(m)] if m.contains(why)
+        ),
+        "{}: {:?}",
+        E::NAME,
+        restart.errors
+    );
+    E::assert_same(&rec, &oracle_after::<E>(c, q, batches), why);
+}
+
 /// A well-formed checkpoint that is not this query's — cut for another
 /// shape, or logging a leaf the query lacks — is corruption, never
-/// loaded: the shape guard and the range check on every logged
-/// parameter refuse it, and the whole WAL answers.
+/// loaded, whatever its generation: the shape guard and the range check
+/// on every logged parameter refuse it. In the only written slot the
+/// whole WAL answers; in the newest of two, the older slot does.
 #[test]
 fn a_checkpoint_of_another_query_is_corruption_not_misrestore() {
     fn check<E: Engine>() {
@@ -848,72 +936,283 @@ fn a_checkpoint_of_another_query_is_corruption_not_misrestore() {
         let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
         let stray = [ParamDelta::LeafCardinality(LeafId(leaves), 2.0)];
         for (image, why) in [
-            (durable::encode_checkpoint(2, 3, leaves + 1, edges, &[]), "leaves"),
-            (durable::encode_checkpoint(2, 3, leaves, edges - 1, &[]), "edges"),
-            (durable::encode_checkpoint(2, 3, leaves, edges, &stray), "outside this query"),
+            (durable::encode_checkpoint(3, 2, 3, leaves + 1, edges, &[]), "leaves"),
+            (durable::encode_checkpoint(3, 2, 3, leaves, edges - 1, &[]), "edges"),
+            (durable::encode_checkpoint(3, 2, 3, leaves, edges, &stray), "outside this query"),
             // Its own query's, but ahead of the log it claims to cover.
             (
-                durable::encode_checkpoint(9, 3, leaves, edges, &[]),
+                durable::encode_checkpoint(3, 9, 3, leaves, edges, &[]),
                 "beyond the 4 intact WAL records",
             ),
         ] {
             let dir = crashed_victim::<E>(&c, &q, "other-query", &batches[..2], &batches[2..]);
-            std::fs::write(dir.join(durable::CHECKPOINT_FILE), image).unwrap();
+            write_slot(&dir, 0, &image);
             assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, why);
+            let _ = std::fs::remove_dir_all(&dir);
+
+            let dir = checkpointed_victim::<E>(&c, &q, "other-query-slot", &batches, &[2, 4]);
+            write_slot(&dir, 1, &image);
+            assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches, why);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     for_both_engines!(check);
 }
 
-/// The checkpoint file a warmed chain-5 engine `E` cut.
-fn chain5_checkpoint<E: Engine>() -> Vec<u8> {
+/// The checkpoint file a chain-5 engine `E` leaves after running
+/// `chain5_batches`, cutting a checkpoint after the first `n` of them
+/// for each `n` in `cuts`.
+fn chain5_checkpoint<E: Engine>(cuts: &[usize]) -> Vec<u8> {
     let (c, q) = chain5();
-    let dir = crashed_victim::<E>(&c, &q, "format", &chain5_batches(&q), &[]);
+    let dir = checkpointed_victim::<E>(&c, &q, "format", &chain5_batches(&q), cuts);
     let bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     bytes
 }
 
-/// Both engines cut the same checkpoint for the same history, and every
-/// single-bit flip of it — magic, version, frame, payload — is
-/// [`DataflowError::StateCorruption`], exhaustively: never a panic,
-/// never a checkpoint that decodes to something else.
+/// What a restart reads in checkpoint file image `file` of chain 5,
+/// whose WAL holds the 4 records of `chain5_batches`.
+fn chain5_slots(file: &[u8]) -> durable::Slots {
+    let (_, q) = chain5();
+    durable::read_slots(file, q.n_leaves(), q.edges.len() as u32, 4)
+}
+
+/// Slot `slot` of checkpoint file image `file` as a restart would read
+/// it if it were the only slot: `None` when empty.
+fn slot_of(file: &[u8], slot: usize) -> Option<(usize, durable::Checkpoint)> {
+    let (_, q) = chain5();
+    let slot_len = file.len() / 2;
+    let image = &file[slot * slot_len..(slot + 1) * slot_len];
+    let c = durable::decode_checkpoint(image, q.n_leaves(), q.edges.len() as u32).unwrap();
+    c.map(|c| (slot, c))
+}
+
+/// Both engines cut the same checkpoint file for the same history, and
+/// every single-bit flip of a written slot is
+/// [`DataflowError::StateCorruption`] — every bit of its record (magic,
+/// version, frame, payload) and one in every byte of its zero padding:
+/// never a panic, never a checkpoint that decodes to something else.
+/// With the only written slot flipped the file holds no checkpoint; with
+/// either of two flipped, a restart reads exactly the other.
 #[test]
 fn every_bit_flip_in_a_checkpoint_is_detected() {
     let (_, q) = chain5();
     let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
-    let bytes = chain5_checkpoint::<DataflowEngine>();
-    assert_eq!(chain5_checkpoint::<IncrementalOptimizer>(), bytes);
-    let intact = durable::decode_checkpoint(&bytes, leaves, edges).unwrap();
-    assert_eq!((intact.watermark, intact.log.len()), (4, 4));
-    for bit in 0..bytes.len() * 8 {
-        let mut evil = bytes.clone();
-        evil[bit / 8] ^= 1 << (bit % 8);
-        let r = durable::decode_checkpoint(&evil, leaves, edges);
-        assert!(
-            matches!(r, Err(DataflowError::StateCorruption(_))),
-            "flip of bit {bit} slipped through: {r:?}"
-        );
+    for cuts in [&[4][..], &[2, 4]] {
+        let file = chain5_checkpoint::<DataflowEngine>(cuts);
+        assert_eq!(chain5_checkpoint::<IncrementalOptimizer>(cuts), file);
+        let intact = chain5_slots(&file);
+        let (newest, c) = intact.chosen.as_ref().unwrap();
+        assert_eq!((*newest, c.generation), (cuts.len() - 1, cuts.len() as u64));
+        assert_eq!((c.watermark, c.log.len(), intact.refused.len()), (4, 4, 0));
+        let slot_len = file.len() / 2;
+        for slot in 0..cuts.len() {
+            let start = slot * slot_len;
+            let end = record_end(&file[start..]);
+            let padding = (end..slot_len).map(|at| at * 8 + at % 8);
+            for bit in (0..end * 8).chain(padding) {
+                let mut evil = file.clone();
+                evil[start + bit / 8] ^= 1 << (bit % 8);
+                let r = durable::decode_checkpoint(&evil[start..start + slot_len], leaves, edges);
+                assert!(
+                    matches!(r, Err(DataflowError::StateCorruption(_))),
+                    "{cuts:?}: flip of bit {bit} of slot {slot} slipped through: {r:?}"
+                );
+                let slots = chain5_slots(&evil);
+                assert!(matches!(slots.refused.as_slice(), [(s, _)] if *s == slot));
+                assert_eq!(slots.chosen, slot_of(&file, 1 - slot), "{cuts:?}: bit {bit}");
+            }
+        }
     }
 }
 
 /// Every truncation of a checkpoint file, and anything appended to one,
-/// is [`DataflowError::StateCorruption`].
+/// refuses the file as a whole (an empty file is a missing one). Every
+/// cut of a slot's write — its first `k` bytes landed, the zeros they
+/// replace behind them — is [`DataflowError::StateCorruption`] unless
+/// nothing landed: in the only written slot the file then holds no
+/// checkpoint, beside a second one a restart reads exactly the other.
 #[test]
 fn every_truncation_of_a_checkpoint_is_detected() {
-    let (_, q) = chain5();
-    let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
-    let mut bytes = chain5_checkpoint::<IncrementalOptimizer>();
-    assert_eq!(chain5_checkpoint::<DataflowEngine>(), bytes);
-    for cut in 0..bytes.len() {
-        let r = durable::decode_checkpoint(&bytes[..cut], leaves, edges);
-        assert!(
-            matches!(r, Err(DataflowError::StateCorruption(_))),
-            "truncation at {cut} slipped through: {r:?}"
-        );
+    for cuts in [&[4][..], &[2, 4]] {
+        let mut file = chain5_checkpoint::<IncrementalOptimizer>(cuts);
+        assert_eq!(chain5_checkpoint::<DataflowEngine>(cuts), file);
+        assert_eq!(chain5_slots(&[]), durable::Slots::default());
+        for cut in 1..file.len() {
+            let slots = chain5_slots(&file[..cut]);
+            assert!(slots.chosen.is_none(), "truncation at {cut} slipped through");
+            let refused = matches!(
+                slots.refused.as_slice(),
+                [(0, DataflowError::StateCorruption(_))]
+            );
+            assert!(refused, "truncation at {cut}: {:?}", slots.refused);
+        }
+        let slot_len = file.len() / 2;
+        let newest = cuts.len() - 1;
+        let start = newest * slot_len;
+        for k in 0..record_end(&file[start..]) {
+            let mut torn = file.clone();
+            torn[start + k..start + slot_len].fill(0);
+            let slots = chain5_slots(&torn);
+            let refused: Vec<usize> = slots.refused.iter().map(|&(i, _)| i).collect();
+            assert_eq!(refused, if k == 0 { vec![] } else { vec![newest] }, "{cuts:?}: k = {k}");
+            assert_eq!(slots.chosen, slot_of(&file, 1 - newest), "{cuts:?}: k = {k}");
+        }
+        file.push(0);
+        let slots = chain5_slots(&file);
+        assert!(slots.chosen.is_none() && slots.refused.len() == 1, "{:?}", slots.refused);
     }
-    bytes.push(0);
-    let r = durable::decode_checkpoint(&bytes, leaves, edges);
-    assert!(matches!(r, Err(DataflowError::StateCorruption(_))), "{r:?}");
+}
+
+/// For every cut of the newest slot's write — its first `k` bytes
+/// landed over the generation it replaces, the rest not — a restart
+/// restores from the older slot, reports the damage (unless the image
+/// is one of the two whole checkpoints) and lands on the uninterrupted
+/// oracle.
+#[test]
+fn every_cut_of_the_newest_checkpoint_restores_from_the_older_slot() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = fresh_dir("torn-slot");
+        let path = dir.join(durable::CHECKPOINT_FILE);
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        // Generations 1 and 2 in slots 0 and 1, then 3 over 1.
+        for batch in &batches[..2] {
+            victim.reoptimize(batch);
+            victim.checkpoint_durable().unwrap();
+        }
+        victim.reoptimize(&batches[2]);
+        let old = std::fs::read(&path).unwrap();
+        victim.checkpoint_durable().unwrap();
+        victim.reoptimize(&batches[3]);
+        drop(victim); // the crash
+        let new = std::fs::read(&path).unwrap();
+        let slot_len = new.len() / 2;
+        assert_eq!(new[slot_len..], old[slot_len..], "{}", E::NAME);
+        let oracle = oracle_after::<E>(&c, &q, &batches);
+        for k in 0..=record_end(&new) {
+            let mut image = old.clone();
+            image[..k].copy_from_slice(&new[..k]);
+            std::fs::write(&path, &image).unwrap();
+            let (rec, restart) = E::restart(&c, &q, &dir);
+            let what = format!("{}: {k} bytes of the newest checkpoint landed", E::NAME);
+            assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{what}");
+            let whole = image == old || image == new;
+            assert_eq!(restart.errors.len(), usize::from(!whole), "{what}");
+            E::assert_same(&rec, &oracle, &what);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// A restart followed by a checkpoint writes the other slot, never the
+/// one it restored from — the newest one, or the older one when the
+/// newest is torn — and after that checkpoint a second crash restores
+/// from the new one.
+#[test]
+fn a_restart_never_overwrites_the_slot_it_restored_from() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let batches = chain5_batches(&q);
+        for torn in [false, true] {
+            let dir = checkpointed_victim::<E>(&c, &q, "restored-slot", &batches[..2], &[1, 2]);
+            let path = dir.join(durable::CHECKPOINT_FILE);
+            if torn {
+                let mut file = std::fs::read(&path).unwrap();
+                let slot_len = file.len() / 2;
+                let end = slot_len + record_end(&file[slot_len..]);
+                file[end - 3..end].fill(0);
+                std::fs::write(&path, &file).unwrap();
+            }
+            let what = format!("{} (newest torn: {torn})", E::NAME);
+            let (mut rec, restart) = E::restart(&c, &q, &dir);
+            assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{what}");
+            assert_eq!(restart.errors.len(), usize::from(torn), "{what}");
+            let from = usize::from(!torn);
+            let before = std::fs::read(&path).unwrap();
+            rec.reoptimize(&batches[2]);
+            rec.checkpoint_durable().unwrap();
+            rec.reoptimize(&batches[3]);
+            drop(rec); // the second crash
+            let after = std::fs::read(&path).unwrap();
+            let slot_len = after.len() / 2;
+            let restored_from = from * slot_len..(from + 1) * slot_len;
+            assert_eq!(after[restored_from.clone()], before[restored_from], "{what}");
+            let slots = durable::read_slots(&after, leaves, edges, 4);
+            let (slot, ckpt) = slots.chosen.unwrap();
+            let generation = if torn { 2 } else { 3 };
+            let got = (slot, ckpt.generation, ckpt.watermark);
+            assert_eq!(got, (1 - from, generation, 3), "{what}");
+            let (rec, restart) = E::restart(&c, &q, &dir);
+            assert_eq!(restart, restored(), "{what}");
+            E::assert_same(&rec, &oracle_after(&c, &q, &batches), &what);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    for_both_engines!(check);
+}
+
+/// A newest slot whose watermark is beyond the intact WAL is refused —
+/// reported, and zeroed so a log grown past it later cannot make it
+/// usable — and the restart restores from the older slot.
+#[test]
+fn a_newest_slot_beyond_the_wal_falls_back_to_the_older_slot() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let batches = chain5_batches(&q);
+        let dir = checkpointed_victim::<E>(&c, &q, "beyond", &batches, &[2, 4]);
+        let image = durable::encode_checkpoint(3, 9, 5, leaves, edges, &[]);
+        write_slot(&dir, 1, &image);
+        let why = "beyond the 4 intact WAL records";
+        assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches, why);
+        let file = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
+        assert!(file[image.len()..].iter().all(|&b| b == 0), "{}", E::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// A checkpoint in the layout of older builds — version 1: one record
+/// without a generation, the whole file — is refused by its version,
+/// answered from the whole WAL, and replaced by two empty slots, which
+/// the next restart reads as no checkpoint at all.
+#[test]
+fn a_version_1_checkpoint_is_refused_by_its_version() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = crashed_victim::<E>(&c, &q, "ckpt-v1", &batches[..2], &batches[2..]);
+        let path = dir.join(durable::CHECKPOINT_FILE);
+        let allocated = std::fs::metadata(&path).unwrap().len() as usize;
+        let mut payload = Vec::new();
+        for word in [2u64, 3] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
+        for word in [q.n_leaves(), q.edges.len() as u32, 0] {
+            payload.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut v1 = b"RPRM".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&durable::crc32(&payload).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        std::fs::write(&path, &v1).unwrap();
+        let why = "unsupported checkpoint version 1";
+        assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, why);
+        assert_eq!(std::fs::read(&path).unwrap(), vec![0; allocated], "{}", E::NAME);
+        let (_, restart) = E::restart(&c, &q, &dir);
+        let rebuilt = Restart {
+            path: RecoveryPath::RebuiltFromScratch,
+            errors: Vec::new(),
+        };
+        assert_eq!(restart, rebuilt, "{}", E::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
 }
