@@ -1,16 +1,20 @@
-//! Durability benchmarks: what a checkpoint costs to cut and what a
-//! restart costs. A checkpoint holds the parameters (the state is a
-//! function of them), so a restart is a first boot on the recovered
-//! parameters plus the file reads: `restore_replay` must stay within
-//! the gate's tolerance of `optimizer_dataflow/initial_chain5/
-//! declarative` and under `from_scratch_initial`, which replays the
-//! history one epoch per batch; `checkpoint_write` is one positioned
-//! write of a 4 KiB checkpoint slot and its `sync_data`;
-//! `durable_epoch` is one re-optimization with its WAL append, whose
-//! fsync runs beside the epoch. The `_hr`
-//! entries run the same restart and epoch on the hand-rolled engine,
-//! made durable by the same wrapper. Gated in CI by `check_bench`
-//! against the committed baseline.
+//! Durability benchmarks: what a durable epoch, a checkpoint and a
+//! restart cost. Every epoch that changes a parameter writes the whole
+//! parameter image (the state is a function of the parameters) into one
+//! of two 4 KiB slots, so:
+//! - `durable_epoch` is one re-optimization plus one image write, whose
+//!   `sync_data` overlaps the epoch;
+//! - `checkpoint_write` has nothing to write: the last epoch's image
+//!   already holds the state, so `checkpoint_durable` returns at once;
+//! - `restore_replay` reads the two slots and runs one optimize — a first
+//!   boot on the recovered parameters plus the file read, which must
+//!   stay within the gate's tolerance of `optimizer_dataflow/
+//!   initial_chain5/declarative` and under `from_scratch_initial`, which
+//!   replays the history one epoch per batch.
+//!
+//! The `_hr` entries run the same restart and epoch on the hand-rolled
+//! engine, made durable by the same wrapper. Gated in CI by
+//! `check_bench` against the committed baseline.
 
 use std::time::Duration;
 
@@ -55,8 +59,8 @@ fn checkpoint_restore(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
 
-    // Cutting a durable checkpoint of a warmed chain-5 optimizer:
-    // encode the parameter log + write the free slot + `sync_data`.
+    // A checkpoint of a warmed chain-5 optimizer: its last epoch's image
+    // holds the state, so there is nothing to write.
     group.bench_function("checkpoint_write/chain5", |b| {
         let dir = fresh_dir("write");
         let mut opt = DataflowOptimizer::new(&catalog, q.clone());
@@ -70,8 +74,8 @@ fn checkpoint_restore(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // Full restart: open and scan the WAL, decode the checkpoint, load
-    // its log and the WAL record past its watermark, optimize once.
+    // Full restart: read the two slots, decode the newest image, load
+    // its log, optimize once.
     group.bench_function("restore_replay/chain5", |b| {
         let dir = fresh_dir("restore");
         {
@@ -93,8 +97,8 @@ fn checkpoint_restore(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    // One durable epoch, a selectivity flip: the WAL record is written,
-    // its fsync overlaps the epoch, and the call returns once both are
+    // One durable epoch, a selectivity flip: the image is written, its
+    // `sync_data` overlaps the epoch, and the call returns once both are
     // done.
     group.bench_function("durable_epoch/chain5", |b| {
         let dir = fresh_dir("epoch");

@@ -17,15 +17,16 @@
 //! the `optimizer_dataflow` bench compares them head-to-head. Both
 //! implement `reopt_core::Reoptimizer`, so `reopt-aqp`'s adaptive loop
 //! runs either, and [`Durable`] wraps either behind the same seam: the
-//! WAL, the checkpoints and the restart are its, and hold parameters
-//! only. [`DataflowOptimizer`] is the declarative engine wrapped.
+//! per-epoch parameter image and the restart are its, and hold
+//! parameters only. [`DataflowOptimizer`] is the declarative engine
+//! wrapped.
 
 pub mod compile;
 pub mod durable;
 pub mod optimizer;
 
 pub use compile::{CompileError, NetworkBuilder, RuleNetwork};
-pub use durable::{Durable, Restart, WalEpoch};
+pub use durable::{Durable, EpochWrite, Restart};
 pub use optimizer::{
     dataflow_program, AuditMode, AuditOutcome, DataflowEngine, DataflowOptimizer, DataflowOutcome,
     RecoveryPath, RecoveryReport, BEST_PLAN_RULE, DATAFLOW_RULES,

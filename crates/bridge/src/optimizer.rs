@@ -104,7 +104,7 @@ use reopt_datalog::{
 use reopt_expr::{ExprId, PhysOp, PhysProp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
-use crate::durable::{Durable, WalReport};
+use crate::durable::{Durable, WriteReport};
 
 /// The executable elaboration of the paper's rule program (see the
 /// module docs for the R→D mapping).
@@ -240,8 +240,8 @@ pub struct DataflowOutcome {
     pub recovery: RecoveryReport,
 }
 
-impl WalReport for DataflowOutcome {
-    fn wal_failed(&mut self, error: DataflowError) {
+impl WriteReport for DataflowOutcome {
+    fn write_failed(&mut self, error: DataflowError) {
         self.recovery.errors.insert(0, error);
     }
 }
@@ -255,16 +255,17 @@ pub enum RecoveryPath {
     /// from the memo and the pruning authority's held set (which already
     /// reflects every applied parameter delta) and evaluated, as a
     /// restart would.
-    /// A restart that found WAL history but no checkpoint reports the
-    /// same.
     RebuiltFromScratch,
-    /// A restart found an intact checkpoint: its parameter log plus the
-    /// WAL tail past its watermark were loaded and optimized once — the
-    /// replay was bounded by the checkpoint.
+    /// A restart found a usable parameter image — the newest, or the
+    /// other slot's beside a damaged newest one — loaded its log and
+    /// optimized once. Every acknowledged epoch wrote an image, so this
+    /// is the state the last acknowledged epoch left.
     RestoredFromCheckpoint,
-    /// A restart found the durable checkpoint torn, truncated, corrupt,
-    /// of another format or query, or ahead of the WAL; it was discarded
-    /// and the *whole* WAL loaded instead. Slower, never wrong.
+    /// A restart found no usable image but a damaged one — torn,
+    /// truncated, bit-flipped, of another format, version or query — in
+    /// both slots or the only written one. Nothing is left to restore
+    /// from, so the engine is rebuilt at base estimates, and a
+    /// `StateCorruption` error says that every parameter was lost.
     RebuiltAfterCorruptCheckpoint,
 }
 
@@ -1516,7 +1517,8 @@ mod tests {
     }
 
     /// A restart is a first boot on the recovered parameters: whatever
-    /// the WAL tail's length it runs one epoch, and the substrate
+    /// the number of epochs since the last `checkpoint_durable` (0, 1 or
+    /// 40, each writing its image) it runs one epoch, and the substrate
     /// services exactly the deltas and batches it services for a fresh
     /// engine whose context was handed the same factors.
     #[test]
@@ -1536,7 +1538,7 @@ mod tests {
             victim.reoptimize(&[ParamDelta::LeafScanCost(LeafId(4), 4.0)]);
             victim.checkpoint_durable().unwrap();
             // Two parameters walked through values they do not hold at
-            // the checkpoint, so every record is a real change.
+            // the checkpoint, so every epoch is a real change.
             for i in 0..tail_len {
                 let factor = f64::from(i % 3 + 3);
                 victim.reoptimize(&[ParamDelta::LeafCardinality(LeafId(i % 2), factor)]);

@@ -1,8 +1,7 @@
-//! Helpers shared by the bridge's property, crash, growth and WAL
+//! Helpers shared by the bridge's property, crash, growth and sync-helper
 //! suites: the random-query strategy (over `reopt_core::fixtures`'
 //! `QueryGen`), the chain-5 fixture, the two durable engines behind
-//! one trait, scratch durable directories, and the record-by-record
-//! restart that `Durable::restart` is checked against.
+//! one trait, and scratch durable directories.
 #![allow(dead_code)] // each suite uses its own subset
 
 use std::path::Path;
@@ -10,8 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use reopt_bridge::durable::WalReport;
-use reopt_bridge::{AuditMode, DataflowEngine, DataflowOptimizer, Durable, RecoveryPath, Restart};
+use reopt_bridge::durable::WriteReport;
+use reopt_bridge::{AuditMode, DataflowEngine, DataflowOptimizer, Durable, Restart};
 use reopt_catalog::Catalog;
 use reopt_common::Cost;
 use reopt_core::fixtures::deltas_for;
@@ -43,7 +42,7 @@ pub fn query_gen(max_leaves: usize) -> impl Strategy<Value = QueryGen> {
 
 /// A durable engine the crash suites run: the hand-rolled engine
 /// (`hr`) and the declarative one (`decl`), each behind [`Durable`].
-pub trait Engine: Reoptimizer<Outcome: WalReport> + Sized {
+pub trait Engine: Reoptimizer<Outcome: WriteReport> + Sized {
     const NAME: &'static str;
     /// A fresh engine, durable and unarmed, its audit off.
     fn fresh(c: &Catalog, q: &QuerySpec) -> Durable<Self>;
@@ -193,72 +192,21 @@ pub fn oracle_after<E: Engine>(
     oracle
 }
 
-/// A victim that applied `before`, cut a checkpoint, applied `tail` and
-/// crashed; returns its durable directory.
+/// A durable victim that applied `batches` — each that changed a
+/// parameter wrote its image — and crashed; returns its directory.
 pub fn crashed_victim<E: Engine>(
     c: &Catalog,
     q: &QuerySpec,
     label: &str,
-    before: &[Vec<ParamDelta>],
-    tail: &[Vec<ParamDelta>],
-) -> std::path::PathBuf {
-    let batches: Vec<_> = before.iter().chain(tail).cloned().collect();
-    checkpointed_victim::<E>(c, q, label, &batches, &[before.len()])
-}
-
-/// A victim that applied `batches`, cut a checkpoint after the first
-/// `n` of them for each `n` in `cuts`, and crashed; returns its durable
-/// directory.
-pub fn checkpointed_victim<E: Engine>(
-    c: &Catalog,
-    q: &QuerySpec,
-    label: &str,
     batches: &[Vec<ParamDelta>],
-    cuts: &[usize],
 ) -> std::path::PathBuf {
     let dir = fresh_dir(label);
     let mut victim = E::fresh(c, q);
     victim.set_durable_dir(&dir).unwrap();
     victim.optimize();
-    for n in 0..=batches.len() {
-        for _ in cuts.iter().filter(|&&cut| cut == n) {
-            victim.checkpoint_durable().unwrap();
-        }
-        if let Some(record) = batches.get(n) {
-            victim.reoptimize(record);
-        }
+    for batch in batches {
+        victim.reoptimize(batch);
     }
     drop(victim); // the crash
     dir
-}
-
-/// A restart that replays the WAL one `reoptimize` per record — built
-/// from public calls only and kept as the reference for a restart,
-/// which loads the records' net effect and optimizes once. The crashed
-/// engine applied `before`, then (if `from_checkpoint`) cut a
-/// checkpoint, then applied `tail`.
-///
-/// With a checkpoint, a twin that crashed right after cutting its
-/// checkpoint is restarted (no tail, so nothing is folded) and fed the
-/// tail record by record; without one, a fresh engine is fed the whole
-/// history record by record.
-pub fn record_by_record_restart<E: Engine>(
-    c: &Catalog,
-    q: &QuerySpec,
-    before: &[Vec<ParamDelta>],
-    tail: &[Vec<ParamDelta>],
-    from_checkpoint: bool,
-) -> Durable<E> {
-    if !from_checkpoint {
-        let history: Vec<_> = before.iter().chain(tail).cloned().collect();
-        return oracle_after(c, q, &history);
-    }
-    let dir = crashed_victim::<E>(c, q, "reference", before, &[]);
-    let (mut opt, restart) = E::restart(c, q, &dir);
-    assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint);
-    for record in tail {
-        opt.reoptimize(record);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    opt
 }

@@ -1,12 +1,13 @@
 //! Crash-recovery tests for durable engines, each run for the
 //! hand-rolled engine (`hr`, `Durable<IncrementalOptimizer>`) and the
-//! declarative one (`decl`, `DataflowOptimizer`): a victim is
-//! checkpointed (and WAL-logged) at a random point of a random delta
-//! sequence, "crashed" (dropped), and restarted in a fresh instance —
-//! which must land on exactly the state of an oracle that never crashed.
-//! Corruption variants seed damage into the on-disk files and require
-//! detection plus graceful degradation, never a panic and never a
-//! silently wrong plan.
+//! declarative one (`decl`, `DataflowOptimizer`): every epoch that
+//! changes a parameter writes the parameter image into one of the two
+//! slots of the directory's checkpoint file, the victim is "crashed"
+//! (dropped) at a random point of a random delta sequence, and a fresh
+//! instance restarts from the file — which must land on exactly the
+//! state of an oracle that never crashed. Corruption variants seed
+//! damage into the file and require detection plus graceful
+//! degradation, never a panic and never a silently wrong plan.
 
 mod common;
 
@@ -23,8 +24,8 @@ use reopt_datalog::DataflowError;
 use reopt_expr::{LeafId, QuerySpec};
 
 use common::{
-    build, chain5, chain5_batches, checkpointed_victim, crashed_victim, fresh_dir, oracle_after,
-    query_gen, record_by_record_restart, Engine, QueryGen,
+    build, chain5, chain5_batches, crashed_victim, fresh_dir, oracle_after, query_gen, Engine,
+    QueryGen,
 };
 
 /// `check` for both engines.
@@ -35,26 +36,15 @@ macro_rules! for_both_engines {
     }};
 }
 
-/// Flips bit `bit` of the byte `byte_sel` selects in the WAL in `dir`,
-/// among its records and the 8-byte zero frame that ends them, not the
-/// rest of its zero tail.
-fn flip_wal_bit(dir: &Path, byte_sel: u32, bit: u8) {
-    let path = dir.join(durable::WAL_FILE);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let span = bytes.len().min(wal_end(dir) + 8);
-    bytes[byte_sel as usize % span] ^= 1 << bit;
-    std::fs::write(&path, &bytes).unwrap();
-}
-
-/// Where the record in a checkpoint slot image ends: magic, version,
-/// the record's length and CRC, then the payload its length claims.
+/// Where the record in a slot image ends: magic, version, the record's
+/// length and CRC, then the payload its length claims.
 fn record_end(slot: &[u8]) -> usize {
     16 + u32::from_le_bytes(slot[8..12].try_into().unwrap()) as usize
 }
 
-/// Flips bit `bit` of a byte of checkpoint slot `slot` in `dir`: an
-/// even `byte_sel` selects a byte of its record (magic and version
-/// included), an odd one a byte of the zero padding behind it.
+/// Flips bit `bit` of a byte of slot `slot` in `dir`: an even `byte_sel`
+/// selects a byte of its record (magic and version included), an odd one
+/// a byte of the zero padding behind it.
 fn flip_slot_bit(dir: &Path, slot: usize, byte_sel: u32, bit: u8) {
     let path = dir.join(durable::CHECKPOINT_FILE);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -69,44 +59,33 @@ fn flip_slot_bit(dir: &Path, slot: usize, byte_sel: u32, bit: u8) {
     std::fs::write(&path, &bytes).unwrap();
 }
 
-/// Overwrites checkpoint slot `slot` in `dir` with the slot image `image`.
+/// Overwrites slot `slot` in `dir` with `image`, zero-padded.
 fn write_slot(dir: &Path, slot: usize, image: &[u8]) {
     use std::os::unix::fs::FileExt as _;
     let path = dir.join(durable::CHECKPOINT_FILE);
-    let slot_len = std::fs::metadata(&path).unwrap().len() / 2;
-    assert_eq!(image.len() as u64, slot_len, "a slot image of another length");
+    let slot_len = std::fs::metadata(&path).unwrap().len() as usize / 2;
+    assert!(image.len() <= slot_len, "an image longer than its slot");
+    let mut padded = image.to_vec();
+    padded.resize(slot_len, 0);
     let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-    file.write_all_at(image, slot as u64 * slot_len).unwrap();
+    file.write_all_at(&padded, (slot * slot_len) as u64).unwrap();
 }
 
-/// The logical end of the intact WAL in `dir`: header plus records.
-fn wal_end(dir: &Path) -> usize {
-    let wal = durable::open_dir(dir).unwrap();
-    assert!(!wal.torn && wal.error.is_none());
-    wal.len as usize
+/// What a restart of query `q` reads in the checkpoint file in `dir`.
+fn slots_in(dir: &Path, q: &QuerySpec) -> durable::Slots {
+    let file = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
+    durable::read_slots(&file, q.n_leaves(), q.edges.len() as u32)
 }
 
-/// Zeroes the last three bytes of the WAL's final record in `dir`, in
-/// place: the record is torn, the image of a crash mid-append.
-fn tear_wal(dir: &Path) {
-    let end = wal_end(dir);
-    let path = dir.join(durable::WAL_FILE);
-    let mut bytes = std::fs::read(&path).unwrap();
-    assert!(bytes[end - 3..end].iter().any(|&b| b != 0), "nothing to tear");
-    bytes[end - 3..end].fill(0);
-    std::fs::write(&path, &bytes).unwrap();
+/// Slot `slot` of the checkpoint file in `dir` for query `q`, decoded:
+/// `None` when empty.
+fn slot_image(dir: &Path, q: &QuerySpec, slot: usize) -> Option<durable::Checkpoint> {
+    let file = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
+    let image = &file[slot * file.len() / 2..(slot + 1) * file.len() / 2];
+    durable::decode_checkpoint(image, q.n_leaves(), q.edges.len() as u32).unwrap()
 }
 
-/// Cuts the WAL in `dir` three bytes short of its final record's end:
-/// the image of a crash that lost the write that grew the file.
-fn cut_wal(dir: &Path) {
-    let end = wal_end(dir);
-    let path = dir.join(durable::WAL_FILE);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..end - 3]).unwrap();
-}
-
-/// A clean restart from a checkpoint.
+/// A clean restart from an image.
 fn restored() -> Restart {
     Restart {
         path: RecoveryPath::RestoredFromCheckpoint,
@@ -114,14 +93,29 @@ fn restored() -> Restart {
     }
 }
 
+/// Whether `errors` are exactly the refusals of the damaged slots — each
+/// mentioning its `why` — and the report that the restart is at base
+/// estimates.
+fn refused_then_lost(errors: &[DataflowError], whys: &[&str]) -> bool {
+    let Some((lost, refusals)) = errors.split_last() else {
+        return false;
+    };
+    let mentions = |e: &DataflowError, why: &str| {
+        matches!(e, DataflowError::StateCorruption(m) if m.contains(why))
+    };
+    refusals.len() == whys.len()
+        && refusals.iter().zip(whys).all(|(e, why)| mentions(e, why))
+        && mentions(lost, "restarts at its base estimate")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// The bridge lockstep variant of the substrate crash suite: a
-    /// victim checkpoints after a random prefix of a random delta
-    /// sequence, keeps going (those batches reach only the WAL), and
-    /// crashes. Recovery must restore + replay to the exact state of an
-    /// uninterrupted oracle and then resume incrementally in lockstep.
+    /// victim runs a random delta sequence, with `checkpoint_durable`
+    /// called at a random point, and crashes. Recovery must land on the
+    /// exact state of an uninterrupted oracle, with the victim's epoch
+    /// count (plus its own), and then resume incrementally in lockstep.
     #[test]
     fn recovered_optimizer_matches_the_uninterrupted_oracle(
         gen in query_gen(5),
@@ -153,11 +147,13 @@ proptest! {
             if ckpt_at == seq.len() {
                 victim.checkpoint_durable().unwrap();
             }
+            let epochs = victim.epochs_seen();
             drop(victim); // the crash
 
             let (mut rec, restart) = E::restart(&c, &q, &dir);
             prop_assert_eq!(restart, restored());
             E::assert_same(&rec, &oracle, "after recovery");
+            prop_assert_eq!(rec.epochs_seen(), epochs + 1, "epochs_seen diverged");
 
             // Recovery is not a dead end: the next epoch stays in lockstep.
             let deltas = deltas_for(&q, &[resume], false);
@@ -173,14 +169,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// A seeded bit flip in a written checkpoint slot — in its record
-    /// or in its zero padding — must be detected (per-record CRC, bounds
-    /// checks, the padding read as zeros) and reported, and costs time,
-    /// never correctness. In the only written slot it degrades to a
-    /// from-scratch rebuild plus full WAL replay; beside a second
-    /// checkpoint, the newest or the older one flipped, the restart
-    /// restores from the other slot. Either way it matches the oracle
-    /// exactly.
+    /// A seeded bit flip in a written slot — in its record or in its
+    /// zero padding — must be detected (CRC, bounds checks, the padding
+    /// read as zeros) and reported, and costs time, never correctness.
+    /// Beside a second image, the newest or the older one flipped, the
+    /// restart restores exactly the other; in the only written slot it
+    /// rebuilds at base estimates and says so.
     #[test]
     fn flipped_checkpoint_bits_degrade_to_an_exact_rebuild(
         gen in query_gen(4),
@@ -200,155 +194,130 @@ proptest! {
         ) {
             let (c, q) = build(gen);
             let batches: Vec<_> = seq.iter().map(|&raw| deltas_for(&q, &[raw], false)).collect();
-            // A checkpoint after the first batch, and one after the last.
-            let cuts: &[usize] = if second { &[1, batches.len()] } else { &[1] };
-            let dir = checkpointed_victim::<E>(&c, &q, "flip", &batches, cuts);
-            flip_slot_bit(&dir, usize::from(second && newest), byte_sel, bit);
+            let dir = fresh_dir("flip");
+            let mut victim = E::fresh(&c, &q);
+            victim.set_durable_dir(&dir).unwrap();
+            victim.optimize();
+            let applied = &batches[..if second { batches.len() } else { 1 }];
+            for batch in applied {
+                victim.reoptimize(batch);
+            }
+            victim.checkpoint_durable().unwrap(); // at least one image
+            drop(victim);
+            let (newest_slot, _) = slots_in(&dir, &q).chosen.unwrap();
+            let older = slot_image(&dir, &q, 1 - newest_slot);
+            let flipped = if older.is_some() && !newest { 1 - newest_slot } else { newest_slot };
+            flip_slot_bit(&dir, flipped, byte_sel, bit);
 
             let (rec, restart) = E::restart(&c, &q, &dir);
-            let path = if second {
-                RecoveryPath::RestoredFromCheckpoint
-            } else {
-                RecoveryPath::RebuiltAfterCorruptCheckpoint
+            let what = format!("{}: flip of bit {bit} of byte {byte_sel}", E::NAME);
+            // What the slot left intact holds: nothing, the older image,
+            // or every batch applied.
+            let want = match older {
+                None => {
+                    let path = RecoveryPath::RebuiltAfterCorruptCheckpoint;
+                    prop_assert_eq!(restart.path, path, "{}", what);
+                    let reported = refused_then_lost(&restart.errors, &["slot"]);
+                    prop_assert!(reported, "{}: {:?}", what, restart.errors);
+                    Vec::new()
+                }
+                Some(older) => {
+                    prop_assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{}", what);
+                    prop_assert_eq!(restart.errors.len(), 1, "{}: the damage must be reported", what);
+                    if flipped == newest_slot { vec![older.log] } else { applied.to_vec() }
+                }
             };
-            prop_assert_eq!(
-                restart.path, path,
-                "{}: flip of bit {} of byte {} went undetected", E::NAME, bit, byte_sel
-            );
-            prop_assert_eq!(restart.errors.len(), 1, "the damage must be reported");
-            E::assert_same(&rec, &oracle_after(&c, &q, &batches), "after a flipped slot");
+            E::assert_same(&rec, &oracle_after(&c, &q, &want), &what);
             let _ = std::fs::remove_dir_all(&dir);
         }
         for_both_engines!(check, &gen, &seq, second, newest, byte_sel, bit);
     }
 
-    /// Damage to the WAL must also never panic and never yield an
-    /// inconsistent engine: whatever ladder rung recovery lands on, the
-    /// engine's full audit must pass. Acknowledged batches past the
-    /// damage may be lost — that loss is *reported*, not silent.
+    /// The one guarantee a damaged file cannot keep: with both slots
+    /// damaged nothing is left to restore from, so the restart rebuilds
+    /// at base estimates as `RebuiltAfterCorruptCheckpoint`, reporting
+    /// each slot and that every parameter restarts at its base estimate
+    /// — never a panic, never an inconsistent engine — and the directory
+    /// it re-arms takes new images that the next restart restores.
     #[test]
-    fn flipped_wal_bits_recover_to_a_consistent_state(
+    fn damage_to_both_slots_rebuilds_at_base_estimates(
         gen in query_gen(4),
-        seq in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
-        byte_sel in any::<u32>(),
-        bit in 0u8..8,
-        with_checkpoint in any::<bool>(),
+        seq in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 2..5),
+        byte_sel in (any::<u32>(), any::<u32>()),
+        bit in (0u8..8, 0u8..8),
+        resume in (any::<u8>(), any::<u8>(), any::<u8>()),
     ) {
         fn check<E: Engine>(
             gen: &QueryGen,
             seq: &[(u8, u8, u8)],
-            byte_sel: u32,
-            bit: u8,
-            with_checkpoint: bool,
+            byte_sel: (u32, u32),
+            bit: (u8, u8),
+            resume: (u8, u8, u8),
         ) {
             let (c, q) = build(gen);
-            let dir = fresh_dir("walflip");
+            let batches: Vec<_> = seq.iter().map(|&raw| deltas_for(&q, &[raw], false)).collect();
+            let dir = fresh_dir("both-slots");
             let mut victim = E::fresh(&c, &q);
             victim.set_durable_dir(&dir).unwrap();
             victim.optimize();
-            if with_checkpoint {
-                victim.checkpoint_durable().unwrap();
-            }
-            for &raw in seq {
-                victim.reoptimize(&deltas_for(&q, &[raw], false));
+            victim.checkpoint_durable().unwrap();
+            for batch in &batches {
+                victim.reoptimize(batch);
             }
             drop(victim);
-            flip_wal_bit(&dir, byte_sel, bit);
+            // An empty slot (no batch changed a parameter) is damaged too.
+            flip_slot_bit(&dir, 0, byte_sel.0, bit.0);
+            flip_slot_bit(&dir, 1, byte_sel.1, bit.1);
 
             let (mut rec, restart) = E::restart(&c, &q, &dir);
-            prop_assert_ne!(restart.path, RecoveryPath::Committed,
-                "damaged history cannot look like a clean first boot");
-            let audit = E::audit(&mut rec);
             let name = E::NAME;
-            prop_assert!(audit.is_ok(), "{name}: WAL damage at byte {byte_sel}: {audit:?}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        for_both_engines!(check, &gen, &seq, byte_sel, bit, with_checkpoint);
-    }
-}
+            prop_assert_eq!(restart.path, RecoveryPath::RebuiltAfterCorruptCheckpoint, "{}", name);
+            let reported = refused_then_lost(&restart.errors, &["slot 0", "slot 1"]);
+            prop_assert!(reported, "{}: {:?}", name, restart.errors);
+            E::assert_same(&rec, &oracle_after(&c, &q, &[]), "at base estimates");
+            let audit = E::audit(&mut rec);
+            prop_assert!(audit.is_ok(), "{}: {:?}", name, audit);
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// A restart loads the net effect of the checkpoint's log and the
-    /// WAL tail — the last write per parameter — and optimizes once;
-    /// replaying the tail one `reoptimize` per record (kept in `common`)
-    /// is the reference. Random checkpoint position, a tail of 0–40
-    /// records that keep hitting the same few parameters, an optional
-    /// torn last record, and an optionally corrupted checkpoint (a bit
-    /// flipped in its slot, the only one written: the degraded rung
-    /// loads the whole WAL): both must agree on the
-    /// engine's state, the applied log and `epochs_seen`.
-    #[test]
-    fn folded_replay_equals_record_by_record_replay(
-        gen in query_gen(5),
-        before in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..3), 0..5),
-        tail in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), 0u8..3, any::<u8>()), 1..4), 0..41),
-        torn in any::<bool>(),
-        corrupt in any::<bool>(),
-        byte_sel in any::<u32>(),
-        bit in 0u8..8,
-    ) {
-        #[allow(clippy::too_many_arguments)]
-        fn check<E: Engine>(
-            gen: &QueryGen,
-            before: &[Vec<(u8, u8, u8)>],
-            tail: &[Vec<(u8, u8, u8)>],
-            torn: bool,
-            corrupt: bool,
-            byte_sel: u32,
-            bit: u8,
-        ) {
-            let (c, q) = build(gen);
-            let records = |raw: &[Vec<(u8, u8, u8)>]| -> Vec<Vec<ParamDelta>> {
-                raw.iter().map(|r| deltas_for(&q, r, false)).collect()
-            };
-            let (before, tail) = (records(before), records(tail));
-            let dir = crashed_victim::<E>(&c, &q, "fold", &before, &tail);
-            let mut intact = tail.as_slice();
-            if torn && !tail.is_empty() {
-                // The torn final record was never acknowledged durable.
-                tear_wal(&dir);
-                intact = &tail[..tail.len() - 1];
-            }
-            if corrupt {
-                flip_slot_bit(&dir, 0, byte_sel, bit);
-            }
-
+            let deltas = deltas_for(&q, &[resume], false);
+            rec.reoptimize(&deltas);
+            rec.checkpoint_durable().unwrap();
+            drop(rec);
             let (rec, restart) = E::restart(&c, &q, &dir);
-            let want = record_by_record_restart::<E>(&c, &q, &before, intact, !corrupt);
-            let path = if corrupt {
-                RecoveryPath::RebuiltAfterCorruptCheckpoint
-            } else {
-                RecoveryPath::RestoredFromCheckpoint
-            };
-            prop_assert_eq!(restart.path, path);
-            E::assert_same(&rec, &want, "folded vs record-by-record");
-            prop_assert_eq!(rec.applied_log(), want.applied_log(), "applied log diverged");
-            prop_assert_eq!(rec.epochs_seen(), want.epochs_seen(), "epochs_seen diverged");
+            prop_assert_eq!(restart, restored());
+            E::assert_same(&rec, &oracle_after(&c, &q, &[deltas]), "after the rebuilt one's epoch");
             let _ = std::fs::remove_dir_all(&dir);
         }
-        for_both_engines!(check, &gen, &before, &tail, torn, corrupt, byte_sel, bit);
+        for_both_engines!(check, &gen, &seq, byte_sel, bit, resume);
     }
 }
 
 /// The acceptance scenario, pinned deterministically: warm a chain-5
-/// engine through several epochs, checkpoint mid-sequence, keep going,
-/// crash, recover — exactly the uninterrupted run's state, then
-/// lockstep resume.
+/// engine through several epochs (a `checkpoint_durable` midway writes
+/// nothing), crash, recover — exactly the uninterrupted run's state,
+/// then lockstep resume.
 #[test]
-fn chain5_restart_resumes_from_checkpoint_and_wal_tail() {
+fn chain5_restart_resumes_from_the_last_epoch() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
-        let dir = crashed_victim::<E>(&c, &q, "chain5", &batches[..2], &batches[2..]);
+        let dir = fresh_dir("chain5");
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        for (i, batch) in batches.iter().enumerate() {
+            victim.reoptimize(batch);
+            if i == 1 {
+                victim.checkpoint_durable().unwrap();
+            }
+        }
+        drop(victim);
         let mut oracle = oracle_after::<E>(&c, &q, &batches);
 
         let (mut rec, restart) = E::restart(&c, &q, &dir);
         assert_eq!(restart, restored(), "{}", E::NAME);
         E::assert_same(&rec, &oracle, "after chain5 recovery");
+        let (chosen, image) = slots_in(&dir, &q).chosen.unwrap();
+        assert_eq!((chosen, image.generation), (1, 4), "{}: one image per epoch", E::NAME);
 
         let extra = deltas_for(&q, &[(1, 0, 6)], false);
         rec.reoptimize(&extra);
@@ -377,138 +346,27 @@ fn recover_on_an_empty_dir_is_a_plain_first_boot() {
     for_both_engines!(check);
 }
 
-/// Crashing before the first checkpoint still loses nothing: the WAL
-/// alone replays every acknowledged batch onto a from-scratch build.
+/// Crashing before `checkpoint_durable` was ever called loses nothing:
+/// every acknowledged epoch already wrote its image.
 #[test]
-fn crash_before_any_checkpoint_replays_the_whole_wal() {
+fn a_crash_before_any_checkpoint_call_loses_nothing() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
-        let dir = fresh_dir("nockpt");
         let batches = chain5_batches(&q);
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        for batch in &batches {
-            victim.reoptimize(batch);
-        }
-        drop(victim);
-
+        let dir = crashed_victim::<E>(&c, &q, "nockpt", &batches);
         let (rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
-        E::assert_same(&rec, &oracle_after(&c, &q, &batches), "after WAL-only recovery");
+        assert_eq!(restart, restored(), "{}", E::NAME);
+        E::assert_same(&rec, &oracle_after(&c, &q, &batches), "with no checkpoint call");
         let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);
 }
 
-/// A torn WAL tail — the image of a crash mid-append, torn in place or
-/// cut short — is zeroed away on recovery; the batches before it replay
-/// normally and new appends continue cleanly from the cut.
-#[test]
-fn torn_wal_tail_is_discarded_and_the_log_heals() {
-    fn check<E: Engine>(tear: fn(&Path)) {
-        let (c, q) = chain5();
-        let dir = fresh_dir("torn");
-        let batches = chain5_batches(&q);
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        for batch in &batches {
-            victim.reoptimize(batch);
-        }
-        drop(victim);
-        tear(&dir);
-
-        // The last batch is the one torn away.
-        let mut oracle = oracle_after::<E>(&c, &q, &batches[..batches.len() - 1]);
-        let (mut rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
-        E::assert_same(&rec, &oracle, "after torn-tail recovery");
-        let healed = durable::open_dir(&dir).unwrap();
-        assert!(!healed.torn, "{}: the restart left the torn bytes", E::NAME);
-
-        // The healed log accepts new appends and a later recovery sees them.
-        let extra = deltas_for(&q, &[(2, 4, 0)], false);
-        rec.reoptimize(&extra);
-        oracle.reoptimize(&extra);
-        drop(rec);
-        let (rec2, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
-        E::assert_same(&rec2, &oracle, "after healed-log recovery");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    for tear in [tear_wal, cut_wal] {
-        for_both_engines!(check, tear);
-    }
-}
-
-/// Older builds committed a checkpoint by writing `checkpoint.tmp` and
-/// renaming it over `checkpoint.bin`, so a crash between the two left a
-/// staging file that a directory they wrote may still hold: it must be
-/// swept on every startup path, never read as state. Three such
-/// directories are staged — a torn tmp next to a good checkpoint, a
-/// torn tmp with no checkpoint at all (crash during the very first
-/// snapshot), and arming a fresh directory — and in each the recovered
-/// engine matches the oracle while the orphan is gone from disk.
-#[test]
-fn stale_checkpoint_tmp_files_are_swept_on_startup() {
-    fn check<E: Engine>() {
-        let (c, q) = chain5();
-        let batches = chain5_batches(&q);
-        let tmp_name = "checkpoint.tmp"; // what older builds staged
-        let oracle = oracle_after::<E>(&c, &q, &batches);
-
-        // Crash point A: a later checkpoint died after staging its tmp
-        // but before the rename — the old checkpoint.bin is still the
-        // truth.
-        let dir = crashed_victim::<E>(&c, &q, "tmp-sweep-a", &batches[..2], &batches[2..]);
-        std::fs::write(dir.join(tmp_name), b"torn half-written snapshot").unwrap();
-        let (rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{}", E::NAME);
-        E::assert_same(&rec, &oracle, "recovery next to a torn tmp");
-        assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived the restart");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Crash point B: the very first checkpoint never completed —
-        // only the WAL and the stranded tmp exist. Recovery replays the
-        // WAL and must not mistake the tmp for a checkpoint, even when
-        // the orphan would parse (a twin's full checkpoint file).
-        let dir = fresh_dir("tmp-sweep-b");
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        for batch in &batches {
-            victim.reoptimize(batch);
-        }
-        drop(victim);
-        let scratch = crashed_victim::<E>(&c, &q, "tmp-sweep-b-scratch", &batches, &[]);
-        std::fs::copy(scratch.join(durable::CHECKPOINT_FILE), dir.join(tmp_name)).unwrap();
-        let _ = std::fs::remove_dir_all(&scratch);
-        let (rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
-        E::assert_same(&rec, &oracle, "WAL-only recovery next to a full tmp");
-        assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived the restart");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Crash point C: arming durability on a directory holding an
-        // orphan (the process died before ever reading it back) sweeps
-        // it too — the sweep is a startup invariant, not a restart
-        // detail.
-        let dir = fresh_dir("tmp-sweep-c");
-        std::fs::write(dir.join(tmp_name), b"stray").unwrap();
-        let mut fresh = E::fresh(&c, &q);
-        fresh.set_durable_dir(&dir).unwrap();
-        assert!(!dir.join(tmp_name).exists(), "orphaned tmp survived set_durable_dir()");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    for_both_engines!(check);
-}
-
-/// Cross-process restart: a child process (fresh interner) warms and
-/// checkpoints a durable engine, then exits; the parent — whose
-/// interner is deliberately shifted by decoy strings — recovers from
-/// the same directory. Nothing on disk names an interned symbol — the
-/// files hold parameters — so the recovered state is the oracle's.
+/// Cross-process restart: a child process (fresh interner) warms a
+/// durable engine, then exits; the parent — whose interner is
+/// deliberately shifted by decoy strings — recovers from the same
+/// directory. Nothing on disk names an interned symbol — the file holds
+/// parameters — so the recovered state is the oracle's.
 #[test]
 fn durable_state_survives_a_process_boundary() {
     let test = "durable_state_survives_a_process_boundary";
@@ -516,8 +374,8 @@ fn durable_state_survives_a_process_boundary() {
 }
 
 /// The same child, killed by `abort()` the moment its last `reoptimize`
-/// returns — no checkpoint, no destructor after it: a returned
-/// `reoptimize` is an acknowledged batch, so recovery replays it.
+/// returns — no destructor after it: a returned `reoptimize` is an
+/// acknowledged batch, so recovery restores it.
 #[test]
 fn an_acknowledged_batch_survives_an_abort() {
     let test = "an_acknowledged_batch_survives_an_abort";
@@ -525,8 +383,8 @@ fn an_acknowledged_batch_survives_an_abort() {
 }
 
 /// The two tests above: `test` re-runs itself as the child, which runs
-/// engine `E` through `chain5_batches` (checkpointing after the third)
-/// and then exits — or aborts, with `abort`.
+/// engine `E` through `chain5_batches` (calling `checkpoint_durable`
+/// after the third) and then exits — or aborts, with `abort`.
 fn across_a_process_boundary<E: Engine>(test: &str, abort: bool) {
     const DIR: &str = "REOPT_BRIDGE_CRASH_DIR";
     const ENGINE: &str = "REOPT_BRIDGE_CRASH_ENGINE";
@@ -537,7 +395,6 @@ fn across_a_process_boundary<E: Engine>(test: &str, abort: bool) {
         if std::env::var(ENGINE).as_deref() != Ok(E::NAME) {
             return; // the child of the other engine's run
         }
-        // Child: warm, checkpoint mid-sequence, log the rest, "crash".
         let mut victim = E::fresh(&c, &q);
         victim.set_durable_dir(&dir).unwrap();
         victim.optimize();
@@ -580,135 +437,77 @@ fn across_a_process_boundary<E: Engine>(test: &str, abort: bool) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A WAL whose only record is torn replays nothing, but it is still
-/// history — an append was attempted — so recovery must not report the
-/// clean first boot of an empty directory. (The pinned-seed WAL bit-flip
-/// property found this through a damaged length field.)
-#[test]
-fn a_wal_holding_only_a_torn_record_is_not_a_clean_first_boot() {
-    fn check<E: Engine>(tear: fn(&Path)) {
-        let (c, q) = chain5();
-        let dir = fresh_dir("torn-only");
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        victim.reoptimize(&chain5_batches(&q)[0]);
-        drop(victim);
-        tear(&dir);
-
-        let (mut rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
-        // The torn batch, never acknowledged, is not replayed.
-        E::assert_same(&rec, &oracle_after(&c, &q, &[]), "after a torn-only WAL");
-        E::audit(&mut rec).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    for tear in [tear_wal, cut_wal] {
-        for_both_engines!(check, tear);
-    }
-}
-
-/// A WAL in the layout of older builds — version 1: the same records,
-/// running to the end of the file with no zero tail — is refused by its
-/// version, the way an `RCKP` checkpoint is refused by its magic: the
-/// refusal is reported, nothing of it is replayed, and the directory
-/// gets a fresh log.
-#[test]
-fn a_version_1_wal_is_refused_by_its_version() {
-    fn check<E: Engine>() {
-        let (c, q) = chain5();
-        let dir = fresh_dir("wal-v1");
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        for batch in &chain5_batches(&q) {
-            victim.reoptimize(batch);
-        }
-        drop(victim);
-        let end = wal_end(&dir);
-        let path = dir.join(durable::WAL_FILE);
-        let mut v1 = std::fs::read(&path).unwrap();
-        v1.truncate(end);
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &v1).unwrap();
-
-        let (rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
-        assert!(
-            matches!(restart.errors.as_slice(),
-                [DataflowError::StateCorruption(m)] if m.contains("unsupported WAL version 1")),
-            "{}: {:?}",
-            E::NAME,
-            restart.errors
-        );
-        E::assert_same(&rec, &oracle_after(&c, &q, &[]), "after a refused version-1 WAL");
-        let wal = durable::open_dir(&dir).unwrap();
-        assert!(wal.batches.is_empty() && !wal.torn && wal.error.is_none(), "{}", E::NAME);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    for_both_engines!(check);
-}
-
-/// A failed fsync must not leave its record in the log. The batch is
-/// reported as in-memory only, its record is cut back off, and the next
-/// append reuses its sequence number — so after more epochs and a
-/// crash the WAL scans clean and in sequence, and recovery replays
-/// every acknowledged batch. (Left in place, the record made the next
-/// open see a sequence gap and replace the whole log by an empty one.)
+/// A failed write or sync is cut back off the file — its own slot
+/// zeroed — and never touches the slot that holds the last acknowledged
+/// image. The second image's sync fails: the batch is reported as
+/// in-memory only, its slot is zeroed, and a crash then
+/// restores the first epoch; the next epoch writes an image holding the
+/// failed batch too, which a crash then restores. When zeroing fails as
+/// well (faked: the image it could not zero stays, holding the batch
+/// the engine applied in memory), nothing more is written — not by an
+/// epoch, not by `checkpoint_durable`.
 #[test]
 fn a_failed_fsync_is_cut_back_off_the_log() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
-        let dir = fresh_dir("fsync-fault");
         let batches = chain5_batches(&q);
-        let failed = 1;
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        victim.inject_wal_fault(durable::WalFault {
-            record: failed as u64,
-            truncate_too: false,
-        });
-        let mut acked = Vec::new();
-        for (i, batch) in batches.iter().enumerate() {
-            victim.reoptimize(batch);
-            let error = &victim.last_wal().error;
-            if i == failed {
-                assert!(
-                    matches!(error, Some(DataflowError::StateCorruption(m))
-                        if m.contains("in-memory for this batch")),
-                    "{}: {error:?}",
-                    E::NAME
-                );
-            } else {
-                assert_eq!(error, &None, "{}", E::NAME);
-                acked.push(batch.clone());
-            }
-        }
-        drop(victim); // the crash
+        for zero_too in [false, true] {
+            let dir = fresh_dir("sync-fault");
+            let path = dir.join(durable::CHECKPOINT_FILE);
+            let what = format!("{} (zeroing fails too: {zero_too})", E::NAME);
+            let mut victim = E::fresh(&c, &q);
+            victim.set_durable_dir(&dir).unwrap();
+            victim.optimize();
+            victim.reoptimize(&batches[0]);
+            let acked = std::fs::read(&path).unwrap();
+            let slot_len = acked.len() / 2;
+            victim.inject_write_fault(durable::WriteFault { generation: 2, zero_too });
+            victim.reoptimize(&batches[1]);
+            let error = &victim.last_write().error;
+            let stops = if zero_too { "image writes stop" } else { "injected image sync failure" };
+            assert!(
+                matches!(error, Some(DataflowError::StateCorruption(m))
+                    if m.contains("in-memory for this batch") && m.contains(stops)),
+                "{what}: {error:?}"
+            );
+            let after = std::fs::read(&path).unwrap();
+            assert_eq!(after[..slot_len], acked[..slot_len], "{what}: the acknowledged slot");
+            let zeroed = after[slot_len..].iter().all(|&b| b == 0);
+            assert_eq!(zeroed, !zero_too, "{what}");
+            let kept = if zero_too { 2 } else { 1 };
+            let (rec, restart) = E::restart(&c, &q, &dir);
+            assert_eq!(restart, restored(), "{what}");
+            E::assert_same(&rec, &oracle_after(&c, &q, &batches[..kept]), &what);
+            drop(rec);
 
-        let wal = durable::open_dir(&dir).unwrap();
-        assert_eq!((&wal.batches, wal.torn, &wal.error), (&acked, false, &None));
-        let (rec, restart) = E::restart(&c, &q, &dir);
-        let rebuilt = Restart {
-            path: RecoveryPath::RebuiltFromScratch,
-            errors: Vec::new(),
-        };
-        assert_eq!(restart, rebuilt, "{}", E::NAME);
-        E::assert_same(&rec, &oracle_after(&c, &q, &acked), "after a failed fsync and a crash");
-        let _ = std::fs::remove_dir_all(&dir);
+            victim.reoptimize(&batches[2]);
+            let checkpoint = victim.checkpoint_durable();
+            let error = victim.last_write().error.clone();
+            drop(victim);
+            let (rec, restart) = E::restart(&c, &q, &dir);
+            assert_eq!(restart, restored(), "{what}");
+            if zero_too {
+                let stopped = matches!(&error, Some(DataflowError::StateCorruption(m))
+                    if m.contains("image writes stopped"));
+                assert!(stopped, "{what}: {error:?}");
+                assert!(checkpoint.is_err(), "{what}");
+                assert_eq!(std::fs::read(&path).unwrap(), after, "{what}: written after a stop");
+                E::assert_same(&rec, &oracle_after(&c, &q, &batches[..kept]), &what);
+            } else {
+                assert_eq!((error, checkpoint.ok()), (None, Some(())), "{what}");
+                E::assert_same(&rec, &oracle_after(&c, &q, &batches[..3]), &what);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
     for_both_engines!(check);
     // The declarative engine's outcome carries the failure too, where
     // its recovery report counts it as unclean.
     let (c, q) = chain5();
-    let dir = fresh_dir("fsync-fault-outcome");
+    let dir = fresh_dir("sync-fault-outcome");
     let mut victim = DataflowEngine::fresh(&c, &q);
     victim.set_durable_dir(&dir).unwrap();
-    victim.inject_wal_fault(durable::WalFault {
-        record: 0,
-        truncate_too: false,
-    });
+    victim.inject_write_fault(durable::WriteFault { generation: 1, zero_too: false });
     let out = victim.reoptimize(&chain5_batches(&q)[0]);
     assert!(
         matches!(out.recovery.errors.as_slice(),
@@ -722,32 +521,25 @@ fn a_failed_fsync_is_cut_back_off_the_log() {
 
 /// Arming adopts a directory's history only if it is the engine's. An
 /// engine that crashed after two batches leaves a directory a fresh
-/// engine must not arm: its next batch would be logged behind history
-/// it never held, and a restart would rebuild a state it never held
+/// engine must not arm: a restart would rebuild a state it never held
 /// (the live cost 276 227.0 against a restart's 88 827.3 on the
-/// declarative engine, with no error reported). Refused with
-/// `InvalidInput`, the engine stays unarmed and the directory
-/// untouched; the engine restarted from it arms it again.
+/// declarative engine, with no error reported, while the directory held
+/// a log). Refused with `InvalidInput`, the engine stays unarmed and the
+/// file untouched; the engine restarted from it arms it again.
 #[test]
 fn arming_a_directory_another_engine_wrote_is_refused() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
-        let dir = fresh_dir("foreign-history");
-        let mut a = E::fresh(&c, &q);
-        a.set_durable_dir(&dir).unwrap();
-        a.optimize();
-        a.reoptimize(&batches[0]);
-        a.reoptimize(&batches[1]);
-        drop(a); // the crash
-        let wal = std::fs::read(dir.join(durable::WAL_FILE)).unwrap();
+        let dir = crashed_victim::<E>(&c, &q, "foreign-history", &batches[..2]);
+        let file = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
 
         let mut b = E::fresh(&c, &q);
         let err = b.set_durable_dir(&dir).expect_err("a history that is not the engine's");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{}", E::NAME);
         assert!(b.durable_dir().is_none(), "{}", E::NAME);
         b.reoptimize(&batches[2]);
-        assert_eq!(std::fs::read(dir.join(durable::WAL_FILE)).unwrap(), wal);
+        assert_eq!(std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap(), file);
 
         let (mut rec, _) = E::restart(&c, &q, &dir);
         rec.set_durable_dir(&dir).unwrap();
@@ -781,8 +573,36 @@ fn arming_an_engine_that_applied_batches_in_memory_is_refused() {
         opt.reoptimize(&batches[1]);
         drop(opt);
         let (rec, restart) = E::restart(&c, &q, &dir);
-        assert_eq!(restart.path, RecoveryPath::RebuiltFromScratch, "{}", E::NAME);
+        assert_eq!(restart, restored(), "{}", E::NAME);
         E::assert_same(&rec, &oracle_after(&c, &q, &batches[1..2]), "armed after a reset");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// An image is written as its record plus zeros up to where the slot's
+/// old content ended, not as a whole slot, so a shorter image must zero
+/// the longer one it overwrites. A directory whose log holds two
+/// parameters written back to base is armed by a fresh engine (the
+/// values agree), whose first image logs one parameter: a restart
+/// restores it, with nothing refused.
+#[test]
+fn a_shorter_image_zeroes_the_longer_one_it_overwrites() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let there_and_back = [&batches[0][..], &batches[1][..]].concat();
+        let back: Vec<ParamDelta> = there_and_back.iter().map(|d| at_base(*d)).collect();
+        let dir = crashed_victim::<E>(&c, &q, "shorter", &[there_and_back, back]);
+        let mut fresh = E::fresh(&c, &q);
+        fresh.set_durable_dir(&dir).unwrap();
+        fresh.optimize();
+        fresh.reoptimize(&batches[2]);
+        drop(fresh);
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart, restored(), "{}", E::NAME);
+        assert_eq!(rec.applied_log().len(), 1, "{}", E::NAME);
+        E::assert_same(&rec, &oracle_after(&c, &q, &batches[2..3]), "a shorter image");
         let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);
@@ -797,7 +617,7 @@ fn at_base(d: ParamDelta) -> ParamDelta {
     }
 }
 
-/// The files hold parameters only: a directory a durable `hr` wrote
+/// The file holds parameters only: a directory a durable `hr` wrote
 /// restarts `decl` (through `DataflowOptimizer::recover`) to the
 /// writer's applied log, epoch count (plus the restart's own), cost and
 /// plan, and the other way round.
@@ -810,11 +630,8 @@ fn a_directory_one_engine_wrote_restarts_the_other() {
         let mut writer = W::fresh(&c, &q);
         writer.set_durable_dir(&dir).unwrap();
         writer.optimize();
-        for (i, batch) in batches.iter().enumerate() {
+        for batch in &batches {
             writer.reoptimize(batch);
-            if i == 1 {
-                writer.checkpoint_durable().unwrap();
-            }
         }
         let (log, epochs) = (writer.applied_log().to_vec(), writer.epochs_seen());
         let (cost, plan) = W::best(&writer);
@@ -834,74 +651,21 @@ fn a_directory_one_engine_wrote_restarts_the_other() {
     check::<DataflowEngine, IncrementalOptimizer>();
 }
 
-/// Restarts `dir` with engine `E` and checks that it degraded to
-/// [`RecoveryPath::RebuiltAfterCorruptCheckpoint`], reporting one
-/// error that mentions `why`, and still landed on the oracle that
-/// applied `batches` — the whole WAL was replayed, not only the records
-/// past the refused checkpoint.
-fn assert_degrades_to_the_whole_wal<E: Engine>(
-    c: &Catalog,
-    q: &QuerySpec,
-    dir: &Path,
-    batches: &[Vec<ParamDelta>],
-    why: &str,
-) {
+/// Restarts `dir` with engine `E` and checks that it rebuilt at base
+/// estimates as [`RecoveryPath::RebuiltAfterCorruptCheckpoint`],
+/// reporting the refusal (mentioning `why`) and the lost parameters.
+fn assert_rebuilds_at_base<E: Engine>(c: &Catalog, q: &QuerySpec, dir: &Path, why: &str) {
     let (rec, restart) = E::restart(c, q, dir);
     assert_eq!(restart.path, RecoveryPath::RebuiltAfterCorruptCheckpoint, "{}", E::NAME);
-    assert!(
-        matches!(
-            restart.errors.as_slice(),
-            [DataflowError::StateCorruption(m)] if m.contains(why)
-        ),
-        "{}: {:?}",
-        E::NAME,
-        restart.errors
-    );
-    let oracle = oracle_after::<E>(c, q, batches);
+    assert!(refused_then_lost(&restart.errors, &[why]), "{}: {:?}", E::NAME, restart.errors);
+    let oracle = oracle_after::<E>(c, q, &[]);
     E::assert_same(&rec, &oracle, why);
     assert_eq!(rec.applied_log(), oracle.applied_log());
 }
 
-/// The checkpoints older builds cut were network images: four records
-/// (meta, delta log, `LocalCost` mirror, embedded network) under the
-/// magic `RCKP`. One left in a durable directory across the upgrade is
-/// refused by its magic, answered from the whole WAL and replaced by
-/// two empty slots. The same image in the newest slot of a directory
-/// holding two checkpoints is refused there, and the restart restores
-/// from the older slot.
-#[test]
-fn an_old_network_image_degrades_to_an_exact_rebuild() {
-    fn check<E: Engine>() {
-        let (c, q) = chain5();
-        let batches = chain5_batches(&q);
-        let dir = crashed_victim::<E>(&c, &q, "old-image", &batches[..2], &batches[2..]);
-        let path = dir.join(durable::CHECKPOINT_FILE);
-        let allocated = std::fs::metadata(&path).unwrap().len();
-        let mut image = b"RCKP".to_vec();
-        image.extend_from_slice(&1u32.to_le_bytes());
-        let records: [&[u8]; 4] = [&[0; 32], &[], &[0; 8], b"RCKP\x01\0\0\0"];
-        for payload in records {
-            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            image.extend_from_slice(&durable::crc32(payload).to_le_bytes());
-            image.extend_from_slice(payload);
-        }
-        std::fs::write(&path, &image).unwrap();
-        assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, "bad checkpoint magic");
-        assert_eq!(std::fs::read(&path).unwrap(), vec![0; allocated as usize], "{}", E::NAME);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let dir = checkpointed_victim::<E>(&c, &q, "old-image-slot", &batches, &[2, 4]);
-        image.resize(allocated as usize / 2, 0);
-        write_slot(&dir, 1, &image);
-        assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches, "bad checkpoint magic");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    for_both_engines!(check);
-}
-
-/// Restarts `dir` with engine `E` and checks that it restored from a
-/// checkpoint, reporting one error that mentions `why` (the refused
-/// slot), and landed on the oracle that applied `batches`.
+/// Restarts `dir` with engine `E` and checks that it restored from an
+/// image, reporting one error that mentions `why` (the refused slot),
+/// and landed on the oracle that applied `batches`.
 fn assert_restores_beside_a_refused_slot<E: Engine>(
     c: &Catalog,
     q: &QuerySpec,
@@ -923,11 +687,49 @@ fn assert_restores_beside_a_refused_slot<E: Engine>(
     E::assert_same(&rec, &oracle_after::<E>(c, q, batches), why);
 }
 
-/// A well-formed checkpoint that is not this query's — cut for another
+/// The checkpoints older builds cut were network images: four records
+/// (meta, delta log, `LocalCost` mirror, embedded network) under the
+/// magic `RCKP`. One left in a durable directory is refused by its
+/// magic, rebuilt from at base estimates and replaced by two empty
+/// slots. The same image in the newest slot is refused there, and the
+/// restart restores the older slot: the epoch before the last.
+#[test]
+fn an_old_network_image_degrades_to_an_exact_rebuild() {
+    fn check<E: Engine>() {
+        let (c, q) = chain5();
+        let batches = chain5_batches(&q);
+        let dir = crashed_victim::<E>(&c, &q, "old-image", &batches);
+        let path = dir.join(durable::CHECKPOINT_FILE);
+        let allocated = std::fs::metadata(&path).unwrap().len();
+        let mut image = b"RCKP".to_vec();
+        image.extend_from_slice(&1u32.to_le_bytes());
+        let records: [&[u8]; 4] = [&[0; 32], &[], &[0; 8], b"RCKP\x01\0\0\0"];
+        for payload in records {
+            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            image.extend_from_slice(&durable::crc32(payload).to_le_bytes());
+            image.extend_from_slice(payload);
+        }
+        std::fs::write(&path, &image).unwrap();
+        assert_rebuilds_at_base::<E>(&c, &q, &dir, "bad checkpoint magic");
+        assert_eq!(std::fs::read(&path).unwrap(), vec![0; allocated as usize], "{}", E::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = crashed_victim::<E>(&c, &q, "old-image-slot", &batches);
+        image.resize(allocated as usize / 2, 0);
+        write_slot(&dir, 1, &image);
+        let why = "bad checkpoint magic";
+        assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches[..3], why);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// A well-formed image that is not this query's — written for another
 /// shape, or logging a leaf the query lacks — is corruption, never
 /// loaded, whatever its generation: the shape guard and the range check
 /// on every logged parameter refuse it. In the only written slot the
-/// whole WAL answers; in the newest of two, the older slot does.
+/// restart rebuilds at base estimates; in the newest of two, the older
+/// slot answers.
 #[test]
 fn a_checkpoint_of_another_query_is_corruption_not_misrestore() {
     fn check<E: Engine>() {
@@ -936,45 +738,38 @@ fn a_checkpoint_of_another_query_is_corruption_not_misrestore() {
         let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
         let stray = [ParamDelta::LeafCardinality(LeafId(leaves), 2.0)];
         for (image, why) in [
-            (durable::encode_checkpoint(3, 2, 3, leaves + 1, edges, &[]), "leaves"),
-            (durable::encode_checkpoint(3, 2, 3, leaves, edges - 1, &[]), "edges"),
-            (durable::encode_checkpoint(3, 2, 3, leaves, edges, &stray), "outside this query"),
-            // Its own query's, but ahead of the log it claims to cover.
-            (
-                durable::encode_checkpoint(3, 9, 3, leaves, edges, &[]),
-                "beyond the 4 intact WAL records",
-            ),
+            (durable::encode_checkpoint(9, 3, leaves + 1, edges, &[]), "leaves"),
+            (durable::encode_checkpoint(9, 3, leaves, edges - 1, &[]), "edges"),
+            (durable::encode_checkpoint(9, 3, leaves, edges, &stray), "outside this query"),
         ] {
-            let dir = crashed_victim::<E>(&c, &q, "other-query", &batches[..2], &batches[2..]);
+            let dir = crashed_victim::<E>(&c, &q, "other-query", &batches[..1]);
             write_slot(&dir, 0, &image);
-            assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, why);
+            assert_rebuilds_at_base::<E>(&c, &q, &dir, why);
             let _ = std::fs::remove_dir_all(&dir);
 
-            let dir = checkpointed_victim::<E>(&c, &q, "other-query-slot", &batches, &[2, 4]);
+            let dir = crashed_victim::<E>(&c, &q, "other-query-slot", &batches);
             write_slot(&dir, 1, &image);
-            assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches, why);
+            assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches[..3], why);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     for_both_engines!(check);
 }
 
-/// The checkpoint file a chain-5 engine `E` leaves after running
-/// `chain5_batches`, cutting a checkpoint after the first `n` of them
-/// for each `n` in `cuts`.
-fn chain5_checkpoint<E: Engine>(cuts: &[usize]) -> Vec<u8> {
+/// The checkpoint file a chain-5 engine `E` leaves after the first `n`
+/// of `chain5_batches`.
+fn chain5_file<E: Engine>(n: usize) -> Vec<u8> {
     let (c, q) = chain5();
-    let dir = checkpointed_victim::<E>(&c, &q, "format", &chain5_batches(&q), cuts);
+    let dir = crashed_victim::<E>(&c, &q, "format", &chain5_batches(&q)[..n]);
     let bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     bytes
 }
 
-/// What a restart reads in checkpoint file image `file` of chain 5,
-/// whose WAL holds the 4 records of `chain5_batches`.
+/// What a restart reads in checkpoint file image `file` of chain 5.
 fn chain5_slots(file: &[u8]) -> durable::Slots {
     let (_, q) = chain5();
-    durable::read_slots(file, q.n_leaves(), q.edges.len() as u32, 4)
+    durable::read_slots(file, q.n_leaves(), q.edges.len() as u32)
 }
 
 /// Slot `slot` of checkpoint file image `file` as a restart would read
@@ -987,26 +782,26 @@ fn slot_of(file: &[u8], slot: usize) -> Option<(usize, durable::Checkpoint)> {
     c.map(|c| (slot, c))
 }
 
-/// Both engines cut the same checkpoint file for the same history, and
-/// every single-bit flip of a written slot is
-/// [`DataflowError::StateCorruption`] — every bit of its record (magic,
-/// version, frame, payload) and one in every byte of its zero padding:
-/// never a panic, never a checkpoint that decodes to something else.
-/// With the only written slot flipped the file holds no checkpoint; with
-/// either of two flipped, a restart reads exactly the other.
+/// Both engines write the same file for the same history, and every
+/// single-bit flip in either slot is [`DataflowError::StateCorruption`]
+/// — every bit of its record (magic, version, frame, payload) and one in
+/// every byte of its zero padding: never a panic, never an image that
+/// decodes to something else. With the only written slot flipped the
+/// file holds no image; with either of two flipped, a restart reads
+/// exactly the other.
 #[test]
 fn every_bit_flip_in_a_checkpoint_is_detected() {
     let (_, q) = chain5();
     let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
-    for cuts in [&[4][..], &[2, 4]] {
-        let file = chain5_checkpoint::<DataflowEngine>(cuts);
-        assert_eq!(chain5_checkpoint::<IncrementalOptimizer>(cuts), file);
+    for n in [1, 4] {
+        let file = chain5_file::<DataflowEngine>(n);
+        assert_eq!(chain5_file::<IncrementalOptimizer>(n), file);
         let intact = chain5_slots(&file);
         let (newest, c) = intact.chosen.as_ref().unwrap();
-        assert_eq!((*newest, c.generation), (cuts.len() - 1, cuts.len() as u64));
-        assert_eq!((c.watermark, c.log.len(), intact.refused.len()), (4, 4, 0));
+        assert_eq!((*newest, c.generation), ((n + 1) % 2, n as u64));
+        assert_eq!((c.log.len(), intact.refused.len()), (n, 0));
         let slot_len = file.len() / 2;
-        for slot in 0..cuts.len() {
+        for slot in 0..n.min(2) {
             let start = slot * slot_len;
             let end = record_end(&file[start..]);
             let padding = (end..slot_len).map(|at| at * 8 + at % 8);
@@ -1016,11 +811,11 @@ fn every_bit_flip_in_a_checkpoint_is_detected() {
                 let r = durable::decode_checkpoint(&evil[start..start + slot_len], leaves, edges);
                 assert!(
                     matches!(r, Err(DataflowError::StateCorruption(_))),
-                    "{cuts:?}: flip of bit {bit} of slot {slot} slipped through: {r:?}"
+                    "{n} epochs: flip of bit {bit} of slot {slot} slipped through: {r:?}"
                 );
                 let slots = chain5_slots(&evil);
                 assert!(matches!(slots.refused.as_slice(), [(s, _)] if *s == slot));
-                assert_eq!(slots.chosen, slot_of(&file, 1 - slot), "{cuts:?}: bit {bit}");
+                assert_eq!(slots.chosen, slot_of(&file, 1 - slot), "{n} epochs: bit {bit}");
             }
         }
     }
@@ -1031,12 +826,12 @@ fn every_bit_flip_in_a_checkpoint_is_detected() {
 /// cut of a slot's write — its first `k` bytes landed, the zeros they
 /// replace behind them — is [`DataflowError::StateCorruption`] unless
 /// nothing landed: in the only written slot the file then holds no
-/// checkpoint, beside a second one a restart reads exactly the other.
+/// image, beside a second one a restart reads exactly the other.
 #[test]
 fn every_truncation_of_a_checkpoint_is_detected() {
-    for cuts in [&[4][..], &[2, 4]] {
-        let mut file = chain5_checkpoint::<IncrementalOptimizer>(cuts);
-        assert_eq!(chain5_checkpoint::<DataflowEngine>(cuts), file);
+    for n in [1, 2] {
+        let mut file = chain5_file::<IncrementalOptimizer>(n);
+        assert_eq!(chain5_file::<DataflowEngine>(n), file);
         assert_eq!(chain5_slots(&[]), durable::Slots::default());
         for cut in 1..file.len() {
             let slots = chain5_slots(&file[..cut]);
@@ -1048,15 +843,15 @@ fn every_truncation_of_a_checkpoint_is_detected() {
             assert!(refused, "truncation at {cut}: {:?}", slots.refused);
         }
         let slot_len = file.len() / 2;
-        let newest = cuts.len() - 1;
+        let newest = n - 1;
         let start = newest * slot_len;
         for k in 0..record_end(&file[start..]) {
             let mut torn = file.clone();
             torn[start + k..start + slot_len].fill(0);
             let slots = chain5_slots(&torn);
             let refused: Vec<usize> = slots.refused.iter().map(|&(i, _)| i).collect();
-            assert_eq!(refused, if k == 0 { vec![] } else { vec![newest] }, "{cuts:?}: k = {k}");
-            assert_eq!(slots.chosen, slot_of(&file, 1 - newest), "{cuts:?}: k = {k}");
+            assert_eq!(refused, if k == 0 { vec![] } else { vec![newest] }, "{n}: k = {k}");
+            assert_eq!(slots.chosen, slot_of(&file, 1 - newest), "{n}: k = {k}");
         }
         file.push(0);
         let slots = chain5_slots(&file);
@@ -1064,63 +859,71 @@ fn every_truncation_of_a_checkpoint_is_detected() {
     }
 }
 
-/// For every cut of the newest slot's write — its first `k` bytes
-/// landed over the generation it replaces, the rest not — a restart
-/// restores from the older slot, reports the damage (unless the image
-/// is one of the two whole checkpoints) and lands on the uninterrupted
-/// oracle.
+/// For every cut of the in-flight image — its first `k` bytes landed
+/// over the slot it overwrites, the rest not — a restart restores the
+/// previous epoch exactly, reporting the damage unless the slot holds
+/// one of the two whole images; once every byte landed it restores the
+/// new epoch. The first image of a directory is in flight over an empty
+/// slot: a cut of it rebuilds at base estimates — never the clean first
+/// boot of an empty file, once anything landed.
 #[test]
 fn every_cut_of_the_newest_checkpoint_restores_from_the_older_slot() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
-        let dir = fresh_dir("torn-slot");
-        let path = dir.join(durable::CHECKPOINT_FILE);
-        let mut victim = E::fresh(&c, &q);
-        victim.set_durable_dir(&dir).unwrap();
-        victim.optimize();
-        // Generations 1 and 2 in slots 0 and 1, then 3 over 1.
-        for batch in &batches[..2] {
-            victim.reoptimize(batch);
-            victim.checkpoint_durable().unwrap();
+        for n in [0, 3] {
+            let dir = crashed_victim::<E>(&c, &q, "torn-slot", &batches[..n]);
+            let path = dir.join(durable::CHECKPOINT_FILE);
+            let old = std::fs::read(&path).unwrap();
+            let (mut victim, _) = E::restart(&c, &q, &dir);
+            victim.reoptimize(&batches[n]); // the image in flight
+            drop(victim);
+            let new = std::fs::read(&path).unwrap();
+            let slot_len = new.len() / 2;
+            // Image n + 1 goes to slot n % 2; the other slot stays as it was.
+            let (at, other) = ((n % 2) * slot_len, (1 - n % 2) * slot_len);
+            assert_eq!(new[other..other + slot_len], old[other..other + slot_len], "{}", E::NAME);
+            let before = oracle_after::<E>(&c, &q, &batches[..n]);
+            let after = oracle_after::<E>(&c, &q, &batches[..=n]);
+            let ends = [&old, &new].map(|f| record_end(&f[at..]));
+            for k in 0..=ends[0].max(ends[1]) {
+                let mut image = old.clone();
+                image[at..at + k].copy_from_slice(&new[at..at + k]);
+                std::fs::write(&path, &image).unwrap();
+                let (rec, restart) = E::restart(&c, &q, &dir);
+                let what = format!("{}: {k} bytes of image {} landed", E::NAME, n + 1);
+                if image == new {
+                    assert_eq!(restart, restored(), "{what}");
+                    E::assert_same(&rec, &after, &what);
+                    continue;
+                }
+                let whole = image == old;
+                let path = match n {
+                    0 if whole => RecoveryPath::Committed,
+                    0 => RecoveryPath::RebuiltAfterCorruptCheckpoint,
+                    _ => RecoveryPath::RestoredFromCheckpoint,
+                };
+                assert_eq!(restart.path, path, "{what}");
+                let errors = if whole { 0 } else if n == 0 { 2 } else { 1 };
+                assert_eq!(restart.errors.len(), errors, "{what}: {:?}", restart.errors);
+                E::assert_same(&rec, &before, &what);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        victim.reoptimize(&batches[2]);
-        let old = std::fs::read(&path).unwrap();
-        victim.checkpoint_durable().unwrap();
-        victim.reoptimize(&batches[3]);
-        drop(victim); // the crash
-        let new = std::fs::read(&path).unwrap();
-        let slot_len = new.len() / 2;
-        assert_eq!(new[slot_len..], old[slot_len..], "{}", E::NAME);
-        let oracle = oracle_after::<E>(&c, &q, &batches);
-        for k in 0..=record_end(&new) {
-            let mut image = old.clone();
-            image[..k].copy_from_slice(&new[..k]);
-            std::fs::write(&path, &image).unwrap();
-            let (rec, restart) = E::restart(&c, &q, &dir);
-            let what = format!("{}: {k} bytes of the newest checkpoint landed", E::NAME);
-            assert_eq!(restart.path, RecoveryPath::RestoredFromCheckpoint, "{what}");
-            let whole = image == old || image == new;
-            assert_eq!(restart.errors.len(), usize::from(!whole), "{what}");
-            E::assert_same(&rec, &oracle, &what);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);
 }
 
-/// A restart followed by a checkpoint writes the other slot, never the
-/// one it restored from — the newest one, or the older one when the
-/// newest is torn — and after that checkpoint a second crash restores
-/// from the new one.
+/// A restart followed by an epoch writes the other slot, never the one
+/// it restored from — the newest one, or the older one when the newest
+/// is torn — and a second crash then restores that epoch.
 #[test]
 fn a_restart_never_overwrites_the_slot_it_restored_from() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
-        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
         let batches = chain5_batches(&q);
         for torn in [false, true] {
-            let dir = checkpointed_victim::<E>(&c, &q, "restored-slot", &batches[..2], &[1, 2]);
+            let dir = crashed_victim::<E>(&c, &q, "restored-slot", &batches[..2]);
             let path = dir.join(durable::CHECKPOINT_FILE);
             if torn {
                 let mut file = std::fs::read(&path).unwrap();
@@ -1136,58 +939,36 @@ fn a_restart_never_overwrites_the_slot_it_restored_from() {
             let from = usize::from(!torn);
             let before = std::fs::read(&path).unwrap();
             rec.reoptimize(&batches[2]);
-            rec.checkpoint_durable().unwrap();
-            rec.reoptimize(&batches[3]);
             drop(rec); // the second crash
             let after = std::fs::read(&path).unwrap();
             let slot_len = after.len() / 2;
             let restored_from = from * slot_len..(from + 1) * slot_len;
             assert_eq!(after[restored_from.clone()], before[restored_from], "{what}");
-            let slots = durable::read_slots(&after, leaves, edges, 4);
-            let (slot, ckpt) = slots.chosen.unwrap();
+            let (slot, image) = slots_in(&dir, &q).chosen.unwrap();
             let generation = if torn { 2 } else { 3 };
-            let got = (slot, ckpt.generation, ckpt.watermark);
-            assert_eq!(got, (1 - from, generation, 3), "{what}");
+            assert_eq!((slot, image.generation), (1 - from, generation), "{what}");
             let (rec, restart) = E::restart(&c, &q, &dir);
             assert_eq!(restart, restored(), "{what}");
-            E::assert_same(&rec, &oracle_after(&c, &q, &batches), &what);
+            let history = [&batches[..2 - usize::from(torn)], &batches[2..3]].concat();
+            E::assert_same(&rec, &oracle_after(&c, &q, &history), &what);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
     for_both_engines!(check);
 }
 
-/// A newest slot whose watermark is beyond the intact WAL is refused —
-/// reported, and zeroed so a log grown past it later cannot make it
-/// usable — and the restart restores from the older slot.
-#[test]
-fn a_newest_slot_beyond_the_wal_falls_back_to_the_older_slot() {
-    fn check<E: Engine>() {
-        let (c, q) = chain5();
-        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
-        let batches = chain5_batches(&q);
-        let dir = checkpointed_victim::<E>(&c, &q, "beyond", &batches, &[2, 4]);
-        let image = durable::encode_checkpoint(3, 9, 5, leaves, edges, &[]);
-        write_slot(&dir, 1, &image);
-        let why = "beyond the 4 intact WAL records";
-        assert_restores_beside_a_refused_slot::<E>(&c, &q, &dir, &batches, why);
-        let file = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
-        assert!(file[image.len()..].iter().all(|&b| b == 0), "{}", E::NAME);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    for_both_engines!(check);
-}
-
-/// A checkpoint in the layout of older builds — version 1: one record
-/// without a generation, the whole file — is refused by its version,
-/// answered from the whole WAL, and replaced by two empty slots, which
-/// the next restart reads as no checkpoint at all.
+/// A checkpoint file in the layout of older builds is refused by its
+/// version, never misread: version 1 (one record, no generation, the
+/// whole file) is refused as a whole and replaced by two empty slots,
+/// which the next restart reads as a first boot; a version-2 slot (a
+/// checkpoint a write-ahead log completed) is refused in its slot. In
+/// the only written slot either rebuilds at base estimates.
 #[test]
 fn a_version_1_checkpoint_is_refused_by_its_version() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
-        let dir = crashed_victim::<E>(&c, &q, "ckpt-v1", &batches[..2], &batches[2..]);
+        let dir = crashed_victim::<E>(&c, &q, "ckpt-v1", &batches);
         let path = dir.join(durable::CHECKPOINT_FILE);
         let allocated = std::fs::metadata(&path).unwrap().len() as usize;
         let mut payload = Vec::new();
@@ -1203,15 +984,22 @@ fn a_version_1_checkpoint_is_refused_by_its_version() {
         v1.extend_from_slice(&durable::crc32(&payload).to_le_bytes());
         v1.extend_from_slice(&payload);
         std::fs::write(&path, &v1).unwrap();
-        let why = "unsupported checkpoint version 1";
-        assert_degrades_to_the_whole_wal::<E>(&c, &q, &dir, &batches, why);
+        assert_rebuilds_at_base::<E>(&c, &q, &dir, "unsupported checkpoint version 1");
         assert_eq!(std::fs::read(&path).unwrap(), vec![0; allocated], "{}", E::NAME);
         let (_, restart) = E::restart(&c, &q, &dir);
-        let rebuilt = Restart {
-            path: RecoveryPath::RebuiltFromScratch,
+        let boot = Restart {
+            path: RecoveryPath::Committed,
             errors: Vec::new(),
         };
-        assert_eq!(restart, rebuilt, "{}", E::NAME);
+        assert_eq!(restart, boot, "{}", E::NAME);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = crashed_victim::<E>(&c, &q, "ckpt-v2", &batches[..1]);
+        let mut slot = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).unwrap();
+        slot.truncate(allocated / 2);
+        slot[4..8].copy_from_slice(&2u32.to_le_bytes());
+        write_slot(&dir, 0, &slot);
+        assert_rebuilds_at_base::<E>(&c, &q, &dir, "unsupported checkpoint version 2");
         let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);

@@ -1,6 +1,6 @@
-//! The WAL's fsync helper thread belongs to its durable engine: made by
-//! the first durable append, joined when the engine drops. A suite of
-//! its own, so no other test's threads come and go while it counts.
+//! The image sync helper thread belongs to its durable engine: made by
+//! the first image write, joined when the engine drops. A suite of its
+//! own, so no other test's threads come and go while it counts.
 
 mod common;
 

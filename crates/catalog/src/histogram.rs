@@ -53,18 +53,6 @@ impl Histogram {
         idx.min(n - 1)
     }
 
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    pub fn min(&self) -> i64 {
-        self.min
-    }
-
-    pub fn max(&self) -> i64 {
-        self.max
-    }
-
     /// Width of one bucket in value space.
     fn bucket_width(&self) -> f64 {
         ((self.max - self.min) as f64 + 1.0) / self.buckets.len() as f64
@@ -150,16 +138,16 @@ mod tests {
 
     #[test]
     fn build_counts_everything() {
+        // Every value lies in [0, 99], and each one is counted.
         let h = uniform_0_99();
-        assert_eq!(h.total(), 100.0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 99);
+        let all: f64 = (0..100).map(|v| h.selectivity_eq(v)).sum();
+        assert!((all - 1.0).abs() < 1e-9, "{all}");
+        assert_eq!((h.selectivity_eq(-1), h.selectivity_eq(100)), (0.0, 0.0));
     }
 
     #[test]
     fn empty_input_is_degenerate_not_panicking() {
         let h = Histogram::build(std::iter::empty(), 8);
-        assert_eq!(h.total(), 0.0);
         assert_eq!(h.selectivity_eq(5), 0.0);
         assert_eq!(h.selectivity_lt(5), 0.0);
     }

@@ -357,12 +357,6 @@ impl CostContext {
         Cost::new(cost)
     }
 
-    /// `Fn_sum`: a plan's cost is its local cost plus the best costs of
-    /// its children (paper rules R6–R8).
-    pub fn sum(local: Cost, l: Cost, r: Cost) -> Cost {
-        local + l + r
-    }
-
     /// Recursively costs a fully resolved plan tree (used by the
     /// executor-facing layers to compare plan candidates).
     pub fn plan_cost(&mut self, q: &QuerySpec, plan: &PlanNode) -> Cost {
@@ -600,21 +594,26 @@ mod tests {
         let _ = q;
     }
 
-    #[test]
-    fn plan_cost_sums_tree() {
-        let (q, mut ctx) = fixture();
+    /// A hash join of two full scans.
+    fn join_plan() -> PlanNode {
         let leaf = |i: u32| PlanNode {
             expr: ExprId::rel(RelSet::singleton(i)),
             prop: PhysProp::Any,
             op: PhysOp::FullScan,
             children: vec![],
         };
-        let plan = PlanNode {
+        PlanNode {
             expr: ExprId::rel(RelSet(0b11)),
             prop: PhysProp::Any,
             op: PhysOp::HashJoin,
             children: vec![leaf(0), leaf(1)],
-        };
+        }
+    }
+
+    #[test]
+    fn plan_cost_sums_tree() {
+        let (q, mut ctx) = fixture();
+        let plan = join_plan();
         let total = ctx.plan_cost(&q, &plan);
         let l0 = ctx.plan_cost(&q, &plan.children[0]);
         let l1 = ctx.plan_cost(&q, &plan.children[1]);
@@ -622,15 +621,23 @@ mod tests {
         assert!(total.is_finite());
     }
 
+    /// `Fn_sum` (rules R6–R8) as `plan_cost` applies it: a plan costs its
+    /// local cost plus its children's costs, in that order, and an
+    /// infinite term makes the sum infinite.
     #[test]
     fn sum_matches_fn_sum_semantics() {
-        assert_eq!(
-            CostContext::sum(Cost::new(1.0), Cost::new(2.0), Cost::new(3.0)),
-            Cost::new(6.0)
-        );
-        assert_eq!(
-            CostContext::sum(Cost::new(1.0), Cost::INFINITY, Cost::ZERO),
-            Cost::INFINITY
-        );
+        let (q, mut ctx) = fixture();
+        let plan = join_plan();
+        let child = |i: usize| Some(ChildRef::new(plan.children[i].expr, plan.children[i].prop));
+        let alt = AltSpec {
+            op: plan.op,
+            left: child(0),
+            right: child(1),
+        };
+        let local = ctx.local_cost(&q, plan.expr, plan.prop, &alt);
+        let l = ctx.plan_cost(&q, &plan.children[0]);
+        let r = ctx.plan_cost(&q, &plan.children[1]);
+        assert_eq!(ctx.plan_cost(&q, &plan), local + l + r);
+        assert_eq!(local + Cost::INFINITY + Cost::ZERO, Cost::INFINITY);
     }
 }

@@ -29,14 +29,6 @@ impl Delta {
     pub fn with_count(tuple: Tuple, count: i64) -> Delta {
         Delta { tuple, count }
     }
-
-    /// The same change with multiplicity scaled (bilinear operators).
-    pub fn scaled(&self, by: i64) -> Delta {
-        Delta {
-            tuple: self.tuple.clone(),
-            count: self.count * by,
-        }
-    }
 }
 
 /// Reusable state for [`coalesce`]: an open-addressed hash index of the
@@ -161,13 +153,6 @@ mod tests {
     fn constructors() {
         assert_eq!(Delta::insert(ints(&[1])).count, 1);
         assert_eq!(Delta::delete(ints(&[1])).count, -1);
-    }
-
-    #[test]
-    fn scaling_multiplies_counts() {
-        let d = Delta::with_count(ints(&[7]), -2);
-        assert_eq!(d.scaled(3).count, -6);
-        assert_eq!(d.scaled(3).tuple, ints(&[7]));
     }
 
     #[test]
