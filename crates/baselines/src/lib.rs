@@ -16,5 +16,5 @@ pub mod system_r;
 pub mod volcano;
 
 pub use result::{BaselineMetrics, OptResult};
-pub use system_r::{full_space_size, optimize_system_r};
+pub use system_r::optimize_system_r;
 pub use volcano::{optimize_volcano, FromScratch};

@@ -6,48 +6,39 @@
 //! other optimizers are validated against.
 
 use reopt_common::Cost;
+use reopt_core::{AltId, GroupId, Memo};
 use reopt_cost::CostContext;
-use reopt_expr::{AltSpec, GroupIdx, JoinGraph, PlanNode, QuerySpec, Space};
+use reopt_expr::{JoinGraph, PlanNode, QuerySpec};
 
 use crate::result::{BaselineMetrics, OptResult};
 
-/// Runs bottom-up DP over the full reachable space.
+/// Runs bottom-up DP over the full reachable space: the memo's ids are
+/// bottom-up, so every child's best cost is final before its parents'.
 pub fn optimize_system_r(q: &QuerySpec, g: &JoinGraph, ctx: &mut CostContext) -> OptResult {
-    let space = Space::explore(q, g);
-    let mut best: Vec<Option<(Cost, AltSpec)>> = vec![None; space.n_groups()];
+    let memo = Memo::build(q, g);
+    let mut best: Vec<Option<(Cost, AltId)>> = vec![None; memo.n_groups()];
     let mut metrics = BaselineMetrics::default();
-    for &gi in space.topo_order() {
-        let def = space.group(gi).clone();
-        let mut group_best: Option<(Cost, AltSpec)> = None;
-        for alt in &def.alts {
+    for (gi, def) in memo.groups.iter().enumerate() {
+        let mut group_best: Option<(Cost, AltId)> = None;
+        for a in memo.alts_of(GroupId(gi as u32)) {
             metrics.alts_costed += 1;
-            let local = ctx.local_cost(q, def.expr, def.prop, alt);
-            let mut total = local;
-            let mut feasible = true;
-            for child in alt.children() {
-                let ci = space
-                    .lookup(child.expr, child.prop)
-                    .expect("child group exists in reachable space");
-                match &best[ci.0 as usize] {
-                    Some((c, _)) => total += *c,
-                    None => {
-                        feasible = false;
-                        break;
-                    }
+            let alt = memo.alt(a);
+            let local = ctx.local_cost(q, def.expr, def.prop, &alt.spec);
+            let total = alt
+                .children()
+                .try_fold(local, |t, c| best[c.0 as usize].map(|(cc, _)| t + cc));
+            if let Some(total) = total {
+                if group_best.is_none_or(|(c, _)| total < c) {
+                    group_best = Some((total, a));
                 }
             }
-            if feasible && group_best.as_ref().is_none_or(|(c, _)| total < *c) {
-                group_best = Some((total, *alt));
-            }
         }
-        best[gi.0 as usize] = group_best;
+        best[gi] = group_best;
     }
-    metrics.groups_created = space.n_groups() as u64;
-    let root = space.root();
-    let (cost, _) = *best[root.0 as usize]
-        .as_ref()
+    metrics.groups_created = memo.n_groups() as u64;
+    let (cost, _) = best[memo.root.0 as usize]
         .unwrap_or_else(|| panic!("query `{}` has no feasible plan", q.name));
-    let plan = extract(&space, &best, root);
+    let plan = extract(&memo, &best, memo.root);
     OptResult {
         cost,
         plan,
@@ -55,30 +46,16 @@ pub fn optimize_system_r(q: &QuerySpec, g: &JoinGraph, ctx: &mut CostContext) ->
     }
 }
 
-fn extract(space: &Space, best: &[Option<(Cost, AltSpec)>], gi: GroupIdx) -> PlanNode {
-    let def = space.group(gi);
-    let (_, alt) = best[gi.0 as usize]
-        .as_ref()
-        .expect("extracting a group with no plan");
-    let children = alt
-        .children()
-        .map(|c| {
-            let ci = space.lookup(c.expr, c.prop).expect("child group");
-            extract(space, best, ci)
-        })
-        .collect();
+fn extract(memo: &Memo, best: &[Option<(Cost, AltId)>], gi: GroupId) -> PlanNode {
+    let def = memo.group(gi);
+    let (_, a) = best[gi.0 as usize].expect("extracting a group with no plan");
+    let alt = memo.alt(a);
     PlanNode {
         expr: def.expr,
         prop: def.prop,
         op: alt.op,
-        children,
+        children: alt.children().map(|c| extract(memo, best, c)).collect(),
     }
-}
-
-/// Space-size denominators for the pruning-ratio metrics (Figs 4b/4c).
-pub fn full_space_size(q: &QuerySpec, g: &JoinGraph) -> (u64, u64) {
-    let space = Space::explore(q, g);
-    (space.n_groups() as u64, space.n_alts() as u64)
 }
 
 #[cfg(test)]
@@ -154,9 +131,9 @@ mod tests {
         let g = JoinGraph::new(&q);
         let mut ctx = CostContext::new(&c, &q);
         let r = optimize_system_r(&q, &g, &mut ctx);
-        let (groups, alts) = full_space_size(&q, &g);
-        assert_eq!(r.metrics.groups_created, groups);
-        assert_eq!(r.metrics.alts_costed, alts);
+        let memo = Memo::build(&q, &g);
+        assert_eq!(r.metrics.groups_created, memo.n_groups() as u64);
+        assert_eq!(r.metrics.alts_costed, memo.n_alts() as u64);
     }
 
     #[test]

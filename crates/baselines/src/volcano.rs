@@ -8,18 +8,20 @@ use reopt_catalog::Catalog;
 use reopt_common::{Cost, FxHashMap};
 use reopt_core::Reoptimizer;
 use reopt_cost::{CostContext, ParamDelta};
-use reopt_expr::{AltSpec, ExprId, JoinGraph, PhysProp, PlanNode, QuerySpec, SplitCache};
+use reopt_expr::{enumerate_alts, AltSpec, ExprId, JoinGraph, PhysProp, PlanNode, QuerySpec};
 
 use crate::result::{BaselineMetrics, OptResult};
 
-/// Memo entry. `best` is the cheapest plan found with cost strictly
-/// below the largest limit this group has been explored under
-/// (`explored_limit`). Invariant: if `best` is `Some((c, _))` then `c`
-/// is the group's true optimum (branch-and-bound only discards plans
-/// that cannot beat an already-found one); if `best` is `None`, no plan
-/// costs less than `explored_limit`.
+/// Memo entry: the group's alternatives, enumerated on its first visit,
+/// and `best`, the cheapest plan found with cost strictly below the
+/// largest limit this group has been explored under (`explored_limit`).
+/// Invariant: if `best` is `Some((c, _))` then `c` is the group's true
+/// optimum (branch-and-bound only discards plans that cannot beat an
+/// already-found one); if `best` is `None`, no plan costs less than
+/// `explored_limit`.
 #[derive(Clone, Debug)]
 struct Entry {
+    alts: Vec<AltSpec>,
     best: Option<(Cost, AltSpec)>,
     explored_limit: Cost,
 }
@@ -28,7 +30,6 @@ struct Volcano<'a> {
     q: &'a QuerySpec,
     g: &'a JoinGraph,
     ctx: &'a mut CostContext,
-    cache: SplitCache,
     memo: FxHashMap<(ExprId, PhysProp), Entry>,
     metrics: BaselineMetrics,
 }
@@ -39,7 +40,6 @@ pub fn optimize_volcano(q: &QuerySpec, g: &JoinGraph, ctx: &mut CostContext) -> 
         q,
         g,
         ctx,
-        cache: SplitCache::new(),
         memo: FxHashMap::default(),
         metrics: BaselineMetrics::default(),
     };
@@ -116,11 +116,16 @@ impl Volcano<'_> {
             }
             None => true,
         };
-        let alts = self.cache.get(self.q, self.g, expr, prop).to_vec();
+        let entry = self.memo.entry((expr, prop)).or_insert_with(|| Entry {
+            alts: enumerate_alts(self.q, self.g, expr, prop),
+            best: None,
+            explored_limit: Cost::ZERO,
+        });
         // Cost local operators first and explore cheapest-first: the
         // sooner a good plan is found, the tighter the bound (the paper's
         // observation that exploration order drives pruning quality).
-        let mut ordered: Vec<(Cost, AltSpec)> = alts
+        let mut ordered: Vec<(Cost, AltSpec)> = entry
+            .alts
             .iter()
             .map(|a| {
                 if first_visit {
@@ -165,11 +170,8 @@ impl Volcano<'_> {
         let result = best.as_ref().map(|(c, _)| *c);
         let entry = self
             .memo
-            .entry((expr, prop))
-            .or_insert_with(|| Entry {
-                best: None,
-                explored_limit: Cost::ZERO,
-            });
+            .get_mut(&(expr, prop))
+            .expect("entered before its children");
         entry.explored_limit = entry.explored_limit.max(limit);
         if best.is_some() {
             entry.best = best;
@@ -199,8 +201,9 @@ impl Volcano<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system_r::{full_space_size, optimize_system_r};
+    use crate::system_r::optimize_system_r;
     use reopt_catalog::{ColumnStats, TableBuilder, TableStats};
+    use reopt_core::Memo;
     use reopt_expr::EdgeId;
 
     fn chain_fixture(rows: &[f64]) -> (Catalog, QuerySpec) {
@@ -261,7 +264,7 @@ mod tests {
         let g = JoinGraph::new(&q);
         let mut ctx = CostContext::new(&c, &q);
         let vol = optimize_volcano(&q, &g, &mut ctx);
-        let (groups, _) = full_space_size(&q, &g);
+        let groups = Memo::build(&q, &g).n_groups() as u64;
         assert!(vol.metrics.groups_created <= groups);
         assert!(vol.metrics.alts_pruned > 0, "B&B never pruned anything");
     }

@@ -9,10 +9,10 @@
 use std::time::{Duration, Instant};
 
 use reopt_aqp::{run_partitions, AqpConfig, AqpDriver, StatsMode};
-use reopt_baselines::{full_space_size, FromScratch};
+use reopt_baselines::FromScratch;
 use reopt_bridge::DataflowOptimizer;
 use reopt_catalog::Catalog;
-use reopt_core::{IncrementalOptimizer, PruningConfig, Reoptimizer};
+use reopt_core::{IncrementalOptimizer, Memo, PruningConfig, Reoptimizer};
 use reopt_cost::{CostContext, ParamDelta};
 use reopt_exec::Database;
 use reopt_expr::{JoinGraph, LeafId, QuerySpec};
@@ -69,7 +69,7 @@ pub fn fig4(catalog: &Catalog) -> Vec<Fig4Row> {
         .map(|qid| {
             let q = qid.build(catalog);
             let g = JoinGraph::new(&q);
-            let (total_groups, total_alts) = full_space_size(&q, &g);
+            let space = Memo::build(&q, &g);
             let volcano = median_time(|| {
                 let _ = FromScratch::new(catalog, q.clone()).optimize();
             });
@@ -96,8 +96,8 @@ pub fn fig4(catalog: &Catalog) -> Vec<Fig4Row> {
             let (declarative, declarative_pruning) = declarative_run(PruningConfig::default());
             let v = FromScratch::new(catalog, q.clone()).optimize();
             let volcano_pruning = (
-                1.0 - v.metrics.groups_created as f64 / total_groups as f64,
-                v.metrics.alts_pruned as f64 / total_alts as f64,
+                1.0 - v.metrics.groups_created as f64 / space.n_groups() as f64,
+                v.metrics.alts_pruned as f64 / space.n_alts() as f64,
             );
             Fig4Row {
                 query: qid.name(),

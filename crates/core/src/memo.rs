@@ -8,7 +8,7 @@
 
 use reopt_common::FxHashMap;
 use reopt_expr::{
-    AltSpec, ExprId, JoinGraph, PhysOp, PhysProp, QuerySpec, Space,
+    enumerate_alts, AltSpec, ChildRef, ExprId, JoinGraph, PhysOp, PhysProp, QuerySpec,
 };
 
 /// Group ("OR" node) id — dense index.
@@ -50,7 +50,7 @@ impl AltDef {
 
 /// Static data of one group.
 #[derive(Clone, Debug)]
-pub struct GroupDefC {
+pub struct GroupDef {
     pub expr: ExprId,
     pub prop: PhysProp,
     /// Dense range into [`Memo::alts`].
@@ -61,7 +61,7 @@ pub struct GroupDefC {
 /// The interned and-or graph.
 #[derive(Clone, Debug)]
 pub struct Memo {
-    pub groups: Vec<GroupDefC>,
+    pub groups: Vec<GroupDef>,
     pub alts: Vec<AltDef>,
     /// Per group: alternatives referencing it as a child (the reverse
     /// edges reference counting and bound propagation walk).
@@ -75,36 +75,80 @@ impl Memo {
     /// R1–R5 run to fixpoint with no pruning; what the pruning
     /// strategies then reclaim is *state*, tracked in `OptimizerState`).
     pub fn build(q: &QuerySpec, g: &JoinGraph) -> Memo {
-        let space = Space::explore(q, g);
-        // The space's group order is BFS from the root; re-index groups
-        // in topo order so dense ids are bottom-up: every child of an
-        // alternative has a smaller id than the alternative's group.
-        let order = space.topo_order().to_vec();
-        let mut remap: FxHashMap<(ExprId, PhysProp), GroupId> = FxHashMap::default();
-        for (new_idx, gi) in order.iter().enumerate() {
-            let def = space.group(*gi);
-            remap.insert((def.expr, def.prop), GroupId(new_idx as u32));
-        }
-        let mut groups = Vec::with_capacity(order.len());
-        let mut alts: Vec<AltDef> = Vec::new();
-        for (new_idx, gi) in order.iter().enumerate() {
-            let def = space.group(*gi);
-            let start = alts.len() as u32;
-            for spec in &def.alts {
-                alts.push(AltDef {
+        // Breadth-first from the root demand, each group enumerated once
+        // (`Fn_split`); groups and children carry discovery ids here.
+        let root_key = (q.root_expr(), PhysProp::Any);
+        let mut index = FxHashMap::default();
+        index.insert(root_key, GroupId(0));
+        let mut found = vec![GroupDef {
+            expr: root_key.0,
+            prop: root_key.1,
+            alts_start: 0,
+            alts_end: 0,
+        }];
+        let mut found_alts: Vec<AltDef> = Vec::new();
+        let mut next = 0;
+        while next < found.len() {
+            let (expr, prop) = (found[next].expr, found[next].prop);
+            let mut child_id = |c: ChildRef| {
+                *index.entry((c.expr, c.prop)).or_insert_with(|| {
+                    found.push(GroupDef {
+                        expr: c.expr,
+                        prop: c.prop,
+                        alts_start: 0,
+                        alts_end: 0,
+                    });
+                    GroupId(found.len() as u32 - 1)
+                })
+            };
+            let start = found_alts.len() as u32;
+            for spec in enumerate_alts(q, g, expr, prop) {
+                found_alts.push(AltDef {
                     op: spec.op,
-                    group: GroupId(new_idx as u32),
-                    left: spec.left.map(|c| remap[&(c.expr, c.prop)]),
-                    right: spec.right.map(|c| remap[&(c.expr, c.prop)]),
-                    spec: *spec,
+                    group: GroupId(next as u32),
+                    left: spec.left.map(&mut child_id),
+                    right: spec.right.map(&mut child_id),
+                    spec,
                 });
             }
-            groups.push(GroupDefC {
-                expr: def.expr,
-                prop: def.prop,
+            found[next].alts_start = start;
+            found[next].alts_end = found_alts.len() as u32;
+            next += 1;
+        }
+        // Re-number groups bottom-up with a stable sort on size, so every
+        // child of an alternative has a smaller id than its group; `rank`
+        // maps discovery ids to final ones.
+        let mut order: Vec<usize> = (0..found.len()).collect();
+        order.sort_by_key(|&i| {
+            let def = &found[i];
+            (def.expr.rel.len(), def.expr.agg, def.prop != PhysProp::Any)
+        });
+        let mut rank = vec![GroupId(0); found.len()];
+        for (new_idx, &i) in order.iter().enumerate() {
+            rank[i] = GroupId(new_idx as u32);
+        }
+        let renumber = |c: GroupId| rank[c.0 as usize];
+        let mut groups = Vec::with_capacity(found.len());
+        let mut alts = Vec::with_capacity(found_alts.len());
+        for &i in &order {
+            let def = &found[i];
+            let start = alts.len() as u32;
+            for alt in &found_alts[def.alts_start as usize..def.alts_end as usize] {
+                alts.push(AltDef {
+                    group: rank[i],
+                    left: alt.left.map(renumber),
+                    right: alt.right.map(renumber),
+                    ..*alt
+                });
+            }
+            groups.push(GroupDef {
                 alts_start: start,
                 alts_end: alts.len() as u32,
+                ..*def
             });
+        }
+        for id in index.values_mut() {
+            *id = rank[id.0 as usize];
         }
         let mut parents = vec![Vec::new(); groups.len()];
         for (ai, alt) in alts.iter().enumerate() {
@@ -112,13 +156,12 @@ impl Memo {
                 parents[child.0 as usize].push(AltId(ai as u32));
             }
         }
-        let root = remap[&(q.root_expr(), PhysProp::Any)];
         Memo {
             groups,
             alts,
             parents,
-            root,
-            index: remap,
+            root: rank[0],
+            index,
         }
     }
 
@@ -130,7 +173,7 @@ impl Memo {
         self.alts.len()
     }
 
-    pub fn group(&self, g: GroupId) -> &GroupDefC {
+    pub fn group(&self, g: GroupId) -> &GroupDef {
         &self.groups[g.0 as usize]
     }
 
@@ -157,30 +200,121 @@ impl Memo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{chain_query, fixture_catalog};
+    use crate::fixtures::{
+        agg_chain_query, chain_query, cycle_query, fixture_catalog, shaped_query, star_query,
+    };
+
+    /// Every `fixtures` shape: chain, aggregate chain, cycle, star and
+    /// a clique.
+    fn memos() -> Vec<(QuerySpec, JoinGraph, Memo)> {
+        let c = fixture_catalog();
+        [
+            chain_query(&c, 4),
+            agg_chain_query(&c, 4),
+            cycle_query(&c),
+            star_query(&c),
+            shaped_query(&c, "clique", 5),
+        ]
+        .into_iter()
+        .map(|q| {
+            let g = JoinGraph::new(&q);
+            let memo = Memo::build(&q, &g);
+            (q, g, memo)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn topo_order_puts_children_first() {
+        // Every child an alternative names resolves, by its (expr, prop),
+        // to a group that precedes the parent in id order.
+        for (q, _, memo) in memos() {
+            for alt in &memo.alts {
+                for child in alt.children() {
+                    let def = memo.group(child);
+                    let ci = memo.lookup(def.expr, def.prop).unwrap();
+                    assert_eq!(ci, child, "{}: {def:?} looks up elsewhere", q.name);
+                    assert!(
+                        ci.0 < alt.group.0,
+                        "{}: child {def:?} after parent {:?}",
+                        q.name,
+                        memo.group(alt.group)
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn memo_ids_are_topo_ordered() {
-        let c = fixture_catalog();
-        let q = chain_query(&c, 4);
-        let g = JoinGraph::new(&q);
-        let memo = Memo::build(&q, &g);
-        for alt in &memo.alts {
-            for child in alt.children() {
+        for (q, _, memo) in memos() {
+            for alt in &memo.alts {
+                for child in alt.children() {
+                    assert!(
+                        child.0 < alt.group.0,
+                        "{}: child {child:?} not before parent group {:?}",
+                        q.name,
+                        alt.group
+                    );
+                }
+            }
+            // Ids follow the size key the growth pins and the lowest-id
+            // tie-breaks rest on.
+            let key = |d: &GroupDef| (d.expr.rel.len(), d.expr.agg, d.prop != PhysProp::Any);
+            assert!(
+                memo.groups.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+                "{}: group ids out of size order",
+                q.name
+            );
+            assert_eq!(memo.group(memo.root).expr, q.root_expr());
+            assert_eq!(memo.lookup(q.root_expr(), PhysProp::Any), Some(memo.root));
+        }
+    }
+
+    #[test]
+    fn every_connected_subset_has_an_any_group() {
+        for (q, g, memo) in memos() {
+            let all = q.all_rels();
+            for rel in all.proper_subsets().chain([all]) {
+                if g.is_connected(rel) {
+                    assert!(
+                        memo.lookup(ExprId::rel(rel), PhysProp::Any).is_some(),
+                        "{}: missing group for {rel}",
+                        q.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_group_has_alternatives() {
+        // A group only exists because some parent demanded it, and every
+        // demanded property is satisfiable (the Sort enforcer guarantees
+        // it for Sorted; Indexed is only demanded where an index exists).
+        for (q, _, memo) in memos() {
+            for (gi, def) in memo.groups.iter().enumerate() {
                 assert!(
-                    child.0 < alt.group.0,
-                    "child {:?} not before parent group {:?}",
-                    child,
-                    alt.group
+                    memo.alts_of(GroupId(gi as u32)).next().is_some(),
+                    "{}: group ({:?},{}) has no alternatives",
+                    q.name,
+                    def.expr,
+                    def.prop
                 );
             }
         }
-        // Root is the last-ish group (largest expr) and looked up
-        // consistently.
-        assert_eq!(
-            memo.lookup(q.root_expr(), PhysProp::Any),
-            Some(memo.root)
-        );
+    }
+
+    #[test]
+    fn memo_size_grows_with_query_size() {
+        let c = fixture_catalog();
+        let sizes: Vec<usize> = (2..=5)
+            .map(|n| {
+                let q = chain_query(&c, n);
+                Memo::build(&q, &JoinGraph::new(&q)).n_alts()
+            })
+            .collect();
+        assert!(sizes.windows(2).all(|w| w[0] < w[1]), "{sizes:?}");
     }
 
     #[test]

@@ -39,11 +39,15 @@ pub enum DataflowError {
     /// A structural misuse of the graph API: pushing to a non-input
     /// node.
     InvalidWiring(String),
-    /// Durable state (the bridge's checkpoint or WAL) failed validation
-    /// on recovery: bad magic/version, a per-record CRC mismatch (bit
-    /// flip), a torn or truncated file, or a parameter the query lacks.
-    /// Carries a human-readable description of what failed; callers are
-    /// expected to degrade to a from-scratch rebuild, never to panic.
+    /// Durable state failed, or an id space ran out. On a restart, a
+    /// slot of the bridge's parameter-image file failed validation: bad
+    /// magic/version, a CRC mismatch (bit flip), a torn or truncated
+    /// slot, or a parameter the query lacks. During an epoch, writing or
+    /// syncing the image failed, so that batch is held in memory only.
+    /// Also the interner's exhaustion
+    /// ([`crate::intern::Sym::try_intern`]). Carries a human-readable
+    /// description of what failed; callers are expected to degrade
+    /// (rebuild from base estimates, carry on in memory), never to panic.
     StateCorruption(String),
 }
 

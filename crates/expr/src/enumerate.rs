@@ -4,10 +4,9 @@
 //! their child property requirements (paper §2.1, rules R1–R5).
 //!
 //! Logical and physical enumeration are merged in one function, exactly
-//! as §2.3 prescribes; results are memoized in a [`SplitCache`] ("we use
-//! caching to memoize the results of Fn_nonscansummary and Fn_split").
-
-use reopt_common::FxHashMap;
+//! as §2.3 prescribes. The memo is `reopt_core::Memo`, which calls
+//! [`enumerate_alts`] once per group ("we use caching to memoize the
+//! results of Fn_nonscansummary and Fn_split").
 
 use crate::graph::JoinGraph;
 use crate::ops::PhysOp;
@@ -222,40 +221,6 @@ fn is_clustered_on(q: &QuerySpec, leaf_id: u32, c: LeafCol) -> bool {
     q.leaf(LeafId(leaf_id)).clustered_on == Some(c.col)
 }
 
-/// Memoizing wrapper around [`enumerate_alts`].
-#[derive(Debug, Default)]
-pub struct SplitCache {
-    cache: FxHashMap<(ExprId, PhysProp), Vec<AltSpec>>,
-    pub hits: u64,
-    pub misses: u64,
-}
-
-impl SplitCache {
-    pub fn new() -> SplitCache {
-        SplitCache::default()
-    }
-
-    pub fn get(
-        &mut self,
-        q: &QuerySpec,
-        g: &JoinGraph,
-        expr: ExprId,
-        prop: PhysProp,
-    ) -> &[AltSpec] {
-        use std::collections::hash_map::Entry;
-        match self.cache.entry((expr, prop)) {
-            Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(enumerate_alts(q, g, expr, prop))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,18 +415,5 @@ mod tests {
         assert!(!got
             .iter()
             .any(|s| matches!(s.op, PhysOp::IndexNLJoin { .. })));
-    }
-
-    #[test]
-    fn split_cache_memoizes() {
-        let q = chain();
-        let g = JoinGraph::new(&q);
-        let mut cache = SplitCache::new();
-        let e = ExprId::rel(RelSet(0b111));
-        let first = cache.get(&q, &g, e, PhysProp::Any).len();
-        let second = cache.get(&q, &g, e, PhysProp::Any).len();
-        assert_eq!(first, second);
-        assert_eq!(cache.misses, 1);
-        assert_eq!(cache.hits, 1);
     }
 }

@@ -71,8 +71,9 @@ mod tests {
 
     impl JoinGraph {
         /// All connected subsets of the full leaf set, in ascending size
-        /// order (the System-R DP enumeration order): the oracle the
-        /// explored space is held to (`space_covers_all_connected_subsets`).
+        /// order (the System-R DP enumeration order), as the tests below
+        /// pin them; `reopt_core::Memo`'s coverage test derives the same
+        /// set from [`JoinGraph::is_connected`].
         pub(crate) fn connected_subsets(&self) -> Vec<RelSet> {
             let full = RelSet::full(self.adj.len() as u32);
             let mut out: Vec<RelSet> = (1..=full.0)

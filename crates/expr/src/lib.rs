@@ -12,9 +12,8 @@ pub mod plan;
 pub mod props;
 pub mod query;
 pub mod relset;
-pub mod space;
 
-pub use enumerate::{enumerate_alts, AltSpec, ChildRef, SplitCache};
+pub use enumerate::{enumerate_alts, AltSpec, ChildRef};
 pub use graph::JoinGraph;
 pub use ops::PhysOp;
 pub use plan::PlanNode;
@@ -24,4 +23,3 @@ pub use query::{
     WindowSpec,
 };
 pub use relset::RelSet;
-pub use space::{GroupDef, GroupIdx, Space};
