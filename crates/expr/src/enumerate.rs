@@ -4,14 +4,22 @@
 //! their child property requirements (paper §2.1, rules R1–R5).
 //!
 //! Logical and physical enumeration are merged in one function, exactly
-//! as §2.3 prescribes. The memo is `reopt_core::Memo`, which calls
-//! [`enumerate_alts`] once per group ("we use caching to memoize the
-//! results of Fn_nonscansummary and Fn_split").
+//! as §2.3 prescribes, in two steps: [`SplitTable::push`] lists an
+//! expression's connected, edge-joined, ordered splits with the edges
+//! crossing each, and [`elaborate`] turns them into one property
+//! group's alternatives. [`enumerate_alts`] is the second applied to
+//! the first. The memo, `reopt_core::Memo`, lists each expression's
+//! splits once and elaborates every group of the expression from them
+//! ("we use caching to memoize the results of Fn_nonscansummary and
+//! Fn_split"); Volcano calls [`enumerate_alts`] per group.
+
+use std::ops::Range;
 
 use crate::graph::JoinGraph;
 use crate::ops::PhysOp;
 use crate::props::PhysProp;
-use crate::query::{ExprId, LeafCol, LeafId, QuerySpec};
+use crate::query::{EdgeId, ExprId, LeafCol, LeafId, QuerySpec};
+use crate::relset::RelSet;
 
 /// A reference to a child group: `(expression, required property)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,115 +75,240 @@ impl AltSpec {
     }
 }
 
-/// Enumerates all alternatives for `(expr, prop)`.
+/// An equi-join edge crossing a [`Split`], oriented to it: `left` is
+/// its endpoint on the split's left side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cross {
+    pub edge: EdgeId,
+    pub left: LeafCol,
+    pub right: LeafCol,
+}
+
+/// One connected, edge-joined, ordered split `left | right` of a join
+/// expression (rules R1–R3); its crossing edges are
+/// [`SplitTable::crosses`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Split {
+    pub left: RelSet,
+    pub right: RelSet,
+    crosses: (u32, u32),
+}
+
+/// `Fn_split`'s logical half: the splits of one or more expressions,
+/// each listed once by [`SplitTable::push`] and elaborated into every
+/// property group of the expression by [`elaborate`].
+#[derive(Clone, Debug, Default)]
+pub struct SplitTable {
+    splits: Vec<Split>,
+    crosses: Vec<Cross>,
+    examined: u64,
+}
+
+impl SplitTable {
+    /// Appends the splits of `expr` — none unless it joins two or more
+    /// leaves and is connected — and returns their range in
+    /// [`SplitTable::splits`]. Left sides come in
+    /// [`RelSet::proper_subsets`] order, each split's crossing edges by
+    /// id. The order is symmetric: complements within `expr` reverse
+    /// it, so the `k`-th split from the end is the `k`-th one mirrored.
+    pub fn push(&mut self, q: &QuerySpec, g: &JoinGraph, expr: ExprId) -> Range<usize> {
+        let start = self.splits.len();
+        let rel = expr.rel;
+        if expr.agg || rel.len() < 2 || !g.is_connected(rel) {
+            return start..start;
+        }
+        // Complementary connected sides of a connected set are joined by
+        // an edge, and exactly one of them lacks its lowest leaf: only
+        // the connected sets without that leaf are candidates.
+        let rest = RelSet(rel.0 & (rel.0 - 1));
+        let (splits, examined) = (&mut self.splits, &mut self.examined);
+        g.for_each_connected(rest, &mut |right| {
+            *examined += 1;
+            let left = rel.minus(right);
+            if g.is_connected(left) {
+                for (left, right) in [(left, right), (right, left)] {
+                    splits.push(Split {
+                        left,
+                        right,
+                        crosses: (0, 0),
+                    });
+                }
+            }
+        });
+        self.splits[start..].sort_unstable_by_key(|s| std::cmp::Reverse(s.left));
+        for split in &mut self.splits[start..] {
+            let from = self.crosses.len() as u32;
+            for (i, e) in q.edges.iter().enumerate() {
+                if let Some((left, right)) = e.across(split.left, split.right) {
+                    self.crosses.push(Cross {
+                        edge: EdgeId(i as u32),
+                        left,
+                        right,
+                    });
+                }
+            }
+            split.crosses = (from, self.crosses.len() as u32);
+        }
+        start..self.splits.len()
+    }
+
+    /// Every split listed so far, expression after expression.
+    pub fn splits(&self) -> &[Split] {
+        &self.splits
+    }
+
+    /// The edges crossing `split`, by id.
+    pub fn crosses(&self, split: &Split) -> &[Cross] {
+        &self.crosses[split.crosses.0 as usize..split.crosses.1 as usize]
+    }
+
+    /// Candidate sides examined so far (each tested once for a
+    /// connected complement): a deterministic measure of the listing's
+    /// work.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+}
+
+/// Enumerates all alternatives for `(expr, prop)`: [`elaborate`] over
+/// the expression's [`SplitTable`].
 pub fn enumerate_alts(
     q: &QuerySpec,
     g: &JoinGraph,
     expr: ExprId,
     prop: PhysProp,
 ) -> Vec<AltSpec> {
+    let mut table = SplitTable::default();
+    let splits = table.push(q, g, expr);
+    let mut alts = Vec::new();
+    elaborate(q, expr, prop, &table, splits, |alt, _| alts.push(alt));
+    alts
+}
+
+/// `Fn_split`'s physical half: emits the alternatives of group
+/// `(expr, prop)` in enumeration order, given `splits`, the range of
+/// `table` [`SplitTable::push`] returned for `expr`. A join alternative
+/// comes with the index of its split in `table`.
+pub fn elaborate(
+    q: &QuerySpec,
+    expr: ExprId,
+    prop: PhysProp,
+    table: &SplitTable,
+    splits: Range<usize>,
+    mut emit: impl FnMut(AltSpec, Option<usize>),
+) {
     if expr.agg {
-        return enumerate_agg(q, expr, prop);
+        elaborate_agg(q, expr, prop, |alt| emit(alt, None));
+    } else if expr.rel.is_singleton() {
+        elaborate_scan(q, expr, prop, |alt| emit(alt, None));
+    } else {
+        elaborate_join(q, expr, prop, table, splits, emit);
     }
-    if expr.rel.is_singleton() {
-        return enumerate_scan(q, expr, prop);
-    }
-    enumerate_join(q, g, expr, prop)
 }
 
 /// Aggregate root group (only the full relation set carries `agg`).
-fn enumerate_agg(q: &QuerySpec, expr: ExprId, prop: PhysProp) -> Vec<AltSpec> {
+fn elaborate_agg(q: &QuerySpec, expr: ExprId, prop: PhysProp, mut emit: impl FnMut(AltSpec)) {
     debug_assert_eq!(expr.rel, q.all_rels(), "aggregate applies at the root");
     if prop != PhysProp::Any {
-        return Vec::new();
+        return;
     }
     let input = ExprId::rel(expr.rel);
-    let mut alts = vec![AltSpec::unary(
+    emit(AltSpec::unary(
         PhysOp::HashAgg,
         ChildRef::new(input, PhysProp::Any),
-    )];
+    ));
     if let Some(agg) = &q.aggregate {
         if let Some(&g0) = agg.group_by.first() {
-            alts.push(AltSpec::unary(
+            emit(AltSpec::unary(
                 PhysOp::SortAgg,
                 ChildRef::new(input, PhysProp::Sorted(g0)),
             ));
         }
     }
-    alts
 }
 
 /// Leaf access paths (rules R4/R5 + `Fn_phyOp`).
-fn enumerate_scan(q: &QuerySpec, expr: ExprId, prop: PhysProp) -> Vec<AltSpec> {
+fn elaborate_scan(q: &QuerySpec, expr: ExprId, prop: PhysProp, mut emit: impl FnMut(AltSpec)) {
     let leaf_id = expr.rel.leaf();
     let leaf = q.leaf(LeafId(leaf_id));
     // Windowed stream leaves have neither indexes nor clustering: their
     // contents are transient.
     let windowed = leaf.window.is_some();
-    let mut alts = Vec::new();
     match prop {
         PhysProp::Any => {
-            alts.push(AltSpec::leaf(PhysOp::FullScan));
+            emit(AltSpec::leaf(PhysOp::FullScan));
             if !windowed {
-                for &col in &indexed_cols(q, leaf_id) {
-                    alts.push(AltSpec::leaf(PhysOp::IndexScan { col }));
+                for &col in &leaf.indexed_cols {
+                    let col = LeafCol {
+                        leaf: LeafId(leaf_id),
+                        col,
+                    };
+                    emit(AltSpec::leaf(PhysOp::IndexScan { col }));
                 }
             }
         }
         PhysProp::Sorted(c) if c.leaf.0 == leaf_id => {
             if !windowed && table_has_index(q, leaf_id, c) {
-                alts.push(AltSpec::leaf(PhysOp::IndexScan { col: c }));
+                emit(AltSpec::leaf(PhysOp::IndexScan { col: c }));
             }
             if !windowed && is_clustered_on(q, leaf_id, c) {
-                alts.push(AltSpec::leaf(PhysOp::FullScan));
+                emit(AltSpec::leaf(PhysOp::FullScan));
             }
             // Sort enforcer over the unordered scan.
-            alts.push(AltSpec::unary(
+            emit(AltSpec::unary(
                 PhysOp::Sort { col: c },
                 ChildRef::new(expr, PhysProp::Any),
             ));
         }
         PhysProp::Indexed(c) if c.leaf.0 == leaf_id
             && !windowed && table_has_index(q, leaf_id, c) => {
-                alts.push(AltSpec::leaf(PhysOp::IndexScan { col: c }));
+                emit(AltSpec::leaf(PhysOp::IndexScan { col: c }));
             }
         // A property referring to another leaf's column is unsatisfiable.
         _ => {}
     }
-    alts
 }
 
-/// Join splits (rules R1–R3): every connected, edge-joined, ordered split
-/// of the leaf set, elaborated with each applicable physical operator.
-fn enumerate_join(q: &QuerySpec, g: &JoinGraph, expr: ExprId, prop: PhysProp) -> Vec<AltSpec> {
-    let mut alts = Vec::new();
+/// Join splits (rules R1–R3): each of the expression's splits,
+/// elaborated with each applicable physical operator.
+fn elaborate_join(
+    q: &QuerySpec,
+    expr: ExprId,
+    prop: PhysProp,
+    table: &SplitTable,
+    splits: Range<usize>,
+    mut emit: impl FnMut(AltSpec, Option<usize>),
+) {
     if let PhysProp::Indexed(_) = prop {
-        return alts; // only leaves can satisfy an index requirement
+        return; // only leaves can satisfy an index requirement
     }
-    for l in expr.rel.proper_subsets() {
-        let r = expr.rel.minus(l);
-        if !g.is_connected(l) || !g.is_connected(r) || !g.are_joined(l, r) {
-            continue;
-        }
+    for i in splits {
+        let split = &table.splits[i];
+        let (l, r) = (split.left, split.right);
         let (le, re) = (ExprId::rel(l), ExprId::rel(r));
         if prop == PhysProp::Any {
             // Pipelined hash join: build on left, probe on right.
-            alts.push(AltSpec::binary(
-                PhysOp::HashJoin,
-                ChildRef::new(le, PhysProp::Any),
-                ChildRef::new(re, PhysProp::Any),
-            ));
+            emit(
+                AltSpec::binary(
+                    PhysOp::HashJoin,
+                    ChildRef::new(le, PhysProp::Any),
+                    ChildRef::new(re, PhysProp::Any),
+                ),
+                Some(i),
+            );
         }
-        for eid in q.edges_across(l, r) {
-            let (lc, rc) = q.edge(eid).across(l, r).expect("edge crosses the cut");
+        for &Cross { edge, left: lc, right: rc } in table.crosses(split) {
             // Sort-merge join produces output sorted on the left merge
             // column: usable for Any or for exactly Sorted(lc).
             if PhysProp::Sorted(lc).satisfies(prop) {
-                alts.push(AltSpec::binary(
-                    PhysOp::SortMergeJoin { edge: eid },
-                    ChildRef::new(le, PhysProp::Sorted(lc)),
-                    ChildRef::new(re, PhysProp::Sorted(rc)),
-                ));
+                emit(
+                    AltSpec::binary(
+                        PhysOp::SortMergeJoin { edge },
+                        ChildRef::new(le, PhysProp::Sorted(lc)),
+                        ChildRef::new(re, PhysProp::Sorted(rc)),
+                    ),
+                    Some(i),
+                );
             }
             // Indexed nested-loop: left child must be a single indexed
             // base leaf (the inner), per Table 1.
@@ -184,33 +317,24 @@ fn enumerate_join(q: &QuerySpec, g: &JoinGraph, expr: ExprId, prop: PhysProp) ->
                 && table_has_index(q, l.leaf(), lc)
                 && q.leaf(lc.leaf).window.is_none()
             {
-                alts.push(AltSpec::binary(
-                    PhysOp::IndexNLJoin { edge: eid },
-                    ChildRef::new(le, PhysProp::Indexed(lc)),
-                    ChildRef::new(re, PhysProp::Any),
-                ));
+                emit(
+                    AltSpec::binary(
+                        PhysOp::IndexNLJoin { edge },
+                        ChildRef::new(le, PhysProp::Indexed(lc)),
+                        ChildRef::new(re, PhysProp::Any),
+                    ),
+                    Some(i),
+                );
             }
         }
     }
     if let PhysProp::Sorted(c) = prop {
         // Sort enforcer over the unordered join result.
-        alts.push(AltSpec::unary(
-            PhysOp::Sort { col: c },
-            ChildRef::new(expr, PhysProp::Any),
-        ));
+        emit(
+            AltSpec::unary(PhysOp::Sort { col: c }, ChildRef::new(expr, PhysProp::Any)),
+            None,
+        );
     }
-    alts
-}
-
-fn indexed_cols(q: &QuerySpec, leaf_id: u32) -> Vec<LeafCol> {
-    q.leaf(LeafId(leaf_id))
-        .indexed_cols
-        .iter()
-        .map(|&col| LeafCol {
-            leaf: LeafId(leaf_id),
-            col,
-        })
-        .collect()
 }
 
 fn table_has_index(q: &QuerySpec, leaf_id: u32, c: LeafCol) -> bool {
@@ -225,7 +349,6 @@ fn is_clustered_on(q: &QuerySpec, leaf_id: u32, c: LeafCol) -> bool {
 mod tests {
     use super::*;
     use crate::query::{AggFunc, AggSpec, QuerySpec};
-    use crate::relset::RelSet;
     use reopt_catalog::{Catalog, ColumnStats, TableBuilder, TableStats};
 
     /// Catalog with three tables; `b` is indexed + clustered on `k`.
@@ -415,5 +538,45 @@ mod tests {
         assert!(!got
             .iter()
             .any(|s| matches!(s.op, PhysOp::IndexNLJoin { .. })));
+    }
+
+    #[test]
+    fn split_lists_are_the_connected_joined_subsets_in_order() {
+        // A 4-cycle with a chord, by brute force over every expression;
+        // a disconnected expression has no splits, scans and aggregates
+        // none; each list reads the same backwards, mirrored.
+        let cat = catalog();
+        let mut qb = QuerySpec::builder("cycle");
+        let l: Vec<_> = (0..4).map(|_| qb.leaf(&cat, "b")).collect();
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)] {
+            qb.join(&cat, l[a], "k", l[b], "j");
+        }
+        let q = qb.build();
+        let g = JoinGraph::new(&q);
+        let mut table = SplitTable::default();
+        let all = q.all_rels();
+        for rel in all.proper_subsets().chain([all]) {
+            let range = table.push(&q, &g, ExprId::rel(rel));
+            let got: Vec<_> = table.splits()[range.clone()].iter().map(|s| (s.left, s.right)).collect();
+            let want: Vec<_> = rel
+                .proper_subsets()
+                .map(|l| (l, rel.minus(l)))
+                .filter(|&(l, r)| g.is_connected(l) && g.is_connected(r) && g.are_joined(l, r))
+                .collect();
+            assert_eq!(got, want, "splits of {rel}");
+            let mirrored: Vec<_> = got.iter().rev().map(|&(l, r)| (r, l)).collect();
+            assert_eq!(got, mirrored);
+            for s in &table.splits()[range] {
+                let ids: Vec<EdgeId> = table.crosses(s).iter().map(|c| c.edge).collect();
+                assert_eq!(ids, q.edges_across(s.left, s.right).collect::<Vec<_>>());
+            }
+        }
+        let mut chain = SplitTable::default();
+        let q = self::chain();
+        let g = JoinGraph::new(&q);
+        assert!(chain.push(&q, &g, ExprId::rel(RelSet(0b101))).is_empty());
+        assert!(chain.push(&q, &g, ExprId::rel(RelSet(0b001))).is_empty());
+        assert!(chain.push(&q, &g, ExprId { rel: RelSet(0b111), agg: true }).is_empty());
+        assert_eq!(chain.push(&q, &g, ExprId::rel(RelSet(0b111))).len(), 4);
     }
 }

@@ -62,6 +62,35 @@ impl JoinGraph {
     pub fn are_joined(&self, l: RelSet, r: RelSet) -> bool {
         !self.neighbors(l).intersect(r).is_empty()
     }
+
+    /// Calls `f` once on every non-empty connected subset of `within`,
+    /// without visiting a disconnected one: the csg enumeration of
+    /// Moerkotte and Neumann's DPccp, which grows each set from its
+    /// lowest leaf.
+    pub fn for_each_connected(&self, within: RelSet, f: &mut impl FnMut(RelSet)) {
+        for leaf in within.iter() {
+            let seed = RelSet::singleton(leaf);
+            f(seed);
+            // Leaves at or below the seed's are grown from elsewhere.
+            self.grow(seed, RelSet(seed.0 | (seed.0 - 1) | !within.0), f);
+        }
+    }
+
+    /// Emits every extension of `set` by a non-empty subset of its
+    /// neighbours outside `excluded`, then grows each with those
+    /// neighbours excluded, so no set is reached twice.
+    fn grow(&self, set: RelSet, excluded: RelSet, f: &mut impl FnMut(RelSet)) {
+        let n = self.neighbors(set).minus(excluded);
+        if n.is_empty() {
+            return;
+        }
+        let extensions = || n.proper_subsets().chain([n]).map(|s| set.union(s));
+        extensions().for_each(&mut *f);
+        let excluded = excluded.union(n);
+        for grown in extensions() {
+            self.grow(grown, excluded, f);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -160,5 +189,31 @@ mod tests {
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sizes, sorted);
+    }
+
+    #[test]
+    fn for_each_connected_visits_each_connected_subset_once() {
+        let shapes: [(u32, &[(u32, u32)]); 4] = [
+            (5, &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+            (5, &[(0, 1), (0, 2), (0, 3), (0, 4)]),
+            (5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]),
+            (6, &[(0, 1), (1, 2), (3, 4)]),
+        ];
+        for (n, edges) in shapes {
+            let g = graph(n, edges);
+            let full = RelSet::full(n);
+            for within in full.proper_subsets().chain([full]) {
+                let mut got = Vec::new();
+                g.for_each_connected(within, &mut |s| got.push(s));
+                got.sort();
+                let mut want: Vec<RelSet> = within
+                    .proper_subsets()
+                    .chain([within])
+                    .filter(|&s| g.is_connected(s))
+                    .collect();
+                want.sort();
+                assert_eq!(got, want, "{edges:?} within {within}");
+            }
+        }
     }
 }

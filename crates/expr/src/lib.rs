@@ -13,7 +13,7 @@ pub mod props;
 pub mod query;
 pub mod relset;
 
-pub use enumerate::{enumerate_alts, AltSpec, ChildRef};
+pub use enumerate::{elaborate, enumerate_alts, AltSpec, ChildRef, Cross, Split, SplitTable};
 pub use graph::JoinGraph;
 pub use ops::PhysOp;
 pub use plan::PlanNode;

@@ -143,6 +143,9 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
+    /// The most leaves a query may hold: [`RelSet`] is a `u32` mask.
+    pub const MAX_LEAVES: u32 = 32;
+
     pub fn leaf(&self, id: LeafId) -> &Leaf {
         &self.leaves[id.0 as usize]
     }
@@ -202,11 +205,19 @@ impl QueryBuilder {
         self.leaf_aliased(catalog, table_name, table_name)
     }
 
-    /// Adds an aliased leaf (needed for self-joins).
+    /// Adds an aliased leaf (needed for self-joins). Panics past
+    /// [`QuerySpec::MAX_LEAVES`].
     pub fn leaf_aliased(&mut self, catalog: &Catalog, table_name: &str, alias: &str) -> LeafId {
         let table = catalog
             .table_by_name(table_name)
             .unwrap_or_else(|| panic!("unknown table `{table_name}`"));
+        assert!(
+            self.leaves.len() < QuerySpec::MAX_LEAVES as usize,
+            "leaf `{alias}` would be leaf {}: a query holds at most {} leaves (a leaf set is a \
+             32-bit mask)",
+            self.leaves.len() + 1,
+            QuerySpec::MAX_LEAVES
+        );
         let id = LeafId(self.leaves.len() as u32);
         self.leaves.push(Leaf {
             table: table.id,
@@ -372,5 +383,25 @@ mod tests {
     fn unknown_table_panics() {
         let c = catalog();
         QuerySpec::builder("bad").leaf(&c, "nope");
+    }
+
+    #[test]
+    fn a_query_holds_32_leaves() {
+        let c = catalog();
+        let mut b = QuerySpec::builder("wide");
+        for _ in 0..32 {
+            b.leaf(&c, "r");
+        }
+        assert_eq!(b.build().all_rels(), RelSet(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 leaves")]
+    fn a_33rd_leaf_panics() {
+        let c = catalog();
+        let mut b = QuerySpec::builder("too wide");
+        for _ in 0..33 {
+            b.leaf(&c, "r");
+        }
     }
 }
