@@ -41,6 +41,7 @@ use reopt_datalog::{
     Distinct, ExternalFn, FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, NodeStats,
     OrderedMultiset, RunStats, SchedulerMode, SinkId, Tuple, Union, Val,
 };
+use reopt_datalog::value::INLINE_CAP;
 
 /// The value standing in for the rules' `null` constant: a dedicated
 /// interned symbol. It joins and filters like any other value and can
@@ -668,7 +669,8 @@ impl Compiler {
     /// One stored-relation body atom: filter constants / duplicate
     /// variables, project to the distinct variable columns that are
     /// still *needed* — either live downstream (`live`) or join keys
-    /// shared with the accumulated binding (`prior`).
+    /// shared with the accumulated binding (`prior`) — unless those
+    /// would still spill, in which case the row goes on whole.
     fn compile_scan(
         &mut self,
         rule: &Rule,
@@ -729,9 +731,20 @@ impl Compiler {
         }
         proj.truncate(k);
         vars.truncate(k);
-        // Identity scan (all positions distinct live vars): read
-        // directly.
-        if checks.is_empty() && proj.len() == atom.arity() {
+        // A row whose kept columns would still spill is passed on whole
+        // (shared, not copied): its dead columns go unnamed, so nothing
+        // joins on them, and the next join's projection drops them.
+        let whole = proj.len() > INLINE_CAP;
+        if whole {
+            let mut named = vec![String::new(); atom.arity()];
+            for (&c, v) in proj.iter().zip(vars) {
+                named[c] = v;
+            }
+            vars = named;
+        }
+        // Identity scan (all positions distinct live vars) or a whole
+        // row with nothing to check: read directly.
+        if checks.is_empty() && (whole || proj.len() == atom.arity()) {
             return Ok(Binding { node: source, vars });
         }
         let node = self.df.add_op(
@@ -745,7 +758,7 @@ impl Compiler {
                         return None;
                     }
                 }
-                Some(t.project(&proj))
+                Some(if whole { t.clone() } else { t.project(&proj) })
             }),
             &[source],
         );
@@ -760,7 +773,7 @@ impl Compiler {
     /// projection hop).
     fn compile_join(&mut self, left: Binding, right: Binding, live: &[String]) -> Binding {
         let shared: Vec<&String> =
-            left.vars.iter().filter(|v| right.vars.contains(v)).collect();
+            left.vars.iter().filter(|v| !v.is_empty() && right.vars.contains(v)).collect();
         let lk: Vec<usize> = shared.iter().map(|v| left.col(v).unwrap()).collect();
         let rk: Vec<usize> = shared.iter().map(|v| right.col(v).unwrap()).collect();
         // Output = (left ++ right) restricted to live variables (first
@@ -910,10 +923,15 @@ impl Compiler {
                 vars.push(v.clone());
             }
         }
-        // A guard — it binds no column and keeps every binding column —
-        // passes its input tuple on once its checks hold.
-        let guard =
-            keep.len() == binding.vars.len() && !outs.iter().any(|o| matches!(o, Out::Bind));
+        // A guard — it binds no column and keeps every binding column,
+        // or more than a row holds inline — passes its input tuple on
+        // once its checks hold, its dead columns unnamed.
+        let guard = (keep.len() == binding.vars.len() || keep.len() > INLINE_CAP)
+            && !outs.iter().any(|o| matches!(o, Out::Bind));
+        if guard {
+            let name = |v: &String| if live.contains(v) { v.clone() } else { String::new() };
+            vars = binding.vars.iter().map(name).collect();
+        }
         let body = Rc::clone(&def.body);
         let label = atom.relation.clone();
         let n_out = outs.len();
@@ -1764,6 +1782,70 @@ mod tests {
         net.insert("K", ints(&[9]));
         net.run().unwrap();
         assert_eq!(net.sink("Out").unwrap().sorted(), vec![ints(&[9, 8])]);
+    }
+
+    /// `L(a,b,c,-,d,e,-)` and `R(a,b,f,g,h,-,-)` keep five columns
+    /// each, more than a row holds inline, so both are read whole: the
+    /// scans and the `Fn_pos` guard pass rows on without a projecting
+    /// `Map`, and the join keys on `a, b` only — never on the unnamed
+    /// dead columns both sides carry.
+    #[test]
+    fn wide_rows_pass_through_scans_and_guards_whole() {
+        let mut net = NetworkBuilder::new()
+            .input("L", 7)
+            .input("R", 7)
+            .external("Fn_pos", 1, |args, emit| {
+                if args[0].as_int() > 0 {
+                    emit(&[]);
+                }
+            })
+            .rule_texts([
+                "W: Out(a,c,d,e,f,g,h) :- L(a,b,c,-,d,e,-), Fn_pos(d), R(a,b,f,g,h,-,-);",
+            ])
+            .unwrap()
+            .sink("Out")
+            .build()
+            .unwrap();
+        let labels: Vec<String> = net.node_stats().into_iter().map(|n| n.label).collect();
+        assert!(!labels.iter().any(|l| l.starts_with("map")), "{labels:?}");
+        // The naive join of the rows of L and R.
+        let derive = |ls: &[[i64; 7]], rs: &[[i64; 7]]| {
+            let mut out: Vec<Tuple> = (ls.iter())
+                .flat_map(|l| rs.iter().map(move |r| (l, r)))
+                .filter(|(l, r)| l[..2] == r[..2] && l[4] > 0)
+                .map(|(l, r)| ints(&[l[0], l[2], l[4], l[5], r[2], r[3], r[4]]))
+                .collect();
+            out.sort();
+            out.dedup();
+            out
+        };
+        // Dead columns differ between the sides and between rows that
+        // agree on every live one; `l[4] <= 0` fails the guard.
+        let (mut ls, mut rs) = (Vec::new(), Vec::new());
+        let script: [(bool, bool, [i64; 7]); 8] = [
+            (true, true, [1, 2, 3, 7, 5, 6, 8]),
+            (true, true, [1, 2, 3, 9, 5, 6, 9]),
+            (false, true, [1, 2, 10, 11, 12, 13, 14]),
+            (true, true, [4, 4, 4, 4, -1, 4, 4]),
+            (false, true, [4, 4, 5, 5, 5, 1, 2]),
+            (false, true, [1, 3, 10, 11, 12, 3, 3]),
+            (true, false, [1, 2, 3, 7, 5, 6, 8]),
+            (false, true, [1, 2, 20, 21, 22, 23, 24]),
+        ];
+        for (left, insert, row) in script {
+            let (rel, rows) = if left { ("L", &mut ls) } else { ("R", &mut rs) };
+            if insert {
+                rows.push(row);
+                net.insert(rel, ints(&row));
+            } else {
+                rows.retain(|r| *r != row);
+                net.delete(rel, ints(&row));
+            }
+            net.run().unwrap();
+            assert_eq!(net.sink("Out").unwrap().sorted(), derive(&ls, &rs), "{rel} {row:?}");
+        }
+        assert_eq!(net.sink("Out").unwrap().len(), 2);
+        assert!(!net.sink("Out").unwrap().has_negative_counts());
     }
 
     #[test]

@@ -165,17 +165,22 @@ fn program() -> &'static [Rule] {
     })
 }
 
-/// The relations a network materializes for the driver.
-const SINKS: [&str; 2] = ["SearchSpace", "BestCost"];
+/// Every relation the audit looks at, by name.
+const VIEWS: [&str; 3] = ["SearchSpace", "BestCost", "PlanCost"];
 
-/// Every relation the audit looks at: the sinks, and the `PlanCost`
-/// rows plan extraction probes.
+/// The rows the network keeps for `relation`: the sink of `BestCost`,
+/// which is read off D9's aggregate and so is the one relation a
+/// network materializes, or the counted rows the `Distinct` of a
+/// multi-rule relation gates (`SearchSpace`, `PlanCost`).
+fn view<'a>(net: &'a RuleNetwork, relation: &str) -> Option<&'a Multiset> {
+    net.sink(relation).or_else(|| net.distinct_state(relation))
+}
+
+/// Every relation the audit looks at, with its rows.
 fn views(net: &RuleNetwork) -> impl Iterator<Item = (&'static str, &Multiset)> {
-    let sinks = SINKS.iter().map(move |&name| {
-        let sink = net.sink(name);
-        (name, sink.expect("build_network materializes every view the driver reads"))
-    });
-    sinks.chain(std::iter::once(("PlanCost", plan_cost_rows(net))))
+    VIEWS.into_iter().map(move |name| {
+        (name, view(net, name).expect("build_network keeps every view the driver reads"))
+    })
 }
 
 /// The rows of `PlanCost`, where the network keeps them.
@@ -548,9 +553,9 @@ impl DataflowEngine {
     /// The audit itself, independent of sampling. Three checks, each
     /// surfacing as [`DataflowError::InvariantViolation`]:
     ///
-    /// 1. no residual negative counts in any view — the sinks and the
-    ///    `PlanCost` rows (a torn epoch would leave the retraction half
-    ///    of an update);
+    /// 1. no residual negative counts in any view ([`VIEWS`]: the
+    ///    `SearchSpace` and `PlanCost` rows and the `BestCost` sink — a
+    ///    torn epoch would leave the retraction half of an update);
     /// 2. the live views match a from-scratch recompute on a fresh
     ///    network seeded from the pruning authority's held set (catches
     ///    substrate drift and a `LocalCost` relation torn from it);
@@ -618,18 +623,19 @@ impl DataflowEngine {
         self.net.set_max_steps(steps);
     }
 
-    /// A materialized sink relation, by name (`None` for a relation
-    /// the network does not materialize) — chaos tests compare these
-    /// across recovery paths.
-    pub fn sink(&self, relation: &str) -> Option<&Multiset> {
-        self.net.sink(relation)
+    /// The rows the network keeps for a relation, by name, with their
+    /// derivation counts: `SearchSpace`, `BestCost` or `PlanCost`
+    /// (`None` for an input, for `BestPlan`, which is answered on
+    /// demand, and for a name the program does not derive) — chaos
+    /// tests compare these across recovery paths.
+    pub fn view(&self, relation: &str) -> Option<&Multiset> {
+        view(&self.net, relation)
     }
 
-    /// One of the sinks [`build_network`] requests ([`SINKS`]).
-    fn view(&self, relation: &str) -> &Multiset {
-        self.net
-            .sink(relation)
-            .expect("build_network materializes every view the driver reads")
+    /// One of the relations the audit looks at ([`VIEWS`]).
+    fn rows(&self, relation: &str) -> &Multiset {
+        self.view(relation)
+            .expect("build_network keeps every view the driver reads")
     }
 
     /// The `(expr, prop)` columns every row about group `g` starts with.
@@ -736,7 +742,7 @@ impl DataflowEngine {
     pub fn best_plan_rows(&self) -> Vec<Tuple> {
         let plan_cost = plan_cost_rows(&self.net);
         let mut rows = Vec::new();
-        for (t, _) in self.view("BestCost").iter() {
+        for (t, _) in self.rows("BestCost").iter() {
             let key = [t.get(0), t.get(1)];
             let g = self
                 .memo
@@ -782,7 +788,7 @@ impl DataflowEngine {
     /// Distinct `SearchSpace` tuples the network derived — compared by
     /// tests against the memo's alternative count.
     pub fn search_space_size(&self) -> usize {
-        self.view("SearchSpace").len()
+        self.rows("SearchSpace").len()
     }
 
     /// Dataflow node count (diagnostics).
@@ -921,14 +927,11 @@ fn build_network(
             ]
         })
         .collect();
-    let mut builder = NetworkBuilder::new()
+    NetworkBuilder::new()
         .scheduler_mode(mode)
         .input("Expr", 2)
-        .input("LocalCost", 4);
-    for name in SINKS {
-        builder = builder.sink(name);
-    }
-    builder
+        .input("LocalCost", 4)
+        .sink("BestCost")
         .rules(program().iter().cloned())
         // `PlanCost(expr,prop,index,cost)`, held by `index`.
         .release_order("PlanCost", 2, strata.to_vec())
@@ -1011,7 +1014,7 @@ mod tests {
         parse_rules([BEST_PLAN_RULE]).expect("the specification of `best_plan` parses");
         let c = fixture_catalog();
         let opt = DataflowEngine::new(&c, chain_query(&c, 3));
-        assert_eq!(opt.network_nodes(), 30);
+        assert_eq!(opt.network_nodes(), 28);
         // What the compiler's proofs leave of it: `BestCost` is read
         // off D9's aggregate, each join's `Fn_sum` is a stateless node
         // the scheduler chains behind it, and of the cost loop only the
@@ -1024,7 +1027,7 @@ mod tests {
         }
         assert!(!nodes.iter().any(|n| n.label.contains("D10")), "{nodes:?}");
         assert_eq!(opt.arrangements(), 2);
-        assert!(opt.sink("BestPlan").is_none());
+        assert!(opt.view("BestPlan").is_none());
         for chained in ["Fn_sum[D7]", "Fn_sum[D8]"] {
             assert!(!live(chained).unwrap().coalesces, "{chained}");
         }
@@ -1182,8 +1185,8 @@ mod tests {
             assert!(other.recovery.is_clean(), "{batch:?}: {:?}", other.recovery);
             assert_agree(&got, &want, &format!("{batch:?}"));
             assert_eq!((got.cost, &got.plan), (other.cost, &other.plan), "{batch:?}");
-            for name in SINKS {
-                assert_eq!(counted(df.view(name)), counted(per_delta.view(name)), "{name}");
+            for name in VIEWS {
+                assert_eq!(counted(df.rows(name)), counted(per_delta.rows(name)), "{name}");
             }
         }
     }
@@ -1229,8 +1232,8 @@ mod tests {
         assert_eq!(got.plan, want.plan);
         for name in ["SearchSpace", "BestCost"] {
             assert_eq!(
-                counted(victim.sink(name).unwrap()),
-                counted(oracle.sink(name).unwrap()),
+                counted(victim.rows(name)),
+                counted(oracle.rows(name)),
                 "{name}"
             );
         }
@@ -1268,8 +1271,8 @@ mod tests {
             assert_eq!(got.plan, want.plan);
             for name in ["SearchSpace", "BestCost"] {
                 assert_eq!(
-                    counted(victim.sink(name).unwrap()),
-                    counted(oracle.sink(name).unwrap()),
+                    counted(victim.rows(name)),
+                    counted(oracle.rows(name)),
                     "{name}"
                 );
             }
@@ -1507,13 +1510,19 @@ mod tests {
         let c = fixture_catalog();
         let mut df = DataflowEngine::new(&c, chain_query(&c, 3));
         df.optimize();
-        assert!(df.sink("BestCost").is_some());
-        // `PlanCost` exists but is not materialized, `BestPlan` is
-        // answered on demand (`best_plan_rows`); `Typo` does not exist.
-        assert!(df.sink("PlanCost").is_none());
-        assert!(df.sink("BestPlan").is_none());
+        for kept in VIEWS {
+            assert!(df.view(kept).is_some(), "{kept}");
+        }
+        // Only `BestCost` is materialized: `SearchSpace` and `PlanCost`
+        // are read where their `Distinct`s keep them. `Expr` is an input,
+        // `BestPlan` is answered on demand (`best_plan_rows`); `Typo`
+        // does not exist.
+        assert!(df.net.sink("BestCost").is_some());
+        assert!(df.net.sink("SearchSpace").is_none());
+        assert!(df.view("Expr").is_none());
+        assert!(df.view("BestPlan").is_none());
         assert!(!df.best_plan_rows().is_empty());
-        assert!(df.sink("Typo").is_none());
+        assert!(df.view("Typo").is_none());
     }
 
     /// A restart is a first boot on the recovered parameters: whatever
@@ -1630,7 +1639,7 @@ mod tests {
                     })
                     .collect();
                 want.sort();
-                let space = df.sink("SearchSpace").unwrap();
+                let space = df.rows("SearchSpace");
                 assert_eq!(space.sorted(), want, "{shape}{n}");
                 assert!(space.iter().all(|(_, count)| count == 1), "{shape}{n}");
                 let splits: Vec<u64> = (nodes.iter())
@@ -1705,7 +1714,7 @@ mod tests {
                     .collect(),
             );
             assert_eq!(holders, referenced, "LocalCost holders");
-            let best = df.view("BestCost").iter().map(|(t, _)| group_of(df, t));
+            let best = df.rows("BestCost").iter().map(|(t, _)| group_of(df, t));
             assert_eq!(sorted(best.collect()), referenced, "BestCost groups");
             let plan_cost = plan_cost_rows(&df.net).iter();
             let derived = plan_cost.map(|(t, _)| AltId(t.get(2).as_int() as u32));

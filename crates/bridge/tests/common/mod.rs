@@ -118,19 +118,19 @@ impl Engine for DataflowEngine {
         (d.best_cost(), d.best_plan())
     }
 
-    /// Cost, plan, the materialized sinks with counts, and `BestPlan`
-    /// as answered on demand.
+    /// Cost, plan, the `SearchSpace` and `BestCost` views with counts,
+    /// and `BestPlan` as answered on demand.
     fn assert_same(a: &Durable<Self>, b: &Durable<Self>, what: &str) {
         assert_eq!(Self::best(a), Self::best(b), "decl {what}: best cost or plan diverged");
         for name in ["SearchSpace", "BestCost"] {
             assert!(
-                !a.sink(name).unwrap().has_negative_counts(),
+                !a.view(name).unwrap().has_negative_counts(),
                 "decl {what}: residual negative counts in {name}"
             );
             assert_eq!(
-                sink_sorted(a.sink(name).unwrap()),
-                sink_sorted(b.sink(name).unwrap()),
-                "decl {what}: sink {name} diverged"
+                sink_sorted(a.view(name).unwrap()),
+                sink_sorted(b.view(name).unwrap()),
+                "decl {what}: view {name} diverged"
             );
         }
         assert_eq!(a.best_plan_rows(), b.best_plan_rows(), "decl {what}: BestPlan diverged");

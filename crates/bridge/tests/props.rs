@@ -111,7 +111,7 @@ impl MaintainedD10 {
             .sink("BestPlan")
             .build()
             .expect("D6–D10 compile");
-        for (row, _) in df.sink("SearchSpace").unwrap().iter() {
+        for (row, _) in df.view("SearchSpace").unwrap().iter() {
             net.insert("SearchSpace", row.clone());
         }
         let mut reference = MaintainedD10 { net, fed: Vec::new() };
@@ -459,12 +459,12 @@ proptest! {
         }
         for name in ["SearchSpace", "BestCost"] {
             prop_assert!(
-                !victim.sink(name).unwrap().has_negative_counts(),
+                !victim.view(name).unwrap().has_negative_counts(),
                 "residual negative counts in {name} after recovery"
             );
             prop_assert_eq!(
-                sink_sorted(victim.sink(name).unwrap()),
-                sink_sorted(oracle.sink(name).unwrap()),
+                sink_sorted(victim.view(name).unwrap()),
+                sink_sorted(oracle.view(name).unwrap()),
                 "sink {} diverged from the fault-free oracle", name
             );
         }

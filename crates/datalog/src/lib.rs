@@ -26,7 +26,8 @@
 //! - **Allocation-lean tuples**: value sequences up to
 //!   [`value::INLINE_CAP`] long live inline in the [`Tuple`] (no heap
 //!   traffic on the projection/join/key hot path); longer ones spill to
-//!   a shared `Arc<[Val]>`. Strings are interned ([`intern::Sym`]) so
+//!   a shared, single-threaded `Rc<[Val]>` (tuples never cross a
+//!   thread, so sharing one costs no atomic operation). Strings are interned ([`intern::Sym`]) so
 //!   string-bearing tuples pack inline too and `Val` is 16 bytes.
 //! - **External functions as operators** ([`ops::ExternalFn`]): the
 //!   paper's `Fn_*` predicates run inside the dataflow, processing delta

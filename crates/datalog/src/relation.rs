@@ -6,6 +6,7 @@
 //! affects the output of a stateful operator if its count is positive."
 
 use std::cell::{Ref, RefCell, RefMut};
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 use reopt_common::FxHashMap;
@@ -117,11 +118,15 @@ impl Multiset {
 /// larger ones maintain a tuple→position index.
 const LINEAR_BUCKET_MAX: usize = 8;
 
-/// One key's entries. Both layouts keep the tuples in a flat vector so
+/// One key's entries. Every layout keeps the tuples contiguous so
 /// probes — the join's inner loop — iterate densely; they differ only
-/// in how updates locate an entry.
+/// in where the entries live and how updates locate one.
 #[derive(Clone, Debug)]
 enum Bucket {
+    /// The one entry of a key, held in the map slot itself: the common
+    /// case for near-unique keys (alternative ids, group keys), which
+    /// then cost no heap block of their own.
+    One((Tuple, i64)),
     /// Few entries: linear scan.
     Small(Vec<(Tuple, i64)>),
     /// Many entries (e.g. a transitive-closure node with many
@@ -137,6 +142,7 @@ impl Bucket {
     #[inline]
     fn entries(&self) -> &[(Tuple, i64)] {
         match self {
+            Bucket::One(e) => std::slice::from_ref(e),
             Bucket::Small(v) => v,
             Bucket::Large { entries, .. } => entries,
         }
@@ -146,6 +152,18 @@ impl Bucket {
     /// bucket is left empty.
     fn apply(&mut self, delta: &Delta, total: &mut usize) -> bool {
         match self {
+            Bucket::One((t, c)) if *t == delta.tuple => {
+                *c += delta.count;
+                if *c == 0 {
+                    *total -= 1;
+                    return true;
+                }
+            }
+            Bucket::One(e) => {
+                let first = e.clone();
+                *self = Bucket::Small(vec![first, (delta.tuple.clone(), delta.count)]);
+                *total += 1;
+            }
             Bucket::Small(v) => match v.iter().position(|(t, _)| *t == delta.tuple) {
                 Some(i) => {
                     v[i].1 += delta.count;
@@ -201,9 +219,10 @@ impl Bucket {
 ///
 /// The index is keyed by the *hash of the key columns*, computed
 /// directly from each tuple ([`Tuple::hash_cols`]) — no key tuple is
-/// ever materialized. Hash buckets store full tuples in flat vectors
-/// (`Bucket`): probes iterate densely, updates scan linearly while
-/// the bucket is small and through a position index once it grows.
+/// ever materialized. Hash buckets store full tuples (`Bucket`): a
+/// key's only entry in its map slot, more in a flat vector. Probes
+/// iterate densely, updates scan linearly while the bucket is small
+/// and through a position index once it grows.
 /// Probes re-check key-column equality, so colliding keys sharing a
 /// bucket stay correct.
 #[derive(Clone, Debug, Default)]
@@ -240,12 +259,16 @@ impl IndexedMultiset {
             return;
         }
         debug_assert_eq!(h, delta.tuple.hash_cols(&self.key_cols));
-        let bucket = self
-            .by_key
-            .entry(h)
-            .or_insert_with(|| Bucket::Small(Vec::new()));
-        if bucket.apply(delta, &mut self.total) {
-            self.by_key.remove(&h);
+        match self.by_key.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One((delta.tuple.clone(), delta.count)));
+                self.total += 1;
+            }
+            Entry::Occupied(mut slot) => {
+                if slot.get_mut().apply(delta, &mut self.total) {
+                    slot.remove();
+                }
+            }
         }
     }
 
@@ -462,6 +485,49 @@ mod tests {
         }
         assert_eq!(m.total_tuples(), 0);
         assert_eq!(m.matches(&ints(&[7, 0]), &[0]).count(), 0);
+    }
+
+    #[test]
+    fn single_entry_buckets_grow_go_negative_and_empty() {
+        let mut m = IndexedMultiset::new(vec![0]);
+        let (a, b) = (ints(&[1, 10]), ints(&[2, 20]));
+        // `b` filed under `a`'s key hash: a colliding key, which
+        // `apply_hashed` (it checks the hash) cannot produce on demand.
+        let h = a.hash_cols(&[0]);
+        let collide = |m: &mut IndexedMultiset, d: Delta| {
+            if m.by_key.get_mut(&h).unwrap().apply(&d, &mut m.total) {
+                m.by_key.remove(&h);
+            }
+        };
+        m.apply(&Delta::insert(a.clone()));
+        assert!(matches!(m.by_key[&h], Bucket::One(_)));
+        // The second tuple grows the slot into a vector, and a probe
+        // still sees only its own key's tuple.
+        collide(&mut m, Delta::insert(b.clone()));
+        assert!(matches!(&m.by_key[&h], Bucket::Small(v) if v.len() == 2));
+        assert_eq!(m.total_tuples(), 2);
+        let probe = ints(&[1]);
+        let hits: Vec<&Tuple> = m.matches(&probe, &[0]).map(|(t, _)| t).collect();
+        assert_eq!(hits, vec![&a]);
+        // A deletion ahead of its insertion leaves a negative count in a
+        // single-entry bucket, visible to probes with its sign; the
+        // insertion cancels it and removes the key.
+        let c = ints(&[3, 30]);
+        m.apply(&Delta::delete(c.clone()));
+        let probe = ints(&[3]);
+        let got: Vec<i64> = m.matches(&probe, &[0]).map(|(_, n)| n).collect();
+        assert_eq!(got, vec![-1]);
+        assert_eq!(m.total_tuples(), 3);
+        m.apply(&Delta::insert(c.clone()));
+        assert_eq!(m.matches(&probe, &[0]).count(), 0);
+        assert_eq!((m.by_key.len(), m.total_tuples()), (1, 2));
+        // Removal to empty: a single entry, then the grown bucket.
+        m.apply(&Delta::with_count(c.clone(), 2));
+        m.apply(&Delta::with_count(c, -2));
+        collide(&mut m, Delta::delete(a));
+        collide(&mut m, Delta::delete(b));
+        assert_eq!(m.total_tuples(), 0);
+        assert!(m.by_key.is_empty());
     }
 
     #[test]

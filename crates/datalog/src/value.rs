@@ -7,7 +7,10 @@
 //! [`crate::intern`]), so short tuples of up to [`INLINE_CAP`] values of
 //! *any* kind are stored inline as packed 64-bit words: 48 bytes,
 //! `memcpy`-clonable, no heap traffic and no drop glue. Only tuples
-//! longer than [`INLINE_CAP`] spill to a shared `Arc<[Val]>`.
+//! longer than [`INLINE_CAP`] spill to a shared `Rc<[Val]>`: a tuple
+//! never crosses a thread (a dataflow runs on the thread that built
+//! it), so cloning and dropping a wide row — once per consumer it fans
+//! out to — is a plain, not an atomic, count update.
 //!
 //! The representation is **canonical**: a given logical value sequence
 //! always packs the same way (short ⟺ inline), so equality and hashing
@@ -16,7 +19,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use reopt_common::{Cost, FxHasher};
 
@@ -179,12 +182,12 @@ enum Repr {
     /// once at construction. Wide tuples are hashed at *every* stateful
     /// hop (batch coalescing, join indexes, multiset state, sinks), so
     /// caching the digest turns each of those into a single `u64` write.
-    Spilled(Arc<[Val]>, u64),
+    Spilled(Rc<[Val]>, u64),
 }
 
 /// Builds the spilled representation, computing the canonical hash
 /// (length, then each value's packed `(tag, word)`) exactly once.
-fn spill(vals: Arc<[Val]>) -> Repr {
+fn spill(vals: Rc<[Val]>) -> Repr {
     let mut h = FxHasher::default();
     h.write_usize(vals.len());
     for v in vals.iter() {
