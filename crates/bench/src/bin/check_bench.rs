@@ -1,14 +1,17 @@
-//! Bench-regression gate: compares a freshly produced `REOPT_BENCH_JSON`
-//! report against a committed baseline and fails (exit 1) if any shared
+//! Bench-regression gate: compares freshly produced `REOPT_BENCH_JSON`
+//! reports against a committed baseline and fails (exit 1) if any shared
 //! benchmark's median regressed beyond the tolerance.
 //!
-//! Usage: `check_bench <baseline.json> <current.json> [tolerance]`
-//! where `tolerance` is a fraction (default 0.25 = 25%). On top of the
+//! Usage: `check_bench <baseline.json> <current.json>... [tolerance]`
+//! where `tolerance` is a fraction (default 0.25 = 25%). Given several
+//! current reports (passes of the same benches), each entry is gated on
+//! its minimum across them, as the baseline's entries were taken: one
+//! slow pass on a loaded runner does not fail the gate. On top of the
 //! relative tolerance, a small absolute slack ([`ABS_SLACK_NS`]) is
 //! granted so microsecond-scale medians — whose run-to-run noise on a
 //! shared runner easily exceeds any sane percentage — cannot flake the
 //! gate; ms-scale medians are unaffected. Benchmarks present in the
-//! baseline but missing from the current run fail the gate (a silently
+//! baseline but missing from any current report fail the gate (a silently
 //! dropped bench is not a pass), and an entire baseline *group* with no
 //! current entries fails with its own loud message — that shape means a
 //! bench binary never ran at all. New benchmarks are reported and
@@ -51,20 +54,28 @@ fn parse_report(path: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(out)
 }
 
+/// `name`'s minimum median across `reports`; `None` when any report
+/// lacks it.
+fn min_across(reports: &[Vec<(String, f64)>], name: &str) -> Option<f64> {
+    (reports.iter())
+        .map(|r| r.iter().find(|(n, _)| n == name).map(|&(_, ns)| ns))
+        .try_fold(f64::INFINITY, |min, ns| Some(min.min(ns?)))
+}
+
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (baseline_path, current_path) = match args.as_slice() {
-        [b, c] | [b, c, _] => (b.as_str(), c.as_str()),
-        _ => {
-            return Err("usage: check_bench <baseline.json> <current.json> [tolerance]".into())
-        }
+    let usage = || "usage: check_bench <baseline.json> <current.json>... [tolerance]".to_string();
+    let (baseline_path, rest) = args.split_first().ok_or_else(usage)?;
+    // A last argument that parses as a number is the tolerance.
+    let (tolerance, current_paths) = match rest.last().map(|t| t.parse::<f64>()) {
+        Some(Ok(t)) => (t, &rest[..rest.len() - 1]),
+        _ => (0.25, rest),
     };
-    let tolerance: f64 = match args.get(2) {
-        Some(t) => t.parse().map_err(|e| format!("bad tolerance: {e}"))?,
-        None => 0.25,
-    };
+    if current_paths.is_empty() {
+        return Err(usage());
+    }
     let baseline = parse_report(baseline_path)?;
-    let current = parse_report(current_path)?;
+    let reports = (current_paths.iter().map(|p| parse_report(p))).collect::<Result<Vec<_>, _>>()?;
     let mut ok = true;
     // A whole baseline *group* (the name's prefix up to the first '/',
     // i.e. one bench binary) absent from the current report means the
@@ -72,34 +83,32 @@ fn run() -> Result<bool, String> {
     // individually dropped benchmarks. Fail loudly and by name so the
     // gate can't quietly pass on a partial run.
     let group = |name: &str| name.split('/').next().unwrap_or(name).to_string();
-    let current_groups: std::collections::BTreeSet<String> =
-        current.iter().map(|(n, _)| group(n)).collect();
-    for g in baseline
-        .iter()
-        .map(|(n, _)| group(n))
-        .collect::<std::collections::BTreeSet<_>>()
-    {
-        if !current_groups.contains(&g) {
-            eprintln!(
-                "bench gate: baseline group '{g}' has no entries in the \
-                 current report — did its bench binary run?"
-            );
-            ok = false;
+    let baseline_groups: std::collections::BTreeSet<String> =
+        baseline.iter().map(|(n, _)| group(n)).collect();
+    for (path, current) in current_paths.iter().zip(&reports) {
+        for g in &baseline_groups {
+            if !current.iter().any(|(n, _)| &group(n) == g) {
+                eprintln!(
+                    "bench gate: baseline group '{g}' has no entries in \
+                     {path} — did its bench binary run?"
+                );
+                ok = false;
+            }
         }
     }
     println!(
-        "{:<55} {:>12} {:>12} {:>8}  verdict",
-        "benchmark", "baseline", "current", "ratio"
+        "{:<55} {:>12} {:>12} {:>8}  verdict (current: min of {} reports)",
+        "benchmark", "baseline", "current", "ratio", reports.len()
     );
     for (name, base_ns) in &baseline {
-        match current.iter().find(|(n, _)| n == name) {
+        match min_across(&reports, name) {
             None => {
                 println!("{name:<55} {base_ns:>12.0} {:>12} {:>8}  MISSING", "-", "-");
                 ok = false;
             }
-            Some((_, cur_ns)) => {
+            Some(cur_ns) => {
                 let ratio = cur_ns / base_ns;
-                let verdict = if *cur_ns > base_ns * (1.0 + tolerance) + ABS_SLACK_NS {
+                let verdict = if cur_ns > base_ns * (1.0 + tolerance) + ABS_SLACK_NS {
                     ok = false;
                     "REGRESSED"
                 } else {
@@ -111,10 +120,12 @@ fn run() -> Result<bool, String> {
             }
         }
     }
-    for (name, _) in &current {
-        if !baseline.iter().any(|(n, _)| n == name) {
-            println!("{name:<55} (new, not in baseline — ignored)");
-        }
+    let new: std::collections::BTreeSet<&str> = (reports.iter().flatten())
+        .map(|(n, _)| n.as_str())
+        .filter(|name| !baseline.iter().any(|(n, _)| n == name))
+        .collect();
+    for name in new {
+        println!("{name:<55} (new, not in baseline — ignored)");
     }
     Ok(ok)
 }
@@ -133,5 +144,25 @@ fn main() -> ExitCode {
             eprintln!("check_bench: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::min_across;
+
+    #[test]
+    fn an_entry_is_gated_on_its_minimum_and_missing_from_one_report_is_missing() {
+        let report = |entries: &[(&str, f64)]| -> Vec<(String, f64)> {
+            entries.iter().map(|&(n, ns)| (n.to_string(), ns)).collect()
+        };
+        let reports = [
+            report(&[("g/a", 300.0), ("g/b", 10.0)]),
+            report(&[("g/a", 100.0)]),
+            report(&[("g/a", 200.0), ("g/b", 5.0)]),
+        ];
+        assert_eq!(min_across(&reports, "g/a"), Some(100.0));
+        assert_eq!(min_across(&reports, "g/b"), None);
+        assert_eq!(min_across(&reports[..1], "g/b"), Some(10.0));
     }
 }

@@ -768,12 +768,8 @@ impl DataflowEngine {
     /// diagnostics; the D10 differential feeds its reference network
     /// from this).
     pub fn local_cost_rows(&self) -> Vec<Tuple> {
-        (0..self.memo.n_alts() as u32)
-            .map(AltId)
-            .filter_map(|a| {
-                let c = self.core.held(a)?;
-                Some(local_tuple(self.group_key(self.memo.alt(a).group), a, c))
-            })
+        (self.core.held_alts())
+            .map(|(a, c)| local_tuple(self.group_key(self.memo.alt(a).group), a, c))
             .collect()
     }
 

@@ -71,6 +71,10 @@ pub struct Memo {
     /// reverse edges reference counting and bound propagation walk).
     parent_start: Vec<u32>,
     parent_alts: Vec<AltId>,
+    /// The same edges by group: per group its distinct parent groups,
+    /// ascending, in `parent_groups[parent_group_start[g]..][..]`.
+    parent_group_start: Vec<u32>,
+    parent_groups: Vec<GroupId>,
     /// Per expression its slot, per slot and property id its group
     /// ([`NONE`] where there is none): what [`Memo::lookup`] reads.
     slot_of: FxHashMap<ExprId, u32>,
@@ -330,12 +334,28 @@ impl Memo {
                 *at += 1;
             }
         }
+        // Alternatives are numbered group by group, so each list of
+        // parent alternatives runs through its groups in order.
+        let mut parent_group_start = vec![0u32];
+        let mut parent_groups: Vec<GroupId> = Vec::new();
+        for g in 0..groups.len() {
+            let from = parent_groups.len();
+            for &pa in &parent_alts[parent_start[g] as usize..parent_start[g + 1] as usize] {
+                let pg = alts[pa.0 as usize].group;
+                if parent_groups[from..].last() != Some(&pg) {
+                    parent_groups.push(pg);
+                }
+            }
+            parent_group_start.push(parent_groups.len() as u32);
+        }
         Memo {
             groups,
             alts,
             root: GroupId(rank[0]),
             parent_start,
             parent_alts,
+            parent_group_start,
+            parent_groups,
             slot_of,
             props,
             slot_groups,
@@ -365,7 +385,7 @@ impl Memo {
     }
 
     /// Alternative ids of a group.
-    pub fn alts_of(&self, g: GroupId) -> impl Iterator<Item = AltId> {
+    pub fn alts_of(&self, g: GroupId) -> impl ExactSizeIterator<Item = AltId> {
         let def = self.group(g);
         (def.alts_start..def.alts_end).map(AltId)
     }
@@ -374,6 +394,12 @@ impl Memo {
     pub fn parents_of(&self, g: GroupId) -> &[AltId] {
         let g = g.0 as usize;
         &self.parent_alts[self.parent_start[g] as usize..self.parent_start[g + 1] as usize]
+    }
+
+    /// The distinct groups of [`Memo::parents_of`], ascending.
+    pub fn parent_groups_of(&self, g: GroupId) -> &[GroupId] {
+        let (g, at) = (g.0 as usize, &self.parent_group_start);
+        &self.parent_groups[at[g] as usize..at[g + 1] as usize]
     }
 }
 
@@ -517,6 +543,23 @@ mod tests {
             .map(|g| memo.parents_of(GroupId(g)).len())
             .sum();
         assert_eq!(child_edge_count, parent_edge_count);
+    }
+
+    #[test]
+    fn parent_groups_are_the_groups_of_the_parent_alternatives() {
+        // Every fixture shape, Q5 and SegTollS: a group's parent-group
+        // list is its parent alternatives' groups, ascending, each once.
+        for q in spec_queries() {
+            let memo = Memo::build(&q, &JoinGraph::new(&q));
+            for gi in 0..memo.n_groups() as u32 {
+                let g = GroupId(gi);
+                let mut want: Vec<GroupId> =
+                    memo.parents_of(g).iter().map(|&a| memo.alt(a).group).collect();
+                want.sort();
+                want.dedup();
+                assert_eq!(memo.parent_groups_of(g), want, "{}: {g:?}", q.name);
+            }
+        }
     }
 
     #[test]

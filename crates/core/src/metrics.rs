@@ -49,8 +49,9 @@ pub struct RunMetrics {
     pub tombstoned_groups: u64,
     /// Work-queue pops (total propagation effort).
     pub queue_pops: u64,
-    /// Alternatives marked dirty while seeding the epoch from the
-    /// parameter index — at most the lengths of the lists it read.
+    /// Alternatives seeding the epoch from the parameter index marked
+    /// for re-costing (every one of a seeded group, each scan-cost
+    /// one) — at most the lengths of the lists it read.
     pub seeded_alts: u64,
 }
 

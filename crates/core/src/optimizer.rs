@@ -12,7 +12,10 @@
 //!   parents), refreshes `PlanCost` totals and `BestCost` aggregates
 //!   (rules R6–R9, and the incremental cases 1–4 of §4.1 via the
 //!   maintained cost-ordered state) in one pass over each group's
-//!   alternatives;
+//!   alternatives. Totals are *pulled*: a popped group re-sums every
+//!   alternative from its children's bests, final by then, and a group
+//!   whose best moved queues its distinct parent groups — no flag is
+//!   written on a parent alternative;
 //! - a **bound queue**, drained highest id first (parents before
 //!   children), refreshes `MaxBound`/`Bound` (rules r1–r4) and
 //!   re-evaluates suppression (§4.3 cases 1–3), which in turn adjusts
@@ -21,9 +24,11 @@
 //! Row estimates are maintained state too (§2.3's memoized
 //! `Fn_nonscansummary`): one per group, filled by the first `optimize`
 //! and refreshed for exactly the groups [`ParamIndex`] lists for a
-//! changed cardinality or selectivity. A local cost is the cost model's
-//! one formula ([`CostContext::local_cost_of`]) over the estimates of
-//! the group and its children.
+//! changed cardinality or selectivity. Those groups are stamped seeded,
+//! and every local cost of a seeded group is recomputed when it pops;
+//! a scan-cost change marks its alternatives one by one. A local cost
+//! is the cost model's one formula ([`CostContext::local_cost_of`])
+//! over the estimates of the group and its children.
 
 use std::rc::Rc;
 
@@ -67,6 +72,8 @@ pub struct IncrementalOptimizer {
     alt_epoch: Vec<u32>,
     /// Epoch in which a group's alternatives were last all seeded.
     group_seeded: Vec<u32>,
+    /// Epoch in which a group's best last moved.
+    best_moved: Vec<u32>,
     initialized: bool,
     /// Where a parameter change lands in the memo; `optimize` never
     /// reads it, so the first `reoptimize` builds it.
@@ -116,6 +123,7 @@ impl IncrementalOptimizer {
             group_epoch: vec![0; n_groups],
             alt_epoch: vec![0; n_alts],
             group_seeded: vec![0; n_groups],
+            best_moved: vec![0; n_groups],
             initialized: false,
             index: None,
             live_groups: n_groups as u64,
@@ -155,6 +163,7 @@ impl IncrementalOptimizer {
         if !self.initialized {
             self.initialized = true;
             for gi in 0..self.memo.n_groups() as u32 {
+                self.group_seeded[gi as usize] = self.epoch;
                 self.refresh_rows(GroupId(gi));
                 self.push_cost(GroupId(gi));
             }
@@ -200,13 +209,12 @@ impl IncrementalOptimizer {
             // These lists are exactly the groups whose row estimate a
             // cardinality or selectivity change can move.
             self.refresh_rows(g);
-            for a in self.memo.alts_of(g) {
-                self.seed(a);
-            }
+            self.run.seeded_alts += self.memo.alts_of(g).len() as u64;
             self.push_cost(g);
         }
         for a in index.affected_scan_alts(&affected) {
-            self.seed(a);
+            self.alts[a.0 as usize].local_dirty = true;
+            self.run.seeded_alts += 1;
             self.push_cost(self.memo.alt(a).group);
         }
         self.index = Some(index);
@@ -228,6 +236,15 @@ impl IncrementalOptimizer {
     pub fn held(&self, a: AltId) -> Option<Cost> {
         let s = &self.alts[a.0 as usize];
         (s.live && self.groups[self.memo.alt(a).group.0 as usize].live).then_some(s.local)
+    }
+
+    /// Every held alternative with its value, in `AltId` order: the live
+    /// alternatives of the live groups, read off their dense ranges.
+    pub fn held_alts(&self) -> impl Iterator<Item = (AltId, Cost)> + '_ {
+        let live = |g: &GroupId| self.groups[g.0 as usize].live;
+        let alts = (0..self.memo.n_groups() as u32).map(GroupId).filter(live);
+        let alts = alts.flat_map(|g| self.memo.alts_of(g)).map(|a| (a, &self.alts[a.0 as usize]));
+        alts.filter(|(_, s)| s.live).map(|(a, s)| (a, s.local))
     }
 
     /// Takes the last epoch's change list: every alternative whose
@@ -292,14 +309,6 @@ impl IncrementalOptimizer {
         }
     }
 
-    /// A parameter of alternative `a`'s local cost changed.
-    fn seed(&mut self, a: AltId) {
-        let s = &mut self.alts[a.0 as usize];
-        s.local_dirty = true;
-        s.dirty = true;
-        self.run.seeded_alts += 1;
-    }
-
     fn refresh_rows(&mut self, g: GroupId) {
         self.rows[g.0 as usize] = self.recompute_rows(g);
     }
@@ -354,9 +363,17 @@ impl IncrementalOptimizer {
         }
     }
 
-    /// Rules R6–R9 for one group: recompute dirty `PlanCost` totals and
-    /// the `BestCost` aggregate in one pass; propagate changes to parents
-    /// (cost) and dependents (bounds); re-evaluate suppression.
+    /// Rules R6–R9 for one group, pulled: recompute every `PlanCost`
+    /// total from its local cost and its children's bests, and the
+    /// `BestCost` aggregate, in one pass; a moved best queues the parent
+    /// groups (cost) and the children (bounds); re-evaluate suppression.
+    ///
+    /// Children pop before parents, so their bests are final when read.
+    /// The r1/r2 sibling bounds read a child's best too: a live
+    /// alternative of a live group pushes its sibling's bound when a
+    /// child's best moved this epoch, before the bound queue drains. A
+    /// local cost is recomputed when the group was seeded this epoch or
+    /// a scan cost marked the alternative.
     ///
     /// The cost half runs for a tombstoned group too, and through
     /// alternatives with tombstoned children — every total and every
@@ -366,59 +383,58 @@ impl IncrementalOptimizer {
     /// the references it held.
     fn refresh_group(&mut self, g: GroupId) {
         self.run.queue_pops += 1;
+        let memo = Rc::clone(&self.memo);
         let live = self.groups[g.0 as usize].live;
-        let (expr, prop) = (self.memo.group(g).expr, self.memo.group(g).prop);
+        let seeded = self.group_seeded[g.0 as usize] == self.epoch;
+        let (expr, prop) = (memo.group(g).expr, memo.group(g).prop);
         let out = self.rows[g.0 as usize];
         // Rule R9: BestCost = min over *all* retained totals — the
         // paper's aggregate keeps every PlanCost tuple in its internal
-        // queue, pruned or not. The argmin is taken in the same pass
-        // that refreshes the dirty totals (a total reads only its own
-        // local cost and its children's bests, never a sibling's).
+        // queue, pruned or not.
         let mut best = Cost::INFINITY;
         let mut best_alt = None;
-        for a in self.memo.alts_of(g) {
-            let ai = a.0 as usize;
-            if self.alts[ai].dirty {
-                self.alts[ai].dirty = false;
-                if self.alts[ai].local_dirty {
-                    self.alts[ai].local_dirty = false;
-                    let alt = self.memo.alt(a);
-                    let rows_of = |c: Option<GroupId>| c.map_or(0.0, |c| self.rows[c.0 as usize]);
-                    let new_local = self.ctx.local_cost_of(
-                        expr,
-                        prop,
-                        &alt.spec,
-                        out,
-                        rows_of(alt.left),
-                        rows_of(alt.right),
-                    );
-                    if new_local != self.alts[ai].local {
-                        if live && self.alts[ai].live {
-                            self.note(a);
-                        }
-                        self.alts[ai].local = new_local;
-                        // The children's ParentBound through `a` moved
-                        // (r1/r2) — a derivation only a live group has.
-                        if live {
-                            for c in self.memo.alt(a).children() {
-                                self.push_bound(c);
-                            }
+        for a in memo.alts_of(g) {
+            let (ai, alt) = (a.0 as usize, memo.alt(a));
+            if seeded || self.alts[ai].local_dirty {
+                self.alts[ai].local_dirty = false;
+                let rows_of = |c: Option<GroupId>| c.map_or(0.0, |c| self.rows[c.0 as usize]);
+                let (l, r) = (rows_of(alt.left), rows_of(alt.right));
+                let new_local = self.ctx.local_cost_of(expr, prop, &alt.spec, out, l, r);
+                if new_local != self.alts[ai].local {
+                    if live && self.alts[ai].live {
+                        self.note(a);
+                    }
+                    self.alts[ai].local = new_local;
+                    // The children's ParentBound through `a` moved
+                    // (r1/r2) — a derivation only a live group has.
+                    if live {
+                        for c in alt.children() {
+                            self.push_bound(c);
                         }
                     }
                 }
-                // Fn_sum(localCost, lBest, rBest) — rules R6/R7/R8.
-                let mut total = self.alts[ai].local;
-                for c in self.memo.alt(a).children() {
-                    total += self.groups[c.0 as usize].best;
-                }
-                if total != self.alts[ai].total {
-                    self.alts[ai].total = total;
-                    self.touch_alt(a);
+            }
+            // Fn_sum(localCost, lBest, rBest) — rules R6/R7/R8.
+            let mut total = self.alts[ai].local;
+            for c in alt.children() {
+                total += self.groups[c.0 as usize].best;
+            }
+            if total != self.alts[ai].total {
+                self.alts[ai].total = total;
+                self.touch_alt(a);
+            }
+            if let (Some(l), Some(r)) = (alt.left, alt.right) {
+                if live && self.alts[ai].live {
+                    if self.best_moved[l.0 as usize] == self.epoch {
+                        self.push_bound(r);
+                    }
+                    if self.best_moved[r.0 as usize] == self.epoch {
+                        self.push_bound(l);
+                    }
                 }
             }
-            let t = self.alts[ai].total;
-            if t < best {
-                best = t;
+            if total < best {
+                best = total;
                 best_alt = Some(a);
             }
         }
@@ -427,6 +443,7 @@ impl IncrementalOptimizer {
         self.groups[g.0 as usize].best_alt = best_alt;
         if best_changed {
             self.touch_group(g);
+            self.best_moved[g.0 as usize] = self.epoch;
         }
         if live {
             self.recompute_bound_value(g);
@@ -435,17 +452,8 @@ impl IncrementalOptimizer {
         if best_changed {
             // Parents' PlanCost totals depend on this BestCost (R7/R8
             // incremental joins).
-            for i in 0..self.memo.parents_of(g).len() {
-                let pa = self.memo.parents_of(g)[i];
-                let pg = self.memo.alt(pa).group;
-                self.alts[pa.0 as usize].dirty = true;
+            for &pg in memo.parent_groups_of(g) {
                 self.push_cost(pg);
-                // Sibling bounds depend on this best (r1/r2).
-                if self.groups[pg.0 as usize].live && self.alts[pa.0 as usize].live {
-                    if let Some(sib) = self.memo.alt(pa).sibling(g) {
-                        self.push_bound(sib);
-                    }
-                }
             }
             // bound(g) = min(best, mpb) may have changed: children's
             // parent-bounds depend on it.
@@ -1219,6 +1227,43 @@ mod tests {
                 assert_eq!(out.run, RunMetrics::default(), "{} {}", q.name, cfg.label());
                 opt.check_invariants()
                     .unwrap_or_else(|e| panic!("{} under {}: {e}", q.name, cfg.label()));
+            }
+        }
+    }
+
+    #[test]
+    fn held_alts_is_the_held_filter_over_every_alternative() {
+        // After the boot and after every epoch of a walk, on every
+        // fixture shape: the walk over the live groups' ranges lists
+        // exactly what `held` says of each alternative, in id order.
+        let c = fixture_catalog();
+        let mut queries = fixture_queries();
+        for shape in ["chain", "star", "clique"] {
+            queries.extend((3..=7).map(|n| shaped_query(&c, shape, n)));
+        }
+        for q in queries {
+            let mut opt = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
+            let last = LeafId(q.n_leaves() - 1);
+            let walk = [
+                vec![],
+                vec![ParamDelta::EdgeSelectivity(EdgeId(0), 8.0)],
+                vec![
+                    ParamDelta::LeafCardinality(last, 0.1),
+                    ParamDelta::LeafScanCost(LeafId(0), 4.0),
+                ],
+                vec![ParamDelta::LeafScanCost(LeafId(1), 0.125)],
+                vec![
+                    ParamDelta::EdgeSelectivity(EdgeId(0), 0.25),
+                    ParamDelta::LeafCardinality(last, 6.0),
+                ],
+            ];
+            for batch in walk {
+                opt.reoptimize(&batch);
+                let want: Vec<(AltId, Cost)> = (0..opt.memo().n_alts() as u32)
+                    .filter_map(|a| opt.held(AltId(a)).map(|c| (AltId(a), c)))
+                    .collect();
+                let got: Vec<(AltId, Cost)> = opt.held_alts().collect();
+                assert_eq!(got, want, "{} after {batch:?}", q.name);
             }
         }
     }

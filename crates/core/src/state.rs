@@ -20,11 +20,10 @@ pub struct AltState {
     /// the aggregate's internal priority queue (§4.1) — but contribute
     /// no reference counts when source suppression is on.
     pub live: bool,
-    /// Local cost must be recomputed (a cost parameter affecting it
-    /// changed).
+    /// Local cost must be recomputed: a scan-cost change reached this
+    /// alternative alone. (A cardinality or selectivity change marks
+    /// the whole group seeded instead.)
     pub local_dirty: bool,
-    /// Total must be recomputed (local or a child's best changed).
-    pub dirty: bool,
 }
 
 impl Default for AltState {
@@ -33,8 +32,7 @@ impl Default for AltState {
             local: Cost::INFINITY,
             total: Cost::INFINITY,
             live: true,
-            local_dirty: true,
-            dirty: true,
+            local_dirty: false,
         }
     }
 }
@@ -82,7 +80,7 @@ mod tests {
     #[test]
     fn defaults() {
         let a = AltState::default();
-        assert!(a.live && a.dirty && a.local_dirty);
+        assert!(a.live && !a.local_dirty);
         assert_eq!(a.total, Cost::INFINITY);
         let g = GroupState::default();
         assert!(g.live);

@@ -52,6 +52,12 @@ pub struct CostContext {
     rows_cache: RowsCache,
     /// `edge_rels[e]` = the two-leaf set of edge `e`.
     edge_rels: Vec<RelSet>,
+    /// The current parameters by id, refreshed by [`Self::apply`]: each
+    /// edge's selectivity, each leaf's raw rows and scan-cost factor.
+    /// The cost formulas read these; `factors` is what is persisted.
+    edge_sel: Vec<f64>,
+    leaf_raw: Vec<f64>,
+    leaf_scan: Vec<f64>,
 }
 
 /// Memo of [`CostContext::rows`] per leaf set. A query of at most
@@ -124,7 +130,7 @@ impl RowsCache {
 impl CostContext {
     /// Builds the context from catalog statistics (`Fn_scansummary`).
     pub fn new(catalog: &Catalog, q: &QuerySpec) -> CostContext {
-        let leaves = q
+        let leaves: Vec<LeafBase> = q
             .leaves
             .iter()
             .map(|leaf| {
@@ -161,7 +167,7 @@ impl CostContext {
                 }
             })
             .collect();
-        let edge_base_sel = q
+        let edge_base_sel: Vec<f64> = q
             .edges
             .iter()
             .map(|e| {
@@ -184,6 +190,9 @@ impl CostContext {
         CostContext {
             unit: UnitCosts::default(),
             factors: Factors::default(),
+            edge_sel: edge_base_sel.clone(),
+            leaf_raw: leaves.iter().map(|l| l.raw_rows).collect(),
+            leaf_scan: vec![1.0; leaves.len()],
             leaves,
             edge_base_sel,
             group_count,
@@ -199,15 +208,23 @@ impl CostContext {
         // A cardinality is a product over the set's leaves and internal
         // edges: only sets holding a changed leaf, or both ends of a
         // changed edge, are recomputed. Ids the query does not have
-        // change no set.
-        for l in &affected.leaves_card {
-            if (l.0 as usize) < self.leaves.len() {
+        // change no set and no parameter.
+        for &l in &affected.leaves_card {
+            if let Some(raw) = self.leaf_raw.get_mut(l.0 as usize) {
+                *raw = self.leaves[l.0 as usize].raw_rows * self.factors.leaf_card(l);
                 self.rows_cache.invalidate_supersets(RelSet::singleton(l.0));
             }
         }
-        for e in &affected.edges {
-            if let Some(&ends) = self.edge_rels.get(e.0 as usize) {
-                self.rows_cache.invalidate_supersets(ends);
+        for &e in &affected.edges {
+            if let Some(sel) = self.edge_sel.get_mut(e.0 as usize) {
+                let base = self.edge_base_sel[e.0 as usize];
+                *sel = (base * self.factors.edge_sel(e)).clamp(0.0, 1.0);
+                self.rows_cache.invalidate_supersets(self.edge_rels[e.0 as usize]);
+            }
+        }
+        for &l in &affected.leaves_scan {
+            if let Some(scan) = self.leaf_scan.get_mut(l.0 as usize) {
+                *scan = self.factors.leaf_scan(l);
             }
         }
         affected
@@ -219,12 +236,12 @@ impl CostContext {
 
     /// Current selectivity of a join edge (base × runtime factor).
     pub fn edge_selectivity(&self, e: EdgeId) -> f64 {
-        (self.edge_base_sel[e.0 as usize] * self.factors.edge_sel(e)).clamp(0.0, 1.0)
+        self.edge_sel[e.0 as usize]
     }
 
     /// Raw (pre-filter) rows of a leaf under the current factors.
     pub fn leaf_raw_rows(&self, l: LeafId) -> f64 {
-        self.leaves[l.0 as usize].raw_rows * self.factors.leaf_card(l)
+        self.leaf_raw[l.0 as usize]
     }
 
     /// Output rows of a leaf after filters.
@@ -298,7 +315,7 @@ impl CostContext {
                 let base = &self.leaves[leaf.0 as usize];
                 let n_filters = base.n_filters as f64;
                 self.leaf_raw_rows(leaf)
-                    * (u.seq_scan * self.factors.leaf_scan(leaf) + u.predicate * n_filters)
+                    * (u.seq_scan * self.leaf_scan[leaf.0 as usize] + u.predicate * n_filters)
                     + out * u.output
             }
             PhysOp::IndexScan { col } => {
@@ -322,7 +339,7 @@ impl CostContext {
                     let residual = (n_filters - 1.0).max(0.0);
                     u.index_base
                         + probes
-                            * (u.index_probe * self.factors.leaf_scan(leaf)
+                            * (u.index_probe * self.leaf_scan[leaf.0 as usize]
                                 + u.predicate * residual)
                         + out * u.output
                 }
@@ -347,7 +364,7 @@ impl CostContext {
                 // Index matches on the probe edge; residual cross edges
                 // filter the matched pairs.
                 let pairs = outer * inner_rows * self.edge_selectivity(edge);
-                outer * u.index_probe * self.factors.leaf_scan(inner_leaf)
+                outer * u.index_probe * self.leaf_scan[inner_leaf.0 as usize]
                     + pairs * u.predicate
                     + out * u.output
             }
@@ -592,6 +609,119 @@ mod tests {
         assert!(ctx.alt_affected(join_expr, &join_alt, &card_change));
         assert!(!ctx.alt_affected(scan_expr, &scan_alt, &card_change));
         let _ = q;
+    }
+
+    /// `local_cost_of` as it read the factor map, for the operators that
+    /// read a parameter; the others read only row estimates.
+    fn local_cost_from_factors(
+        ctx: &CostContext,
+        expr: ExprId,
+        prop: PhysProp,
+        alt: &AltSpec,
+        (out, l, r): (f64, f64, f64),
+    ) -> Cost {
+        let (u, f) = (&ctx.unit, &ctx.factors);
+        let raw = |leaf: LeafId| ctx.leaves[leaf.0 as usize].raw_rows * f.leaf_card(leaf);
+        let sel = |e: EdgeId| (ctx.edge_base_sel[e.0 as usize] * f.edge_sel(e)).clamp(0.0, 1.0);
+        let leaf = || LeafId(expr.rel.leaf());
+        let cost = match alt.op {
+            PhysOp::FullScan => {
+                let leaf = leaf();
+                let n_filters = ctx.leaves[leaf.0 as usize].n_filters as f64;
+                raw(leaf) * (u.seq_scan * f.leaf_scan(leaf) + u.predicate * n_filters)
+                    + out * u.output
+            }
+            PhysOp::IndexScan { col } if prop != PhysProp::Indexed(col) => {
+                let leaf = leaf();
+                let base = &ctx.leaves[leaf.0 as usize];
+                let frac = base.index_filter_sel.get(&col.col.0).copied().unwrap_or(1.0);
+                let residual = (base.n_filters as f64 - 1.0).max(0.0);
+                let probe = u.index_probe * f.leaf_scan(leaf) + u.predicate * residual;
+                u.index_base + raw(leaf) * frac * probe + out * u.output
+            }
+            PhysOp::SortMergeJoin { edge } => {
+                (l + r) * u.merge + l * r * sel(edge) * u.merge + out * u.output
+            }
+            PhysOp::IndexNLJoin { edge } => {
+                let inner = LeafId(alt.left.unwrap().expr.rel.leaf());
+                r * u.index_probe * f.leaf_scan(inner) + r * l * sel(edge) * u.predicate
+                    + out * u.output
+            }
+            _ => return ctx.local_cost_of(expr, prop, alt, out, l, r),
+        };
+        Cost::new(cost)
+    }
+
+    #[test]
+    fn dense_reads_are_base_times_factors() {
+        // Random batches of every kind, with ids repeated within a batch
+        // and ids one past the query's: after each, the dense reads are
+        // base × `Factors` (a selectivity clamped), every row estimate
+        // and local cost is bit-equal to one that reads only `Factors`.
+        let (q, mut ctx) = fixture();
+        let graph = JoinGraph::new(&q);
+        let factors = [0.125, 0.5, 1.0, 2.0, 8.0, 1e9];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as u32
+        };
+        for _ in 0..300 {
+            let batch: Vec<ParamDelta> = (0..1 + next(6))
+                .map(|_| {
+                    let (leaf, edge) = (LeafId(next(3)), EdgeId(next(2)));
+                    let f = factors[next(factors.len()) as usize];
+                    match next(3) {
+                        0 => ParamDelta::EdgeSelectivity(edge, f),
+                        1 => ParamDelta::LeafCardinality(leaf, f),
+                        _ => ParamDelta::LeafScanCost(leaf, f),
+                    }
+                })
+                .collect();
+            ctx.apply(&batch);
+            let f = ctx.factors.clone();
+            for (e, &base) in ctx.edge_base_sel.iter().enumerate() {
+                let e = EdgeId(e as u32);
+                assert_eq!(ctx.edge_selectivity(e), (base * f.edge_sel(e)).clamp(0.0, 1.0));
+            }
+            for (l, base) in ctx.leaves.iter().enumerate() {
+                let l = LeafId(l as u32);
+                assert_eq!(ctx.leaf_raw_rows(l), base.raw_rows * f.leaf_card(l));
+                assert_eq!(ctx.leaf_scan[l.0 as usize], f.leaf_scan(l));
+            }
+            for rel in [RelSet::singleton(0), RelSet::singleton(1), RelSet(0b11)] {
+                let mut want: f64 = rel
+                    .iter()
+                    .map(|l| {
+                        let base = &ctx.leaves[l as usize];
+                        (base.raw_rows * f.leaf_card(LeafId(l)) * base.filter_sel).max(1e-9)
+                    })
+                    .product();
+                if rel == RelSet(0b11) {
+                    want *= (ctx.edge_base_sel[0] * f.edge_sel(EdgeId(0))).clamp(0.0, 1.0);
+                }
+                assert_eq!(ctx.rows(&q, rel).to_bits(), want.max(1e-9).to_bits(), "{batch:?}");
+            }
+            // Every group of the plan space, reached from the root.
+            let mut stack = vec![(q.root_expr(), PhysProp::Any)];
+            let mut seen = std::collections::HashSet::new();
+            while let Some((expr, prop)) = stack.pop() {
+                if !seen.insert((expr, prop)) {
+                    continue;
+                }
+                for alt in enumerate_alts(&q, &graph, expr, prop) {
+                    stack.extend(alt.left.into_iter().chain(alt.right).map(|c| (c.expr, c.prop)));
+                    let out = ctx.expr_rows(&q, expr);
+                    let l = alt.left.map_or(0.0, |c| ctx.expr_rows(&q, c.expr));
+                    let rows = (out, l, alt.right.map_or(0.0, |c| ctx.expr_rows(&q, c.expr)));
+                    let got = ctx.local_cost_of(expr, prop, &alt, rows.0, rows.1, rows.2);
+                    let want = local_cost_from_factors(&ctx, expr, prop, &alt, rows);
+                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{alt:?} {batch:?}");
+                }
+            }
+        }
     }
 
     /// A hash join of two full scans.
