@@ -3,16 +3,18 @@
 //! restart.
 //!
 //! Every engine's state is a function of its [`CostContext`]'s
-//! parameter factors, so the durable state is the folded parameter log:
-//! the last write to each parameter. Every epoch whose batch changes a
-//! parameter is a checkpoint: the log with the batch folded in is
-//! written whole, as an *image*, into the slot a restart would not use
-//! before the engine is handed the batch; its `sync_data` runs on a
-//! helper thread while the epoch computes, and `reoptimize` returns —
-//! the batch acknowledged — once both are done. A restart builds a
-//! fresh engine on the newest usable image and runs one `optimize()`;
-//! nothing is replayed, and since no engine state is kept, a directory
-//! one engine wrote restarts another.
+//! parameter factors, so the durable state is those factors. An *image*
+//! lists every parameter of the query, in (kind, id) order: every image
+//! of a query has one length and is a function of the state alone. Every
+//! epoch whose batch changes a parameter is a checkpoint: the engine's
+//! factors with the batch applied are written, as an image, into the
+//! slot a restart would not use before the engine is handed the batch;
+//! its `sync_data` runs on a helper thread while the epoch computes, and
+//! `reoptimize` returns — the batch acknowledged — once both are done.
+//! The wrapper keeps no copy of the parameters. A restart builds a fresh
+//! engine on the newest usable image and runs one `optimize()`; nothing
+//! is replayed, and since no engine state is kept, a directory one
+//! engine wrote restarts another.
 //!
 //! The file, `checkpoint.bin` (integers little-endian):
 //!
@@ -25,6 +27,11 @@
 //!            count(u32) delta*
 //! delta   := tag(u8) id(u32) factor(f64 bits)
 //! ```
+//!
+//! A delta sets one parameter: tag 0 an edge's selectivity, 1 a leaf's
+//! cardinality, 2 its scan cost. Older builds wrote the same version
+//! with only the parameters ever written, each once, in first-write
+//! order; such an image restores too.
 //!
 //! A slot holds the largest image the query's shape can produce in whole
 //! 4 KiB pages (one page holds about 310 parameters; clique-12 has 90),
@@ -175,7 +182,8 @@ fn allocate(path: &Path, len: usize) -> io::Result<File> {
 /// What an image slot holds: its generation (one past the image a
 /// restart would have used when it was written; of two usable slots, a
 /// restart uses the higher), the optimizer's epoch count then, and the
-/// last write per parameter, in first-write order.
+/// parameters it sets — every parameter in (kind, id) order, or, in an
+/// older build's image, the last write to each one written.
 #[derive(Debug, PartialEq)]
 pub struct Checkpoint {
     pub generation: u64,
@@ -190,9 +198,9 @@ fn slot_len(leaves: u32, edges: u32) -> usize {
     (HEADER_LEN + FRAME_LEN + FIXED_LEN + params * DELTA_LEN).next_multiple_of(PAGE)
 }
 
-/// Encodes the image of `log` for a query of `leaves` leaves and `edges`
-/// join edges as the bytes a slot starts with, `magic version record`;
-/// the rest of the slot is zeros.
+/// Encodes the image of the parameters `log` sets for a query of
+/// `leaves` leaves and `edges` join edges as the bytes a slot starts
+/// with, `magic version record`; the rest of the slot is zeros.
 pub fn encode_checkpoint(
     generation: u64,
     epochs_seen: u64,
@@ -224,9 +232,11 @@ pub fn encode_checkpoint(
 
 /// Decodes one slot for a query of `leaves` leaves and `edges` join
 /// edges: `None` for an all-zero slot. Anything but a well-formed image
-/// of exactly that shape whose every parameter is in range, followed by
-/// zeros only, is [`DataflowError::StateCorruption`]; the delta count is
-/// checked against the bytes present before anything is allocated.
+/// of exactly that shape, of at most one delta per parameter, each in
+/// range, followed by zeros only, is [`DataflowError::StateCorruption`];
+/// the delta count is checked against the bytes present before anything
+/// is allocated. (No image is longer than one of every parameter, so
+/// such an image written over a slot leaves nothing of the old one.)
 pub fn decode_checkpoint(
     slot: &[u8],
     leaves: u32,
@@ -250,7 +260,12 @@ pub fn decode_checkpoint(
         )));
     }
     let count = d.u32()? as usize;
-    if d.0.len() != count.saturating_mul(DELTA_LEN) {
+    let params = edges as usize + 2 * leaves as usize;
+    if count > params {
+        let msg = format!("checkpoint lists {count} deltas, this query has {params} parameters");
+        return Err(corrupt(msg));
+    }
+    if d.0.len() != count * DELTA_LEN {
         let left = d.0.len();
         return Err(corrupt(format!("checkpoint announces {count} deltas over {left} bytes")));
     }
@@ -350,9 +365,6 @@ struct SlotWriter {
     file: Arc<File>,
     shape: (u32, u32),
     slot_len: u64,
-    /// Where each slot's last non-zero byte ends: an image written into
-    /// it writes its record and zeros up to there, not the whole slot.
-    ends: [usize; 2],
     /// The slot the next image goes to — never the one a restart would
     /// use — and its generation.
     next: usize,
@@ -379,15 +391,10 @@ impl SlotWriter {
             read => read?,
         };
         let slots = read_slots(&bytes, leaves, edges);
-        let mut ends = [0; 2];
         let file = if bytes.len() == 2 * slot_len {
             let f = File::options().write(true).open(&path)?;
-            for (i, slot) in bytes.chunks_exact(slot_len).enumerate() {
-                ends[i] = slot.iter().rposition(|&b| b != 0).map_or(0, |at| at + 1);
-            }
             for &(i, _) in &slots.refused {
                 f.write_all_at(&vec![0; slot_len], (i * slot_len) as u64)?;
-                ends[i] = 0;
             }
             if !slots.refused.is_empty() {
                 f.sync_data()?;
@@ -403,7 +410,6 @@ impl SlotWriter {
             file: Arc::new(file),
             shape: (leaves, edges),
             slot_len: slot_len as u64,
-            ends,
             next,
             generation,
             current: chosen.is_some(),
@@ -414,28 +420,23 @@ impl SlotWriter {
         Ok((writer, slots))
     }
 
-    /// Writes the image of `log` after `epochs_seen` epochs into the next
-    /// slot and hands its sync to the helper; [`SlotWriter::finish`] acks.
-    fn begin(&mut self, epochs_seen: u64, log: &[ParamDelta]) -> io::Result<()> {
+    /// Writes the image of `factors` after `epochs_seen` epochs into the
+    /// next slot and hands its sync to the helper; [`SlotWriter::finish`]
+    /// acks. The image is as long as any the slot can hold, so it is
+    /// written alone, over whatever the slot held.
+    fn begin(&mut self, epochs_seen: u64, factors: &Factors) -> io::Result<()> {
         use io::Error;
         self.current = false;
         if self.stopped {
             return Err(Error::other("image writes stopped: a failed image could not be zeroed"));
         }
         let ((leaves, edges), generation) = (self.shape, self.generation);
-        let mut image = encode_checkpoint(generation, epochs_seen, leaves, edges, log);
-        let end = image.len();
-        if end as u64 > self.slot_len {
-            let msg = format!("an image of {end} bytes does not fit its slot");
-            return Err(Error::new(io::ErrorKind::InvalidInput, msg));
-        }
-        image.resize(end.max(self.ends[self.next]), 0);
+        let image = encode_checkpoint(generation, epochs_seen, leaves, edges, &factors.deltas());
         let helper = match &mut self.helper {
             Some(helper) => helper,
             None => self.helper.insert(SyncHelper::start(Arc::clone(&self.file))?),
         };
         let written = self.file.write_all_at(&image, self.next as u64 * self.slot_len);
-        self.ends[self.next] = end;
         let handed_off = written.and_then(|()| helper.request.send(()).map_err(Error::other));
         handed_off.map_err(|e| self.zero_next(e, false))
     }
@@ -467,7 +468,6 @@ impl SlotWriter {
         let zeroed = if fake_failure {
             Err(io::Error::other("injected zeroing failure"))
         } else {
-            self.ends[self.next] = 0;
             let zeros = vec![0; self.slot_len as usize];
             let at = self.next as u64 * self.slot_len;
             self.file.write_all_at(&zeros, at).and_then(|()| self.file.sync_data())
@@ -498,19 +498,19 @@ pub fn wal_init(path: &Path) -> io::Result<()> {
     allocate(path, 2 * PAGE).map(drop)
 }
 
-/// One image write on its own, as an armed epoch makes it: `deltas`,
-/// folded, as the image of generation `seq + 1` for the smallest query
-/// shape that holds them, written in place over slot `seq % 2` of the
-/// file [`wal_init`] made — the whole slot, as nothing is read to tell
-/// where its old content ends — then `sync_data`.
+/// One image write on its own, as an armed epoch makes it: `deltas`
+/// applied to the base factors of the smallest query shape that holds
+/// them, imaged as generation `seq + 1`, written in place over slot
+/// `seq % 2` of the file [`wal_init`] made — the whole slot — then
+/// `sync_data`.
 pub fn wal_append(path: &Path, seq: u64, deltas: &[ParamDelta]) -> io::Result<()> {
-    let mut log = Vec::new();
-    fold_last_writes(&mut log, deltas);
-    let (leaves, edges) = log.iter().fold((0, 0), |(l, e), d| match *d {
+    let (leaves, edges) = deltas.iter().fold((0, 0), |(l, e), d| match *d {
         ParamDelta::EdgeSelectivity(x, _) => (l, e.max(x.0 + 1)),
         ParamDelta::LeafCardinality(x, _) | ParamDelta::LeafScanCost(x, _) => (l.max(x.0 + 1), e),
     });
-    let mut image = encode_checkpoint(seq + 1, seq + 1, leaves, edges, &log);
+    let mut factors = Factors::new(leaves as usize, edges as usize);
+    factors.apply(deltas);
+    let mut image = encode_checkpoint(seq + 1, seq + 1, leaves, edges, &factors.deltas());
     image.resize(slot_len(leaves, edges), 0);
     let file = File::options().write(true).open(path)?;
     file.write_all_at(&image, seq % 2 * image.len() as u64)?;
@@ -524,38 +524,6 @@ fn key_and_factor(d: &ParamDelta) -> ((u8, u32), f64) {
         ParamDelta::LeafCardinality(l, f) => ((TAG_LEAF_CARDINALITY, l.0), f),
         ParamDelta::LeafScanCost(l, f) => ((TAG_LEAF_SCAN_COST, l.0), f),
     }
-}
-
-/// Folds `deltas` into `log`, which holds one entry per parameter in
-/// first-write order: factors are absolute, so only the last write to a
-/// parameter matters. `true` when a write changed a parameter's value
-/// (an absent one reads 1.0) — when an engine handed the same batch sees
-/// its estimates change.
-fn fold_last_writes(log: &mut Vec<ParamDelta>, deltas: &[ParamDelta]) -> bool {
-    let mut changed = false;
-    for d in deltas {
-        let (key, factor) = key_and_factor(d);
-        let slot = log.iter().position(|e| key_and_factor(e).0 == key);
-        changed |= slot.map_or(1.0, |i| key_and_factor(&log[i]).1) != factor;
-        match slot {
-            Some(i) => log[i] = *d,
-            None => log.push(*d),
-        }
-    }
-    changed
-}
-
-/// Whether the log of last writes `log` leaves every parameter at the
-/// value `held` reads (an absent one reads 1.0 in both).
-fn holds(held: &Factors, log: &[ParamDelta]) -> bool {
-    let mut logged = Factors::default();
-    logged.apply(log);
-    let within = |a: &Factors, b: &Factors| {
-        a.edge_sel.iter().all(|(&e, &f)| b.edge_sel(e) == f)
-            && a.leaf_card.iter().all(|(&l, &f)| b.leaf_card(l) == f)
-            && a.leaf_scan.iter().all(|(&l, &f)| b.leaf_scan(l) == f)
-    };
-    within(held, &logged) && within(&logged, held)
 }
 
 /// What a restart found on disk: how far the file could be trusted (see
@@ -608,13 +576,11 @@ impl WriteReport for reopt_core::Outcome {
 }
 
 /// A re-optimizer made durable (see the module docs); unarmed, it keeps
-/// the log and the epoch count an image would hold. It dereferences to
-/// the engine for everything else.
+/// the epoch count an image would hold. The parameters an image holds
+/// are the engine's own. It dereferences to the engine for everything
+/// else.
 pub struct Durable<R> {
     engine: R,
-    /// The last write to each parameter, in first-write order: what the
-    /// engine's estimates are a function of.
-    applied: Vec<ParamDelta>,
     /// Epochs run, counting those before a restart: each `optimize`, and
     /// each batch that changed a parameter.
     epochs_seen: u64,
@@ -623,13 +589,12 @@ pub struct Durable<R> {
     last_write: EpochWrite,
 }
 
-/// Wraps an engine that has applied no parameter yet (arming refuses one
-/// whose estimates the wrapper did not log).
+/// Wraps an engine, its epoch count at 0 (arming a directory checks the
+/// parameters a restart would recover from it against the engine's).
 impl<R> From<R> for Durable<R> {
     fn from(engine: R) -> Durable<R> {
         Durable {
             engine,
-            applied: Vec::new(),
             epochs_seen: 0,
             slots: None,
             last_write: EpochWrite::default(),
@@ -662,14 +627,17 @@ impl<R: Reoptimizer<Outcome: WriteReport>> Durable<R> {
     /// this returns, or the failure is in [`Durable::last_write`] and
     /// reported into the outcome.
     pub fn reoptimize(&mut self, deltas: &[ParamDelta]) -> R::Outcome {
-        // The image is written before the engine is handed the batch. A
-        // failed write leaves the batch in memory only and is reported,
-        // never panicked on; the next image holds it again.
-        let changed = fold_last_writes(&mut self.applied, deltas);
+        // The image — the engine's factors with the batch applied, a
+        // change iff the engine's own `apply` will report one — is
+        // written before the engine is handed the batch. A failed write
+        // leaves the batch in memory only and is reported, never panicked
+        // on; the next image holds it again.
+        let mut next = self.engine.cost_context().factors().clone();
+        let changed = !next.apply(deltas).is_empty();
         self.epochs_seen += u64::from(changed);
         let begun = self.slots.as_mut().filter(|_| changed).map(|s| {
             let clock = Instant::now();
-            (s.begin(self.epochs_seen, &self.applied), clock.elapsed())
+            (s.begin(self.epochs_seen, &next), clock.elapsed())
         });
         let mut out = self.engine.reoptimize(deltas);
         self.last_write = match (self.slots.as_mut(), begun) {
@@ -695,9 +663,11 @@ impl<R: Reoptimizer<Outcome: WriteReport>> Durable<R> {
     /// engine's: else a restart would rebuild a state it never held.
     pub fn set_durable_dir(&mut self, dir: impl Into<PathBuf>) -> io::Result<()> {
         let dir = dir.into();
-        let (log, _, _, writer) = history(&dir, self.engine.query())?;
-        let held = self.engine.cost_context().factors();
-        if !holds(held, &log) || !holds(held, &self.applied) {
+        let q = self.engine.query();
+        let (log, _, _, writer) = history(&dir, q)?;
+        let mut recovered = Factors::new(q.n_leaves() as usize, q.edges.len());
+        recovered.apply(&log);
+        if recovered != *self.engine.cost_context().factors() {
             let msg = "the parameters a restart would recover are not this engine's";
             let msg = format!("{}: {msg}", dir.display());
             return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
@@ -711,7 +681,7 @@ impl<R: Reoptimizer<Outcome: WriteReport>> Durable<R> {
         self.slots.as_ref().map(|s| s.dir.as_path())
     }
 
-    /// Makes sure an acknowledged image holds the applied parameters.
+    /// Makes sure an acknowledged image holds the engine's parameters.
     /// Every epoch that changes one writes its image, so this returns at
     /// once unless none does — a directory armed without a usable image,
     /// or a failed write. `InvalidInput` unless a directory is armed.
@@ -723,7 +693,7 @@ impl<R: Reoptimizer<Outcome: WriteReport>> Durable<R> {
         if s.current {
             return Ok(());
         }
-        s.begin(self.epochs_seen, &self.applied)?;
+        s.begin(self.epochs_seen, self.engine.cost_context().factors())?;
         s.finish()
     }
 
@@ -740,7 +710,6 @@ impl<R: Reoptimizer<Outcome: WriteReport>> Durable<R> {
     ) -> io::Result<(Durable<R>, R::Outcome, Restart)> {
         let (log, epochs_seen, restart, writer) = history(dir.as_ref(), q)?;
         let mut durable = Durable::from(build(&log));
-        durable.applied = log;
         durable.epochs_seen = epochs_seen;
         durable.slots = Some(writer);
         let outcome = durable.optimize();
@@ -764,12 +733,6 @@ impl<R: Reoptimizer<Outcome: WriteReport>> Durable<R> {
     /// Epochs run so far, counting those before a restart.
     pub fn epochs_seen(&self) -> u64 {
         self.epochs_seen
-    }
-
-    /// The applied-parameter log: the last write per parameter, in
-    /// first-write order (what an image persists).
-    pub fn applied_log(&self) -> &[ParamDelta] {
-        &self.applied
     }
 }
 
@@ -811,6 +774,13 @@ mod tests {
             ParamDelta::LeafCardinality(LeafId(2), 0.5),
             ParamDelta::LeafScanCost(LeafId(0), 3.25),
         ]
+    }
+
+    /// The factors of a 3-leaf, 2-edge query after `log`.
+    fn factors_after(log: &[ParamDelta]) -> Factors {
+        let mut f = Factors::new(3, 2);
+        f.apply(log);
+        f
     }
 
     fn scratch_dir(label: &str) -> std::path::PathBuf {
@@ -978,6 +948,13 @@ mod tests {
         let r = decode_checkpoint(&encode_checkpoint(5, 12, 2, 2, &sample_log()[1..]), 2, 2);
         assert!(
             matches!(&r, Err(DataflowError::StateCorruption(m)) if m.contains("outside this query")),
+            "{r:?}"
+        );
+        // More deltas than the query has parameters, each in range.
+        let card = ParamDelta::LeafCardinality(LeafId(0), 2.0);
+        let r = decode_checkpoint(&encode_checkpoint(5, 12, 1, 0, &[card; 3]), 1, 0);
+        assert!(
+            matches!(&r, Err(DataflowError::StateCorruption(m)) if m.contains("3 deltas")),
             "{r:?}"
         );
     }
@@ -1227,8 +1204,8 @@ mod tests {
     }
 
     /// The claim, counted: over ten epochs that change a parameter and
-    /// one that does not, exactly ten images land, by turns, each the
-    /// applied log and epoch count the engine then holds, in a
+    /// one that does not, exactly ten images land, by turns, each every
+    /// parameter and the epoch count the engine then holds, in a
     /// directory that holds only the checkpoint file at one length. A
     /// `checkpoint_durable` after an acknowledged epoch writes nothing —
     /// the file's bytes and modification time stay put — and on a
@@ -1295,7 +1272,7 @@ mod tests {
                 "{label} epoch {k}: not by turns"
             );
             last = Some(slot);
-            assert_eq!(ckpt.log, opt.applied_log(), "{label} epoch {k}");
+            assert_eq!(ckpt.log, opt.cost_context().factors().deltas(), "{label} epoch {k}");
             assert_eq!(ckpt.epochs_seen, opt.epochs_seen(), "{label} epoch {k}");
             File::options()
                 .write(true)
@@ -1350,10 +1327,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// When `reoptimize` returns, the newest image is the last write to
-    /// each parameter of every batch so far, in first-write order, with
-    /// the count of epochs that changed one — for batches of every delta
-    /// kind, rewrites, and a batch that changes nothing — on both engines.
+    /// When `reoptimize` returns, the newest image sets every parameter
+    /// to the last write to it of every batch so far, in (kind, id)
+    /// order, with the count of epochs that changed one — for batches of
+    /// every delta kind, rewrites, and a batch that changes nothing — on
+    /// both engines, whose factors are the image's.
     #[test]
     fn every_acknowledged_batch_is_the_logs_last_record() {
         let c = fixture_catalog();
@@ -1381,22 +1359,21 @@ mod tests {
         opt.set_durable_dir(&dir).unwrap();
         opt.optimize();
         let (leaves, edges) = (opt.query().n_leaves(), opt.query().edges.len() as u32);
-        let mut last_writes: Vec<ParamDelta> = Vec::new();
+        let mut last_writes = vec![1.0; (edges + 2 * leaves) as usize];
         for (batch, epochs) in batches_and_epochs {
             opt.reoptimize(&batch);
             assert_eq!(opt.last_write().error, None, "{label}");
             for d in batch {
-                let key = key_and_factor(&d).0;
-                match last_writes.iter_mut().find(|w| key_and_factor(w).0 == key) {
-                    Some(w) => *w = d,
-                    None => last_writes.push(d),
-                }
+                let ((tag, id), factor) = key_and_factor(&d);
+                let at = [0, edges, edges + leaves][tag as usize] + id;
+                last_writes[at as usize] = factor;
             }
             let file = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
             let (_, image) = read_slots(&file, leaves, edges).chosen.unwrap();
-            assert_eq!((&image.log[..], image.epochs_seen), (&last_writes[..], epochs), "{label}");
-            let held = (opt.applied_log(), opt.epochs_seen());
-            assert_eq!(held, (&last_writes[..], epochs), "{label}");
+            let logged: Vec<f64> = image.log.iter().map(|d| key_and_factor(d).1).collect();
+            assert_eq!((logged, image.epochs_seen), (last_writes.clone(), epochs), "{label}");
+            assert_eq!(opt.cost_context().factors().deltas(), image.log, "{label}");
+            assert_eq!(opt.epochs_seen(), epochs, "{label}");
         }
         drop(opt);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1425,7 +1402,7 @@ mod tests {
                 ParamDelta::EdgeSelectivity(EdgeId(k % 4), 2.0),
                 ParamDelta::LeafCardinality(LeafId(k % 3), f64::from(k + 2)),
             ]);
-            let now = (std::fs::read(&path).unwrap(), opt.applied_log().to_vec());
+            let now = (std::fs::read(&path).unwrap(), opt.cost_context().factors().deltas());
             let len = now.0.len() / 2;
             let slot = usize::from(now.0[..len] == acked.0[..len]);
             let (at, other) = (slot * len, (1 - slot) * len);
@@ -1464,7 +1441,7 @@ mod tests {
         let (mut w, found) = SlotWriter::open(&dir, 3, 2).unwrap();
         assert_eq!(found, Slots::default());
         let write = |w: &mut SlotWriter, epochs: u64| {
-            w.begin(epochs, &sample_log()).and_then(|()| w.finish())
+            w.begin(epochs, &factors_after(&sample_log())).and_then(|()| w.finish())
         };
         let newest = || {
             let slots = read_slots(&std::fs::read(&path).unwrap(), 3, 2);
@@ -1493,7 +1470,8 @@ mod tests {
     }
 
     /// The standalone write the benchmark times: each batch lands as
-    /// the next generation's image, by turns, and reads back in order.
+    /// the next generation's image, by turns, setting every parameter of
+    /// the smallest shape that holds it.
     #[test]
     fn wal_round_trips_batches_in_order() {
         let dir = scratch_dir("standalone");
@@ -1506,45 +1484,49 @@ mod tests {
             let slots = read_slots(&std::fs::read(&path).unwrap(), 3, 2);
             let (slot, ckpt) = slots.chosen.unwrap();
             assert_eq!(
-                (slot as u64, ckpt.generation, &ckpt.log),
-                (seq % 2, seq + 1, &log)
+                (slot as u64, ckpt.generation, ckpt.log),
+                (seq % 2, seq + 1, factors_after(&log).deltas())
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The epoch count follows the engine's: a batch counts iff it
-    /// changes a parameter's value, which is when `Factors::apply`
-    /// reports it — a write of 1.0 to a parameter never written, the
-    /// same value twice, a batch that writes a value and takes it back.
+    /// The epoch count follows the engine's: a batch counts, and writes
+    /// an image, iff `Factors::apply` reports a change — not a write of
+    /// 1.0 to a parameter never written, nor the same value twice, nor
+    /// ids one past the query's; a batch that writes a value and takes
+    /// it back does.
     #[test]
-    fn the_fold_changes_when_the_estimates_do() {
+    fn an_epoch_counts_iff_a_parameter_changes() {
+        use ParamDelta::{EdgeSelectivity as Sel, LeafCardinality as Card, LeafScanCost as Scan};
+        let c = fixture_catalog();
+        let q = chain_query(&c, 3);
         let (e, l) = (EdgeId(1), LeafId(0));
+        let stray = (LeafId(q.n_leaves()), EdgeId(q.edges.len() as u32));
         let batches = [
-            vec![ParamDelta::EdgeSelectivity(e, 1.0)],
-            vec![ParamDelta::EdgeSelectivity(e, 2.0)],
-            vec![ParamDelta::EdgeSelectivity(e, 2.0)],
-            vec![
-                ParamDelta::LeafCardinality(l, 3.0),
-                ParamDelta::LeafCardinality(l, 1.0),
-            ],
-            vec![
-                ParamDelta::LeafScanCost(l, 1.0),
-                ParamDelta::EdgeSelectivity(e, 2.0),
-            ],
-            vec![
-                ParamDelta::EdgeSelectivity(e, 1.0),
-                ParamDelta::LeafScanCost(l, 0.5),
-            ],
-            vec![],
+            (vec![Sel(e, 1.0)], false),
+            (vec![Sel(e, 2.0)], true),
+            (vec![Sel(e, 2.0)], false),
+            (vec![Card(l, 3.0), Card(l, 1.0)], true),
+            (vec![Scan(l, 1.0), Sel(e, 2.0)], false),
+            (vec![Card(stray.0, 2.0), Sel(stray.1, 2.0)], false),
+            (vec![Sel(e, 1.0), Scan(l, 0.5)], true),
+            (vec![], false),
         ];
-        let (mut log, mut factors) = (Vec::new(), Factors::default());
-        for batch in &batches {
-            let changed = fold_last_writes(&mut log, batch);
-            assert_eq!(changed, !factors.apply(batch).is_empty(), "{batch:?}");
-            assert!(holds(&factors, &log), "{batch:?}");
+        let dir = scratch_dir("epoch-count");
+        let mut opt = hr(&c, &q);
+        opt.set_durable_dir(&dir).unwrap();
+        opt.optimize();
+        let mut epochs = opt.epochs_seen();
+        for (batch, changes) in batches {
+            opt.reoptimize(&batch);
+            epochs += u64::from(changes);
+            assert_eq!(opt.epochs_seen(), epochs, "{batch:?}");
+            let written = opt.last_write().write > Duration::ZERO;
+            assert_eq!(written, changes, "{batch:?}");
         }
-        assert_eq!(log.len(), 3);
+        drop(opt);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -362,7 +362,7 @@ pub struct DataflowEngine {
 
 /// The declarative engine made durable ([`Durable`]): what the
 /// benchmark and the adaptive loop run. Unarmed it is the engine plus
-/// the parameter log a checkpoint would persist.
+/// the epoch count a checkpoint would persist.
 pub type DataflowOptimizer = Durable<DataflowEngine>;
 
 impl DataflowOptimizer {
@@ -531,7 +531,7 @@ impl DataflowEngine {
     }
 
     /// Loads parameters before the first `optimize()` (a restart's
-    /// recovered log, [`Durable::restart`]).
+    /// recovered image, [`Durable::restart`]).
     pub fn preload(&mut self, deltas: &[ParamDelta]) {
         self.core.preload(deltas);
     }
@@ -1483,8 +1483,8 @@ mod tests {
 
     #[test]
     fn parameters_the_query_does_not_have_reach_no_alternative() {
-        // The candidates come from the hand-rolled engine's index, which
-        // lists nothing for ids one past the query's: the network is fed
+        // `Factors::apply` reports no id one past the query's, so the
+        // hand-rolled engine's epoch changes nothing: the network is fed
         // no delta.
         let c = fixture_catalog();
         for q in fixture_queries() {
@@ -1548,18 +1548,18 @@ mod tests {
                 let factor = f64::from(i % 3 + 3);
                 victim.reoptimize(&[ParamDelta::LeafCardinality(LeafId(i % 2), factor)]);
             }
-            let epochs = victim.epochs_seen();
+            let (epochs, held) = (victim.epochs_seen(), victim.cost_context().factors().clone());
             drop(victim); // the crash
 
             let (rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
             assert_eq!(out.recovery.path, RecoveryPath::RestoredFromCheckpoint);
             assert!(out.recovery.errors.is_empty(), "{:?}", out.recovery.errors);
-            assert_eq!(rec.applied_log().len(), 2 + tail_len.min(2) as usize);
+            assert_eq!(rec.cost_context().factors(), &held, "tail of {tail_len}");
             // The tail's epochs, plus the one the restart ran.
             assert_eq!(rec.epochs_seen(), epochs + 1);
 
             let mut fresh = DataflowEngine::new(&c, q.clone());
-            fresh.preload(rec.applied_log());
+            fresh.preload(&held.deltas());
             let want = fresh.optimize();
             assert_eq!(out.stats.epoch, 1, "tail of {tail_len}");
             assert_eq!(

@@ -21,7 +21,7 @@ use reopt_core::fixtures::deltas_for;
 use reopt_core::IncrementalOptimizer;
 use reopt_cost::ParamDelta;
 use reopt_datalog::DataflowError;
-use reopt_expr::{LeafId, QuerySpec};
+use reopt_expr::{EdgeId, LeafId, QuerySpec};
 
 use common::{
     build, chain5, chain5_batches, crashed_victim, fresh_dir, oracle_after, query_gen, Engine,
@@ -580,29 +580,93 @@ fn arming_an_engine_that_applied_batches_in_memory_is_refused() {
     for_both_engines!(check);
 }
 
-/// An image is written as its record plus zeros up to where the slot's
-/// old content ended, not as a whole slot, so a shorter image must zero
-/// the longer one it overwrites. A directory whose log holds two
-/// parameters written back to base is armed by a fresh engine (the
-/// values agree), whose first image logs one parameter: a restart
-/// restores it, with nothing refused.
+/// An image an older build wrote — of the same format and version, but
+/// listing only the parameters ever written, each once, in first-write
+/// order — restores as the state it describes; the next image, which
+/// lists every parameter, is written over it whole, and restores too.
 #[test]
-fn a_shorter_image_zeroes_the_longer_one_it_overwrites() {
+fn an_image_of_the_last_writes_alone_restores() {
     fn check<E: Engine>() {
         let (c, q) = chain5();
         let batches = chain5_batches(&q);
-        let there_and_back = [&batches[0][..], &batches[1][..]].concat();
-        let back: Vec<ParamDelta> = there_and_back.iter().map(|d| at_base(*d)).collect();
-        let dir = crashed_victim::<E>(&c, &q, "shorter", &[there_and_back, back]);
-        let mut fresh = E::fresh(&c, &q);
-        fresh.set_durable_dir(&dir).unwrap();
-        fresh.optimize();
-        fresh.reoptimize(&batches[2]);
-        drop(fresh);
+        let (leaves, edges) = (q.n_leaves(), q.edges.len() as u32);
+        let dir = crashed_victim::<E>(&c, &q, "older-image", &batches[..2]);
+        let written = slot_image(&dir, &q, 1).unwrap();
+        // One delta per parameter written, in the order of a first-write
+        // log whose batches came newest first: not (kind, id) order.
+        let mut last_writes: Vec<ParamDelta> = Vec::new();
+        for &d in batches[..2].iter().rev().flatten() {
+            if !last_writes.iter().any(|w| same_parameter(*w, d)) {
+                last_writes.push(d);
+            }
+        }
+        assert!(last_writes.len() < written.log.len(), "{}", E::NAME);
+        let older = durable::encode_checkpoint(2, written.epochs_seen, leaves, edges, &last_writes);
+        write_slot(&dir, 1, &older);
+
+        let (mut rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart, restored(), "{}", E::NAME);
+        let oracle = oracle_after::<E>(&c, &q, &batches[..2]);
+        E::assert_same(&rec, &oracle, "an older build's image");
+        assert_eq!(rec.cost_context().factors(), oracle.cost_context().factors(), "{}", E::NAME);
+        // Images 3 (slot 0) and 4 (slot 1, over the older build's).
+        rec.reoptimize(&batches[2]);
+        rec.reoptimize(&batches[3]);
+        drop(rec);
+        let (slot, image) = slots_in(&dir, &q).chosen.unwrap();
+        assert_eq!((slot, image.generation, image.log.len()), (1, 4, written.log.len()));
         let (rec, restart) = E::restart(&c, &q, &dir);
         assert_eq!(restart, restored(), "{}", E::NAME);
-        assert_eq!(rec.applied_log().len(), 1, "{}", E::NAME);
-        E::assert_same(&rec, &oracle_after(&c, &q, &batches[2..3]), "a shorter image");
+        E::assert_same(&rec, &oracle_after(&c, &q, &batches), "over an older build's image");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    for_both_engines!(check);
+}
+
+/// Whether `a` and `b` write the same parameter.
+fn same_parameter(a: ParamDelta, b: ParamDelta) -> bool {
+    at_base(a) == at_base(b)
+}
+
+/// A delta naming an id the query does not have sets no parameter, so
+/// no image lists it: a durable walk whose batches mix real deltas with
+/// ids one past the query's acknowledges every epoch and restarts as
+/// `RestoredFromCheckpoint` on the oracle that applied only the real
+/// deltas (an image listing the stray id was refused as "outside this
+/// query", losing every acknowledged parameter to a rebuild at base
+/// estimates).
+#[test]
+fn ids_the_query_does_not_have_are_never_imaged() {
+    fn check<E: Engine>() {
+        use ParamDelta::{EdgeSelectivity as Sel, LeafCardinality as Card, LeafScanCost as Scan};
+        let (c, q) = chain5();
+        let (leaf, edge) = (LeafId(q.n_leaves()), EdgeId(q.edges.len() as u32));
+        let batches = [
+            vec![Sel(EdgeId(0), 2.0)],
+            vec![Sel(edge, 2.0), Card(LeafId(1), 4.0)],
+            vec![Card(leaf, 0.5), Scan(leaf, 3.0)],
+            vec![Card(LeafId(0), 3.0), Scan(leaf, 2.0)],
+        ];
+        let dir = fresh_dir("stray-ids");
+        let mut victim = E::fresh(&c, &q);
+        victim.set_durable_dir(&dir).unwrap();
+        victim.optimize();
+        for batch in &batches {
+            victim.reoptimize(batch);
+            assert_eq!(victim.last_write().error, None, "{}: {batch:?}", E::NAME);
+        }
+        drop(victim);
+        let in_query = |d: &ParamDelta| match *d {
+            Sel(e, _) => e.0 < edge.0,
+            Card(l, _) | Scan(l, _) => l.0 < leaf.0,
+        };
+        let real: Vec<Vec<ParamDelta>> =
+            batches.iter().map(|b| b.iter().copied().filter(in_query).collect()).collect();
+        let (rec, restart) = E::restart(&c, &q, &dir);
+        assert_eq!(restart, restored(), "{}", E::NAME);
+        let oracle = oracle_after::<E>(&c, &q, &real);
+        E::assert_same(&rec, &oracle, "real deltas only");
+        assert_eq!(rec.cost_context().factors(), oracle.cost_context().factors(), "{}", E::NAME);
         let _ = std::fs::remove_dir_all(&dir);
     }
     for_both_engines!(check);
@@ -619,7 +683,7 @@ fn at_base(d: ParamDelta) -> ParamDelta {
 
 /// The file holds parameters only: a directory a durable `hr` wrote
 /// restarts `decl` (through `DataflowOptimizer::recover`) to the
-/// writer's applied log, epoch count (plus the restart's own), cost and
+/// writer's parameters, epoch count (plus the restart's own), cost and
 /// plan, and the other way round.
 #[test]
 fn a_directory_one_engine_wrote_restarts_the_other() {
@@ -633,14 +697,14 @@ fn a_directory_one_engine_wrote_restarts_the_other() {
         for batch in &batches {
             writer.reoptimize(batch);
         }
-        let (log, epochs) = (writer.applied_log().to_vec(), writer.epochs_seen());
+        let (factors, epochs) = (writer.cost_context().factors().clone(), writer.epochs_seen());
         let (cost, plan) = W::best(&writer);
         drop(writer);
 
         let (rec, restart) = R::restart(&c, &q, &dir);
         let what = format!("{} wrote, {} restarted", W::NAME, R::NAME);
         assert_eq!(restart, restored(), "{what}");
-        assert_eq!(rec.applied_log(), log, "{what}");
+        assert_eq!(rec.cost_context().factors(), &factors, "{what}");
         assert_eq!(rec.epochs_seen(), epochs + 1, "{what}");
         let (got_cost, got_plan) = R::best(&rec);
         assert!(got_cost.approx_eq(cost), "{what}: {got_cost:?} vs {cost:?}");
@@ -660,7 +724,7 @@ fn assert_rebuilds_at_base<E: Engine>(c: &Catalog, q: &QuerySpec, dir: &Path, wh
     assert!(refused_then_lost(&restart.errors, &[why]), "{}: {:?}", E::NAME, restart.errors);
     let oracle = oracle_after::<E>(c, q, &[]);
     E::assert_same(&rec, &oracle, why);
-    assert_eq!(rec.applied_log(), oracle.applied_log());
+    assert_eq!(rec.cost_context().factors(), oracle.cost_context().factors(), "{}", E::NAME);
 }
 
 /// Restarts `dir` with engine `E` and checks that it restored from an
@@ -799,7 +863,8 @@ fn every_bit_flip_in_a_checkpoint_is_detected() {
         let intact = chain5_slots(&file);
         let (newest, c) = intact.chosen.as_ref().unwrap();
         assert_eq!((*newest, c.generation), ((n + 1) % 2, n as u64));
-        assert_eq!((c.log.len(), intact.refused.len()), (n, 0));
+        let params = q.edges.len() + 2 * leaves as usize;
+        assert_eq!((c.log.len(), intact.refused.len()), (params, 0));
         let slot_len = file.len() / 2;
         for slot in 0..n.min(2) {
             let start = slot * slot_len;

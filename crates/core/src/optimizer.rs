@@ -223,7 +223,7 @@ impl IncrementalOptimizer {
     }
 
     /// Loads parameters into an engine before its first `optimize()` (a
-    /// restart's recovered log); `false` when none changed.
+    /// restart's recovered image); `false` when none changed.
     pub fn preload(&mut self, deltas: &[ParamDelta]) -> bool {
         debug_assert!(!self.initialized, "parameters load before the first optimize");
         !self.ctx.apply(deltas).is_empty()
@@ -1143,6 +1143,53 @@ mod tests {
         }
     }
 
+    /// Rules r1/r2 bound a child through a join by its sibling's best:
+    /// when one epoch moves the best of both children of the root's join
+    /// (here both scans' costs), each child's `mpb` must be re-derived
+    /// from the other's new best, even where nothing else queues it. Two
+    /// 2-leaf joins, shrunk from a stress loop over random queries (20
+    /// epochs each, `check_invariants` after every one), one for each of
+    /// the two sibling-bound pushes in `refresh_group`:
+    /// without the push for a moved left child, group 0 keeps `mpb` 15
+    /// where 10 is recomputed in the first; without the push for a moved
+    /// right child, 250 where 850 is recomputed in the second.
+    #[test]
+    fn a_moved_child_best_re_bounds_its_sibling() {
+        use ParamDelta::{LeafCardinality as Card, LeafScanCost as Scan};
+        let cases = [
+            ([1, 1], true, vec![
+                vec![Card(LeafId(0), 0.5)],
+                vec![Scan(LeafId(1), 0.5), Scan(LeafId(0), 2.0)],
+            ]),
+            ([2, 2], false, vec![
+                vec![Scan(LeafId(1), 2.0)],
+                vec![Card(LeafId(0), 8.0)],
+                vec![Scan(LeafId(1), 8.0), Scan(LeafId(0), 0.25)],
+            ]),
+        ];
+        for (rows, indexed, walk) in cases {
+            let (c, q) = crate::fixtures::build(&crate::fixtures::QueryGen {
+                rows: rows.to_vec(),
+                indexed: vec![indexed; 2],
+                parent: vec![0],
+                cycle: false,
+            });
+            for cfg in [PruningConfig::all(), PruningConfig::all_strict()] {
+                let mut opt = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                opt.optimize();
+                for (epoch, batch) in walk.iter().enumerate() {
+                    let out = opt.reoptimize(batch);
+                    let what = format!("{rows:?} under {}, epoch {epoch}", cfg.label());
+                    opt.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let mut ctx = CostContext::new(&c, &q);
+                    ctx.apply(&walk[..=epoch].concat());
+                    let want = optimize_system_r(&q, &JoinGraph::new(&q), &mut ctx).cost;
+                    assert!(out.cost.approx_eq(want), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_preset_lands_on_the_optimum_of_the_counter_example() {
         // t0 ⋈ t1 ⋈ t2, scanning t2 gets 8× cheaper. Under full pruning
@@ -1211,8 +1258,8 @@ mod tests {
 
     #[test]
     fn parameters_the_query_does_not_have_are_no_ops() {
-        // Callers do feed `LeafId(n_leaves)` / `EdgeId(n_edges)`; the
-        // index lists nothing for them, so the epoch seeds nothing.
+        // Callers do feed `LeafId(n_leaves)` / `EdgeId(n_edges)`;
+        // `Factors::apply` reports neither, so the epoch seeds nothing.
         let c = fixture_catalog();
         for q in fixture_queries() {
             for cfg in all_configs() {

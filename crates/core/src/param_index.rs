@@ -16,8 +16,7 @@ use reopt_expr::{EdgeId, LeafId, PhysOp, QuerySpec};
 
 use crate::memo::{AltId, GroupId, Memo};
 
-/// The inverted `alt_affected` predicate of one memo. Ids the query
-/// does not have (a delta naming leaf `n_leaves`) list nothing.
+/// The inverted `alt_affected` predicate of one memo.
 #[derive(Clone, Debug)]
 pub struct ParamIndex {
     by_leaf: Vec<Vec<GroupId>>,
@@ -64,19 +63,19 @@ impl ParamIndex {
     /// Groups whose expression contains leaf `l` (a cardinality change
     /// affects every alternative of each).
     pub fn groups_with_leaf(&self, l: LeafId) -> &[GroupId] {
-        self.by_leaf.get(l.0 as usize).map_or(&[], Vec::as_slice)
+        &self.by_leaf[l.0 as usize]
     }
 
     /// Groups whose expression holds both ends of edge `e` (a
     /// selectivity change affects every alternative of each).
     pub fn groups_covering_edge(&self, e: EdgeId) -> &[GroupId] {
-        self.by_edge.get(e.0 as usize).map_or(&[], Vec::as_slice)
+        &self.by_edge[e.0 as usize]
     }
 
     /// The alternatives a scan-cost change of leaf `l` affects: its
     /// scans and the indexed nested-loop joins whose inner it is.
     pub fn scan_alts(&self, l: LeafId) -> &[AltId] {
-        self.scan_alts.get(l.0 as usize).map_or(&[], Vec::as_slice)
+        &self.scan_alts[l.0 as usize]
     }
 
     /// The groups all of whose alternatives `affected` reaches: the
@@ -110,8 +109,8 @@ mod tests {
     use reopt_expr::JoinGraph;
 
     /// The index lists exactly what `alt_affected` accepts, parameter by
-    /// parameter — including the ids one past the query's, which the
-    /// engines' callers do feed.
+    /// parameter. (An id the query does not have reaches neither:
+    /// `Factors::apply` reports only the query's own parameters.)
     #[test]
     fn the_index_is_alt_affected_inverted() {
         let c = fixture_catalog();
@@ -137,7 +136,7 @@ mod tests {
             let alts_of = |groups: &[GroupId]| -> Vec<AltId> {
                 groups.iter().flat_map(|&g| memo.alts_of(g)).collect()
             };
-            for l in (0..=q.n_leaves()).map(LeafId) {
+            for l in (0..q.n_leaves()).map(LeafId) {
                 let card = AffectedSet {
                     leaves_card: vec![l],
                     ..AffectedSet::default()
@@ -154,7 +153,7 @@ mod tests {
                 };
                 assert_eq!(idx.scan_alts(l), sweep(&scan), "{} scan {l:?}", q.name);
             }
-            for e in (0..=q.edges.len() as u32).map(EdgeId) {
+            for e in (0..q.edges.len() as u32).map(EdgeId) {
                 let sel = AffectedSet {
                     edges: vec![e],
                     ..AffectedSet::default()
@@ -166,9 +165,6 @@ mod tests {
                     q.name
                 );
             }
-            // One past the query's ids: `alt_affected` accepts nothing,
-            // and the lists are empty rather than out of bounds.
-            assert!(idx.groups_with_leaf(LeafId(q.n_leaves())).is_empty());
         }
     }
 }

@@ -9,6 +9,10 @@
 //! filter selectivities; join output = product of child rows × product of
 //! the selectivities of every edge *internal* to the result set.
 //!
+//! The parameters are the query's one [`Factors`], sized by its leaves
+//! and edges: a selectivity or a raw row count is read as its base
+//! estimate × its factor, a scan-cost factor as it is.
+//!
 //! The summaries are memoized twice. This context keeps a lazy cache per
 //! leaf set, which [`CostContext::apply`] invalidates where a delta can
 //! move it. An incremental engine keeps one estimate per group as its
@@ -52,12 +56,6 @@ pub struct CostContext {
     rows_cache: RowsCache,
     /// `edge_rels[e]` = the two-leaf set of edge `e`.
     edge_rels: Vec<RelSet>,
-    /// The current parameters by id, refreshed by [`Self::apply`]: each
-    /// edge's selectivity, each leaf's raw rows and scan-cost factor.
-    /// The cost formulas read these; `factors` is what is persisted.
-    edge_sel: Vec<f64>,
-    leaf_raw: Vec<f64>,
-    leaf_scan: Vec<f64>,
 }
 
 /// Memo of [`CostContext::rows`] per leaf set. A query of at most
@@ -83,19 +81,14 @@ impl RowsCache {
 
     fn get(&self, rel: RelSet) -> Option<f64> {
         match self {
-            RowsCache::Dense(t) => t.get(rel.0 as usize).copied().filter(|r| !r.is_nan()),
+            RowsCache::Dense(t) => Some(t[rel.0 as usize]).filter(|r| !r.is_nan()),
             RowsCache::Sparse(m) => m.get(&rel).copied(),
         }
     }
 
     fn insert(&mut self, rel: RelSet, rows: f64) {
         match self {
-            // A set naming a leaf the query does not have is not cached.
-            RowsCache::Dense(t) => {
-                if let Some(slot) = t.get_mut(rel.0 as usize) {
-                    *slot = rows;
-                }
-            }
+            RowsCache::Dense(t) => t[rel.0 as usize] = rows,
             RowsCache::Sparse(m) => {
                 m.insert(rel, rows);
             }
@@ -108,9 +101,6 @@ impl RowsCache {
     fn invalidate_supersets(&mut self, part: RelSet) {
         match self {
             RowsCache::Dense(t) => {
-                if part.0 as usize >= t.len() {
-                    return;
-                }
                 // Every submask of the other leaves, joined to `part`.
                 let free = (t.len() - 1) as u32 & !part.0;
                 let mut sub = free;
@@ -189,10 +179,7 @@ impl CostContext {
         let edge_rels = q.edges.iter().map(|e| e.rels()).collect();
         CostContext {
             unit: UnitCosts::default(),
-            factors: Factors::default(),
-            edge_sel: edge_base_sel.clone(),
-            leaf_raw: leaves.iter().map(|l| l.raw_rows).collect(),
-            leaf_scan: vec![1.0; leaves.len()],
+            factors: Factors::new(leaves.len(), edge_base_sel.len()),
             leaves,
             edge_base_sel,
             group_count,
@@ -207,25 +194,12 @@ impl CostContext {
         let affected = self.factors.apply(deltas);
         // A cardinality is a product over the set's leaves and internal
         // edges: only sets holding a changed leaf, or both ends of a
-        // changed edge, are recomputed. Ids the query does not have
-        // change no set and no parameter.
+        // changed edge, are recomputed.
         for &l in &affected.leaves_card {
-            if let Some(raw) = self.leaf_raw.get_mut(l.0 as usize) {
-                *raw = self.leaves[l.0 as usize].raw_rows * self.factors.leaf_card(l);
-                self.rows_cache.invalidate_supersets(RelSet::singleton(l.0));
-            }
+            self.rows_cache.invalidate_supersets(RelSet::singleton(l.0));
         }
         for &e in &affected.edges {
-            if let Some(sel) = self.edge_sel.get_mut(e.0 as usize) {
-                let base = self.edge_base_sel[e.0 as usize];
-                *sel = (base * self.factors.edge_sel(e)).clamp(0.0, 1.0);
-                self.rows_cache.invalidate_supersets(self.edge_rels[e.0 as usize]);
-            }
-        }
-        for &l in &affected.leaves_scan {
-            if let Some(scan) = self.leaf_scan.get_mut(l.0 as usize) {
-                *scan = self.factors.leaf_scan(l);
-            }
+            self.rows_cache.invalidate_supersets(self.edge_rels[e.0 as usize]);
         }
         affected
     }
@@ -236,12 +210,12 @@ impl CostContext {
 
     /// Current selectivity of a join edge (base × runtime factor).
     pub fn edge_selectivity(&self, e: EdgeId) -> f64 {
-        self.edge_sel[e.0 as usize]
+        (self.edge_base_sel[e.0 as usize] * self.factors.edge_sel(e)).clamp(0.0, 1.0)
     }
 
     /// Raw (pre-filter) rows of a leaf under the current factors.
     pub fn leaf_raw_rows(&self, l: LeafId) -> f64 {
-        self.leaf_raw[l.0 as usize]
+        self.leaves[l.0 as usize].raw_rows * self.factors.leaf_card(l)
     }
 
     /// Output rows of a leaf after filters.
@@ -315,7 +289,7 @@ impl CostContext {
                 let base = &self.leaves[leaf.0 as usize];
                 let n_filters = base.n_filters as f64;
                 self.leaf_raw_rows(leaf)
-                    * (u.seq_scan * self.leaf_scan[leaf.0 as usize] + u.predicate * n_filters)
+                    * (u.seq_scan * self.factors.leaf_scan(leaf) + u.predicate * n_filters)
                     + out * u.output
             }
             PhysOp::IndexScan { col } => {
@@ -339,7 +313,7 @@ impl CostContext {
                     let residual = (n_filters - 1.0).max(0.0);
                     u.index_base
                         + probes
-                            * (u.index_probe * self.leaf_scan[leaf.0 as usize]
+                            * (u.index_probe * self.factors.leaf_scan(leaf)
                                 + u.predicate * residual)
                         + out * u.output
                 }
@@ -364,7 +338,7 @@ impl CostContext {
                 // Index matches on the probe edge; residual cross edges
                 // filter the matched pairs.
                 let pairs = outer * inner_rows * self.edge_selectivity(edge);
-                outer * u.index_probe * self.leaf_scan[inner_leaf.0 as usize]
+                outer * u.index_probe * self.factors.leaf_scan(inner_leaf)
                     + pairs * u.predicate
                     + out * u.output
             }
@@ -407,12 +381,8 @@ impl CostContext {
             return true;
         }
         // An edge selectivity change matters once both endpoints are in
-        // the result set (an edge the query does not have touches none).
-        if affected.edges.iter().any(|e| {
-            self.edge_rels
-                .get(e.0 as usize)
-                .is_some_and(|ends| ends.is_subset_of(expr.rel))
-        }) {
+        // the result set.
+        if (affected.edges.iter()).any(|e| self.edge_rels[e.0 as usize].is_subset_of(expr.rel)) {
             return true;
         }
         // Scan-cost changes hit the leaf's own access paths and INLJ
@@ -611,114 +581,65 @@ mod tests {
         let _ = q;
     }
 
-    /// `local_cost_of` as it read the factor map, for the operators that
-    /// read a parameter; the others read only row estimates.
-    fn local_cost_from_factors(
-        ctx: &CostContext,
-        expr: ExprId,
-        prop: PhysProp,
-        alt: &AltSpec,
-        (out, l, r): (f64, f64, f64),
-    ) -> Cost {
-        let (u, f) = (&ctx.unit, &ctx.factors);
-        let raw = |leaf: LeafId| ctx.leaves[leaf.0 as usize].raw_rows * f.leaf_card(leaf);
-        let sel = |e: EdgeId| (ctx.edge_base_sel[e.0 as usize] * f.edge_sel(e)).clamp(0.0, 1.0);
-        let leaf = || LeafId(expr.rel.leaf());
-        let cost = match alt.op {
-            PhysOp::FullScan => {
-                let leaf = leaf();
-                let n_filters = ctx.leaves[leaf.0 as usize].n_filters as f64;
-                raw(leaf) * (u.seq_scan * f.leaf_scan(leaf) + u.predicate * n_filters)
-                    + out * u.output
-            }
-            PhysOp::IndexScan { col } if prop != PhysProp::Indexed(col) => {
-                let leaf = leaf();
-                let base = &ctx.leaves[leaf.0 as usize];
-                let frac = base.index_filter_sel.get(&col.col.0).copied().unwrap_or(1.0);
-                let residual = (base.n_filters as f64 - 1.0).max(0.0);
-                let probe = u.index_probe * f.leaf_scan(leaf) + u.predicate * residual;
-                u.index_base + raw(leaf) * frac * probe + out * u.output
-            }
-            PhysOp::SortMergeJoin { edge } => {
-                (l + r) * u.merge + l * r * sel(edge) * u.merge + out * u.output
-            }
-            PhysOp::IndexNLJoin { edge } => {
-                let inner = LeafId(alt.left.unwrap().expr.rel.leaf());
-                r * u.index_probe * f.leaf_scan(inner) + r * l * sel(edge) * u.predicate
-                    + out * u.output
-            }
-            _ => return ctx.local_cost_of(expr, prop, alt, out, l, r),
-        };
-        Cost::new(cost)
-    }
-
+    /// The rows memo against a fresh context at the same factors, on
+    /// the 2-leaf fixture (a table by leaf-set bits) and a 17-leaf chain
+    /// (past [`DENSE_LEAVES`], a map): before each random batch — every
+    /// kind, ids repeated within a batch and one past the query's —
+    /// every set checked is cached, and after it `rows` and `expr_rows`
+    /// of every run of consecutive leaves, and of random leaf sets, are
+    /// bit-equal to a context that never cached anything.
     #[test]
-    fn dense_reads_are_base_times_factors() {
-        // Random batches of every kind, with ids repeated within a batch
-        // and ids one past the query's: after each, the dense reads are
-        // base × `Factors` (a selectivity clamped), every row estimate
-        // and local cost is bit-equal to one that reads only `Factors`.
-        let (q, mut ctx) = fixture();
-        let graph = JoinGraph::new(&q);
-        let factors = [0.125, 0.5, 1.0, 2.0, 8.0, 1e9];
+    fn cached_rows_equal_a_fresh_contexts() {
+        let c = catalog();
+        let mut b = QuerySpec::builder("chain17");
+        let l: Vec<_> = (0..17).map(|i| b.leaf_aliased(&c, "small", &format!("s{i}"))).collect();
+        for w in l.windows(2) {
+            b.join(&c, w[0], "k", w[1], "k");
+        }
+        let chain = b.build();
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = |n: usize| {
+        let mut next = |n: u32| {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
-            (seed % n as u64) as u32
+            (seed % u64::from(n)) as u32
         };
-        for _ in 0..300 {
-            let batch: Vec<ParamDelta> = (0..1 + next(6))
-                .map(|_| {
-                    let (leaf, edge) = (LeafId(next(3)), EdgeId(next(2)));
-                    let f = factors[next(factors.len()) as usize];
-                    match next(3) {
-                        0 => ParamDelta::EdgeSelectivity(edge, f),
-                        1 => ParamDelta::LeafCardinality(leaf, f),
-                        _ => ParamDelta::LeafScanCost(leaf, f),
-                    }
-                })
-                .collect();
-            ctx.apply(&batch);
-            let f = ctx.factors.clone();
-            for (e, &base) in ctx.edge_base_sel.iter().enumerate() {
-                let e = EdgeId(e as u32);
-                assert_eq!(ctx.edge_selectivity(e), (base * f.edge_sel(e)).clamp(0.0, 1.0));
-            }
-            for (l, base) in ctx.leaves.iter().enumerate() {
-                let l = LeafId(l as u32);
-                assert_eq!(ctx.leaf_raw_rows(l), base.raw_rows * f.leaf_card(l));
-                assert_eq!(ctx.leaf_scan[l.0 as usize], f.leaf_scan(l));
-            }
-            for rel in [RelSet::singleton(0), RelSet::singleton(1), RelSet(0b11)] {
-                let mut want: f64 = rel
-                    .iter()
-                    .map(|l| {
-                        let base = &ctx.leaves[l as usize];
-                        (base.raw_rows * f.leaf_card(LeafId(l)) * base.filter_sel).max(1e-9)
+        for q in [query(&c), chain] {
+            let mut ctx = CostContext::new(&c, &q);
+            assert_eq!(matches!(ctx.rows_cache, RowsCache::Sparse(_)), q.n_leaves() == 17);
+            let (n, edges) = (q.n_leaves(), q.edges.len() as u32);
+            let all = (1u32 << n) - 1;
+            let run = |i: u32, j: u32| RelSet(((1 << (j - i)) - 1) << i);
+            let runs: Vec<RelSet> = (0..n).flat_map(|i| (i + 1..=n).map(move |j| run(i, j))).collect();
+            let factors = [0.125, 0.5, 1.0, 2.0, 8.0, 1e9];
+            for _ in 0..60 {
+                let sets: Vec<RelSet> = (runs.iter().copied())
+                    .chain((0..20).map(|_| RelSet(next(all) + 1)))
+                    .collect();
+                for &rel in &sets {
+                    ctx.rows(&q, rel);
+                }
+                let batch: Vec<ParamDelta> = (0..1 + next(6))
+                    .map(|_| {
+                        let (leaf, edge) = (LeafId(next(n + 1)), EdgeId(next(edges + 1)));
+                        let f = factors[next(factors.len() as u32) as usize];
+                        match next(3) {
+                            0 => ParamDelta::EdgeSelectivity(edge, f),
+                            1 => ParamDelta::LeafCardinality(leaf, f),
+                            _ => ParamDelta::LeafScanCost(leaf, f),
+                        }
                     })
-                    .product();
-                if rel == RelSet(0b11) {
-                    want *= (ctx.edge_base_sel[0] * f.edge_sel(EdgeId(0))).clamp(0.0, 1.0);
-                }
-                assert_eq!(ctx.rows(&q, rel).to_bits(), want.max(1e-9).to_bits(), "{batch:?}");
-            }
-            // Every group of the plan space, reached from the root.
-            let mut stack = vec![(q.root_expr(), PhysProp::Any)];
-            let mut seen = std::collections::HashSet::new();
-            while let Some((expr, prop)) = stack.pop() {
-                if !seen.insert((expr, prop)) {
-                    continue;
-                }
-                for alt in enumerate_alts(&q, &graph, expr, prop) {
-                    stack.extend(alt.left.into_iter().chain(alt.right).map(|c| (c.expr, c.prop)));
-                    let out = ctx.expr_rows(&q, expr);
-                    let l = alt.left.map_or(0.0, |c| ctx.expr_rows(&q, c.expr));
-                    let rows = (out, l, alt.right.map_or(0.0, |c| ctx.expr_rows(&q, c.expr)));
-                    let got = ctx.local_cost_of(expr, prop, &alt, rows.0, rows.1, rows.2);
-                    let want = local_cost_from_factors(&ctx, expr, prop, &alt, rows);
-                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{alt:?} {batch:?}");
+                    .collect();
+                ctx.apply(&batch);
+                let mut fresh = CostContext::new(&c, &q);
+                fresh.apply(&ctx.factors().deltas());
+                assert_eq!(fresh.factors(), ctx.factors());
+                for rel in sets {
+                    let (got, want) = (ctx.rows(&q, rel), fresh.rows(&q, rel));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} {rel:?} {batch:?}", q.name);
+                    let expr = ExprId::rel(rel);
+                    let (got, want) = (ctx.expr_rows(&q, expr), fresh.expr_rows(&q, expr));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} {rel:?} {batch:?}", q.name);
                 }
             }
         }

@@ -7,7 +7,6 @@
 //! the catalog-derived base estimates; a batch of deltas is the input to
 //! `reoptimize`.
 
-use reopt_common::FxHashMap;
 use reopt_expr::{EdgeId, LeafId};
 
 /// Unit costs combining "CPU, I/O, bandwidth and energy into a single
@@ -88,55 +87,75 @@ impl AffectedSet {
     }
 }
 
-/// The mutable factor store.
-#[derive(Clone, Debug, Default)]
+/// The runtime factors of one query's parameters, one per edge and two
+/// per leaf, each 1.0 until a delta sets it: the only copy of the
+/// parameters an engine's estimates are a function of.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Factors {
-    pub edge_sel: FxHashMap<EdgeId, f64>,
-    pub leaf_card: FxHashMap<LeafId, f64>,
-    pub leaf_scan: FxHashMap<LeafId, f64>,
+    edge_sel: Vec<f64>,
+    leaf_card: Vec<f64>,
+    leaf_scan: Vec<f64>,
 }
 
 impl Factors {
+    /// Every parameter of a query of `leaves` leaves and `edges` join
+    /// edges at its base estimate.
+    pub fn new(leaves: usize, edges: usize) -> Factors {
+        Factors {
+            edge_sel: vec![1.0; edges],
+            leaf_card: vec![1.0; leaves],
+            leaf_scan: vec![1.0; leaves],
+        }
+    }
+
     pub fn edge_sel(&self, e: EdgeId) -> f64 {
-        self.edge_sel.get(&e).copied().unwrap_or(1.0)
+        self.edge_sel[e.0 as usize]
     }
 
     pub fn leaf_card(&self, l: LeafId) -> f64 {
-        self.leaf_card.get(&l).copied().unwrap_or(1.0)
+        self.leaf_card[l.0 as usize]
     }
 
     pub fn leaf_scan(&self, l: LeafId) -> f64 {
-        self.leaf_scan.get(&l).copied().unwrap_or(1.0)
+        self.leaf_scan[l.0 as usize]
     }
 
     /// Applies a batch, returning the parameters whose value actually
     /// changed (unchanged settings produce no dirty work, mirroring the
-    /// delta semantics of §4).
+    /// delta semantics of §4). An id the query does not have names no
+    /// parameter: it changes nothing and is not reported.
     pub fn apply(&mut self, deltas: &[ParamDelta]) -> AffectedSet {
         let mut out = AffectedSet::default();
         for d in deltas {
+            let (slot, f) = match *d {
+                ParamDelta::EdgeSelectivity(e, f) => (self.edge_sel.get_mut(e.0 as usize), f),
+                ParamDelta::LeafCardinality(l, f) => (self.leaf_card.get_mut(l.0 as usize), f),
+                ParamDelta::LeafScanCost(l, f) => (self.leaf_scan.get_mut(l.0 as usize), f),
+            };
+            match slot {
+                Some(v) if *v != f => *v = f,
+                _ => continue,
+            }
             match *d {
-                ParamDelta::EdgeSelectivity(e, f) => {
-                    if self.edge_sel(e) != f {
-                        self.edge_sel.insert(e, f);
-                        out.edges.push(e);
-                    }
-                }
-                ParamDelta::LeafCardinality(l, f) => {
-                    if self.leaf_card(l) != f {
-                        self.leaf_card.insert(l, f);
-                        out.leaves_card.push(l);
-                    }
-                }
-                ParamDelta::LeafScanCost(l, f) => {
-                    if self.leaf_scan(l) != f {
-                        self.leaf_scan.insert(l, f);
-                        out.leaves_scan.push(l);
-                    }
-                }
+                ParamDelta::EdgeSelectivity(e, _) => out.edges.push(e),
+                ParamDelta::LeafCardinality(l, _) => out.leaves_card.push(l),
+                ParamDelta::LeafScanCost(l, _) => out.leaves_scan.push(l),
             }
         }
         out
+    }
+
+    /// Every parameter as the delta that sets it, in (kind, id) order:
+    /// the edges' selectivities, the leaves' cardinalities, then their
+    /// scan costs.
+    pub fn deltas(&self) -> Vec<ParamDelta> {
+        let edges = self.edge_sel.iter().enumerate();
+        let edges = edges.map(|(e, &f)| ParamDelta::EdgeSelectivity(EdgeId(e as u32), f));
+        let cards = self.leaf_card.iter().enumerate();
+        let cards = cards.map(|(l, &f)| ParamDelta::LeafCardinality(LeafId(l as u32), f));
+        let scans = self.leaf_scan.iter().enumerate();
+        let scans = scans.map(|(l, &f)| ParamDelta::LeafScanCost(LeafId(l as u32), f));
+        edges.chain(cards).chain(scans).collect()
     }
 }
 
@@ -146,7 +165,7 @@ mod tests {
 
     #[test]
     fn defaults_are_one() {
-        let f = Factors::default();
+        let f = Factors::new(3, 4);
         assert_eq!(f.edge_sel(EdgeId(3)), 1.0);
         assert_eq!(f.leaf_card(LeafId(1)), 1.0);
         assert_eq!(f.leaf_scan(LeafId(0)), 1.0);
@@ -154,7 +173,7 @@ mod tests {
 
     #[test]
     fn apply_reports_only_real_changes() {
-        let mut f = Factors::default();
+        let mut f = Factors::new(3, 2);
         let a = f.apply(&[
             ParamDelta::EdgeSelectivity(EdgeId(0), 2.0),
             ParamDelta::LeafScanCost(LeafId(1), 1.0), // no-op: already 1.0
@@ -169,11 +188,54 @@ mod tests {
         assert_eq!(c.edges, vec![EdgeId(0)]);
     }
 
+    /// Ids one past the query's change nothing and are not reported,
+    /// beside a real change in the same batch.
+    #[test]
+    fn apply_ignores_ids_the_query_does_not_have() {
+        let mut f = Factors::new(3, 2);
+        let a = f.apply(&[
+            ParamDelta::EdgeSelectivity(EdgeId(2), 2.0),
+            ParamDelta::LeafCardinality(LeafId(3), 4.0),
+            ParamDelta::LeafScanCost(LeafId(3), 4.0),
+            ParamDelta::LeafCardinality(LeafId(2), 4.0),
+        ]);
+        let want = AffectedSet {
+            leaves_card: vec![LeafId(2)],
+            ..AffectedSet::default()
+        };
+        assert_eq!(a, want);
+        let mut only = Factors::new(3, 2);
+        only.apply(&[ParamDelta::LeafCardinality(LeafId(2), 4.0)]);
+        assert_eq!(f, only);
+    }
+
     #[test]
     fn factors_are_absolute_not_compounding() {
-        let mut f = Factors::default();
+        let mut f = Factors::new(3, 2);
         f.apply(&[ParamDelta::LeafCardinality(LeafId(2), 4.0)]);
         f.apply(&[ParamDelta::LeafCardinality(LeafId(2), 0.5)]);
         assert_eq!(f.leaf_card(LeafId(2)), 0.5);
+    }
+
+    /// `deltas` lists every parameter once, in (kind, id) order, and
+    /// applying it to base factors gives the factors back.
+    #[test]
+    fn deltas_list_every_parameter_in_kind_and_id_order() {
+        let mut f = Factors::new(2, 1);
+        f.apply(&[
+            ParamDelta::LeafScanCost(LeafId(0), 3.0),
+            ParamDelta::EdgeSelectivity(EdgeId(0), 0.5),
+        ]);
+        let want = [
+            ParamDelta::EdgeSelectivity(EdgeId(0), 0.5),
+            ParamDelta::LeafCardinality(LeafId(0), 1.0),
+            ParamDelta::LeafCardinality(LeafId(1), 1.0),
+            ParamDelta::LeafScanCost(LeafId(0), 3.0),
+            ParamDelta::LeafScanCost(LeafId(1), 1.0),
+        ];
+        assert_eq!(f.deltas(), want);
+        let mut back = Factors::new(2, 1);
+        back.apply(&want);
+        assert_eq!(back, f);
     }
 }
