@@ -23,7 +23,7 @@ pub fn optimize_system_r(q: &QuerySpec, g: &JoinGraph, ctx: &mut CostContext) ->
         for a in memo.alts_of(GroupId(gi as u32)) {
             metrics.alts_costed += 1;
             let alt = memo.alt(a);
-            let local = ctx.local_cost(q, def.expr, def.prop, &alt.spec);
+            let local = ctx.local_cost(q, def.expr, def.prop, &memo.spec(a));
             let total = alt
                 .children()
                 .try_fold(local, |t, c| best[c.0 as usize].map(|(cc, _)| t + cc));

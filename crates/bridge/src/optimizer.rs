@@ -78,13 +78,18 @@
 //! `compile.rs`'s `paper_bound_rules_execute_on_the_substrate`, the way
 //! the differential suite holds [`BEST_PLAN_RULE`] to its text.
 //!
-//! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
-//! flag) into an `Int`; `prop` is a dense index into the query's
-//! property table; `index` is the global [`AltId`]; `logOp`/`phyOp` are
-//! interned symbols; absent children are the shared `null` symbol, which
-//! never joins `BestCost` — D6/D7/D8 partition the alternatives by arity
-//! through their `null` patterns and the `Fn_present` guards that reject
-//! a `null` slot where the row is scanned rather than at that join.
+//! Column encoding: the memo is the only table of the plan space, and
+//! every column is read off it by id. `expr` packs an [`ExprId`] (`rel`
+//! bits and the `agg` flag) into an `Int`; `prop` is the memo's dense
+//! property id ([`Memo::prop_id`]), so `Fn_split` and plan extraction
+//! find a group with [`Memo::group_at`], an array read; `index` is the
+//! global [`AltId`]; `logOp`/`phyOp` are symbols interned once per
+//! distinct operator when the network is built, and `Fn_split` encodes
+//! each row from the memo as it emits it. Absent children are the shared
+//! `null` symbol, which never joins `BestCost` — D6/D7/D8 partition the
+//! alternatives by arity through their `null` patterns and the
+//! `Fn_present` guards that reject a `null` slot where the row is
+//! scanned rather than at that join.
 
 use std::cell::Cell;
 use std::path::Path;
@@ -101,7 +106,7 @@ use reopt_datalog::{
     ConsolidatorFootprint, DataflowError, Delta, FaultPlan, Multiset, NodeStats, RunStats,
     SchedulerMode, Tuple, Val,
 };
-use reopt_expr::{ExprId, PhysOp, PhysProp, PlanNode, QuerySpec};
+use reopt_expr::{ExprId, PhysOp, PlanNode, QuerySpec};
 
 use crate::compile::{null_value, NetworkBuilder, RuleNetwork};
 use crate::durable::{Durable, WriteReport};
@@ -189,48 +194,24 @@ fn plan_cost_rows(net: &RuleNetwork) -> &Multiset {
         .expect("`PlanCost` has three rules and a release order: it keeps its `Distinct`")
 }
 
-/// Dense encoding of the physical-property column. The memo is built
-/// once and never grows, so the table assigns every id it will ever
-/// need at construction: each property some memo group carries, in
-/// first-seen order.
-struct PropTable {
-    by_prop: FxHashMap<PhysProp, i64>,
-    props: Vec<PhysProp>,
+/// The `(expr, prop)` columns every row about group `g` starts with
+/// (see the module docs' column encoding).
+fn group_key(memo: &Memo, g: GroupId) -> [Val; 2] {
+    let d = memo.group(g);
+    let prop = memo.prop_id(d.prop).expect("a group's property has an id");
+    [Val::Int(((d.expr.rel.0 as i64) << 1) | d.expr.agg as i64), Val::Int(prop.into())]
 }
 
-impl PropTable {
-    fn new(memo: &Memo) -> PropTable {
-        let mut by_prop = FxHashMap::default();
-        let mut props = Vec::new();
-        for g in &memo.groups {
-            by_prop.entry(g.prop).or_insert_with(|| {
-                props.push(g.prop);
-                props.len() as i64 - 1
-            });
-        }
-        PropTable { by_prop, props }
-    }
-
-    /// The dense id of `p`, a property some memo group carries.
-    fn encode(&self, p: PhysProp) -> Val {
-        Val::Int(self.by_prop[&p])
-    }
-
-    /// The property behind a dense id (the `Fn_split` decode path).
-    fn decode(&self, i: i64) -> PhysProp {
-        self.props[i as usize]
-    }
-}
-
-fn encode_expr(e: ExprId) -> Val {
-    Val::Int(((e.rel.0 as i64) << 1) | e.agg as i64)
-}
-
-fn decode_expr(e: i64) -> ExprId {
-    ExprId {
+/// The group whose columns are `key` ([`group_key`]), if it is one.
+fn group_of(memo: &Memo, key: [Val; 2]) -> Option<GroupId> {
+    let (Val::Int(e), Val::Int(p)) = (key[0], key[1]) else {
+        return None;
+    };
+    let expr = ExprId {
         rel: reopt_expr::RelSet((e >> 1) as u32),
         agg: e & 1 == 1,
-    }
+    };
+    memo.group_at(expr, u32::try_from(p).ok()?)
 }
 
 /// Result of one dataflow (re)optimization fixpoint.
@@ -343,7 +324,6 @@ pub struct DataflowEngine {
     /// the [`CostContext`] and the memo, which `memo` shares.
     core: IncrementalOptimizer,
     memo: Rc<Memo>,
-    props: Rc<PropTable>,
     net: RuleNetwork,
     initialized: bool,
     audit: AuditMode,
@@ -420,18 +400,11 @@ impl DataflowEngine {
     pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowEngine {
         let core = IncrementalOptimizer::new(catalog, q, PruningConfig::all());
         let memo = core.shared_memo();
-        let props = Rc::new(PropTable::new(&memo));
         let strata = plan_cost_strata(&memo);
-        let net = build_network(
-            Rc::clone(&memo),
-            Rc::clone(&props),
-            &strata,
-            SchedulerMode::Batched,
-        );
+        let net = build_network(Rc::clone(&memo), &strata, SchedulerMode::Batched);
         DataflowEngine {
             core,
             memo,
-            props,
             net,
             initialized: false,
             audit: AuditMode::from_env(),
@@ -464,7 +437,7 @@ impl DataflowEngine {
             if before == after {
                 continue;
             }
-            let key = self.group_key(self.memo.alt(a).group);
+            let key = group_key(&self.memo, self.memo.alt(a).group);
             rows.extend(before.map(|c| Delta::delete(local_tuple(key, a, c))));
             rows.extend(after.map(|c| Delta::insert(local_tuple(key, a, c))));
         }
@@ -511,8 +484,7 @@ impl DataflowEngine {
 
     /// A new, unseeded network for this query.
     fn fresh_network(&self) -> RuleNetwork {
-        let (memo, props) = (Rc::clone(&self.memo), Rc::clone(&self.props));
-        build_network(memo, props, &self.strata, SchedulerMode::Batched)
+        build_network(Rc::clone(&self.memo), &self.strata, SchedulerMode::Batched)
     }
 
     /// Seeds a freshly built network with everything the driver state
@@ -526,7 +498,7 @@ impl DataflowEngine {
 
     /// What a network fed nothing yet is seeded with.
     fn seed(&self) -> (Tuple, Vec<Delta>) {
-        let root = Tuple::from_slice(&self.group_key(self.memo.root));
+        let root = Tuple::from_slice(&group_key(&self.memo, self.memo.root));
         (root, self.local_cost_rows().into_iter().map(Delta::insert).collect())
     }
 
@@ -638,12 +610,6 @@ impl DataflowEngine {
             .expect("build_network keeps every view the driver reads")
     }
 
-    /// The `(expr, prop)` columns every row about group `g` starts with.
-    fn group_key(&self, g: GroupId) -> [Val; 2] {
-        let d = self.memo.group(g);
-        [encode_expr(d.expr), self.props.encode(d.prop)]
-    }
-
     /// Hands the epoch's result to the caller. The plan is extracted
     /// here, so a network whose relations contradict each other is
     /// caught while the ladder can still answer: the failure joins the
@@ -673,7 +639,7 @@ impl DataflowEngine {
 
     /// The root's `BestCost` value.
     pub fn best_cost(&self) -> Cost {
-        self.group_best(self.group_key(self.memo.root))
+        self.group_best(group_key(&self.memo, self.memo.root))
             .map_or(Cost::INFINITY, |c| c.as_cost())
     }
 
@@ -715,7 +681,7 @@ impl DataflowEngine {
 
     fn extract(&self, plan_cost: &Multiset, g: GroupId) -> Result<PlanNode, DataflowError> {
         let def = self.memo.group(g);
-        let key = self.group_key(g);
+        let key = group_key(&self.memo, g);
         let best = self.group_best(key);
         let Some(a) = best.and_then(|cost| self.best_alts(plan_cost, g, key, cost).next()) else {
             return Err(DataflowError::InvariantViolation(format!(
@@ -744,10 +710,7 @@ impl DataflowEngine {
         let mut rows = Vec::new();
         for (t, _) in self.rows("BestCost").iter() {
             let key = [t.get(0), t.get(1)];
-            let g = self
-                .memo
-                .lookup(decode_expr(key[0].as_int()), self.props.decode(key[1].as_int()))
-                .expect("`BestCost` holds memo groups only");
+            let g = group_of(&self.memo, key).expect("`BestCost` holds memo groups only");
             rows.extend(self.best_alts(plan_cost, g, key, t.get(2)).map(|a| {
                 Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), t.get(2)])
             }));
@@ -769,7 +732,7 @@ impl DataflowEngine {
     /// from this).
     pub fn local_cost_rows(&self) -> Vec<Tuple> {
         (self.core.held_alts())
-            .map(|(a, c)| local_tuple(self.group_key(self.memo.alt(a).group), a, c))
+            .map(|(a, c)| local_tuple(group_key(&self.memo, self.memo.alt(a).group), a, c))
             .collect()
     }
 
@@ -866,7 +829,7 @@ impl Reoptimizer for DataflowEngine {
 }
 
 /// The `LocalCost(expr,prop,index,cost)` row of alternative `a`, whose
-/// group's columns are `key` ([`DataflowEngine::group_key`]).
+/// group's columns are `key` ([`group_key`]).
 fn local_tuple(key: [Val; 2], a: AltId, c: Cost) -> Tuple {
     Tuple::from_slice(&[key[0], key[1], Val::Int(a.0 as i64), Val::Cost(c)])
 }
@@ -879,50 +842,19 @@ fn counted(sink: &Multiset) -> FxHashMap<Tuple, i64> {
 /// Compiles [`DATAFLOW_RULES`] under the scheduler `mode` with the
 /// memo-backed externals and the `PlanCost` release order `strata`
 /// ([`plan_cost_strata`]).
-fn build_network(
-    memo: Rc<Memo>,
-    props: Rc<PropTable>,
-    strata: &[u32],
-    mode: SchedulerMode,
-) -> RuleNetwork {
-    let split_memo = Rc::clone(&memo);
-    let split_props = Rc::clone(&props);
-    // Pre-encode Fn_split's output rows once per alternative: the
-    // function sits on the network's hottest path (every enumeration
-    // delta re-invokes it), so its emissions must not re-intern symbols
-    // or format operator names per call — nor may this loop: a memo
-    // holds a dozen distinct operators however many alternatives, so
-    // the `logOp`/`phyOp` symbols are interned once per operator.
+fn build_network(memo: Rc<Memo>, strata: &[u32], mode: SchedulerMode) -> RuleNetwork {
+    // Fn_split sits on the boot's hottest path (every enumeration delta
+    // re-invokes it), so its emissions must not intern symbols or format
+    // operator names: a memo holds a dozen distinct operators however
+    // many alternatives, and their `logOp`/`phyOp` symbols are interned
+    // here, once per operator.
     let null = null_value();
     let mut op_names: FxHashMap<PhysOp, [Val; 2]> = FxHashMap::default();
-    let split_rows: Vec<[Val; 7]> = (0..memo.n_alts() as u32)
-        .map(|ai| {
-            let alt = memo.alt(AltId(ai));
-            let child = |c: Option<GroupId>| -> (Val, Val) {
-                match c {
-                    None => (null, null),
-                    Some(cg) => {
-                        let d = memo.group(cg);
-                        (encode_expr(d.expr), props.encode(d.prop))
-                    }
-                }
-            };
-            let (le, lp) = child(alt.left);
-            let (re, rp) = child(alt.right);
-            let [log_op, phy_op] = *op_names.entry(alt.op).or_insert_with(|| {
-                [Val::str(alt.op.logical_name()), Val::str(&alt.op.to_string())]
-            });
-            [
-                Val::Int(ai as i64),
-                log_op,
-                phy_op,
-                le,
-                lp,
-                re,
-                rp,
-            ]
-        })
-        .collect();
+    for alt in &memo.alts {
+        op_names.entry(alt.op).or_insert_with(|| {
+            [Val::str(alt.op.logical_name()), Val::str(&alt.op.to_string())]
+        });
+    }
     NetworkBuilder::new()
         .scheduler_mode(mode)
         .input("Expr", 2)
@@ -937,14 +869,15 @@ fn build_network(
         // child slots of scan tuples fed back by D2/D3 — expand to
         // nothing, which is the Fn_isleaf guard of R1–R3.
         .external("Fn_split", 2, move |args, emit| {
-            let (Val::Int(e), Val::Int(p)) = (args[0], args[1]) else {
+            let Some(g) = group_of(&memo, [args[0], args[1]]) else {
                 return;
             };
-            let Some(g) = split_memo.lookup(decode_expr(e), split_props.decode(p)) else {
-                return;
-            };
-            for a in split_memo.alts_of(g) {
-                emit(&split_rows[a.0 as usize]);
+            let child = |c: Option<GroupId>| c.map_or([null; 2], |c| group_key(&memo, c));
+            for a in memo.alts_of(g) {
+                let alt = memo.alt(a);
+                let [log_op, phy_op] = op_names[&alt.op];
+                let ([le, lp], [re, rp]) = (child(alt.left), child(alt.right));
+                emit(&[Val::Int(a.0 as i64), log_op, phy_op, le, lp, re, rp]);
             }
         })
         // Fn_present(x |): holds unless `x` is the `null` of an absent
@@ -979,7 +912,7 @@ mod tests {
         agg_chain_query, chain_query, cycle_query, fixture_catalog, shaped_query, star_query,
     };
     use reopt_core::{IncrementalOptimizer, PruningConfig};
-    use reopt_expr::{EdgeId, JoinGraph, LeafId};
+    use reopt_expr::{EdgeId, LeafId};
 
     fn fixture_queries() -> Vec<QuerySpec> {
         let c = fixture_catalog();
@@ -1122,8 +1055,7 @@ mod tests {
     /// scheduler, the substrate's semantic reference.
     fn per_delta_engine(c: &Catalog, q: QuerySpec) -> DataflowEngine {
         let mut df = DataflowEngine::new(c, q);
-        let (memo, props) = (Rc::clone(&df.memo), Rc::clone(&df.props));
-        df.net = build_network(memo, props, &df.strata, SchedulerMode::PerDelta);
+        df.net = build_network(Rc::clone(&df.memo), &df.strata, SchedulerMode::PerDelta);
         df
     }
 
@@ -1342,7 +1274,7 @@ mod tests {
                     && alt.children().next().is_none()
             })
             .expect("chain-3 prunes a scan of a held group");
-        let key = df.group_key(df.memo.alt(stray).group);
+        let key = group_key(&df.memo, df.memo.alt(stray).group);
         let row = local_tuple(key, stray, df.core.alt_state(stray).local);
         df.net.insert("LocalCost", row);
         df.net.run().unwrap();
@@ -1398,26 +1330,6 @@ mod tests {
             out.stats.deltas_processed,
             init.stats.deltas_processed
         );
-    }
-
-    #[test]
-    fn prop_table_encodes_every_memo_property_densely() {
-        // Every property a memo group carries has an id in
-        // `0..props.len()`, and ids decode back to their property.
-        let c = fixture_catalog();
-        let q = agg_chain_query(&c, 4);
-        let memo = Memo::build(&q, &JoinGraph::new(&q));
-        let props = PropTable::new(&memo);
-        let mut seen = vec![false; props.props.len()];
-        for g in &memo.groups {
-            let Val::Int(id) = props.encode(g.prop) else {
-                panic!("encode yields dense Int ids")
-            };
-            assert_eq!(props.decode(id), g.prop);
-            seen[id as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "an id no group carries");
-        assert!(props.props.len() > 1, "sanity: interesting orders exist");
     }
 
     #[test]
@@ -1479,6 +1391,17 @@ mod tests {
             assert_eq!(got.plan, want.plan, "{}", q.name);
             assert_eq!(lazy.best_plan(), eager.best_plan(), "{}", q.name);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "preload runs before the first optimize")]
+    fn a_preload_after_the_first_optimize_panics() {
+        // The pruning authority refuses it in every build: a late
+        // preload would move the parameters but no `LocalCost` row.
+        let c = fixture_catalog();
+        let mut df = DataflowEngine::new(&c, chain_query(&c, 3));
+        df.optimize();
+        df.preload(&[ParamDelta::LeafScanCost(LeafId(0), 2.0)]);
     }
 
     #[test]
@@ -1623,12 +1546,12 @@ mod tests {
                 let out = df.optimize();
                 let nodes = df.node_stats();
                 let memo = df.memo();
-                let child = |g: Option<GroupId>| g.map_or([null_value(); 2], |g| df.group_key(g));
+                let child = |g: Option<GroupId>| g.map_or([null_value(); 2], |g| group_key(memo, g));
                 let mut want: Vec<Tuple> = (0..memo.n_alts() as u32)
                     .map(|ai| {
                         let alt = memo.alt(AltId(ai));
                         let ([e, p], [le, lp], [re, rp]) =
-                            (df.group_key(alt.group), child(alt.left), child(alt.right));
+                            (group_key(memo, alt.group), child(alt.left), child(alt.right));
                         let log_op = Val::str(alt.op.logical_name());
                         let phy_op = Val::str(&alt.op.to_string());
                         Tuple::from_slice(&[e, p, Val::Int(ai as i64), log_op, phy_op, le, lp, re, rp])
@@ -1687,10 +1610,8 @@ mod tests {
     /// and plan are the hand-rolled engine's under `all()`.
     #[test]
     fn the_network_holds_only_referenced_groups() {
-        fn group_of(df: &DataflowEngine, t: &Tuple) -> GroupId {
-            let e = decode_expr(t.get(0).as_int());
-            let p = df.props.decode(t.get(1).as_int());
-            df.memo.lookup(e, p).expect("rows name memo groups")
+        fn row_group(df: &DataflowEngine, t: &Tuple) -> GroupId {
+            group_of(&df.memo, [t.get(0), t.get(1)]).expect("rows name memo groups")
         }
         fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
             v.sort_unstable();
@@ -1703,14 +1624,14 @@ mod tests {
                 .iter()
                 .map(|t| AltId(t.get(2).as_int() as u32))
                 .collect();
-            let holders = sorted(local.iter().map(|t| group_of(df, t)).collect());
+            let holders = sorted(local.iter().map(|t| row_group(df, t)).collect());
             let referenced = sorted(
                 std::iter::once(df.memo.root)
                     .chain(live.iter().flat_map(|&a| df.memo.alt(a).children()))
                     .collect(),
             );
             assert_eq!(holders, referenced, "LocalCost holders");
-            let best = df.rows("BestCost").iter().map(|(t, _)| group_of(df, t));
+            let best = df.rows("BestCost").iter().map(|(t, _)| row_group(df, t));
             assert_eq!(sorted(best.collect()), referenced, "BestCost groups");
             let plan_cost = plan_cost_rows(&df.net).iter();
             let derived = plan_cost.map(|(t, _)| AltId(t.get(2).as_int() as u32));

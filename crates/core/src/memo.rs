@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use reopt_common::FxHashMap;
 use reopt_expr::{
-    elaborate, AltSpec, ExprId, JoinGraph, PhysOp, PhysProp, QuerySpec, SplitTable,
+    elaborate, AltSpec, ChildRef, ExprId, JoinGraph, PhysOp, PhysProp, QuerySpec, SplitTable,
 };
 
 /// Group ("OR" node) id — dense index.
@@ -21,16 +21,15 @@ pub struct GroupId(pub u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AltId(pub u32);
 
-/// Static data of one alternative.
+/// Static data of one alternative: its root operator, its group and
+/// its child groups. The children's `(expr, prop)` are their groups';
+/// [`Memo::spec`] reads the enumeration record back from them.
 #[derive(Clone, Debug)]
 pub struct AltDef {
     pub op: PhysOp,
     pub group: GroupId,
     pub left: Option<GroupId>,
     pub right: Option<GroupId>,
-    /// The original enumeration record (children with property
-    /// requirements) — needed for cost calls and plan extraction.
-    pub spec: AltSpec,
 }
 
 impl AltDef {
@@ -138,7 +137,7 @@ struct ExprSlot {
 }
 
 /// A group in discovery order: its expression slot and its
-/// alternatives' range in [`Explored::specs`].
+/// alternatives' range in [`Explored::ops`].
 struct Found {
     slot: u32,
     prop: PhysProp,
@@ -154,9 +153,8 @@ struct Explored {
     /// Per slot, a row of [`PropIds::width`] discovery ids.
     slot_groups: Vec<u32>,
     groups: Vec<Found>,
-    /// Per alternative: its enumeration record and its children's
-    /// discovery ids.
-    specs: Vec<AltSpec>,
+    /// Per alternative: its operator and its children's discovery ids.
+    ops: Vec<PhysOp>,
     kids: Vec<[u32; 2]>,
 }
 
@@ -173,7 +171,7 @@ impl Explored {
             slot_of: FxHashMap::default(),
             slot_groups: Vec::new(),
             groups: Vec::new(),
-            specs: Vec::new(),
+            ops: Vec::new(),
             kids: Vec::new(),
         };
         let mut table = SplitTable::default();
@@ -202,7 +200,7 @@ impl Explored {
                     splits
                 }
             };
-            let start = x.specs.len() as u32;
+            let start = x.ops.len() as u32;
             elaborate(q, expr, prop, &table, splits, |spec, split| {
                 let [l, r] = match split {
                     Some(i) => sides[i],
@@ -216,10 +214,10 @@ impl Explored {
                 };
                 let l = spec.left.map_or(NONE, |c| x.place(l, c.prop));
                 let r = spec.right.map_or(NONE, |c| x.place(r, c.prop));
-                x.specs.push(spec);
+                x.ops.push(spec.op);
                 x.kids.push([l, r]);
             });
-            x.groups[next].alts = (start, x.specs.len() as u32);
+            x.groups[next].alts = (start, x.ops.len() as u32);
             next += 1;
         }
         (x, table)
@@ -274,7 +272,7 @@ impl Memo {
             slot_of,
             mut slot_groups,
             groups: found,
-            specs,
+            ops,
             kids,
         } = x;
         let expr_of = |f: &Found| slots[f.slot as usize].expr;
@@ -290,7 +288,7 @@ impl Memo {
         }
         let group_id = |i: u32| (i != NONE).then(|| GroupId(rank[i as usize]));
         let mut groups = Vec::with_capacity(found.len());
-        let mut alts = Vec::with_capacity(specs.len());
+        let mut alts = Vec::with_capacity(ops.len());
         let mut parent_start = vec![0u32; found.len() + 1];
         for &i in &order {
             let f = &found[i as usize];
@@ -302,11 +300,10 @@ impl Memo {
                     parent_start[child.0 as usize + 1] += 1;
                 }
                 alts.push(AltDef {
-                    op: specs[k].op,
+                    op: ops[k],
                     group: GroupId(rank[i as usize]),
                     left,
                     right,
-                    spec: specs[k],
                 });
             }
             groups.push(GroupDef {
@@ -378,9 +375,40 @@ impl Memo {
         &self.alts[a.0 as usize]
     }
 
+    /// The enumeration record of `a`: its operator and its children's
+    /// `(expr, prop)`, read off the child groups.
+    pub fn spec(&self, a: AltId) -> AltSpec {
+        let alt = self.alt(a);
+        let child = |c: Option<GroupId>| {
+            c.map(|c| ChildRef::new(self.group(c).expr, self.group(c).prop))
+        };
+        AltSpec {
+            op: alt.op,
+            left: child(alt.left),
+            right: child(alt.right),
+        }
+    }
+
     pub fn lookup(&self, expr: ExprId, prop: PhysProp) -> Option<GroupId> {
+        self.group_at(expr, self.prop_id(prop)?)
+    }
+
+    /// The dense id of `prop` among the properties a group of this
+    /// query can carry (`Any` is 0); `None` for one it cannot.
+    pub fn prop_id(&self, prop: PhysProp) -> Option<u32> {
+        self.props.id(prop).map(|id| id as u32)
+    }
+
+    /// The group of `expr` under the property with id `prop_id`
+    /// ([`Memo::prop_id`]): [`Memo::lookup`] without encoding the
+    /// property.
+    pub fn group_at(&self, expr: ExprId, prop_id: u32) -> Option<GroupId> {
+        let width = self.props.width();
+        if prop_id as usize >= width {
+            return None;
+        }
         let slot = *self.slot_of.get(&expr)? as usize;
-        let g = self.slot_groups[slot * self.props.width() + self.props.id(prop)?];
+        let g = self.slot_groups[slot * width + prop_id as usize];
         (g != NONE).then_some(GroupId(g))
     }
 
@@ -610,25 +638,57 @@ mod tests {
         // The builder elaborates each group from its expression's
         // split list: the result is what `enumerate_alts` returns for
         // the group alone, in order, and each child reference names
-        // the group `lookup` finds for it.
+        // the group `lookup` finds for it. `Memo::spec` reads the record
+        // back from the child groups.
         for q in spec_queries() {
             let g = JoinGraph::new(&q);
             let memo = Memo::build(&q, &g);
             for gi in 0..memo.n_groups() as u32 {
                 let def = memo.group(GroupId(gi));
-                let got: Vec<AltSpec> = memo.alts_of(GroupId(gi)).map(|a| memo.alt(a).spec).collect();
+                let got: Vec<AltSpec> = memo.alts_of(GroupId(gi)).map(|a| memo.spec(a)).collect();
                 let want = reopt_expr::enumerate_alts(&q, &g, def.expr, def.prop);
                 assert_eq!(got, want, "{}: group ({:?},{})", q.name, def.expr, def.prop);
                 for a in memo.alts_of(GroupId(gi)) {
-                    let alt = memo.alt(a);
-                    let resolve = |c: Option<reopt_expr::ChildRef>| {
+                    let (alt, spec) = (memo.alt(a), memo.spec(a));
+                    let resolve = |c: Option<ChildRef>| {
                         c.map(|c| memo.lookup(c.expr, c.prop).expect("a child is a group"))
                     };
-                    assert_eq!(alt.op, alt.spec.op);
                     assert_eq!(alt.group, GroupId(gi));
-                    assert_eq!((alt.left, alt.right), (resolve(alt.spec.left), resolve(alt.spec.right)));
+                    assert_eq!((alt.left, alt.right), (resolve(spec.left), resolve(spec.right)));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_alt_def_holds_no_enumeration_record() {
+        // An operator and three ids: the children's `(expr, prop)` live
+        // in their groups alone.
+        assert!(std::mem::size_of::<AltDef>() <= 32, "{}", std::mem::size_of::<AltDef>());
+    }
+
+    #[test]
+    fn prop_ids_round_trip_every_group() {
+        // Every property a group carries has an id below the row width,
+        // distinct properties have distinct ids, and `group_at` finds
+        // each group by its expression and its property's id; an id
+        // past the row, or a property no edge names, finds nothing.
+        for q in spec_queries() {
+            let memo = Memo::build(&q, &JoinGraph::new(&q));
+            let mut by_id: FxHashMap<u32, PhysProp> = FxHashMap::default();
+            for gi in 0..memo.n_groups() as u32 {
+                let def = memo.group(GroupId(gi));
+                let id = memo.prop_id(def.prop).expect("a group's property has an id");
+                assert!((id as usize) < memo.props.width(), "{}: {}", q.name, def.prop);
+                assert_eq!(*by_id.entry(id).or_insert(def.prop), def.prop, "{}: id {id}", q.name);
+                assert_eq!(memo.group_at(def.expr, id), Some(GroupId(gi)), "{}", q.name);
+            }
+            assert!(by_id.len() > 1, "{}: sanity: interesting orders exist", q.name);
+            let width = memo.props.width() as u32;
+            assert_eq!(memo.group_at(q.root_expr(), 0), Some(memo.root));
+            assert_eq!(memo.group_at(q.root_expr(), width), None);
+            let stray = reopt_expr::LeafCol::new(q.n_leaves(), 0);
+            assert_eq!(memo.prop_id(PhysProp::Sorted(stray)), None);
         }
     }
 

@@ -224,8 +224,17 @@ impl IncrementalOptimizer {
 
     /// Loads parameters into an engine before its first `optimize()` (a
     /// restart's recovered image); `false` when none changed.
+    ///
+    /// # Panics
+    ///
+    /// After the first `optimize()`: no row estimate or local cost would
+    /// follow the new parameters. An engine that has run takes them
+    /// through [`Self::reoptimize`].
     pub fn preload(&mut self, deltas: &[ParamDelta]) -> bool {
-        debug_assert!(!self.initialized, "parameters load before the first optimize");
+        assert!(
+            !self.initialized,
+            "preload runs before the first optimize; pass later parameters to reoptimize"
+        );
         !self.ctx.apply(deltas).is_empty()
     }
 
@@ -398,8 +407,9 @@ impl IncrementalOptimizer {
             if seeded || self.alts[ai].local_dirty {
                 self.alts[ai].local_dirty = false;
                 let rows_of = |c: Option<GroupId>| c.map_or(0.0, |c| self.rows[c.0 as usize]);
-                let (l, r) = (rows_of(alt.left), rows_of(alt.right));
-                let new_local = self.ctx.local_cost_of(expr, prop, &alt.spec, out, l, r);
+                let kids = [rows_of(alt.left), rows_of(alt.right)];
+                let left = alt.left.map(|c| memo.group(c).expr);
+                let new_local = self.ctx.local_cost_of(expr, prop, alt.op, left, out, kids);
                 if new_local != self.alts[ai].local {
                     if live && self.alts[ai].live {
                         self.note(a);
@@ -724,19 +734,12 @@ impl IncrementalOptimizer {
         self.ctx.expr_rows(&self.q, self.memo.group(g).expr)
     }
 
-    /// Recomputes an alternative's local cost from the cost context
-    /// (invariant checking).
-    pub(crate) fn recompute_local(
-        &mut self,
-        q: &QuerySpec,
-        g: GroupId,
-        spec: &reopt_expr::AltSpec,
-    ) -> Cost {
-        let (expr, prop) = {
-            let d = self.memo.group(g);
-            (d.expr, d.prop)
-        };
-        self.ctx.local_cost(q, expr, prop, spec)
+    /// Recomputes an alternative's local cost from the cost context, by
+    /// its enumeration record (invariant checking).
+    pub(crate) fn recompute_local(&mut self, a: AltId) -> Cost {
+        let def = self.memo.group(self.memo.alt(a).group);
+        let spec = self.memo.spec(a);
+        self.ctx.local_cost(&self.q, def.expr, def.prop, &spec)
     }
 }
 
@@ -1276,6 +1279,115 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} under {}: {e}", q.name, cfg.label()));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "preload runs before the first optimize")]
+    fn a_preload_after_the_first_optimize_panics() {
+        // In every build: a late preload would move the parameters but
+        // no row estimate or local cost.
+        let c = fixture_catalog();
+        let mut opt = IncrementalOptimizer::new(&c, chain_query(&c, 3), PruningConfig::all());
+        opt.optimize();
+        opt.preload(&[ParamDelta::LeafScanCost(LeafId(0), 2.0)]);
+    }
+
+    /// The first field on which two optimizers of one query disagree:
+    /// every group's `best`, `best_alt`, `live` and `refs`, a live
+    /// group's `bound` and `mpb`, every alternative's `local` and
+    /// `total`, and an alternative's `live` inside a live group (a
+    /// tombstoned group's verdicts are stale until it is revived).
+    fn first_divergence(w: &IncrementalOptimizer, f: &IncrementalOptimizer) -> Result<(), String> {
+        fn same<T: PartialEq + std::fmt::Debug>(
+            at: impl std::fmt::Debug,
+            field: &str,
+            w: T,
+            f: T,
+        ) -> Result<(), String> {
+            if w == f {
+                return Ok(());
+            }
+            Err(format!("{at:?} {field}: walked {w:?}, fresh {f:?}"))
+        }
+        for g in (0..w.memo().n_groups() as u32).map(GroupId) {
+            let (wg, fg) = (w.group_state(g), f.group_state(g));
+            same(g, "best", wg.best, fg.best)?;
+            same(g, "best_alt", wg.best_alt, fg.best_alt)?;
+            same(g, "live", wg.live, fg.live)?;
+            same(g, "refs", wg.refs, fg.refs)?;
+            if wg.live {
+                same(g, "bound", wg.bound, fg.bound)?;
+                same(g, "mpb", wg.mpb, fg.mpb)?;
+            }
+            for a in w.memo().alts_of(g) {
+                let (wa, fa) = (w.alt_state(a), f.alt_state(a));
+                same(a, "local", wa.local, fa.local)?;
+                same(a, "total", wa.total, fa.total)?;
+                if wg.live {
+                    same(a, "live", wa.live, fa.live)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Walked equals fresh, per seed: a random query of 2–8 leaves
+    /// (`fixtures::build`), and under every preset 12 epochs of 1–3
+    /// random deltas. After every epoch the walked optimizer must hold
+    /// exactly the state of a fresh one preloaded with every delta so
+    /// far — the fixpoint is unique: the memo is a DAG, the root is
+    /// pinned and ties break towards the lowest alternative.
+    fn walked_equals_fresh(seeds: std::ops::Range<u64>) {
+        use crate::fixtures::{build, deltas_for, QueryGen};
+        for seed in seeds {
+            let mut state = seed.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = |n: u32| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % u64::from(n)) as u32
+            };
+            let n = 2 + next(7) as usize;
+            let (c, q) = build(&QueryGen {
+                rows: (0..n).map(|_| 1 + next(5) as u8).collect(),
+                indexed: (0..n).map(|_| next(2) == 1).collect(),
+                parent: (1..n).map(|_| next(256) as u8).collect(),
+                cycle: next(2) == 1,
+            });
+            let mut byte = || next(256) as u8;
+            let walk: Vec<Vec<ParamDelta>> = (0..12)
+                .map(|_| {
+                    let len = 1 + byte() % 3;
+                    let raw: Vec<_> = (0..len).map(|_| (byte(), byte(), byte())).collect();
+                    deltas_for(&q, &raw, false)
+                })
+                .collect();
+            for cfg in all_configs() {
+                let mut walked = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                walked.optimize();
+                for epoch in 0..walk.len() {
+                    walked.propagate(&walk[epoch]);
+                    let mut fresh = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                    fresh.preload(&walk[..=epoch].concat());
+                    fresh.optimize();
+                    first_divergence(&walked, &fresh).unwrap_or_else(|e| {
+                        panic!("seed {seed} ({n} leaves) under {}, epoch {epoch}: {e}", cfg.label())
+                    });
+                }
+            }
+        }
+    }
+
+    /// 40 seeds, about 3 s in a debug build.
+    #[test]
+    fn a_walked_optimizer_equals_a_fresh_one() {
+        walked_equals_fresh(0..40);
+    }
+
+    #[test]
+    #[ignore = "3 000 seeds: run in release with --ignored"]
+    fn a_walked_optimizer_equals_a_fresh_one_over_3000_seeds() {
+        walked_equals_fresh(0..3_000);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl ParamIndex {
                 let alt = memo.alt(a);
                 let probed = match alt.op {
                     PhysOp::FullScan | PhysOp::IndexScan { .. } => Some(rel),
-                    PhysOp::IndexNLJoin { .. } => alt.spec.left.map(|c| c.expr.rel),
+                    PhysOp::IndexNLJoin { .. } => alt.left.map(|c| memo.group(c).expr.rel),
                     _ => None,
                 };
                 if let Some(leaf) = probed.filter(|r| r.is_singleton()) {
@@ -128,8 +128,7 @@ mod tests {
                 (0..memo.n_alts() as u32)
                     .map(AltId)
                     .filter(|&a| {
-                        let alt = memo.alt(a);
-                        ctx.alt_affected(memo.group(alt.group).expr, &alt.spec, affected)
+                        ctx.alt_affected(memo.group(memo.alt(a).group).expr, &memo.spec(a), affected)
                     })
                     .collect()
             };

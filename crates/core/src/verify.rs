@@ -101,7 +101,6 @@ impl IncrementalOptimizer {
     /// through tombstones, so every alternative of every group — dead
     /// or live — is held to it.
     fn check_costs(&mut self) -> Result<(), String> {
-        let q = self.query().clone();
         for gi in 0..self.memo().n_groups() as u32 {
             let g = GroupId(gi);
             let (expr, prop) = {
@@ -110,8 +109,7 @@ impl IncrementalOptimizer {
             };
             let mut best = Cost::INFINITY;
             for a in self.memo().alts_of(g) {
-                let spec = self.memo().alt(a).spec;
-                let expect_local = self.recompute_local(&q, g, &spec);
+                let expect_local = self.recompute_local(a);
                 let got_local = self.alt_state(a).local;
                 if got_local != expect_local {
                     return Err(format!(

@@ -168,11 +168,11 @@ proptest! {
                     walked.rows(&q, rel).to_bits(), fresh.rows(&q, rel).to_bits(),
                     "rows of {:?} after {:?}", rel, applied);
             }
-            for alt in &memo.alts {
-                let def = memo.group(alt.group);
+            for a in (0..memo.n_alts() as u32).map(reopt_core::AltId) {
+                let (def, spec) = (memo.group(memo.alt(a).group), memo.spec(a));
                 prop_assert_eq!(
-                    walked.local_cost(&q, def.expr, def.prop, &alt.spec),
-                    fresh.local_cost(&q, def.expr, def.prop, &alt.spec));
+                    walked.local_cost(&q, def.expr, def.prop, &spec),
+                    fresh.local_cost(&q, def.expr, def.prop, &spec));
             }
         }
     }
